@@ -70,7 +70,8 @@ def _matrix_field(cfg: RunConfig) -> poisson.MatrixField:
     spec = cfg.spec
     if spec.kind == "class2":
         return poisson.matrix_field_class2(
-            spec.psi, spec.chi, spec.lam0, spec.quad_tol, cfg.floors
+            spec.psi, spec.chi, spec.lam0, spec.quad_tol, cfg.floors,
+            spec.class2_phi(cfg.floors),
         )
     return poisson.matrix_field_class1(spec.phi, cfg.floors)
 
@@ -125,16 +126,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
         )
         header += ["C1", "C2"]
 
+    report = drift(traj, quantities)
+    columns = [report[name].values for name in header[5:]]
     rows = []
     for i, t in enumerate(traj.ts):
         s = traj.state(i)
-        row = [float(t), s.r, s.theta, s.u, s.v]
-        for name in header[5:]:
-            row.append(quantities[name](s, float(t)))
-        rows.append(row)
+        rows.append([float(t), s.r, s.theta, s.u, s.v, *(col[i] for col in columns)])
     _write_csv(out_dir / "trajectory.csv", header, rows)
 
-    report = drift(traj, quantities)
     doc = _base_report(cfg, seed)
     doc.update(
         {

@@ -17,6 +17,7 @@ quadrature) works on the trees built here.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ __all__ = [
     "parse",
     "to_text",
     "evaluate",
+    "compile",
     "differentiate",
     "substitute",
     "free_vars",
@@ -307,6 +309,68 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# globals of every compiled function (none owns a dict that could form a cycle)
+_NAMESPACE = dict(
+    {name: getattr(math, name) for name in ("sin", "cos", "tan", "exp", "sqrt")},
+    ln=math.log, abs=abs, float=float, inf=math.inf, nan=math.nan, _pow=math.pow,
+    _replay=lambda tree, names, vals: evaluate(tree, dict(zip(names, vals))),
+)
+
+
+def _lower(tree: Expr, args: tuple):
+    """Source of ``make(tree)``, which returns the function of len(args)
+    positional values computing ``tree``: one assignment per distinct
+    subexpression, each the operation :func:`evaluate` performs."""
+    params = ", ".join(f"a{i}" for i in range(len(args)))
+    lines, slots = [], {}
+
+    def emit(e: Expr) -> str:
+        if isinstance(e, Num):
+            return repr(float(e.value))
+        if isinstance(e, Var):
+            rhs = f"float(a{args.index(e.name)})"
+        elif isinstance(e, Unary):
+            x = emit(e.arg)
+            rhs = f"-{x}" if e.op == "neg" else f"{e.op}({x})"
+        else:
+            a, b = emit(e.left), emit(e.right)
+            rhs = f"_pow({a}, {b})" if e.op == "^" else f"{a} {e.op} {b}"
+        if rhs not in slots:  # equal text computes an equal value
+            slots[rhs] = f"x{len(lines)}"
+            lines.append(f"x{len(lines)} = {rhs}")
+        return slots[rhs]
+
+    # with a variable unbound, the replay raises evaluate's EvalError
+    lines.append(f"return {emit(tree)}" if free_vars(tree) <= set(args) else "raise ValueError")
+    body = "".join(f"\n            {line}" for line in lines)
+    return (
+        f"def make(tree):\n    def compiled({params}):\n        try:{body}\n"
+        "        except (ArithmeticError, ValueError):\n"
+        f"            return _replay(tree, {args!r}, [{params}])\n    return compiled\n"
+    )
+
+
+@functools.lru_cache(maxsize=1024)  # CPython keeps memory for each new code object run
+def _maker(source: str):
+    scope = {}
+    exec(source, _NAMESPACE, scope)
+    return scope["make"]
+
+
+def compile(tree: Expr, args) -> Callable[..., float]:
+    """Lower ``tree`` to a function of the positional values of ``args``
+    (variable names, in order) that returns, as a Python float, exactly
+    what :func:`evaluate` returns for ``dict(zip(args, values))``.  Where
+    it raises ArithmeticError or ValueError, ``evaluate`` runs instead and
+    raises its own error.  The lowered code is kept on the tree, per args.
+    """
+    args = tuple(args)
+    makers = tree.__dict__.setdefault("_compiled", {})
+    if args not in makers:
+        makers[args] = _maker(_lower(tree, args))
+    return makers[args](tree)
+
+
 def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
     """Replace every occurrence of variable ``var`` by ``replacement``."""
     if isinstance(e, Num):
@@ -419,31 +483,34 @@ def quad_adaptive(
             raise QuadratureError(f"non-finite integrand value {y!r} at lambda={x!r}")
         return y
 
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = sample(lmid)
-        frm = sample(rmid)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"subdivision limit {max_depth} reached on [{lo!r}, {hi!r}] "
-                f"before tolerance was met"
-            )
-        half = 0.5 * eps
-        return recurse(lo, mid, flo, flm, fmid, left, half, depth + 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, half, depth + 1
-        )
-
     fa = sample(a)
     fb = sample(b)
     fm = sample(0.5 * (a + b))
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
+    return _adapt(sample, a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, 0, max_depth)
+
+
+def _simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
+    return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+
+# not nested in quad_adaptive, where it would be a reference cycle per call
+def _adapt(sample, lo, hi, flo, fmid, fhi, whole, eps, depth, max_depth):
+    mid = 0.5 * (lo + hi)
+    lmid = 0.5 * (lo + mid)
+    rmid = 0.5 * (mid + hi)
+    flm = sample(lmid)
+    frm = sample(rmid)
+    left = _simpson(lo, mid, flo, flm, fmid)
+    right = _simpson(mid, hi, fmid, frm, fhi)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * eps:
+        return left + right + delta / 15.0
+    if depth >= max_depth:
+        raise QuadratureError(
+            f"subdivision limit {max_depth} reached on [{lo!r}, {hi!r}] "
+            f"before tolerance was met"
+        )
+    half = 0.5 * eps
+    return _adapt(sample, lo, mid, flo, flm, fmid, left, half, depth + 1, max_depth) + _adapt(
+        sample, mid, hi, fmid, frm, fhi, right, half, depth + 1, max_depth
+    )

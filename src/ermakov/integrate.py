@@ -14,7 +14,7 @@ Either way the trajectory ends at the last good state with status
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -396,6 +396,7 @@ class QuantityDrift:
     initial: float
     drift: float
     t_at_max: float
+    values: tuple = field(default=(), repr=False)  # the quantity at every node
 
 
 @dataclass(frozen=True)
@@ -431,8 +432,9 @@ def drift(
 ) -> DriftReport:
     """Maximum relative drift of each quantity over the trajectory nodes.
 
-    Drift is max over samples of |Q(t) - Q(t0)| / max(1, |Q(t0)|).  A
-    quantity that fails to evaluate names the offending sample index.
+    Drift is max over samples of |Q(t) - Q(t0)| / max(1, |Q(t0)|); each
+    entry keeps its samples.  A quantity that fails to evaluate names the
+    offending sample index.
     """
     entries = []
     states = traj.states()
@@ -456,6 +458,7 @@ def drift(
                 initial=q0,
                 drift=deviations[worst],
                 t_at_max=float(traj.ts[worst]),
+                values=tuple(values),
             )
         )
     return DriftReport(entries=tuple(entries))

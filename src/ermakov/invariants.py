@@ -55,7 +55,7 @@ class InvariantValue:
 
 def forcing_integral(g: Expr, theta: float, tol: float = 1e-12) -> float:
     """Lambda(theta): the forcing G integrated from 0 to theta."""
-    return ex.quad_adaptive(lambda lam: ex.evaluate(g, {"theta": lam}), 0.0, theta, tol)
+    return ex.quad_adaptive(ex.compile(g, ("theta",)), 0.0, theta, tol)
 
 
 def ermakov_invariant(
@@ -70,7 +70,7 @@ def ermakov_invariant(
 
 def grad_ermakov(g: Expr, s: PhaseState) -> np.ndarray:
     """Phase-space gradient of the invariant: (0, G(theta), 0, v)."""
-    return np.array([0.0, ex.evaluate(g, {"theta": s.theta}), 0.0, s.v])
+    return np.array([0.0, ex.compile(g, ("theta",))(s.theta), 0.0, s.v])
 
 
 def casimir_C1(
@@ -84,7 +84,7 @@ def casimir_C1(
         C1 = (1/2)(u/v)^2 + V(1/r, t).
     """
     alpha = s.alpha(floors.v_min)
-    v_val = ex.evaluate(potential, {"rbar": 1.0 / s.r, "t": t})
+    v_val = ex.compile(potential, ("rbar", "t"))(1.0 / s.r, t)
     return 0.5 * alpha * alpha + v_val
 
 
@@ -102,7 +102,7 @@ def is_singular_oscillator(potential: Expr) -> bool:
     for lam in _OSC_PROBES:
         ref = 1.0 / (2.0 * lam * lam)
         try:
-            val = ex.evaluate(potential, {"rbar": lam})
+            val = ex.compile(potential, ("rbar",))(lam)
         except ex.ExprError:
             return False
         if abs(val - ref) > 1e-12 * max(1.0, abs(ref)):
@@ -117,7 +117,7 @@ def _turning_point(potential: Expr, c1: float, rbar: float, t: float) -> float:
     c1 - V, then bisects.  Raises if no bracket is found."""
 
     def gap(lam: float) -> float:
-        return c1 - ex.evaluate(potential, {"rbar": lam, "t": t})
+        return c1 - ex.compile(potential, ("rbar", "t"))(lam, t)
 
     g0 = gap(rbar)
     if g0 < 0.0:
@@ -166,12 +166,12 @@ def _radial_quadrature(
     if rbar == lam0:
         return 0.0
     direction = 1.0 if rbar > lam0 else -1.0
-    gap0 = c1 - ex.evaluate(potential, {"rbar": lam0, "t": t})
+    pot = ex.compile(potential, ("rbar", "t"))
+    gap0 = c1 - pot(lam0, t)
     singular_end = abs(gap0) <= 1e-10 * max(1.0, abs(c1))
     if not singular_end:
         return (1.0 / math.sqrt(2.0)) * ex.quad_adaptive(
-            lambda lam: 1.0
-            / math.sqrt(c1 - ex.evaluate(potential, {"rbar": lam, "t": t})),
+            lambda lam: 1.0 / math.sqrt(c1 - pot(lam, t)),
             lam0,
             rbar,
             tol,
@@ -189,7 +189,7 @@ def _radial_quadrature(
         if sv == 0.0:
             return 2.0 / math.sqrt(abs(slope))
         lam = lam0 + direction * sv * sv
-        gap = c1 - ex.evaluate(potential, {"rbar": lam, "t": t})
+        gap = c1 - pot(lam, t)
         if gap <= 0.0:
             # roundoff right next to the turning point
             gap = abs(slope) * sv * sv

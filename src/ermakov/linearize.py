@@ -129,9 +129,10 @@ def _curvature_fn(phi: FuncHandle, t_param: float):
     symmetrically at +-eps; off zero, failures propagate."""
     dpot = getattr(phi, "dpotential", None)
     if dpot is not None:
+        dpot_at = ex.compile(dpot, ("rbar", "t"))
 
         def reduced(theta: float, rbar: float, abar: float) -> float:
-            return -ex.evaluate(dpot, {"rbar": rbar, "t": t_param})
+            return -dpot_at(rbar, t_param)
 
         return reduced
 

@@ -40,7 +40,6 @@ __all__ = [
     "MatrixField",
     "matrix_class1",
     "matrix_class2",
-    "phi_class2",
     "pfaffian",
     "determinant",
     "det_class2_quoted",
@@ -153,27 +152,6 @@ def matrix_class1(
     )
 
 
-def phi_class2(
-    psi: FuncHandle,
-    chi,
-    s: PhaseState,
-    t: float = 0.0,
-    lam0: float = 0.0,
-    tol: float = 1e-12,
-    floors: Floors = DEFAULT_FLOORS,
-) -> float:
-    """Evaluate the phi constructed from a class-2 psi at a state.
-
-    chi(r, theta, t) is the free integration constant (an expression tree
-    or None).  The quadrature runs from lam0 (default 0) to u/v; when psi
-    depends on theta the integrand carries a 1/lambda factor and the path
-    must stay clear of zero, which is enforced.
-    """
-    alpha = s.alpha(floors.v_min)
-    builder = Class2Phi(psi, chi, lam0=lam0, tol=tol, psi_min=floors.psi_min)
-    return builder(alpha, s.r, s.theta, t)
-
-
 def matrix_class2(
     psi: FuncHandle,
     chi,
@@ -182,15 +160,17 @@ def matrix_class2(
     lam0: float = 0.0,
     tol: float = 1e-12,
     floors: Floors = DEFAULT_FLOORS,
+    builder: Optional[Class2Phi] = None,
 ) -> SkewMatrix4:
-    """Class-2 Poisson matrix at a state.
+    """Class-2 Poisson matrix at a state, with phi from ``builder`` or
+    else from a Class2Phi built for this call.
 
     At u = 0 every psi- and phi-proportional entry vanishes and the
     matrix degenerates to the class-1 shape; callers relying on
     non-degeneracy should keep |u| above the u_min floor.
     """
     alpha, j14, j24, j23 = _common_entries(s, floors)
-    builder = Class2Phi(psi, chi, lam0=lam0, tol=tol, psi_min=floors.psi_min)
+    builder = builder or Class2Phi(psi, chi, lam0=lam0, tol=tol, psi_min=floors.psi_min)
     psi_val = psi(alpha, s.r, s.theta, t)
     phi_val = builder(alpha, s.r, s.theta, t)
     return SkewMatrix4(
@@ -308,22 +288,11 @@ def hamiltonian_flow(
     return Flow4(*x)
 
 
-def _phi_dalpha(phi, alpha: float, r: float, theta: float, t: float, h: float) -> float:
-    if isinstance(phi, Class2Phi):
-        return phi.partial_alpha(alpha, r, theta, t)
-    if isinstance(phi, FuncHandle):
-        p = phi.partial("alpha")
-        if p is not None:
-            return p(alpha, r, theta, t)
-    return (phi(alpha + h, r, theta, t) - phi(alpha - h, r, theta, t)) / (2.0 * h)
-
-
 def consistency_residual(
     psi: FuncHandle,
-    phi,
+    phi: Union[FuncHandle, Class2Phi],
     s: PhaseState,
     t: float = 0.0,
-    fd_step: float = 1e-6,
     floors: Floors = DEFAULT_FLOORS,
 ) -> float:
     """Residual of the compatibility condition linking psi and phi:
@@ -333,9 +302,7 @@ def consistency_residual(
 
     with ' = d/d(alpha) at alpha = u/v.  Zero (to numerical accuracy)
     exactly when (psi, phi) assemble into a Poisson matrix.  Derivatives
-    are symbolic where the handles carry trees; a Class2Phi phi supplies
-    its exact alpha-derivative, anything else is centrally differenced
-    with fd_step.
+    are symbolic; a Class2Phi phi supplies its exact alpha-derivative.
     """
     if abs(s.u) <= floors.u_min:
         raise SingularStateError(
@@ -345,30 +312,13 @@ def consistency_residual(
     r, theta, u, v = s.r, s.theta, s.u, s.v
 
     psi_val = psi(alpha, r, theta, t)
-    pa = psi.partial("alpha")
-    if pa is not None:
-        psi_prime = pa(alpha, r, theta, t)
-    else:
-        psi_prime = (
-            psi(alpha + fd_step, r, theta, t) - psi(alpha - fd_step, r, theta, t)
-        ) / (2.0 * fd_step)
-    pr = psi.partial("r")
-    if pr is not None:
-        psi_r = pr(alpha, r, theta, t)
-    else:
-        psi_r = (
-            psi(alpha, r + fd_step, theta, t) - psi(alpha, r - fd_step, theta, t)
-        ) / (2.0 * fd_step)
-    pth = psi.partial("theta")
-    if pth is not None:
-        psi_theta = pth(alpha, r, theta, t)
-    else:
-        psi_theta = (
-            psi(alpha, r, theta + fd_step, t) - psi(alpha, r, theta - fd_step, t)
-        ) / (2.0 * fd_step)
+    psi_prime = psi.partial("alpha")(alpha, r, theta, t)
+    psi_r = psi.partial("r")(alpha, r, theta, t)
+    psi_theta = psi.partial("theta")(alpha, r, theta, t)
 
     phi_val = phi(alpha, r, theta, t)
-    phi_prime = _phi_dalpha(phi, alpha, r, theta, t, fd_step)
+    dphi = phi.partial_alpha if isinstance(phi, Class2Phi) else phi.partial("alpha")
+    phi_prime = dphi(alpha, r, theta, t)
 
     left = psi_val * phi_prime - psi_prime * phi_val
     right = psi_r + v / (r * r * u) * psi_theta - (2.0 / r) * psi_val
@@ -425,9 +375,12 @@ def matrix_field_class2(
     lam0: float = 0.0,
     tol: float = 1e-12,
     floors: Floors = DEFAULT_FLOORS,
+    builder: Optional[Class2Phi] = None,
 ) -> MatrixField:
+    """Class-2 matrix field over one Class2Phi, ``builder`` or built here."""
+    builder = builder or Class2Phi(psi, chi, lam0=lam0, tol=tol, psi_min=floors.psi_min)
     return MatrixField(
-        evaluate=lambda s, t=0.0: matrix_class2(psi, chi, s, t, lam0, tol, floors),
+        evaluate=lambda s, t=0.0: matrix_class2(psi, chi, s, t, lam0, tol, floors, builder),
         kind="class2",
     )
 

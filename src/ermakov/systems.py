@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -117,65 +117,49 @@ _HANDLE_VARS = ("alpha", "r", "theta", "t")
 
 
 class FuncHandle:
-    """A scalar coupling function of (alpha, r, theta, t).
-
-    Usually wraps an expression tree, in which case symbolic partial
-    derivatives are available; plain callables are accepted too (partials
-    then fall back to differencing at the call sites that need them).
-    """
+    """A scalar coupling function of (alpha, r, theta, t), held as an
+    expression tree and compiled once; symbolic partial derivatives are
+    built on first use and kept on the handle."""
 
     def __init__(
         self,
-        fn: Optional[Callable[[float, float, float, float], float]] = None,
-        tree: Optional[Expr] = None,
+        tree: Expr,
         name: str = "",
         potential: Optional[Expr] = None,
         dpotential: Optional[Expr] = None,
     ):
-        if fn is None and tree is None:
-            raise ValueError("FuncHandle needs a callable or an expression tree")
-        if tree is not None:
-            bad = sorted(ex.free_vars(tree) - set(_HANDLE_VARS))
-            if bad:
-                raise ValueError(
-                    f"expression uses variables {bad} outside {_HANDLE_VARS}"
-                )
-        self._fn = fn
+        if tree is None:
+            raise ValueError("FuncHandle needs an expression tree")
+        bad = sorted(ex.free_vars(tree) - set(_HANDLE_VARS))
+        if bad:
+            raise ValueError(f"expression uses variables {bad} outside {_HANDLE_VARS}")
         self.tree = tree
-        self.name = name or (ex.to_text(tree) if tree is not None else "<callable>")
+        self.fn = ex.compile(tree, _HANDLE_VARS)
+        self.name = name or ex.to_text(tree)
         # set when the handle was induced by a potential V(rbar, t)
         self.potential = potential
         self.dpotential = dpotential
-
-    @classmethod
-    def from_expr(cls, tree: Expr, name: str = "") -> "FuncHandle":
-        return cls(tree=tree, name=name)
+        self._partials = {}
 
     @classmethod
     def from_text(cls, text: str) -> "FuncHandle":
         return cls(tree=ex.parse(text), name=text)
 
     def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
-        if self.tree is not None:
-            return ex.evaluate(
-                self.tree, {"alpha": alpha, "r": r, "theta": theta, "t": t}
-            )
-        return float(self._fn(alpha, r, theta, t))
+        return self.fn(alpha, r, theta, t)
 
     def depends_on(self, var: str) -> bool:
-        """Whether the handle can vary with ``var``.  Conservative for plain
-        callables (assumes yes)."""
-        if self.tree is not None:
-            return var in ex.free_vars(self.tree)
-        return True
+        """Whether the handle can vary with ``var``."""
+        return var in ex.free_vars(self.tree)
 
-    def partial(self, var: str) -> Optional["FuncHandle"]:
-        """Symbolic partial derivative, or None when only a callable is held."""
-        if self.tree is None:
-            return None
-        return FuncHandle(
-            tree=ex.differentiate(self.tree, var), name=f"d({self.name})/d{var}"
-        )
+    def partial(self, var: str) -> "FuncHandle":
+        """Symbolic partial derivative, differentiated once per variable."""
+        handle = self._partials.get(var)
+        if handle is None:
+            handle = self._partials[var] = FuncHandle(
+                tree=ex.differentiate(self.tree, var), name=f"d({self.name})/d{var}"
+            )
+        return handle
 
     def __repr__(self):
         return f"FuncHandle({self.name})"
@@ -198,6 +182,10 @@ class Class2Phi:
     (fundamental theorem of calculus), which matters for consistency-
     condition checks: differencing the quadrature would cost five to six
     digits.
+
+    The last value is kept with its (alpha, r, theta, t), so phi and its
+    alpha-derivative, or the matrix and the flow, at one state share one
+    quadrature.
     """
 
     def __init__(
@@ -217,12 +205,14 @@ class Class2Phi:
         self.lam0 = float(lam0)
         self.tol = float(tol)
         self.psi_min = float(psi_min)
-        self._psi_r = psi.partial("r")
-        self._psi_theta = psi.partial("theta")
+        self._psi_r = psi.partial("r").fn
+        self._psi_theta = psi.partial("theta").fn
+        self._psi_alpha = psi.partial("alpha").fn
         self._theta_dependent = psi.depends_on("theta")
+        self._last = (None, None)
 
     def _psi_at(self, lam: float, r: float, theta: float, t: float) -> float:
-        w = self.psi(lam, r, theta, t)
+        w = self.psi.fn(lam, r, theta, t)
         if abs(w) <= self.psi_min:
             raise SingularStateError(
                 f"|psi|={abs(w)!r} at or below floor psi_min={self.psi_min!r} "
@@ -230,36 +220,22 @@ class Class2Phi:
             )
         return w
 
-    def _partial_num(self, which: str, lam, r, theta, t, h=1e-6) -> float:
-        args = {"alpha": lam, "r": r, "theta": theta, "t": t}
-        hi = dict(args)
-        lo = dict(args)
-        hi[which] += h
-        lo[which] -= h
-        f = lambda a: self.psi(a["alpha"], a["r"], a["theta"], a["t"])
-        return (f(hi) - f(lo)) / (2.0 * h)
-
     def integrand(self, lam: float, r: float, theta: float, t: float) -> float:
         w = self._psi_at(lam, r, theta, t)
-        if self._psi_r is not None:
-            dr = self._psi_r(lam, r, theta, t)
-        else:
-            dr = self._partial_num("r", lam, r, theta, t)
-        val = dr - (2.0 / r) * w
+        val = self._psi_r(lam, r, theta, t) - (2.0 / r) * w
         if self._theta_dependent:
             if lam == 0.0:
                 raise SingularStateError(
                     "class-2 phi integrand has a 1/lambda term and the path "
                     "touches lambda=0"
                 )
-            if self._psi_theta is not None:
-                dth = self._psi_theta(lam, r, theta, t)
-            else:
-                dth = self._partial_num("theta", lam, r, theta, t)
-            val += dth / (r * r * lam)
+            val += self._psi_theta(lam, r, theta, t) / (r * r * lam)
         return val / (w * w)
 
-    def _check_path(self, alpha: float):
+    def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
+        key = (alpha, r, theta, t)
+        if self._last[0] == key:
+            return self._last[1]
         if self._theta_dependent:
             lo, hi = min(self.lam0, alpha), max(self.lam0, alpha)
             if lo <= 0.0 <= hi:
@@ -267,24 +243,19 @@ class Class2Phi:
                     f"class-2 phi integration path [{lo!r}, {hi!r}] crosses "
                     f"lambda=0 while psi depends on theta"
                 )
-
-    def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
-        self._check_path(alpha)
         k = ex.quad_adaptive(
             lambda lam: self.integrand(lam, r, theta, t), self.lam0, alpha, self.tol
         )
         if self.chi is not None:
-            k += ex.evaluate(self.chi, {"r": r, "theta": theta, "t": t})
-        return k * self._psi_at(alpha, r, theta, t)
+            k += ex.compile(self.chi, ("r", "theta", "t"))(r, theta, t)
+        value = k * self._psi_at(alpha, r, theta, t)
+        self._last = (key, value)
+        return value
 
     def partial_alpha(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
         """Exact d(phi)/d(alpha) via the fundamental theorem."""
         w = self._psi_at(alpha, r, theta, t)
-        pa = self.psi.partial("alpha")
-        if pa is not None:
-            dpsi = pa(alpha, r, theta, t)
-        else:
-            dpsi = self._partial_num("alpha", alpha, r, theta, t)
+        dpsi = self._psi_alpha(alpha, r, theta, t)
         return self.integrand(alpha, r, theta, t) * w + self(alpha, r, theta, t) * dpsi / w
 
 
@@ -309,6 +280,7 @@ class SystemSpec:
     dpotential: Optional[Expr] = field(default=None, repr=False)
     lam0: float = 0.0
     quad_tol: float = 1e-12
+    _class2_phis: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _CLASSES:
@@ -357,11 +329,15 @@ class SystemSpec:
         )
 
     def class2_phi(self, floors: Floors = DEFAULT_FLOORS) -> Class2Phi:
+        """The constructed phi; one instance per spec and psi_min floor."""
         if self.kind != "class2":
             raise ValueError("class2_phi is only defined for class-2 systems")
-        return Class2Phi(
-            self.psi, self.chi, lam0=self.lam0, tol=self.quad_tol, psi_min=floors.psi_min
-        )
+        phi = self._class2_phis.get(floors.psi_min)
+        if phi is None:
+            phi = self._class2_phis[floors.psi_min] = Class2Phi(
+                self.psi, self.chi, lam0=self.lam0, tol=self.quad_tol, psi_min=floors.psi_min
+            )
+        return phi
 
     def as_class1(self) -> "SystemSpec":
         """Lower a pseudo-potential system to an explicit class-1 system."""
@@ -370,15 +346,15 @@ class SystemSpec:
         return SystemSpec.class1(g=self.g, phi=self.phi, f=self.f)
 
     def g_at(self, theta: float) -> float:
-        return ex.evaluate(self.g, {"theta": theta})
+        return ex.compile(self.g, ("theta",))(theta)
 
     def f_at(self, theta: float) -> float:
         if self.f is None:
             return 0.0
-        return ex.evaluate(self.f, {"theta": theta})
+        return ex.compile(self.f, ("theta",))(theta)
 
     def dpotential_at(self, rbar: float, t: float) -> float:
-        return ex.evaluate(self.dpotential, {"rbar": rbar, "t": t})
+        return ex.compile(self.dpotential, ("rbar", "t"))(rbar, t)
 
 
 def build_phi_from_potential(potential: Expr) -> FuncHandle:

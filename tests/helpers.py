@@ -74,3 +74,22 @@ def trusted_central_difference(tree, bindings, var):
 
 def spiral_start() -> PhaseState:
     return PhaseState(r=1.0, theta=0.0, u=0.0, v=1.0)
+
+
+def count_outermost_calls(monkeypatch, owner, name: str) -> list:
+    """Patch ``owner.name`` so that each outermost call adds one to the
+    returned one-element list; recursive calls through the patched name
+    are not counted."""
+    original = getattr(owner, name)
+    count, depth = [0], [0]
+
+    def counting(*args, **kwargs):
+        count[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(owner, name, counting)
+    return count

@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+from ermakov import expr as ex
 from ermakov.cli import main
 from ermakov.invariants import spiral_radius
+from ermakov.systems import Class2Phi
+
+from helpers import count_outermost_calls
 
 SPIRAL_DOC = {
     "system": {"kind": "pseudo_potential", "g": "0", "potential": "1/(2*rbar^2)"},
@@ -316,3 +320,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg3), "--out", str(tmp_path)]) == 2
 
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("which", ["flow", "consistency"])
+def test_class2_verify_runs_one_quadrature_per_sample(tmp_path, monkeypatch, which):
+    doc = dict(CLASS2_DOC, verify={"samples": 25, "seed": 5})
+    doc["system"] = {"kind": "class2", "g": "cos(theta)", "psi": "1+alpha^2*r"}
+    cfg = write_config(tmp_path, doc)
+    quads = count_outermost_calls(monkeypatch, ex, "quad_adaptive")
+    builds = count_outermost_calls(monkeypatch, Class2Phi, "__init__")
+    code, _ = run(tmp_path, "verify", "--config", str(cfg), "--which", which)
+    assert code == 0
+    assert quads[0] == 25
+    assert builds[0] == 1

@@ -1,6 +1,10 @@
+import json
 import math
 import random
+import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from ermakov import expr as ex
 from ermakov.expr import Binary, Num, Unary, Var
 
-from helpers import evaluable_tree, trusted_central_difference
+from helpers import VARS, evaluable_tree, random_bindings, trusted_central_difference
 
 
 def test_parse_builds_expected_tree():
@@ -225,3 +229,95 @@ def test_quadrature_validates_arguments():
         ex.quad_adaptive(math.sin, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         ex.quad_adaptive(math.sin, 0.0, math.inf, 1e-8)
+
+
+def _outcome(fn):
+    """The exact bits of a result, or the type and message of its error."""
+    try:
+        return struct.pack("<d", fn())
+    except ex.ExprError as exc:
+        return type(exc), str(exc)
+
+
+def _same_as_evaluate(tree, names, vals):
+    compiled = ex.compile(tree, names)
+    expected = _outcome(lambda: ex.evaluate(tree, dict(zip(names, vals))))
+    assert _outcome(lambda: compiled(*vals)) == expected, ex.to_text(tree)
+    if isinstance(expected, bytes):
+        assert type(compiled(*vals)) is float
+    return expected
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_compiled_tree_and_partial_match_evaluate_bit_for_bit(seed):
+    rng = random.Random(seed)
+    tree, bindings, var = evaluable_tree(rng)
+    vals = [bindings[name] for name in VARS]
+    for expr in (tree, ex.differentiate(tree, var)):
+        assert isinstance(_same_as_evaluate(expr, VARS, vals), bytes)
+
+
+_signed = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e3, max_value=1e3)
+# literals of either sign, signed zeros and infinities; the parser makes
+# none of these, differentiate makes negative ones
+_any_literal = st.floats(allow_nan=False).map(Num)
+_signed_trees = st.recursive(st.one_of(_any_literal, _names.map(Var)), _extend, max_leaves=25)
+
+
+@given(_signed_trees, st.lists(_signed, min_size=5, max_size=5), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_compiled_tree_matches_evaluate_or_raises_the_same_error(tree, vals, as_numpy):
+    # signed zeros, domain failures and numpy scalars included
+    names = ("theta", "r", "t", "alpha", "rbar")
+    if as_numpy:
+        vals = [np.float64(x) for x in vals]
+    _same_as_evaluate(tree, names, vals)
+
+
+_EXPRESSION_KEYS = {"g", "f", "phi", "psi", "chi", "potential", "phi_override",
+                    "casimir_potential"}
+
+
+def _config_expressions(node):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _config_expressions(value)
+        elif key in _EXPRESSION_KEYS:
+            yield value
+
+
+_CONFIG_TEXTS = sorted({
+    text
+    for path in (Path(__file__).parent.parent / "configs").glob("*.json")
+    for text in _config_expressions(json.loads(path.read_text()))
+})
+
+
+@pytest.mark.parametrize("text", _CONFIG_TEXTS)
+def test_compiled_config_expressions_match_evaluate(text):
+    tree = ex.parse(text)
+    names = ("theta", "r", "t", "alpha", "rbar")
+    rng = random.Random(text)
+    for _ in range(50):
+        bindings = random_bindings(rng)
+        bindings["rbar"] = rng.uniform(0.3, 2.5)
+        vals = [bindings[name] for name in names]
+        for expr in [tree] + [ex.differentiate(tree, var) for var in names]:
+            _same_as_evaluate(expr, names, vals)
+
+
+@pytest.mark.parametrize(
+    "text,names,vals,error",
+    [
+        ("ln(-1)", (), (), ex.DomainError),
+        ("x/0", ("x",), (np.float64(0.0),), ex.DomainError),
+        ("(-8)^(1/3)", (), (), ex.DomainError),
+        ("exp(1000)", (), (), ex.DomainError),
+        ("0^-1", (), (), ex.DomainError),
+        ("x + y", ("x",), (1.0,), ex.EvalError),
+    ],
+)
+def test_compiled_domain_errors_match_evaluate(text, names, vals, error):
+    outcome = _same_as_evaluate(ex.parse(text), names, list(vals))
+    assert outcome[0] is error

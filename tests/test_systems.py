@@ -20,7 +20,7 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import spiral_start
+from helpers import count_outermost_calls, spiral_start
 
 OSC = ex.parse("1/(2*rbar^2)")
 
@@ -91,11 +91,11 @@ def test_func_handle_symbolic_partial():
     assert h.depends_on("alpha") and not h.depends_on("theta")
 
 
-def test_func_handle_wraps_plain_callables():
-    h = FuncHandle(fn=lambda alpha, r, theta, t: alpha * r)
-    assert h(2.0, 3.0, 0.0) == 6.0
-    assert h.partial("alpha") is None
-    assert h.depends_on("theta")  # conservative
+def test_func_handle_requires_a_tree():
+    with pytest.raises(ValueError, match="expression tree"):
+        FuncHandle(tree=None)
+    with pytest.raises(TypeError):
+        FuncHandle(fn=lambda alpha, r, theta, t: alpha * r)
 
 
 def test_system_spec_restricts_g_and_f_to_theta():
@@ -259,3 +259,32 @@ def test_class2_phi_accessor_requires_class2():
     spec = SystemSpec.pseudo_potential(ex.parse("0"), OSC)
     with pytest.raises(ValueError):
         spec.class2_phi()
+
+
+def test_func_handle_differentiates_once_per_variable(monkeypatch):
+    calls = count_outermost_calls(monkeypatch, ex, "differentiate")
+    h = FuncHandle.from_text("alpha^2*r + sin(theta)")
+    for _ in range(3):
+        assert h.partial("alpha")(3.0, 2.0, 0.0) == 12.0
+        h.partial("r")
+    assert calls[0] == 2
+    assert h.partial("theta") is h.partial("theta")
+    assert calls[0] == 3
+
+
+@pytest.mark.parametrize("coord", range(4))
+def test_class2_phi_memo_follows_every_argument(monkeypatch, coord):
+    psi = FuncHandle.from_text("1 + alpha^2*r + 0.1*sin(theta)*t")
+    chi = ex.parse("r*theta + t")
+    first = [0.4, 1.3, 0.2, 0.5]  # (alpha, r, theta, t)
+    second = list(first)
+    second[coord] += 0.25
+    expected = [Class2Phi(psi, chi, lam0=0.1)(*x) for x in (first, second)]
+    quads = count_outermost_calls(monkeypatch, ex, "quad_adaptive")
+    phi = Class2Phi(psi, chi, lam0=0.1)
+    for n in range(6):
+        assert phi(*(first, second)[n % 2]) == expected[n % 2]
+    assert quads[0] == 6
+    phi(*second)
+    phi.partial_alpha(*second)
+    assert quads[0] == 6  # the same state again, and its derivative, reuse it

@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Digest every report the ermakov commands write for the shipped configs.
+
+    python3 tools/report_digests.py --seed N
+
+For each ``configs/*.json`` it runs ``simulate``, the five ``verify``
+sweeps, ``orbit`` and ``linearize`` with ``--seed N``, in this process,
+against the package in this checkout's ``src/``.  It prints one line per
+command with its exit code and the sha256 of what it printed, then the
+sha256 of each report it wrote.  Two checkouts that print the same lines
+write byte-identical reports and messages.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = (
+    ("simulate",),
+    *(("verify", "--which", which)
+      for which in ("jacobi", "flow", "casimir", "consistency", "determinant")),
+    ("orbit",),
+    ("linearize",),
+)
+
+
+def digests(main, config: Path, seed: int, out: Path):
+    """Yield (command label, exit code, sha256 of its output,
+    {report name: sha256})."""
+    for argv in COMMANDS:
+        run_dir = out / config.stem / "-".join(argv)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            rc = main([*argv, "--config", str(config), "--out", str(run_dir), "--seed", str(seed)])
+        reports = {
+            path.name: _sha256(path.read_bytes())
+            for path in sorted(run_dir.glob("*")) if path.is_file()
+        }
+        yield " ".join(argv), rc, _sha256(printed.getvalue().encode()), reports
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", required=True, type=int)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    from ermakov.cli import main as ermakov_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in sorted((ROOT / "configs").glob("*.json")):
+            for label, rc, printed, reports in digests(ermakov_main, config, args.seed, Path(tmp)):
+                print(f"{config.name} {label}: exit {rc}, output {printed}")
+                for name, digest in reports.items():
+                    print(f"    {name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
