@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -320,6 +321,184 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg3), "--out", str(tmp_path)]) == 2
 
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+_DROP = object()
+
+
+def _edit(base, path, value):
+    """A deep copy of ``base`` with the entry at ``path`` (a dotted key)
+    set to ``value``, or removed when ``value`` is _DROP."""
+    doc = copy.deepcopy(base)
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node.setdefault(key, {})
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+# (id, document or raw bytes, the one line printed to stderr); each
+# document carries exactly one fault
+CONFIG_FAULTS = [
+    ("unknown-top", _edit(SPIRAL_DOC, "wat", 1), "unknown keys ['wat'] in config"),
+    ("unknown-system", _edit(SPIRAL_DOC, "system.wat", 1), "unknown keys ['wat'] in system"),
+    ("unknown-state", _edit(SPIRAL_DOC, "initial_state.w", 1), "unknown keys ['w'] in initial_state"),
+    ("unknown-integrator", _edit(SPIRAL_DOC, "integrator.order", 5), "unknown keys ['order'] in integrator"),
+    ("unknown-floors", _edit(SPIRAL_DOC, "floors.w_min", 1), "unknown keys ['w_min'] in floors"),
+    ("unknown-verify", _edit(SPIRAL_DOC, "verify.sample", 3), "unknown keys ['sample'] in verify"),
+    ("unknown-tolerance", _edit(SPIRAL_DOC, "verify.tolerance.orbit", 1), "unknown keys ['orbit'] in verify.tolerance"),
+    ("unknown-orbit", _edit(SPIRAL_DOC, "orbit.span", 1), "unknown keys ['span'] in orbit"),
+    ("unknown-linearize", _edit(SPIRAL_DOC, "linearize.grid", 1), "unknown keys ['grid'] in linearize"),
+    ("unknown-affinity", _edit(SPIRAL_DOC, "linearize.affinity.m", 1), "unknown keys ['m'] in linearize.affinity"),
+    ("object-system", _edit(SPIRAL_DOC, "system", "x"), "config.system must be an object"),
+    ("object-state", _edit(SPIRAL_DOC, "initial_state", [1]), "config.initial_state must be an object"),
+    ("object-integrator", _edit(SPIRAL_DOC, "integrator", 1), "config.integrator must be an object"),
+    ("object-floors", _edit(SPIRAL_DOC, "floors", None), "config.floors must be an object"),
+    ("object-verify", _edit(SPIRAL_DOC, "verify", []), "config.verify must be an object"),
+    ("object-tolerance", _edit(SPIRAL_DOC, "verify.tolerance", 1e-6), "verify.tolerance must be an object"),
+    ("object-orbit", _edit(SPIRAL_DOC, "orbit", "x"), "config.orbit must be an object"),
+    ("object-linearize", _edit(SPIRAL_DOC, "linearize", 0), "config.linearize must be an object"),
+    ("object-affinity", _edit(SPIRAL_DOC, "linearize.affinity", 8), "linearize.affinity must be an object"),
+    ("top-level", b"[1, 2]", "top level must be a JSON object"),
+    ("not-json", b"{\"system\": ", "not valid UTF-8 JSON: Expecting value: line 1 column 12 (char 11)"),
+    (
+        "not-utf8",
+        b"\xff{}",
+        "not valid UTF-8 JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    ("missing-system", _edit(SPIRAL_DOC, "system", _DROP), "config.system is required"),
+    ("missing-psi", _edit(CLASS2_DOC, "system.psi", _DROP), "system.psi is required for class2"),
+    (
+        "missing-potential",
+        _edit(SPIRAL_DOC, "system.potential", _DROP),
+        "system.potential is required for pseudo_potential",
+    ),
+    ("missing-state-r", _edit(SPIRAL_DOC, "initial_state.r", _DROP), "initial_state.r is required"),
+    (
+        "system-kind",
+        _edit(SPIRAL_DOC, "system.kind", "class3"),
+        "system.kind must be class1, class2 or pseudo_potential, got 'class3'",
+    ),
+    ("expr-type", _edit(SPIRAL_DOC, "system.g", 0), "system.g must be an expression string, got 0"),
+    (
+        "expr-syntax",
+        _edit(CLASS2_DOC, "system.psi", "1+"),
+        "system.psi: expected a number, name or '(', found 'end of input' (offset 2)",
+    ),
+    (
+        "expr-verify",
+        _edit(SPIRAL_DOC, "verify.casimir_potential", ["rbar"]),
+        "verify.casimir_potential must be an expression string, got ['rbar']",
+    ),
+    (
+        "system-variables",
+        _edit(SPIRAL_DOC, "system.g", "r"),
+        "system: G uses variables ['r'], only theta is allowed",
+    ),
+    ("number-state", _edit(SPIRAL_DOC, "initial_state.u", "0"), "initial_state.u must be a number, got '0'"),
+    ("number-lam0", _edit(CLASS2_DOC, "system.lam0", True), "system.lam0 must be a number, got True"),
+    (
+        "number-affinity",
+        _edit(SPIRAL_DOC, "linearize.affinity.theta", None),
+        "linearize.affinity.theta must be a number, got None",
+    ),
+    ("state-domain", _edit(SPIRAL_DOC, "initial_state.r", -1), "initial_state: r must be positive, got -1.0"),
+    ("positive-floor", _edit(SPIRAL_DOC, "floors.r_min", 0), "floors.r_min must be positive, got 0.0"),
+    ("positive-quad-tol", _edit(CLASS2_DOC, "system.quad_tol", -1e-9), "system.quad_tol must be positive, got -1e-09"),
+    ("positive-rtol", _edit(SPIRAL_DOC, "integrator.rtol", 0), "integrator.rtol must be positive, got 0.0"),
+    ("positive-dt", _edit(SPIRAL_DOC, "integrator.dt", "0.1"), "integrator.dt must be a number, got '0.1'"),
+    (
+        "positive-tolerance",
+        _edit(SPIRAL_DOC, "verify.tolerance.jacobi", 0),
+        "verify.tolerance.jacobi must be positive, got 0.0",
+    ),
+    ("positive-fd-step", _edit(SPIRAL_DOC, "verify.fd_step", -1), "verify.fd_step must be positive, got -1.0"),
+    (
+        "positive-orbit",
+        _edit(SPIRAL_DOC, "orbit.time_tolerance", 0),
+        "orbit.time_tolerance must be positive, got 0.0",
+    ),
+    (
+        "positive-linearize",
+        _edit(SPIRAL_DOC, "linearize.tolerance", False),
+        "linearize.tolerance must be a number, got False",
+    ),
+    (
+        "count-samples",
+        _edit(SPIRAL_DOC, "verify.samples", 0),
+        "verify.samples must be a positive integer, got 0",
+    ),
+    (
+        "count-max-steps",
+        _edit(SPIRAL_DOC, "integrator.max_steps", 10.0),
+        "integrator.max_steps must be a positive integer, got 10.0",
+    ),
+    ("count-orbit", _edit(SPIRAL_DOC, "orbit.n_grid", True), "orbit.n_grid must be a positive integer, got True"),
+    (
+        "count-affinity",
+        _edit(SPIRAL_DOC, "linearize.affinity.n", -8),
+        "linearize.affinity.n must be a positive integer, got -8",
+    ),
+    (
+        "affinity-grid",
+        _edit(SPIRAL_DOC, "linearize.affinity.n", 5),
+        "linearize.affinity.n must be at least 6, got 5",
+    ),
+    ("span-length", _edit(SPIRAL_DOC, "time_span", [1.0]), "time_span must be a two-element array"),
+    ("span-number", _edit(SPIRAL_DOC, "time_span", [0.0, "1"]), "time_span[1] must be a number, got '1'"),
+    (
+        "span-order",
+        _edit(SPIRAL_DOC, "orbit.theta_span", [1, 0]),
+        "orbit.theta_span must increase, got [1.0, 0.0]",
+    ),
+    (
+        "span-affinity",
+        _edit(SPIRAL_DOC, "linearize.affinity.abar_range", [0.5, 0.5]),
+        "linearize.affinity.abar_range must increase, got [0.5, 0.5]",
+    ),
+    (
+        "method",
+        _edit(SPIRAL_DOC, "integrator.method", "euler"),
+        "integrator.method must be rk4 or dp45, got 'euler'",
+    ),
+    (
+        "boolean",
+        _edit(SPIRAL_DOC, "verify.tamper_j34", 1),
+        "verify.tamper_j34 must be a boolean, got 1",
+    ),
+    (
+        "seed",
+        _edit(SPIRAL_DOC, "verify.seed", -3),
+        "verify.seed must be a nonnegative integer, got -3",
+    ),
+    (
+        "seed-bool",
+        _edit(SPIRAL_DOC, "verify.seed", False),
+        "verify.seed must be a nonnegative integer, got False",
+    ),
+    (
+        "branch",
+        _edit(SPIRAL_DOC, "verify.branch", "both"),
+        "verify.branch must be any or fixed, got 'both'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "document, message", [case[1:] for case in CONFIG_FAULTS], ids=[case[0] for case in CONFIG_FAULTS]
+)
+def test_each_config_fault_has_its_own_message(tmp_path, capsys, document, message):
+    path = tmp_path / "run.json"
+    path.write_bytes(document if isinstance(document, bytes) else json.dumps(document).encode())
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("which", ["flow", "consistency"])

@@ -5,10 +5,14 @@
 
 For each ``configs/*.json`` it runs ``simulate``, the five ``verify``
 sweeps, ``orbit`` and ``linearize`` with ``--seed N``, in this process,
-against the package in this checkout's ``src/``.  It prints one line per
-command with its exit code and the sha256 of what it printed, then the
-sha256 of each report it wrote.  Two checkouts that print the same lines
-write byte-identical reports and messages.
+against the package in this checkout's ``src/``.  The class-2 stress
+config ``bench/configs/class2_quadrature.json`` (the only one whose psi
+is not constant) gets ``simulate`` and the ``flow``, ``consistency`` and
+``determinant`` sweeps; its ``jacobi`` sweep takes half a minute and is
+left out.  It prints one line per command with its exit code and the
+sha256 of what it printed, then the sha256 of each report it wrote.  Two
+checkouts that print the same lines write byte-identical reports and
+messages.
 """
 
 from __future__ import annotations
@@ -31,11 +35,17 @@ COMMANDS = (
     ("linearize",),
 )
 
+STRESS_CONFIG = ROOT / "bench" / "configs" / "class2_quadrature.json"
+STRESS_COMMANDS = (
+    ("simulate",),
+    *(("verify", "--which", which) for which in ("flow", "consistency", "determinant")),
+)
 
-def digests(main, config: Path, seed: int, out: Path):
+
+def digests(main, config: Path, seed: int, out: Path, commands=COMMANDS):
     """Yield (command label, exit code, sha256 of its output,
     {report name: sha256})."""
-    for argv in COMMANDS:
+    for argv in commands:
         run_dir = out / config.stem / "-".join(argv)
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
@@ -58,9 +68,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from ermakov.cli import main as ermakov_main
 
+    runs = [(config, COMMANDS) for config in sorted((ROOT / "configs").glob("*.json"))]
+    runs.append((STRESS_CONFIG, STRESS_COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted((ROOT / "configs").glob("*.json")):
-            for label, rc, printed, reports in digests(ermakov_main, config, args.seed, Path(tmp)):
+        for config, commands in runs:
+            for label, rc, printed, reports in digests(
+                ermakov_main, config, args.seed, Path(tmp), commands
+            ):
                 print(f"{config.name} {label}: exit {rc}, output {printed}")
                 for name, digest in reports.items():
                     print(f"    {name} {digest}")
