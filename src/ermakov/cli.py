@@ -69,10 +69,7 @@ def _phi_of(cfg: RunConfig):
 def _matrix_field(cfg: RunConfig) -> poisson.MatrixField:
     spec = cfg.spec
     if spec.kind == "class2":
-        return poisson.matrix_field_class2(
-            spec.psi, spec.chi, spec.lam0, spec.quad_tol, cfg.floors,
-            spec.class2_phi(cfg.floors),
-        )
+        return poisson.matrix_field_class2(spec.class2_phi(cfg.floors), cfg.floors)
     return poisson.matrix_field_class1(spec.phi, cfg.floors)
 
 
@@ -159,7 +156,7 @@ def _verify_jacobi(cfg, states, tamper):
     field = _matrix_field(cfg)
     if tamper:
         field = poisson.perturb_j34(field, lambda s, t: 0.1 * s.r)
-    tol = cfg.verify.tolerance("jacobi", 1e-6)
+    tol = cfg.verify.tolerance.get("jacobi", 1e-6)
     per_state = []
     for s in states:
         res = poisson.jacobi_residuals(field, s, 0.0, cfg.verify.fd_step)
@@ -169,7 +166,7 @@ def _verify_jacobi(cfg, states, tamper):
 
 def _verify_flow(cfg, states):
     field = _matrix_field(cfg)
-    tol = cfg.verify.tolerance("flow", 1e-10)
+    tol = cfg.verify.tolerance.get("flow", 1e-10)
     per_state = []
     for s in states:
         grad = inv.grad_ermakov(cfg.spec.g, s)
@@ -178,18 +175,6 @@ def _verify_flow(cfg, states):
         scale = max(1.0, float(np.max(np.abs(vf))))
         per_state.append(float(np.max(np.abs(jflow - vf))) / scale)
     return tol, per_state, {}
-
-
-def _fd_grad(func, s: PhaseState, h: float) -> np.ndarray:
-    coords = s.as_array()
-    out = np.zeros(4)
-    for k in range(4):
-        hi = coords.copy()
-        lo = coords.copy()
-        hi[k] += h
-        lo[k] -= h
-        out[k] = (func(PhaseState(*hi)) - func(PhaseState(*lo))) / (2.0 * h)
-    return out
 
 
 def _verify_casimir(cfg, states):
@@ -201,7 +186,7 @@ def _verify_casimir(cfg, states):
             "verify.casimir_potential"
         )
     field = _matrix_field(cfg)
-    tol = cfg.verify.tolerance("casimir", 1e-7)
+    tol = cfg.verify.tolerance.get("casimir", 1e-7)
     h = cfg.verify.fd_step
 
     def c1_fn(s):
@@ -212,8 +197,8 @@ def _verify_casimir(cfg, states):
 
     per_state = []
     for s in states:
-        res1 = poisson.casimir_residuals(field, _fd_grad(c1_fn, s, h), s)
-        res2 = poisson.casimir_residuals(field, _fd_grad(c2_fn, s, h), s)
+        res1 = poisson.casimir_residuals(field, poisson.central_differences(c1_fn, s, h), s)
+        res2 = poisson.casimir_residuals(field, poisson.central_differences(c2_fn, s, h), s)
         per_state.append(
             max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
         )
@@ -228,7 +213,7 @@ def _verify_consistency(cfg, states):
         phi = FuncHandle(tree=cfg.verify.phi_override, name="phi_override")
     else:
         phi = spec.class2_phi(cfg.floors)
-    tol = cfg.verify.tolerance("consistency", 1e-7)
+    tol = cfg.verify.tolerance.get("consistency", 1e-7)
     per_state = []
     for s in states:
         per_state.append(
@@ -242,12 +227,12 @@ def _verify_determinant(cfg, states):
     field = _matrix_field(cfg)
     per_state = []
     if spec.kind in ("class1", "pseudo_potential"):
-        tol = cfg.verify.tolerance("determinant", 1e-10)
+        tol = cfg.verify.tolerance.get("determinant", 1e-10)
         for s in states:
             m = field(s)
             per_state.append(abs(poisson.determinant(m)) / m.norm() ** 4)
         return tol, per_state, {"mode": "degenerate"}
-    tol = cfg.verify.tolerance("determinant", 1e-8)
+    tol = cfg.verify.tolerance.get("determinant", 1e-8)
     pf_dev = quoted_dev = 0.0
     for s in states:
         m = field(s)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import expr as ex
-from .systems import DEFAULT_FLOORS, Floors, FuncHandle, PhaseState, SystemSpec
+from .systems import Floors, FuncHandle, PhaseState, SystemSpec
 
 __all__ = [
     "ConfigError",
@@ -47,17 +47,34 @@ def _check_keys(section: dict, allowed, where: str):
         raise ConfigError(f"unknown keys {unknown} in {where}")
 
 
-def _section(doc: dict, key: str, where: str = "config") -> dict:
+def _section(doc: dict, key: str) -> dict:
     val = doc.get(key, {})
     if not isinstance(val, dict):
-        raise ConfigError(f"{where}.{key} must be an object")
+        raise ConfigError(f"config.{key} must be an object")
     return val
+
+
+def _settings(cls, section, where: str, checks: dict):
+    """``cls`` built from an object whose allowed keys are those of
+    ``checks``; each present value passes through its check in table
+    order, and absent keys keep the defaults declared on ``cls``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
+    _check_keys(section, checks, where)
+    return cls(
+        **{
+            key: check(section[key], f"{where}.{key}")
+            for key, check in checks.items()
+            if key in section
+        }
+    )
 
 
 def _number(val, where: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number, got {val!r}")
     return float(val)
+
 
 def _positive(val, where: str) -> float:
     num = _number(val, where)
@@ -72,16 +89,39 @@ def _count(val, where: str) -> int:
     return val
 
 
-def _expr_field(section: dict, key: str, where: str, default: Optional[str] = None):
-    text = section.get(key, default)
+def _seed(val, where: str) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+        raise ConfigError(f"{where} must be a nonnegative integer, got {val!r}")
+    return val
+
+
+def _boolean(val, where: str) -> bool:
+    if not isinstance(val, bool):
+        raise ConfigError(f"{where} must be a boolean, got {val!r}")
+    return val
+
+
+def _one_of(*choices: str):
+    names = ", ".join(choices[:-1]) + " or " + choices[-1]
+
+    def check(val, where: str) -> str:
+        if val not in choices:
+            raise ConfigError(f"{where} must be {names}, got {val!r}")
+        return val
+
+    return check
+
+
+def _expr(text, where: str) -> Optional[ex.Expr]:
+    """An expression string parsed; null stands for an absent expression."""
     if text is None:
         return None
     if not isinstance(text, str):
-        raise ConfigError(f"{where}.{key} must be an expression string, got {text!r}")
+        raise ConfigError(f"{where} must be an expression string, got {text!r}")
     try:
         return ex.parse(text)
     except ex.ParseError as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _span(val, where: str) -> Tuple[float, float]:
@@ -94,36 +134,42 @@ def _span(val, where: str) -> Tuple[float, float]:
     return lo, hi
 
 
+def _grid(val, where: str) -> int:
+    n = _count(val, where)
+    if n < 6:
+        raise ConfigError(f"{where} must be at least 6, got {n}")
+    return n
+
+
+# the keys of a system section are the fields of SystemSpec
+_SYSTEM_KEYS = tuple(f.name for f in fields(SystemSpec) if f.init)
+_SYSTEM_KIND = _one_of("class1", "class2", "pseudo_potential")
+_CLASS2_NUMBERS = {"lam0": _number, "quad_tol": _positive}
+
+
 def _build_system(section: dict) -> SystemSpec:
-    _check_keys(
-        section,
-        ("kind", "g", "f", "phi", "psi", "chi", "potential", "lam0", "quad_tol"),
-        "system",
-    )
-    kind = section.get("kind")
-    if kind not in ("class1", "class2", "pseudo_potential"):
-        raise ConfigError(
-            f"system.kind must be class1, class2 or pseudo_potential, got {kind!r}"
-        )
-    g = _expr_field(section, "g", "system", default="0")
-    f = _expr_field(section, "f", "system")
+    _check_keys(section, _SYSTEM_KEYS, "system")
+    kind = _SYSTEM_KIND(section.get("kind"), "system.kind")
+    g = _expr(section.get("g", "0"), "system.g")
+    f = _expr(section.get("f"), "system.f")
     try:
         if kind == "class1":
-            phi_tree = _expr_field(section, "phi", "system", default="0")
-            phi = FuncHandle(tree=phi_tree, name=section.get("phi", "0"))
-            return SystemSpec.class1(g, phi, f)
+            text = section.get("phi", "0")
+            return SystemSpec.class1(g, FuncHandle(_expr(text, "system.phi"), text), f)
         if kind == "class2":
             if "psi" not in section:
                 raise ConfigError("system.psi is required for class2")
-            psi_tree = _expr_field(section, "psi", "system")
-            psi = FuncHandle(tree=psi_tree, name=section["psi"])
-            chi = _expr_field(section, "chi", "system")
-            lam0 = _number(section.get("lam0", 0.0), "system.lam0")
-            quad_tol = _positive(section.get("quad_tol", 1e-12), "system.quad_tol")
-            return SystemSpec.class2(g, psi, chi, f, lam0=lam0, quad_tol=quad_tol)
+            psi = FuncHandle(_expr(section["psi"], "system.psi"), section["psi"])
+            chi = _expr(section.get("chi"), "system.chi")
+            numbers = {
+                key: check(section[key], f"system.{key}")
+                for key, check in _CLASS2_NUMBERS.items()
+                if key in section
+            }
+            return SystemSpec.class2(g, psi, chi, f, **numbers)
         if "potential" not in section:
             raise ConfigError("system.potential is required for pseudo_potential")
-        potential = _expr_field(section, "potential", "system")
+        potential = _expr(section["potential"], "system.potential")
         return SystemSpec.pseudo_potential(g, potential, f)
     except ConfigError:
         raise
@@ -131,39 +177,22 @@ def _build_system(section: dict) -> SystemSpec:
         raise ConfigError(f"system: {exc}") from exc
 
 
+_STATE_KEYS = tuple(f.name for f in fields(PhaseState))
+
+
 def _build_state(section: dict) -> PhaseState:
-    _check_keys(section, ("r", "theta", "u", "v"), "initial_state")
-    for key in ("r", "theta", "u", "v"):
+    _check_keys(section, _STATE_KEYS, "initial_state")
+    for key in _STATE_KEYS:
         if key not in section:
             raise ConfigError(f"initial_state.{key} is required")
     try:
         return PhaseState(
-            r=_number(section["r"], "initial_state.r"),
-            theta=_number(section["theta"], "initial_state.theta"),
-            u=_number(section["u"], "initial_state.u"),
-            v=_number(section["v"], "initial_state.v"),
+            *(_number(section[key], f"initial_state.{key}") for key in _STATE_KEYS)
         )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"initial_state: {exc}") from exc
-
-
-def _build_floors(section: dict) -> Floors:
-    _check_keys(section, ("r_min", "u_min", "v_min", "psi_min"), "floors")
-    kwargs = {}
-    for key in ("r_min", "u_min", "v_min", "psi_min"):
-        if key in section:
-            kwargs[key] = _positive(section[key], f"floors.{key}")
-    return Floors(
-        r_min=kwargs.get("r_min", DEFAULT_FLOORS.r_min),
-        u_min=kwargs.get("u_min", DEFAULT_FLOORS.u_min),
-        v_min=kwargs.get("v_min", DEFAULT_FLOORS.v_min),
-        psi_min=kwargs.get("psi_min", DEFAULT_FLOORS.psi_min),
-    )
-
-
-_TOLERANCE_KEYS = ("jacobi", "flow", "casimir", "consistency", "determinant")
 
 
 @dataclass(frozen=True)
@@ -174,56 +203,9 @@ class VerifySettings:
     u_floor: float = 0.05
     branch: str = "any"
     tamper_j34: bool = False
-    tolerances: dict = field(default_factory=dict)
-    phi_override: Optional[object] = None
-    casimir_potential: Optional[object] = None
-
-    def tolerance(self, which: str, default: float) -> float:
-        return self.tolerances.get(which, default)
-
-
-def _build_verify(section: dict) -> VerifySettings:
-    _check_keys(
-        section,
-        (
-            "samples",
-            "seed",
-            "fd_step",
-            "u_floor",
-            "branch",
-            "tamper_j34",
-            "tolerance",
-            "phi_override",
-            "casimir_potential",
-        ),
-        "verify",
-    )
-    tol_section = _section(section, "tolerance", "verify")
-    _check_keys(tol_section, _TOLERANCE_KEYS, "verify.tolerance")
-    tolerances = {
-        key: _positive(tol_section[key], f"verify.tolerance.{key}")
-        for key in tol_section
-    }
-    branch = section.get("branch", "any")
-    if branch not in ("any", "fixed"):
-        raise ConfigError(f"verify.branch must be any or fixed, got {branch!r}")
-    tamper = section.get("tamper_j34", False)
-    if not isinstance(tamper, bool):
-        raise ConfigError(f"verify.tamper_j34 must be a boolean, got {tamper!r}")
-    seed = section.get("seed", 20260823)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"verify.seed must be a nonnegative integer, got {seed!r}")
-    return VerifySettings(
-        samples=_count(section.get("samples", 1000), "verify.samples"),
-        seed=seed,
-        fd_step=_positive(section.get("fd_step", 1e-5), "verify.fd_step"),
-        u_floor=_positive(section.get("u_floor", 0.05), "verify.u_floor"),
-        branch=branch,
-        tamper_j34=tamper,
-        tolerances=tolerances,
-        phi_override=_expr_field(section, "phi_override", "verify"),
-        casimir_potential=_expr_field(section, "casimir_potential", "verify"),
-    )
+    tolerance: dict = field(default_factory=dict)  # per sweep, e.g. {"jacobi": 1e-6}
+    phi_override: Optional[ex.Expr] = None
+    casimir_potential: Optional[ex.Expr] = None
 
 
 @dataclass(frozen=True)
@@ -232,25 +214,6 @@ class OrbitSettings:
     tolerance: float = 1e-6
     time_tolerance: float = 1e-5
     n_grid: int = 400
-
-
-def _build_orbit(section: dict) -> OrbitSettings:
-    _check_keys(
-        section, ("theta_span", "tolerance", "time_tolerance", "n_grid"), "orbit"
-    )
-    span = (
-        _span(section["theta_span"], "orbit.theta_span")
-        if "theta_span" in section
-        else (0.0, 1.0)
-    )
-    return OrbitSettings(
-        theta_span=span,
-        tolerance=_positive(section.get("tolerance", 1e-6), "orbit.tolerance"),
-        time_tolerance=_positive(
-            section.get("time_tolerance", 1e-5), "orbit.time_tolerance"
-        ),
-        n_grid=_count(section.get("n_grid", 400), "orbit.n_grid"),
-    )
 
 
 @dataclass(frozen=True)
@@ -269,34 +232,47 @@ class LinearizeSettings:
     affinity: AffinityProbe = field(default_factory=AffinityProbe)
 
 
-def _build_linearize(section: dict) -> LinearizeSettings:
-    _check_keys(section, ("tolerance", "n_grid", "affinity"), "linearize")
-    aff_section = _section(section, "affinity", "linearize")
-    _check_keys(
-        aff_section, ("theta", "t", "rbar_range", "abar_range", "n"), "linearize.affinity"
-    )
-    probe = AffinityProbe(
-        theta=_number(aff_section.get("theta", 0.0), "linearize.affinity.theta"),
-        t=_number(aff_section.get("t", 0.0), "linearize.affinity.t"),
-        rbar_range=(
-            _span(aff_section["rbar_range"], "linearize.affinity.rbar_range")
-            if "rbar_range" in aff_section
-            else (0.5, 2.0)
-        ),
-        abar_range=(
-            _span(aff_section["abar_range"], "linearize.affinity.abar_range")
-            if "abar_range" in aff_section
-            else (0.1, 1.0)
-        ),
-        n=_count(aff_section.get("n", 8), "linearize.affinity.n"),
-    )
-    if probe.n < 6:
-        raise ConfigError(f"linearize.affinity.n must be at least 6, got {probe.n}")
-    return LinearizeSettings(
-        tolerance=_positive(section.get("tolerance", 1e-6), "linearize.tolerance"),
-        n_grid=_count(section.get("n_grid", 400), "linearize.n_grid"),
-        affinity=probe,
-    )
+# allowed keys and their checks, in the order they are checked
+_FLOORS = {f.name: _positive for f in fields(Floors)}
+_TOLERANCES = dict.fromkeys(
+    ("jacobi", "flow", "casimir", "consistency", "determinant"), _positive
+)
+_VERIFY = {
+    "tolerance": lambda val, where: _settings(dict, val, where, _TOLERANCES),
+    "branch": _one_of("any", "fixed"),
+    "tamper_j34": _boolean,
+    "seed": _seed,
+    "samples": _count,
+    "fd_step": _positive,
+    "u_floor": _positive,
+    "phi_override": _expr,
+    "casimir_potential": _expr,
+}
+_ORBIT = {
+    "theta_span": _span,
+    "tolerance": _positive,
+    "time_tolerance": _positive,
+    "n_grid": _count,
+}
+_AFFINITY = {
+    "theta": _number,
+    "t": _number,
+    "rbar_range": _span,
+    "abar_range": _span,
+    "n": _grid,
+}
+_LINEARIZE = {
+    "affinity": lambda val, where: _settings(AffinityProbe, val, where, _AFFINITY),
+    "tolerance": _positive,
+    "n_grid": _count,
+}
+_INTEGRATOR = {
+    "method": _one_of("rk4", "dp45"),
+    "dt": _positive,
+    "rtol": _positive,
+    "atol": _positive,
+    "max_steps": _count,
+}
 
 
 @dataclass(frozen=True)
@@ -305,17 +281,16 @@ class RunConfig:
     s0: Optional[PhaseState]
     t0: float
     t1: float
-    method: str
-    rtol: float
-    atol: float
-    dt: Optional[float]
-    max_steps: int
     floors: Floors
     verify: VerifySettings
     orbit: OrbitSettings
     linearize: LinearizeSettings
     sha256: str
-    raw: dict
+    method: str = "dp45"
+    rtol: float = 1e-10
+    atol: float = 1e-12
+    dt: Optional[float] = None  # rk4 step; the integrator picks one when absent
+    max_steps: int = 200000
 
 
 _TOP_KEYS = (
@@ -342,36 +317,22 @@ def parse_config(data: bytes) -> RunConfig:
     if "system" not in doc:
         raise ConfigError("config.system is required")
     spec = _build_system(_section(doc, "system"))
-    s0 = (
-        _build_state(_section(doc, "initial_state"))
-        if "initial_state" in doc
-        else None
-    )
-    t0, t1 = (
-        _span(doc["time_span"], "time_span") if "time_span" in doc else (0.0, 1.0)
-    )
-    integ = _section(doc, "integrator")
-    _check_keys(integ, ("method", "rtol", "atol", "dt", "max_steps"), "integrator")
-    method = integ.get("method", "dp45")
-    if method not in ("rk4", "dp45"):
-        raise ConfigError(f"integrator.method must be rk4 or dp45, got {method!r}")
-    dt = _positive(integ["dt"], "integrator.dt") if "dt" in integ else None
+    s0 = _build_state(_section(doc, "initial_state")) if "initial_state" in doc else None
+    t0, t1 = _span(doc["time_span"], "time_span") if "time_span" in doc else (0.0, 1.0)
+    integrator = _settings(dict, _section(doc, "integrator"), "integrator", _INTEGRATOR)
     return RunConfig(
         spec=spec,
         s0=s0,
         t0=t0,
         t1=t1,
-        method=method,
-        rtol=_positive(integ.get("rtol", 1e-10), "integrator.rtol"),
-        atol=_positive(integ.get("atol", 1e-12), "integrator.atol"),
-        dt=dt,
-        max_steps=_count(integ.get("max_steps", 200000), "integrator.max_steps"),
-        floors=_build_floors(_section(doc, "floors")),
-        verify=_build_verify(_section(doc, "verify")),
-        orbit=_build_orbit(_section(doc, "orbit")),
-        linearize=_build_linearize(_section(doc, "linearize")),
+        floors=_settings(Floors, _section(doc, "floors"), "floors", _FLOORS),
+        verify=_settings(VerifySettings, _section(doc, "verify"), "verify", _VERIFY),
+        orbit=_settings(OrbitSettings, _section(doc, "orbit"), "orbit", _ORBIT),
+        linearize=_settings(
+            LinearizeSettings, _section(doc, "linearize"), "linearize", _LINEARIZE
+        ),
         sha256=config_hash(data),
-        raw=doc,
+        **integrator,
     )
 
 
@@ -387,8 +348,8 @@ def load_config(path) -> RunConfig:
 def sample_states(
     rng: np.random.Generator,
     n: int,
-    u_floor: float = 0.05,
-    branch: str = "any",
+    u_floor: float,
+    branch: str,
 ) -> list:
     """Draw admissible verification states, reproducibly for a seeded rng.
 

@@ -450,12 +450,15 @@ def differentiate(e: Expr, var: str) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# halvings allowed below the whole interval before quad_adaptive gives up
+_QUAD_MAX_DEPTH = 50
+
+
 def quad_adaptive(
     f: Callable[[float], float],
     a: float,
     b: float,
     tol: float,
-    max_depth: int = 50,
 ) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -475,7 +478,7 @@ def quad_adaptive(
     if a == b:
         return 0.0
     if b < a:
-        return -quad_adaptive(f, b, a, tol, max_depth)
+        return -quad_adaptive(f, b, a, tol)
 
     def sample(x: float) -> float:
         y = float(f(x))
@@ -486,7 +489,7 @@ def quad_adaptive(
     fa = sample(a)
     fb = sample(b)
     fm = sample(0.5 * (a + b))
-    return _adapt(sample, a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, 0, max_depth)
+    return _adapt(sample, a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, 0)
 
 
 def _simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
@@ -494,7 +497,7 @@ def _simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float
 
 
 # not nested in quad_adaptive, where it would be a reference cycle per call
-def _adapt(sample, lo, hi, flo, fmid, fhi, whole, eps, depth, max_depth):
+def _adapt(sample, lo, hi, flo, fmid, fhi, whole, eps, depth):
     mid = 0.5 * (lo + hi)
     lmid = 0.5 * (lo + mid)
     rmid = 0.5 * (mid + hi)
@@ -505,12 +508,12 @@ def _adapt(sample, lo, hi, flo, fmid, fhi, whole, eps, depth, max_depth):
     delta = left + right - whole
     if abs(delta) <= 15.0 * eps:
         return left + right + delta / 15.0
-    if depth >= max_depth:
+    if depth >= _QUAD_MAX_DEPTH:
         raise QuadratureError(
-            f"subdivision limit {max_depth} reached on [{lo!r}, {hi!r}] "
+            f"subdivision limit {_QUAD_MAX_DEPTH} reached on [{lo!r}, {hi!r}] "
             f"before tolerance was met"
         )
     half = 0.5 * eps
-    return _adapt(sample, lo, mid, flo, flm, fmid, left, half, depth + 1, max_depth) + _adapt(
-        sample, mid, hi, fmid, frm, fhi, right, half, depth + 1, max_depth
+    return _adapt(sample, lo, mid, flo, flm, fmid, left, half, depth + 1) + _adapt(
+        sample, mid, hi, fmid, frm, fhi, right, half, depth + 1
     )

@@ -207,8 +207,6 @@ def integrate_ode(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     dt: Optional[float] = None,
-    first_step: Optional[float] = None,
-    max_step: Optional[float] = None,
     max_steps: int = 200000,
     accept_check: Optional[Callable[[float, np.ndarray], Optional[str]]] = None,
 ) -> Trajectory:
@@ -239,11 +237,7 @@ def integrate_ode(
     if method == "rk4":
         h = dt if dt is not None else span / 1000.0
     else:
-        h = first_step if first_step is not None else _initial_step(
-            f, t0, y, f_cur, t1, rtol, atol
-        )
-    if max_step is not None:
-        h = min(h, max_step)
+        h = _initial_step(f, t0, y, f_cur, t1, rtol, atol)
     if not h > 0.0:
         raise ValueError(f"step size {h!r} must be positive")
 
@@ -307,8 +301,6 @@ def integrate_ode(
             scaled = max(err_norm, 1e-10)
             factor = 0.9 * scaled**-0.14 * err_old**0.08
             h = h_try * min(5.0, max(0.2, factor))
-            if max_step is not None:
-                h = min(h, max_step)
             err_old = scaled
         if accept_check is not None:
             reason = accept_check(t, y)
@@ -344,8 +336,6 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     dt: Optional[float] = None,
-    first_step: Optional[float] = None,
-    max_step: Optional[float] = None,
     max_steps: int = 200000,
     floors: Floors = DEFAULT_FLOORS,
 ) -> Trajectory:
@@ -355,7 +345,7 @@ def integrate(
     slightly past the configured limits; accepted states are checked
     against the configured floors and trigger a "singular_stop".
     """
-    stage_floors = floors.relaxed(0.5)
+    stage_floors = floors.relaxed()
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         s = PhaseState(r=y[0], theta=y[1], u=y[2], v=y[3])
@@ -383,8 +373,6 @@ def integrate(
         rtol=rtol,
         atol=atol,
         dt=dt,
-        first_step=first_step,
-        max_step=max_step,
         max_steps=max_steps,
         accept_check=check,
     )

@@ -134,20 +134,14 @@ def _turning_point(potential: Expr, c1: float, rbar: float, t: float) -> float:
             except ex.ExprError:
                 break
             if g_here <= 0.0:
-                lo, hi = (lam, lam_prev) if lam < lam_prev else (lam_prev, lam)
+                inside, outside = lam_prev, lam  # c1 - V > 0 at inside only
                 for _ in range(200):
-                    mid = 0.5 * (lo + hi)
+                    mid = 0.5 * (inside + outside)
                     if gap(mid) > 0.0:
-                        if lam < lam_prev:
-                            hi = mid
-                        else:
-                            lo = mid
+                        inside = mid
                     else:
-                        if lam < lam_prev:
-                            lo = mid
-                        else:
-                            hi = mid
-                return 0.5 * (lo + hi)
+                        outside = mid
+                return 0.5 * (inside + outside)
             lam_prev = lam
     raise DomainError(
         "no turning point V(lam) = c1 found near rbar; pass lam0 explicitly"

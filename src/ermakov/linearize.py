@@ -285,12 +285,11 @@ def affinity_test(
     rbar_range: Tuple[float, float],
     abar_range: Tuple[float, float],
     n: int = 8,
-    threshold: float = 1e-8,
 ) -> AffinityResult:
     """Fit (abar/rbar^2) phi(-abar, 1/rbar, theta, t) to an affine model
     over an n-by-n grid and report the normalized max residual.
 
-    affine = residual < threshold.  Singular phi evaluations on the grid
+    affine = residual < 1e-8.  Singular phi evaluations on the grid
     propagate; choose ranges that avoid the singular set."""
     if n < 6:
         raise ValueError(f"need at least a 6x6 grid, got n={n!r}")
@@ -317,7 +316,7 @@ def affinity_test(
     residual = float(np.max(np.abs(target - fitted))) / scale
     a_fit, b_fit, c_fit = (float(c) for c in coeffs)
     return AffinityResult(
-        affine=residual < threshold,
+        affine=residual < 1e-8,
         A=a_fit,
         B=b_fit,
         C=c_fit,

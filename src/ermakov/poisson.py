@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from . import expr as ex
 from .systems import (
     DEFAULT_FLOORS,
     Class2Phi,
@@ -40,10 +39,13 @@ __all__ = [
     "MatrixField",
     "matrix_class1",
     "matrix_class2",
+    "matrix_field_class1",
+    "matrix_field_class2",
     "pfaffian",
     "determinant",
     "det_class2_quoted",
     "bracket",
+    "central_differences",
     "jacobi_residuals",
     "JACOBI_TRIPLES",
     "hamiltonian_flow",
@@ -153,26 +155,21 @@ def matrix_class1(
 
 
 def matrix_class2(
-    psi: FuncHandle,
-    chi,
+    phi: Class2Phi,
     s: PhaseState,
     t: float = 0.0,
-    lam0: float = 0.0,
-    tol: float = 1e-12,
     floors: Floors = DEFAULT_FLOORS,
-    builder: Optional[Class2Phi] = None,
 ) -> SkewMatrix4:
-    """Class-2 Poisson matrix at a state, with phi from ``builder`` or
-    else from a Class2Phi built for this call.
+    """Class-2 Poisson matrix at a state, with psi and the constructed phi
+    from one Class2Phi.
 
     At u = 0 every psi- and phi-proportional entry vanishes and the
     matrix degenerates to the class-1 shape; callers relying on
     non-degeneracy should keep |u| above the u_min floor.
     """
     alpha, j14, j24, j23 = _common_entries(s, floors)
-    builder = builder or Class2Phi(psi, chi, lam0=lam0, tol=tol, psi_min=floors.psi_min)
-    psi_val = psi(alpha, s.r, s.theta, t)
-    phi_val = builder(alpha, s.r, s.theta, t)
+    psi_val = phi.psi(alpha, s.r, s.theta, t)
+    phi_val = phi(alpha, s.r, s.theta, t)
     return SkewMatrix4(
         j12=0.0,
         j13=alpha * alpha + s.u * psi_val,
@@ -236,6 +233,21 @@ def bracket(grad_a: Sequence[float], grad_b: Sequence[float], m: SkewMatrix4) ->
     return float(ga @ m.as_array() @ gb)
 
 
+def central_differences(func: Callable, s: PhaseState, h: float) -> list:
+    """The list of (func(s + h e_k) - func(s - h e_k)) / (2 h) over the
+    coordinates k of (r, theta, u, v); func may return a scalar or an
+    array."""
+    coords = s.as_array()
+    out = []
+    for k in range(4):
+        hi = coords.copy()
+        lo = coords.copy()
+        hi[k] += h
+        lo[k] -= h
+        out.append((func(PhaseState(*hi)) - func(PhaseState(*lo))) / (2.0 * h))
+    return out
+
+
 def jacobi_residuals(
     field: MatrixField,
     s: PhaseState,
@@ -250,16 +262,7 @@ def jacobi_residuals(
     the field is Poisson.
     """
     center = field(s, t).as_array()
-    coords = s.as_array()
-    grads = []
-    for k in range(4):
-        hi = coords.copy()
-        lo = coords.copy()
-        hi[k] += h
-        lo[k] -= h
-        m_hi = field(PhaseState(*hi), t).as_array()
-        m_lo = field(PhaseState(*lo), t).as_array()
-        grads.append((m_hi - m_lo) / (2.0 * h))
+    grads = central_differences(lambda p: field(p, t).as_array(), s, h)
     out = np.zeros(len(JACOBI_TRIPLES))
     for n, (a, b, c) in enumerate(JACOBI_TRIPLES):
         i, j, k = a - 1, b - 1, c - 1
@@ -370,19 +373,8 @@ def matrix_field_class1(
 
 
 def matrix_field_class2(
-    psi: FuncHandle,
-    chi=None,
-    lam0: float = 0.0,
-    tol: float = 1e-12,
-    floors: Floors = DEFAULT_FLOORS,
-    builder: Optional[Class2Phi] = None,
+    phi: Class2Phi, floors: Floors = DEFAULT_FLOORS
 ) -> MatrixField:
-    """Class-2 matrix field over one Class2Phi, ``builder`` or built here."""
-    builder = builder or Class2Phi(psi, chi, lam0=lam0, tol=tol, psi_min=floors.psi_min)
     return MatrixField(
-        evaluate=lambda s, t=0.0: matrix_class2(psi, chi, s, t, lam0, tol, floors, builder),
-        kind="class2",
+        evaluate=lambda s, t=0.0: matrix_class2(phi, s, t, floors), kind="class2"
     )
-
-
-__all__ += ["matrix_field_class1", "matrix_field_class2"]

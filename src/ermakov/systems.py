@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .expr import Binary, Expr, Num, Unary, Var
+from .expr import Binary, Expr, Num, Var
 
 __all__ = [
     "Floors",
@@ -63,13 +63,11 @@ class Floors:
     v_min: float = 1e-12
     psi_min: float = 1e-12
 
-    def relaxed(self, factor: float = 0.5) -> "Floors":
-        """Floors scaled down, used for stage evaluations inside integrators
-        so that a run can land an accepted state just below the configured
-        floor before stopping."""
-        return Floors(
-            self.r_min * factor, self.u_min * factor, self.v_min * factor, self.psi_min
-        )
+    def relaxed(self) -> "Floors":
+        """Floors halved (psi_min kept), used for stage evaluations inside
+        integrators so that a run can land an accepted state just below the
+        configured floor before stopping."""
+        return Floors(self.r_min * 0.5, self.u_min * 0.5, self.v_min * 0.5, self.psi_min)
 
 
 DEFAULT_FLOORS = Floors()
@@ -125,7 +123,6 @@ class FuncHandle:
         self,
         tree: Expr,
         name: str = "",
-        potential: Optional[Expr] = None,
         dpotential: Optional[Expr] = None,
     ):
         if tree is None:
@@ -136,8 +133,7 @@ class FuncHandle:
         self.tree = tree
         self.fn = ex.compile(tree, _HANDLE_VARS)
         self.name = name or ex.to_text(tree)
-        # set when the handle was induced by a potential V(rbar, t)
-        self.potential = potential
+        # dV/drbar, set when the handle was induced by a potential V(rbar, t)
         self.dpotential = dpotential
         self._partials = {}
 
@@ -201,7 +197,7 @@ class Class2Phi:
             if bad:
                 raise ValueError(f"chi uses variables {bad} outside (r, theta, t)")
         self.psi = psi
-        self.chi = chi
+        self._chi = None if chi is None else ex.compile(chi, ("r", "theta", "t"))
         self.lam0 = float(lam0)
         self.tol = float(tol)
         self.psi_min = float(psi_min)
@@ -246,8 +242,8 @@ class Class2Phi:
         k = ex.quad_adaptive(
             lambda lam: self.integrand(lam, r, theta, t), self.lam0, alpha, self.tol
         )
-        if self.chi is not None:
-            k += ex.compile(self.chi, ("r", "theta", "t"))(r, theta, t)
+        if self._chi is not None:
+            k += self._chi(r, theta, t)
         value = k * self._psi_at(alpha, r, theta, t)
         self._last = (key, value)
         return value
@@ -277,7 +273,6 @@ class SystemSpec:
     psi: Optional[FuncHandle] = None
     chi: Optional[Expr] = None
     potential: Optional[Expr] = None
-    dpotential: Optional[Expr] = field(default=None, repr=False)
     lam0: float = 0.0
     quad_tol: float = 1e-12
     _class2_phis: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -318,14 +313,12 @@ class SystemSpec:
             raise ValueError(
                 f"potential uses variables {bad}, only (rbar, t) are allowed"
             )
-        phi = build_phi_from_potential(potential)
         return cls(
             kind="pseudo_potential",
             g=g,
             f=f,
-            phi=phi,
+            phi=build_phi_from_potential(potential),
             potential=potential,
-            dpotential=phi.dpotential,
         )
 
     def class2_phi(self, floors: Floors = DEFAULT_FLOORS) -> Class2Phi:
@@ -354,14 +347,14 @@ class SystemSpec:
         return ex.compile(self.f, ("theta",))(theta)
 
     def dpotential_at(self, rbar: float, t: float) -> float:
-        return ex.compile(self.dpotential, ("rbar", "t"))(rbar, t)
+        return ex.compile(self.phi.dpotential, ("rbar", "t"))(rbar, t)
 
 
 def build_phi_from_potential(potential: Expr) -> FuncHandle:
     """Coupling induced by a potential V(rbar, t) with rbar = 1/r.
 
     phi(alpha, r, theta, t) = (dV/drbar)(1/r, t) / (r^2 * alpha).  The
-    returned handle keeps V and dV/drbar around so flow evaluations can
+    returned handle keeps dV/drbar around so flow evaluations can
     use the algebraically reduced product u*v*phi = (v^2/r^2) * dV/drbar,
     which has no 0/0 at u = 0.
     """
@@ -373,12 +366,7 @@ def build_phi_from_potential(potential: Expr) -> FuncHandle:
         numerator,
         Binary("*", Binary("^", Var("r"), Num(2.0)), Var("alpha")),
     )
-    return FuncHandle(
-        tree=tree,
-        name=f"phi[V={ex.to_text(potential)}]",
-        potential=potential,
-        dpotential=dpot,
-    )
+    return FuncHandle(tree=tree, name=f"phi[V={ex.to_text(potential)}]", dpotential=dpot)
 
 
 def _check_floors(s: PhaseState, floors: Floors):

@@ -30,7 +30,7 @@ from ermakov.linearize import (
     orbit_match,
     to_orbit_curve,
 )
-from ermakov.systems import Floors, FuncHandle, PhaseState, SystemSpec
+from ermakov.systems import Class2Phi, Floors, FuncHandle, PhaseState, SystemSpec
 
 from helpers import evaluable_tree, trusted_central_difference
 
@@ -99,8 +99,10 @@ def test_criterion_1_jacobi_identities():
     for psi_text in CLASS2_PSI_POOL:
         for chi_text in CLASS2_CHI_POOL:
             field = poisson.matrix_field_class2(
-                FuncHandle.from_text(psi_text),
-                None if chi_text is None else ex.parse(chi_text),
+                Class2Phi(
+                    FuncHandle.from_text(psi_text),
+                    None if chi_text is None else ex.parse(chi_text),
+                )
             )
             for s in states:
                 res = poisson.jacobi_residuals(field, s, 0.7, FD_STEP)
@@ -150,7 +152,7 @@ def test_criterion_2_class2_quoted_determinant():
     # (J14 J23)^2 instead; it must disagree, and go negative somewhere,
     # which no real skew-symmetric matrix allows.
     psi_val = 1.0
-    field = poisson.matrix_field_class2(FuncHandle.from_text("1"))
+    field = poisson.matrix_field_class2(Class2Phi(FuncHandle.from_text("1")))
     worst = 0.0
     worst_quoted = 0.0
     min_quoted = math.inf
@@ -176,7 +178,7 @@ def test_criterion_2_class2_nondegeneracy():
     # the substance behind the closed form: det = Pf^2 > 0 wherever
     # u psi != 0, so the class-2 structure has no Casimirs
     psi = FuncHandle.from_text("1")
-    field = poisson.matrix_field_class2(psi)
+    field = poisson.matrix_field_class2(Class2Phi(psi))
     worst_dev = 0.0
     min_det = math.inf
     for s in states_any():
@@ -202,7 +204,7 @@ def test_criterion_3_flow_reconstruction():
             SystemSpec.class1(g, CLASS1_PHI_POOL[2]),
         ),
         (
-            poisson.matrix_field_class2(FuncHandle.from_text("1")),
+            poisson.matrix_field_class2(Class2Phi(FuncHandle.from_text("1"))),
             SystemSpec.class2(g, FuncHandle.from_text("1")),
         ),
     )
@@ -288,7 +290,7 @@ def test_criterion_5_superintegrable_spiral(g_text):
 def test_criterion_6_casimir_dichotomy():
     states = states_fixed()
     field1 = poisson.matrix_field_class1(SPIRAL.phi)
-    field2 = poisson.matrix_field_class2(FuncHandle.from_text("1"))
+    field2 = poisson.matrix_field_class2(Class2Phi(FuncHandle.from_text("1")))
     c1_fn = lambda s: inv.casimir_C1(OSC, s)
     c2_fn = lambda s: inv.casimir_C2(OSC, s)
     worst1 = 0.0

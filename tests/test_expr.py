@@ -221,7 +221,7 @@ def test_quadrature_depth_limit():
     # step discontinuity placed at an irrational point defeats subdivision
     step = lambda x: 0.0 if x < 1.0 / math.sqrt(2.0) else 1.0
     with pytest.raises(ex.QuadratureError):
-        ex.quad_adaptive(step, 0.0, 1.0, 1e-14, max_depth=8)
+        ex.quad_adaptive(step, 0.0, 1.0, 1e-14)
 
 
 def test_quadrature_validates_arguments():

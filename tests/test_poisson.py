@@ -23,7 +23,7 @@ from ermakov.poisson import (
     perturb_j34,
     pfaffian,
 )
-from ermakov.systems import FuncHandle, PhaseState, SystemSpec, vector_field
+from ermakov.systems import Class2Phi, FuncHandle, PhaseState, SystemSpec, vector_field
 from ermakov import invariants as inv
 
 from test_systems import OSC, random_states
@@ -57,7 +57,7 @@ def test_class1_matrix_entries():
 
 def test_class2_matrix_entries_constant_psi():
     s = PhaseState(r=1.0, theta=0.0, u=1.0, v=1.0)
-    m = matrix_class2(ONE, None, s)
+    m = matrix_class2(Class2Phi(ONE), s)
     # alpha=1: j13 = alpha^2 + u*psi = 2, j34 = u*phi + 2uv/r with
     # phi = -2*alpha/r = -2 so the two parts cancel
     assert m.j13 == pytest.approx(2.0)
@@ -90,7 +90,7 @@ def test_class1_matrix_is_degenerate():
 
 def test_class2_matrix_is_nondegenerate():
     for s in random_states(32, 200):
-        m = matrix_class2(ONE, None, s)
+        m = matrix_class2(Class2Phi(ONE), s)
         # det = (u psi / r^2)^2 for constant psi
         expected = (s.u / s.r**2) ** 2
         assert determinant(m) == pytest.approx(expected, rel=1e-9)
@@ -102,12 +102,12 @@ def test_quoted_class2_determinant_is_not_this_matrix_determinant():
     # diagonal 2x2 products instead of squaring their difference; at
     # r=u=v=psi=1 it gives 3 while the cofactor expansion gives 1
     s = PhaseState(r=1.0, theta=0.0, u=1.0, v=1.0)
-    m = matrix_class2(ONE, None, s)
+    m = matrix_class2(Class2Phi(ONE), s)
     assert determinant(m) == pytest.approx(1.0, rel=1e-12)
     assert det_class2_quoted(1.0, s) == pytest.approx(3.0, rel=1e-12)
     # and it can even go negative, which no real skew determinant can
     s2 = PhaseState(r=1.0, theta=0.0, u=-0.7, v=1.0)
-    assert det_class2_quoted(1.0, s2) < 0.0 < determinant(matrix_class2(ONE, None, s2))
+    assert det_class2_quoted(1.0, s2) < 0.0 < determinant(matrix_class2(Class2Phi(ONE), s2))
 
 
 PHI_POOL = [
@@ -131,7 +131,7 @@ def test_jacobi_identities_class1(phi):
 @pytest.mark.parametrize("psi", [ONE, TWO], ids=("psi=1", "psi=2"))
 @pytest.mark.parametrize("chi", [None, ex.parse("r*theta")], ids=("chi=0", "chi=r*theta"))
 def test_jacobi_identities_class2(psi, chi):
-    field = matrix_field_class2(psi, chi)
+    field = matrix_field_class2(Class2Phi(psi, chi))
     for s in random_states(43, 30):
         res = jacobi_residuals(field, s)
         assert np.max(np.abs(res)) < 1e-6
@@ -169,7 +169,7 @@ def test_bracket_is_matrix_sandwich():
             lambda: SystemSpec.class1(ex.parse("cos(theta)"), PHI_POOL[2]),
         ),
         (
-            lambda: matrix_field_class2(ONE),
+            lambda: matrix_field_class2(Class2Phi(ONE)),
             lambda: SystemSpec.class2(ex.parse("cos(theta)"), ONE),
         ),
     ],
@@ -195,8 +195,6 @@ def test_consistency_of_constructed_phi():
 
 def test_consistency_with_theta_dependent_psi():
     psi = FuncHandle.from_text("2 + sin(theta)")
-    from ermakov.systems import Class2Phi
-
     phi = Class2Phi(psi, lam0=0.5)
     # stay on the alpha > 0 side so the quadrature path avoids zero
     for s in random_states(61, 30):
@@ -242,7 +240,7 @@ def test_casimir_gradients_are_annihilated_by_class1_matrix():
 
 
 def test_same_gradients_survive_the_class2_matrix():
-    field = matrix_field_class2(ONE)
+    field = matrix_field_class2(Class2Phi(ONE))
     h = 1e-5
 
     def grad_c1(s):

@@ -207,7 +207,7 @@ def test_flow_rejects_states_below_floors():
 
 def test_relaxed_floors_scale_down():
     f = Floors(r_min=1e-2, v_min=1e-3)
-    r = f.relaxed(0.5)
+    r = f.relaxed()
     assert r.r_min == 5e-3 and r.v_min == 5e-4
 
 
