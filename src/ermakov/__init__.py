@@ -6,7 +6,7 @@ from .expr import DomainError, EvalError, ParseError, QuadratureError, parse, to
 from .integrate import Trajectory, drift, integrate
 from .invariants import casimir_C1, casimir_C2, ermakov_invariant, spiral_radius
 from .linearize import affinity_test, integrate_characteristic, to_orbit_curve
-from .systems import Floors, PhaseState, SingularStateError, SystemSpec, vector_field
+from .systems import Floors, PhaseState, Potential, SingularStateError, SystemSpec, vector_field
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,7 @@ __all__ = [
     "to_orbit_curve",
     "Floors",
     "PhaseState",
+    "Potential",
     "SingularStateError",
     "SystemSpec",
     "vector_field",

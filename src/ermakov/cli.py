@@ -60,10 +60,14 @@ def _base_report(cfg: RunConfig, seed: int) -> dict:
 
 
 def _phi_of(cfg: RunConfig):
+    """The orbit-equation coupling: a class-1 phi, or the potential itself,
+    whose reduced curvature -dV/drbar stays finite at abar = 0.  Class 2
+    is refused: its curvature has a v-dependent term the orbit equation
+    does not carry."""
     spec = cfg.spec
     if spec.kind == "class2":
-        return spec.class2_phi(cfg.floors)
-    return spec.phi
+        raise ConfigError("linearize applies to class1 and pseudo_potential systems")
+    return spec.potential if spec.kind == "pseudo_potential" else spec.phi
 
 
 def _matrix_field(cfg: RunConfig) -> poisson.MatrixField:
@@ -103,18 +107,11 @@ def _run_trajectory(cfg: RunConfig) -> Trajectory:
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     spec = cfg.spec
     traj = _run_trajectory(cfg)
-    conventions = {}
-    quantities = {}
-
-    inv_i = inv.ermakov_invariant(spec.g, traj.state(0), record=True)
-    conventions["I"] = inv_i.conventions
-    quantities["I"] = lambda s, t: inv.ermakov_invariant(spec.g, s)
+    conventions = {"I": inv.I_CONVENTIONS}
+    quantities = {"I": lambda s, t: inv.ermakov_invariant(spec.g, s)}
     header = ["t", "r", "theta", "u", "v", "I"]
     if spec.kind == "pseudo_potential":
-        c2_rec = inv.casimir_C2(
-            spec.potential, traj.state(0), cfg.t0, floors=cfg.floors, record=True
-        )
-        conventions["C2"] = c2_rec.conventions
+        conventions["C2"] = inv.c2_conventions(spec.potential)
         quantities["C1"] = lambda s, t: inv.casimir_C1(
             spec.potential, s, t, cfg.floors
         )
@@ -333,19 +330,14 @@ def _time_at_theta(traj: Trajectory, theta_star: float) -> float:
 
 def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     spec = cfg.spec
-    if spec.kind != "pseudo_potential" or not inv.is_singular_oscillator(
-        spec.potential
-    ):
+    if spec.kind != "pseudo_potential" or not spec.potential.singular_oscillator:
         raise ConfigError(
             "orbit applies to pseudo_potential configs with V = 1/(2 rbar^2)"
         )
     if cfg.s0 is None:
         raise ConfigError("initial_state is required for orbit")
     c1 = inv.casimir_C1(spec.potential, cfg.s0, cfg.t0, cfg.floors)
-    c2_rec = inv.casimir_C2(
-        spec.potential, cfg.s0, cfg.t0, c1=c1, floors=cfg.floors, record=True
-    )
-    c2 = c2_rec.value
+    c2 = inv.casimir_C2(spec.potential, cfg.s0, cfg.t0, c1=c1, floors=cfg.floors)
 
     traj = _run_trajectory(cfg)
     curve = to_orbit_curve(traj)
@@ -391,7 +383,7 @@ def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
             "pass": bool(passed),
         }
     )
-    doc["conventions"] = {"C2": c2_rec.conventions}
+    doc["conventions"] = {"C2": inv.c2_conventions(spec.potential)}
     _write_json(out_dir / "orbit.json", doc)
     verdict = "PASS" if passed else "FAIL"
     print(
@@ -402,9 +394,9 @@ def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
 
 
 def cmd_linearize(cfg: RunConfig, out_dir: Path, seed: int) -> int:
+    phi = _phi_of(cfg)
     traj = _run_trajectory(cfg)
     curve = to_orbit_curve(traj)  # raises on v sign change
-    phi = _phi_of(cfg)
     char = integrate_characteristic(
         phi,
         rbar0=float(curve.rbar[0]),

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import expr as ex
-from .systems import Floors, FuncHandle, PhaseState, SystemSpec
+from .systems import Floors, FuncHandle, PhaseState, Potential, SystemSpec
 
 __all__ = [
     "ConfigError",
@@ -112,15 +112,27 @@ def _one_of(*choices: str):
     return check
 
 
-def _expr(text, where: str) -> Optional[ex.Expr]:
-    """An expression string parsed; null stands for an absent expression."""
-    if text is None:
-        return None
+def _expr(text, where: str) -> ex.Expr:
+    """An expression string parsed."""
     if not isinstance(text, str):
         raise ConfigError(f"{where} must be an expression string, got {text!r}")
     try:
         return ex.parse(text)
     except ex.ParseError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _optional_expr(text, where: str) -> Optional[ex.Expr]:
+    """As ``_expr``, with null standing for an absent expression."""
+    return None if text is None else _expr(text, where)
+
+
+def _potential(text, where: str) -> Optional[Potential]:
+    """An optional potential V(rbar, t), its variables checked."""
+    tree = _optional_expr(text, where)
+    try:
+        return None if tree is None else Potential(tree)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -151,7 +163,7 @@ def _build_system(section: dict) -> SystemSpec:
     _check_keys(section, _SYSTEM_KEYS, "system")
     kind = _SYSTEM_KIND(section.get("kind"), "system.kind")
     g = _expr(section.get("g", "0"), "system.g")
-    f = _expr(section.get("f"), "system.f")
+    f = _optional_expr(section.get("f"), "system.f")
     try:
         if kind == "class1":
             text = section.get("phi", "0")
@@ -160,7 +172,7 @@ def _build_system(section: dict) -> SystemSpec:
             if "psi" not in section:
                 raise ConfigError("system.psi is required for class2")
             psi = FuncHandle(_expr(section["psi"], "system.psi"), section["psi"])
-            chi = _expr(section.get("chi"), "system.chi")
+            chi = _optional_expr(section.get("chi"), "system.chi")
             numbers = {
                 key: check(section[key], f"system.{key}")
                 for key, check in _CLASS2_NUMBERS.items()
@@ -169,7 +181,7 @@ def _build_system(section: dict) -> SystemSpec:
             return SystemSpec.class2(g, psi, chi, f, **numbers)
         if "potential" not in section:
             raise ConfigError("system.potential is required for pseudo_potential")
-        potential = _expr(section["potential"], "system.potential")
+        potential = Potential(_expr(section["potential"], "system.potential"))
         return SystemSpec.pseudo_potential(g, potential, f)
     except ConfigError:
         raise
@@ -205,7 +217,7 @@ class VerifySettings:
     tamper_j34: bool = False
     tolerance: dict = field(default_factory=dict)  # per sweep, e.g. {"jacobi": 1e-6}
     phi_override: Optional[ex.Expr] = None
-    casimir_potential: Optional[ex.Expr] = None
+    casimir_potential: Optional[Potential] = None
 
 
 @dataclass(frozen=True)
@@ -245,8 +257,8 @@ _VERIFY = {
     "samples": _count,
     "fd_step": _positive,
     "u_floor": _positive,
-    "phi_override": _expr,
-    "casimir_potential": _expr,
+    "phi_override": _optional_expr,
+    "casimir_potential": _potential,
 }
 _ORBIT = {
     "theta_span": _span,

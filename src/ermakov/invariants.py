@@ -1,8 +1,8 @@
 """Conserved quantities: the Ermakov invariant, the Casimir pair of the
 degenerate (class-1) structure, and the angle-to-time quadrature.
 
-Conventions are recorded alongside values because two of them are real
-choices rather than mathematics:
+Reports record conventions (``I_CONVENTIONS``, ``c2_conventions``) beside
+the values because two of them are real choices rather than mathematics:
 
 * the forcing integral Lambda(theta) = integral of G from 0 to theta
   starts at zero;
@@ -14,24 +14,23 @@ choices rather than mathematics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import expr as ex
 from .expr import DomainError, Expr
-from .systems import DEFAULT_FLOORS, Floors, PhaseState
+from .systems import DEFAULT_FLOORS, Floors, PhaseState, Potential
 
 __all__ = [
-    "InvariantValue",
+    "I_CONVENTIONS",
     "BranchError",
     "forcing_integral",
     "ermakov_invariant",
     "grad_ermakov",
     "casimir_C1",
     "casimir_C2",
-    "is_singular_oscillator",
+    "c2_conventions",
     "h_of_theta",
     "elapsed_time",
     "spiral_radius",
@@ -43,29 +42,23 @@ class BranchError(ValueError):
     turning point)."""
 
 
-@dataclass(frozen=True)
-class InvariantValue:
-    """A conserved-quantity sample together with the conventions under
-    which it was computed (integration limits, branch signs)."""
+# absolute quadrature tolerances: Lambda(theta), and the two integrals
+# along an orbit (the radial one of C2, elapsed time)
+_FORCING_TOL = 1e-12
+_ORBIT_TOL = 1e-10
 
-    name: str
-    value: float
-    conventions: dict = field(default_factory=dict)
+I_CONVENTIONS = {"lambda_lower_limit": 0.0}
 
 
-def forcing_integral(g: Expr, theta: float, tol: float = 1e-12) -> float:
+def forcing_integral(g: Expr, theta: float) -> float:
     """Lambda(theta): the forcing G integrated from 0 to theta."""
-    return ex.quad_adaptive(ex.compile(g, ("theta",)), 0.0, theta, tol)
+    return ex.quad_adaptive(ex.compile(g, ("theta",)), 0.0, theta, _FORCING_TOL)
 
 
-def ermakov_invariant(
-    g: Expr, s: PhaseState, tol: float = 1e-12, record: bool = False
-):
-    """I = v^2/2 + Lambda(theta); the Hamiltonian of both structure classes."""
-    value = 0.5 * s.v * s.v + forcing_integral(g, s.theta, tol)
-    if record:
-        return InvariantValue("I", value, {"lambda_lower_limit": 0.0})
-    return value
+def ermakov_invariant(g: Expr, s: PhaseState) -> float:
+    """I = v^2/2 + Lambda(theta); the Hamiltonian of both structure classes.
+    Its conventions are ``I_CONVENTIONS``."""
+    return 0.5 * s.v * s.v + forcing_integral(g, s.theta)
 
 
 def grad_ermakov(g: Expr, s: PhaseState) -> np.ndarray:
@@ -74,7 +67,7 @@ def grad_ermakov(g: Expr, s: PhaseState) -> np.ndarray:
 
 
 def casimir_C1(
-    potential: Expr,
+    potential: Potential,
     s: PhaseState,
     t: float = 0.0,
     floors: Floors = DEFAULT_FLOORS,
@@ -84,40 +77,17 @@ def casimir_C1(
         C1 = (1/2)(u/v)^2 + V(1/r, t).
     """
     alpha = s.alpha(floors.v_min)
-    v_val = ex.compile(potential, ("rbar", "t"))(1.0 / s.r, t)
-    return 0.5 * alpha * alpha + v_val
+    return 0.5 * alpha * alpha + potential.fn(1.0 / s.r, t)
 
 
-_OSC_PROBES = (0.43, 0.71, 1.0, 1.618, 2.34, 3.27)
-
-
-def is_singular_oscillator(potential: Expr) -> bool:
-    """Whether the potential evaluates as 1/(2 rbar^2) (no t dependence).
-
-    Detection is by evaluation at fixed probes, so spelling variants all
-    qualify for the closed-form Casimir path.
-    """
-    if "t" in ex.free_vars(potential):
-        return False
-    for lam in _OSC_PROBES:
-        ref = 1.0 / (2.0 * lam * lam)
-        try:
-            val = ex.compile(potential, ("rbar",))(lam)
-        except ex.ExprError:
-            return False
-        if abs(val - ref) > 1e-12 * max(1.0, abs(ref)):
-            return False
-    return True
-
-
-def _turning_point(potential: Expr, c1: float, rbar: float, t: float) -> float:
+def _turning_point(potential: Potential, c1: float, rbar: float, t: float) -> float:
     """Solve V(lam, t) = c1 for the turning point sharing a well with rbar.
 
     Scans geometrically on both sides of rbar for a sign change of
     c1 - V, then bisects.  Raises if no bracket is found."""
 
     def gap(lam: float) -> float:
-        return c1 - ex.compile(potential, ("rbar", "t"))(lam, t)
+        return c1 - potential.fn(lam, t)
 
     g0 = gap(rbar)
     if g0 < 0.0:
@@ -149,7 +119,7 @@ def _turning_point(potential: Expr, c1: float, rbar: float, t: float) -> float:
 
 
 def _radial_quadrature(
-    potential: Expr, c1: float, lam0: float, rbar: float, t: float, tol: float
+    potential: Potential, c1: float, lam0: float, rbar: float, t: float
 ) -> float:
     """(1/sqrt(2)) * integral of (c1 - V)^(-1/2) from lam0 to rbar.
 
@@ -160,7 +130,7 @@ def _radial_quadrature(
     if rbar == lam0:
         return 0.0
     direction = 1.0 if rbar > lam0 else -1.0
-    pot = ex.compile(potential, ("rbar", "t"))
+    pot = potential.fn
     gap0 = c1 - pot(lam0, t)
     singular_end = abs(gap0) <= 1e-10 * max(1.0, abs(c1))
     if not singular_end:
@@ -168,10 +138,9 @@ def _radial_quadrature(
             lambda lam: 1.0 / math.sqrt(c1 - pot(lam, t)),
             lam0,
             rbar,
-            tol,
+            _ORBIT_TOL,
         )
-    dpot = ex.differentiate(potential, "rbar")
-    slope = ex.evaluate(dpot, {"rbar": lam0, "t": t})
+    slope = potential.slope(lam0, t)
     # approaching the well from the turning point: c1 - V must grow
     if direction * slope >= 0.0:
         raise DomainError(
@@ -190,20 +159,27 @@ def _radial_quadrature(
         return 2.0 * sv / math.sqrt(gap)
 
     s_max = math.sqrt(abs(rbar - lam0))
-    val = ex.quad_adaptive(transformed, 0.0, s_max, tol)
+    val = ex.quad_adaptive(transformed, 0.0, s_max, _ORBIT_TOL)
     return direction * val / math.sqrt(2.0)
 
 
+def c2_conventions(potential: Potential, lam0: Optional[float] = None) -> dict:
+    """The conventions of ``casimir_C2`` for this potential and lower limit."""
+    return {
+        "branch_sign": "sign(-u/v)",
+        "lower_limit": "turning_point" if lam0 is None else lam0,
+        "form": "closed" if potential.singular_oscillator else "quadrature",
+    }
+
+
 def casimir_C2(
-    potential: Expr,
+    potential: Potential,
     s: PhaseState,
     t: float = 0.0,
     c1: Optional[float] = None,
     lam0: Optional[float] = None,
-    tol: float = 1e-10,
     floors: Floors = DEFAULT_FLOORS,
-    record: bool = False,
-):
+) -> float:
     """Second Casimir of a pseudo-potential structure:
 
         C2 = theta - sigma * (1/sqrt(2)) * integral_{lam0}^{1/r}
@@ -217,56 +193,34 @@ def casimir_C2(
 
         theta - sigma * (1/(2 c1)) * sqrt(2 c1 / r^2 - 1)
 
-    is used instead of quadrature.
+    is used instead of quadrature.  ``c2_conventions`` names the choices.
     """
     if c1 is None:
         c1 = casimir_C1(potential, s, t, floors)
-    conventions = {
-        "branch_sign": "sign(-u/v)",
-        "lower_limit": "turning_point" if lam0 is None else lam0,
-    }
-    if is_singular_oscillator(potential):
-        conventions["form"] = "closed"
+    if potential.singular_oscillator:
         radicand = 2.0 * c1 / (s.r * s.r) - 1.0
         scale = max(1.0, abs(2.0 * c1 / (s.r * s.r)))
         if radicand < -1e-9 * scale:
             raise DomainError(f"negative radicand {radicand!r} in closed-form C2")
         radicand = max(radicand, 0.0)
-        if s.u == 0.0:
-            if radicand > 1e-9 * scale:
-                raise BranchError(
-                    "u = 0 away from the turning point: branch sign undefined"
-                )
-            value = s.theta
-        else:
-            sigma = math.copysign(1.0, -s.u / s.v)
-            value = s.theta - sigma * math.sqrt(radicand) / (2.0 * c1)
-        if record:
-            return InvariantValue("C2", value, conventions)
-        return value
-    conventions["form"] = "quadrature"
-    rbar = 1.0 / s.r
-    if lam0 is None:
-        lam0 = _turning_point(potential, c1, rbar, t)
-    quad = _radial_quadrature(potential, c1, lam0, rbar, t, tol)
-    if s.u == 0.0:
-        if abs(quad) <= 1e-9:
-            value = s.theta
-        else:
-            raise BranchError(
-                "u = 0 away from the turning point: branch sign undefined"
-            )
+        quad = math.sqrt(radicand) / (2.0 * c1)
+        at_turning_point = radicand <= 1e-9 * scale
     else:
-        sigma = math.copysign(1.0, -s.u / s.v)
-        value = s.theta - sigma * quad
-    if record:
-        return InvariantValue("C2", value, conventions)
-    return value
+        rbar = 1.0 / s.r
+        if lam0 is None:
+            lam0 = _turning_point(potential, c1, rbar, t)
+        quad = _radial_quadrature(potential, c1, lam0, rbar, t)
+        at_turning_point = abs(quad) <= 1e-9
+    if s.u == 0.0:
+        if at_turning_point:
+            return s.theta
+        raise BranchError("u = 0 away from the turning point: branch sign undefined")
+    return s.theta - math.copysign(1.0, -s.u / s.v) * quad
 
 
-def h_of_theta(g: Expr, theta: float, invariant: float, tol: float = 1e-12) -> float:
+def h_of_theta(g: Expr, theta: float, invariant: float) -> float:
     """h(theta, I) = sqrt(2 (I - Lambda(theta))); equals |v| on shell."""
-    radicand = 2.0 * (invariant - forcing_integral(g, theta, tol))
+    radicand = 2.0 * (invariant - forcing_integral(g, theta))
     if radicand < 0.0:
         if radicand > -1e-12 * max(1.0, abs(invariant)):
             return 0.0
@@ -283,7 +237,6 @@ def elapsed_time(
     invariant: float,
     theta0: float,
     theta1: float,
-    tol: float = 1e-10,
 ) -> float:
     """Time elapsed while theta sweeps [theta0, theta1] on a known orbit:
 
@@ -299,7 +252,7 @@ def elapsed_time(
             raise DomainError(f"h vanishes at theta={lam!r} (turning angle)")
         return r_val * r_val / h_val
 
-    return ex.quad_adaptive(integrand, theta0, theta1, tol)
+    return ex.quad_adaptive(integrand, theta0, theta1, _ORBIT_TOL)
 
 
 def spiral_radius(c1: float, c2: float, theta):

@@ -16,13 +16,15 @@ the orbit equation is linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from . import expr as ex
 from .integrate import Trajectory, hermite_eval, integrate_ode
-from .systems import FuncHandle
+from .systems import FuncHandle, Potential
+
+# a class-1 coupling, or a potential standing for the phi it induces
+Coupling = Union[FuncHandle, Potential]
 
 __all__ = [
     "OrbitCurve",
@@ -120,19 +122,18 @@ def to_orbit_curve(traj: Trajectory) -> OrbitCurve:
     )
 
 
-def _curvature_fn(phi: FuncHandle, t_param: float):
+def _curvature_fn(phi: Coupling, t_param: float):
     """Right side of d abar/dtheta, with two refinements.
 
-    For a potential-induced phi the product (abar/rbar^2) phi reduces
-    exactly to -dV/drbar, which stays finite at abar = 0.  For a generic
-    phi whose evaluation fails at abar = 0 the limit is probed
-    symmetrically at +-eps; off zero, failures propagate."""
-    dpot = getattr(phi, "dpotential", None)
-    if dpot is not None:
-        dpot_at = ex.compile(dpot, ("rbar", "t"))
+    For a potential the product (abar/rbar^2) phi reduces exactly to
+    -dV/drbar, which stays finite at abar = 0.  For a generic phi whose
+    evaluation fails at abar = 0 the limit is probed symmetrically at
+    +-eps; off zero, failures propagate."""
+    if isinstance(phi, Potential):
+        slope = phi.slope
 
         def reduced(theta: float, rbar: float, abar: float) -> float:
-            return -dpot_at(rbar, t_param)
+            return -slope(rbar, t_param)
 
         return reduced
 
@@ -152,16 +153,14 @@ def _curvature_fn(phi: FuncHandle, t_param: float):
 
 
 def integrate_characteristic(
-    phi: FuncHandle,
+    phi: Coupling,
     rbar0: float,
     abar0: float,
     theta0: float,
     theta1: float,
     t_param: float = 0.0,
-    method: str = "dp45",
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_steps: int = 200000,
 ) -> OrbitCurve:
     """Integrate the characteristic system in the angle:
 
@@ -195,10 +194,8 @@ def integrate_characteristic(
         np.array([rbar0, abar0]),
         0.0,
         abs(theta1 - theta0),
-        method=method,
         rtol=rtol,
         atol=atol,
-        max_steps=max_steps,
         accept_check=check,
     )
     thetas = theta0 + sign * traj.ts
@@ -218,8 +215,6 @@ def integrate_linear(
     abar0: float,
     theta0: float,
     theta1: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> OrbitCurve:
     """Integrate the affine orbit equation
     rbar'' = A rbar' + B rbar + C with constant coefficients."""
@@ -230,14 +225,7 @@ def integrate_linear(
         rbar, abar = y
         return np.array([abar, coeff_a * abar + coeff_b * rbar + coeff_c])
 
-    traj = integrate_ode(
-        rhs,
-        np.array([rbar0, abar0]),
-        theta0,
-        theta1,
-        rtol=rtol,
-        atol=atol,
-    )
+    traj = integrate_ode(rhs, np.array([rbar0, abar0]), theta0, theta1)
     return OrbitCurve(
         theta=traj.ts.copy(),
         rbar=traj.ys[:, 0].copy(),
@@ -279,7 +267,7 @@ class AffinityResult:
 
 
 def affinity_test(
-    phi: FuncHandle,
+    phi: Coupling,
     theta: float,
     t: float,
     rbar_range: Tuple[float, float],

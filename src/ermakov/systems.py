@@ -6,7 +6,8 @@ and one coupling function that selects the structure class:
 
 * ``class1``   -- phi(alpha, r, theta, t) free, with alpha = u/v,
 * ``class2``   -- psi(alpha, r, theta, t) free, phi constructed from it,
-* ``pseudo_potential`` -- phi induced by a potential V(rbar, t), rbar = 1/r.
+* ``pseudo_potential`` -- phi induced by a potential V(rbar, t), rbar = 1/r,
+  held as one ``Potential``.
 
 The first-order flow shared by all classes:
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,6 +39,7 @@ __all__ = [
     "PhaseState",
     "Flow4",
     "FuncHandle",
+    "Potential",
     "Class2Phi",
     "SystemSpec",
     "vector_field",
@@ -119,12 +122,7 @@ class FuncHandle:
     expression tree and compiled once; symbolic partial derivatives are
     built on first use and kept on the handle."""
 
-    def __init__(
-        self,
-        tree: Expr,
-        name: str = "",
-        dpotential: Optional[Expr] = None,
-    ):
+    def __init__(self, tree: Expr, name: str = ""):
         if tree is None:
             raise ValueError("FuncHandle needs an expression tree")
         bad = sorted(ex.free_vars(tree) - set(_HANDLE_VARS))
@@ -133,8 +131,6 @@ class FuncHandle:
         self.tree = tree
         self.fn = ex.compile(tree, _HANDLE_VARS)
         self.name = name or ex.to_text(tree)
-        # dV/drbar, set when the handle was induced by a potential V(rbar, t)
-        self.dpotential = dpotential
         self._partials = {}
 
     @classmethod
@@ -162,6 +158,55 @@ class FuncHandle:
 
 
 ZERO_HANDLE = FuncHandle(tree=Num(0.0), name="0")
+
+_POTENTIAL_VARS = ("rbar", "t")
+_OSC_PROBES = (0.43, 0.71, 1.0, 1.618, 2.34, 3.27)
+
+
+class Potential:
+    """A pseudo-potential V(rbar, t), rbar = 1/r, held as an expression
+    tree: its variables are checked, V is compiled and the singular-
+    oscillator test is decided once, at construction; dV/drbar, as a tree
+    and compiled (``slope``), is derived on first use.
+
+    ``singular_oscillator`` says whether V evaluates as 1/(2 rbar^2) with
+    no t dependence.  Detection is by evaluation at fixed probes, so
+    spelling variants all qualify for the closed-form Casimir path.
+    """
+
+    def __init__(self, tree: Expr):
+        names = ex.free_vars(tree)
+        bad = sorted(names - set(_POTENTIAL_VARS))
+        if bad:
+            raise ValueError(
+                f"potential uses variables {bad}, only (rbar, t) are allowed"
+            )
+        self.tree = tree
+        self.fn = ex.compile(tree, _POTENTIAL_VARS)
+        self.singular_oscillator = "t" not in names and all(
+            self._matches_oscillator(lam) for lam in _OSC_PROBES
+        )
+
+    def _matches_oscillator(self, lam: float) -> bool:
+        ref = 1.0 / (2.0 * lam * lam)
+        try:
+            val = self.fn(lam, 0.0)
+        except ex.ExprError:
+            return False
+        return abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @cached_property
+    def dtree(self) -> Expr:
+        """dV/drbar as an expression tree."""
+        return ex.differentiate(self.tree, "rbar")
+
+    @cached_property
+    def slope(self):
+        """dV/drbar compiled, a function of (rbar, t)."""
+        return ex.compile(self.dtree, _POTENTIAL_VARS)
+
+    def __repr__(self):
+        return f"Potential({ex.to_text(self.tree)})"
 
 
 class Class2Phi:
@@ -272,7 +317,7 @@ class SystemSpec:
     phi: Optional[FuncHandle] = None
     psi: Optional[FuncHandle] = None
     chi: Optional[Expr] = None
-    potential: Optional[Expr] = None
+    potential: Optional[Potential] = None
     lam0: float = 0.0
     quad_tol: float = 1e-12
     _class2_phis: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -306,13 +351,8 @@ class SystemSpec:
 
     @classmethod
     def pseudo_potential(
-        cls, g: Expr, potential: Expr, f: Optional[Expr] = None
+        cls, g: Expr, potential: Potential, f: Optional[Expr] = None
     ) -> "SystemSpec":
-        bad = sorted(ex.free_vars(potential) - {"rbar", "t"})
-        if bad:
-            raise ValueError(
-                f"potential uses variables {bad}, only (rbar, t) are allowed"
-            )
         return cls(
             kind="pseudo_potential",
             g=g,
@@ -346,27 +386,23 @@ class SystemSpec:
             return 0.0
         return ex.compile(self.f, ("theta",))(theta)
 
-    def dpotential_at(self, rbar: float, t: float) -> float:
-        return ex.compile(self.phi.dpotential, ("rbar", "t"))(rbar, t)
 
-
-def build_phi_from_potential(potential: Expr) -> FuncHandle:
+def build_phi_from_potential(potential: Potential) -> FuncHandle:
     """Coupling induced by a potential V(rbar, t) with rbar = 1/r.
 
-    phi(alpha, r, theta, t) = (dV/drbar)(1/r, t) / (r^2 * alpha).  The
-    returned handle keeps dV/drbar around so flow evaluations can
-    use the algebraically reduced product u*v*phi = (v^2/r^2) * dV/drbar,
-    which has no 0/0 at u = 0.
+    phi(alpha, r, theta, t) = (dV/drbar)(1/r, t) / (r^2 * alpha).  Flow
+    evaluations use the potential's own slope instead, in the algebraically
+    reduced product u*v*phi = (v^2/r^2) * dV/drbar, which has no 0/0 at
+    u = 0.
     """
-    dpot = ex.differentiate(potential, "rbar")
     inv_r = Binary("/", Num(1.0), Var("r"))
-    numerator = ex.substitute(dpot, "rbar", inv_r)
+    numerator = ex.substitute(potential.dtree, "rbar", inv_r)
     tree = Binary(
         "/",
         numerator,
         Binary("*", Binary("^", Var("r"), Num(2.0)), Var("alpha")),
     )
-    return FuncHandle(tree=tree, name=f"phi[V={ex.to_text(potential)}]", dpotential=dpot)
+    return FuncHandle(tree=tree, name=f"phi[V={ex.to_text(potential.tree)}]")
 
 
 def _check_floors(s: PhaseState, floors: Floors):
@@ -387,7 +423,7 @@ def _coupling_udot(
     r, u, v = s.r, s.u, s.v
     if spec.kind == "pseudo_potential":
         # reduced product, finite at u = 0
-        return (v * v) / (r * r) * spec.dpotential_at(1.0 / r, t)
+        return (v * v) / (r * r) * spec.potential.slope(1.0 / r, t)
     alpha = u / v
     if spec.kind == "class1":
         return u * v * spec.phi(alpha, r, s.theta, t)

@@ -30,7 +30,7 @@ from ermakov.linearize import (
     orbit_match,
     to_orbit_curve,
 )
-from ermakov.systems import Class2Phi, Floors, FuncHandle, PhaseState, SystemSpec
+from ermakov.systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
 
 from helpers import evaluable_tree, trusted_central_difference
 
@@ -39,7 +39,7 @@ N_STATES = 1000
 FD_STEP = 1e-5
 
 ZERO = ex.parse("0")
-OSC = ex.parse("1/(2*rbar^2)")
+OSC = Potential(ex.parse("1/(2*rbar^2)"))
 SPIRAL = SystemSpec.pseudo_potential(ZERO, OSC)
 SPIRAL_START = PhaseState(r=1.0, theta=0.0, u=0.0, v=1.0)
 
@@ -342,11 +342,11 @@ def test_criterion_8_linearization():
     traj = integrate(SPIRAL, SPIRAL_START, 0.0, 1.0, rtol=1e-10, atol=1e-12)
     curve = to_orbit_curve(traj)
     char = integrate_characteristic(
-        SPIRAL.phi, 1.0, 0.0, 0.0, float(curve.theta[-1])
+        SPIRAL.potential, 1.0, 0.0, 0.0, float(curve.theta[-1])
     )
     mismatch = orbit_match(curve, char)
 
-    spiral_fit = affinity_test(SPIRAL.phi, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
+    spiral_fit = affinity_test(SPIRAL.potential, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
     linear_phi = FuncHandle.from_text("-1/(alpha*r^3)")
     linear_fit = affinity_test(linear_phi, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
     coeffs_ok = (

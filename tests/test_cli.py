@@ -283,6 +283,19 @@ def test_linearize_detects_a_linear_orbit_equation(tmp_path):
     assert report["orbit_match"] < 1e-6
 
 
+def test_linearize_refuses_class2(tmp_path, capsys):
+    # the orbit equation lacks class 2's 2 u v^2 psi / r term
+    cfg = write_config(tmp_path, CLASS2_DOC)
+    code, out = run(tmp_path, "linearize", "--config", str(cfg))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: linearize applies to class1 and pseudo_potential systems\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_linearize_fails_when_theta_turns_back(tmp_path, capsys):
     doc = {
         "system": {"kind": "class1", "g": "1"},
@@ -384,6 +397,18 @@ CONFIG_FAULTS = [
         "system.kind must be class1, class2 or pseudo_potential, got 'class3'",
     ),
     ("expr-type", _edit(SPIRAL_DOC, "system.g", 0), "system.g must be an expression string, got 0"),
+    ("null-g", _edit(SPIRAL_DOC, "system.g", None), "system.g must be an expression string, got None"),
+    (
+        "null-phi",
+        _edit(SPIRAL_DOC, "system", {"kind": "class1", "phi": None}),
+        "system.phi must be an expression string, got None",
+    ),
+    ("null-psi", _edit(CLASS2_DOC, "system.psi", None), "system.psi must be an expression string, got None"),
+    (
+        "null-potential",
+        _edit(SPIRAL_DOC, "system.potential", None),
+        "system.potential must be an expression string, got None",
+    ),
     (
         "expr-syntax",
         _edit(CLASS2_DOC, "system.psi", "1+"),
@@ -398,6 +423,16 @@ CONFIG_FAULTS = [
         "system-variables",
         _edit(SPIRAL_DOC, "system.g", "r"),
         "system: G uses variables ['r'], only theta is allowed",
+    ),
+    (
+        "potential-variables",
+        _edit(SPIRAL_DOC, "system.potential", "theta/rbar"),
+        "system: potential uses variables ['theta'], only (rbar, t) are allowed",
+    ),
+    (
+        "casimir-potential-variables",
+        _edit(CLASS2_DOC, "verify.casimir_potential", "theta/rbar"),
+        "verify.casimir_potential: potential uses variables ['theta'], only (rbar, t) are allowed",
     ),
     ("number-state", _edit(SPIRAL_DOC, "initial_state.u", "0"), "initial_state.u must be a number, got '0'"),
     ("number-lam0", _edit(CLASS2_DOC, "system.lam0", True), "system.lam0 must be a number, got True"),

@@ -8,8 +8,9 @@ from ermakov import expr as ex
 from ermakov import invariants as inv
 from ermakov.expr import DomainError
 from ermakov.invariants import (
+    I_CONVENTIONS,
     BranchError,
-    InvariantValue,
+    c2_conventions,
     casimir_C1,
     casimir_C2,
     elapsed_time,
@@ -17,17 +18,16 @@ from ermakov.invariants import (
     forcing_integral,
     grad_ermakov,
     h_of_theta,
-    is_singular_oscillator,
     spiral_radius,
 )
-from ermakov.systems import PhaseState
+from ermakov.systems import PhaseState, Potential
 
-from helpers import spiral_start
+from helpers import count_outermost_calls, spiral_start
 from test_systems import OSC
 
 ZERO = ex.parse("0")
 SIN = ex.parse("sin(theta)")
-LINEAR = ex.parse("rbar")
+LINEAR = Potential(ex.parse("rbar"))
 
 
 def test_forcing_integral_starts_at_zero():
@@ -43,11 +43,7 @@ def test_invariant_is_kinetic_plus_forcing():
 
 
 def test_invariant_records_its_lower_limit():
-    iv = ermakov_invariant(ZERO, spiral_start(), record=True)
-    assert isinstance(iv, InvariantValue)
-    assert iv.name == "I"
-    assert iv.value == 0.5
-    assert iv.conventions == {"lambda_lower_limit": 0.0}
+    assert I_CONVENTIONS == {"lambda_lower_limit": 0.0}
 
 
 def test_invariant_gradient():
@@ -63,20 +59,20 @@ def test_first_casimir_values():
     assert casimir_C1(OSC, spiral_start()) == 0.5
     assert casimir_C1(OSC, PhaseState(1.0, 0.0, -1.0, 1.0)) == 1.0
     s = PhaseState(r=2.0, theta=0.0, u=1.0, v=2.0)
-    assert casimir_C1(ex.parse("rbar*t"), s, t=2.0) == pytest.approx(0.125 + 1.0)
+    assert casimir_C1(Potential(ex.parse("rbar*t")), s, t=2.0) == pytest.approx(0.125 + 1.0)
 
 
 def test_oscillator_detection_accepts_spelling_variants():
-    assert is_singular_oscillator(OSC)
-    assert is_singular_oscillator(ex.parse("0.5*rbar^-2"))
-    assert is_singular_oscillator(ex.parse("1/2 * 1/rbar^2"))
+    assert OSC.singular_oscillator
+    assert Potential(ex.parse("0.5*rbar^-2")).singular_oscillator
+    assert Potential(ex.parse("1/2 * 1/rbar^2")).singular_oscillator
 
 
 def test_oscillator_detection_rejects_near_misses():
-    assert not is_singular_oscillator(LINEAR)
-    assert not is_singular_oscillator(ex.parse("1/(2*rbar^2) + 0.001"))
-    assert not is_singular_oscillator(ex.parse("1/(2*rbar^2) + t"))
-    assert not is_singular_oscillator(ex.parse("1/(2*rbar^2) * t/t"))
+    assert not LINEAR.singular_oscillator
+    assert not Potential(ex.parse("1/(2*rbar^2) + 0.001")).singular_oscillator
+    assert not Potential(ex.parse("1/(2*rbar^2) + t")).singular_oscillator
+    assert not Potential(ex.parse("1/(2*rbar^2) * t/t")).singular_oscillator
 
 
 def test_second_casimir_closed_form_value():
@@ -106,14 +102,14 @@ def test_second_casimir_negative_radicand():
 
 
 def test_second_casimir_conventions_record():
-    iv = casimir_C2(OSC, PhaseState(1.0, 0.0, -1.0, 1.0), record=True)
-    assert iv.name == "C2"
-    assert iv.conventions["form"] == "closed"
-    assert iv.conventions["branch_sign"] == "sign(-u/v)"
-    assert iv.conventions["lower_limit"] == "turning_point"
-    iv2 = casimir_C2(LINEAR, PhaseState(1.0, 0.3, -0.5, 1.0), lam0=0.5, record=True)
-    assert iv2.conventions["form"] == "quadrature"
-    assert iv2.conventions["lower_limit"] == 0.5
+    assert c2_conventions(OSC) == {
+        "branch_sign": "sign(-u/v)",
+        "lower_limit": "turning_point",
+        "form": "closed",
+    }
+    conventions = c2_conventions(LINEAR, lam0=0.5)
+    assert conventions["form"] == "quadrature"
+    assert conventions["lower_limit"] == 0.5
 
 
 def test_closed_form_matches_direct_quadrature():
@@ -163,7 +159,7 @@ def test_state_outside_its_well_is_rejected():
 def test_missing_turning_point_is_reported():
     s = PhaseState(r=1.0, theta=0.0, u=-0.5, v=1.0)
     with pytest.raises(DomainError, match="no turning point"):
-        casimir_C2(ZERO, s)
+        casimir_C2(Potential(ZERO), s)
 
 
 @pytest.mark.parametrize(
@@ -173,9 +169,25 @@ def test_missing_turning_point_is_reported():
 )
 def test_turning_point_is_found_on_either_side(potential, root):
     # c1 = 1 at rbar = 1: the scan goes down first and then up
-    lam = inv._turning_point(ex.parse(potential), 1.0, 1.0, 0.0)
+    lam = inv._turning_point(Potential(ex.parse(potential)), 1.0, 1.0, 0.0)
     assert lam == pytest.approx(root, rel=1e-14)
     assert (lam < 1.0) == (root < 1.0)
+
+
+def test_quadrature_casimir_builds_nothing_after_the_first_call(monkeypatch):
+    potential = Potential(ex.parse("1/(2*rbar^2) + 0.1*rbar"))
+    calls = {
+        name: count_outermost_calls(monkeypatch, ex, name)
+        for name in ("compile", "differentiate", "evaluate")
+    }
+    s = PhaseState(r=1.0, theta=0.2, u=-0.3, v=1.0)
+    first = casimir_C2(potential, s)
+    # the turning-point endpoint needs dV/drbar, derived on this first call
+    expected = {"compile": 1, "differentiate": 1, "evaluate": 0}
+    assert {name: count[0] for name, count in calls.items()} == expected
+    for _ in range(100):
+        assert casimir_C2(potential, s) == first
+    assert {name: count[0] for name, count in calls.items()} == expected
 
 
 def test_angular_speed_from_invariant():

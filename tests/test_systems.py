@@ -11,6 +11,7 @@ from ermakov.systems import (
     Floors,
     FuncHandle,
     PhaseState,
+    Potential,
     SingularStateError,
     SystemSpec,
     ZERO_HANDLE,
@@ -22,7 +23,7 @@ from ermakov.systems import (
 
 from helpers import count_outermost_calls, spiral_start
 
-OSC = ex.parse("1/(2*rbar^2)")
+OSC = Potential(ex.parse("1/(2*rbar^2)"))
 
 
 def random_states(seed, n, u_floor=0.05):
@@ -106,8 +107,17 @@ def test_system_spec_restricts_g_and_f_to_theta():
 
 
 def test_potential_restricted_to_rbar_and_t():
-    with pytest.raises(ValueError):
-        SystemSpec.pseudo_potential(ex.parse("0"), ex.parse("theta"))
+    with pytest.raises(ValueError, match=r"\['theta'\], only \(rbar, t\)"):
+        Potential(ex.parse("theta"))
+
+
+def test_potential_differentiates_on_first_use_only(monkeypatch):
+    calls = count_outermost_calls(monkeypatch, ex, "differentiate")
+    potential = Potential(ex.parse("1/(2*rbar^2) + 0.1*rbar"))
+    assert calls[0] == 0
+    for _ in range(3):
+        assert potential.slope(2.0, 0.0) == pytest.approx(-0.025, rel=1e-14)
+    assert calls[0] == 1
 
 
 def test_pseudo_potential_flow_at_spiral_start():

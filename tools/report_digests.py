@@ -9,7 +9,11 @@ against the package in this checkout's ``src/``.  The class-2 stress
 config ``bench/configs/class2_quadrature.json`` (the only one whose psi
 is not constant) gets ``simulate`` and the ``flow``, ``consistency`` and
 ``determinant`` sweeps; its ``jacobi`` sweep takes half a minute and is
-left out.  It prints one line per command with its exit code and the
+left out.  No shipped config reaches the quadrature ``C2``, its
+turning-point scan or dV/drbar away from the singular oscillator, so one
+more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
+``V = 1/(2 rbar^2)``), is written to the temporary directory and gets
+every command.  It prints one line per command with its exit code and the
 sha256 of what it printed, then the sha256 of each report it wrote.  Two
 checkouts that print the same lines write byte-identical reports and
 messages.
@@ -21,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +45,17 @@ STRESS_COMMANDS = (
     ("simulate",),
     *(("verify", "--which", which) for which in ("flow", "consistency", "determinant")),
 )
+
+OFF_OSCILLATOR = {
+    "system": {
+        "kind": "pseudo_potential",
+        "g": "0.1*cos(theta)",
+        "potential": "1/(2*rbar^2) + 0.1*rbar",
+    },
+    "initial_state": {"r": 1.0, "theta": 0.0, "u": -0.2, "v": 1.0},
+    "time_span": [0.0, 1.0],
+    "verify": {"samples": 200, "seed": 20260823, "branch": "fixed"},
+}
 
 
 def digests(main, config: Path, seed: int, out: Path, commands=COMMANDS):
@@ -71,6 +87,9 @@ def main(argv=None) -> int:
     runs = [(config, COMMANDS) for config in sorted((ROOT / "configs").glob("*.json"))]
     runs.append((STRESS_CONFIG, STRESS_COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
+        off_oscillator = Path(tmp) / "off_oscillator.json"
+        off_oscillator.write_text(json.dumps(OFF_OSCILLATOR, indent=2) + "\n", encoding="utf-8")
+        runs.append((off_oscillator, COMMANDS))
         for config, commands in runs:
             for label, rc, printed, reports in digests(
                 ermakov_main, config, args.seed, Path(tmp), commands
