@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import json
 import math
 
@@ -216,6 +217,27 @@ def test_verify_determinant_quoted_form_disagrees(tmp_path):
     assert report["max_residual"] < 1e-8
     assert report["quoted_form_max_rel_dev"] > 1.0
     assert report["pfaffian_identity_max"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "doc, which, tolerance",
+    [
+        (SPIRAL_DOC, "jacobi", 1e-6),
+        (SPIRAL_DOC, "flow", 1e-10),
+        (SPIRAL_DOC, "casimir", 1e-7),
+        (CLASS2_DOC, "consistency", 1e-7),
+        (SPIRAL_DOC, "determinant", 1e-10),
+        (CLASS2_DOC, "determinant", 1e-8),
+    ],
+    ids=("jacobi", "flow", "casimir", "consistency", "determinant-class1", "determinant-class2"),
+)
+def test_each_sweep_reports_its_default_tolerance(tmp_path, doc, which, tolerance):
+    doc = dict(doc, verify=dict(doc["verify"], samples=3))
+    assert "tolerance" not in doc["verify"]
+    cfg = write_config(tmp_path, doc)
+    run(tmp_path, "verify", "--config", str(cfg), "--which", which)
+    report = json.loads((tmp_path / "out" / f"verify_{which}.json").read_text())
+    assert report["tolerance"] == tolerance
 
 
 def test_orbit_command_on_the_spiral(tmp_path):
@@ -547,3 +569,15 @@ def test_class2_verify_runs_one_quadrature_per_sample(tmp_path, monkeypatch, whi
     assert code == 0
     assert quads[0] == 25
     assert builds[0] == 1
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["ermakov", *(f"ermakov.{name}" for name in (
+        "cli", "config", "expr", "integrate", "invariants", "linearize", "poisson", "systems"
+    ))],
+)
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
