@@ -3,7 +3,7 @@ matrices, Casimir invariants, time integration and the orbit-equation
 linearization, with a configuration-driven command line."""
 
 from .expr import DomainError, EvalError, ParseError, QuadratureError, parse, to_text
-from .integrate import Trajectory, drift, integrate
+from .integrate import Solver, Trajectory, drift, integrate
 from .invariants import casimir_C1, casimir_C2, ermakov_invariant, spiral_radius
 from .linearize import affinity_test, integrate_characteristic, to_orbit_curve
 from .systems import Floors, PhaseState, Potential, SingularStateError, SystemSpec, vector_field
@@ -17,6 +17,7 @@ __all__ = [
     "QuadratureError",
     "parse",
     "to_text",
+    "Solver",
     "Trajectory",
     "drift",
     "integrate",

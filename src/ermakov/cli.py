@@ -26,7 +26,7 @@ import numpy as np
 from . import invariants as inv
 from . import poisson
 from .config import ConfigError, RunConfig, load_config, sample_states
-from .integrate import IntegrationError, Trajectory, drift, integrate
+from .integrate import IntegrationError, Solver, Trajectory, drift, integrate
 from .linearize import (
     affinity_test,
     integrate_characteristic,
@@ -90,18 +90,7 @@ def _state_row(s: PhaseState, residual: float) -> dict:
 def _run_trajectory(cfg: RunConfig) -> Trajectory:
     if cfg.s0 is None:
         raise ConfigError("initial_state is required for this command")
-    return integrate(
-        cfg.spec,
-        cfg.s0,
-        cfg.t0,
-        cfg.t1,
-        method=cfg.method,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        dt=cfg.dt,
-        max_steps=cfg.max_steps,
-        floors=cfg.floors,
-    )
+    return integrate(cfg.spec, cfg.s0, cfg.t0, cfg.t1, cfg.solver, cfg.floors)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
@@ -404,8 +393,9 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path, seed: int) -> int:
         theta0=float(curve.theta[0]),
         theta1=float(curve.theta[-1]),
         t_param=cfg.t0,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
+        # the theta characteristic stays on DP45 with the default step
+        # budget: an rk4 dt is a time step, not an angle step
+        solver=Solver(rtol=cfg.solver.rtol, atol=cfg.solver.atol),
     )
     mismatch = orbit_match(curve, char, n_grid=cfg.linearize.n_grid)
     probe = cfg.linearize.affinity

@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import expr as ex
+from .integrate import Solver
 from .systems import Floors, FuncHandle, PhaseState, Potential, SystemSpec
 
 __all__ = [
@@ -178,7 +179,7 @@ def _build_system(section: dict) -> SystemSpec:
                 for key, check in _CLASS2_NUMBERS.items()
                 if key in section
             }
-            return SystemSpec.class2(g, psi, chi, f, **numbers)
+            return SystemSpec("class2", g, f, psi=psi, chi=chi, **numbers)
         if "potential" not in section:
             raise ConfigError("system.potential is required for pseudo_potential")
         potential = Potential(_expr(section["potential"], "system.potential"))
@@ -298,11 +299,7 @@ class RunConfig:
     orbit: OrbitSettings
     linearize: LinearizeSettings
     sha256: str
-    method: str = "dp45"
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    dt: Optional[float] = None  # rk4 step; the integrator picks one when absent
-    max_steps: int = 200000
+    solver: Solver
 
 
 _TOP_KEYS = (
@@ -331,7 +328,7 @@ def parse_config(data: bytes) -> RunConfig:
     spec = _build_system(_section(doc, "system"))
     s0 = _build_state(_section(doc, "initial_state")) if "initial_state" in doc else None
     t0, t1 = _span(doc["time_span"], "time_span") if "time_span" in doc else (0.0, 1.0)
-    integrator = _settings(dict, _section(doc, "integrator"), "integrator", _INTEGRATOR)
+    solver = _settings(Solver, _section(doc, "integrator"), "integrator", _INTEGRATOR)
     return RunConfig(
         spec=spec,
         s0=s0,
@@ -344,7 +341,7 @@ def parse_config(data: bytes) -> RunConfig:
             LinearizeSettings, _section(doc, "linearize"), "linearize", _LINEARIZE
         ),
         sha256=config_hash(data),
-        **integrator,
+        solver=solver,
     )
 
 

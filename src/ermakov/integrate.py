@@ -23,12 +23,14 @@ from .systems import (
     DEFAULT_FLOORS,
     Floors,
     PhaseState,
+    SingularStateError,
     SystemSpec,
     vector_field,
 )
 
 __all__ = [
     "IntegrationError",
+    "Solver",
     "Trajectory",
     "QuantityDrift",
     "DriftReport",
@@ -46,6 +48,22 @@ class IntegrationError(RuntimeError):
 # Exceptions that mark a failed stage evaluation rather than a bug:
 # state validation, floor checks, math domain errors, quadrature blowup.
 _STAGE_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
+
+
+@dataclass(frozen=True)
+class Solver:
+    """Integrator settings.
+
+    method is "rk4" (fixed step dt, span/1000 when absent) or "dp45"
+    (adaptive, to rtol and atol).  max_steps bounds accepted plus
+    rejected steps; exceeding it raises IntegrationError.
+    """
+
+    method: str = "dp45"
+    rtol: float = 1e-10
+    atol: float = 1e-12
+    dt: Optional[float] = None
+    max_steps: int = 200000
 
 
 def hermite_eval(ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, t):
@@ -106,8 +124,6 @@ class Trajectory:
     ys: np.ndarray
     fs: np.ndarray
     method: str
-    rtol: float
-    atol: float
     status: str
     stop_reason: Optional[str]
     stats: Mapping[str, int]
@@ -203,11 +219,7 @@ def integrate_ode(
     y0: np.ndarray,
     t0: float,
     t1: float,
-    method: str = "dp45",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    dt: Optional[float] = None,
-    max_steps: int = 200000,
+    solver: Solver = Solver(),
     accept_check: Optional[Callable[[float, np.ndarray], Optional[str]]] = None,
 ) -> Trajectory:
     """Integrate dy/dt = f(t, y) from t0 to t1.
@@ -217,12 +229,8 @@ def integrate_ode(
     underflows, at which point integration stops with "singular_stop".
     accept_check inspects each accepted (t, y) and returns a stop reason
     or None.
-
-    Args:
-        method: "rk4" (fixed step dt, default span/1000) or "dp45".
-        max_steps: budget on accepted plus rejected steps; exceeding it
-            raises IntegrationError.
     """
+    method, rtol, atol = solver.method, solver.rtol, solver.atol
     if not t1 > t0:
         raise ValueError(f"t1={t1!r} must exceed t0={t0!r}")
     if method not in ("rk4", "dp45"):
@@ -235,7 +243,7 @@ def integrate_ode(
     fs = [f_cur.copy()]
     span = t1 - t0
     if method == "rk4":
-        h = dt if dt is not None else span / 1000.0
+        h = solver.dt if solver.dt is not None else span / 1000.0
     else:
         h = _initial_step(f, t0, y, f_cur, t1, rtol, atol)
     if not h > 0.0:
@@ -248,9 +256,9 @@ def integrate_ode(
     err_old = 1.0
 
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if n_accepted + n_rejected + n_failed >= max_steps:
+        if n_accepted + n_rejected + n_failed >= solver.max_steps:
             raise IntegrationError(
-                f"step budget {max_steps} exhausted at t={t!r}"
+                f"step budget {solver.max_steps} exhausted at t={t!r}"
             )
         h_try = min(h, t1 - t)
         h_floor = 1e-14 * max(1.0, abs(t))
@@ -314,8 +322,6 @@ def integrate_ode(
         ys=np.array(ys),
         fs=np.array(fs),
         method=method,
-        rtol=rtol,
-        atol=atol,
         status=status,
         stop_reason=stop_reason,
         stats={
@@ -332,11 +338,7 @@ def integrate(
     s0: PhaseState,
     t0: float,
     t1: float,
-    method: str = "dp45",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    dt: Optional[float] = None,
-    max_steps: int = 200000,
+    solver: Solver = Solver(),
     floors: Floors = DEFAULT_FLOORS,
 ) -> Trajectory:
     """Integrate the first-order flow of a system from state s0.
@@ -352,30 +354,13 @@ def integrate(
         return vector_field(spec, s, t, stage_floors).as_array()
 
     def check(t: float, y: np.ndarray) -> Optional[str]:
-        if y[0] < floors.r_min:
-            return (
-                f"r={float(y[0])!r} below floor r_min={floors.r_min!r} "
-                f"at t={t!r}"
-            )
-        if abs(y[3]) <= floors.v_min:
-            return (
-                f"|v|={float(abs(y[3]))!r} at or below floor "
-                f"v_min={floors.v_min!r} at t={t!r}"
-            )
+        try:
+            floors.check(y[0], y[3])
+        except SingularStateError as exc:
+            return f"{exc} at t={t!r}"
         return None
 
-    return integrate_ode(
-        rhs,
-        s0.as_array(),
-        t0,
-        t1,
-        method=method,
-        rtol=rtol,
-        atol=atol,
-        dt=dt,
-        max_steps=max_steps,
-        accept_check=check,
-    )
+    return integrate_ode(rhs, s0.as_array(), t0, t1, solver, accept_check=check)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .integrate import Trajectory, hermite_eval, integrate_ode
+from .integrate import Solver, Trajectory, hermite_eval, integrate_ode
 from .systems import FuncHandle, Potential
 
 # a class-1 coupling, or a potential standing for the phi it induces
@@ -44,14 +44,12 @@ class OrbitCurve:
     """Samples (theta, rbar, abar) of an orbit, theta strictly monotone.
 
     abar is d rbar / dtheta, so the (rbar, abar) columns are value and
-    slope for Hermite interpolation.  dabar (slope of abar) is optional
-    and enables Hermite sampling of abar as well.
+    slope for Hermite interpolation.
     """
 
     theta: np.ndarray
     rbar: np.ndarray
     abar: np.ndarray
-    dabar: Optional[np.ndarray] = None
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
@@ -72,26 +70,12 @@ class OrbitCurve:
         hi = float(max(self.theta[0], self.theta[-1]))
         return lo, hi
 
-    def _ordered(self):
-        if self.theta[0] < self.theta[-1]:
-            return self.theta, self.rbar, self.abar, self.dabar
-        rev = slice(None, None, -1)
-        dab = None if self.dabar is None else self.dabar[rev]
-        return self.theta[rev], self.rbar[rev], self.abar[rev], dab
-
     def rbar_at(self, theta):
         """rbar interpolated at theta (scalar or array), cubic Hermite."""
-        th, rb, ab, _ = self._ordered()
+        th, rb, ab = self.theta, self.rbar, self.abar
+        if th[0] > th[-1]:
+            th, rb, ab = th[::-1], rb[::-1], ab[::-1]
         out = hermite_eval(th, rb[:, None], ab[:, None], theta)
-        return float(out[0]) if np.ndim(theta) == 0 else out[:, 0]
-
-    def abar_at(self, theta):
-        """abar interpolated at theta; Hermite when dabar is known."""
-        th, rb, ab, dab = self._ordered()
-        if dab is None:
-            out = np.interp(np.asarray(theta, dtype=float), th, ab)
-            return float(out) if np.ndim(theta) == 0 else out
-        out = hermite_eval(th, ab[:, None], dab[:, None], theta)
         return float(out[0]) if np.ndim(theta) == 0 else out[:, 0]
 
 
@@ -99,8 +83,7 @@ def to_orbit_curve(traj: Trajectory) -> OrbitCurve:
     """Pointwise map of a time trajectory: (r, theta, u, v) ->
     (theta, 1/r, -u/v).
 
-    Requires v of one sign along the trajectory (theta monotone);
-    curvature slopes come from the stored flow by the chain rule."""
+    Requires v of one sign along the trajectory (theta monotone)."""
     vs = traj.ys[:, 3]
     if not (np.all(vs > 0.0) or np.all(vs < 0.0)):
         i = int(np.argmax(vs[:-1] * vs[1:] <= 0.0))
@@ -108,17 +91,10 @@ def to_orbit_curve(traj: Trajectory) -> OrbitCurve:
             f"v changes sign between samples {i} and {i + 1} "
             f"(t={traj.ts[i]!r}..{traj.ts[i + 1]!r}); theta is not monotone"
         )
-    rs = traj.ys[:, 0]
-    us = traj.ys[:, 2]
-    udots = traj.fs[:, 2]
-    vdots = traj.fs[:, 3]
-    # d abar/dtheta = -(udot v - u vdot) / v^2 / thetadot, thetadot = v/r^2
-    dabar = -(udots * vs - us * vdots) * rs * rs / vs**3
     return OrbitCurve(
         theta=traj.ys[:, 1].copy(),
-        rbar=1.0 / rs,
-        abar=-us / vs,
-        dabar=dabar,
+        rbar=1.0 / traj.ys[:, 0],
+        abar=-traj.ys[:, 2] / vs,
     )
 
 
@@ -159,8 +135,7 @@ def integrate_characteristic(
     theta0: float,
     theta1: float,
     t_param: float = 0.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    solver: Solver = Solver(),
 ) -> OrbitCurve:
     """Integrate the characteristic system in the angle:
 
@@ -194,16 +169,13 @@ def integrate_characteristic(
         np.array([rbar0, abar0]),
         0.0,
         abs(theta1 - theta0),
-        rtol=rtol,
-        atol=atol,
+        solver,
         accept_check=check,
     )
-    thetas = theta0 + sign * traj.ts
     return OrbitCurve(
-        theta=thetas,
+        theta=theta0 + sign * traj.ts,
         rbar=traj.ys[:, 0].copy(),
         abar=traj.ys[:, 1].copy(),
-        dabar=sign * traj.fs[:, 1],
     )
 
 
@@ -230,7 +202,6 @@ def integrate_linear(
         theta=traj.ts.copy(),
         rbar=traj.ys[:, 0].copy(),
         abar=traj.ys[:, 1].copy(),
-        dabar=traj.fs[:, 1].copy(),
     )
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "pfaffian",
     "determinant",
     "det_class2_quoted",
-    "bracket",
     "central_differences",
     "jacobi_residuals",
     "JACOBI_TRIPLES",
@@ -91,16 +90,6 @@ class SkewMatrix4:
             ((3, 4), self.j34),
         )
 
-    def entry(self, mu: int, nu: int) -> float:
-        """Entry J[mu][nu], indices in 1..4."""
-        if not (1 <= mu <= 4 and 1 <= nu <= 4):
-            raise IndexError(f"indices must be in 1..4, got ({mu}, {nu})")
-        if mu == nu:
-            return 0.0
-        if mu < nu:
-            return getattr(self, f"j{mu}{nu}")
-        return -getattr(self, f"j{nu}{mu}")
-
     def norm(self) -> float:
         """Frobenius norm."""
         return math.sqrt(
@@ -128,8 +117,7 @@ class MatrixField:
 
 
 def _common_entries(s: PhaseState, floors: Floors):
-    if s.r < floors.r_min:
-        raise SingularStateError(f"r={s.r!r} below floor r_min={floors.r_min!r}")
+    floors.check(s.r)
     alpha = s.alpha(floors.v_min)
     r2 = s.r * s.r
     return alpha, alpha, 1.0 / r2, s.u / (r2 * s.v)  # alpha, j14, j24, j23
@@ -222,15 +210,6 @@ def det_class2_quoted(psi_val: float, s: PhaseState) -> float:
     """
     u, v, r = s.u, s.v, s.r
     return (u * u * psi_val / r**4) * (2.0 * u / (v * v) + psi_val)
-
-
-def bracket(grad_a: Sequence[float], grad_b: Sequence[float], m: SkewMatrix4) -> float:
-    """Generalized bracket {A, B} = (grad A)^T J (grad B) at one state."""
-    ga = np.asarray(grad_a, dtype=float)
-    gb = np.asarray(grad_b, dtype=float)
-    if ga.shape != (4,) or gb.shape != (4,):
-        raise ValueError("gradients must be 4-vectors")
-    return float(ga @ m.as_array() @ gb)
 
 
 def central_differences(func: Callable, s: PhaseState, h: float) -> list:

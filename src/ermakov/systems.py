@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -72,6 +72,17 @@ class Floors:
         configured floor before stopping."""
         return Floors(self.r_min * 0.5, self.u_min * 0.5, self.v_min * 0.5, self.psi_min)
 
+    def check(self, r: float, v: Optional[float] = None):
+        """Raise SingularStateError when r sits below r_min or, if given,
+        |v| at or below v_min.  The message prints plain floats whatever
+        numeric type the state holds."""
+        if r < self.r_min:
+            raise SingularStateError(f"r={float(r)!r} below floor r_min={self.r_min!r}")
+        if v is not None and abs(v) <= self.v_min:
+            raise SingularStateError(
+                f"|v|={float(abs(v))!r} at or below floor v_min={self.v_min!r}"
+            )
+
 
 DEFAULT_FLOORS = Floors()
 
@@ -93,7 +104,7 @@ class PhaseState:
         """The ratio u/v; undefined when |v| sits below the v_min floor."""
         if abs(self.v) <= v_min:
             raise SingularStateError(
-                f"alpha undefined: |v|={abs(self.v)!r} at or below floor v_min={v_min!r}"
+                f"alpha undefined: |v|={float(abs(self.v))!r} at or below floor v_min={v_min!r}"
             )
         return self.u / self.v
 
@@ -209,6 +220,11 @@ class Potential:
         return f"Potential({ex.to_text(self.tree)})"
 
 
+# lower limit of the class-2 alpha integral and its quadrature tolerance
+_LAM0 = 0.0
+_QUAD_TOL = 1e-12
+
+
 class Class2Phi:
     """phi constructed from a class-2 coupling psi.
 
@@ -233,8 +249,8 @@ class Class2Phi:
         self,
         psi: FuncHandle,
         chi: Optional[Expr] = None,
-        lam0: float = 0.0,
-        tol: float = 1e-12,
+        lam0: float = _LAM0,
+        tol: float = _QUAD_TOL,
         psi_min: float = DEFAULT_FLOORS.psi_min,
     ):
         if chi is not None:
@@ -308,7 +324,8 @@ class SystemSpec:
     """Declarative description of an Ermakov system.
 
     Build through the classmethods; ``g`` and optional ``f`` are
-    expressions in theta only.
+    expressions in theta only, compiled once here.  ``lam0`` and
+    ``quad_tol`` are the class-2 integral's lower limit and tolerance.
     """
 
     kind: str
@@ -318,9 +335,11 @@ class SystemSpec:
     psi: Optional[FuncHandle] = None
     chi: Optional[Expr] = None
     potential: Optional[Potential] = None
-    lam0: float = 0.0
-    quad_tol: float = 1e-12
+    lam0: float = _LAM0
+    quad_tol: float = _QUAD_TOL
     _class2_phis: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _g_fn: Callable = field(init=False, compare=False, repr=False)
+    _f_fn: Optional[Callable] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _CLASSES:
@@ -330,6 +349,9 @@ class SystemSpec:
                 bad = sorted(ex.free_vars(tree) - {"theta"})
                 if bad:
                     raise ValueError(f"{name} uses variables {bad}, only theta is allowed")
+        object.__setattr__(self, "_g_fn", ex.compile(self.g, ("theta",)))
+        f_fn = None if self.f is None else ex.compile(self.f, ("theta",))
+        object.__setattr__(self, "_f_fn", f_fn)
 
     @classmethod
     def class1(cls, g: Expr, phi: FuncHandle, f: Optional[Expr] = None) -> "SystemSpec":
@@ -337,17 +359,9 @@ class SystemSpec:
 
     @classmethod
     def class2(
-        cls,
-        g: Expr,
-        psi: FuncHandle,
-        chi: Optional[Expr] = None,
-        f: Optional[Expr] = None,
-        lam0: float = 0.0,
-        quad_tol: float = 1e-12,
+        cls, g: Expr, psi: FuncHandle, chi: Optional[Expr] = None, f: Optional[Expr] = None
     ) -> "SystemSpec":
-        return cls(
-            kind="class2", g=g, f=f, psi=psi, chi=chi, lam0=lam0, quad_tol=quad_tol
-        )
+        return cls(kind="class2", g=g, f=f, psi=psi, chi=chi)
 
     @classmethod
     def pseudo_potential(
@@ -372,19 +386,11 @@ class SystemSpec:
             )
         return phi
 
-    def as_class1(self) -> "SystemSpec":
-        """Lower a pseudo-potential system to an explicit class-1 system."""
-        if self.kind != "pseudo_potential":
-            raise ValueError("as_class1 applies to pseudo_potential systems")
-        return SystemSpec.class1(g=self.g, phi=self.phi, f=self.f)
-
     def g_at(self, theta: float) -> float:
-        return ex.compile(self.g, ("theta",))(theta)
+        return self._g_fn(theta)
 
     def f_at(self, theta: float) -> float:
-        if self.f is None:
-            return 0.0
-        return ex.compile(self.f, ("theta",))(theta)
+        return 0.0 if self._f_fn is None else self._f_fn(theta)
 
 
 def build_phi_from_potential(potential: Potential) -> FuncHandle:
@@ -403,17 +409,6 @@ def build_phi_from_potential(potential: Potential) -> FuncHandle:
         Binary("*", Binary("^", Var("r"), Num(2.0)), Var("alpha")),
     )
     return FuncHandle(tree=tree, name=f"phi[V={ex.to_text(potential.tree)}]")
-
-
-def _check_floors(s: PhaseState, floors: Floors):
-    if s.r < floors.r_min:
-        raise SingularStateError(
-            f"r={s.r!r} below floor r_min={floors.r_min!r}"
-        )
-    if abs(s.v) <= floors.v_min:
-        raise SingularStateError(
-            f"|v|={abs(s.v)!r} at or below floor v_min={floors.v_min!r}"
-        )
 
 
 def _coupling_udot(
@@ -444,7 +439,7 @@ def vector_field(
     u v phi for class 1, u v (phi + 2 v psi / r) for class 2, and the
     reduced (v^2/r^2) dV/drbar product for pseudo-potential systems.
     """
-    _check_floors(s, floors)
+    floors.check(s.r, s.v)
     r, th, u, v = s.r, s.theta, s.u, s.v
     g = spec.g_at(th)
     udot = -u * g / (r * r * v) + _coupling_udot(spec, s, t, floors)
@@ -463,7 +458,7 @@ def frequency_squared(
 
     Derived output only; omega never parametrizes a system here.
     """
-    _check_floors(s, floors)
+    floors.check(s.r, s.v)
     r, th, u, v = s.r, s.theta, s.u, s.v
     g = spec.g_at(th)
     f = spec.f_at(th)

@@ -22,7 +22,7 @@ from ermakov import expr as ex
 from ermakov import invariants as inv
 from ermakov import poisson
 from ermakov.config import sample_states
-from ermakov.integrate import drift, integrate
+from ermakov.integrate import Solver, drift, integrate
 from ermakov.linearize import (
     affinity_test,
     integrate_characteristic,
@@ -254,7 +254,9 @@ def test_criterion_5_superintegrable_spiral(g_text):
     g = ex.parse(g_text)
     spec = SystemSpec.pseudo_potential(g, OSC)
     floors = Floors(r_min=1e-2, v_min=1e-3)
-    traj = integrate(spec, SPIRAL_START, 0.0, 5.0, rtol=1e-10, atol=1e-12, floors=floors)
+    traj = integrate(
+        spec, SPIRAL_START, 0.0, 5.0, solver=Solver(rtol=1e-10, atol=1e-12), floors=floors
+    )
     report = drift(
         traj,
         {
@@ -316,7 +318,7 @@ def test_criterion_6_casimir_dichotomy():
 
 
 def test_criterion_7_time_quadrature():
-    traj = integrate(SPIRAL, SPIRAL_START, 0.0, 1.4, rtol=1e-10, atol=1e-12)
+    traj = integrate(SPIRAL, SPIRAL_START, 0.0, 1.4, solver=Solver(rtol=1e-10, atol=1e-12))
     elapsed_sim = time_at_theta(traj, 1.0) - time_at_theta(traj, 0.0)
     c1 = inv.casimir_C1(OSC, SPIRAL_START)
     c2 = inv.casimir_C2(OSC, SPIRAL_START)
@@ -339,7 +341,7 @@ def test_criterion_7_time_quadrature():
 
 
 def test_criterion_8_linearization():
-    traj = integrate(SPIRAL, SPIRAL_START, 0.0, 1.0, rtol=1e-10, atol=1e-12)
+    traj = integrate(SPIRAL, SPIRAL_START, 0.0, 1.0, solver=Solver(rtol=1e-10, atol=1e-12))
     curve = to_orbit_curve(traj)
     char = integrate_characteristic(
         SPIRAL.potential, 1.0, 0.0, 0.0, float(curve.theta[-1])
@@ -409,7 +411,7 @@ def test_criterion_9_numerics_hygiene():
         float(
             np.max(
                 np.abs(
-                    integrate(free, s0, 0.0, 1.0, method="rk4", dt=float(dt)).ys[-1]
+                    integrate(free, s0, 0.0, 1.0, Solver(method="rk4", dt=float(dt))).ys[-1]
                     - target
                 )
             )

@@ -8,6 +8,7 @@ from ermakov import expr as ex
 from ermakov.integrate import (
     DriftReport,
     IntegrationError,
+    Solver,
     Trajectory,
     drift,
     hermite_eval,
@@ -40,7 +41,7 @@ def exact_free(s0: PhaseState, t):
 
 @pytest.mark.parametrize("method", ["dp45", "rk4"])
 def test_circular_orbit_angle(method):
-    traj = integrate(FREE, PhaseState(2.0, 0.0, 0.0, 1.0), 0.0, 8.0, method=method)
+    traj = integrate(FREE, PhaseState(2.0, 0.0, 0.0, 1.0), 0.0, 8.0, solver=Solver(method=method))
     assert traj.status == "completed"
     assert traj.final_state.theta == pytest.approx(2.0, abs=1e-10)
     assert traj.final_state.r == 2.0  # rdot is identically zero
@@ -110,7 +111,7 @@ def test_fixed_step_is_fourth_order():
     dts = np.array([0.1, 0.05, 0.025, 0.0125])
     errs = []
     for dt in dts:
-        traj = integrate(FREE, s0, 0.0, 1.0, method="rk4", dt=float(dt))
+        traj = integrate(FREE, s0, 0.0, 1.0, solver=Solver(method="rk4", dt=float(dt)))
         errs.append(np.max(np.abs(traj.ys[-1] - target)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.3)
@@ -119,10 +120,12 @@ def test_fixed_step_is_fourth_order():
 def test_tightening_tolerance_tightens_drift():
     quantities = {"C1": lambda s, t: casimir_C1(OSC, s, t)}
     loose = drift(
-        integrate(SPIRAL, spiral_start(), 0.0, 1.0, rtol=1e-5, atol=1e-7), quantities
+        integrate(SPIRAL, spiral_start(), 0.0, 1.0, solver=Solver(rtol=1e-5, atol=1e-7)),
+        quantities,
     )
     tight = drift(
-        integrate(SPIRAL, spiral_start(), 0.0, 1.0, rtol=1e-7, atol=1e-9), quantities
+        integrate(SPIRAL, spiral_start(), 0.0, 1.0, solver=Solver(rtol=1e-7, atol=1e-9)),
+        quantities,
     )
     assert tight["C1"].drift > 0.0
     assert loose["C1"].drift / tight["C1"].drift >= 10.0
@@ -211,7 +214,7 @@ def test_against_scipy_on_a_coupled_system():
 
 def test_step_budget_is_enforced():
     with pytest.raises(IntegrationError, match="budget"):
-        integrate(SPIRAL, spiral_start(), 0.0, 1.0, max_steps=5)
+        integrate(SPIRAL, spiral_start(), 0.0, 1.0, solver=Solver(max_steps=5))
 
 
 def test_stop_at_radius_floor():
@@ -241,7 +244,9 @@ def test_blowup_stops_with_step_underflow():
 
 
 def test_dp45_decay_matches_exp():
-    traj = integrate_ode(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, rtol=1e-6, atol=1e-8)
+    traj = integrate_ode(
+        lambda t, y: -y, np.array([1.0]), 0.0, 1.0, solver=Solver(rtol=1e-6, atol=1e-8)
+    )
     assert float(traj.ys[-1][0]) == pytest.approx(math.exp(-1.0), rel=1e-6)
 
 
@@ -254,9 +259,9 @@ def test_generic_trajectories_are_not_phase_states():
 
 def test_bad_step_arguments():
     with pytest.raises(ValueError, match="method"):
-        integrate(SPIRAL, spiral_start(), 0.0, 1.0, method="euler")
+        integrate(SPIRAL, spiral_start(), 0.0, 1.0, solver=Solver(method="euler"))
     with pytest.raises(ValueError, match="positive"):
-        integrate(SPIRAL, spiral_start(), 0.0, 1.0, method="rk4", dt=-0.1)
+        integrate(SPIRAL, spiral_start(), 0.0, 1.0, solver=Solver(method="rk4", dt=-0.1))
 
 
 def test_hermite_reproduces_cubics():

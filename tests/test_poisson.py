@@ -9,7 +9,6 @@ from ermakov import poisson
 from ermakov.poisson import (
     JACOBI_TRIPLES,
     SkewMatrix4,
-    bracket,
     casimir_residuals,
     consistency_residual,
     det_class2_quoted,
@@ -36,9 +35,9 @@ def test_skew_matrix_layout():
     m = SkewMatrix4(j12=1.0, j13=2.0, j14=3.0, j23=4.0, j24=5.0, j34=6.0)
     a = m.as_array()
     assert np.array_equal(a, -a.T)
-    assert m.entry(1, 3) == 2.0
-    assert m.entry(3, 1) == -2.0
-    assert m.entry(2, 2) == 0.0
+    assert a[0, 2] == 2.0
+    assert a[2, 0] == -2.0
+    assert a[1, 1] == 0.0
     assert m.norm() == pytest.approx(math.sqrt(2 * (1 + 4 + 9 + 16 + 25 + 36)))
 
 
@@ -150,15 +149,6 @@ def test_tampered_j34_breaks_jacobi():
 
 def test_four_jacobi_triples_cover_all_index_choices():
     assert JACOBI_TRIPLES == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-
-
-def test_bracket_is_matrix_sandwich():
-    s = PhaseState(r=1.0, theta=0.0, u=0.5, v=2.0)
-    m = matrix_class1(FuncHandle.from_text("0"), s)
-    ga = np.array([1.0, 0.0, 0.0, 0.0])
-    gb = np.array([0.0, 0.0, 0.0, 1.0])
-    assert bracket(ga, gb, m) == pytest.approx(s.u / s.v)  # picks out J14
-    assert bracket(gb, ga, m) == pytest.approx(-s.u / s.v)
 
 
 @pytest.mark.parametrize(

@@ -196,7 +196,7 @@ def test_frequency_is_consistent_with_the_radial_flow(make):
 
 def test_pseudo_potential_reduces_to_class1():
     spec = SystemSpec.pseudo_potential(ex.parse("cos(theta)"), OSC)
-    lowered = spec.as_class1()
+    lowered = SystemSpec.class1(spec.g, spec.phi)
     assert lowered.kind == "class1"
     for s in random_states(37, 100, u_floor=1e-6):
         a = vector_field(spec, s).as_array()
@@ -213,6 +213,22 @@ def test_flow_rejects_states_below_floors():
     tight = Floors(r_min=0.5, v_min=0.1)
     with pytest.raises(SingularStateError):
         vector_field(spec, PhaseState(r=0.4, theta=0.0, u=0.0, v=1.0), floors=tight)
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ([1e-12, 0.0, 0.0, 1.0], "r=1e-12 below floor r_min=1e-09"),
+        ([1.0, 0.0, 0.0, -1e-14], "|v|=1e-14 at or below floor v_min=1e-12"),
+    ],
+    ids=("r", "v"),
+)
+def test_floor_messages_print_plain_floats(state, message):
+    # a state built from an array holds numpy scalars
+    spec = SystemSpec.class1(ex.parse("0"), ZERO_HANDLE)
+    with pytest.raises(SingularStateError) as err:
+        vector_field(spec, PhaseState(*np.array(state)))
+    assert str(err.value) == message
 
 
 def test_relaxed_floors_scale_down():

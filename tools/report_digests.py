@@ -13,10 +13,15 @@ left out.  No shipped config reaches the quadrature ``C2``, its
 turning-point scan or dV/drbar away from the singular oscillator, so one
 more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 ``V = 1/(2 rbar^2)``), is written to the temporary directory and gets
-every command.  It prints one line per command with its exit code and the
-sha256 of what it printed, then the sha256 of each report it wrote.  Two
-checkouts that print the same lines write byte-identical reports and
-messages.
+every command.  Three variants of the shipped configs, ``VARIANTS``,
+reach the integrator and class-2 settings the shipped configs leave at
+their defaults: the spiral on fixed-step RK4, the spiral with a step
+budget it exhausts, and ``class2_psi1`` with an alpha- and r-dependent
+psi, a nonzero ``lam0`` and a looser ``quad_tol``; each gets
+``VARIANT_COMMANDS``.  It prints one line per command with its exit code
+and the sha256 of what it printed, then the sha256 of each report it
+wrote.  Two checkouts that print the same lines write byte-identical
+reports and messages.
 """
 
 from __future__ import annotations
@@ -57,6 +62,31 @@ OFF_OSCILLATOR = {
     "verify": {"samples": 200, "seed": 20260823, "branch": "fixed"},
 }
 
+# (document name, shipped config it starts from, sections it replaces)
+VARIANTS = (
+    ("spiral_rk4.json", "spiral.json", {"integrator": {"method": "rk4", "dt": 0.002}}),
+    ("spiral_budget.json", "spiral.json", {"integrator": {"max_steps": 20}}),
+    (
+        "class2_lam0.json",
+        "class2_psi1.json",
+        {
+            "system": {
+                "kind": "class2",
+                "g": "cos(theta)",
+                "psi": "1+alpha^2*r",
+                "lam0": 0.3,
+                "quad_tol": 1e-11,
+            }
+        },
+    ),
+)
+VARIANT_COMMANDS = (("simulate",), ("orbit",), ("linearize",), ("verify", "--which", "flow"))
+
+
+def _write_doc(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return path
+
 
 def digests(main, config: Path, seed: int, out: Path, commands=COMMANDS):
     """Yield (command label, exit code, sha256 of its output,
@@ -87,9 +117,10 @@ def main(argv=None) -> int:
     runs = [(config, COMMANDS) for config in sorted((ROOT / "configs").glob("*.json"))]
     runs.append((STRESS_CONFIG, STRESS_COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
-        off_oscillator = Path(tmp) / "off_oscillator.json"
-        off_oscillator.write_text(json.dumps(OFF_OSCILLATOR, indent=2) + "\n", encoding="utf-8")
-        runs.append((off_oscillator, COMMANDS))
+        runs.append((_write_doc(Path(tmp) / "off_oscillator.json", OFF_OSCILLATOR), COMMANDS))
+        for name, base, sections in VARIANTS:
+            doc = json.loads((ROOT / "configs" / base).read_text(encoding="utf-8"))
+            runs.append((_write_doc(Path(tmp) / name, dict(doc, **sections)), VARIANT_COMMANDS))
         for config, commands in runs:
             for label, rc, printed, reports in digests(
                 ermakov_main, config, args.seed, Path(tmp), commands
