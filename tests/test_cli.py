@@ -8,8 +8,16 @@ import pytest
 
 from ermakov import expr as ex
 from ermakov.cli import main
+from ermakov.config import parse_config
 from ermakov.invariants import spiral_radius
-from ermakov.systems import Class2Phi
+from ermakov.systems import (
+    Class2Phi,
+    Flow4,
+    FuncHandle,
+    PhaseState,
+    SingularStateError,
+    vector_field,
+)
 
 from helpers import count_outermost_calls
 
@@ -556,6 +564,56 @@ def test_each_config_fault_has_its_own_message(tmp_path, capsys, document, messa
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# a class-2 document that sets every class-2 setting away from its default
+CLASS2_SETTINGS = {
+    "system": {
+        "kind": "class2",
+        "g": "cos(theta)",
+        "psi": "1+alpha+alpha^2*r",
+        "chi": "0.1*r*sin(theta)+t",
+        "lam0": 0.3,
+        "quad_tol": 1e-8,
+    },
+    "floors": {"psi_min": 0.8},
+}
+
+
+def _class2_flow(phi: Class2Phi, s: PhaseState, t: float = 0.0) -> Flow4:
+    """The class-2 flow at s, written out from one Class2Phi."""
+    r, theta, u, v = s.r, s.theta, s.u, s.v
+    g = math.cos(theta)
+    alpha = u / v
+    psi_val = phi.psi(alpha, r, theta, t)
+    coupling = u * v * (phi(alpha, r, theta, t) + 2.0 * v * psi_val / r)
+    return Flow4(u, v / (r * r), -u * g / (r * r * v) + coupling, -g / (r * r))
+
+
+def test_class2_settings_reach_the_flow():
+    cfg = parse_config(json.dumps(CLASS2_SETTINGS).encode())
+    psi = FuncHandle.from_text("1+alpha+alpha^2*r")
+    chi = ex.parse("0.1*r*sin(theta)+t")
+    s = PhaseState(r=1.3, theta=0.4, u=0.9, v=0.7)
+    flow = vector_field(cfg.spec, s, 0.0, cfg.floors)
+    assert flow == _class2_flow(Class2Phi(psi, chi, lam0=0.3, tol=1e-8, psi_min=0.8), s)
+    # each setting left at its default moves the flow
+    for phi in (
+        Class2Phi(psi, None, lam0=0.3, tol=1e-8, psi_min=0.8),
+        Class2Phi(psi, chi, tol=1e-8, psi_min=0.8),
+        Class2Phi(psi, chi, lam0=0.3, psi_min=0.8),
+        Class2Phi(psi),
+    ):
+        assert flow.udot != _class2_flow(phi, s).udot
+
+
+def test_class2_psi_floor_is_the_configured_one():
+    cfg = parse_config(json.dumps(CLASS2_SETTINGS).encode())
+    # psi(-0.5) = 0.75 at r = 1: above the default floor, below the configured one
+    s = PhaseState(r=1.0, theta=0.4, u=-0.5, v=1.0)
+    _class2_flow(Class2Phi(FuncHandle.from_text("1+alpha+alpha^2*r")), s)
+    with pytest.raises(SingularStateError, match=r"at or below floor psi_min=0\.8 "):
+        vector_field(cfg.spec, s, 0.0, cfg.floors)
 
 
 @pytest.mark.parametrize("which", ["flow", "consistency"])
