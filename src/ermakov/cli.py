@@ -64,17 +64,17 @@ def _phi_of(cfg: RunConfig):
     whose reduced curvature -dV/drbar stays finite at abar = 0.  Class 2
     is refused: its curvature has a v-dependent term the orbit equation
     does not carry."""
-    spec = cfg.spec
-    if spec.kind == "class2":
+    if cfg.spec.kind == "class2":
         raise ConfigError("linearize applies to class1 and pseudo_potential systems")
-    return spec.potential if spec.kind == "pseudo_potential" else spec.phi
+    return cfg.spec.coupling
 
 
 def _matrix_field(cfg: RunConfig) -> poisson.MatrixField:
     spec = cfg.spec
     if spec.kind == "class2":
-        return poisson.matrix_field_class2(spec.class2_phi(cfg.floors), cfg.floors)
-    return poisson.matrix_field_class1(spec.phi, cfg.floors)
+        return poisson.matrix_field_class2(spec.coupling, cfg.floors)
+    phi = spec.coupling.phi if spec.kind == "pseudo_potential" else spec.coupling
+    return poisson.matrix_field_class1(phi, cfg.floors)
 
 
 def _state_row(s: PhaseState, residual: float) -> dict:
@@ -100,13 +100,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     quantities = {"I": lambda s, t: inv.ermakov_invariant(spec.g, s)}
     header = ["t", "r", "theta", "u", "v", "I"]
     if spec.kind == "pseudo_potential":
-        conventions["C2"] = inv.c2_conventions(spec.potential)
-        quantities["C1"] = lambda s, t: inv.casimir_C1(
-            spec.potential, s, t, cfg.floors
-        )
-        quantities["C2"] = lambda s, t: inv.casimir_C2(
-            spec.potential, s, t, floors=cfg.floors
-        )
+        potential = spec.coupling
+        conventions["C2"] = inv.c2_conventions(potential)
+        quantities["C1"] = lambda s, t: inv.casimir_C1(potential, s, t, cfg.floors)
+        quantities["C2"] = lambda s, t: inv.casimir_C2(potential, s, t, floors=cfg.floors)
         header += ["C1", "C2"]
 
     report = drift(traj, quantities)
@@ -165,7 +162,9 @@ def _verify_flow(cfg, states):
 
 def _verify_casimir(cfg, states):
     spec = cfg.spec
-    potential = spec.potential or cfg.verify.casimir_potential
+    potential = cfg.verify.casimir_potential
+    if spec.kind == "pseudo_potential":
+        potential = spec.coupling
     if potential is None:
         raise ConfigError(
             "casimir verification needs a pseudo_potential system or "
@@ -175,16 +174,15 @@ def _verify_casimir(cfg, states):
     tol = cfg.verify.tolerance.get("casimir", 1e-7)
     h = cfg.verify.fd_step
 
-    def c1_fn(s):
-        return inv.casimir_C1(potential, s, 0.0, cfg.floors)
-
-    def c2_fn(s):
-        return inv.casimir_C2(potential, s, 0.0, floors=cfg.floors)
+    def casimirs(s):
+        c1 = inv.casimir_C1(potential, s, 0.0, cfg.floors)
+        return np.array([c1, inv.casimir_C2(potential, s, 0.0, c1=c1, floors=cfg.floors)])
 
     per_state = []
     for s in states:
-        res1 = poisson.casimir_residuals(field, poisson.central_differences(c1_fn, s, h), s)
-        res2 = poisson.casimir_residuals(field, poisson.central_differences(c2_fn, s, h), s)
+        grads = np.array(poisson.central_differences(casimirs, s, h))
+        res1 = poisson.casimir_residuals(field, grads[:, 0], s)
+        res2 = poisson.casimir_residuals(field, grads[:, 1], s)
         per_state.append(
             max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
         )
@@ -192,18 +190,17 @@ def _verify_casimir(cfg, states):
 
 
 def _verify_consistency(cfg, states):
-    spec = cfg.spec
-    if spec.kind != "class2":
+    phi = cfg.spec.coupling
+    if cfg.spec.kind != "class2":
         raise ConfigError("consistency verification applies to class2 systems")
+    psi = phi.psi
     if cfg.verify.phi_override is not None:
         phi = FuncHandle(tree=cfg.verify.phi_override, name="phi_override")
-    else:
-        phi = spec.class2_phi(cfg.floors)
     tol = cfg.verify.tolerance.get("consistency", 1e-7)
     per_state = []
     for s in states:
         per_state.append(
-            abs(poisson.consistency_residual(spec.psi, phi, s, 0.0, floors=cfg.floors))
+            abs(poisson.consistency_residual(psi, phi, s, 0.0, floors=cfg.floors))
         )
     return tol, per_state, {"phi_overridden": cfg.verify.phi_override is not None}
 
@@ -223,7 +220,7 @@ def _verify_determinant(cfg, states):
     for s in states:
         m = field(s)
         det = poisson.determinant(m)
-        psi_val = spec.psi(s.alpha(cfg.floors.v_min), s.r, s.theta, 0.0)
+        psi_val = spec.coupling.psi(s.alpha(cfg.floors.v_min), s.r, s.theta, 0.0)
         closed = (s.u * psi_val / s.r**2) ** 2
         res = abs(det - closed) / max(1e-30, closed)
         # det = Pf^2 must be positive where u psi != 0, at any tolerance
@@ -319,14 +316,15 @@ def _time_at_theta(traj: Trajectory, theta_star: float) -> float:
 
 def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     spec = cfg.spec
-    if spec.kind != "pseudo_potential" or not spec.potential.singular_oscillator:
+    potential = spec.coupling
+    if spec.kind != "pseudo_potential" or not potential.singular_oscillator:
         raise ConfigError(
             "orbit applies to pseudo_potential configs with V = 1/(2 rbar^2)"
         )
     if cfg.s0 is None:
         raise ConfigError("initial_state is required for orbit")
-    c1 = inv.casimir_C1(spec.potential, cfg.s0, cfg.t0, cfg.floors)
-    c2 = inv.casimir_C2(spec.potential, cfg.s0, cfg.t0, c1=c1, floors=cfg.floors)
+    c1 = inv.casimir_C1(potential, cfg.s0, cfg.t0, cfg.floors)
+    c2 = inv.casimir_C2(potential, cfg.s0, cfg.t0, c1=c1, floors=cfg.floors)
 
     traj = _run_trajectory(cfg)
     curve = to_orbit_curve(traj)
@@ -372,7 +370,7 @@ def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
             "pass": bool(passed),
         }
     )
-    doc["conventions"] = {"C2": inv.c2_conventions(spec.potential)}
+    doc["conventions"] = {"C2": inv.c2_conventions(potential)}
     _write_json(out_dir / "orbit.json", doc)
     verdict = "PASS" if passed else "FAIL"
     print(

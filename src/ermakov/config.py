@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from .integrate import Solver
-from .systems import Floors, FuncHandle, PhaseState, Potential, SystemSpec
+from .systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
 
 __all__ = [
     "ConfigError",
@@ -154,36 +154,42 @@ def _grid(val, where: str) -> int:
     return n
 
 
-# the keys of a system section are the fields of SystemSpec
-_SYSTEM_KEYS = tuple(f.name for f in fields(SystemSpec) if f.init)
-_SYSTEM_KIND = _one_of("class1", "class2", "pseudo_potential")
-_CLASS2_NUMBERS = {"lam0": _number, "quad_tol": _positive}
+# the keys each kind of system allows; a key of another kind is unknown
+_SYSTEM_KEYS = {
+    "class1": ("kind", "g", "f", "phi"),
+    "class2": ("kind", "g", "f", "psi", "chi", "lam0", "quad_tol"),
+    "pseudo_potential": ("kind", "g", "f", "potential"),
+}
+_SYSTEM_KIND = _one_of(*_SYSTEM_KEYS)
+# class-2 numbers and the Class2Phi parameter each sets
+_CLASS2_NUMBERS = {"lam0": ("lam0", _number), "quad_tol": ("tol", _positive)}
 
 
-def _build_system(section: dict) -> SystemSpec:
-    _check_keys(section, _SYSTEM_KEYS, "system")
+def _build_system(section: dict, class2: dict) -> SystemSpec:
+    """The spec of a system section, its coupling built once; ``class2``
+    holds Class2Phi settings from outside the section (the psi floor)."""
     kind = _SYSTEM_KIND(section.get("kind"), "system.kind")
+    _check_keys(section, _SYSTEM_KEYS[kind], "system")
     g = _expr(section.get("g", "0"), "system.g")
     f = _optional_expr(section.get("f"), "system.f")
     try:
         if kind == "class1":
             text = section.get("phi", "0")
-            return SystemSpec.class1(g, FuncHandle(_expr(text, "system.phi"), text), f)
+            return SystemSpec(g, FuncHandle(_expr(text, "system.phi"), text), f)
         if kind == "class2":
             if "psi" not in section:
                 raise ConfigError("system.psi is required for class2")
             psi = FuncHandle(_expr(section["psi"], "system.psi"), section["psi"])
             chi = _optional_expr(section.get("chi"), "system.chi")
             numbers = {
-                key: check(section[key], f"system.{key}")
-                for key, check in _CLASS2_NUMBERS.items()
+                param: check(section[key], f"system.{key}")
+                for key, (param, check) in _CLASS2_NUMBERS.items()
                 if key in section
             }
-            return SystemSpec("class2", g, f, psi=psi, chi=chi, **numbers)
+            return SystemSpec(g, Class2Phi(psi, chi, **class2, **numbers), f)
         if "potential" not in section:
             raise ConfigError("system.potential is required for pseudo_potential")
-        potential = Potential(_expr(section["potential"], "system.potential"))
-        return SystemSpec.pseudo_potential(g, potential, f)
+        return SystemSpec(g, Potential(_expr(section["potential"], "system.potential")), f)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -246,7 +252,8 @@ class LinearizeSettings:
 
 
 # allowed keys and their checks, in the order they are checked
-_FLOORS = {f.name: _positive for f in fields(Floors)}
+# psi_min is the class-2 psi floor, which goes to Class2Phi
+_FLOORS = dict.fromkeys(("r_min", "u_min", "v_min", "psi_min"), _positive)
 _TOLERANCES = dict.fromkeys(
     ("jacobi", "flow", "casimir", "consistency", "determinant"), _positive
 )
@@ -325,7 +332,9 @@ def parse_config(data: bytes) -> RunConfig:
     _check_keys(doc, _TOP_KEYS, "config")
     if "system" not in doc:
         raise ConfigError("config.system is required")
-    spec = _build_system(_section(doc, "system"))
+    floors = _settings(dict, _section(doc, "floors"), "floors", _FLOORS)
+    psi_floor = {"psi_min": floors.pop("psi_min")} if "psi_min" in floors else {}
+    spec = _build_system(_section(doc, "system"), psi_floor)
     s0 = _build_state(_section(doc, "initial_state")) if "initial_state" in doc else None
     t0, t1 = _span(doc["time_span"], "time_span") if "time_span" in doc else (0.0, 1.0)
     solver = _settings(Solver, _section(doc, "integrator"), "integrator", _INTEGRATOR)
@@ -334,7 +343,7 @@ def parse_config(data: bytes) -> RunConfig:
         s0=s0,
         t0=t0,
         t1=t1,
-        floors=_settings(Floors, _section(doc, "floors"), "floors", _FLOORS),
+        floors=Floors(**floors),
         verify=_settings(VerifySettings, _section(doc, "verify"), "verify", _VERIFY),
         orbit=_settings(OrbitSettings, _section(doc, "orbit"), "orbit", _ORBIT),
         linearize=_settings(

@@ -21,6 +21,7 @@ import numpy as np
 
 from .systems import (
     DEFAULT_FLOORS,
+    STAGE_FAILURES,
     Floors,
     PhaseState,
     SingularStateError,
@@ -43,11 +44,6 @@ __all__ = [
 
 class IntegrationError(RuntimeError):
     """Step budget exhausted or a sample fell outside the trajectory."""
-
-
-# Exceptions that mark a failed stage evaluation rather than a bug:
-# state validation, floor checks, math domain errors, quadrature blowup.
-_STAGE_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol):
     try:
         f1 = np.asarray(f(t0 + h0, y0 + h0 * f0), dtype=float)
         d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
-    except _STAGE_ERRORS:
+    except STAGE_FAILURES:
         return h0 * 1e-2
     dmax = max(d1, d2)
     if dmax <= 1e-15:
@@ -224,9 +220,10 @@ def integrate_ode(
 ) -> Trajectory:
     """Integrate dy/dt = f(t, y) from t0 to t1.
 
-    f may raise (state validation, floors, math domain) to signal that a
-    stage left the admissible region; the step is then halved until it
-    underflows, at which point integration stops with "singular_stop".
+    f may raise one of ``STAGE_FAILURES`` (floors, r > 0, math domain,
+    quadrature) to signal that a stage left the admissible region; the
+    step is then halved until it underflows, at which point integration
+    stops with "singular_stop".  Any other exception propagates.
     accept_check inspects each accepted (t, y) and returns a stop reason
     or None.
     """
@@ -280,7 +277,7 @@ def integrate_ode(
                 err_norm = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
             if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(f_new))):
                 raise FloatingPointError("non-finite stage result")
-        except _STAGE_ERRORS as exc:
+        except STAGE_FAILURES as exc:
             n_failed += 1
             last_failure = str(exc) or type(exc).__name__
             if h_try <= 2.0 * h_floor:

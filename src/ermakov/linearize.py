@@ -21,7 +21,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .integrate import Solver, Trajectory, hermite_eval, integrate_ode
-from .systems import FuncHandle, Potential
+from .systems import STAGE_FAILURES, FuncHandle, Potential, SingularStateError
 
 # a class-1 coupling, or a potential standing for the phi it induces
 Coupling = Union[FuncHandle, Potential]
@@ -35,8 +35,6 @@ __all__ = [
     "orbit_match",
     "affinity_test",
 ]
-
-_EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def _curvature_fn(phi: Coupling, t_param: float):
     def curvature(theta: float, rbar: float, abar: float) -> float:
         try:
             return raw(theta, rbar, abar)
-        except _EVAL_ERRORS:
+        except STAGE_FAILURES:
             if abar != 0.0:
                 raise
             eps = 1e-7
@@ -155,7 +153,7 @@ def integrate_characteristic(
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
         rbar, abar = y
         if rbar <= 0.0:
-            raise ValueError(f"rbar={rbar!r} left the positive domain")
+            raise SingularStateError(f"rbar={rbar!r} left the positive domain")
         theta = theta0 + sign * tau
         return sign * np.array([abar, curvature(theta, rbar, abar)])
 

@@ -2,12 +2,13 @@
 
 State is (r, theta, u, v) with u = dr/dt and v = r^2 dtheta/dt.  A system
 is an angular forcing G(theta), an optional frequency-shift term F(theta),
-and one coupling function that selects the structure class:
+and one coupling whose type selects the structure class:
 
-* ``class1``   -- phi(alpha, r, theta, t) free, with alpha = u/v,
-* ``class2``   -- psi(alpha, r, theta, t) free, phi constructed from it,
-* ``pseudo_potential`` -- phi induced by a potential V(rbar, t), rbar = 1/r,
-  held as one ``Potential``.
+* ``class1``   -- a ``FuncHandle`` phi(alpha, r, theta, t), alpha = u/v,
+* ``class2``   -- a ``Class2Phi``: psi(alpha, r, theta, t) free, phi
+  constructed from it,
+* ``pseudo_potential`` -- a ``Potential`` V(rbar, t), rbar = 1/r, which
+  induces phi.
 
 The first-order flow shared by all classes:
 
@@ -25,17 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import expr as ex
-from .expr import Binary, Expr, Num, Var
+from .expr import Binary, DomainError, Expr, Num, QuadratureError, Var
 
 __all__ = [
     "Floors",
     "DEFAULT_FLOORS",
     "SingularStateError",
+    "STAGE_FAILURES",
     "PhaseState",
     "Flow4",
     "FuncHandle",
@@ -44,13 +46,17 @@ __all__ = [
     "SystemSpec",
     "vector_field",
     "frequency_squared",
-    "build_phi_from_potential",
     "polar_from_cartesian",
 ]
 
 
 class SingularStateError(ValueError):
-    """A state violated one of the configured domain floors."""
+    """A state left the domain: it violated a floor or r > 0."""
+
+
+# what a right-hand side raises when a state is singular rather than when
+# the code is wrong; integrators halve the step on these and nothing else
+STAGE_FAILURES = (SingularStateError, DomainError, QuadratureError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -64,13 +70,12 @@ class Floors:
     r_min: float = 1e-9
     u_min: float = 1e-12
     v_min: float = 1e-12
-    psi_min: float = 1e-12
 
     def relaxed(self) -> "Floors":
-        """Floors halved (psi_min kept), used for stage evaluations inside
-        integrators so that a run can land an accepted state just below the
-        configured floor before stopping."""
-        return Floors(self.r_min * 0.5, self.u_min * 0.5, self.v_min * 0.5, self.psi_min)
+        """Floors halved, used for stage evaluations inside integrators so
+        that a run can land an accepted state just below the configured
+        floor before stopping."""
+        return Floors(self.r_min * 0.5, self.u_min * 0.5, self.v_min * 0.5)
 
     def check(self, r: float, v: Optional[float] = None):
         """Raise SingularStateError when r sits below r_min or, if given,
@@ -98,7 +103,7 @@ class PhaseState:
 
     def __post_init__(self):
         if not (self.r > 0.0):
-            raise ValueError(f"r must be positive, got {self.r!r}")
+            raise SingularStateError(f"r must be positive, got {self.r!r}")
 
     def alpha(self, v_min: float = DEFAULT_FLOORS.v_min) -> float:
         """The ratio u/v; undefined when |v| sits below the v_min floor."""
@@ -178,7 +183,8 @@ class Potential:
     """A pseudo-potential V(rbar, t), rbar = 1/r, held as an expression
     tree: its variables are checked, V is compiled and the singular-
     oscillator test is decided once, at construction; dV/drbar, as a tree
-    and compiled (``slope``), is derived on first use.
+    and compiled (``slope``), and the phi it induces are derived on first
+    use.
 
     ``singular_oscillator`` says whether V evaluates as 1/(2 rbar^2) with
     no t dependence.  Detection is by evaluation at fixed probes, so
@@ -216,13 +222,19 @@ class Potential:
         """dV/drbar compiled, a function of (rbar, t)."""
         return ex.compile(self.dtree, _POTENTIAL_VARS)
 
+    @cached_property
+    def phi(self) -> FuncHandle:
+        """The induced coupling phi(alpha, r, theta, t) =
+        (dV/drbar)(1/r, t) / (r^2 alpha).  Flow evaluations use ``slope``
+        instead, in the reduced product u v phi = (v^2/r^2) dV/drbar,
+        which has no 0/0 at u = 0."""
+        numerator = ex.substitute(self.dtree, "rbar", Binary("/", Num(1.0), Var("r")))
+        r_squared = Binary("^", Var("r"), Num(2.0))
+        tree = Binary("/", numerator, Binary("*", r_squared, Var("alpha")))
+        return FuncHandle(tree=tree, name=f"phi[V={ex.to_text(self.tree)}]")
+
     def __repr__(self):
         return f"Potential({ex.to_text(self.tree)})"
-
-
-# lower limit of the class-2 alpha integral and its quadrature tolerance
-_LAM0 = 0.0
-_QUAD_TOL = 1e-12
 
 
 class Class2Phi:
@@ -233,25 +245,26 @@ class Class2Phi:
             [ d(psi)/dr + d(psi)/dtheta / (r^2 lam) - (2/r) psi(lam) ]
           + chi(r, theta, t) ) * psi(alpha)
 
-    with psi arguments (lam, r, theta, t).  The 1/lam term is present only
-    when psi actually depends on theta; in that case the integration path
-    must not touch lam = 0.  The derivative with respect to alpha is exact
-    (fundamental theorem of calculus), which matters for consistency-
-    condition checks: differencing the quadrature would cost five to six
-    digits.
+    with psi arguments (lam, r, theta, t), the integral taken to absolute
+    tolerance ``tol``.  |psi| at or below ``psi_min`` is a singular state.
+    The 1/lam term is present only when psi actually depends on theta; in
+    that case the integration path must not touch lam = 0.  The derivative
+    with respect to alpha is exact (fundamental theorem of calculus), which
+    matters for consistency-condition checks: differencing the quadrature
+    would cost five to six digits.
 
-    The last value is kept with its (alpha, r, theta, t), so phi and its
-    alpha-derivative, or the matrix and the flow, at one state share one
-    quadrature.
+    The psi partials are derived on first use.  The last value is kept
+    with its (alpha, r, theta, t), so phi and its alpha-derivative, or the
+    matrix and the flow, at one state share one quadrature.
     """
 
     def __init__(
         self,
         psi: FuncHandle,
         chi: Optional[Expr] = None,
-        lam0: float = _LAM0,
-        tol: float = _QUAD_TOL,
-        psi_min: float = DEFAULT_FLOORS.psi_min,
+        lam0: float = 0.0,
+        tol: float = 1e-12,
+        psi_min: float = 1e-12,
     ):
         if chi is not None:
             bad = sorted(ex.free_vars(chi) - {"r", "theta", "t"})
@@ -262,11 +275,16 @@ class Class2Phi:
         self.lam0 = float(lam0)
         self.tol = float(tol)
         self.psi_min = float(psi_min)
-        self._psi_r = psi.partial("r").fn
-        self._psi_theta = psi.partial("theta").fn
-        self._psi_alpha = psi.partial("alpha").fn
         self._theta_dependent = psi.depends_on("theta")
+        # set here rather than added on first use: an attribute added after
+        # __init__ slows every attribute read on the instance in CPython 3.11
+        self._partials = None
         self._last = (None, None)
+
+    def _derive_partials(self) -> tuple:
+        """d(psi)/dr, d(psi)/dtheta and d(psi)/dalpha compiled, kept."""
+        self._partials = tuple(self.psi.partial(var).fn for var in ("r", "theta", "alpha"))
+        return self._partials
 
     def _psi_at(self, lam: float, r: float, theta: float, t: float) -> float:
         w = self.psi.fn(lam, r, theta, t)
@@ -279,14 +297,15 @@ class Class2Phi:
 
     def integrand(self, lam: float, r: float, theta: float, t: float) -> float:
         w = self._psi_at(lam, r, theta, t)
-        val = self._psi_r(lam, r, theta, t) - (2.0 / r) * w
+        psi_r, psi_theta, _ = self._partials or self._derive_partials()
+        val = psi_r(lam, r, theta, t) - (2.0 / r) * w
         if self._theta_dependent:
             if lam == 0.0:
                 raise SingularStateError(
                     "class-2 phi integrand has a 1/lambda term and the path "
                     "touches lambda=0"
                 )
-            val += self._psi_theta(lam, r, theta, t) / (r * r * lam)
+            val += psi_theta(lam, r, theta, t) / (r * r * lam)
         return val / (w * w)
 
     def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
@@ -312,38 +331,32 @@ class Class2Phi:
     def partial_alpha(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
         """Exact d(phi)/d(alpha) via the fundamental theorem."""
         w = self._psi_at(alpha, r, theta, t)
-        dpsi = self._psi_alpha(alpha, r, theta, t)
+        dpsi = (self._partials or self._derive_partials())[2](alpha, r, theta, t)
         return self.integrand(alpha, r, theta, t) * w + self(alpha, r, theta, t) * dpsi / w
 
 
-_CLASSES = ("class1", "class2", "pseudo_potential")
+# the structure class each type of coupling selects
+_KINDS = {FuncHandle: "class1", Class2Phi: "class2", Potential: "pseudo_potential"}
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Declarative description of an Ermakov system.
 
-    Build through the classmethods; ``g`` and optional ``f`` are
-    expressions in theta only, compiled once here.  ``lam0`` and
-    ``quad_tol`` are the class-2 integral's lower limit and tolerance.
+    ``g`` and optional ``f`` are expressions in theta only, compiled once
+    here; ``coupling`` is a ``FuncHandle`` phi (class 1), a ``Class2Phi``
+    (class 2) or a ``Potential`` (pseudo-potential), and names ``kind``.
     """
 
-    kind: str
     g: Expr
+    coupling: Union[FuncHandle, Class2Phi, Potential]
     f: Optional[Expr] = None
-    phi: Optional[FuncHandle] = None
-    psi: Optional[FuncHandle] = None
-    chi: Optional[Expr] = None
-    potential: Optional[Potential] = None
-    lam0: float = _LAM0
-    quad_tol: float = _QUAD_TOL
-    _class2_phis: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _g_fn: Callable = field(init=False, compare=False, repr=False)
     _f_fn: Optional[Callable] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in _CLASSES:
-            raise ValueError(f"unknown system class {self.kind!r}")
+        if type(self.coupling) not in _KINDS:
+            raise ValueError(f"unknown coupling {self.coupling!r}")
         for name, tree in (("G", self.g), ("F", self.f)):
             if tree is not None:
                 bad = sorted(ex.free_vars(tree) - {"theta"})
@@ -353,38 +366,25 @@ class SystemSpec:
         f_fn = None if self.f is None else ex.compile(self.f, ("theta",))
         object.__setattr__(self, "_f_fn", f_fn)
 
+    @property
+    def kind(self) -> str:
+        return _KINDS[type(self.coupling)]
+
     @classmethod
     def class1(cls, g: Expr, phi: FuncHandle, f: Optional[Expr] = None) -> "SystemSpec":
-        return cls(kind="class1", g=g, f=f, phi=phi)
+        return cls(g, phi, f)
 
     @classmethod
     def class2(
         cls, g: Expr, psi: FuncHandle, chi: Optional[Expr] = None, f: Optional[Expr] = None
     ) -> "SystemSpec":
-        return cls(kind="class2", g=g, f=f, psi=psi, chi=chi)
+        return cls(g, Class2Phi(psi, chi), f)
 
     @classmethod
     def pseudo_potential(
         cls, g: Expr, potential: Potential, f: Optional[Expr] = None
     ) -> "SystemSpec":
-        return cls(
-            kind="pseudo_potential",
-            g=g,
-            f=f,
-            phi=build_phi_from_potential(potential),
-            potential=potential,
-        )
-
-    def class2_phi(self, floors: Floors = DEFAULT_FLOORS) -> Class2Phi:
-        """The constructed phi; one instance per spec and psi_min floor."""
-        if self.kind != "class2":
-            raise ValueError("class2_phi is only defined for class-2 systems")
-        phi = self._class2_phis.get(floors.psi_min)
-        if phi is None:
-            phi = self._class2_phis[floors.psi_min] = Class2Phi(
-                self.psi, self.chi, lam0=self.lam0, tol=self.quad_tol, psi_min=floors.psi_min
-            )
-        return phi
+        return cls(g, potential, f)
 
     def g_at(self, theta: float) -> float:
         return self._g_fn(theta)
@@ -393,38 +393,18 @@ class SystemSpec:
         return 0.0 if self._f_fn is None else self._f_fn(theta)
 
 
-def build_phi_from_potential(potential: Potential) -> FuncHandle:
-    """Coupling induced by a potential V(rbar, t) with rbar = 1/r.
-
-    phi(alpha, r, theta, t) = (dV/drbar)(1/r, t) / (r^2 * alpha).  Flow
-    evaluations use the potential's own slope instead, in the algebraically
-    reduced product u*v*phi = (v^2/r^2) * dV/drbar, which has no 0/0 at
-    u = 0.
-    """
-    inv_r = Binary("/", Num(1.0), Var("r"))
-    numerator = ex.substitute(potential.dtree, "rbar", inv_r)
-    tree = Binary(
-        "/",
-        numerator,
-        Binary("*", Binary("^", Var("r"), Num(2.0)), Var("alpha")),
-    )
-    return FuncHandle(tree=tree, name=f"phi[V={ex.to_text(potential.tree)}]")
-
-
-def _coupling_udot(
-    spec: SystemSpec, s: PhaseState, t: float, floors: Floors
-) -> float:
+def _coupling_udot(spec: SystemSpec, s: PhaseState, t: float) -> float:
     """The coupling part of du/dt (everything except the -u G/(r^2 v) term)."""
     r, u, v = s.r, s.u, s.v
-    if spec.kind == "pseudo_potential":
+    coupling = spec.coupling
+    if isinstance(coupling, Potential):
         # reduced product, finite at u = 0
-        return (v * v) / (r * r) * spec.potential.slope(1.0 / r, t)
+        return (v * v) / (r * r) * coupling.slope(1.0 / r, t)
     alpha = u / v
-    if spec.kind == "class1":
-        return u * v * spec.phi(alpha, r, s.theta, t)
-    phi2 = spec.class2_phi(floors)
-    psi_val = spec.psi(alpha, r, s.theta, t)
-    return u * v * (phi2(alpha, r, s.theta, t) + 2.0 * v * psi_val / r)
+    if isinstance(coupling, FuncHandle):
+        return u * v * coupling(alpha, r, s.theta, t)
+    psi_val = coupling.psi(alpha, r, s.theta, t)
+    return u * v * (coupling(alpha, r, s.theta, t) + 2.0 * v * psi_val / r)
 
 
 def vector_field(
@@ -442,7 +422,7 @@ def vector_field(
     floors.check(s.r, s.v)
     r, th, u, v = s.r, s.theta, s.u, s.v
     g = spec.g_at(th)
-    udot = -u * g / (r * r * v) + _coupling_udot(spec, s, t, floors)
+    udot = -u * g / (r * r * v) + _coupling_udot(spec, s, t)
     return Flow4(u, v / (r * r), udot, -g / (r * r))
 
 
@@ -463,7 +443,7 @@ def frequency_squared(
     g = spec.g_at(th)
     f = spec.f_at(th)
     base = (v * v + f) / r**4 + u * g / (r**3 * v)
-    return base - _coupling_udot(spec, s, t, floors) / r
+    return base - _coupling_udot(spec, s, t) / r
 
 
 def polar_from_cartesian(x: float, y: float, xdot: float, ydot: float) -> PhaseState:

@@ -229,7 +229,7 @@ def test_criterion_3_flow_reconstruction():
 def test_criterion_4_consistency_condition():
     psi = FuncHandle.from_text("2")
     spec = SystemSpec.class2(ZERO, psi, chi=ex.parse("r*theta"))
-    phi = spec.class2_phi()
+    phi = spec.coupling
     worst = 0.0
     for s in states_any():
         worst = max(worst, abs(poisson.consistency_residual(psi, phi, s)))
@@ -291,7 +291,7 @@ def test_criterion_5_superintegrable_spiral(g_text):
 
 def test_criterion_6_casimir_dichotomy():
     states = states_fixed()
-    field1 = poisson.matrix_field_class1(SPIRAL.phi)
+    field1 = poisson.matrix_field_class1(SPIRAL.coupling.phi)
     field2 = poisson.matrix_field_class2(Class2Phi(FuncHandle.from_text("1")))
     c1_fn = lambda s: inv.casimir_C1(OSC, s)
     c2_fn = lambda s: inv.casimir_C2(OSC, s)
@@ -344,11 +344,11 @@ def test_criterion_8_linearization():
     traj = integrate(SPIRAL, SPIRAL_START, 0.0, 1.0, solver=Solver(rtol=1e-10, atol=1e-12))
     curve = to_orbit_curve(traj)
     char = integrate_characteristic(
-        SPIRAL.potential, 1.0, 0.0, 0.0, float(curve.theta[-1])
+        SPIRAL.coupling, 1.0, 0.0, 0.0, float(curve.theta[-1])
     )
     mismatch = orbit_match(curve, char)
 
-    spiral_fit = affinity_test(SPIRAL.potential, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
+    spiral_fit = affinity_test(SPIRAL.coupling, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
     linear_phi = FuncHandle.from_text("-1/(alpha*r^3)")
     linear_fit = affinity_test(linear_phi, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
     coeffs_ok = (

@@ -414,6 +414,13 @@ CONFIG_FAULTS = [
         "not valid UTF-8 JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     ),
     ("missing-system", _edit(SPIRAL_DOC, "system", _DROP), "config.system is required"),
+    (
+        "class1-psi",
+        _edit(SPIRAL_DOC, "system", {"kind": "class1", "phi": "0", "psi": "1"}),
+        "unknown keys ['psi'] in system",
+    ),
+    ("pseudo-potential-phi", _edit(SPIRAL_DOC, "system.phi", "0"), "unknown keys ['phi'] in system"),
+    ("class2-potential", _edit(CLASS2_DOC, "system.potential", "rbar"), "unknown keys ['potential'] in system"),
     ("missing-psi", _edit(CLASS2_DOC, "system.psi", _DROP), "system.psi is required for class2"),
     (
         "missing-potential",
@@ -458,6 +465,11 @@ CONFIG_FAULTS = [
         "potential-variables",
         _edit(SPIRAL_DOC, "system.potential", "theta/rbar"),
         "system: potential uses variables ['theta'], only (rbar, t) are allowed",
+    ),
+    (
+        "chi-variables",
+        _edit(CLASS2_DOC, "system.chi", "alpha"),
+        "system: chi uses variables ['alpha'] outside (r, theta, t)",
     ),
     (
         "casimir-potential-variables",

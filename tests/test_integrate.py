@@ -243,6 +243,30 @@ def test_blowup_stops_with_step_underflow():
     assert traj.ts[-1] == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "bug, error",
+    [(lambda: int("x"), ValueError), (lambda: 1 / 0, ZeroDivisionError)],
+    ids=("value", "zero-division"),
+)
+def test_a_buggy_right_hand_side_raises(bug, error):
+    def rhs(t, y):
+        return bug() if t > 0.5 else -y
+
+    with pytest.raises(error):
+        integrate_ode(rhs, np.array([1.0]), 0.0, 1.0)
+
+
+def test_a_domain_exit_still_halves_the_step():
+    def rhs(t, y):
+        PhaseState(r=1.0 - t, theta=0.0, u=0.0, v=1.0)  # r > 0 fails from t = 1
+        return -y
+
+    traj = integrate_ode(rhs, np.array([1.0]), 0.0, 2.0)
+    assert traj.status == "singular_stop"
+    assert "r must be positive" in traj.stop_reason
+    assert traj.ts[-1] == pytest.approx(1.0, abs=1e-6)
+
+
 def test_dp45_decay_matches_exp():
     traj = integrate_ode(
         lambda t, y: -y, np.array([1.0]), 0.0, 1.0, solver=Solver(rtol=1e-6, atol=1e-8)

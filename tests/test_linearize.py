@@ -72,7 +72,7 @@ def test_sign_change_in_v_is_rejected():
 
 
 def test_characteristic_spiral_curve():
-    curve = integrate_characteristic(SPIRAL.potential, 1.0, 0.0, 0.0, 1.0)
+    curve = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 0.0, 1.0)
     # rbar'' = rbar^-3 from (1, 0) has the closed solution sqrt(1+theta^2)
     assert curve.rbar[-1] == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert curve.abar[-1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
@@ -81,7 +81,7 @@ def test_characteristic_spiral_curve():
 
 
 def test_characteristic_energy_is_conserved_along_the_curve():
-    curve = integrate_characteristic(SPIRAL.potential, 1.0, 0.0, 0.0, 1.0)
+    curve = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 0.0, 1.0)
     c1 = 0.5 * curve.abar**2 + 0.5 / curve.rbar**2
     assert np.max(np.abs(c1 - 0.5)) < 1e-8
 
@@ -114,24 +114,24 @@ def test_characteristic_argument_validation():
 
 def test_trajectory_follows_its_own_characteristic():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
-    curve = integrate_characteristic(SPIRAL.potential, 1.0, 0.0, 0.0, math.tan(1.0))
+    curve = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 0.0, math.tan(1.0))
     assert orbit_match(traj, curve) < 1e-6
 
 
 def test_orbit_match_of_a_curve_with_itself():
-    curve = integrate_characteristic(SPIRAL.potential, 1.0, 0.0, 0.0, 1.0)
+    curve = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 0.0, 1.0)
     assert orbit_match(curve, curve) == 0.0
 
 
 def test_orbit_match_separates_different_orbits():
-    a = integrate_characteristic(SPIRAL.potential, 1.0, 0.0, 0.0, 1.0)
-    b = integrate_characteristic(SPIRAL.potential, 1.2, 0.0, 0.0, 1.0)
+    a = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 0.0, 1.0)
+    b = integrate_characteristic(SPIRAL.coupling, 1.2, 0.0, 0.0, 1.0)
     assert orbit_match(a, b) > 0.1
 
 
 def test_orbit_match_requires_overlap():
-    a = integrate_characteristic(SPIRAL.potential, 1.0, 0.0, 0.0, 1.0)
-    b = integrate_characteristic(SPIRAL.potential, 1.0, 0.0, 2.0, 3.0)
+    a = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 0.0, 1.0)
+    b = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 2.0, 3.0)
     with pytest.raises(ValueError, match="overlap"):
         orbit_match(a, b)
 
@@ -155,7 +155,7 @@ def test_affinity_finds_the_catenary_coefficients():
 
 
 def test_affinity_rejects_the_spiral_coupling():
-    result = affinity_test(SPIRAL.potential, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
+    result = affinity_test(SPIRAL.coupling, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
     assert not result.affine
     assert result.residual > 0.01
 

@@ -111,7 +111,7 @@ def test_quoted_class2_determinant_is_not_this_matrix_determinant():
 
 PHI_POOL = [
     FuncHandle.from_text("0"),
-    SystemSpec.pseudo_potential(ex.parse("0"), OSC).phi,
+    SystemSpec.pseudo_potential(ex.parse("0"), OSC).coupling.phi,
     FuncHandle.from_text("sin(theta)*alpha"),
     FuncHandle.from_text("r^2*t"),
 ]
@@ -178,7 +178,7 @@ def test_hamiltonian_flow_reconstructs_vector_field(make_field, make_spec):
 
 def test_consistency_of_constructed_phi():
     spec = SystemSpec.class2(ex.parse("0"), TWO, chi=ex.parse("r*theta"))
-    phi = spec.class2_phi()
+    phi = spec.coupling
     for s in random_states(59, 50):
         assert abs(consistency_residual(TWO, phi, s)) < 1e-9
 
@@ -209,7 +209,7 @@ def test_consistency_requires_nonzero_u():
 
 def test_casimir_gradients_are_annihilated_by_class1_matrix():
     spec = SystemSpec.pseudo_potential(ex.parse("0"), OSC)
-    field = matrix_field_class1(spec.phi)
+    field = matrix_field_class1(spec.coupling.phi)
     h = 1e-5
 
     def grad(func, s):

@@ -15,7 +15,6 @@ from ermakov.systems import (
     SingularStateError,
     SystemSpec,
     ZERO_HANDLE,
-    build_phi_from_potential,
     frequency_squared,
     polar_from_cartesian,
     vector_field,
@@ -196,7 +195,7 @@ def test_frequency_is_consistent_with_the_radial_flow(make):
 
 def test_pseudo_potential_reduces_to_class1():
     spec = SystemSpec.pseudo_potential(ex.parse("cos(theta)"), OSC)
-    lowered = SystemSpec.class1(spec.g, spec.phi)
+    lowered = SystemSpec.class1(spec.g, spec.coupling.phi)
     assert lowered.kind == "class1"
     for s in random_states(37, 100, u_floor=1e-6):
         a = vector_field(spec, s).as_array()
@@ -238,7 +237,7 @@ def test_relaxed_floors_scale_down():
 
 
 def test_phi_from_oscillator_potential():
-    phi = build_phi_from_potential(OSC)
+    phi = OSC.phi
     for s in random_states(5, 50):
         alpha = s.u / s.v
         assert phi(alpha, s.r, s.theta) == pytest.approx(-s.r / alpha, rel=1e-12)
@@ -279,12 +278,6 @@ def test_class2_phi_guards_vanishing_psi():
 def test_chi_must_not_depend_on_alpha():
     with pytest.raises(ValueError):
         Class2Phi(FuncHandle.from_text("1"), chi=ex.parse("alpha*r"))
-
-
-def test_class2_phi_accessor_requires_class2():
-    spec = SystemSpec.pseudo_potential(ex.parse("0"), OSC)
-    with pytest.raises(ValueError):
-        spec.class2_phi()
 
 
 def test_func_handle_differentiates_once_per_variable(monkeypatch):

@@ -13,12 +13,13 @@ left out.  No shipped config reaches the quadrature ``C2``, its
 turning-point scan or dV/drbar away from the singular oscillator, so one
 more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 ``V = 1/(2 rbar^2)``), is written to the temporary directory and gets
-every command.  Three variants of the shipped configs, ``VARIANTS``,
+every command.  Four variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
-budget it exhausts, and ``class2_psi1`` with an alpha- and r-dependent
-psi, a nonzero ``lam0`` and a looser ``quad_tol``; each gets
-``VARIANT_COMMANDS``.  It prints one line per command with its exit code
+budget it exhausts, ``class2_psi1`` with an alpha- and r-dependent psi, a
+nonzero ``lam0`` and a looser ``quad_tol``, and ``class2_psi1`` with a
+``chi`` and a ``floors.psi_min`` that its ``verify flow`` sweep trips;
+each gets ``VARIANT_COMMANDS``.  It prints one line per command with its exit code
 and the sha256 of what it printed, then the sha256 of each report it
 wrote.  Two checkouts that print the same lines write byte-identical
 reports and messages.
@@ -77,6 +78,19 @@ VARIANTS = (
                 "lam0": 0.3,
                 "quad_tol": 1e-11,
             }
+        },
+    ),
+    (
+        "class2_chi_floor.json",
+        "class2_psi1.json",
+        {
+            "system": {
+                "kind": "class2",
+                "g": "cos(theta)",
+                "psi": "1+alpha+alpha^2*r",
+                "chi": "0.1*r*sin(theta)+t",
+            },
+            "floors": {"psi_min": 0.8},
         },
     ),
 )
