@@ -170,6 +170,8 @@ def _build_system(section: dict, class2: dict) -> SystemSpec:
     holds Class2Phi settings from outside the section (the psi floor)."""
     kind = _SYSTEM_KIND(section.get("kind"), "system.kind")
     _check_keys(section, _SYSTEM_KEYS[kind], "system")
+    if class2 and kind != "class2":
+        raise ConfigError(f"floors.psi_min applies only to class2, not {kind}")
     g = _expr(section.get("g", "0"), "system.g")
     f = _optional_expr(section.get("f"), "system.f")
     try:

@@ -18,6 +18,7 @@ quadrature) works on the trees built here.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -450,8 +451,50 @@ def differentiate(e: Expr, var: str) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# halvings allowed below the whole interval before quad_adaptive gives up
+# halvings allowed below the whole interval before a quadrature gives up
 _QUAD_MAX_DEPTH = 50
+
+# Gauss-Kronrod pair on [-1, 1] (QUADPACK qk21), symmetric about 0, so
+# only 0 and the positive nodes are listed: the 11 Kronrod nodes, their
+# weights, and the 10-point Gauss weights of nodes 1, 3, 5, 7 and 9
+_GK21_NODES = (
+    0.0, 0.14887433898163122, 0.2943928627014602, 0.4333953941292472,
+    0.5627571346686047, 0.6794095682990244, 0.7808177265864169, 0.8650633666889845,
+    0.9301574913557082, 0.9739065285171717, 0.9956571630258081,
+)
+_K21_WEIGHTS = (
+    0.1494455540029169, 0.14773910490133849, 0.14277593857706009, 0.13470921731147334,
+    0.12349197626206584, 0.10938715880229764, 0.0931254545836976, 0.07503967481091996,
+    0.054755896574351995, 0.032558162307964725, 0.011694638867371874,
+)
+_G10_WEIGHTS = (
+    0.29552422471475287, 0.26926671930999635, 0.21908636251598204, 0.1494513491505806,
+    0.06667134430868814,
+)
+
+
+def _sampler(f: Callable[[float], float], a: float, b: float, tol: float):
+    """``f`` behind the argument checks shared by both rules, raising
+    QuadratureError on a non-finite sample."""
+    if not (tol > 0.0) or not math.isfinite(tol):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bounds must be finite, got {a!r}, {b!r}")
+
+    def sample(x: float) -> float:
+        y = float(f(x))
+        if not math.isfinite(y):
+            raise QuadratureError(f"non-finite integrand value {y!r} at lambda={x!r}")
+        return y
+
+    return sample
+
+
+def _depth_limit(lo: float, hi: float) -> QuadratureError:
+    return QuadratureError(
+        f"subdivision limit {_QUAD_MAX_DEPTH} reached on [{lo!r}, {hi!r}] "
+        f"before tolerance was met"
+    )
 
 
 def quad_adaptive(
@@ -462,30 +505,63 @@ def quad_adaptive(
 ) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
-    Adaptive Simpson rule: each interval is halved and the two-panel
-    estimate is compared with the one-panel estimate; agreement within
-    15*tol accepts the Richardson-extrapolated value.  The orientation
+    Globally adaptive Gauss-Kronrod (21-point Kronrod, 10-point Gauss)
+    rule: the panel whose |K21 - G10| is largest is bisected until those
+    differences sum to at most ``tol``, and the K21 values of the panels
+    are summed.  The endpoints are never sampled.  The orientation
     convention is the usual one, integral over [a,b] = -integral over
     [b,a].
 
     Raises QuadratureError on a non-finite integrand sample or when the
-    subdivision limit is hit before the tolerance is met.
+    panel to bisect is already ``_QUAD_MAX_DEPTH`` halvings deep.
     """
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"bounds must be finite, got {a!r}, {b!r}")
+    sample = _sampler(f, a, b, tol)
     if a == b:
         return 0.0
     if b < a:
         return -quad_adaptive(f, b, a, tol)
+    panels = [_gk21(sample, a, b, 0)]
+    while math.fsum(-panel[0] for panel in panels) > tol:
+        _, depth, lo, hi, _ = heapq.heappop(panels)
+        if depth >= _QUAD_MAX_DEPTH:
+            raise _depth_limit(lo, hi)
+        mid = 0.5 * (lo + hi)
+        heapq.heappush(panels, _gk21(sample, lo, mid, depth + 1))
+        heapq.heappush(panels, _gk21(sample, mid, hi, depth + 1))
+    return math.fsum(panel[4] for panel in panels)
 
-    def sample(x: float) -> float:
-        y = float(f(x))
-        if not math.isfinite(y):
-            raise QuadratureError(f"non-finite integrand value {y!r} at lambda={x!r}")
-        return y
 
+def _gk21(sample, lo: float, hi: float, depth: int) -> tuple:
+    """(-|K21 - G10|, depth, lo, hi, K21) on [lo, hi]: a min-heap entry
+    that puts the largest error first."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    centre = sample(mid)
+    # f(mid - half x) + f(mid + half x) for each positive node x
+    pairs = [sample(mid - half * x) + sample(mid + half * x) for x in _GK21_NODES[1:]]
+    kronrod = half * (
+        _K21_WEIGHTS[0] * centre + sum(w * y for w, y in zip(_K21_WEIGHTS[1:], pairs))
+    )
+    gauss = half * sum(w * y for w, y in zip(_G10_WEIGHTS, pairs[::2]))
+    return (-abs(kronrod - gauss), depth, lo, hi, kronrod)
+
+
+def _quad_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """``quad_adaptive``'s contract by the adaptive Simpson rule: each
+    interval is halved and the two-panel estimate is compared with the
+    one-panel estimate; agreement within 15*tol accepts the
+    Richardson-extrapolated value.
+
+    Only the radial quadrature of the second Casimir uses it: its
+    finite-difference ``verify casimir`` sweep fails more often on the
+    Gauss-Kronrod rule.  Exact derivatives of that Casimir (ROADMAP item
+    2) remove this second rule.
+    """
+    sample = _sampler(f, a, b, tol)
+    if a == b:
+        return 0.0
+    if b < a:
+        return -_quad_simpson(f, b, a, tol)
     fa = sample(a)
     fb = sample(b)
     fm = sample(0.5 * (a + b))
@@ -496,7 +572,7 @@ def _simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float
     return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
 
-# not nested in quad_adaptive, where it would be a reference cycle per call
+# not nested in _quad_simpson, where it would be a reference cycle per call
 def _adapt(sample, lo, hi, flo, fmid, fhi, whole, eps, depth):
     mid = 0.5 * (lo + hi)
     lmid = 0.5 * (lo + mid)
@@ -509,10 +585,7 @@ def _adapt(sample, lo, hi, flo, fmid, fhi, whole, eps, depth):
     if abs(delta) <= 15.0 * eps:
         return left + right + delta / 15.0
     if depth >= _QUAD_MAX_DEPTH:
-        raise QuadratureError(
-            f"subdivision limit {_QUAD_MAX_DEPTH} reached on [{lo!r}, {hi!r}] "
-            f"before tolerance was met"
-        )
+        raise _depth_limit(lo, hi)
     half = 0.5 * eps
     return _adapt(sample, lo, mid, flo, flm, fmid, left, half, depth + 1) + _adapt(
         sample, mid, hi, fmid, frm, fhi, right, half, depth + 1

@@ -51,8 +51,12 @@ I_CONVENTIONS = {"lambda_lower_limit": 0.0}
 
 
 def forcing_integral(g: Expr, theta: float) -> float:
-    """Lambda(theta): the forcing G integrated from 0 to theta."""
-    return ex.quad_adaptive(ex.compile(g, ("theta",)), 0.0, theta, _FORCING_TOL)
+    """Lambda(theta): the forcing G integrated from 0 to theta, exactly
+    G * theta when G is a constant."""
+    g_fn = ex.compile(g, ("theta",))
+    if "theta" not in ex.free_vars(g):
+        return g_fn(theta) * theta
+    return ex.quad_adaptive(g_fn, 0.0, theta, _FORCING_TOL)
 
 
 def ermakov_invariant(g: Expr, s: PhaseState) -> float:
@@ -126,6 +130,7 @@ def _radial_quadrature(
     When the lower limit is a simple turning point the substitution
     lam = lam0 +/- s^2 removes the inverse-square-root endpoint
     singularity; the s = 0 sample is the analytic limit 2/sqrt(|V'|).
+    Both forms use the adaptive Simpson rule (``expr._quad_simpson``).
     """
     if rbar == lam0:
         return 0.0
@@ -134,7 +139,7 @@ def _radial_quadrature(
     gap0 = c1 - pot(lam0, t)
     singular_end = abs(gap0) <= 1e-10 * max(1.0, abs(c1))
     if not singular_end:
-        return (1.0 / math.sqrt(2.0)) * ex.quad_adaptive(
+        return (1.0 / math.sqrt(2.0)) * ex._quad_simpson(
             lambda lam: 1.0 / math.sqrt(c1 - pot(lam, t)),
             lam0,
             rbar,
@@ -159,7 +164,7 @@ def _radial_quadrature(
         return 2.0 * sv / math.sqrt(gap)
 
     s_max = math.sqrt(abs(rbar - lam0))
-    val = ex.quad_adaptive(transformed, 0.0, s_max, _ORBIT_TOL)
+    val = ex._quad_simpson(transformed, 0.0, s_max, _ORBIT_TOL)
     return direction * val / math.sqrt(2.0)
 
 

@@ -246,7 +246,9 @@ class Class2Phi:
           + chi(r, theta, t) ) * psi(alpha)
 
     with psi arguments (lam, r, theta, t), the integral taken to absolute
-    tolerance ``tol``.  |psi| at or below ``psi_min`` is a singular state.
+    tolerance ``tol`` by ``expr.quad_adaptive``, or exactly, as
+    (alpha - lam0) times the integrand, when psi depends on neither alpha
+    nor theta.  |psi| at or below ``psi_min`` is a singular state.
     The 1/lam term is present only when psi actually depends on theta; in
     that case the integration path must not touch lam = 0.  The derivative
     with respect to alpha is exact (fundamental theorem of calculus), which
@@ -276,6 +278,8 @@ class Class2Phi:
         self.tol = float(tol)
         self.psi_min = float(psi_min)
         self._theta_dependent = psi.depends_on("theta")
+        # with psi free of alpha and theta the integrand is constant in lam
+        self._constant_integrand = not (self._theta_dependent or psi.depends_on("alpha"))
         # set here rather than added on first use: an attribute added after
         # __init__ slows every attribute read on the instance in CPython 3.11
         self._partials = None
@@ -319,9 +323,12 @@ class Class2Phi:
                     f"class-2 phi integration path [{lo!r}, {hi!r}] crosses "
                     f"lambda=0 while psi depends on theta"
                 )
-        k = ex.quad_adaptive(
-            lambda lam: self.integrand(lam, r, theta, t), self.lam0, alpha, self.tol
-        )
+        if self._constant_integrand:
+            k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t)
+        else:
+            k = ex.quad_adaptive(
+                lambda lam: self.integrand(lam, r, theta, t), self.lam0, alpha, self.tol
+            )
         if self._chi is not None:
             k += self._chi(r, theta, t)
         value = k * self._psi_at(alpha, r, theta, t)

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -392,6 +393,11 @@ CONFIG_FAULTS = [
     ("unknown-state", _edit(SPIRAL_DOC, "initial_state.w", 1), "unknown keys ['w'] in initial_state"),
     ("unknown-integrator", _edit(SPIRAL_DOC, "integrator.order", 5), "unknown keys ['order'] in integrator"),
     ("unknown-floors", _edit(SPIRAL_DOC, "floors.w_min", 1), "unknown keys ['w_min'] in floors"),
+    (
+        "psi-min-class1",
+        _edit(_edit(SPIRAL_DOC, "system", {"kind": "class1", "phi": "0"}), "floors.psi_min", 0.5),
+        "floors.psi_min applies only to class2, not class1",
+    ),
     ("unknown-verify", _edit(SPIRAL_DOC, "verify.sample", 3), "unknown keys ['sample'] in verify"),
     ("unknown-tolerance", _edit(SPIRAL_DOC, "verify.tolerance.orbit", 1), "unknown keys ['orbit'] in verify.tolerance"),
     ("unknown-orbit", _edit(SPIRAL_DOC, "orbit.span", 1), "unknown keys ['span'] in orbit"),
@@ -602,18 +608,28 @@ def _class2_flow(phi: Class2Phi, s: PhaseState, t: float = 0.0) -> Flow4:
     return Flow4(u, v / (r * r), -u * g / (r * r * v) + coupling, -g / (r * r))
 
 
-def test_class2_settings_reach_the_flow():
+def test_class2_settings_reach_the_flow(monkeypatch):
     cfg = parse_config(json.dumps(CLASS2_SETTINGS).encode())
     psi = FuncHandle.from_text("1+alpha+alpha^2*r")
     chi = ex.parse("0.1*r*sin(theta)+t")
     s = PhaseState(r=1.3, theta=0.4, u=0.9, v=0.7)
+    quadratures = []
+    quad_adaptive = ex.quad_adaptive
+
+    def recording(f, a, b, tol):
+        quadratures.append((a, b, tol))
+        return quad_adaptive(f, a, b, tol)
+
+    monkeypatch.setattr(ex, "quad_adaptive", recording)
     flow = vector_field(cfg.spec, s, 0.0, cfg.floors)
+    # the one phi quadrature runs from lam0 to alpha at quad_tol
+    assert quadratures == [(0.3, s.u / s.v, 1e-8)]
     assert flow == _class2_flow(Class2Phi(psi, chi, lam0=0.3, tol=1e-8, psi_min=0.8), s)
-    # each setting left at its default moves the flow
+    # each other setting left at its default moves the flow; on this psi,
+    # the quadrature meets both tolerances with one panel, so tol does not
     for phi in (
         Class2Phi(psi, None, lam0=0.3, tol=1e-8, psi_min=0.8),
         Class2Phi(psi, chi, tol=1e-8, psi_min=0.8),
-        Class2Phi(psi, chi, lam0=0.3, psi_min=0.8),
         Class2Phi(psi),
     ):
         assert flow.udot != _class2_flow(phi, s).udot
@@ -639,6 +655,17 @@ def test_class2_verify_runs_one_quadrature_per_sample(tmp_path, monkeypatch, whi
     assert code == 0
     assert quads[0] == 25
     assert builds[0] == 1
+
+
+def test_class2_stress_jacobi_sweep_passes(tmp_path):
+    # adaptive Simpson's phi noise, differenced at fd_step, failed this
+    # sweep at seed 13 (4.5e-6 against 1e-6)
+    config = Path(__file__).resolve().parent.parent / "bench" / "configs" / "class2_quadrature.json"
+    code, out = run(tmp_path, "verify", "--config", str(config), "--which", "jacobi", "--seed", "13")
+    report = json.loads((out / "verify_jacobi.json").read_text())
+    assert code == 0
+    assert report["pass"] is True
+    assert report["max_residual"] < 1e-6
 
 
 @pytest.mark.parametrize(

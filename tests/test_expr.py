@@ -2,6 +2,7 @@ import json
 import math
 import random
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,10 +219,74 @@ def test_quadrature_rejects_nonfinite_samples():
 
 
 def test_quadrature_depth_limit():
-    # step discontinuity placed at an irrational point defeats subdivision
-    step = lambda x: 0.0 if x < 1.0 / math.sqrt(2.0) else 1.0
-    with pytest.raises(ex.QuadratureError):
-        ex.quad_adaptive(step, 0.0, 1.0, 1e-14)
+    # a pole at an irrational point: |K21 - G10| on the panels around it
+    # does not shrink with the panel, so no subdivision converges
+    pole = 1.0 / math.sqrt(2.0)
+    f = lambda x: 0.0 if x == pole else 1.0 / (x - pole)
+    with pytest.raises(ex.QuadratureError) as raised:
+        ex.quad_adaptive(f, 0.0, 1.0, 1e-10)
+    message = str(raised.value)
+    assert message.startswith("subdivision limit 50 reached on [")
+    assert message.endswith("] before tolerance was met")
+    lo, hi = (float(x) for x in message.split("[")[1].split("]")[0].split(", "))
+    # the panel given up on is 50 halvings deep, next to the pole
+    assert hi - lo == 2.0**-50
+    assert lo - 2.0**-49 <= pole <= hi + 2.0**-49
+
+
+def _counted(f):
+    calls = [0]
+
+    def counting(x):
+        calls[0] += 1
+        return f(x)
+
+    return counting, calls
+
+
+def test_gauss_kronrod_table_integrates_monomials_exactly():
+    # a node or weight wrong in its first 14 digits breaks a moment
+    nodes, kronrod, gauss = ex._GK21_NODES, ex._K21_WEIGHTS, ex._G10_WEIGHTS
+    for k in range(0, 32, 2):  # odd moments vanish by symmetry
+        exact = 2.0 / (k + 1)
+        k21 = kronrod[0] * nodes[0] ** k + 2.0 * sum(
+            w * x**k for w, x in zip(kronrod[1:], nodes[1:])
+        )
+        assert k21 == pytest.approx(exact, rel=2e-15, abs=0.0)
+        if k <= 19:
+            g10 = 2.0 * sum(w * x**k for w, x in zip(gauss, nodes[1::2]))
+            assert g10 == pytest.approx(exact, rel=2e-15, abs=0.0)
+
+
+def test_quadrature_one_panel_is_exact_to_degree_31():
+    # K21 is exact to degree 31, G10 only to degree 19, so the degree-31
+    # term shows in |K21 - G10| (4.9e-7 here) but not in the value
+    f, calls = _counted(lambda x: 3.0 * x**31 - 2.0 * x**20 + x**7 - 1.0)
+    val = ex.quad_adaptive(f, 0.0, 1.0, 1e-6)
+    exact = 3.0 / 32.0 - 2.0 / 21.0 + 1.0 / 8.0 - 1.0
+    assert calls[0] == 21
+    assert abs(val - exact) <= 4.0 * sys.float_info.epsilon * abs(exact)
+    # within the Gauss degree one panel also meets a tight tolerance
+    f, calls = _counted(lambda x: x**19 - 3.0 * x**17 + x)
+    val = ex.quad_adaptive(f, -0.5, 1.5, 1e-13)
+    exact = (1.5**20 - 0.5**20) / 20.0 - 3.0 * (1.5**18 - 0.5**18) / 18.0 + 1.0
+    assert calls[0] == 21
+    assert abs(val - exact) <= 4.0 * sys.float_info.epsilon * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, exact",
+    [
+        (lambda x: 1.0 / (1.0 + 100.0 * x * x), -1.0, 2.0, (math.atan(20.0) + math.atan(10.0)) / 10.0),
+        (lambda x: math.cos(50.0 * x), 0.0, 3.0, math.sin(150.0) / 50.0),
+        (lambda x: math.exp(-x) * math.sin(40.0 * x), 0.0, 2.0,
+         (40.0 - math.exp(-2.0) * (math.sin(80.0) + 40.0 * math.cos(80.0))) / 1601.0),
+    ],
+    ids=["peaked", "oscillatory", "damped-oscillatory"],
+)
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_quadrature_meets_its_tolerance(f, a, b, exact, tol):
+    assert abs(ex.quad_adaptive(f, a, b, tol) - exact) <= tol
 
 
 def test_quadrature_validates_arguments():

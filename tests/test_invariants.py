@@ -30,6 +30,17 @@ SIN = ex.parse("sin(theta)")
 LINEAR = Potential(ex.parse("rbar"))
 
 
+@pytest.mark.parametrize("text", ["0", "0.3", "-2.5/3", "exp(1)"])
+def test_forcing_integral_of_a_constant_is_exact(monkeypatch, text):
+    g = ex.parse(text)
+    g_fn = ex.compile(g, ("theta",))
+    quads = count_outermost_calls(monkeypatch, ex, "quad_adaptive")
+    for theta in np.linspace(-50.0, 50.0, 101):
+        quadrature = ex._quad_simpson(g_fn, 0.0, theta, 1e-12)
+        assert forcing_integral(g, theta) == pytest.approx(quadrature, rel=1e-15, abs=0.0)
+    assert quads[0] == 0
+
+
 def test_forcing_integral_starts_at_zero():
     assert forcing_integral(SIN, 0.0) == 0.0
     assert forcing_integral(SIN, 2.0) == pytest.approx(1.0 - math.cos(2.0), abs=1e-12)

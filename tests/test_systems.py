@@ -307,3 +307,23 @@ def test_class2_phi_memo_follows_every_argument(monkeypatch, coord):
     phi(*second)
     phi.partial_alpha(*second)
     assert quads[0] == 6  # the same state again, and its derivative, reuse it
+
+
+@pytest.mark.parametrize("text", ["1", "2+r^2*sin(t)", "exp(-r)+0.5"])
+def test_class2_phi_takes_a_constant_integrand_exactly(monkeypatch, text):
+    # psi free of alpha and theta: the integrand is constant in lam, and
+    # (alpha - lam0) * integrand matches the adaptive quadrature it replaces
+    rng = random.Random(11)
+    psi = FuncHandle.from_text(text)
+    quads = count_outermost_calls(monkeypatch, ex, "quad_adaptive")
+    for lam0 in (0.0, 0.3, -1.2):
+        phi = Class2Phi(psi, lam0=lam0)
+        for _ in range(50):
+            alpha, r = rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0)
+            theta, t = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0)
+            quadrature = ex._quad_simpson(
+                lambda lam: phi.integrand(lam, r, theta, t), lam0, alpha, phi.tol
+            )
+            expected = quadrature * psi(alpha, r, theta, t)
+            assert phi(alpha, r, theta, t) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert quads[0] == 0

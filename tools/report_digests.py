@@ -7,9 +7,8 @@ For each ``configs/*.json`` it runs ``simulate``, the five ``verify``
 sweeps, ``orbit`` and ``linearize`` with ``--seed N``, in this process,
 against the package in this checkout's ``src/``.  The class-2 stress
 config ``bench/configs/class2_quadrature.json`` (the only one whose psi
-is not constant) gets ``simulate`` and the ``flow``, ``consistency`` and
-``determinant`` sweeps; its ``jacobi`` sweep takes half a minute and is
-left out.  No shipped config reaches the quadrature ``C2``, its
+is not constant) gets ``simulate`` and the ``flow``, ``consistency``,
+``determinant`` and ``jacobi`` sweeps.  No shipped config reaches the quadrature ``C2``, its
 turning-point scan or dV/drbar away from the singular oscillator, so one
 more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 ``V = 1/(2 rbar^2)``), is written to the temporary directory and gets
@@ -49,7 +48,8 @@ COMMANDS = (
 STRESS_CONFIG = ROOT / "bench" / "configs" / "class2_quadrature.json"
 STRESS_COMMANDS = (
     ("simulate",),
-    *(("verify", "--which", which) for which in ("flow", "consistency", "determinant")),
+    *(("verify", "--which", which)
+      for which in ("flow", "consistency", "determinant", "jacobi")),
 )
 
 OFF_OSCILLATOR = {
