@@ -20,7 +20,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -453,6 +455,15 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 # halvings allowed below the whole interval before a quadrature gives up
 _QUAD_MAX_DEPTH = 50
+# panels one Gauss-Kronrod quadrature may hold (QUADPACK's ``limit``);
+# the shipped configs and the benchmark use at most 4
+_QUAD_MAX_PANELS = 1000
+# a panel whose |K21 - G10| is at most this many units of rounding of its
+# integral of |f| is rounding noise that bisection cannot lower (the 50
+# eps floor of QUADPACK's qk21); the shipped configs and the benchmark
+# bisect no panel closer to it than 2,000 units, so the floor stops only
+# a tol set below what doubles resolve
+_ROUNDOFF_UNITS = 50.0
 
 # Gauss-Kronrod pair on [-1, 1] (QUADPACK qk21), symmetric about 0, so
 # only 0 and the positive nodes are listed: the 11 Kronrod nodes, their
@@ -507,13 +518,15 @@ def quad_adaptive(
 
     Globally adaptive Gauss-Kronrod (21-point Kronrod, 10-point Gauss)
     rule: the panel whose |K21 - G10| is largest is bisected until those
-    differences sum to at most ``tol``, and the K21 values of the panels
-    are summed.  The endpoints are never sampled.  The orientation
-    convention is the usual one, integral over [a,b] = -integral over
-    [b,a].
+    differences sum to at most ``tol``, or until the largest is rounding
+    noise (``_ROUNDOFF_UNITS``), which bisection cannot lower, and the
+    K21 values of the panels are summed.  The endpoints are never
+    sampled.  The orientation convention is the usual one, integral over
+    [a,b] = -integral over [b,a].
 
-    Raises QuadratureError on a non-finite integrand sample or when the
-    panel to bisect is already ``_QUAD_MAX_DEPTH`` halvings deep.
+    Raises QuadratureError on a non-finite integrand sample, when the
+    panel to bisect is already ``_QUAD_MAX_DEPTH`` halvings deep, or when
+    ``_QUAD_MAX_PANELS`` panels have not met ``tol``.
     """
     sample = _sampler(f, a, b, tol)
     if a == b:
@@ -521,29 +534,58 @@ def quad_adaptive(
     if b < a:
         return -quad_adaptive(f, b, a, tol)
     panels = [_gk21(sample, a, b, 0)]
-    while math.fsum(-panel[0] for panel in panels) > tol:
-        _, depth, lo, hi, _ = heapq.heappop(panels)
+    # a running sum of the panels' errors, recomputed by math.fsum when it
+    # leaves [exact/2, 2*exact], so its rounding stays near 1e-11 of it
+    errsum = exact = -panels[0][0]
+    while errsum > tol:
+        if len(panels) >= _QUAD_MAX_PANELS:
+            raise QuadratureError(
+                f"panel limit {_QUAD_MAX_PANELS} reached on [{a!r}, {b!r}] "
+                f"before tolerance was met"
+            )
+        neg_err, depth, lo, hi, _, samples = panels[0]
+        floor = _ROUNDOFF_UNITS * sys.float_info.epsilon * _abs_integral(lo, hi, samples)
+        if -neg_err <= floor:
+            break  # every error left is rounding noise: tol is below it
         if depth >= _QUAD_MAX_DEPTH:
             raise _depth_limit(lo, hi)
         mid = 0.5 * (lo + hi)
-        heapq.heappush(panels, _gk21(sample, lo, mid, depth + 1))
-        heapq.heappush(panels, _gk21(sample, mid, hi, depth + 1))
+        left = _gk21(sample, lo, mid, depth + 1)
+        right = _gk21(sample, mid, hi, depth + 1)
+        heapq.heapreplace(panels, left)
+        heapq.heappush(panels, right)
+        errsum += neg_err - left[0] - right[0]
+        if not 0.5 * exact <= errsum <= 2.0 * exact:
+            errsum = exact = math.fsum(-panel[0] for panel in panels)
     return math.fsum(panel[4] for panel in panels)
 
 
 def _gk21(sample, lo: float, hi: float, depth: int) -> tuple:
-    """(-|K21 - G10|, depth, lo, hi, K21) on [lo, hi]: a min-heap entry
-    that puts the largest error first."""
+    """(-|K21 - G10|, depth, lo, hi, K21, samples) on [lo, hi]: a min-heap
+    entry that puts the largest error first.  ``samples`` are f at the
+    centre and at the nodes left and right of it, for ``_abs_integral``."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     centre = sample(mid)
+    left = [sample(mid - half * x) for x in _GK21_NODES[1:]]
+    right = [sample(mid + half * x) for x in _GK21_NODES[1:]]
     # f(mid - half x) + f(mid + half x) for each positive node x
-    pairs = [sample(mid - half * x) + sample(mid + half * x) for x in _GK21_NODES[1:]]
+    pairs = list(map(operator.add, left, right))
     kronrod = half * (
-        _K21_WEIGHTS[0] * centre + sum(w * y for w, y in zip(_K21_WEIGHTS[1:], pairs))
+        _K21_WEIGHTS[0] * centre + sum(map(operator.mul, _K21_WEIGHTS[1:], pairs))
     )
-    gauss = half * sum(w * y for w, y in zip(_G10_WEIGHTS, pairs[::2]))
-    return (-abs(kronrod - gauss), depth, lo, hi, kronrod)
+    gauss = half * sum(map(operator.mul, _G10_WEIGHTS, pairs[::2]))
+    return (-abs(kronrod - gauss), depth, lo, hi, kronrod, (centre, left, right))
+
+
+def _abs_integral(lo: float, hi: float, samples: tuple) -> float:
+    """The K21 estimate of the integral of |f| over [lo, hi] from the
+    samples ``_gk21`` kept; only the panel about to be bisected needs it."""
+    centre, left, right = samples
+    return 0.5 * (hi - lo) * (
+        _K21_WEIGHTS[0] * abs(centre)
+        + sum(w * (abs(yl) + abs(yr)) for w, yl, yr in zip(_K21_WEIGHTS[1:], left, right))
+    )
 
 
 def _quad_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:

@@ -668,6 +668,45 @@ def test_class2_stress_jacobi_sweep_passes(tmp_path):
     assert report["max_residual"] < 1e-6
 
 
+def test_class2_quad_tol_below_rounding_still_runs(tmp_path):
+    # 1e-18 is below what doubles resolve on phi (about 0.3 here): each
+    # quadrature stops at its rounding floor instead of failing the step
+    doc = dict(CLASS2_DOC, verify={"samples": 20})
+    doc["system"] = {"kind": "class2", "g": "cos(theta)", "psi": "1+alpha^2*r", "quad_tol": 1e-18}
+    cfg = write_config(tmp_path, doc)
+    code, out = run(tmp_path, "simulate", "--config", str(cfg))
+    assert code == 0
+    assert json.loads((out / "drift.json").read_text())["status"] == "completed"
+    code, out = run(tmp_path, "verify", "--config", str(cfg), "--which", "flow")
+    assert code == 0
+
+
+OFF_OSCILLATOR_DOC = {
+    "system": {
+        "kind": "pseudo_potential",
+        "g": "0.1*cos(theta)",
+        "potential": "1/(2*rbar^2) + 0.1*rbar",
+    },
+    "initial_state": {"r": 1.0, "theta": 0.0, "u": -0.2, "v": 1.0},
+    "time_span": [0.0, 1.0],
+    "verify": {"samples": 200, "seed": 8, "branch": "fixed"},
+}
+
+
+def test_off_oscillator_casimir_sweep_keeps_the_simpson_radial_rule(tmp_path, monkeypatch):
+    # the finite-difference C2 gradient passes on the adaptive Simpson
+    # radial quadrature (3.4e-8 against 1e-7) and fails on Gauss-Kronrod
+    # (2.0e-6); exact derivatives of C2 (ROADMAP item 2) end the fork
+    cfg = write_config(tmp_path, OFF_OSCILLATOR_DOC)
+    residuals = []
+    for rule in (ex._quad_simpson, ex.quad_adaptive):
+        monkeypatch.setattr(ex, "_quad_simpson", rule)
+        code, out = run(tmp_path, "verify", "--config", str(cfg), "--which", "casimir")
+        residuals.append(json.loads((out / "verify_casimir.json").read_text())["max_residual"])
+    simpson, gauss_kronrod = residuals
+    assert simpson < 1e-7 < gauss_kronrod
+
+
 @pytest.mark.parametrize(
     "module",
     ["ermakov", *(f"ermakov.{name}" for name in (

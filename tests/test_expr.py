@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import random
@@ -287,6 +288,77 @@ def test_quadrature_one_panel_is_exact_to_degree_31():
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
 def test_quadrature_meets_its_tolerance(f, a, b, exact, tol):
     assert abs(ex.quad_adaptive(f, a, b, tol) - exact) <= tol
+
+
+def test_quadrature_panel_limit():
+    # past its first 1,000 panels the rounding in |K21 - G10| over the
+    # whole interval (about eps * 1e4) still exceeds tol, yet no single
+    # panel is down to its rounding floor, so the panel limit ends it
+    f, calls = _counted(lambda x: 1.0 + 0.5 * math.sin(x))
+    with pytest.raises(ex.QuadratureError) as raised:
+        ex.quad_adaptive(f, 0.0, 1e4, 1e-14)
+    assert str(raised.value) == (
+        f"panel limit {ex._QUAD_MAX_PANELS} reached on [0.0, 10000.0] "
+        f"before tolerance was met"
+    )
+    assert calls[0] == 21 * (2 * ex._QUAD_MAX_PANELS - 1)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, exact, max_samples",
+    [
+        (lambda x: 10.0 + math.sin(3.0 * x), 0.0, 1.0, 10.0 + (1.0 - math.cos(3.0)) / 3.0, 21),
+        (lambda x: 1.0 / (1.0 + 100.0 * x * x), -1.0, 2.0,
+         (math.atan(20.0) + math.atan(10.0)) / 10.0, 21 * 50),
+    ],
+    ids=["smooth", "peaked"],
+)
+def test_quadrature_stops_at_rounding_level(f, a, b, exact, max_samples):
+    # a tol below what doubles resolve ends at the rounding floor, not at
+    # a limit, with the value as good as a tolerance that can be met
+    f, calls = _counted(f)
+    val = ex.quad_adaptive(f, a, b, 1e-18)
+    assert abs(val - exact) <= 4.0 * sys.float_info.epsilon * abs(exact)
+    assert calls[0] <= max_samples
+
+
+def _reference_gk(f, a, b, tol):
+    """quad_adaptive's loop with the panels' errors summed by math.fsum
+    at every step: its value, its panel count and each step's error sum."""
+    sample = lambda x: float(f(x))
+    panels = [ex._gk21(sample, a, b, 0)]
+    sums = [-panels[0][0]]
+    while sums[-1] > tol:
+        neg_err, depth, lo, hi, _, samples = heapq.heappop(panels)
+        floor = ex._ROUNDOFF_UNITS * sys.float_info.epsilon * ex._abs_integral(lo, hi, samples)
+        if -neg_err <= floor:
+            break
+        mid = 0.5 * (lo + hi)
+        heapq.heappush(panels, ex._gk21(sample, lo, mid, depth + 1))
+        heapq.heappush(panels, ex._gk21(sample, mid, hi, depth + 1))
+        sums.append(math.fsum(-p[0] for p in panels))
+    return math.fsum(p[4] for p in panels), len(panels), sums
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: 1.0 / (1.0 + 100.0 * x * x), -1.0, 2.0),
+        (lambda x: math.cos(50.0 * x), 0.0, 3.0),
+        (lambda x: math.sqrt(abs(x - 0.3)), 0.0, 1.0),
+    ],
+    ids=["peaked", "oscillatory", "cusp"],
+)
+def test_running_error_sum_stops_where_the_exact_sum_does(f, a, b):
+    # a tol equal to the exact error sum after some step stops there: the
+    # running sum of the errors has not drifted across it
+    _, _, sums = _reference_gk(f, a, b, 1e-14)
+    for tol in sums[1:]:
+        counted, calls = _counted(f)
+        val = ex.quad_adaptive(counted, a, b, tol)
+        reference, panels, _ = _reference_gk(f, a, b, tol)
+        assert val == reference
+        assert calls[0] == 21 * (2 * panels - 1)
 
 
 def test_quadrature_validates_arguments():
