@@ -5,10 +5,20 @@ linearization, with a configuration-driven command line."""
 from .expr import DomainError, EvalError, ParseError, QuadratureError, parse, to_text
 from .integrate import Solver, Trajectory, drift, integrate
 from .invariants import casimir_C1, casimir_C2, ermakov_invariant, spiral_radius
-from .linearize import affinity_test, integrate_characteristic, to_orbit_curve
 from .systems import Floors, PhaseState, Potential, SingularStateError, SystemSpec, vector_field
 
 __version__ = "0.1.0"
+
+# linearize needs numpy, which importing the package does not load
+_LINEARIZE_NAMES = ("affinity_test", "integrate_characteristic", "to_orbit_curve")
+
+
+def __getattr__(name: str):
+    if name in _LINEARIZE_NAMES:
+        from . import linearize
+
+        return getattr(linearize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DomainError",

@@ -12,13 +12,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import expr as ex
 from .integrate import Solver
 from .systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConfigError",

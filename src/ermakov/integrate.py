@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
-
-import numpy as np
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence
 
 from .systems import (
     DEFAULT_FLOORS,
@@ -26,6 +25,7 @@ from .systems import (
     PhaseState,
     SingularStateError,
     SystemSpec,
+    np,
     vector_field,
 )
 
@@ -110,15 +110,16 @@ def hermite_eval(ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, t):
 class Trajectory:
     """Ordered integration output with enough data for dense sampling.
 
-    ts are strictly increasing; ys holds one state per row and fs the
-    vector field there.  status is "completed" when t1 was reached and
-    "singular_stop" when integration stopped early at the last good
-    state (stop_reason says why).
+    ts are strictly increasing floats; ys holds one state per node and fs
+    the vector field there, each a sequence of floats, and ``arrays``
+    views the three as numpy arrays.  status is "completed" when t1 was
+    reached and "singular_stop" when integration stopped early at the
+    last good state (stop_reason says why).
     """
 
-    ts: np.ndarray
-    ys: np.ndarray
-    fs: np.ndarray
+    ts: Sequence[float]
+    ys: Sequence[Sequence[float]]
+    fs: Sequence[Sequence[float]]
     method: str
     status: str
     stop_reason: Optional[str]
@@ -127,11 +128,17 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.ts)
 
+    @cached_property
+    def arrays(self) -> tuple:
+        """(ts, ys, fs) as float arrays of shapes (n,), (n, d) and (n, d),
+        built on first use and kept."""
+        return tuple(np.array(nodes, dtype=float) for nodes in (self.ts, self.ys, self.fs))
+
     def state(self, i: int) -> PhaseState:
-        if self.ys.shape[1] != 4:
+        y = self.ys[i]
+        if len(y) != 4:
             raise ValueError("not a phase-space trajectory")
-        r, theta, u, v = self.ys[i]
-        return PhaseState(r=r, theta=theta, u=u, v=v)
+        return PhaseState(*y)
 
     def states(self):
         return [self.state(i) for i in range(len(self.ts))]
@@ -142,12 +149,12 @@ class Trajectory:
 
     def sample(self, t):
         """Dense output at time(s) t via cubic Hermite interpolation."""
-        return hermite_eval(self.ts, self.ys, self.fs, t)
+        return hermite_eval(*self.arrays, t)
 
 
 # Dormand-Prince 4(5) tableau; the last row of A doubles as the 5th
 # order weights (FSAL), _E is b - bhat for the embedded error estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -157,49 +164,78 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_E = np.array(
-    [
-        71 / 57600,
-        0.0,
-        -71 / 16695,
-        71 / 1920,
-        -17253 / 339200,
-        22 / 525,
-        -1 / 40,
-    ]
+_DP_E = (
+    71 / 57600,
+    0.0,
+    -71 / 16695,
+    71 / 1920,
+    -17253 / 339200,
+    22 / 525,
+    -1 / 40,
 )
+
+# The steppers work on lists of floats.  Each sum runs left to right from
+# 0.0, term by term (sum() compensates from Python 3.12 on), and squares
+# are x * x, so every step rounds as numpy's elementwise arithmetic does.
+
+
+def _dot(coeffs: Sequence[float], values: Sequence[float]) -> float:
+    acc = 0.0
+    for c, x in zip(coeffs, values):
+        acc += c * x
+    return acc
+
+
+def _combine(y: Sequence[float], h: float, coeffs: Sequence[float], ks: list) -> list:
+    """y + h * (coeffs[0] ks[0] + coeffs[1] ks[1] + ...), componentwise."""
+    return [yj + h * _dot(coeffs, kj) for yj, kj in zip(y, zip(*ks))]
+
+
+def _rms(values: Sequence[float], scales: Sequence[float]) -> float:
+    """Root mean square of values / scales.  The mean is the sum left to
+    right over the count, as np.mean computes it for fewer than eight
+    components."""
+    acc = 0.0
+    for x, sc in zip(values, scales):
+        q = x / sc
+        acc += q * q
+    return math.sqrt(acc / len(scales))
 
 
 def _dp_step(f, t, y, h, k1):
     """One Dormand-Prince attempt.  Returns (y_new, f_new, err_vec)."""
     k = [k1]
     for i in range(1, 7):
-        yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-        k.append(np.asarray(f(t + _DP_C[i] * h, yi), dtype=float))
-    y_new = y + h * sum(a * kk for a, kk in zip(_DP_A[6], k))
-    # A[6] are the 5th order weights, so y_new is already the k[6] input
-    err = h * sum(e * kk for e, kk in zip(_DP_E, k))
-    return y_new, k[6], err
+        yi = _combine(y, h, _DP_A[i], k)
+        k.append(f(t + _DP_C[i] * h, yi))
+    # A[6] are the 5th order weights, so the last stage input is y_new
+    err = [h * _dot(_DP_E, kj) for kj in zip(*k)]
+    return yi, k[6], err
 
 
 def _rk4_step(f, t, y, h, k1):
     """One classical RK4 step.  Returns y_new."""
-    k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * h
+    k2 = f(t + half, [yj + half * kj for yj, kj in zip(y, k1)])
+    k3 = f(t + half, [yj + half * kj for yj, kj in zip(y, k2)])
+    k4 = f(t + h, [yj + h * kj for yj, kj in zip(y, k3)])
+    sixth = h / 6.0
+    return [
+        yj + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for yj, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ]
 
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol):
     """Hairer-style starting step size guess."""
-    sc = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+    sc = [atol + rtol * abs(yj) for yj in y0]
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
     try:
-        f1 = np.asarray(f(t0 + h0, y0 + h0 * f0), dtype=float)
-        d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
+        f1 = f(t0 + h0, [yj + h0 * fj for yj, fj in zip(y0, f0)])
+        d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
     except STAGE_FAILURES:
         return h0 * 1e-2
     dmax = max(d1, d2)
@@ -211,16 +247,18 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol):
 
 
 def integrate_ode(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
+    f: Callable[[float, list], Sequence[float]],
+    y0: Sequence[float],
     t0: float,
     t1: float,
     solver: Solver = Solver(),
-    accept_check: Optional[Callable[[float, np.ndarray], Optional[str]]] = None,
+    accept_check: Optional[Callable[[float, list], Optional[str]]] = None,
 ) -> Trajectory:
     """Integrate dy/dt = f(t, y) from t0 to t1.
 
-    f may raise one of ``STAGE_FAILURES`` (floors, r > 0, math domain,
+    f takes the state as a list of floats and returns its derivative as
+    a sequence of floats; the steppers run on Python floats.  f may
+    raise one of ``STAGE_FAILURES`` (floors, r > 0, math domain,
     quadrature) to signal that a stage left the admissible region; the
     step is then halved until it underflows, at which point integration
     stops with "singular_stop".  Any other exception propagates.
@@ -232,12 +270,12 @@ def integrate_ode(
         raise ValueError(f"t1={t1!r} must exceed t0={t0!r}")
     if method not in ("rk4", "dp45"):
         raise ValueError(f"unknown method {method!r}")
-    y = np.asarray(y0, dtype=float).copy()
+    y = [float(yj) for yj in y0]
     t = t0
-    f_cur = np.asarray(f(t0, y), dtype=float)  # s0 admissible is a precondition
-    ts = [t0]
-    ys = [y.copy()]
-    fs = [f_cur.copy()]
+    f_cur = f(t0, y)  # s0 admissible is a precondition
+    ts = [float(t0)]
+    ys = [y]
+    fs = [f_cur]
     span = t1 - t0
     if method == "rk4":
         h = solver.dt if solver.dt is not None else span / 1000.0
@@ -267,15 +305,15 @@ def integrate_ode(
             if method == "rk4":
                 y_new = _rk4_step(f, t, y, h_try, f_cur)
                 n_feval += 3
-                f_new = np.asarray(f(t + h_try, y_new), dtype=float)
+                f_new = f(t + h_try, y_new)
                 n_feval += 1
                 err_norm = 0.0
             else:
                 y_new, f_new, err_vec = _dp_step(f, t, y, h_try, f_cur)
                 n_feval += 6
-                sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(f_new))):
+                sc = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+                err_norm = _rms(err_vec, sc)
+            if not all(map(math.isfinite, (*y_new, *f_new))):
                 raise FloatingPointError("non-finite stage result")
         except STAGE_FAILURES as exc:
             n_failed += 1
@@ -299,8 +337,8 @@ def integrate_ode(
         y = y_new
         f_cur = f_new
         ts.append(t)
-        ys.append(y.copy())
-        fs.append(f_cur.copy())
+        ys.append(y)
+        fs.append(f_cur)
         n_accepted += 1
         if method == "dp45":
             scaled = max(err_norm, 1e-10)
@@ -315,9 +353,9 @@ def integrate_ode(
                 break
 
     return Trajectory(
-        ts=np.array(ts),
-        ys=np.array(ys),
-        fs=np.array(fs),
+        ts=ts,
+        ys=ys,
+        fs=fs,
         method=method,
         status=status,
         stop_reason=stop_reason,
@@ -346,18 +384,25 @@ def integrate(
     """
     stage_floors = floors.relaxed()
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        s = PhaseState(r=y[0], theta=y[1], u=y[2], v=y[3])
-        return vector_field(spec, s, t, stage_floors).as_array()
+    def rhs(t: float, y: list) -> tuple:
+        try:
+            flow = vector_field(spec, PhaseState(*y), t, stage_floors)
+        except ZeroDivisionError as exc:
+            # a denominator such as r^2 v underflowed to zero: the state is
+            # singular, as the inf that array arithmetic gives here says
+            raise FloatingPointError(str(exc)) from exc
+        return flow.rdot, flow.thetadot, flow.udot, flow.vdot
 
-    def check(t: float, y: np.ndarray) -> Optional[str]:
+    def check(t: float, y: list) -> Optional[str]:
         try:
             floors.check(y[0], y[3])
         except SingularStateError as exc:
             return f"{exc} at t={t!r}"
         return None
 
-    return integrate_ode(rhs, s0.as_array(), t0, t1, solver, accept_check=check)
+    return integrate_ode(
+        rhs, (s0.r, s0.theta, s0.u, s0.v), t0, t1, solver, accept_check=check
+    )
 
 
 @dataclass(frozen=True)
@@ -412,23 +457,34 @@ def drift(
         values = []
         for i, (s, t) in enumerate(zip(states, traj.ts)):
             try:
-                values.append(float(func(s, float(t))))
+                values.append(float(func(s, t)))
             except Exception as exc:
                 raise ValueError(
                     f"quantity {name!r} failed at sample {i} "
-                    f"(t={float(t)!r}): {exc}"
+                    f"(t={t!r}): {exc}"
                 ) from exc
         q0 = values[0]
         scale = max(1.0, abs(q0))
         deviations = [abs(q - q0) / scale for q in values]
-        worst = int(np.argmax(deviations))
+        worst = _worst(deviations)
         entries.append(
             QuantityDrift(
                 name=name,
                 initial=q0,
                 drift=deviations[worst],
-                t_at_max=float(traj.ts[worst]),
+                t_at_max=traj.ts[worst],
                 values=tuple(values),
             )
         )
     return DriftReport(entries=tuple(entries))
+
+
+def _worst(deviations: list) -> int:
+    """Index of the first NaN, else of the first largest deviation."""
+    worst = 0
+    for i, dev in enumerate(deviations):
+        if dev != dev:
+            return i
+        if dev > deviations[worst]:
+            worst = i
+    return worst

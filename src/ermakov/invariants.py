@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import expr as ex
 from .expr import DomainError, Expr
-from .systems import DEFAULT_FLOORS, Floors, PhaseState, Potential
+from .systems import DEFAULT_FLOORS, Floors, PhaseState, Potential, np
 
 __all__ = [
     "I_CONVENTIONS",
@@ -50,11 +48,25 @@ _ORBIT_TOL = 1e-10
 I_CONVENTIONS = {"lambda_lower_limit": 0.0}
 
 
+def _forcing(g: Expr) -> tuple:
+    """G compiled in theta, and whether it has theta.  Worked out on first
+    use and kept on the tree, as ``expr.compile`` keeps its code: I and
+    its gradient read them at every drift sample and verified state."""
+    try:
+        return g.__dict__["_forcing"]
+    except KeyError:
+        pair = g.__dict__["_forcing"] = (
+            ex.compile(g, ("theta",)),
+            "theta" in ex.free_vars(g),
+        )
+        return pair
+
+
 def forcing_integral(g: Expr, theta: float) -> float:
     """Lambda(theta): the forcing G integrated from 0 to theta, exactly
     G * theta when G is a constant."""
-    g_fn = ex.compile(g, ("theta",))
-    if "theta" not in ex.free_vars(g):
+    g_fn, varies = _forcing(g)
+    if not varies:
         return g_fn(theta) * theta
     return ex.quad_adaptive(g_fn, 0.0, theta, _FORCING_TOL)
 
@@ -65,9 +77,9 @@ def ermakov_invariant(g: Expr, s: PhaseState) -> float:
     return 0.5 * s.v * s.v + forcing_integral(g, s.theta)
 
 
-def grad_ermakov(g: Expr, s: PhaseState) -> np.ndarray:
+def grad_ermakov(g: Expr, s: PhaseState) -> tuple:
     """Phase-space gradient of the invariant: (0, G(theta), 0, v)."""
-    return np.array([0.0, ex.compile(g, ("theta",))(s.theta), 0.0, s.v])
+    return (0.0, _forcing(g)[0](s.theta), 0.0, s.v)
 
 
 def casimir_C1(

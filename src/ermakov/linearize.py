@@ -82,18 +82,15 @@ def to_orbit_curve(traj: Trajectory) -> OrbitCurve:
     (theta, 1/r, -u/v).
 
     Requires v of one sign along the trajectory (theta monotone)."""
-    vs = traj.ys[:, 3]
+    ys = traj.arrays[1]
+    vs = ys[:, 3]
     if not (np.all(vs > 0.0) or np.all(vs < 0.0)):
         i = int(np.argmax(vs[:-1] * vs[1:] <= 0.0))
         raise ValueError(
             f"v changes sign between samples {i} and {i + 1} "
             f"(t={traj.ts[i]!r}..{traj.ts[i + 1]!r}); theta is not monotone"
         )
-    return OrbitCurve(
-        theta=traj.ys[:, 1].copy(),
-        rbar=1.0 / traj.ys[:, 0],
-        abar=-traj.ys[:, 2] / vs,
-    )
+    return OrbitCurve(theta=ys[:, 1].copy(), rbar=1.0 / ys[:, 0], abar=-ys[:, 2] / vs)
 
 
 def _curvature_fn(phi: Coupling, t_param: float):
@@ -150,31 +147,23 @@ def integrate_characteristic(
     forward = theta1 > theta0
     sign = 1.0 if forward else -1.0
 
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
+    def rhs(tau: float, y: list) -> tuple:
         rbar, abar = y
         if rbar <= 0.0:
             raise SingularStateError(f"rbar={rbar!r} left the positive domain")
         theta = theta0 + sign * tau
-        return sign * np.array([abar, curvature(theta, rbar, abar)])
+        return sign * abar, sign * curvature(theta, rbar, abar)
 
-    def check(tau: float, y: np.ndarray) -> Optional[str]:
+    def check(tau: float, y: list) -> Optional[str]:
         if y[0] <= 0.0:
             return f"rbar={y[0]!r} not positive at theta={theta0 + sign * tau!r}"
         return None
 
     traj = integrate_ode(
-        rhs,
-        np.array([rbar0, abar0]),
-        0.0,
-        abs(theta1 - theta0),
-        solver,
-        accept_check=check,
+        rhs, (rbar0, abar0), 0.0, abs(theta1 - theta0), solver, accept_check=check
     )
-    return OrbitCurve(
-        theta=theta0 + sign * traj.ts,
-        rbar=traj.ys[:, 0].copy(),
-        abar=traj.ys[:, 1].copy(),
-    )
+    taus, ys, _ = traj.arrays
+    return OrbitCurve(theta=theta0 + sign * taus, rbar=ys[:, 0].copy(), abar=ys[:, 1].copy())
 
 
 def integrate_linear(
@@ -191,16 +180,13 @@ def integrate_linear(
     if not theta1 > theta0:
         raise ValueError("theta1 must exceed theta0 for the linear reference")
 
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
+    def rhs(tau: float, y: list) -> tuple:
         rbar, abar = y
-        return np.array([abar, coeff_a * abar + coeff_b * rbar + coeff_c])
+        return abar, coeff_a * abar + coeff_b * rbar + coeff_c
 
-    traj = integrate_ode(rhs, np.array([rbar0, abar0]), theta0, theta1)
-    return OrbitCurve(
-        theta=traj.ts.copy(),
-        rbar=traj.ys[:, 0].copy(),
-        abar=traj.ys[:, 1].copy(),
-    )
+    traj = integrate_ode(rhs, (rbar0, abar0), theta0, theta1)
+    thetas, ys, _ = traj.arrays
+    return OrbitCurve(theta=thetas, rbar=ys[:, 0].copy(), abar=ys[:, 1].copy())
 
 
 def orbit_match(traj, curve: OrbitCurve, n_grid: int = 400) -> float:

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
 
-import numpy as np
-
 from . import expr as ex
 from .expr import Binary, DomainError, Expr, Num, QuadratureError, Var
 
@@ -48,6 +46,24 @@ __all__ = [
     "frequency_squared",
     "polar_from_cartesian",
 ]
+
+
+class _LazyNumpy:
+    """Stands for the numpy module and imports it on the first attribute
+    read, so that importing the package and the ``simulate`` path run
+    without numpy.  Each attribute read is then kept on the instance,
+    where later reads cost what a module attribute read costs."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+# numpy for the modules that use arrays only off the simulate path
+np = _LazyNumpy()
 
 
 class SingularStateError(ValueError):

@@ -3,6 +3,9 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,6 +167,30 @@ def test_verify_flow_reconstruction(tmp_path, doc):
     assert code == 0
     report = json.loads((out / f"verify_flow.json").read_text())
     assert report["max_residual"] < 1e-10
+
+
+# phi is inf - inf, a NaN, where (1e154 r)^2 overflows (r > 1.34) and 0 below
+NAN_PHI_DOC = {
+    "system": {"kind": "class1", "phi": "(1e154*r)*(1e154*r) - (1e154*r)*(1e154*r)"},
+    "verify": {"samples": 50},
+}
+
+
+@pytest.mark.parametrize("seed, n_nan", [(2, 30), (3, 38)])
+def test_a_nan_residual_fails_the_sweep(tmp_path, capsys, seed, n_nan):
+    cfg = write_config(tmp_path, NAN_PHI_DOC)
+    code, out = run(
+        tmp_path, "verify", "--config", str(cfg), "--which", "flow", "--seed", str(seed)
+    )
+    report = json.loads((out / "verify_flow.json").read_text())
+    residuals = [row["residual"] for row in report["per_state"]]
+    # the first is finite, so max() over the residuals would pass over the NaNs
+    assert not math.isnan(residuals[0])
+    assert sum(map(math.isnan, residuals)) == n_nan
+    assert code == 1
+    assert report["pass"] is False
+    assert math.isnan(report["max_residual"])
+    assert "max_residual=nan" in capsys.readouterr().out
 
 
 def test_verify_casimir_depends_on_the_matrix_kind(tmp_path):
@@ -717,3 +744,37 @@ def test_every_exported_name_exists(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "configs").glob("*.json"))
+
+# run in a fresh interpreter; prints "@ step [exit code] numpy-loaded" after
+# each step
+_COLD_START = """
+import sys
+import ermakov.cli
+from ermakov.config import load_config
+
+out, *configs = sys.argv[1:]
+for path in configs:
+    load_config(path)
+print("@ load", "numpy" in sys.modules)
+for i, path in enumerate(configs):
+    code = ermakov.cli.main(["simulate", "--config", path, "--out", f"{out}/{i}"])
+    print("@ simulate", code, "numpy" in sys.modules)
+code = ermakov.cli.main(["verify", "--config", configs[0], "--which", "flow", "--out", out])
+print("@ verify", code, "numpy" in sys.modules)
+"""
+
+
+def test_import_load_and_simulate_run_without_numpy(tmp_path):
+    assert len(SHIPPED) == 2
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path), *map(str, SHIPPED)],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    steps = [line[2:] for line in result.stdout.splitlines() if line.startswith("@ ")]
+    assert steps == ["load False", "simulate 0 False", "simulate 0 False", "verify 0 True"]

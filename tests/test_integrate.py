@@ -93,7 +93,10 @@ def test_reversed_or_empty_span_rejected():
 def test_trajectory_bookkeeping():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
     assert np.all(np.diff(traj.ts) > 0.0)
-    assert len(traj) == len(traj.ts) == traj.ys.shape[0] == traj.fs.shape[0]
+    assert len(traj) == len(traj.ts) == len(traj.ys) == len(traj.fs)
+    ts, ys, fs = traj.arrays
+    assert ts.shape == (len(traj),) and ys.shape == fs.shape == (len(traj), 4)
+    assert traj.arrays[1] is ys  # built once per trajectory
     assert traj.method == "dp45"
     assert traj.stop_reason is None
     for key in ("n_accepted", "n_rejected", "n_stage_failures", "n_feval"):
@@ -115,6 +118,30 @@ def test_fixed_step_is_fourth_order():
         errs.append(np.max(np.abs(traj.ys[-1] - target)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.3)
+
+
+# the spiral of configs/spiral.json to t = 1.4, bit for bit: the steppers
+# run on floats with the elementwise arithmetic of numpy arrays
+SPIRAL_FINAL = {
+    "dp45": (
+        ("0x1.5c17bbc12e48fp-3", "0x1.731086db7ee5ap+2", "-0x1.f88cddf44603bp-1", "0x1.0p+0"),
+        {"n_accepted": 79, "n_rejected": 0, "n_stage_failures": 0, "n_feval": 475},
+    ),
+    "rk4": (
+        ("0x1.5c17bbc135e51p-3", "0x1.731086dc3a27ep+2", "-0x1.f88cddf44e0b1p-1", "0x1.0p+0"),
+        {"n_accepted": 1000, "n_rejected": 0, "n_stage_failures": 0, "n_feval": 4001},
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SPIRAL_FINAL))
+def test_spiral_final_state_is_pinned(method):
+    traj = integrate(SPIRAL, spiral_start(), 0.0, 1.4, Solver(method=method, rtol=1e-10))
+    final, stats = SPIRAL_FINAL[method]
+    assert tuple(traj.ys[-1]) == tuple(float.fromhex(x) for x in final)
+    assert traj.ts[-1] == 1.4
+    assert traj.stats == stats
+    assert all(type(x) is float for x in (*traj.ts, *traj.ys[-1], *traj.fs[-1]))
 
 
 def test_tightening_tolerance_tightens_drift():
@@ -197,6 +224,40 @@ def test_drift_failure_names_the_sample():
         drift(traj, {"flaky": flaky})
 
 
+def _constant_state_trajectory(n: int) -> Trajectory:
+    rest = [1.0, 0.0, 0.0, 1.0]
+    return Trajectory(
+        ts=[0.5 * i for i in range(n)],
+        ys=[rest] * n,
+        fs=[[0.0] * 4] * n,
+        method="dp45",
+        status="completed",
+        stop_reason=None,
+        stats={},
+    )
+
+
+@pytest.mark.parametrize(
+    "values, worst, deviation",
+    [
+        ([1.0, 3.0, 0.0, 3.0], 1, 2.0),  # a tie: the first maximum
+        ([1.0, 5.0, math.nan, 9.0, math.nan], 2, math.nan),  # the first NaN
+        ([math.nan, 1.0, 2.0], 0, math.nan),
+        ([2.0, 2.0, 2.0], 0, 0.0),
+    ],
+    ids=("tie", "nan", "nan-first", "flat"),
+)
+def test_drift_picks_its_worst_sample(values, worst, deviation):
+    traj = _constant_state_trajectory(len(values))
+    values_at = dict(zip(traj.ts, values))
+    entry = drift(traj, {"q": lambda s, t: values_at[t]})["q"]
+    assert entry.t_at_max == traj.ts[worst]
+    if math.isnan(deviation):
+        assert math.isnan(entry.drift)
+    else:
+        assert entry.drift == deviation
+
+
 def test_against_scipy_on_a_coupled_system():
     spec = SystemSpec.class2(ex.parse("cos(theta)"), FuncHandle.from_text("1"))
     s0 = PhaseState(1.0, 0.0, 0.2, 1.0)
@@ -237,10 +298,22 @@ def test_stop_at_angular_momentum_floor():
 
 
 def test_blowup_stops_with_step_underflow():
-    traj = integrate_ode(lambda t, y: y * y, np.array([1.0]), 0.0, 2.0)
+    traj = integrate_ode(lambda t, y: [x * x for x in y], [1.0], 0.0, 2.0)
     assert traj.status == "singular_stop"
     assert "underflow" in traj.stop_reason
     assert traj.ts[-1] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_an_underflowed_denominator_halves_the_step():
+    # r^2 v underflows to zero as r shrinks (floors set far below it): a
+    # float division by zero fails the stage, as the inf of array arithmetic did
+    s0 = PhaseState(1e-150, 0.0, -1e-151, 1e-20)
+    floors = Floors(r_min=1e-300, v_min=1e-300)
+    traj = integrate(FREE, s0, 0.0, 20.0, Solver(method="rk4", dt=0.1), floors)
+    assert traj.status == "singular_stop"
+    assert "division by zero" in traj.stop_reason
+    assert traj.stats["n_accepted"] == 123 and traj.stats["n_stage_failures"] == 40
+    assert traj.ts[-1] == pytest.approx(9.8428, abs=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -250,18 +323,18 @@ def test_blowup_stops_with_step_underflow():
 )
 def test_a_buggy_right_hand_side_raises(bug, error):
     def rhs(t, y):
-        return bug() if t > 0.5 else -y
+        return bug() if t > 0.5 else [-x for x in y]
 
     with pytest.raises(error):
-        integrate_ode(rhs, np.array([1.0]), 0.0, 1.0)
+        integrate_ode(rhs, [1.0], 0.0, 1.0)
 
 
 def test_a_domain_exit_still_halves_the_step():
     def rhs(t, y):
         PhaseState(r=1.0 - t, theta=0.0, u=0.0, v=1.0)  # r > 0 fails from t = 1
-        return -y
+        return [-x for x in y]
 
-    traj = integrate_ode(rhs, np.array([1.0]), 0.0, 2.0)
+    traj = integrate_ode(rhs, [1.0], 0.0, 2.0)
     assert traj.status == "singular_stop"
     assert "r must be positive" in traj.stop_reason
     assert traj.ts[-1] == pytest.approx(1.0, abs=1e-6)
@@ -269,13 +342,13 @@ def test_a_domain_exit_still_halves_the_step():
 
 def test_dp45_decay_matches_exp():
     traj = integrate_ode(
-        lambda t, y: -y, np.array([1.0]), 0.0, 1.0, solver=Solver(rtol=1e-6, atol=1e-8)
+        lambda t, y: [-x for x in y], [1.0], 0.0, 1.0, solver=Solver(rtol=1e-6, atol=1e-8)
     )
-    assert float(traj.ys[-1][0]) == pytest.approx(math.exp(-1.0), rel=1e-6)
+    assert traj.ys[-1][0] == pytest.approx(math.exp(-1.0), rel=1e-6)
 
 
 def test_generic_trajectories_are_not_phase_states():
-    traj = integrate_ode(lambda t, y: -y, np.array([1.0]), 0.0, 1.0)
+    traj = integrate_ode(lambda t, y: [-x for x in y], [1.0], 0.0, 1.0)
     with pytest.raises(ValueError, match="phase-space"):
         traj.state(0)
     assert traj.sample(0.5).shape == (1,)

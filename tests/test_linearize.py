@@ -58,9 +58,10 @@ def test_curve_validation():
 def test_time_trajectory_maps_pointwise():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
     curve = to_orbit_curve(traj)
-    assert np.array_equal(curve.theta, traj.ys[:, 1])
-    assert np.array_equal(curve.rbar, 1.0 / traj.ys[:, 0])
-    assert np.array_equal(curve.abar, -traj.ys[:, 2] / traj.ys[:, 3])
+    ys = traj.arrays[1]
+    assert np.array_equal(curve.theta, ys[:, 1])
+    assert np.array_equal(curve.rbar, 1.0 / ys[:, 0])
+    assert np.array_equal(curve.abar, -ys[:, 2] / ys[:, 3])
 
 
 def test_sign_change_in_v_is_rejected():
