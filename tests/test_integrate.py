@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -142,6 +143,52 @@ def test_spiral_final_state_is_pinned(method):
     assert traj.ts[-1] == 1.4
     assert traj.stats == stats
     assert all(type(x) is float for x in (*traj.ts, *traj.ys[-1], *traj.fs[-1]))
+
+
+# the module: the package attribute ermakov.integrate is the function
+integrate_module = importlib.import_module("ermakov.integrate")
+
+
+def _reference_dp_step(f, t, y, h, k1):
+    """One Dormand-Prince step on numpy arrays, the reference for the float
+    stepper: the same tableau, numpy's elementwise arithmetic."""
+    m = integrate_module
+    k = [np.asarray(k1)]
+    for i in range(1, 7):
+        yi = y + h * sum(a * kk for a, kk in zip(m._DP_A[i], k))
+        k.append(np.asarray(f(t + m._DP_C[i] * h, yi)))
+    return yi, k[6], h * sum(e * kk for e, kk in zip(m._DP_E, k))
+
+
+def _reference_rk4_step(f, t, y, h, k1):
+    k1 = np.asarray(k1)
+    k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1))
+    k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2))
+    k4 = np.asarray(f(t + h, y + h * k3))
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _polynomial_rhs(t, y):
+    # +, -, * only: numpy arrays and floats round these identically
+    y0, y1, y2, y3 = y
+    return [y1 * y2 - t, y0 - y3 * y3, y0 * y1 + 0.5, -y2 * y0 * 3.0]
+
+
+def test_float_steppers_match_numpy_bit_for_bit():
+    m = integrate_module
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        y = rng.normal(size=4) * 10.0 ** rng.uniform(-3, 1, size=4)
+        t, h = rng.uniform(-1, 1), 10.0 ** rng.uniform(-6, 0)
+        k1 = _polynomial_rhs(t, y.tolist())
+        sc = 1e-12 + 1e-10 * np.abs(y)
+        y_new, f_new, err = m._dp_step(_polynomial_rhs, t, y.tolist(), h, k1)
+        ref = _reference_dp_step(_polynomial_rhs, t, y, h, k1)
+        assert (y_new, f_new, err) == tuple(a.tolist() for a in ref)
+        assert all(type(x) is float for x in (*y_new, *f_new, *err))
+        assert m._rms(err, sc.tolist()) == math.sqrt(float(np.mean((ref[2] / sc) ** 2)))
+        rk4 = m._rk4_step(_polynomial_rhs, t, y.tolist(), h, k1)
+        assert rk4 == _reference_rk4_step(_polynomial_rhs, t, y, h, k1).tolist()
 
 
 def test_tightening_tolerance_tightens_drift():

@@ -66,6 +66,22 @@ def test_invariant_gradient():
     assert g[3] == 1.5
 
 
+@pytest.mark.parametrize("text", ["cos(theta)", "0"])
+def test_the_forcing_is_compiled_once_per_tree(monkeypatch, text):
+    g = ex.parse(text)
+    compiles = count_outermost_calls(monkeypatch, ex, "compile")
+    scans = count_outermost_calls(monkeypatch, ex, "free_vars")
+    ermakov_invariant(g, spiral_start())
+    assert compiles[0] == 1
+    compiles[0] = scans[0] = 0
+    for theta in (0.1, 0.7, -1.3):
+        s = PhaseState(r=1.0, theta=theta, u=0.2, v=1.5)
+        ermakov_invariant(g, s)
+        grad_ermakov(g, s)
+    assert compiles[0] == scans[0] == 0
+    assert grad_ermakov(g, s)[1] == ex.evaluate(g, {"theta": -1.3})
+
+
 def test_first_casimir_values():
     assert casimir_C1(OSC, spiral_start()) == 0.5
     assert casimir_C1(OSC, PhaseState(1.0, 0.0, -1.0, 1.0)) == 1.0
