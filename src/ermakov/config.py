@@ -377,20 +377,23 @@ def sample_states(
     r in [0.5, 3], theta in [-pi, pi], |u| in [u_floor, 2], |v| in
     [0.5, 3].  branch "any" flips the signs of u and v independently;
     "fixed" pins u < 0, v > 0 so sign(-u/v) is constant across the
-    sample.
+    sample.  One rng.random draw gives what a uniform call per number
+    gives: uniform(low, high) is low + (high - low) x on the same doubles.
     """
     if branch not in ("any", "fixed"):
         raise ValueError(f"branch must be any or fixed, got {branch!r}")
+    rng.uniform(u_floor, 2.0, size=0)  # checks the bounds, draws nothing
+    width_u = 2.0 - u_floor
     states = []
-    for _ in range(n):
-        r = rng.uniform(0.5, 3.0)
-        theta = rng.uniform(-math.pi, math.pi)
-        mag_u = rng.uniform(u_floor, 2.0)
-        mag_v = rng.uniform(0.5, 3.0)
+    for x in rng.random((n, 4 if branch == "fixed" else 6)).tolist():
+        r = 0.5 + 2.5 * x[0]
+        theta = -math.pi + 2.0 * math.pi * x[1]
+        mag_u = u_floor + width_u * x[2]
+        mag_v = 0.5 + 2.5 * x[3]
         if branch == "fixed":
             u, v = -mag_u, mag_v
         else:
-            u = mag_u if rng.random() < 0.5 else -mag_u
-            v = mag_v if rng.random() < 0.5 else -mag_v
+            u = mag_u if x[4] < 0.5 else -mag_u
+            v = mag_v if x[5] < 0.5 else -mag_v
         states.append(PhaseState(r=r, theta=theta, u=u, v=v))
     return states

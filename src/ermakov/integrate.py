@@ -25,6 +25,7 @@ from .systems import (
     PhaseState,
     SingularStateError,
     SystemSpec,
+    nan_max,
     np,
     vector_field,
 )
@@ -202,32 +203,35 @@ def _rms(values: Sequence[float], scales: Sequence[float]) -> float:
     return math.sqrt(acc / len(scales))
 
 
-def _dp_step(f, t, y, h, k1):
-    """One Dormand-Prince attempt.  Returns (y_new, f_new, err_vec)."""
-    k = [k1]
+def _dp_step(f, t, y, h, k):
+    """One Dormand-Prince attempt from k = [f(t, y)].  Appends each stage
+    derivative to k as it returns, the last being f at y_new.  Returns
+    (y_new, err_vec)."""
     for i in range(1, 7):
         yi = _combine(y, h, _DP_A[i], k)
         k.append(f(t + _DP_C[i] * h, yi))
     # A[6] are the 5th order weights, so the last stage input is y_new
     err = [h * _dot(_DP_E, kj) for kj in zip(*k)]
-    return yi, k[6], err
+    return yi, err
 
 
-def _rk4_step(f, t, y, h, k1):
-    """One classical RK4 step.  Returns y_new."""
+def _rk4_step(f, t, y, h, k):
+    """One classical RK4 step from k = [f(t, y)].  Appends each stage
+    derivative to k as it returns, the last being f at y_new.  Returns
+    y_new."""
     half = 0.5 * h
-    k2 = f(t + half, [yj + half * kj for yj, kj in zip(y, k1)])
-    k3 = f(t + half, [yj + half * kj for yj, kj in zip(y, k2)])
-    k4 = f(t + h, [yj + h * kj for yj, kj in zip(y, k3)])
+    for dt in (half, half, h):
+        k.append(f(t + dt, [yj + dt * kj for yj, kj in zip(y, k[-1])]))
     sixth = h / 6.0
-    return [
-        yj + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for yj, a, b, c, d in zip(y, k1, k2, k3, k4)
+    y_new = [
+        yj + sixth * (a + 2.0 * b + 2.0 * c + d) for yj, a, b, c, d in zip(y, *k)
     ]
+    k.append(f(t + h, y_new))
+    return y_new
 
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol):
-    """Hairer-style starting step size guess."""
+    """Hairer-style starting step size guess; calls f once."""
     sc = [atol + rtol * abs(yj) for yj in y0]
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
@@ -277,17 +281,18 @@ def integrate_ode(
     ys = [y]
     fs = [f_cur]
     span = t1 - t0
+    n_feval = 1  # every call of f, including those that raise
     if method == "rk4":
         h = solver.dt if solver.dt is not None else span / 1000.0
     else:
         h = _initial_step(f, t0, y, f_cur, t1, rtol, atol)
+        n_feval += 1  # its one probe
     if not h > 0.0:
         raise ValueError(f"step size {h!r} must be positive")
 
     status = "completed"
     stop_reason: Optional[str] = None
     n_accepted = n_rejected = n_failed = 0
-    n_feval = 1
     err_old = 1.0
 
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
@@ -301,23 +306,24 @@ def integrate_ode(
             status = "singular_stop"
             stop_reason = f"step size underflow at t={t!r}"
             break
+        k = [f_cur]  # the steppers append each derivative f returns
         try:
             if method == "rk4":
-                y_new = _rk4_step(f, t, y, h_try, f_cur)
-                n_feval += 3
-                f_new = f(t + h_try, y_new)
-                n_feval += 1
+                y_new = _rk4_step(f, t, y, h_try, k)
                 err_norm = 0.0
             else:
-                y_new, f_new, err_vec = _dp_step(f, t, y, h_try, f_cur)
-                n_feval += 6
+                y_new, err_vec = _dp_step(f, t, y, h_try, k)
                 sc = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
                 err_norm = _rms(err_vec, sc)
-            if not all(map(math.isfinite, (*y_new, *f_new))):
-                raise FloatingPointError("non-finite stage result")
+            f_new = k[-1]
+            finite = all(map(math.isfinite, (*y_new, *f_new)))
+            last_failure = None if finite else "non-finite stage result"
         except STAGE_FAILURES as exc:
-            n_failed += 1
+            n_feval += 1  # the call that raised
             last_failure = str(exc) or type(exc).__name__
+        n_feval += len(k) - 1
+        if last_failure is not None:
+            n_failed += 1
             if h_try <= 2.0 * h_floor:
                 status = "singular_stop"
                 stop_reason = (
@@ -428,7 +434,7 @@ class DriftReport:
 
     @property
     def max_drift(self) -> float:
-        return max(entry.drift for entry in self.entries)
+        return nan_max(entry.drift for entry in self.entries)
 
     def as_dict(self) -> dict:
         return {
@@ -447,8 +453,8 @@ def drift(
 ) -> DriftReport:
     """Maximum relative drift of each quantity over the trajectory nodes.
 
-    Drift is max over samples of |Q(t) - Q(t0)| / max(1, |Q(t0)|); each
-    entry keeps its samples.  A quantity that fails to evaluate names the
+    Drift is max over samples of |Q(t) - Q(t0)| / max(1, |Q(t0)|), or the
+    first NaN among them; each entry keeps its samples.  A quantity that fails to evaluate names the
     offending sample index.
     """
     entries = []
@@ -466,25 +472,16 @@ def drift(
         q0 = values[0]
         scale = max(1.0, abs(q0))
         deviations = [abs(q - q0) / scale for q in values]
-        worst = _worst(deviations)
+        largest = nan_max(deviations)
+        worst = deviations.index(largest)  # list.index finds the NaN by identity
         entries.append(
             QuantityDrift(
                 name=name,
                 initial=q0,
-                drift=deviations[worst],
+                drift=largest,
                 t_at_max=traj.ts[worst],
                 values=tuple(values),
             )
         )
     return DriftReport(entries=tuple(entries))
 
-
-def _worst(deviations: list) -> int:
-    """Index of the first NaN, else of the first largest deviation."""
-    worst = 0
-    for i, dev in enumerate(deviations):
-        if dev != dev:
-            return i
-        if dev > deviations[worst]:
-            worst = i
-    return worst

@@ -19,7 +19,7 @@ class-2 consistency condition, and Casimir residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -73,36 +73,27 @@ class SkewMatrix4:
     j24: float
     j34: float
 
-    def as_array(self) -> np.ndarray:
-        a = np.zeros((4, 4))
-        for (i, j), val in self.items():
-            a[i - 1, j - 1] = val
-            a[j - 1, i - 1] = -val
-        return a
-
-    def items(self):
+    def rows(self) -> tuple:
+        """The full matrix as four rows of floats."""
+        j12, j13, j14, j23, j24, j34 = self.upper()
         return (
-            ((1, 2), self.j12),
-            ((1, 3), self.j13),
-            ((1, 4), self.j14),
-            ((2, 3), self.j23),
-            ((2, 4), self.j24),
-            ((3, 4), self.j34),
+            (0.0, j12, j13, j14),
+            (-j12, 0.0, j23, j24),
+            (-j13, -j23, 0.0, j34),
+            (-j14, -j24, -j34, 0.0),
         )
+
+    def upper(self) -> tuple:
+        """The six upper-triangle entries (j12, j13, j14, j23, j24, j34)."""
+        return (self.j12, self.j13, self.j14, self.j23, self.j24, self.j34)
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self.rows(), dtype=float)
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return math.sqrt(
-            2.0
-            * (
-                self.j12**2
-                + self.j13**2
-                + self.j14**2
-                + self.j23**2
-                + self.j24**2
-                + self.j34**2
-            )
-        )
+        j12, j13, j14, j23, j24, j34 = self.upper()
+        return math.sqrt(2.0 * (j12**2 + j13**2 + j14**2 + j23**2 + j24**2 + j34**2))
 
 
 @dataclass(frozen=True)
@@ -187,7 +178,7 @@ def determinant(m: SkewMatrix4) -> float:
     For an exactly skew matrix this equals pfaffian(m)**2 up to rounding,
     so the pair (determinant, pfaffian) doubles as a skewness check.
     """
-    a = m.as_array()
+    a = m.rows()
     total = 0.0
     for col in range(4):
         minor = [
@@ -214,17 +205,25 @@ def det_class2_quoted(psi_val: float, s: PhaseState) -> float:
 
 def central_differences(func: Callable, s: PhaseState, h: float) -> list:
     """The list of (func(s + h e_k) - func(s - h e_k)) / (2 h) over the
-    coordinates k of (r, theta, u, v); func may return a scalar or an
-    array."""
-    coords = s.as_array()
+    coordinates k of (r, theta, u, v); func returns a flat tuple of
+    floats, differenced entry by entry."""
+    coords = (s.r, s.theta, s.u, s.v)
     out = []
     for k in range(4):
-        hi = coords.copy()
-        lo = coords.copy()
+        hi, lo = list(coords), list(coords)
         hi[k] += h
         lo[k] -= h
-        out.append((func(PhaseState(*hi)) - func(PhaseState(*lo))) / (2.0 * h))
+        pairs = zip(func(PhaseState(*hi)), func(PhaseState(*lo)))
+        out.append(tuple([(a - b) / (2.0 * h) for a, b in pairs]))
     return out
+
+
+# per JACOBI_TRIPLES entry a < b < c (0-based): a, b, c and the positions
+# in SkewMatrix4.upper() of the entries (b, c), (a, c) and (a, b); the
+# cyclic sum's middle entry (c, a) is the negation of (a, c)
+_JACOBI_SLOTS = (
+    (0, 1, 2, 3, 1, 0), (0, 1, 3, 4, 2, 0), (0, 2, 3, 5, 2, 1), (1, 2, 3, 5, 4, 3)
+)
 
 
 def jacobi_residuals(
@@ -232,28 +231,25 @@ def jacobi_residuals(
     s: PhaseState,
     t: float = 0.0,
     h: float = 1e-5,
-) -> np.ndarray:
+) -> tuple:
     """The four cyclic sums J^{mu a} d_mu J^{bc} + J^{mu b} d_mu J^{ca}
     + J^{mu c} d_mu J^{ab} for (a,b,c) in JACOBI_TRIPLES.
 
-    Phase-space derivatives are central differences with step h; time is
-    held fixed.  All four vanish (to differencing accuracy) exactly when
-    the field is Poisson.
+    Phase-space derivatives are central differences with step h of the
+    upper triangle; a lower entry's is the negated upper one's, as
+    differencing the negated entries gives bit for bit.  Time is held
+    fixed.  All four vanish (to differencing accuracy) exactly when the
+    field is Poisson.
     """
-    center = field(s, t).as_array()
-    grads = central_differences(lambda p: field(p, t).as_array(), s, h)
-    out = np.zeros(len(JACOBI_TRIPLES))
-    for n, (a, b, c) in enumerate(JACOBI_TRIPLES):
-        i, j, k = a - 1, b - 1, c - 1
+    center = field(s, t).rows()
+    grads = central_differences(lambda p: field(p, t).upper(), s, h)
+    out = []
+    for a, b, c, bc, ac, ab in _JACOBI_SLOTS:
         acc = 0.0
-        for mu in range(4):
-            acc += (
-                center[mu, i] * grads[mu][j, k]
-                + center[mu, j] * grads[mu][k, i]
-                + center[mu, k] * grads[mu][i, j]
-            )
-        out[n] = acc
-    return out
+        for row, d in zip(center, grads):
+            acc += row[a] * d[bc] + row[b] * -d[ac] + row[c] * d[ab]
+        out.append(acc)
+    return tuple(out)
 
 
 def hamiltonian_flow(
@@ -267,7 +263,7 @@ def hamiltonian_flow(
     if g.shape != (4,):
         raise ValueError("grad_h must be a 4-vector")
     x = field(s, t).as_array() @ g
-    return Flow4(*x)
+    return Flow4(*x.tolist())
 
 
 def consistency_residual(
@@ -331,14 +327,7 @@ def perturb_j34(field: MatrixField, amount: Callable[[PhaseState, float], float]
 
     def tampered(s: PhaseState, t: float = 0.0) -> SkewMatrix4:
         m = field(s, t)
-        return SkewMatrix4(
-            j12=m.j12,
-            j13=m.j13,
-            j14=m.j14,
-            j23=m.j23,
-            j24=m.j24,
-            j34=m.j34 + amount(s, t),
-        )
+        return replace(m, j34=m.j34 + amount(s, t))
 
     return MatrixField(evaluate=tampered, kind=field.kind + "+tampered")
 

@@ -45,6 +45,7 @@ __all__ = [
     "vector_field",
     "frequency_squared",
     "polar_from_cartesian",
+    "nan_max",
 ]
 
 
@@ -106,6 +107,18 @@ class Floors:
 
 
 DEFAULT_FLOORS = Floors()
+
+
+def nan_max(values) -> float:
+    """The largest of values (-inf for none), or the first NaN among them,
+    where max() passes over a NaN that is not first."""
+    worst = -math.inf
+    for x in values:
+        if x != x:
+            return x
+        if x > worst:
+            worst = x
+    return worst
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
-"""Shared bits for the test suite: random expression trees and a couple
-of reference systems used across files."""
+"""Shared bits for the test suite: random expression trees, a couple
+of reference systems used across files, and numpy reference copies of
+the verification sweeps that now run on Python floats."""
 
+import math
 import random
 
+import numpy as np
+
 from ermakov import expr as ex
+from ermakov.poisson import JACOBI_TRIPLES
 from ermakov.systems import PhaseState
 
 VARS = ("theta", "r", "t", "alpha")
@@ -93,3 +98,88 @@ def count_outermost_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return count
+
+
+# numpy reference copies of the float code in ermakov.poisson and
+# ermakov.config.sample_states: what those computed on arrays and numpy
+# scalars, kept so that tests can pin the float path bit for bit
+
+
+def reference_array(m) -> np.ndarray:
+    """A SkewMatrix4 as a 4x4 array, stored entry by entry."""
+    a = np.zeros((4, 4))
+    upper = (
+        ((1, 2), m.j12),
+        ((1, 3), m.j13),
+        ((1, 4), m.j14),
+        ((2, 3), m.j23),
+        ((2, 4), m.j24),
+        ((3, 4), m.j34),
+    )
+    for (i, j), val in upper:
+        a[i - 1, j - 1] = val
+        a[j - 1, i - 1] = -val
+    return a
+
+
+def reference_central_differences(func, s, h):
+    coords = np.array([s.r, s.theta, s.u, s.v], dtype=float)
+    out = []
+    for k in range(4):
+        hi = coords.copy()
+        lo = coords.copy()
+        hi[k] += h
+        lo[k] -= h
+        out.append((func(PhaseState(*hi)) - func(PhaseState(*lo))) / (2.0 * h))
+    return out
+
+
+def reference_jacobi_residuals(field, s, t=0.0, h=1e-5) -> np.ndarray:
+    center = reference_array(field(s, t))
+    grads = reference_central_differences(lambda p: reference_array(field(p, t)), s, h)
+    out = np.zeros(len(JACOBI_TRIPLES))
+    for n, (a, b, c) in enumerate(JACOBI_TRIPLES):
+        i, j, k = a - 1, b - 1, c - 1
+        acc = 0.0
+        for mu in range(4):
+            acc += (
+                center[mu, i] * grads[mu][j, k]
+                + center[mu, j] * grads[mu][k, i]
+                + center[mu, k] * grads[mu][i, j]
+            )
+        out[n] = acc
+    return out
+
+
+def _reference_det3(a) -> float:
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
+def reference_determinant(m) -> float:
+    a = reference_array(m)
+    total = 0.0
+    for col in range(4):
+        minor = [[a[row][c] for c in range(4) if c != col] for row in range(1, 4)]
+        total += ((-1.0) ** col) * a[0][col] * _reference_det3(minor)
+    return total
+
+
+def reference_sample_states(rng, n, u_floor, branch) -> list:
+    """sample_states as one rng.uniform or rng.random call per number."""
+    states = []
+    for _ in range(n):
+        r = rng.uniform(0.5, 3.0)
+        theta = rng.uniform(-math.pi, math.pi)
+        mag_u = rng.uniform(u_floor, 2.0)
+        mag_v = rng.uniform(0.5, 3.0)
+        if branch == "fixed":
+            u, v = -mag_u, mag_v
+        else:
+            u = mag_u if rng.random() < 0.5 else -mag_u
+            v = mag_v if rng.random() < 0.5 else -mag_v
+        states.append(PhaseState(r=r, theta=theta, u=u, v=v))
+    return states

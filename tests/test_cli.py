@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ermakov import expr as ex
 from ermakov.cli import main
-from ermakov.config import parse_config
+from ermakov.config import parse_config, sample_states
 from ermakov.invariants import spiral_radius
 from ermakov.systems import (
     Class2Phi,
@@ -23,7 +24,7 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import count_outermost_calls
+from helpers import count_outermost_calls, reference_sample_states
 
 SPIRAL_DOC = {
     "system": {"kind": "pseudo_potential", "g": "0", "potential": "1/(2*rbar^2)"},
@@ -191,6 +192,90 @@ def test_a_nan_residual_fails_the_sweep(tmp_path, capsys, seed, n_nan):
     assert report["pass"] is False
     assert math.isnan(report["max_residual"])
     assert "max_residual=nan" in capsys.readouterr().out
+
+
+def test_a_nan_jacobi_residual_fails_the_sweep(tmp_path, capsys):
+    cfg = write_config(tmp_path, NAN_PHI_DOC)
+    code, out = run(
+        tmp_path, "verify", "--config", str(cfg), "--which", "jacobi", "--seed", "3"
+    )
+    report = json.loads((out / "verify_jacobi.json").read_text())
+    residuals = [row["residual"] for row in report["per_state"]]
+    assert not math.isnan(residuals[0])
+    assert sum(map(math.isnan, residuals)) == 38
+    assert code == 1
+    assert report["pass"] is False
+    assert math.isnan(report["max_residual"])
+    assert "max_residual=nan" in capsys.readouterr().out
+
+
+def test_a_nan_casimir_component_fails_its_state(tmp_path, monkeypatch):
+    from ermakov import poisson
+
+    original = poisson.casimir_residuals
+
+    def nan_in_the_third(field, grad_c, s, t=0.0):
+        res = original(field, grad_c, s, t)
+        res[2] = math.nan
+        return res
+
+    monkeypatch.setattr(poisson, "casimir_residuals", nan_in_the_third)
+    cfg = write_config(tmp_path, SPIRAL_DOC)
+    code, out = run(tmp_path, "verify", "--config", str(cfg), "--which", "casimir")
+    report = json.loads((out / "verify_casimir.json").read_text())
+    assert all(math.isnan(row["residual"]) for row in report["per_state"])
+    assert code == 1
+    assert math.isnan(report["max_residual"])
+
+
+# psi is 1 + (inf - inf), a NaN, where (1e154 r)^2 overflows (r > 1.34)
+NAN_PSI_DOC = {
+    "system": {
+        "kind": "class2",
+        "g": "0",
+        "psi": "1 + ((1e154*r)*(1e154*r) - (1e154*r)*(1e154*r))",
+    },
+    "verify": {"samples": 50},
+}
+
+
+def test_nan_determinant_deviations_are_reported(tmp_path):
+    cfg = write_config(tmp_path, NAN_PSI_DOC)
+    code, out = run(
+        tmp_path, "verify", "--config", str(cfg), "--which", "determinant", "--seed", "3"
+    )
+    report = json.loads((out / "verify_determinant.json").read_text())
+    residuals = [row["residual"] for row in report["per_state"]]
+    # the first state is finite, so max() would fold past the NaNs
+    assert not math.isnan(residuals[0])
+    assert sum(map(math.isnan, residuals)) == 46
+    assert code == 1
+    assert math.isnan(report["max_residual"])
+    assert math.isnan(report["pfaffian_identity_max"])
+    assert math.isnan(report["quoted_form_max_rel_dev"])
+
+
+def test_one_draw_gives_the_per_draw_states():
+    for seed in (0, 3, 17, 20260823):
+        for branch in ("fixed", "any"):
+            for u_floor in (0.05, 0.3):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                states = sample_states(rng, 40, u_floor, branch)
+                assert states == reference_sample_states(ref_rng, 40, u_floor, branch)
+                assert all(
+                    type(x) is float for s in states for x in (s.r, s.theta, s.u, s.v)
+                )
+                # both consumed the same doubles
+                assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize(
+    "u_floor, error", [(2.5, "high - low < 0"), (math.inf, "exceeds valid bounds")]
+)
+def test_a_u_floor_above_two_keeps_the_uniform_error(u_floor, error):
+    for draw in (sample_states, reference_sample_states):
+        with pytest.raises((ValueError, OverflowError), match=error):
+            draw(np.random.default_rng(1), 3, u_floor, "fixed")
 
 
 def test_verify_casimir_depends_on_the_matrix_kind(tmp_path):

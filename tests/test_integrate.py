@@ -9,6 +9,7 @@ from ermakov import expr as ex
 from ermakov.integrate import (
     DriftReport,
     IntegrationError,
+    QuantityDrift,
     Solver,
     Trajectory,
     drift,
@@ -126,7 +127,7 @@ def test_fixed_step_is_fourth_order():
 SPIRAL_FINAL = {
     "dp45": (
         ("0x1.5c17bbc12e48fp-3", "0x1.731086db7ee5ap+2", "-0x1.f88cddf44603bp-1", "0x1.0p+0"),
-        {"n_accepted": 79, "n_rejected": 0, "n_stage_failures": 0, "n_feval": 475},
+        {"n_accepted": 79, "n_rejected": 0, "n_stage_failures": 0, "n_feval": 476},
     ),
     "rk4": (
         ("0x1.5c17bbc135e51p-3", "0x1.731086dc3a27ep+2", "-0x1.f88cddf44e0b1p-1", "0x1.0p+0"),
@@ -182,12 +183,14 @@ def test_float_steppers_match_numpy_bit_for_bit():
         t, h = rng.uniform(-1, 1), 10.0 ** rng.uniform(-6, 0)
         k1 = _polynomial_rhs(t, y.tolist())
         sc = 1e-12 + 1e-10 * np.abs(y)
-        y_new, f_new, err = m._dp_step(_polynomial_rhs, t, y.tolist(), h, k1)
+        stages = [k1]
+        y_new, err = m._dp_step(_polynomial_rhs, t, y.tolist(), h, stages)
+        f_new = stages[-1]
         ref = _reference_dp_step(_polynomial_rhs, t, y, h, k1)
         assert (y_new, f_new, err) == tuple(a.tolist() for a in ref)
         assert all(type(x) is float for x in (*y_new, *f_new, *err))
         assert m._rms(err, sc.tolist()) == math.sqrt(float(np.mean((ref[2] / sc) ** 2)))
-        rk4 = m._rk4_step(_polynomial_rhs, t, y.tolist(), h, k1)
+        rk4 = m._rk4_step(_polynomial_rhs, t, y.tolist(), h, [k1])
         assert rk4 == _reference_rk4_step(_polynomial_rhs, t, y, h, k1).tolist()
 
 
@@ -229,6 +232,17 @@ def test_velocity_flip_round_trip(spec, s0):
     end = back.final_state
     recovered = np.array([end.r, end.theta, -end.u, -end.v])
     assert np.max(np.abs(recovered - s0.as_array())) < 1e-9
+
+
+def test_max_drift_reports_a_nan_that_is_not_first():
+    report = DriftReport(
+        (QuantityDrift("I", 0.5, 1e-10, 0.0), QuantityDrift("C1", 0.5, math.nan, 0.1))
+    )
+    assert math.isnan(report.max_drift)
+    finite = DriftReport(
+        (QuantityDrift("I", 0.5, 1e-10, 0.0), QuantityDrift("C1", 0.5, 3e-9, 0.1))
+    )
+    assert finite.max_drift == 3e-9
 
 
 def test_drift_report_contents():
@@ -377,7 +391,10 @@ def test_a_buggy_right_hand_side_raises(bug, error):
 
 
 def test_a_domain_exit_still_halves_the_step():
+    calls = [0]
+
     def rhs(t, y):
+        calls[0] += 1
         PhaseState(r=1.0 - t, theta=0.0, u=0.0, v=1.0)  # r > 0 fails from t = 1
         return [-x for x in y]
 
@@ -385,6 +402,24 @@ def test_a_domain_exit_still_halves_the_step():
     assert traj.status == "singular_stop"
     assert "r must be positive" in traj.stop_reason
     assert traj.ts[-1] == pytest.approx(1.0, abs=1e-6)
+    # every call counts: the start, the starting-step probe, each stage of
+    # an accepted step and each stage a failed step made, the raising one too
+    assert traj.stats["n_stage_failures"] > 0
+    assert traj.stats["n_feval"] == calls[0] == 517
+
+
+@pytest.mark.parametrize("method", ["dp45", "rk4"])
+def test_a_non_finite_stage_counts_each_call_once(method):
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return [math.inf if t > 0.5 else -y[0]]
+
+    traj = integrate_ode(rhs, [1.0], 0.0, 1.0, Solver(method=method, dt=0.01))
+    assert traj.status == "singular_stop"
+    assert "non-finite stage result" in traj.stop_reason
+    assert traj.stats["n_feval"] == calls[0]
 
 
 def test_dp45_decay_matches_exp():

@@ -22,9 +22,22 @@ from ermakov.poisson import (
     perturb_j34,
     pfaffian,
 )
-from ermakov.systems import Class2Phi, FuncHandle, PhaseState, SystemSpec, vector_field
+from ermakov.systems import (
+    Class2Phi,
+    FuncHandle,
+    PhaseState,
+    Potential,
+    SystemSpec,
+    vector_field,
+)
 from ermakov import invariants as inv
 
+from helpers import (
+    reference_array,
+    reference_central_differences,
+    reference_determinant,
+    reference_jacobi_residuals,
+)
 from test_systems import OSC, random_states
 
 ONE = FuncHandle.from_text("1")
@@ -251,3 +264,72 @@ def test_same_gradients_survive_the_class2_matrix():
         res = np.max(np.abs(casimir_residuals(field, grad_c1(s), s)))
         worst_min = min(worst_min, res)
     assert worst_min > 1e-3
+
+
+OFF_OSCILLATOR = Potential(ex.parse("1/(2*rbar^2) + 0.1*rbar"))
+
+
+def _dense(s, t=0.0):
+    # no zero entry, so no product in a cyclic sum vanishes: a change in
+    # the order of its terms shows in the last bits
+    r, th, u, v = s.r, s.theta, s.u, s.v
+    return SkewMatrix4(
+        j12=r * u + th,
+        j13=u * v - r,
+        j14=th * v + 0.3,
+        j23=r * v * u + t,
+        j24=u - th * r,
+        j34=v * v + r * th,
+    )
+
+
+# the fields whose sweeps run on floats, each against its numpy reference
+FLOAT_PATH_FIELDS = {
+    "dense": lambda: poisson.MatrixField(evaluate=_dense, kind="dense"),
+    "class1": lambda: matrix_field_class1(PHI_POOL[2]),
+    "class2": lambda: matrix_field_class2(
+        Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
+    ),
+    "pseudo_potential": lambda: matrix_field_class1(OFF_OSCILLATOR.phi),
+    "tampered": lambda: perturb_j34(
+        matrix_field_class1(PHI_POOL[1]), lambda s, t: 0.1 * s.r
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_PATH_FIELDS))
+def test_float_sweeps_match_the_numpy_reference_bit_for_bit(name):
+    field = FLOAT_PATH_FIELDS[name]()
+    upper = np.triu_indices(4, 1)
+    for s in random_states(59, 20):
+        for t, h in ((0.0, 1e-5), (0.7, 3e-4)):
+            res = jacobi_residuals(field, s, t, h)
+            assert all(type(x) is float for x in res)
+            assert res == tuple(reference_jacobi_residuals(field, s, t, h).tolist())
+            grads = poisson.central_differences(lambda p: field(p, t).upper(), s, h)
+            ref = reference_central_differences(
+                lambda p: reference_array(field(p, t)), s, h
+            )
+            assert grads == [tuple(g[upper].tolist()) for g in ref]
+            m = field(s, t)
+            assert determinant(m) == reference_determinant(m)
+            a, b = m.as_array(), reference_array(m)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_casimir_differences_match_the_numpy_reference_bit_for_bit():
+    def casimirs(s):
+        c1 = inv.casimir_C1(OFF_OSCILLATOR, s)
+        return c1, inv.casimir_C2(OFF_OSCILLATOR, s, c1=c1)
+
+    for s in random_states(61, 20, u_floor=0.3):
+        got = poisson.central_differences(casimirs, s, 1e-5)
+        ref = reference_central_differences(lambda p: np.array(casimirs(p)), s, 1e-5)
+        assert got == [tuple(g.tolist()) for g in ref]
+
+
+def test_skew_matrix_rows_are_the_array():
+    m = SkewMatrix4(j12=0.0, j13=2.0, j14=-3.0, j23=4.5, j24=5.0, j34=-6.0)
+    assert np.array_equal(np.array(m.rows()), reference_array(m))
+    assert m.upper() == (0.0, 2.0, -3.0, 4.5, 5.0, -6.0)
+    assert SkewMatrix4(1, 2, 3, 4, 5, 6).as_array().dtype == np.float64

@@ -16,6 +16,7 @@ from ermakov.systems import (
     SystemSpec,
     ZERO_HANDLE,
     frequency_squared,
+    nan_max,
     polar_from_cartesian,
     vector_field,
 )
@@ -327,3 +328,13 @@ def test_class2_phi_takes_a_constant_integrand_exactly(monkeypatch, text):
             expected = quadrature * psi(alpha, r, theta, t)
             assert phi(alpha, r, theta, t) == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert quads[0] == 0
+
+
+def test_nan_max_lets_the_first_nan_win():
+    nan = math.nan
+    assert max([1e-10, nan]) == 1e-10  # what it replaces
+    assert math.isnan(nan_max([1e-10, nan, 2.0]))
+    assert math.isnan(nan_max(iter([nan, 3.0])))
+    assert nan_max([1.0, 3.0, -2.0, 3.0]) == 3.0
+    assert nan_max(abs(x) for x in (-4.0, 2.0)) == 4.0
+    assert nan_max([]) == -math.inf

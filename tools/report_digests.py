@@ -18,7 +18,10 @@ their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, ``class2_psi1`` with an alpha- and r-dependent psi, a
 nonzero ``lam0`` and a looser ``quad_tol``, and ``class2_psi1`` with a
 ``chi`` and a ``floors.psi_min`` that its ``verify flow`` sweep trips;
-each gets ``VARIANT_COMMANDS``.  It prints one line per command with its exit code
+each gets ``VARIANT_COMMANDS``.  Each shipped config also gets the
+``jacobi`` sweep with ``--tamper-j34`` (``TAMPER_COMMANDS``), and each
+again with ``verify.u_floor`` 0.3 (``U_FLOOR_VARIANT``) gets the
+``jacobi`` and ``casimir`` sweeps.  It prints one line per command with its exit code
 and the sha256 of what it printed, then the sha256 of each report it
 wrote.  Two checkouts that print the same lines write byte-identical
 reports and messages.
@@ -96,6 +99,12 @@ VARIANTS = (
 )
 VARIANT_COMMANDS = (("simulate",), ("orbit",), ("linearize",), ("verify", "--which", "flow"))
 
+TAMPER_COMMANDS = (("verify", "--which", "jacobi", "--tamper-j34"),)
+
+# a larger u floor moves every sampled |u|, on both branches
+U_FLOOR_VARIANT = {"u_floor": 0.3}
+U_FLOOR_COMMANDS = (("verify", "--which", "jacobi"), ("verify", "--which", "casimir"))
+
 
 def _write_doc(path: Path, doc: dict) -> Path:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -128,13 +137,19 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from ermakov.cli import main as ermakov_main
 
-    runs = [(config, COMMANDS) for config in sorted((ROOT / "configs").glob("*.json"))]
+    shipped = sorted((ROOT / "configs").glob("*.json"))
+    runs = [(config, COMMANDS + TAMPER_COMMANDS) for config in shipped]
     runs.append((STRESS_CONFIG, STRESS_COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
         runs.append((_write_doc(Path(tmp) / "off_oscillator.json", OFF_OSCILLATOR), COMMANDS))
         for name, base, sections in VARIANTS:
             doc = json.loads((ROOT / "configs" / base).read_text(encoding="utf-8"))
             runs.append((_write_doc(Path(tmp) / name, dict(doc, **sections)), VARIANT_COMMANDS))
+        for config in shipped:
+            doc = json.loads(config.read_text(encoding="utf-8"))
+            doc["verify"] = dict(doc.get("verify", {}), **U_FLOOR_VARIANT)
+            path = Path(tmp) / f"{config.stem}_u_floor.json"
+            runs.append((_write_doc(path, doc), U_FLOOR_COMMANDS))
         for config, commands in runs:
             for label, rc, printed, reports in digests(
                 ermakov_main, config, args.seed, Path(tmp), commands
