@@ -221,7 +221,6 @@ def _build_state(section: dict) -> PhaseState:
 class VerifySettings:
     samples: int = 1000
     seed: int = 20260823
-    fd_step: float = 1e-5
     u_floor: float = 0.05
     branch: str = "any"
     tamper_j34: bool = False
@@ -266,7 +265,6 @@ _VERIFY = {
     "tamper_j34": _boolean,
     "seed": _seed,
     "samples": _count,
-    "fd_step": _positive,
     "u_floor": _positive,
     "phi_override": _optional_expr,
     "casimir_potential": _potential,

@@ -484,30 +484,6 @@ _G10_WEIGHTS = (
 )
 
 
-def _sampler(f: Callable[[float], float], a: float, b: float, tol: float):
-    """``f`` behind the argument checks shared by both rules, raising
-    QuadratureError on a non-finite sample."""
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"bounds must be finite, got {a!r}, {b!r}")
-
-    def sample(x: float) -> float:
-        y = float(f(x))
-        if not math.isfinite(y):
-            raise QuadratureError(f"non-finite integrand value {y!r} at lambda={x!r}")
-        return y
-
-    return sample
-
-
-def _depth_limit(lo: float, hi: float) -> QuadratureError:
-    return QuadratureError(
-        f"subdivision limit {_QUAD_MAX_DEPTH} reached on [{lo!r}, {hi!r}] "
-        f"before tolerance was met"
-    )
-
-
 def quad_adaptive(
     f: Callable[[float], float],
     a: float,
@@ -528,11 +504,21 @@ def quad_adaptive(
     panel to bisect is already ``_QUAD_MAX_DEPTH`` halvings deep, or when
     ``_QUAD_MAX_PANELS`` panels have not met ``tol``.
     """
-    sample = _sampler(f, a, b, tol)
+    if not (tol > 0.0) or not math.isfinite(tol):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bounds must be finite, got {a!r}, {b!r}")
     if a == b:
         return 0.0
     if b < a:
         return -quad_adaptive(f, b, a, tol)
+
+    def sample(x: float) -> float:
+        y = float(f(x))
+        if not math.isfinite(y):
+            raise QuadratureError(f"non-finite integrand value {y!r} at lambda={x!r}")
+        return y
+
     panels = [_gk21(sample, a, b, 0)]
     # a running sum of the panels' errors, recomputed by math.fsum when it
     # leaves [exact/2, 2*exact], so its rounding stays near 1e-11 of it
@@ -548,7 +534,10 @@ def quad_adaptive(
         if -neg_err <= floor:
             break  # every error left is rounding noise: tol is below it
         if depth >= _QUAD_MAX_DEPTH:
-            raise _depth_limit(lo, hi)
+            raise QuadratureError(
+                f"subdivision limit {_QUAD_MAX_DEPTH} reached on [{lo!r}, {hi!r}] "
+                f"before tolerance was met"
+            )
         mid = 0.5 * (lo + hi)
         left = _gk21(sample, lo, mid, depth + 1)
         right = _gk21(sample, mid, hi, depth + 1)
@@ -585,50 +574,4 @@ def _abs_integral(lo: float, hi: float, samples: tuple) -> float:
     return 0.5 * (hi - lo) * (
         _K21_WEIGHTS[0] * abs(centre)
         + sum(w * (abs(yl) + abs(yr)) for w, yl, yr in zip(_K21_WEIGHTS[1:], left, right))
-    )
-
-
-def _quad_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """``quad_adaptive``'s contract by the adaptive Simpson rule: each
-    interval is halved and the two-panel estimate is compared with the
-    one-panel estimate; agreement within 15*tol accepts the
-    Richardson-extrapolated value.
-
-    Only the radial quadrature of the second Casimir uses it: its
-    finite-difference ``verify casimir`` sweep fails more often on the
-    Gauss-Kronrod rule.  Exact derivatives of that Casimir (ROADMAP item
-    2) remove this second rule.
-    """
-    sample = _sampler(f, a, b, tol)
-    if a == b:
-        return 0.0
-    if b < a:
-        return -_quad_simpson(f, b, a, tol)
-    fa = sample(a)
-    fb = sample(b)
-    fm = sample(0.5 * (a + b))
-    return _adapt(sample, a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, 0)
-
-
-def _simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-    return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-
-# not nested in _quad_simpson, where it would be a reference cycle per call
-def _adapt(sample, lo, hi, flo, fmid, fhi, whole, eps, depth):
-    mid = 0.5 * (lo + hi)
-    lmid = 0.5 * (lo + mid)
-    rmid = 0.5 * (mid + hi)
-    flm = sample(lmid)
-    frm = sample(rmid)
-    left = _simpson(lo, mid, flo, flm, fmid)
-    right = _simpson(mid, hi, fmid, frm, fhi)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * eps:
-        return left + right + delta / 15.0
-    if depth >= _QUAD_MAX_DEPTH:
-        raise _depth_limit(lo, hi)
-    half = 0.5 * eps
-    return _adapt(sample, lo, mid, flo, flm, fmid, left, half, depth + 1) + _adapt(
-        sample, mid, hi, fmid, frm, fhi, right, half, depth + 1
     )

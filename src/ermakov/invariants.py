@@ -1,5 +1,6 @@
 """Conserved quantities: the Ermakov invariant, the Casimir pair of the
-degenerate (class-1) structure, and the angle-to-time quadrature.
+degenerate (class-1) structure with its exact gradients, and the
+angle-to-time quadrature.
 
 Reports record conventions (``I_CONVENTIONS``, ``c2_conventions``) beside
 the values because two of them are real choices rather than mathematics:
@@ -28,6 +29,8 @@ __all__ = [
     "grad_ermakov",
     "casimir_C1",
     "casimir_C2",
+    "grad_casimir_C1",
+    "grad_casimir_C2",
     "c2_conventions",
     "h_of_theta",
     "elapsed_time",
@@ -141,22 +144,34 @@ def _radial_quadrature(
 
     When the lower limit is a simple turning point the substitution
     lam = lam0 +/- s^2 removes the inverse-square-root endpoint
-    singularity; the s = 0 sample is the analytic limit 2/sqrt(|V'|).
-    Both forms use the adaptive Simpson rule (``expr._quad_simpson``).
+    singularity (``_from_turning_point``).
     """
     if rbar == lam0:
         return 0.0
-    direction = 1.0 if rbar > lam0 else -1.0
     pot = potential.fn
     gap0 = c1 - pot(lam0, t)
     singular_end = abs(gap0) <= 1e-10 * max(1.0, abs(c1))
     if not singular_end:
-        return (1.0 / math.sqrt(2.0)) * ex._quad_simpson(
+        return (1.0 / math.sqrt(2.0)) * ex.quad_adaptive(
             lambda lam: 1.0 / math.sqrt(c1 - pot(lam, t)),
             lam0,
             rbar,
             _ORBIT_TOL,
         )
+    return _from_turning_point(
+        potential, c1, lam0, rbar, t, lambda gap, lam: 1.0 / math.sqrt(gap), _ORBIT_TOL
+    ) / math.sqrt(2.0)
+
+
+def _from_turning_point(
+    potential: Potential, c1: float, lam0: float, lam1: float, t: float, f, tol: float
+) -> float:
+    """The integral of f(c1 - V(lam), lam) over lam from the turning point
+    lam0 to lam1, for an f with an inverse-square-root singularity in the
+    gap c1 - V: lam = lam0 +/- s^2 turns it into the integral of the
+    bounded 2 s f over s from 0 to sqrt|lam1 - lam0|, on Gauss-Kronrod
+    (which never samples s = 0)."""
+    direction = 1.0 if lam1 > lam0 else -1.0
     slope = potential.slope(lam0, t)
     # approaching the well from the turning point: c1 - V must grow
     if direction * slope >= 0.0:
@@ -166,18 +181,54 @@ def _radial_quadrature(
         )
 
     def transformed(sv: float) -> float:
-        if sv == 0.0:
-            return 2.0 / math.sqrt(abs(slope))
         lam = lam0 + direction * sv * sv
-        gap = c1 - pot(lam, t)
+        gap = c1 - potential.fn(lam, t)
         if gap <= 0.0:
             # roundoff right next to the turning point
             gap = abs(slope) * sv * sv
-        return 2.0 * sv / math.sqrt(gap)
+        return 2.0 * sv * f(gap, lam)
 
-    s_max = math.sqrt(abs(rbar - lam0))
-    val = ex._quad_simpson(transformed, 0.0, s_max, _ORBIT_TOL)
-    return direction * val / math.sqrt(2.0)
+    s_max = math.sqrt(abs(lam1 - lam0))
+    return direction * ex.quad_adaptive(transformed, 0.0, s_max, tol)
+
+
+def _dF_dc1(potential: Potential, c1: float, rbar: float, t: float) -> float:
+    """d/dc1 of F(c1, rbar), the radial term of C2 (its quadrature from
+    the turning point lam0(c1), or the closed form on the oscillator).
+
+    Differentiating the s-substituted quadrature would leave the integrand
+    s (c1 - V)^(-3/2) (1 - V'(lam)/V'(lam0)), which cancels
+    catastrophically as s -> 0.  Instead the path is split at lam_m, a
+    quarter of the way from lam0 to rbar.  On [lam0, lam_m], integrating
+    by parts gives an integrand, (c1 - V)^(1/2) V''/V'^2, that vanishes at
+    the moving end, so its c1-derivative has no endpoint term; on
+    [lam_m, rbar] the limits are fixed:
+
+        sqrt(2) dF/dc1 = -1/(V'(lam_m) sqrt(c1 - V(lam_m)))
+                         - int_{lam0}^{lam_m} (c1 - V)^(-1/2) V''/V'^2 dlam
+                         - (1/2) int_{lam_m}^{rbar} (c1 - V)^(-3/2) dlam.
+
+    The first integral needs V' != 0 on [lam0, lam_m].
+    """
+    if potential.singular_oscillator:
+        # F = sqrt(2 c1 rbar^2 - 1) / (2 c1)
+        rho = rbar * rbar
+        return (1.0 - c1 * rho) / (2.0 * c1 * c1 * math.sqrt(2.0 * c1 * rho - 1.0))
+    pot, slope, curvature = potential.fn, potential.slope, potential.curvature
+    lam0 = _turning_point(potential, c1, rbar, t)
+    lam_m = lam0 + 0.25 * (rbar - lam0)
+    boundary = 1.0 / (slope(lam_m, t) * math.sqrt(c1 - pot(lam_m, t)))
+    # the three terms are of the size of the first: an absolute tolerance
+    # below _ORBIT_TOL of it asks the integrals for digits the gap
+    # c1 - V, which cancels near lam0, does not hold
+    tol = _ORBIT_TOL * max(1.0, abs(boundary))
+
+    def by_parts(gap: float, lam: float) -> float:
+        return curvature(lam, t) / (math.sqrt(gap) * slope(lam, t) ** 2)
+
+    near = _from_turning_point(potential, c1, lam0, lam_m, t, by_parts, tol)
+    far = ex.quad_adaptive(lambda lam: (c1 - pot(lam, t)) ** -1.5, lam_m, rbar, tol)
+    return -(boundary + near + 0.5 * far) / math.sqrt(2.0)
 
 
 def c2_conventions(potential: Potential, lam0: Optional[float] = None) -> dict:
@@ -233,6 +284,45 @@ def casimir_C2(
             return s.theta
         raise BranchError("u = 0 away from the turning point: branch sign undefined")
     return s.theta - math.copysign(1.0, -s.u / s.v) * quad
+
+
+def grad_casimir_C1(
+    potential: Potential,
+    s: PhaseState,
+    t: float = 0.0,
+    floors: Floors = DEFAULT_FLOORS,
+) -> tuple:
+    """Phase-space gradient of C1 at fixed t, with alpha = u/v:
+
+        (-V'(1/r, t)/r^2, 0, alpha/v, -alpha^2/v).
+    """
+    alpha = s.alpha(floors.v_min)
+    return (-potential.slope(1.0 / s.r, t) / (s.r * s.r), 0.0, alpha / s.v, -alpha * alpha / s.v)
+
+
+def grad_casimir_C2(
+    potential: Potential,
+    s: PhaseState,
+    t: float = 0.0,
+    floors: Floors = DEFAULT_FLOORS,
+) -> tuple:
+    """Phase-space gradient of C2 at fixed t, with its lower limit at the
+    turning point (the default of ``casimir_C2``).
+
+    With C2 = theta - sigma F(c1, 1/r), dF/drbar = 1/sqrt(2 (c1 - V(1/r)))
+    = 1/|alpha| and sigma/|alpha| = -1/alpha, so
+
+        grad C2 = (0, 1, 0, 0) - sigma dF/dc1 grad C1 - (1/(alpha r^2), 0, 0, 0).
+
+    Undefined at u = 0, where 1/|alpha| is.
+    """
+    if s.u == 0.0:
+        raise BranchError("u = 0: the gradient of C2 is undefined")
+    alpha = s.alpha(floors.v_min)
+    grad1 = grad_casimir_C1(potential, s, t, floors)
+    c1 = casimir_C1(potential, s, t, floors)
+    k = -math.copysign(1.0, -alpha) * _dF_dc1(potential, c1, 1.0 / s.r, t)
+    return (k * grad1[0] - 1.0 / (alpha * s.r * s.r), 1.0, k * grad1[2], k * grad1[3])
 
 
 def h_of_theta(g: Expr, theta: float, invariant: float) -> float:

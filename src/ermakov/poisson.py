@@ -11,19 +11,20 @@ and differ in J13 and J34:
     class 2:  J13 = (u/v)^2 + u psi,    J34 = u phi + 2 u v psi / r
 
 with phi free in class 1 and constructed from psi in class 2.  Checks
-offered here: the four Jacobi-identity cyclic sums (finite differences),
-determinant versus Pfaffian, Hamiltonian flow reconstruction, the
-class-2 consistency condition, and Casimir residuals.
+offered here: the four Jacobi-identity cyclic sums (exact partials, by
+the chain rule through alpha = u/v), determinant versus Pfaffian,
+Hamiltonian flow reconstruction, the class-2 consistency condition, and
+Casimir residuals.  Everything runs on Python floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence, Union
 
-import numpy as np
-
+from . import expr as ex
+from .expr import Expr
 from .systems import (
     DEFAULT_FLOORS,
     Class2Phi,
@@ -44,7 +45,6 @@ __all__ = [
     "pfaffian",
     "determinant",
     "det_class2_quoted",
-    "central_differences",
     "jacobi_residuals",
     "JACOBI_TRIPLES",
     "hamiltonian_flow",
@@ -57,9 +57,9 @@ __all__ = [
 JACOBI_TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
-@dataclass(frozen=True)
-class SkewMatrix4:
-    """A 4x4 skew-symmetric matrix stored by its upper triangle.
+class SkewMatrix4(NamedTuple):
+    """A 4x4 skew-symmetric matrix stored by its upper triangle: the
+    6-tuple (j12, j13, j14, j23, j24, j34).
 
     Field names carry the 1-based index pair of the entry, matching the
     coordinate order (r, theta, u, v).  Skewness is exact by
@@ -75,7 +75,7 @@ class SkewMatrix4:
 
     def rows(self) -> tuple:
         """The full matrix as four rows of floats."""
-        j12, j13, j14, j23, j24, j34 = self.upper()
+        j12, j13, j14, j23, j24, j34 = self
         return (
             (0.0, j12, j13, j14),
             (-j12, 0.0, j23, j24),
@@ -83,25 +83,22 @@ class SkewMatrix4:
             (-j14, -j24, -j34, 0.0),
         )
 
-    def upper(self) -> tuple:
-        """The six upper-triangle entries (j12, j13, j14, j23, j24, j34)."""
-        return (self.j12, self.j13, self.j14, self.j23, self.j24, self.j34)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows(), dtype=float)
-
     def norm(self) -> float:
         """Frobenius norm."""
-        j12, j13, j14, j23, j24, j34 = self.upper()
+        j12, j13, j14, j23, j24, j34 = self
         return math.sqrt(2.0 * (j12**2 + j13**2 + j14**2 + j23**2 + j24**2 + j34**2))
 
 
 @dataclass(frozen=True)
 class MatrixField:
-    """State-dependent Poisson matrix: a closure plus a class tag."""
+    """State-dependent Poisson matrix: a closure, a class tag, and a
+    closure ``derivatives(s, t)`` that returns the matrix at s together
+    with the partials of its six upper entries with respect to r, theta,
+    u and v (four 6-tuples), at fixed t."""
 
     evaluate: Callable[[PhaseState, float], SkewMatrix4]
     kind: str
+    derivatives: Callable[[PhaseState, float], tuple]
 
     def __call__(self, s: PhaseState, t: float = 0.0) -> SkewMatrix4:
         return self.evaluate(s, t)
@@ -115,7 +112,7 @@ def _common_entries(s: PhaseState, floors: Floors):
 
 
 def matrix_class1(
-    phi: Union[FuncHandle, Callable],
+    phi: FuncHandle,
     s: PhaseState,
     t: float = 0.0,
     floors: Floors = DEFAULT_FLOORS,
@@ -203,46 +200,51 @@ def det_class2_quoted(psi_val: float, s: PhaseState) -> float:
     return (u * u * psi_val / r**4) * (2.0 * u / (v * v) + psi_val)
 
 
-def central_differences(func: Callable, s: PhaseState, h: float) -> list:
-    """The list of (func(s + h e_k) - func(s - h e_k)) / (2 h) over the
-    coordinates k of (r, theta, u, v); func returns a flat tuple of
-    floats, differenced entry by entry."""
-    coords = (s.r, s.theta, s.u, s.v)
-    out = []
-    for k in range(4):
-        hi, lo = list(coords), list(coords)
-        hi[k] += h
-        lo[k] -= h
-        pairs = zip(func(PhaseState(*hi)), func(PhaseState(*lo)))
-        out.append(tuple([(a - b) / (2.0 * h) for a, b in pairs]))
-    return out
+def _upper_partials(s: PhaseState, alpha: float, psi: tuple, phi: tuple) -> tuple:
+    """d/dr, d/dtheta, d/du and d/dv of the six upper entries of the
+    class-2 matrix, from psi and phi with their partials (f, f_alpha,
+    f_r, f_theta) at (alpha, r, theta, t); class 1 is psi = 0.  alpha =
+    u/v enters through d(alpha)/du = 1/v and d(alpha)/dv = -alpha/v."""
+    r, u, v = s.r, s.u, s.v
+    p, p_alpha, p_r, p_theta = psi
+    f, f_alpha, f_r, f_theta = phi
+    r2 = r * r
+    r3 = r2 * r
+    return (
+        (0.0, u * p_r, 0.0, -2.0 * alpha / r3, -2.0 / r3,
+         u * f_r + 2.0 * u * v * (p_r / r - p / r2)),
+        (0.0, u * p_theta, 0.0, 0.0, 0.0, u * f_theta + 2.0 * u * v * p_theta / r),
+        (0.0, 2.0 * alpha / v + p + u * p_alpha / v, 1.0 / v, 1.0 / (r2 * v), 0.0,
+         f + u * f_alpha / v + 2.0 * (v * p + u * p_alpha) / r),
+        (0.0, -alpha * (2.0 * alpha + u * p_alpha) / v, -alpha / v, -alpha / (r2 * v), 0.0,
+         -alpha * u * f_alpha / v + 2.0 * u * (p - alpha * p_alpha) / r),
+    )
+
+
+def _jet(f, *point: float) -> tuple:
+    """(f, f_alpha, f_r, f_theta) at point = (alpha, r, theta, t), from
+    ``f.partial`` (a FuncHandle or a Class2Phi)."""
+    return (f(*point), *[f.partial(var)(*point) for var in ("alpha", "r", "theta")])
 
 
 # per JACOBI_TRIPLES entry a < b < c (0-based): a, b, c and the positions
-# in SkewMatrix4.upper() of the entries (b, c), (a, c) and (a, b); the
-# cyclic sum's middle entry (c, a) is the negation of (a, c)
+# in the 6-tuple of upper entries of (b, c), (a, c) and (a, b); the cyclic
+# sum's middle entry (c, a) is the negation of (a, c)
 _JACOBI_SLOTS = (
     (0, 1, 2, 3, 1, 0), (0, 1, 3, 4, 2, 0), (0, 2, 3, 5, 2, 1), (1, 2, 3, 5, 4, 3)
 )
 
 
-def jacobi_residuals(
-    field: MatrixField,
-    s: PhaseState,
-    t: float = 0.0,
-    h: float = 1e-5,
-) -> tuple:
+def jacobi_residuals(field: MatrixField, s: PhaseState, t: float = 0.0) -> tuple:
     """The four cyclic sums J^{mu a} d_mu J^{bc} + J^{mu b} d_mu J^{ca}
     + J^{mu c} d_mu J^{ab} for (a,b,c) in JACOBI_TRIPLES.
 
-    Phase-space derivatives are central differences with step h of the
-    upper triangle; a lower entry's is the negated upper one's, as
-    differencing the negated entries gives bit for bit.  Time is held
-    fixed.  All four vanish (to differencing accuracy) exactly when the
-    field is Poisson.
+    The phase-space partials are the field's exact ``derivatives``; a
+    lower entry's is the negated upper one's.  Time is held fixed.  All
+    four vanish (to rounding) exactly when the field is Poisson.
     """
-    center = field(s, t).rows()
-    grads = central_differences(lambda p: field(p, t).upper(), s, h)
+    m, grads = field.derivatives(s, t)
+    center = m.rows()
     out = []
     for a, b, c, bc, ac, ab in _JACOBI_SLOTS:
         acc = 0.0
@@ -252,6 +254,19 @@ def jacobi_residuals(
     return tuple(out)
 
 
+def _times(m: SkewMatrix4, g: Sequence[float], name: str) -> tuple:
+    """m times the 4-vector g on floats.  Each row sums as
+    0.0 + ((a0 g0 + a2 g2) + (a1 g1 + a3 g3)), the order, signed zeros
+    included, of the numpy ``@`` this replaced (OpenBLAS's Haswell
+    ``dgemv``), so flow and Casimir residuals kept their bits."""
+    if len(g) != 4:
+        raise ValueError(f"{name} must be a 4-vector")
+    g0, g1, g2, g3 = map(float, g)
+    return tuple(
+        [0.0 + ((a0 * g0 + a2 * g2) + (a1 * g1 + a3 * g3)) for a0, a1, a2, a3 in m.rows()]
+    )
+
+
 def hamiltonian_flow(
     field: MatrixField,
     grad_h: Sequence[float],
@@ -259,11 +274,7 @@ def hamiltonian_flow(
     t: float = 0.0,
 ) -> Flow4:
     """The flow J grad(H) generated by a Hamiltonian gradient."""
-    g = np.asarray(grad_h, dtype=float)
-    if g.shape != (4,):
-        raise ValueError("grad_h must be a 4-vector")
-    x = field(s, t).as_array() @ g
-    return Flow4(*x.tolist())
+    return Flow4(*_times(field(s, t), grad_h, "grad_h"))
 
 
 def consistency_residual(
@@ -289,14 +300,9 @@ def consistency_residual(
     alpha = s.alpha(floors.v_min)
     r, theta, u, v = s.r, s.theta, s.u, s.v
 
-    psi_val = psi(alpha, r, theta, t)
-    psi_prime = psi.partial("alpha")(alpha, r, theta, t)
-    psi_r = psi.partial("r")(alpha, r, theta, t)
-    psi_theta = psi.partial("theta")(alpha, r, theta, t)
-
+    psi_val, psi_prime, psi_r, psi_theta = _jet(psi, alpha, r, theta, t)
     phi_val = phi(alpha, r, theta, t)
-    dphi = phi.partial_alpha if isinstance(phi, Class2Phi) else phi.partial("alpha")
-    phi_prime = dphi(alpha, r, theta, t)
+    phi_prime = phi.partial("alpha")(alpha, r, theta, t)
 
     left = psi_val * phi_prime - psi_prime * phi_val
     right = psi_r + v / (r * r * u) * psi_theta - (2.0 / r) * psi_val
@@ -308,41 +314,60 @@ def casimir_residuals(
     grad_c: Sequence[float],
     s: PhaseState,
     t: float = 0.0,
-) -> np.ndarray:
-    """The 4-vector J grad(C).  All components vanish when C is a Casimir
-    of the structure; under a non-degenerate matrix no nonconstant C can
-    achieve that."""
-    g = np.asarray(grad_c, dtype=float)
-    if g.shape != (4,):
-        raise ValueError("grad_c must be a 4-vector")
-    return field(s, t).as_array() @ g
+) -> tuple:
+    """The 4-vector J grad(C), as a tuple of floats.  All components
+    vanish when C is a Casimir of the structure; under a non-degenerate
+    matrix no nonconstant C can achieve that."""
+    return _times(field(s, t), grad_c, "grad_c")
 
 
-def perturb_j34(field: MatrixField, amount: Callable[[PhaseState, float], float]) -> MatrixField:
-    """A copy of the field with J34 shifted by amount(s, t).
+_STATE_VARS = ("r", "theta", "u", "v", "t")
+
+
+def perturb_j34(field: MatrixField, amount: Expr) -> MatrixField:
+    """A copy of the field with J34 shifted by ``amount``, an expression
+    in (r, theta, u, v, t), whose partials are taken symbolically.
 
     Breaks the Jacobi identities for any non-constant shift; used as the
     negative control in verification sweeps.
     """
+    shift = ex.compile(amount, _STATE_VARS)
+    slopes = [ex.compile(ex.differentiate(amount, var), _STATE_VARS) for var in _STATE_VARS[:4]]
 
     def tampered(s: PhaseState, t: float = 0.0) -> SkewMatrix4:
         m = field(s, t)
-        return replace(m, j34=m.j34 + amount(s, t))
+        return m._replace(j34=m.j34 + shift(s.r, s.theta, s.u, s.v, t))
 
-    return MatrixField(evaluate=tampered, kind=field.kind + "+tampered")
+    def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
+        m, grads = field.derivatives(s, t)
+        point = (s.r, s.theta, s.u, s.v, t)
+        return m._replace(j34=m.j34 + shift(*point)), tuple(
+            [(*d[:5], d[5] + slope(*point)) for d, slope in zip(grads, slopes)]
+        )
+
+    return MatrixField(tampered, field.kind + "+tampered", derivatives)
 
 
-def matrix_field_class1(
-    phi, floors: Floors = DEFAULT_FLOORS
-) -> MatrixField:
+# psi and its partials in class 1, where psi = 0
+_NO_PSI = (0.0, 0.0, 0.0, 0.0)
+
+
+def matrix_field_class1(phi: FuncHandle, floors: Floors = DEFAULT_FLOORS) -> MatrixField:
+    def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
+        m = matrix_class1(phi, s, t, floors)  # m.j14 is alpha
+        return m, _upper_partials(s, m.j14, _NO_PSI, _jet(phi, m.j14, s.r, s.theta, t))
+
     return MatrixField(
-        evaluate=lambda s, t=0.0: matrix_class1(phi, s, t, floors), kind="class1"
+        lambda s, t=0.0: matrix_class1(phi, s, t, floors), "class1", derivatives
     )
 
 
-def matrix_field_class2(
-    phi: Class2Phi, floors: Floors = DEFAULT_FLOORS
-) -> MatrixField:
+def matrix_field_class2(phi: Class2Phi, floors: Floors = DEFAULT_FLOORS) -> MatrixField:
+    def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
+        m = matrix_class2(phi, s, t, floors)
+        point = (m.j14, s.r, s.theta, t)  # m.j14 is alpha
+        return m, _upper_partials(s, m.j14, _jet(phi.psi, *point), _jet(phi, *point))
+
     return MatrixField(
-        evaluate=lambda s, t=0.0: matrix_class2(phi, s, t, floors), kind="class2"
+        lambda s, t=0.0: matrix_class2(phi, s, t, floors), "class2", derivatives
     )

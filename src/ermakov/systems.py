@@ -23,6 +23,7 @@ coupling (``frequency_squared``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -190,12 +191,12 @@ class FuncHandle:
         return var in ex.free_vars(self.tree)
 
     def partial(self, var: str) -> "FuncHandle":
-        """Symbolic partial derivative, differentiated once per variable."""
+        """Symbolic partial derivative, differentiated once per variable;
+        a constant 0 for a variable the tree does not contain."""
         handle = self._partials.get(var)
         if handle is None:
-            handle = self._partials[var] = FuncHandle(
-                tree=ex.differentiate(self.tree, var), name=f"d({self.name})/d{var}"
-            )
+            tree = ex.differentiate(self.tree, var) if self.depends_on(var) else Num(0.0)
+            handle = self._partials[var] = FuncHandle(tree=tree, name=f"d({self.name})/d{var}")
         return handle
 
     def __repr__(self):
@@ -252,6 +253,11 @@ class Potential:
         return ex.compile(self.dtree, _POTENTIAL_VARS)
 
     @cached_property
+    def curvature(self):
+        """d^2V/drbar^2 compiled, a function of (rbar, t)."""
+        return ex.compile(ex.differentiate(self.dtree, "rbar"), _POTENTIAL_VARS)
+
+    @cached_property
     def phi(self) -> FuncHandle:
         """The induced coupling phi(alpha, r, theta, t) =
         (dV/drbar)(1/r, t) / (r^2 alpha).  Flow evaluations use ``slope``
@@ -264,6 +270,14 @@ class Potential:
 
     def __repr__(self):
         return f"Potential({ex.to_text(self.tree)})"
+
+
+# the class-2 integrand as a tree in psi and its r- and theta-partials, by
+# whether psi depends on theta (only then is the 1/lam term there)
+_INTEGRAND = {
+    False: ex.parse("(psi_r - 2/r*psi)/(psi*psi)"),
+    True: ex.parse("(psi_r - 2/r*psi + psi_theta/(r*r*alpha))/(psi*psi)"),
+}
 
 
 class Class2Phi:
@@ -282,11 +296,13 @@ class Class2Phi:
     that case the integration path must not touch lam = 0.  The derivative
     with respect to alpha is exact (fundamental theorem of calculus), which
     matters for consistency-condition checks: differencing the quadrature
-    would cost five to six digits.
+    would cost five to six digits.  The derivatives with respect to r and
+    theta are exact too: the integrand is differentiated under the
+    integral sign, which takes second partials of psi.
 
     The psi partials are derived on first use.  The last value is kept
-    with its (alpha, r, theta, t), so phi and its alpha-derivative, or the
-    matrix and the flow, at one state share one quadrature.
+    with its (alpha, r, theta, t), so phi and its derivatives, or the
+    matrix and the flow, at one state share one quadrature of phi.
     """
 
     def __init__(
@@ -302,7 +318,7 @@ class Class2Phi:
             if bad:
                 raise ValueError(f"chi uses variables {bad} outside (r, theta, t)")
         self.psi = psi
-        self._chi = None if chi is None else ex.compile(chi, ("r", "theta", "t"))
+        self._chi = None if chi is None else FuncHandle(chi)
         self.lam0 = float(lam0)
         self.tol = float(tol)
         self.psi_min = float(psi_min)
@@ -312,6 +328,7 @@ class Class2Phi:
         # set here rather than added on first use: an attribute added after
         # __init__ slows every attribute read on the instance in CPython 3.11
         self._partials = None
+        self._under_integral = {}
         self._last = (None, None)
 
     def _derive_partials(self) -> tuple:
@@ -359,7 +376,7 @@ class Class2Phi:
                 lambda lam: self.integrand(lam, r, theta, t), self.lam0, alpha, self.tol
             )
         if self._chi is not None:
-            k += self._chi(r, theta, t)
+            k += self._chi.fn(alpha, r, theta, t)
         value = k * self._psi_at(alpha, r, theta, t)
         self._last = (key, value)
         return value
@@ -369,6 +386,55 @@ class Class2Phi:
         w = self._psi_at(alpha, r, theta, t)
         dpsi = (self._partials or self._derive_partials())[2](alpha, r, theta, t)
         return self.integrand(alpha, r, theta, t) * w + self(alpha, r, theta, t) * dpsi / w
+
+    def partial(self, var: str) -> Callable[..., float]:
+        """d(phi)/d(var) for var alpha, r or theta, as a function of
+        (alpha, r, theta, t), like ``FuncHandle.partial``."""
+        if var == "alpha":
+            return self.partial_alpha
+        return functools.partial(self._partial_under_integral, var)
+
+    def _partial_under_integral(
+        self, var: str, alpha: float, r: float, theta: float, t: float = 0.0
+    ) -> float:
+        """d(phi)/d(var) for var r or theta: with phi = K psi(alpha),
+        d(phi) = dK psi + K d(psi), where dK integrates the derivative of
+        the integrand over the path of K (exactly when K's integrand is
+        constant in lam) and adds the derivative of chi."""
+        w = self._psi_at(alpha, r, theta, t)
+        k = self(alpha, r, theta, t) / w
+        d_integrand = self._integrand_partial(var)
+        if d_integrand is None:
+            dk = 0.0
+        elif self._constant_integrand:
+            dk = (alpha - self.lam0) * d_integrand(alpha, r, theta, t)
+        else:
+            dk = ex.quad_adaptive(
+                lambda lam: d_integrand(lam, r, theta, t), self.lam0, alpha, self.tol
+            )
+        if self._chi is not None:
+            dk += self._chi.partial(var).fn(alpha, r, theta, t)
+        return dk * w + k * self.psi.partial(var).fn(alpha, r, theta, t)
+
+    def _integrand_partial(self, var: str):
+        """d(integrand)/d(var) compiled, a function of (lam, r, theta, t),
+        or None where the integrand is free of var; derived on first use,
+        from the integrand written as a tree, and kept."""
+        if var not in self._under_integral:
+            tree = _INTEGRAND[self._theta_dependent]
+            psi = self.psi
+            for name, sub in (
+                ("psi_r", psi.partial("r").tree),
+                ("psi_theta", psi.partial("theta").tree),
+                ("psi", psi.tree),
+            ):
+                tree = ex.substitute(tree, name, sub)
+            self._under_integral[var] = (
+                ex.compile(ex.differentiate(tree, var), _HANDLE_VARS)
+                if var in ex.free_vars(tree)
+                else None
+            )
+        return self._under_integral[var]
 
 
 # the structure class each type of coupling selects

@@ -1,6 +1,7 @@
 """Shared bits for the test suite: random expression trees, a couple
-of reference systems used across files, and numpy reference copies of
-the verification sweeps that now run on Python floats."""
+of reference systems used across files, numpy reference copies of float
+code, and the central-difference Jacobi sweep that cross-checks the
+exact partials."""
 
 import math
 import random
@@ -100,9 +101,11 @@ def count_outermost_calls(monkeypatch, owner, name: str) -> list:
     return count
 
 
-# numpy reference copies of the float code in ermakov.poisson and
-# ermakov.config.sample_states: what those computed on arrays and numpy
-# scalars, kept so that tests can pin the float path bit for bit
+# numpy reference copies: the matrix and determinant of ermakov.poisson
+# and ermakov.config.sample_states as they ran on arrays and numpy
+# scalars, kept so that tests can pin the float path bit for bit; and the
+# central differences that ermakov.poisson used before its partials were
+# exact, kept as an independent check of them at a loose tolerance
 
 
 def reference_array(m) -> np.ndarray:

@@ -94,7 +94,7 @@ def test_criterion_1_jacobi_identities():
     for phi in CLASS1_PHI_POOL:
         field = poisson.matrix_field_class1(phi)
         for s in states:
-            res = poisson.jacobi_residuals(field, s, 0.7, FD_STEP)
+            res = poisson.jacobi_residuals(field, s, 0.7)
             worst = max(worst, float(np.max(np.abs(res))))
     for psi_text in CLASS2_PSI_POOL:
         for chi_text in CLASS2_CHI_POOL:
@@ -105,7 +105,7 @@ def test_criterion_1_jacobi_identities():
                 )
             )
             for s in states:
-                res = poisson.jacobi_residuals(field, s, 0.7, FD_STEP)
+                res = poisson.jacobi_residuals(field, s, 0.7)
                 worst = max(worst, float(np.max(np.abs(res))))
     assert verdict(
         1,
@@ -117,10 +117,10 @@ def test_criterion_1_jacobi_identities():
 
 def test_criterion_1_tampered_structure_fails():
     field = poisson.perturb_j34(
-        poisson.matrix_field_class1(CLASS1_PHI_POOL[1]), lambda s, t: 0.1 * s.r
+        poisson.matrix_field_class1(CLASS1_PHI_POOL[1]), ex.parse("0.1*r")
     )
     worst = max(
-        float(np.max(np.abs(poisson.jacobi_residuals(field, s, 0.0, FD_STEP))))
+        float(np.max(np.abs(poisson.jacobi_residuals(field, s, 0.0))))
         for s in states_any(100)
     )
     assert verdict(

@@ -46,7 +46,7 @@ TWO = FuncHandle.from_text("2")
 
 def test_skew_matrix_layout():
     m = SkewMatrix4(j12=1.0, j13=2.0, j14=3.0, j23=4.0, j24=5.0, j34=6.0)
-    a = m.as_array()
+    a = np.array(m.rows())
     assert np.array_equal(a, -a.T)
     assert a[0, 2] == 2.0
     assert a[2, 0] == -2.0
@@ -81,8 +81,9 @@ def test_determinant_against_numpy():
     for _ in range(100):
         m = SkewMatrix4(*(rng.uniform(-2, 2) for _ in range(6)))
         assert determinant(m) == pytest.approx(
-            float(np.linalg.det(m.as_array())), rel=1e-10, abs=1e-12
+            float(np.linalg.det(reference_array(m))), rel=1e-10, abs=1e-12
         )
+        assert determinant(m) == reference_determinant(m)
 
 
 def test_determinant_is_pfaffian_squared():
@@ -150,9 +151,7 @@ def test_jacobi_identities_class2(psi, chi):
 
 
 def test_tampered_j34_breaks_jacobi():
-    field = perturb_j34(
-        matrix_field_class1(PHI_POOL[1]), lambda s, t: 0.1 * s.r
-    )
+    field = perturb_j34(matrix_field_class1(PHI_POOL[1]), ex.parse("0.1*r"))
     assert field.kind.endswith("tampered")
     worst = max(
         np.max(np.abs(jacobi_residuals(field, s))) for s in random_states(47, 30)
@@ -270,8 +269,7 @@ OFF_OSCILLATOR = Potential(ex.parse("1/(2*rbar^2) + 0.1*rbar"))
 
 
 def _dense(s, t=0.0):
-    # no zero entry, so no product in a cyclic sum vanishes: a change in
-    # the order of its terms shows in the last bits
+    # no zero entry and no zero partial, so each slot of a cyclic sum shows
     r, th, u, v = s.r, s.theta, s.u, s.v
     return SkewMatrix4(
         j12=r * u + th,
@@ -283,53 +281,105 @@ def _dense(s, t=0.0):
     )
 
 
-# the fields whose sweeps run on floats, each against its numpy reference
-FLOAT_PATH_FIELDS = {
-    "dense": lambda: poisson.MatrixField(evaluate=_dense, kind="dense"),
-    "class1": lambda: matrix_field_class1(PHI_POOL[2]),
-    "class2": lambda: matrix_field_class2(
-        Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
+def _dense_derivatives(s, t=0.0):
+    r, th, u, v = s.r, s.theta, s.u, s.v
+    return _dense(s, t), (
+        (u, -1.0, 0.0, v * u, -th, th),
+        (1.0, 0.0, v, 0.0, -r, r),
+        (r, v, 0.0, r * v, 1.0, 0.0),
+        (0.0, u, th, r * u, 0.0, 2.0 * v),
+    )
+
+
+def _alpha_positive(states):
+    return [PhaseState(s.r, s.theta, abs(s.u), abs(s.v)) for s in states]
+
+
+# the fields whose exact partials are checked against central differences,
+# each with its states: a dense field with hand-written partials, the
+# class-1 pool, the phi of an off-oscillator potential, class 2 with a
+# quadrature and a chi, class 2 with a theta-dependent psi (its path from
+# lam0 = 0.5 must not reach alpha = 0), and the tamper control with the
+# shift of the CLI and with one in every coordinate
+EXACT_PARTIAL_FIELDS = {
+    "dense": (lambda: poisson.MatrixField(_dense, "dense", _dense_derivatives), random_states),
+    **{
+        f"class1-{name}": (lambda phi=phi: matrix_field_class1(phi), random_states)
+        for name, phi in zip(("zero", "oscillator", "sin*alpha", "r^2*t"), PHI_POOL)
+    },
+    "pseudo_potential": (lambda: matrix_field_class1(OFF_OSCILLATOR.phi), random_states),
+    "class2-quadrature-chi": (
+        lambda: matrix_field_class2(
+            Class2Phi(FuncHandle.from_text("1+alpha^2*r"), ex.parse("r*theta"))
+        ),
+        random_states,
     ),
-    "pseudo_potential": lambda: matrix_field_class1(OFF_OSCILLATOR.phi),
-    "tampered": lambda: perturb_j34(
-        matrix_field_class1(PHI_POOL[1]), lambda s, t: 0.1 * s.r
+    "class2-theta-lam0": (
+        lambda: matrix_field_class2(
+            Class2Phi(
+                FuncHandle.from_text("3+sin(theta)*r+alpha"),
+                ex.parse("r^2*cos(theta)"),
+                lam0=0.5,
+            )
+        ),
+        lambda seed, n: _alpha_positive(random_states(seed, n)),
+    ),
+    "tampered": (
+        lambda: perturb_j34(matrix_field_class1(PHI_POOL[1]), ex.parse("0.1*r")),
+        random_states,
+    ),
+    "tampered-everywhere": (
+        lambda: perturb_j34(
+            matrix_field_class1(PHI_POOL[2]), ex.parse("0.1*r*u + theta*v^2 + t")
+        ),
+        random_states,
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(FLOAT_PATH_FIELDS))
-def test_float_sweeps_match_the_numpy_reference_bit_for_bit(name):
-    field = FLOAT_PATH_FIELDS[name]()
+@pytest.mark.parametrize("name", sorted(EXACT_PARTIAL_FIELDS))
+def test_exact_partials_match_central_differences(name):
+    make_field, draw = EXACT_PARTIAL_FIELDS[name]
+    field = make_field()
     upper = np.triu_indices(4, 1)
-    for s in random_states(59, 20):
-        for t, h in ((0.0, 1e-5), (0.7, 3e-4)):
-            res = jacobi_residuals(field, s, t, h)
-            assert all(type(x) is float for x in res)
-            assert res == tuple(reference_jacobi_residuals(field, s, t, h).tolist())
-            grads = poisson.central_differences(lambda p: field(p, t).upper(), s, h)
-            ref = reference_central_differences(
-                lambda p: reference_array(field(p, t)), s, h
+    for s in draw(59, 20):
+        for t in (0.0, 0.7):
+            m, grads = field.derivatives(s, t)
+            assert m == field(s, t)
+            fd = reference_central_differences(
+                lambda p: reference_array(field(p, t)), s, 1e-5
             )
-            assert grads == [tuple(g[upper].tolist()) for g in ref]
-            m = field(s, t)
-            assert determinant(m) == reference_determinant(m)
-            a, b = m.as_array(), reference_array(m)
-            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+            for exact, ref in zip(grads, fd):
+                assert exact == pytest.approx(ref[upper].tolist(), rel=1e-6, abs=1e-6)
+            res = jacobi_residuals(field, s, t)
+            assert all(type(x) is float for x in res)
+            ref = reference_jacobi_residuals(field, s, t, 1e-5)
+            assert res == pytest.approx(ref.tolist(), rel=1e-6, abs=1e-6)
 
 
-def test_casimir_differences_match_the_numpy_reference_bit_for_bit():
+@pytest.mark.parametrize("potential", [OSC, OFF_OSCILLATOR], ids=("oscillator", "off"))
+def test_casimir_gradients_match_central_differences(potential):
     def casimirs(s):
-        c1 = inv.casimir_C1(OFF_OSCILLATOR, s)
-        return c1, inv.casimir_C2(OFF_OSCILLATOR, s, c1=c1)
+        return np.array([inv.casimir_C1(potential, s), inv.casimir_C2(potential, s)])
 
     for s in random_states(61, 20, u_floor=0.3):
-        got = poisson.central_differences(casimirs, s, 1e-5)
-        ref = reference_central_differences(lambda p: np.array(casimirs(p)), s, 1e-5)
-        assert got == [tuple(g.tolist()) for g in ref]
+        grads = (inv.grad_casimir_C1(potential, s), inv.grad_casimir_C2(potential, s))
+        ref = np.array(reference_central_differences(casimirs, s, 1e-4)).T
+        for exact, fd in zip(grads, ref):
+            assert exact == pytest.approx(fd.tolist(), rel=1e-6, abs=1e-6)
 
 
 def test_skew_matrix_rows_are_the_array():
     m = SkewMatrix4(j12=0.0, j13=2.0, j14=-3.0, j23=4.5, j24=5.0, j34=-6.0)
     assert np.array_equal(np.array(m.rows()), reference_array(m))
-    assert m.upper() == (0.0, 2.0, -3.0, 4.5, 5.0, -6.0)
-    assert SkewMatrix4(1, 2, 3, 4, 5, 6).as_array().dtype == np.float64
+    assert m == (0.0, 2.0, -3.0, 4.5, 5.0, -6.0)
+    rng = random.Random(23)
+    field = poisson.MatrixField(lambda s, t=0.0: m, "fixed", None)
+    for _ in range(100):
+        g = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+        product = (reference_array(m) @ np.array(g)).tolist()
+        assert casimir_residuals(field, g, PhaseState(1.0, 0.0, 1.0, 1.0)) == pytest.approx(
+            product, rel=1e-15, abs=1e-15
+        )
+    with pytest.raises(ValueError, match="grad_c must be a 4-vector"):
+        casimir_residuals(field, g[:3], PhaseState(1.0, 0.0, 1.0, 1.0))
