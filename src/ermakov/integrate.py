@@ -1,8 +1,15 @@
 """Time integration of the polar flows.
 
 Two steppers: classical fixed-step RK4 and the Dormand-Prince embedded
-4(5) pair with standard PI step-size control.  Node derivatives are kept
-so trajectories support cubic Hermite dense output.
+4(5) pair with standard PI step-size control.  Each is generated once per
+state dimension, on first use, as straight-line code on Python floats
+that rounds as numpy's elementwise arithmetic on the same tableau does.
+A system's flow comes lowered from ``SystemSpec.flow``, one function of
+(t, y) per floors, and is stepped directly.
+
+Node derivatives are kept so trajectories support cubic Hermite dense
+output: one time reads the node lists with bisect and gives a list of
+floats, an array of times runs on numpy; both round alike.
 
 Singularities follow a stop-and-report policy.  Stage evaluations run
 against floors relaxed by half; a failing stage halves the step until it
@@ -14,6 +21,7 @@ Either way the trajectory ends at the last good state with status
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
@@ -27,7 +35,6 @@ from .systems import (
     SystemSpec,
     nan_max,
     np,
-    vector_field,
 )
 
 __all__ = [
@@ -63,48 +70,52 @@ class Solver:
     max_steps: int = 200000
 
 
-def hermite_eval(ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, t):
+def _hermite_weights(s, h):
+    """The cubic Hermite weights of y0, f0, y1 and f1 at s = (t - t0) / h
+    in a step h, on floats or arrays alike."""
+    s2 = s * s
+    s3 = s2 * s
+    return 2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h
+
+
+def hermite_eval(ts, ys, fs, t):
     """Piecewise cubic Hermite interpolation.
 
     Args:
-        ts: strictly increasing sample times, shape (n,).
-        ys: sample values, shape (n, d).
-        fs: derivatives at the samples, shape (n, d).
-        t: scalar or array of query times inside [ts[0], ts[-1]].
+        ts: strictly increasing sample times, n of them.
+        ys: sample values, n rows of d.
+        fs: derivatives at the samples, n rows of d.
+        t: one time (an int or a float), or an array of times, inside
+            [ts[0], ts[-1]]; times within a relative 1e-12 outside it are
+            clamped onto it.
 
     Returns:
-        Array of shape (d,) for scalar t, else (len(t), d).
+        For one time, a list of d floats, read from the node sequences with
+        bisect (lists of floats read fastest).  For an array, an array of
+        shape (len(t), d), computed with numpy.  Both round alike.
     """
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    scalar = np.ndim(t) == 0
-    tq = np.atleast_1d(np.asarray(t, dtype=float))
-    lo, hi = ts[0], ts[-1]
+    lo, hi = float(ts[0]), float(ts[-1])
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if isinstance(t, (int, float)):
+        if t < lo - slack or t > hi + slack:
+            raise IntegrationError(f"sample time outside [{lo!r}, {hi!r}]")
+        t = lo if t < lo else hi if t > hi else t
+        i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+        h = ts[i + 1] - ts[i]
+        w00, w10, w01, w11 = _hermite_weights((t - ts[i]) / h, h)
+        return [
+            w00 * y0 + w10 * f0 + w01 * y1 + w11 * f1
+            for y0, f0, y1, f1 in zip(ys[i], fs[i], ys[i + 1], fs[i + 1])
+        ]
+    ts, ys, fs = (np.asarray(nodes, dtype=float) for nodes in (ts, ys, fs))
+    tq = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(tq < lo - slack) or np.any(tq > hi + slack):
-        raise IntegrationError(
-            f"sample time outside [{lo!r}, {hi!r}]"
-        )
+        raise IntegrationError(f"sample time outside [{lo!r}, {hi!r}]")
     tq = np.clip(tq, lo, hi)
-    idx = np.searchsorted(ts, tq, side="right") - 1
-    idx = np.clip(idx, 0, len(ts) - 2)
+    idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
     h = ts[idx + 1] - ts[idx]
-    s = (tq - ts[idx]) / h
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    hcol = h[:, None]
-    out = (
-        h00[:, None] * ys[idx]
-        + h10[:, None] * hcol * fs[idx]
-        + h01[:, None] * ys[idx + 1]
-        + h11[:, None] * hcol * fs[idx + 1]
-    )
-    return out[0] if scalar else out
+    w00, w10, w01, w11 = (w[:, None] for w in _hermite_weights((tq - ts[idx]) / h, h))
+    return w00 * ys[idx] + w10 * fs[idx] + w01 * ys[idx + 1] + w11 * fs[idx + 1]
 
 
 @dataclass(frozen=True)
@@ -149,8 +160,9 @@ class Trajectory:
         return self.state(len(self.ts) - 1)
 
     def sample(self, t):
-        """Dense output at time(s) t via cubic Hermite interpolation."""
-        return hermite_eval(*self.arrays, t)
+        """Dense output by cubic Hermite interpolation: a list of floats at
+        one time t, an array of shape (len(t), d) at an array of times."""
+        return hermite_eval(self.ts, self.ys, self.fs, t)
 
 
 # Dormand-Prince 4(5) tableau; the last row of A doubles as the 5th
@@ -175,21 +187,68 @@ _DP_E = (
     -1 / 40,
 )
 
-# The steppers work on lists of floats.  Each sum runs left to right from
-# 0.0, term by term (sum() compensates from Python 3.12 on), and squares
-# are x * x, so every step rounds as numpy's elementwise arithmetic does.
+# The steppers are generated once per state dimension, on first use, as
+# straight-line code on floats: every stage sum is unrolled and runs left
+# to right from 0.0 (sum() compensates from Python 3.12 on), coefficients
+# are repr literals, and the 0.0 coefficients stay, since 0.0 * inf is NaN
+# and a non-finite stage must still spoil the step.  So every step rounds
+# as numpy's elementwise arithmetic on the same tableau does.  Each stage
+# derivative is appended to k as f returns it, so a caller can count the
+# calls made before one raised.
 
 
-def _dot(coeffs: Sequence[float], values: Sequence[float]) -> float:
-    acc = 0.0
-    for c, x in zip(coeffs, values):
-        acc += c * x
-    return acc
+def _unpack(prefix: str, d: int) -> str:
+    return "".join(f"{prefix}{j}, " for j in range(d))
 
 
-def _combine(y: Sequence[float], h: float, coeffs: Sequence[float], ks: list) -> list:
-    """y + h * (coeffs[0] ks[0] + coeffs[1] ks[1] + ...), componentwise."""
-    return [yj + h * _dot(coeffs, kj) for yj, kj in zip(y, zip(*ks))]
+def _dp45_source(d: int) -> str:
+    """``step(f, t, y, h, k)``: one Dormand-Prince attempt from k = [f(t, y)],
+    the last stage being f at y_new.  Returns (y_new, err_vec)."""
+    lines = [f"{_unpack('y', d)}= y", f"{_unpack('k0_', d)}= k[0]"]
+    for i in range(1, 7):
+        terms = [
+            "0.0" + "".join(f" + {a!r} * k{m}_{j}" for m, a in enumerate(_DP_A[i]))
+            for j in range(d)
+        ]
+        lines += [
+            "yi = [" + ", ".join(f"y{j} + h * ({x})" for j, x in enumerate(terms)) + "]",
+            f"s = f(t + {_DP_C[i]!r} * h, yi)",
+            "k.append(s)",
+            f"{_unpack(f'k{i}_', d)}= s",
+        ]
+    # A[6] are the 5th order weights, so the last stage input is y_new
+    err = (
+        "h * (0.0" + "".join(f" + {e!r} * k{m}_{j}" for m, e in enumerate(_DP_E)) + ")"
+        for j in range(d)
+    )
+    lines.append("return yi, [" + ", ".join(err) + "]")
+    return "def step(f, t, y, h, k):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _rk4_source(d: int) -> str:
+    """``step(f, t, y, h, k)``: one classical RK4 step from k = [f(t, y)],
+    the last stage being f at y_new.  Returns y_new."""
+    lines = [f"{_unpack('y', d)}= y", f"{_unpack('a', d)}= k[0]", "half = 0.5 * h"]
+    for prev, name, dt in (("a", "b", "half"), ("b", "c", "half"), ("c", "d", "h")):
+        arg = ", ".join(f"y{j} + {dt} * {prev}{j}" for j in range(d))
+        lines += [f"s = f(t + {dt}, [{arg}])", "k.append(s)", f"{_unpack(name, d)}= s"]
+    new = ", ".join(f"y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(d))
+    lines += ["sixth = h / 6.0", f"y_new = [{new}]", "k.append(f(t + h, y_new))", "return y_new"]
+    return "def step(f, t, y, h, k):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+_SOURCES = {"dp45": _dp45_source, "rk4": _rk4_source}
+_STEPPERS = {}  # (method, state dimension) -> generated step
+
+
+def _stepper(method: str, d: int) -> Callable:
+    """The generated step of ``method`` for states of d floats, kept."""
+    step = _STEPPERS.get((method, d))
+    if step is None:
+        scope = {}
+        exec(_SOURCES[method](d), {}, scope)
+        step = _STEPPERS[(method, d)] = scope["step"]
+    return step
 
 
 def _rms(values: Sequence[float], scales: Sequence[float]) -> float:
@@ -201,33 +260,6 @@ def _rms(values: Sequence[float], scales: Sequence[float]) -> float:
         q = x / sc
         acc += q * q
     return math.sqrt(acc / len(scales))
-
-
-def _dp_step(f, t, y, h, k):
-    """One Dormand-Prince attempt from k = [f(t, y)].  Appends each stage
-    derivative to k as it returns, the last being f at y_new.  Returns
-    (y_new, err_vec)."""
-    for i in range(1, 7):
-        yi = _combine(y, h, _DP_A[i], k)
-        k.append(f(t + _DP_C[i] * h, yi))
-    # A[6] are the 5th order weights, so the last stage input is y_new
-    err = [h * _dot(_DP_E, kj) for kj in zip(*k)]
-    return yi, err
-
-
-def _rk4_step(f, t, y, h, k):
-    """One classical RK4 step from k = [f(t, y)].  Appends each stage
-    derivative to k as it returns, the last being f at y_new.  Returns
-    y_new."""
-    half = 0.5 * h
-    for dt in (half, half, h):
-        k.append(f(t + dt, [yj + dt * kj for yj, kj in zip(y, k[-1])]))
-    sixth = h / 6.0
-    y_new = [
-        yj + sixth * (a + 2.0 * b + 2.0 * c + d) for yj, a, b, c, d in zip(y, *k)
-    ]
-    k.append(f(t + h, y_new))
-    return y_new
 
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol):
@@ -272,9 +304,10 @@ def integrate_ode(
     method, rtol, atol = solver.method, solver.rtol, solver.atol
     if not t1 > t0:
         raise ValueError(f"t1={t1!r} must exceed t0={t0!r}")
-    if method not in ("rk4", "dp45"):
+    if method not in _SOURCES:
         raise ValueError(f"unknown method {method!r}")
     y = [float(yj) for yj in y0]
+    step = _stepper(method, len(y))
     t = t0
     f_cur = f(t0, y)  # s0 admissible is a precondition
     ts = [float(t0)]
@@ -295,7 +328,8 @@ def integrate_ode(
     n_accepted = n_rejected = n_failed = 0
     err_old = 1.0
 
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+    t_end = t1 - 1e-14 * max(1.0, abs(t1))
+    while t < t_end:
         if n_accepted + n_rejected + n_failed >= solver.max_steps:
             raise IntegrationError(
                 f"step budget {solver.max_steps} exhausted at t={t!r}"
@@ -309,10 +343,10 @@ def integrate_ode(
         k = [f_cur]  # the steppers append each derivative f returns
         try:
             if method == "rk4":
-                y_new = _rk4_step(f, t, y, h_try, k)
+                y_new = step(f, t, y, h_try, k)
                 err_norm = 0.0
             else:
-                y_new, err_vec = _dp_step(f, t, y, h_try, k)
+                y_new, err_vec = step(f, t, y, h_try, k)
                 sc = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
                 err_norm = _rms(err_vec, sc)
             f_new = k[-1]
@@ -388,17 +422,6 @@ def integrate(
     slightly past the configured limits; accepted states are checked
     against the configured floors and trigger a "singular_stop".
     """
-    stage_floors = floors.relaxed()
-
-    def rhs(t: float, y: list) -> tuple:
-        try:
-            flow = vector_field(spec, PhaseState(*y), t, stage_floors)
-        except ZeroDivisionError as exc:
-            # a denominator such as r^2 v underflowed to zero: the state is
-            # singular, as the inf that array arithmetic gives here says
-            raise FloatingPointError(str(exc)) from exc
-        return flow.rdot, flow.thetadot, flow.udot, flow.vdot
-
     def check(t: float, y: list) -> Optional[str]:
         try:
             floors.check(y[0], y[3])
@@ -407,7 +430,12 @@ def integrate(
         return None
 
     return integrate_ode(
-        rhs, (s0.r, s0.theta, s0.u, s0.v), t0, t1, solver, accept_check=check
+        spec.flow(floors.relaxed()),
+        (s0.r, s0.theta, s0.u, s0.v),
+        t0,
+        t1,
+        solver,
+        accept_check=check,
     )
 
 

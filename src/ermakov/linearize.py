@@ -16,6 +16,7 @@ the orbit equation is linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -68,13 +69,25 @@ class OrbitCurve:
         hi = float(max(self.theta[0], self.theta[-1]))
         return lo, hi
 
+    @cached_property
+    def _nodes(self) -> tuple:
+        """(theta, rbar rows, abar rows) as lists of floats in increasing
+        theta, the nodes of scalar reads."""
+        th, rb, ab = (
+            np.asarray(nodes, dtype=float).tolist() for nodes in (self.theta, self.rbar, self.abar)
+        )
+        if th[0] > th[-1]:
+            th, rb, ab = th[::-1], rb[::-1], ab[::-1]
+        return th, [[x] for x in rb], [[x] for x in ab]
+
     def rbar_at(self, theta):
-        """rbar interpolated at theta (scalar or array), cubic Hermite."""
+        """rbar interpolated at theta, a float or an array, cubic Hermite."""
+        if isinstance(theta, (int, float)):
+            return hermite_eval(*self._nodes, theta)[0]
         th, rb, ab = self.theta, self.rbar, self.abar
         if th[0] > th[-1]:
             th, rb, ab = th[::-1], rb[::-1], ab[::-1]
-        out = hermite_eval(th, rb[:, None], ab[:, None], theta)
-        return float(out[0]) if np.ndim(theta) == 0 else out[:, 0]
+        return hermite_eval(th, rb[:, None], ab[:, None], theta)[:, 0]
 
 
 def to_orbit_curve(traj: Trajectory) -> OrbitCurve:

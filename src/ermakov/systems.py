@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import expr as ex
 from .expr import Binary, DomainError, Expr, Num, QuadratureError, Var
@@ -122,6 +122,10 @@ def nan_max(values) -> float:
     return worst
 
 
+def _nonpositive_r(r: float) -> SingularStateError:
+    return SingularStateError(f"r must be positive, got {r!r}")
+
+
 @dataclass(frozen=True)
 class PhaseState:
     """One point (r, theta, u, v) of the polar phase space; r must be positive."""
@@ -133,7 +137,7 @@ class PhaseState:
 
     def __post_init__(self):
         if not (self.r > 0.0):
-            raise SingularStateError(f"r must be positive, got {self.r!r}")
+            raise _nonpositive_r(self.r)
 
     def alpha(self, v_min: float = DEFAULT_FLOORS.v_min) -> float:
         """The ratio u/v; undefined when |v| sits below the v_min floor."""
@@ -185,6 +189,11 @@ class FuncHandle:
 
     def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
         return self.fn(alpha, r, theta, t)
+
+    def udot_term(self, t: float, r: float, theta: float, u: float, v: float) -> float:
+        """u v phi, the coupling's term of du/dt as a class-1 phi."""
+        alpha = u / v
+        return u * v * self.fn(alpha, r, theta, t)
 
     def depends_on(self, var: str) -> bool:
         """Whether the handle can vary with ``var``."""
@@ -251,6 +260,11 @@ class Potential:
     def slope(self):
         """dV/drbar compiled, a function of (rbar, t)."""
         return ex.compile(self.dtree, _POTENTIAL_VARS)
+
+    def udot_term(self, t: float, r: float, theta: float, u: float, v: float) -> float:
+        """The coupling's term of du/dt: u v phi reduced to
+        (v^2/r^2) dV/drbar, which is finite at u = 0."""
+        return (v * v) / (r * r) * self.slope(1.0 / r, t)
 
     @cached_property
     def curvature(self):
@@ -381,6 +395,12 @@ class Class2Phi:
         self._last = (key, value)
         return value
 
+    def udot_term(self, t: float, r: float, theta: float, u: float, v: float) -> float:
+        """u v (phi + 2 v psi / r), the coupling's term of du/dt."""
+        alpha = u / v
+        psi_val = self.psi.fn(alpha, r, theta, t)
+        return u * v * (self(alpha, r, theta, t) + 2.0 * v * psi_val / r)
+
     def partial_alpha(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
         """Exact d(phi)/d(alpha) via the fundamental theorem."""
         w = self._psi_at(alpha, r, theta, t)
@@ -455,6 +475,7 @@ class SystemSpec:
     f: Optional[Expr] = None
     _g_fn: Callable = field(init=False, compare=False, repr=False)
     _f_fn: Optional[Callable] = field(init=False, compare=False, repr=False)
+    _flows: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if type(self.coupling) not in _KINDS:
@@ -467,6 +488,7 @@ class SystemSpec:
         object.__setattr__(self, "_g_fn", ex.compile(self.g, ("theta",)))
         f_fn = None if self.f is None else ex.compile(self.f, ("theta",))
         object.__setattr__(self, "_f_fn", f_fn)
+        object.__setattr__(self, "_flows", {})
 
     @property
     def kind(self) -> str:
@@ -494,19 +516,35 @@ class SystemSpec:
     def f_at(self, theta: float) -> float:
         return 0.0 if self._f_fn is None else self._f_fn(theta)
 
+    def flow(self, floors: Floors = DEFAULT_FLOORS) -> Callable[[float, Sequence[float]], tuple]:
+        """The first-order flow as one function of (t, (r, theta, u, v))
+        on floats, returning (dr/dt, dtheta/dt, du/dt, dv/dt); lowered on
+        first use per floors and kept.
 
-def _coupling_udot(spec: SystemSpec, s: PhaseState, t: float) -> float:
-    """The coupling part of du/dt (everything except the -u G/(r^2 v) term)."""
-    r, u, v = s.r, s.u, s.v
-    coupling = spec.coupling
-    if isinstance(coupling, Potential):
-        # reduced product, finite at u = 0
-        return (v * v) / (r * r) * coupling.slope(1.0 / r, t)
-    alpha = u / v
-    if isinstance(coupling, FuncHandle):
-        return u * v * coupling(alpha, r, s.theta, t)
-    psi_val = coupling.psi(alpha, r, s.theta, t)
-    return u * v * (coupling(alpha, r, s.theta, t) + 2.0 * v * psi_val / r)
+        du/dt = -u G(theta) / (r^2 v) + the coupling's ``udot_term``.  It raises
+        SingularStateError for r <= 0 (or NaN), then where ``floors.check``
+        does, and FloatingPointError where a denominator such as r^2 v
+        underflowed to zero: the state is singular, as the inf that array
+        arithmetic gives there says.
+        """
+        lowered = self._flows.get(floors)
+        if lowered is None:
+            g_at, udot_term, check = self._g_fn, self.coupling.udot_term, floors.check
+
+            def lowered(t, y):
+                r, theta, u, v = y
+                if not r > 0.0:
+                    raise _nonpositive_r(r)
+                check(r, v)
+                try:
+                    g = g_at(theta)
+                    udot = -u * g / (r * r * v) + udot_term(t, r, theta, u, v)
+                    return u, v / (r * r), udot, -g / (r * r)
+                except ZeroDivisionError as exc:
+                    raise FloatingPointError(str(exc)) from exc
+
+            self._flows[floors] = lowered
+        return lowered
 
 
 def vector_field(
@@ -515,17 +553,8 @@ def vector_field(
     t: float = 0.0,
     floors: Floors = DEFAULT_FLOORS,
 ) -> Flow4:
-    """First-order flow at a state.
-
-    du/dt = -u G(theta) / (r^2 v) + coupling, where the coupling is
-    u v phi for class 1, u v (phi + 2 v psi / r) for class 2, and the
-    reduced (v^2/r^2) dV/drbar product for pseudo-potential systems.
-    """
-    floors.check(s.r, s.v)
-    r, th, u, v = s.r, s.theta, s.u, s.v
-    g = spec.g_at(th)
-    udot = -u * g / (r * r * v) + _coupling_udot(spec, s, t)
-    return Flow4(u, v / (r * r), udot, -g / (r * r))
+    """First-order flow at a state: ``spec.flow(floors)`` as a Flow4."""
+    return Flow4(*spec.flow(floors)(t, (s.r, s.theta, s.u, s.v)))
 
 
 def frequency_squared(
@@ -545,7 +574,7 @@ def frequency_squared(
     g = spec.g_at(th)
     f = spec.f_at(th)
     base = (v * v + f) / r**4 + u * g / (r**3 * v)
-    return base - _coupling_udot(spec, s, t) / r
+    return base - spec.coupling.udot_term(t, r, th, u, v) / r
 
 
 def polar_from_cartesian(x: float, y: float, xdot: float, ydot: float) -> PhaseState:

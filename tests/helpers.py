@@ -1,7 +1,8 @@
 """Shared bits for the test suite: random expression trees, a couple
 of reference systems used across files, numpy reference copies of float
-code, and the central-difference Jacobi sweep that cross-checks the
-exact partials."""
+code, the central-difference Jacobi sweep that cross-checks the exact
+partials, and the flow as ``vector_field`` computed it per call before
+each system's flow was lowered once."""
 
 import math
 import random
@@ -10,7 +11,7 @@ import numpy as np
 
 from ermakov import expr as ex
 from ermakov.poisson import JACOBI_TRIPLES
-from ermakov.systems import PhaseState
+from ermakov.systems import DEFAULT_FLOORS, FuncHandle, PhaseState, Potential
 
 VARS = ("theta", "r", "t", "alpha")
 
@@ -186,3 +187,24 @@ def reference_sample_states(rng, n, u_floor, branch) -> list:
             v = mag_v if rng.random() < 0.5 else -mag_v
         states.append(PhaseState(r=r, theta=theta, u=u, v=v))
     return states
+
+
+def reference_flow(spec, s: PhaseState, t: float = 0.0, floors=DEFAULT_FLOORS) -> tuple:
+    """(dr/dt, dtheta/dt, du/dt, dv/dt) at s, as ``vector_field`` computed
+    it from a PhaseState with the coupling dispatched by type on each call;
+    a float division by zero raises ZeroDivisionError here."""
+    floors.check(s.r, s.v)
+    r, th, u, v = s.r, s.theta, s.u, s.v
+    g = spec.g_at(th)
+    coupling = spec.coupling
+    if isinstance(coupling, Potential):
+        part = (v * v) / (r * r) * coupling.slope(1.0 / r, t)
+    else:
+        alpha = u / v
+        if isinstance(coupling, FuncHandle):
+            part = u * v * coupling(alpha, r, th, t)
+        else:
+            psi_val = coupling.psi(alpha, r, th, t)
+            part = u * v * (coupling(alpha, r, th, t) + 2.0 * v * psi_val / r)
+    udot = -u * g / (r * r * v) + part
+    return u, v / (r * r), udot, -g / (r * r)

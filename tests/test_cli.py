@@ -837,7 +837,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.json"))
 
 # run in a fresh interpreter; prints "@ step [exit code] numpy-loaded" after
-# each step
+# each step, and the generated steppers after loading
 _COLD_START = """
 import sys
 import ermakov.cli
@@ -847,6 +847,8 @@ out, *configs = sys.argv[1:]
 for path in configs:
     load_config(path)
 print("@ load", "numpy" in sys.modules)
+# code generation is paid by the first integration, not by setup
+print("@ steppers", sorted(sys.modules["ermakov.integrate"]._STEPPERS))
 for i, path in enumerate(configs):
     code = ermakov.cli.main(["simulate", "--config", path, "--out", f"{out}/{i}"])
     print("@ simulate", code, "numpy" in sys.modules)
@@ -864,4 +866,10 @@ def test_import_load_and_simulate_run_without_numpy(tmp_path):
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     steps = [line[2:] for line in result.stdout.splitlines() if line.startswith("@ ")]
-    assert steps == ["load False", "simulate 0 False", "simulate 0 False", "verify 0 True"]
+    assert steps == [
+        "load False",
+        "steppers []",
+        "simulate 0 False",
+        "simulate 0 False",
+        "verify 0 True",
+    ]

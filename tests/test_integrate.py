@@ -18,7 +18,14 @@ from ermakov.integrate import (
     integrate_ode,
 )
 from ermakov.invariants import casimir_C1, casimir_C2, ermakov_invariant
-from ermakov.systems import Floors, FuncHandle, PhaseState, SystemSpec, vector_field
+from ermakov.systems import (
+    Floors,
+    FuncHandle,
+    PhaseState,
+    SingularStateError,
+    SystemSpec,
+    vector_field,
+)
 
 from helpers import spiral_start
 from test_systems import OSC
@@ -71,9 +78,35 @@ def test_dense_output_accuracy():
     exact = np.stack([exact_spiral(t) for t in times])
     # cubic interpolation between adaptive nodes, not at stepper accuracy
     assert np.max(np.abs(dense - exact)) < 1e-6
-    single = traj.sample(0.5)
-    assert single.shape == (4,)
+    single = traj.sample(0.5)  # one time: a list of floats
+    assert len(single) == 4 and all(type(x) is float for x in single)
     assert np.max(np.abs(single - exact_spiral(0.5))) < 1e-7
+
+
+def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
+    traj = integrate(SPIRAL, spiral_start(), 0.0, 1.4)
+    lo, hi = traj.ts[0], traj.ts[-1]
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    rng = np.random.default_rng(17)
+    times = [
+        *rng.uniform(lo, hi, size=300).tolist(),
+        *traj.ts[1:-1:7],  # on nodes
+        lo, hi,
+        lo - 0.5 * slack, hi + 0.5 * slack, -0.0,  # clamped onto the ends
+    ]
+    ts, ys, fs = traj.arrays
+    table = hermite_eval(ts, ys, fs, np.array(times))
+    for t, row in zip(times, table.tolist()):
+        got = hermite_eval(traj.ts, traj.ys, traj.fs, t)
+        assert list(map(float.hex, got)) == list(map(float.hex, row))
+        assert all(type(x) is float for x in got)
+        assert traj.sample(t) == got
+    for t in (lo - 2.0 * slack, hi + 2.0 * slack, -0.2, 1.5):
+        with pytest.raises(IntegrationError) as scalar:
+            traj.sample(t)
+        with pytest.raises(IntegrationError) as array:
+            traj.sample(np.array([0.5, t]))
+        assert str(scalar.value) == str(array.value) == f"sample time outside [0.0, {hi!r}]"
 
 
 def test_sampling_outside_the_range_fails():
@@ -175,23 +208,81 @@ def _polynomial_rhs(t, y):
     return [y1 * y2 - t, y0 - y3 * y3, y0 * y1 + 0.5, -y2 * y0 * 3.0]
 
 
+def _planar_rhs(t, y):
+    y0, y1 = y
+    return [y1 * y0 - t, 0.5 - y0 * y0]
+
+
 def test_float_steppers_match_numpy_bit_for_bit():
     m = integrate_module
     rng = np.random.default_rng(5)
-    for _ in range(2000):
-        y = rng.normal(size=4) * 10.0 ** rng.uniform(-3, 1, size=4)
-        t, h = rng.uniform(-1, 1), 10.0 ** rng.uniform(-6, 0)
-        k1 = _polynomial_rhs(t, y.tolist())
-        sc = 1e-12 + 1e-10 * np.abs(y)
-        stages = [k1]
-        y_new, err = m._dp_step(_polynomial_rhs, t, y.tolist(), h, stages)
-        f_new = stages[-1]
-        ref = _reference_dp_step(_polynomial_rhs, t, y, h, k1)
-        assert (y_new, f_new, err) == tuple(a.tolist() for a in ref)
-        assert all(type(x) is float for x in (*y_new, *f_new, *err))
-        assert m._rms(err, sc.tolist()) == math.sqrt(float(np.mean((ref[2] / sc) ** 2)))
-        rk4 = m._rk4_step(_polynomial_rhs, t, y.tolist(), h, [k1])
-        assert rk4 == _reference_rk4_step(_polynomial_rhs, t, y, h, k1).tolist()
+    # dimension 4 is the phase space; 2 the orbit equation of linearize
+    for rhs, d in ((_polynomial_rhs, 4), (_planar_rhs, 2)):
+        dp45, rk4 = m._stepper("dp45", d), m._stepper("rk4", d)
+        for _ in range(2000):
+            y = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 1, size=d)
+            t, h = rng.uniform(-1, 1), 10.0 ** rng.uniform(-6, 0)
+            k1 = rhs(t, y.tolist())
+            sc = 1e-12 + 1e-10 * np.abs(y)
+            stages = [k1]
+            y_new, err = dp45(rhs, t, y.tolist(), h, stages)
+            f_new = stages[-1]
+            ref = _reference_dp_step(rhs, t, y, h, k1)
+            assert (y_new, f_new, err) == tuple(a.tolist() for a in ref)
+            assert all(type(x) is float for x in (*y_new, *f_new, *err))
+            assert m._rms(err, sc.tolist()) == math.sqrt(float(np.mean((ref[2] / sc) ** 2)))
+            assert len(stages) == 7
+            stages = [k1]
+            assert rk4(rhs, t, y.tolist(), h, stages) == (
+                _reference_rk4_step(rhs, t, y, h, k1).tolist()
+            )
+            assert len(stages) == 5
+
+
+def test_an_infinite_stage_spoils_the_dp45_step():
+    # the second stage is inf and the others ignore their input: only the
+    # kept 0.0 weight of that stage (0.0 * inf is NaN) reaches y_new and err
+    def rhs(t, y):
+        return [math.inf, -1.0] if t == 0.2 else [1.0, 2.0]
+
+    y, k1 = [1.0, 3.0], [1.0, 2.0]
+    stages = [k1]
+    y_new, err = integrate_module._stepper("dp45", 2)(rhs, 0.0, y, 1.0, stages)
+    with np.errstate(invalid="ignore"):
+        ref = _reference_dp_step(rhs, 0.0, np.array(y), 1.0, k1)
+    assert not all(map(math.isfinite, y_new + err))
+    for got, want in ((y_new, ref[0]), (stages[-1], ref[1]), (err, ref[2])):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("method, n_stages", [("dp45", 6), ("rk4", 4)])
+def test_a_raising_stage_is_counted(method, n_stages):
+    step = integrate_module._stepper(method, 2)
+    for failing in range(1, n_stages + 1):
+        stages = [[0.5, -1.0]]
+
+        def rhs(t, y):
+            if len(stages) == failing:
+                raise SingularStateError("stage left the domain")
+            return [y[1], -y[0]]
+
+        with pytest.raises(SingularStateError):
+            step(rhs, 0.0, [1.0, 0.5], 0.1, stages)
+        # the stages before it, each appended as it returned
+        assert len(stages) == failing
+
+        calls = [0]
+
+        def once(t, y):
+            calls[0] += 1
+            if calls[0] == failing + (2 if method == "dp45" else 1):
+                raise SingularStateError("stage left the domain")
+            return [y[1], -y[0]]
+
+        traj = integrate_ode(once, [1.0, 0.5], 0.0, 0.5, Solver(method=method, dt=0.1))
+        assert traj.status == "completed"
+        assert traj.stats["n_stage_failures"] == 1
+        assert traj.stats["n_feval"] == calls[0]
 
 
 def test_tightening_tolerance_tightens_drift():
@@ -433,7 +524,7 @@ def test_generic_trajectories_are_not_phase_states():
     traj = integrate_ode(lambda t, y: [-x for x in y], [1.0], 0.0, 1.0)
     with pytest.raises(ValueError, match="phase-space"):
         traj.state(0)
-    assert traj.sample(0.5).shape == (1,)
+    assert len(traj.sample(0.5)) == 1
 
 
 def test_bad_step_arguments():

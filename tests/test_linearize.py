@@ -106,6 +106,17 @@ def test_characteristic_runs_backwards():
     assert curve.rbar_at(0.437) == pytest.approx(math.cosh(0.437), abs=1e-7)
 
 
+def test_scalar_curve_reads_match_the_array_path_bit_for_bit():
+    forward = to_orbit_curve(integrate(SPIRAL, spiral_start(), 0.0, 1.4))
+    backward = integrate_characteristic(PHI_COSH, math.cosh(1.0), math.sinh(1.0), 1.0, 0.0)
+    for curve in (forward, backward):
+        lo, hi = curve.theta_range
+        grid = np.linspace(lo, hi, 97)
+        for theta, want in zip(grid.tolist(), curve.rbar_at(grid).tolist()):
+            got = curve.rbar_at(theta)
+            assert type(got) is float and got.hex() == want.hex()
+
+
 def test_characteristic_argument_validation():
     with pytest.raises(ValueError, match="positive"):
         integrate_characteristic(PHI_COSH, -1.0, 0.0, 0.0, 1.0)

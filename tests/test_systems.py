@@ -9,6 +9,7 @@ from ermakov.systems import (
     Class2Phi,
     DEFAULT_FLOORS,
     Floors,
+    Flow4,
     FuncHandle,
     PhaseState,
     Potential,
@@ -21,7 +22,7 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import count_outermost_calls, spiral_start
+from helpers import count_outermost_calls, reference_flow, spiral_start
 
 OSC = Potential(ex.parse("1/(2*rbar^2)"))
 
@@ -229,6 +230,93 @@ def test_floor_messages_print_plain_floats(state, message):
     with pytest.raises(SingularStateError) as err:
         vector_field(spec, PhaseState(*np.array(state)))
     assert str(err.value) == message
+
+
+# the class-1 pool, the oscillator and an off-oscillator potential, and
+# class 2 with and without chi, each with a theta-dependent G
+_G = ex.parse("cos(theta)")
+LOWERED_FLOW_SPECS = {
+    **{
+        f"class1-{text}": SystemSpec.class1(_G, FuncHandle.from_text(text))
+        for text in ("0", "-r/alpha", "sin(theta)*alpha", "r^2*t")
+    },
+    "oscillator": SystemSpec.pseudo_potential(_G, OSC),
+    "off-oscillator": SystemSpec.pseudo_potential(
+        _G, Potential(ex.parse("1/(2*rbar^2) + 0.1*rbar - 0.2*rbar^3*t"))
+    ),
+    "class2": SystemSpec.class2(_G, FuncHandle.from_text("1+alpha^2*r")),
+    "class2-chi": SystemSpec.class2(
+        _G, FuncHandle.from_text("1+alpha^2*r"), chi=ex.parse("r*theta+t")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOWERED_FLOW_SPECS))
+def test_lowered_flow_matches_the_reference_bit_for_bit(name):
+    spec = LOWERED_FLOW_SPECS[name]
+    for floors in (DEFAULT_FLOORS, Floors(r_min=1e-2, v_min=1e-3).relaxed()):
+        flow = spec.flow(floors)
+        assert spec.flow(Floors(floors.r_min, floors.u_min, floors.v_min)) is flow  # kept
+        for s in random_states(53, 60):
+            for t in (0.0, 0.7):
+                want = reference_flow(spec, s, t, floors)
+                got = flow(t, [s.r, s.theta, s.u, s.v])
+                assert got == want
+                assert all(type(x) is float for x in got)
+                assert vector_field(spec, s, t, floors) == Flow4(*want)
+
+
+_FLOORS = Floors(r_min=1e-2, v_min=1e-3)
+_PSI_FLOOR_SPEC = SystemSpec(_G, Class2Phi(FuncHandle.from_text("0.5+r"), psi_min=0.8))
+
+
+@pytest.mark.parametrize(
+    "spec, state, floors, message",
+    [
+        (LOWERED_FLOW_SPECS["oscillator"], [0.0, 0.0, 0.0, 1.0], _FLOORS, "r must be positive, got 0.0"),
+        (LOWERED_FLOW_SPECS["oscillator"], [-1.0, 0.0, 0.0, 1.0], _FLOORS, "r must be positive, got -1.0"),
+        (LOWERED_FLOW_SPECS["oscillator"], [math.nan, 0.0, 0.0, 1.0], _FLOORS, "r must be positive, got nan"),
+        (
+            LOWERED_FLOW_SPECS["class1-sin(theta)*alpha"],
+            [0.004, 0.0, 0.1, 1.0],
+            _FLOORS.relaxed(),
+            "r=0.004 below floor r_min=0.005",
+        ),
+        (
+            LOWERED_FLOW_SPECS["class1-sin(theta)*alpha"],
+            [1.0, 0.0, 0.1, -0.0005],
+            _FLOORS.relaxed(),
+            "|v|=0.0005 at or below floor v_min=0.0005",
+        ),
+        (
+            _PSI_FLOOR_SPEC,
+            [0.25, 0.4, -0.5, 1.0],
+            DEFAULT_FLOORS,
+            "|psi|=0.75 at or below floor psi_min=0.8 (lambda=-0.5)",
+        ),
+    ],
+    ids=("r-zero", "r-negative", "r-nan", "r-floor", "v-floor", "psi-floor"),
+)
+def test_lowered_flow_failures_keep_their_messages(spec, state, floors, message):
+    with pytest.raises(SingularStateError) as err:
+        spec.flow(floors)(0.3, state)
+    assert str(err.value) == message
+    if state[0] > 0.0:  # the reference starts from a PhaseState
+        with pytest.raises(SingularStateError) as ref:
+            reference_flow(spec, PhaseState(*state), 0.3, floors)
+        assert str(ref.value) == message
+
+
+def test_an_underflowed_denominator_is_a_floating_point_error():
+    # r^2 underflows to zero: the reference divides by zero, the lowered
+    # flow says the state is singular
+    spec = SystemSpec.class1(ex.parse("0"), ZERO_HANDLE)
+    floors = Floors(r_min=1e-300, v_min=1e-300)
+    with pytest.raises(ZeroDivisionError):
+        reference_flow(spec, PhaseState(1e-170, 0.0, -1e-171, 1e-20), 0.0, floors)
+    with pytest.raises(FloatingPointError, match="^float division by zero$") as err:
+        spec.flow(floors)(0.0, [1e-170, 0.0, -1e-171, 1e-20])
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 def test_relaxed_floors_scale_down():

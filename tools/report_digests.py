@@ -12,10 +12,11 @@ is not constant) gets ``simulate`` and the ``flow``, ``consistency``,
 turning-point scan or dV/drbar away from the singular oscillator, so one
 more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 ``V = 1/(2 rbar^2)``), is written to the temporary directory and gets
-every command.  Four variants of the shipped configs, ``VARIANTS``,
+every command.  Five variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
-budget it exhausts, ``class2_psi1`` with an alpha- and r-dependent psi, a
+budget it exhausts, the spiral run on until it stops at the ``r_min``
+floor, ``class2_psi1`` with an alpha- and r-dependent psi, a
 nonzero ``lam0`` and a looser ``quad_tol``, and ``class2_psi1`` with a
 ``chi`` and a ``floors.psi_min`` that its ``verify flow`` sweep trips;
 each gets ``VARIANT_COMMANDS``.  Each shipped config also gets the
@@ -70,6 +71,9 @@ OFF_OSCILLATOR = {
 VARIANTS = (
     ("spiral_rk4.json", "spiral.json", {"integrator": {"method": "rk4", "dt": 0.002}}),
     ("spiral_budget.json", "spiral.json", {"integrator": {"max_steps": 20}}),
+    # r = cos(t) crosses the r_min floor 0.01 at t = 1.56089: a stopped
+    # trajectory, its last steps and dense reads near its end
+    ("spiral_floor_stop.json", "spiral.json", {"time_span": [0.0, 1.6]}),
     (
         "class2_lam0.json",
         "class2_psi1.json",
