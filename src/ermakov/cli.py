@@ -8,9 +8,11 @@ Four commands, all driven by a JSON config (see :mod:`ermakov.config`):
     ermakov linearize --config run.json
 
 Exit codes: 0 pass, 1 numerical or tolerance failure, 2 configuration
-error.  Outputs are files: CSV with a header row, LF endings and floats
-at 17 significant digits; JSON with sorted keys and no volatile fields,
-so identical config plus seed reproduces byte-identical reports.
+error.  Outputs are files with LF endings and no volatile fields, so
+identical config plus seed reproduces byte-identical reports: CSV with a
+header row and floats as ``%.17g``; JSON as
+``json.dumps(doc, sort_keys=True, indent=2)`` writes it, floats as
+``float.__repr__`` and non-finite ones as ``NaN``/``Infinity``.
 
 Only ``verify`` (for its seeded draw), ``orbit`` and ``linearize``
 import numpy; ``simulate`` runs on Python floats.  The ``poisson`` and
@@ -21,6 +23,7 @@ a cold start does not compile them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,8 +38,49 @@ from .systems import FuncHandle, PhaseState, nan_max, np, vector_field
 __all__ = ["main"]
 
 
+def _json(obj, pad="\n"):
+    """obj as ``json.dumps(obj, sort_keys=True, indent=2)`` spells it, its
+    inner lines indented one step past pad.  Leaves go through the stdlib's
+    C encoder, and so does each table (see ``_table``) in one call.  Keys
+    must be str."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError(f"report keys must be str: {list(obj)!r}")
+        items = [inner + json.dumps(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _table(obj, inner) or ",".join(inner + _json(x, inner) for x in obj)
+        return "[" + body + pad + "]"
+    return json.dumps(obj)
+
+
+def _table(rows, pad):
+    """The rows of a table, flat dicts on one set of str keys that hold only
+    floats (such as ``per_state``), at indent pad and joined by commas; None
+    for any other list.  The floats are encoded in one call and filled into
+    a row template."""
+    first = rows[0]
+    if type(first) is not dict or set(map(type, first)) != {str}:
+        return None
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    try:
+        flat = [row[k] for row in rows for k in keys]
+    except KeyError:  # unequal key sets
+        return None
+    if set(map(type, flat)) != {float}:
+        return None
+    entries = ",".join(pad + "  " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+    row = pad + "{" + entries + pad + "}"
+    return ",".join([row] * len(rows)) % tuple(json.dumps(flat)[1:-1].split(", "))
+
+
 def _write_json(path: Path, obj: dict):
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = _json(obj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -44,8 +88,9 @@ def _write_json(path: Path, obj: dict):
 def _write_csv(path: Path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        line = ",".join(["%.17g"] * len(header)) + "\n"
         for row in rows:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def _base_report(cfg: RunConfig, seed: int) -> dict:
@@ -442,7 +487,9 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     return 0 if passed else 1
 
 
-def main(argv: Optional[list] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and kept."""
     parser = argparse.ArgumentParser(
         prog="ermakov",
         description="Simulate, verify and linearize Ermakov systems in "
@@ -471,7 +518,11 @@ def main(argv: Optional[list] = None) -> int:
                 action="store_true",
                 help="debug: inject a J34 perturbation; the sweep must fail",
             )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -202,8 +202,10 @@ def _unpack(prefix: str, d: int) -> str:
 
 
 def _dp45_source(d: int) -> str:
-    """``step(f, t, y, h, k)``: one Dormand-Prince attempt from k = [f(t, y)],
-    the last stage being f at y_new.  Returns (y_new, err_vec)."""
+    """``step(f, t, y, h, k, rtol, atol)``: one Dormand-Prince attempt from
+    k = [f(t, y)], the last stage being f at y_new.  Returns y_new and the
+    error norm, ``_rms`` of the error estimate over the scales
+    atol + rtol * max(|y|, |y_new|), with _rms's operations in its order."""
     lines = [f"{_unpack('y', d)}= y", f"{_unpack('k0_', d)}= k[0]"]
     for i in range(1, 7):
         terms = [
@@ -217,24 +219,26 @@ def _dp45_source(d: int) -> str:
             f"{_unpack(f'k{i}_', d)}= s",
         ]
     # A[6] are the 5th order weights, so the last stage input is y_new
-    err = (
-        "h * (0.0" + "".join(f" + {e!r} * k{m}_{j}" for m, e in enumerate(_DP_E)) + ")"
-        for j in range(d)
-    )
-    lines.append("return yi, [" + ", ".join(err) + "]")
-    return "def step(f, t, y, h, k):\n" + "".join(f"    {line}\n" for line in lines)
+    lines.append(f"{_unpack('n', d)}= yi")
+    for j in range(d):
+        err = "h * (0.0" + "".join(f" + {e!r} * k{m}_{j}" for m, e in enumerate(_DP_E)) + ")"
+        lines.append(f"q{j} = {err} / (atol + rtol * max(abs(y{j}), abs(n{j})))")
+    acc = "0.0" + "".join(f" + q{j} * q{j}" for j in range(d))
+    lines.append(f"return yi, sqrt(({acc}) / {d})")
+    return "def step(f, t, y, h, k, rtol, atol):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 def _rk4_source(d: int) -> str:
-    """``step(f, t, y, h, k)``: one classical RK4 step from k = [f(t, y)],
-    the last stage being f at y_new.  Returns y_new."""
+    """``step(f, t, y, h, k, rtol, atol)``: one classical RK4 step from
+    k = [f(t, y)], the last stage being f at y_new.  Returns y_new and an
+    error norm of 0.0; rtol and atol are not read."""
     lines = [f"{_unpack('y', d)}= y", f"{_unpack('a', d)}= k[0]", "half = 0.5 * h"]
     for prev, name, dt in (("a", "b", "half"), ("b", "c", "half"), ("c", "d", "h")):
         arg = ", ".join(f"y{j} + {dt} * {prev}{j}" for j in range(d))
         lines += [f"s = f(t + {dt}, [{arg}])", "k.append(s)", f"{_unpack(name, d)}= s"]
     new = ", ".join(f"y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(d))
-    lines += ["sixth = h / 6.0", f"y_new = [{new}]", "k.append(f(t + h, y_new))", "return y_new"]
-    return "def step(f, t, y, h, k):\n" + "".join(f"    {line}\n" for line in lines)
+    lines += ["sixth = h / 6.0", f"y_new = [{new}]", "k.append(f(t + h, y_new))", "return y_new, 0.0"]
+    return "def step(f, t, y, h, k, rtol, atol):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 _SOURCES = {"dp45": _dp45_source, "rk4": _rk4_source}
@@ -246,7 +250,7 @@ def _stepper(method: str, d: int) -> Callable:
     step = _STEPPERS.get((method, d))
     if step is None:
         scope = {}
-        exec(_SOURCES[method](d), {}, scope)
+        exec(_SOURCES[method](d), {"sqrt": math.sqrt}, scope)
         step = _STEPPERS[(method, d)] = scope["step"]
     return step
 
@@ -342,13 +346,7 @@ def integrate_ode(
             break
         k = [f_cur]  # the steppers append each derivative f returns
         try:
-            if method == "rk4":
-                y_new = step(f, t, y, h_try, k)
-                err_norm = 0.0
-            else:
-                y_new, err_vec = step(f, t, y, h_try, k)
-                sc = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
-                err_norm = _rms(err_vec, sc)
+            y_new, err_norm = step(f, t, y, h_try, k, rtol, atol)
             f_new = k[-1]
             finite = all(map(math.isfinite, (*y_new, *f_new)))
             last_failure = None if finite else "non-finite stage result"

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ermakov import cli
 from ermakov import expr as ex
 from ermakov.cli import main
 from ermakov.config import parse_config, sample_states
@@ -837,7 +840,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.json"))
 
 # run in a fresh interpreter; prints "@ step [exit code] numpy-loaded" after
-# each step, and the generated steppers after loading
+# each step, the generated steppers and the parsers built after loading, and
+# the parser builds after the last command
 _COLD_START = """
 import sys
 import ermakov.cli
@@ -849,10 +853,23 @@ for path in configs:
 print("@ load", "numpy" in sys.modules)
 # code generation is paid by the first integration, not by setup
 print("@ steppers", sorted(sys.modules["ermakov.integrate"]._STEPPERS))
+# and the parser by the first command
+print("@ parsers", ermakov.cli._parser.cache_info().currsize)
 for i, path in enumerate(configs):
     code = ermakov.cli.main(["simulate", "--config", path, "--out", f"{out}/{i}"])
     print("@ simulate", code, "numpy" in sys.modules)
 code = ermakov.cli.main(["verify", "--config", configs[0], "--which", "flow", "--out", out])
+print("@ verify", code, "numpy" in sys.modules)
+try:
+    ermakov.cli.main(["verify", "--config", configs[0], "--which", "bogus"])
+except SystemExit as exc:
+    print("@ invalid", exc.code)
+code = ermakov.cli.main(["simulate", "--config", configs[0], "--out", f"{out}/again"])
+print("@ simulate", code, "numpy" in sys.modules)
+print("@ parsers built", ermakov.cli._parser.cache_info().misses)
+# the same sweep on a parser built for it alone
+ermakov.cli._parser.cache_clear()
+code = ermakov.cli.main(["verify", "--config", configs[0], "--which", "flow", "--out", f"{out}/fresh"])
 print("@ verify", code, "numpy" in sys.modules)
 """
 
@@ -869,7 +886,105 @@ def test_import_load_and_simulate_run_without_numpy(tmp_path):
     assert steps == [
         "load False",
         "steppers []",
+        "parsers 0",
         "simulate 0 False",
         "simulate 0 False",
         "verify 0 True",
+        "invalid 2",
+        "simulate 0 True",
+        "parsers built 1",
+        "verify 0 True",
     ]
+    # the invalid argv fails on the kept parser as on a new one
+    assert result.stderr.startswith("usage: ermakov verify [-h] --config CONFIG")
+    assert result.stderr.splitlines()[-1] == (
+        "ermakov verify: error: argument --which: invalid choice: 'bogus' "
+        "(choose from 'jacobi', 'flow', 'casimir', 'consistency', 'determinant')"
+    )
+    # and leaves the reports of the commands around it as they were
+    for first, later, name in (
+        ("0", "again", "trajectory.csv"),
+        ("0", "again", "drift.json"),
+        (".", "fresh", "verify_flow.json"),
+    ):
+        assert (tmp_path / later / name).read_bytes() == (tmp_path / first / name).read_bytes()
+
+
+# keys with template, quoting, control and non-ASCII characters
+_KEYS = st.text(max_size=6) | st.sampled_from(["%", "%s", "%%", '"', "\\", "\x00\n\t", "é", "😀"])
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+_LEAVES = (
+    _FLOATS
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=6)
+    | _FLOATS.map(np.float64)
+)
+# how a table of flat float rows is spoiled, if at all
+_FLAWS = ("none", "nan row", "mixed types", "unequal keys", "nested value")
+
+
+@st.composite
+def _tables(draw, children):
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    rows = [{k: draw(_FLOATS) for k in keys} for _ in range(draw(st.integers(1, 5)))]
+    row, key = draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
+    flaw = draw(st.sampled_from(_FLAWS))
+    if flaw == "nan row":
+        row.update(dict.fromkeys(keys, math.nan))
+    elif flaw == "mixed types":
+        row[key] = draw(_LEAVES)
+    elif flaw == "unequal keys":
+        if draw(st.booleans()):
+            del row[key]
+        row[draw(_KEYS)] = 1.0
+    elif flaw == "nested value":
+        row[key] = draw(children)
+    return rows
+
+
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=4)
+        | _tables(children)
+    ),
+    max_leaves=40,
+)
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=200, deadline=None)
+def test_the_report_encoder_spells_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_only_flat_float_tables_take_the_table_path():
+    rows = [{"r": 1.0, "residual": 0.5}, {"r": -0.0, "residual": 2.5}]
+    tables = (rows, [*rows, {"r": math.inf, "residual": math.nan}])
+    flawed = (
+        [*rows, {"r": 1.0, "residual": 1}],
+        [*rows, {"r": 1.0, "residual": np.float64(1.0)}],
+        [*rows, {"r": 1.0, "u": 1.0}],
+        [*rows, {"r": 1.0}],
+        [*rows, {"r": 1.0, "residual": 1.0, "u": 1.0}],
+        [*rows, {"r": 1.0, "residual": [1.0]}],
+        [*rows, [1.0, 2.0]],
+        [{}, {}],
+    )
+    for table, is_table in [(t, True) for t in tables] + [(t, False) for t in flawed]:
+        doc = {"per_state": table}
+        assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        assert (cli._table(table, "\n") is not None) == is_table
+
+
+@pytest.mark.parametrize(
+    "doc", [{1: 1.0}, {"a": 1.0, 2: 1.0}, {"a": {None: 1}}, [{"r": 1.0}, {2: 1.0}], {("a",): 1}]
+)
+def test_a_report_key_that_is_not_a_str_raises(tmp_path, doc):
+    with pytest.raises(TypeError, match="report keys must be str"):
+        cli._write_json(tmp_path / "report.json", doc)
+    assert not (tmp_path / "report.json").exists()

@@ -213,6 +213,13 @@ def _planar_rhs(t, y):
     return [y1 * y0 - t, 0.5 - y0 * y0]
 
 
+def _reference_norm(y, y_new, err, rtol=1e-10, atol=1e-12):
+    """The DP45 error norm as integrate_ode took it from the error vector:
+    ``_rms`` over the scales atol + rtol * max(|y|, |y_new|)."""
+    sc = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+    return integrate_module._rms(err, sc)
+
+
 def test_float_steppers_match_numpy_bit_for_bit():
     m = integrate_module
     rng = np.random.default_rng(5)
@@ -223,20 +230,73 @@ def test_float_steppers_match_numpy_bit_for_bit():
             y = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 1, size=d)
             t, h = rng.uniform(-1, 1), 10.0 ** rng.uniform(-6, 0)
             k1 = rhs(t, y.tolist())
-            sc = 1e-12 + 1e-10 * np.abs(y)
             stages = [k1]
-            y_new, err = dp45(rhs, t, y.tolist(), h, stages)
+            y_new, norm = dp45(rhs, t, y.tolist(), h, stages, 1e-10, 1e-12)
             f_new = stages[-1]
             ref = _reference_dp_step(rhs, t, y, h, k1)
-            assert (y_new, f_new, err) == tuple(a.tolist() for a in ref)
-            assert all(type(x) is float for x in (*y_new, *f_new, *err))
-            assert m._rms(err, sc.tolist()) == math.sqrt(float(np.mean((ref[2] / sc) ** 2)))
+            assert (y_new, f_new) == (ref[0].tolist(), ref[1].tolist())
+            assert all(type(x) is float for x in (*y_new, *f_new, norm))
+            sc = 1e-12 + 1e-10 * np.maximum(np.abs(y), np.abs(ref[0]))
+            assert m._rms(ref[2].tolist(), sc.tolist()) == math.sqrt(
+                float(np.mean((ref[2] / sc) ** 2))
+            )
+            assert norm == _reference_norm(y.tolist(), y_new, ref[2].tolist())
             assert len(stages) == 7
             stages = [k1]
-            assert rk4(rhs, t, y.tolist(), h, stages) == (
-                _reference_rk4_step(rhs, t, y, h, k1).tolist()
+            assert rk4(rhs, t, y.tolist(), h, stages, 1e-10, 1e-12) == (
+                _reference_rk4_step(rhs, t, y, h, k1).tolist(), 0.0
             )
             assert len(stages) == 5
+
+
+# values that overflow a stage sum, and the non-finite ones
+_EXTREMES = (math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324, -0.0)
+
+
+def _draw_with_extremes(rng, d):
+    x = (rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3, size=d)).tolist()
+    for j in np.flatnonzero(rng.random(d) < 0.15):
+        x[j] = _EXTREMES[rng.integers(len(_EXTREMES))]
+    return x
+
+
+def test_the_generated_error_norm_matches_rms_bit_for_bit():
+    # NaN and inf in the state and in the stages, which ignore their input
+    rng = np.random.default_rng(11)
+    n_nan = 0
+    for d in (2, 4):
+        step = integrate_module._stepper("dp45", d)
+        for _ in range(2000):
+            y = _draw_with_extremes(rng, d)
+            derivs = [_draw_with_extremes(rng, d) for _ in range(7)]
+            t, h = rng.uniform(-1, 1), 10.0 ** rng.uniform(-6, 0)
+            rtol, atol = 10.0 ** rng.uniform(-12, -3), 10.0 ** rng.uniform(-14, -6)
+            stages = [derivs[0]]
+            y_new, norm = step(lambda t, y: derivs[len(stages)], t, y, h, stages, rtol, atol)
+            calls = iter(derivs[1:])
+            with np.errstate(all="ignore"):
+                ref = _reference_dp_step(lambda t, y: next(calls), t, np.array(y), h, derivs[0])
+            assert np.array_equal(y_new, ref[0], equal_nan=True)
+            want = _reference_norm(y, ref[0].tolist(), ref[2].tolist(), rtol, atol)
+            assert norm == want or (math.isnan(norm) and math.isnan(want))
+            n_nan += math.isnan(norm)
+    assert 100 < n_nan < 3000
+
+
+def test_the_error_norm_keeps_the_scale_argument_order():
+    # y0 = -inf and a stage sum that overflows to +inf: y_new0 is NaN while
+    # its error stays finite, and max(|y0|, |y_new0|) = inf scales it to 0
+    derivs = [1.7e308, 1.0]
+    y = [-math.inf, 1.0]
+    stages = [derivs]
+    y_new, norm = integrate_module._stepper("dp45", 2)(
+        lambda t, y: derivs, 0.0, y, 1.0, stages, 1e-10, 1e-12
+    )
+    with np.errstate(all="ignore"):
+        ref = _reference_dp_step(lambda t, y: derivs, 0.0, np.array(y), 1.0, derivs)
+    assert math.isnan(y_new[0]) and math.isfinite(ref[2][0])
+    assert math.isfinite(norm)
+    assert norm == _reference_norm(y, ref[0].tolist(), ref[2].tolist())
 
 
 def test_an_infinite_stage_spoils_the_dp45_step():
@@ -247,12 +307,14 @@ def test_an_infinite_stage_spoils_the_dp45_step():
 
     y, k1 = [1.0, 3.0], [1.0, 2.0]
     stages = [k1]
-    y_new, err = integrate_module._stepper("dp45", 2)(rhs, 0.0, y, 1.0, stages)
+    y_new, norm = integrate_module._stepper("dp45", 2)(rhs, 0.0, y, 1.0, stages, 1e-10, 1e-12)
     with np.errstate(invalid="ignore"):
         ref = _reference_dp_step(rhs, 0.0, np.array(y), 1.0, k1)
-    assert not all(map(math.isfinite, y_new + err))
-    for got, want in ((y_new, ref[0]), (stages[-1], ref[1]), (err, ref[2])):
+    assert not all(map(math.isfinite, y_new))
+    assert not all(map(math.isfinite, ref[2]))
+    for got, want in ((y_new, ref[0]), (stages[-1], ref[1])):
         assert np.array_equal(got, want, equal_nan=True)
+    assert math.isnan(norm) and math.isnan(_reference_norm(y, y_new, ref[2].tolist()))
 
 
 @pytest.mark.parametrize("method, n_stages", [("dp45", 6), ("rk4", 4)])
@@ -267,7 +329,7 @@ def test_a_raising_stage_is_counted(method, n_stages):
             return [y[1], -y[0]]
 
         with pytest.raises(SingularStateError):
-            step(rhs, 0.0, [1.0, 0.5], 0.1, stages)
+            step(rhs, 0.0, [1.0, 0.5], 0.1, stages, 1e-10, 1e-12)
         # the stages before it, each appended as it returned
         assert len(stages) == failing
 

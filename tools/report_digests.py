@@ -12,7 +12,10 @@ is not constant) gets ``simulate`` and the ``flow``, ``consistency``,
 turning-point scan or dV/drbar away from the singular oscillator, so one
 more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 ``V = 1/(2 rbar^2)``), is written to the temporary directory and gets
-every command.  Five variants of the shipped configs, ``VARIANTS``,
+every command.  ``NAN_PHI`` (a class-1 phi that cancels to NaN where
+``(1e154 r)^2`` overflows) gets the ``jacobi`` and ``flow`` sweeps
+(``NAN_PHI_COMMANDS``), which fail on NaN rows inside the ``per_state``
+table.  Five variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, the spiral run on until it stops at the ``r_min``
@@ -66,6 +69,13 @@ OFF_OSCILLATOR = {
     "time_span": [0.0, 1.0],
     "verify": {"samples": 200, "seed": 20260823, "branch": "fixed"},
 }
+
+# phi is (inf - inf), a NaN, where (1e154 r)^2 overflows
+NAN_PHI = {
+    "system": {"kind": "class1", "phi": "(1e154*r)*(1e154*r) - (1e154*r)*(1e154*r)"},
+    "verify": {"samples": 50},
+}
+NAN_PHI_COMMANDS = (("verify", "--which", "jacobi"), ("verify", "--which", "flow"))
 
 # (document name, shipped config it starts from, sections it replaces)
 VARIANTS = (
@@ -146,6 +156,7 @@ def main(argv=None) -> int:
     runs.append((STRESS_CONFIG, STRESS_COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
         runs.append((_write_doc(Path(tmp) / "off_oscillator.json", OFF_OSCILLATOR), COMMANDS))
+        runs.append((_write_doc(Path(tmp) / "nan_phi.json", NAN_PHI), NAN_PHI_COMMANDS))
         for name, base, sections in VARIANTS:
             doc = json.loads((ROOT / "configs" / base).read_text(encoding="utf-8"))
             runs.append((_write_doc(Path(tmp) / name, dict(doc, **sections)), VARIANT_COMMANDS))
