@@ -237,7 +237,9 @@ def _rk4_source(d: int) -> str:
         arg = ", ".join(f"y{j} + {dt} * {prev}{j}" for j in range(d))
         lines += [f"s = f(t + {dt}, [{arg}])", "k.append(s)", f"{_unpack(name, d)}= s"]
     new = ", ".join(f"y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})" for j in range(d))
-    lines += ["sixth = h / 6.0", f"y_new = [{new}]", "k.append(f(t + h, y_new))", "return y_new, 0.0"]
+    lines += [
+        "sixth = h / 6.0", f"y_new = [{new}]", "k.append(f(t + h, y_new))", "return y_new, 0.0"
+    ]
     return "def step(f, t, y, h, k, rtol, atol):\n" + "".join(f"    {line}\n" for line in lines)
 
 
