@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -316,41 +315,55 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
 _NAMESPACE = dict(
     {name: getattr(math, name) for name in ("sin", "cos", "tan", "exp", "sqrt")},
     ln=math.log, abs=abs, float=float, inf=math.inf, nan=math.nan, _pow=math.pow,
-    _replay=lambda tree, names, vals: evaluate(tree, dict(zip(names, vals))),
 )
 
 
-def _lower(tree: Expr, args: tuple):
-    """Source of ``make(tree)``, which returns the function of len(args)
+def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
+    """Source of ``make(replay)``, which returns the function of len(args)
     positional values computing ``tree``: one assignment per distinct
-    subexpression, each the operation :func:`evaluate` performs."""
-    params = ", ".join(f"a{i}" for i in range(len(args)))
-    lines, slots = [], {}
+    subexpression, each the operation :func:`evaluate` performs; with
+    ``bound`` names, ``bind(*values, replay=replay)``, which returns that
+    function.  Where an operation raises ArithmeticError or ValueError, or
+    |e| <= m for a guard (e, m), it returns replay(*values, *bound values)."""
+    a, b = [f"a{i}" for i in range(len(args))], [f"b{i}" for i in range(len(bound))]
+    lines, slots, prelude = [], {}, []
 
     def emit(e: Expr) -> str:
         if isinstance(e, Num):
             return repr(float(e.value))
-        if isinstance(e, Var):
-            rhs = f"float(a{args.index(e.name)})"
+        if isinstance(e, Var):  # a bound variable is read when bound
+            i, prefix = (args.index(e.name), "a") if e.name in args else (bound.index(e.name), "b")
+            rhs = f"float({prefix}{i})"
         elif isinstance(e, Unary):
             x = emit(e.arg)
             rhs = f"-{x}" if e.op == "neg" else f"{e.op}({x})"
         else:
-            a, b = emit(e.left), emit(e.right)
-            rhs = f"_pow({a}, {b})" if e.op == "^" else f"{a} {e.op} {b}"
+            x, y = emit(e.left), emit(e.right)
+            rhs = f"_pow({x}, {y})" if e.op == "^" else f"{x} {e.op} {y}"
         if rhs not in slots:  # equal text computes an equal value
-            slots[rhs] = f"x{len(lines)}"
-            lines.append(f"x{len(lines)} = {rhs}")
+            slots[rhs] = f"x{len(slots)}"
+            (prelude if rhs.startswith("float(b") else lines).append(f"{slots[rhs]} = {rhs}")
         return slots[rhs]
 
-    # with a variable unbound, the replay raises evaluate's EvalError
-    lines.append(f"return {emit(tree)}" if free_vars(tree) <= set(args) else "raise ValueError")
-    body = "".join(f"\n            {line}" for line in lines)
-    return (
-        f"def make(tree):\n    def compiled({params}):\n        try:{body}\n"
-        "        except (ArithmeticError, ValueError):\n"
-        f"            return _replay(tree, {args!r}, [{params}])\n    return compiled\n"
-    )
+    replay = f"return replay({', '.join(a + b)})"
+    tail = []  # after the try, so that a replay that raises is not replayed
+    if free_vars(tree).union(*(free_vars(e) for e, _ in guards)) <= set(args + bound):
+        result = emit(tree)
+        if guards:
+            tests = " or ".join(f"{-m!r} <= {emit(e)} <= {m!r}" for e, m in guards)
+            tail = [f"if {tests}:", f"    {replay}"]
+        tail.append(f"return {result}")
+    else:  # with a variable unbound, the replay raises evaluate's EvalError
+        lines.append("raise ValueError")
+    code = [f"def compiled({', '.join(a)}):", "    try:"]
+    code += [f"        {line}" for line in lines or ["pass"]]
+    code += ["    except (ArithmeticError, ValueError):", f"        {replay}"]
+    code += [f"    {line}" for line in tail]
+    if bound:
+        inner = [*prelude, *code, "return compiled"]
+        code = [f"def bind({', '.join(b)}, replay=replay):", *(f"    {line}" for line in inner)]
+    code.append("return bind" if bound else "return compiled")
+    return "def make(replay):\n" + "".join(f"    {line}\n" for line in code)
 
 
 @functools.lru_cache(maxsize=1024)  # CPython keeps memory for each new code object run
@@ -360,18 +373,22 @@ def _maker(source: str):
     return scope["make"]
 
 
-def compile(tree: Expr, args) -> Callable[..., float]:
+def compile(tree: Expr, args, bound=(), guards=()) -> Callable[..., float]:
     """Lower ``tree`` to a function of the positional values of ``args``
     (variable names, in order) that returns, as a Python float, exactly
     what :func:`evaluate` returns for ``dict(zip(args, values))``.  Where
     it raises ArithmeticError or ValueError, ``evaluate`` runs instead and
     raises its own error.  The lowered code is kept on the tree, per args.
-    """
-    args = tuple(args)
+    With ``bound`` names it returns ``bind(*values, replay=evaluate)``,
+    which binds those and returns that function; where an operation
+    raises or |e| <= m for a guard (e, m), it returns replay(*values of
+    args, *values of bound)."""
+    args, bound, guards = tuple(args), tuple(bound), tuple(guards)
     makers = tree.__dict__.setdefault("_compiled", {})
-    if args not in makers:
-        makers[args] = _maker(_lower(tree, args))
-    return makers[args](tree)
+    key = (args, bound, guards)
+    if key not in makers:
+        makers[key] = _maker(_lower(tree, args, bound, guards))
+    return makers[key](lambda *vals: evaluate(tree, dict(zip(args + bound, vals))))
 
 
 def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
@@ -513,13 +530,8 @@ def quad_adaptive(
     if b < a:
         return -quad_adaptive(f, b, a, tol)
 
-    def sample(x: float) -> float:
-        y = float(f(x))
-        if not math.isfinite(y):
-            raise QuadratureError(f"non-finite integrand value {y!r} at lambda={x!r}")
-        return y
-
-    panels = [_gk21(sample, a, b, 0)]
+    gk21 = _gk21_panel()
+    panels = [gk21(f, a, b, 0)]
     # a running sum of the panels' errors, recomputed by math.fsum when it
     # leaves [exact/2, 2*exact], so its rounding stays near 1e-11 of it
     errsum = exact = -panels[0][0]
@@ -539,8 +551,8 @@ def quad_adaptive(
                 f"before tolerance was met"
             )
         mid = 0.5 * (lo + hi)
-        left = _gk21(sample, lo, mid, depth + 1)
-        right = _gk21(sample, mid, hi, depth + 1)
+        left = gk21(f, lo, mid, depth + 1)
+        right = gk21(f, mid, hi, depth + 1)
         heapq.heapreplace(panels, left)
         heapq.heappush(panels, right)
         errsum += neg_err - left[0] - right[0]
@@ -549,22 +561,37 @@ def quad_adaptive(
     return math.fsum(panel[4] for panel in panels)
 
 
-def _gk21(sample, lo: float, hi: float, depth: int) -> tuple:
+def _gk21(f, lo: float, hi: float, depth: int) -> tuple:
     """(-|K21 - G10|, depth, lo, hi, K21, samples) on [lo, hi]: a min-heap
     entry that puts the largest error first.  ``samples`` are f at the
     centre and at the nodes left and right of it, for ``_abs_integral``."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    centre = sample(mid)
-    left = [sample(mid - half * x) for x in _GK21_NODES[1:]]
-    right = [sample(mid + half * x) for x in _GK21_NODES[1:]]
-    # f(mid - half x) + f(mid + half x) for each positive node x
-    pairs = list(map(operator.add, left, right))
-    kronrod = half * (
-        _K21_WEIGHTS[0] * centre + sum(map(operator.mul, _K21_WEIGHTS[1:], pairs))
-    )
-    gauss = half * sum(map(operator.mul, _G10_WEIGHTS, pairs[::2]))
-    return (-abs(kronrod - gauss), depth, lo, hi, kronrod, (centre, left, right))
+    return _gk21_panel()(f, lo, hi, depth)
+
+
+@functools.cache
+def _gk21_panel() -> Callable:
+    """``_gk21`` as straight-line float code, generated on first use: the
+    node offsets half * x, the 21 samples float(f(x)), each checked as it
+    is taken, and the K21 and G10 sums unrolled from 0.0, weights in order."""
+    idx = range(1, len(_GK21_NODES))
+    lines = ["mid = 0.5 * (lo + hi)", "half = 0.5 * (hi - lo)"]
+    lines += [f"d{i} = half * {_GK21_NODES[i]!r}" for i in idx]
+    for y, x in [("c", "mid"), *((f"l{i}", f"mid - d{i}") for i in idx),
+                 *((f"r{i}", f"mid + d{i}") for i in idx)]:
+        # y - y is 0.0 where y is finite and NaN, which is true, where not
+        lines += [f"{y} = float(f({x}))", f"if {y} - {y}:", f"    raise _nonfinite({y}, {x})"]
+    lines += [f"p{i} = l{i} + r{i}" for i in idx]
+    k21 = "".join(f" + {_K21_WEIGHTS[i]!r} * p{i}" for i in idx)
+    g10 = "".join(f" + {w!r} * p{2 * i + 1}" for i, w in enumerate(_G10_WEIGHTS))
+    lines += [
+        f"kronrod = half * ({_K21_WEIGHTS[0]!r} * c + (0.0{k21}))", f"gauss = half * (0.0{g10})",
+        f"samples = (c, [{', '.join(f'l{i}' for i in idx)}], [{', '.join(f'r{i}' for i in idx)}])",
+        "return (-abs(kronrod - gauss), depth, lo, hi, kronrod, samples)",
+    ]
+    scope, source = {}, "def gk21(f, lo, hi, depth):\n" + "".join(f"    {x}\n" for x in lines)
+    exec(source, {"_nonfinite": lambda y, x: QuadratureError(
+        f"non-finite integrand value {y!r} at lambda={x!r}")}, scope)
+    return scope["gk21"]
 
 
 def _abs_integral(lo: float, hi: float, samples: tuple) -> float:

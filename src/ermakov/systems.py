@@ -314,9 +314,11 @@ class Class2Phi:
     theta are exact too: the integrand is differentiated under the
     integral sign, which takes second partials of psi.
 
-    The psi partials are derived on first use.  The last value is kept
-    with its (alpha, r, theta, t), so phi and its derivatives, or the
-    matrix and the flow, at one state share one quadrature of phi.
+    Quadratures run on the integrand lowered once, with (r, theta, t)
+    bound per quadrature; ``integrand``, the reference, replays a sample
+    where it faults.  The psi partials are derived on first use.  The last
+    value is kept with its (alpha, r, theta, t), so phi and its derivatives,
+    or the matrix and the flow, at one state share one quadrature of phi.
     """
 
     def __init__(
@@ -342,6 +344,8 @@ class Class2Phi:
         # set here rather than added on first use: an attribute added after
         # __init__ slows every attribute read on the instance in CPython 3.11
         self._partials = None
+        self._tree = None
+        self._fused = None
         self._under_integral = {}
         self._last = (None, None)
 
@@ -386,8 +390,9 @@ class Class2Phi:
         if self._constant_integrand:
             k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t)
         else:
+            bind = self._fused or self._lower_integrand()
             k = ex.quad_adaptive(
-                lambda lam: self.integrand(lam, r, theta, t), self.lam0, alpha, self.tol
+                bind(r, theta, t, replay=self.integrand), self.lam0, alpha, self.tol
             )
         if self._chi is not None:
             k += self._chi.fn(alpha, r, theta, t)
@@ -427,30 +432,38 @@ class Class2Phi:
         if d_integrand is None:
             dk = 0.0
         elif self._constant_integrand:
-            dk = (alpha - self.lam0) * d_integrand(alpha, r, theta, t)
+            dk = (alpha - self.lam0) * d_integrand(r, theta, t)(alpha)
         else:
-            dk = ex.quad_adaptive(
-                lambda lam: d_integrand(lam, r, theta, t), self.lam0, alpha, self.tol
-            )
+            dk = ex.quad_adaptive(d_integrand(r, theta, t), self.lam0, alpha, self.tol)
         if self._chi is not None:
             dk += self._chi.partial(var).fn(alpha, r, theta, t)
         return dk * w + k * self.psi.partial(var).fn(alpha, r, theta, t)
 
+    def _lower_integrand(self):
+        """Keep the integrand as one tree in (alpha, r, theta, t), alpha for
+        lam, and compiled as ``bind(r, theta, t, replay=...)``, a function of
+        lam guarded by the psi floor and lam = 0; return the latter."""
+        tree = _INTEGRAND[self._theta_dependent]
+        for name, sub in (
+            ("psi_r", self.psi.partial("r").tree),
+            ("psi_theta", self.psi.partial("theta").tree),
+            ("psi", self.psi.tree),
+        ):
+            tree = ex.substitute(tree, name, sub)
+        guards = ((self.psi.tree, self.psi_min), (Var("alpha"), 0.0))[: 1 + self._theta_dependent]
+        self._tree = tree
+        self._fused = ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards)
+        return self._fused
+
     def _integrand_partial(self, var: str):
-        """d(integrand)/d(var) compiled, a function of (lam, r, theta, t),
-        or None where the integrand is free of var; derived on first use,
-        from the integrand written as a tree, and kept."""
+        """d(integrand)/d(var) as ``bind(r, theta, t)``, a function of lam,
+        or None where the integrand is free of var; derived on first use."""
         if var not in self._under_integral:
-            tree = _INTEGRAND[self._theta_dependent]
-            psi = self.psi
-            for name, sub in (
-                ("psi_r", psi.partial("r").tree),
-                ("psi_theta", psi.partial("theta").tree),
-                ("psi", psi.tree),
-            ):
-                tree = ex.substitute(tree, name, sub)
+            if self._tree is None:
+                self._lower_integrand()
+            tree = self._tree
             self._under_integral[var] = (
-                ex.compile(ex.differentiate(tree, var), _HANDLE_VARS)
+                ex.compile(ex.differentiate(tree, var), ("alpha",), ("r", "theta", "t"))
                 if var in ex.free_vars(tree)
                 else None
             )

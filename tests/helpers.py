@@ -1,10 +1,12 @@
 """Shared bits for the test suite: random expression trees, a couple
 of reference systems used across files, numpy reference copies of float
 code, the central-difference Jacobi sweep that cross-checks the exact
-partials, and the flow as ``vector_field`` computed it per call before
-each system's flow was lowered once."""
+partials, the flow as ``vector_field`` computed it per call before
+each system's flow was lowered once, and the Gauss-Kronrod panel as it
+was computed from lists before it was generated."""
 
 import math
+import operator
 import random
 
 import numpy as np
@@ -208,3 +210,29 @@ def reference_flow(spec, s: PhaseState, t: float = 0.0, floors=DEFAULT_FLOORS) -
             part = u * v * (coupling(alpha, r, th, t) + 2.0 * v * psi_val / r)
     udot = -u * g / (r * r * v) + part
     return u, v / (r * r), udot, -g / (r * r)
+
+
+def reference_gk21(f, lo: float, hi: float, depth: int) -> tuple:
+    """The Gauss-Kronrod panel as ``expr._gk21`` computed it from lists
+    before it was generated: samples f at the centre, the left nodes and
+    the right nodes, each checked as it is taken, and sums left to right
+    from 0."""
+
+    def sample(x: float) -> float:
+        y = float(f(x))
+        if not math.isfinite(y):
+            raise ex.QuadratureError(f"non-finite integrand value {y!r} at lambda={x!r}")
+        return y
+
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    centre = sample(mid)
+    left = [sample(mid - half * x) for x in ex._GK21_NODES[1:]]
+    right = [sample(mid + half * x) for x in ex._GK21_NODES[1:]]
+    # f(mid - half x) + f(mid + half x) for each positive node x
+    pairs = list(map(operator.add, left, right))
+    kronrod = half * (
+        ex._K21_WEIGHTS[0] * centre + sum(map(operator.mul, ex._K21_WEIGHTS[1:], pairs))
+    )
+    gauss = half * sum(map(operator.mul, ex._G10_WEIGHTS, pairs[::2]))
+    return (-abs(kronrod - gauss), depth, lo, hi, kronrod, (centre, left, right))

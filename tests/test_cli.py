@@ -840,8 +840,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.json"))
 
 # run in a fresh interpreter; prints "@ step [exit code] numpy-loaded" after
-# each step, the generated steppers and the parsers built after loading, and
-# the parser builds after the last command
+# each step, the generated steppers, Gauss-Kronrod panel and parsers built
+# after loading, and the parser builds after the last command
 _COLD_START = """
 import sys
 import ermakov.cli
@@ -853,6 +853,7 @@ for path in configs:
 print("@ load", "numpy" in sys.modules)
 # code generation is paid by the first integration, not by setup
 print("@ steppers", sorted(sys.modules["ermakov.integrate"]._STEPPERS))
+print("@ panels", sys.modules["ermakov.expr"]._gk21_panel.cache_info().currsize)
 # and the parser by the first command
 print("@ parsers", ermakov.cli._parser.cache_info().currsize)
 for i, path in enumerate(configs):
@@ -886,6 +887,7 @@ def test_import_load_and_simulate_run_without_numpy(tmp_path):
     assert steps == [
         "load False",
         "steppers []",
+        "panels 0",
         "parsers 0",
         "simulate 0 False",
         "simulate 0 False",

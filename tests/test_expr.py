@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from ermakov import expr as ex
 from ermakov.expr import Binary, Num, Unary, Var
 
-from helpers import VARS, evaluable_tree, random_bindings, trusted_central_difference
+from helpers import (
+    VARS,
+    evaluable_tree,
+    random_bindings,
+    reference_gk21,
+    trusted_central_difference,
+)
 
 
 def test_parse_builds_expected_tree():
@@ -361,6 +367,59 @@ def test_running_error_sum_stops_where_the_exact_sum_does(f, a, b):
         assert calls[0] == 21 * (2 * panels - 1)
 
 
+def _panel_outcome(panel, f, lo, hi):
+    """A panel's exact bits (repr keeps signed zeros), or its error."""
+    try:
+        return repr(panel(f, lo, hi, 7))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_generated_gk21_matches_reference_panel():
+    rng = random.Random(20260823)
+    families = [
+        lambda c: lambda x: c[0] + c[1] * x + c[2] * math.sin(c[3] * x),  # sign-changing
+        lambda c: lambda x: c[0] * math.exp(-c[1] * x * x),
+        lambda c: lambda x: 1e300 * c[0] * math.cos(c[1] * x),
+        lambda c: lambda x: 5e-324 * round(c[0] * 4.0) + 1e-310 * c[1] * x,  # subnormal
+        lambda c: lambda x: -0.0 if c[0] > 0.0 else x * 0.0,  # signed zeros
+    ]
+    widths = (0.0, 5e-324, 1e-300, 1e-12, 1e-3, 1.0, 7.0)
+    for n in range(20000):
+        c = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+        f = families[n % len(families)](c)
+        lo = rng.choice((-0.0, 0.0, rng.uniform(-4.0, 4.0), 1e300 * c[0]))
+        hi = lo + rng.choice(widths) * rng.random()
+        expected = _panel_outcome(reference_gk21, f, lo, hi)
+        assert _panel_outcome(ex._gk21, f, lo, hi) == expected, (n, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "bad, boom",
+    [(0, 1), (3, 15), (11, 12), (20, 1), (14, 3), (1, None), (None, 20)],
+)
+def test_generated_gk21_faults_in_the_reference_order(bad, boom):
+    # samples run centre, the left nodes, the right nodes: the first of a
+    # non-finite value (at index bad) and a raise (at index boom) wins
+    def make(values):
+        def f(x):
+            if len(values) == boom:
+                raise ZeroDivisionError(f"boom at {x!r}")
+            values.append(x)
+            return math.inf if len(values) - 1 == bad else math.cos(x)
+
+        return f
+
+    seen, expected_seen = [], []
+    outcome = _panel_outcome(ex._gk21, make(seen), 0.25, 1.5)
+    assert outcome == _panel_outcome(reference_gk21, make(expected_seen), 0.25, 1.5)
+    assert seen == expected_seen  # no sample is taken twice or after the fault
+    first = min(i for i in (bad, boom) if i is not None)
+    assert outcome[0] is (ex.QuadratureError if first == bad else ZeroDivisionError)
+    if first == bad:
+        assert outcome[1].startswith("non-finite integrand value inf at lambda=")
+
+
 def test_quadrature_validates_arguments():
     with pytest.raises(ValueError):
         ex.quad_adaptive(math.sin, 0.0, 1.0, 0.0)
@@ -410,6 +469,25 @@ def test_compiled_tree_matches_evaluate_or_raises_the_same_error(tree, vals, as_
     if as_numpy:
         vals = [np.float64(x) for x in vals]
     _same_as_evaluate(tree, names, vals)
+
+
+@given(_signed_trees, st.lists(_signed, min_size=5, max_size=5), _signed_trees, _signed)
+@settings(max_examples=300, deadline=None)
+def test_bound_compile_matches_evaluate_and_replays_at_its_guards(tree, vals, guard, m):
+    # (theta, r, t) bound once, (alpha, rbar) per call; where an operation
+    # raises or |guard| <= m the replay gets the values, args first
+    args, bound = ("alpha", "rbar"), ("theta", "r", "t")
+    bindings = dict(zip(args + bound, vals))
+    bind = ex.compile(tree, args, bound, [(guard, m)])
+    expected = _outcome(lambda: ex.evaluate(tree, bindings))
+    fn = bind(*vals[2:])
+    assert _outcome(lambda: fn(*vals[:2])) == expected, ex.to_text(tree)
+    replayed = bind(*vals[2:], replay=lambda *values: values)(*vals[:2])
+    try:
+        faults = not isinstance(expected, bytes) or abs(ex.evaluate(guard, bindings)) <= m
+    except ex.ExprError:
+        faults = True  # a guard that faults replays as well
+    assert replayed == (tuple(vals) if faults else fn(*vals[:2]))
 
 
 _EXPRESSION_KEYS = {"g", "f", "phi", "psi", "chi", "potential", "phi_override",

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -418,6 +419,81 @@ def test_class2_phi_takes_a_constant_integrand_exactly(monkeypatch, text):
     for phi, point, expected in cases:
         assert phi(*point) == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert quads[0] == 0
+
+
+def _outcome(fn):
+    """The exact bits of a result, or the type and message of its error."""
+    try:
+        return struct.pack("<d", fn())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# (psi, chi, lam0, psi_min): alpha only, alpha and r, theta-dependent, with
+# chi, a nonzero lam0 and a floor that psi crosses, and a ln that can fail
+_FUSED_POOL = [
+    ("1+alpha^2", None, 0.0, 1e-12),
+    ("1+alpha^2*r", None, 0.0, 1e-12),
+    ("1+alpha^2*r+0.1*alpha*sin(theta)", None, 0.3, 1e-12),
+    ("1+alpha+alpha^2*r", "0.1*r*sin(theta)+t", 0.3, 0.8),
+    ("2+alpha*ln(r+alpha)+0.2*cos(theta)*t", None, -0.4, 1e-12),
+]
+
+
+# (lam, r, theta, t) ranges of the random points
+_FUSED_RANGES = ((-3.0, 3.0), (0.2, 3.0), (-3.2, 3.2), (0.0, 2.0))
+
+
+def test_fused_integrand_matches_integrand_bit_for_bit():
+    faults = []
+    for text, chi, lam0, psi_min in _FUSED_POOL:
+        chi = None if chi is None else ex.parse(chi)
+        phi = Class2Phi(FuncHandle.from_text(text), chi, lam0=lam0, psi_min=psi_min)
+        bind = phi._fused or phi._lower_integrand()
+        rng = random.Random(text)
+        points = [tuple(rng.uniform(lo, hi) for lo, hi in _FUSED_RANGES) for _ in range(2000)]
+        # lambda = 0 (at r = inf only the guard sees it: the 1/lambda term
+        # is a NaN there, not a division by zero), psi at its floor, ln(0)
+        points += [(0.0, 1.3, 0.4, 0.5), (-0.0, 0.7, -1.1, 0.0), (0.0, math.inf, 0.3, 0.2),
+                   (-0.5, 1.0, 0.2, 0.1), (-1.0, 1.0, 0.2, 0.1)]
+        for lam, r, theta, t in points:
+            expected = _outcome(lambda: phi.integrand(lam, r, theta, t))
+            fused = bind(r, theta, t, replay=phi.integrand)
+            assert _outcome(lambda: fused(lam)) == expected, (text, lam, r, theta, t)
+            if not isinstance(expected, bytes):
+                faults.append(expected)
+    # every fault state was reached, and nothing else faulted
+    kinds = {
+        (SingularStateError, "at or below floor psi_min="),
+        (SingularStateError, "has a 1/lambda term and the path touches lambda=0"),
+        (ex.DomainError, "ln of -"),
+        (ex.DomainError, "ln of 0.0 "),
+    }
+
+    def kind(error, message):
+        return next((k for k in kinds if k[0] is error and k[1] in message), None)
+
+    assert {kind(*fault) for fault in faults} == kinds
+
+
+def test_class2_phi_rebuilds_share_the_lowered_code(monkeypatch):
+    # a rebuilt Class2Phi (every command reloads its config) runs on the
+    # code objects of the first: exec'ing the same source again would
+    # keep new memory each time
+    codes = []
+    quad = ex.quad_adaptive
+    monkeypatch.setattr(ex, "quad_adaptive", lambda f, *args: codes.append(f) or quad(f, *args))
+    first, second = (Class2Phi(FuncHandle.from_text("1+alpha^2*r")) for _ in range(2))
+    for phi, state in ((first, (0.4, 1.0, 0.2)), (second, (0.7, 1.3, 0.1))):
+        phi(*state)
+        phi.partial("r")(*state)  # phi at the state is kept: one quadrature
+    assert len(codes) == 4 and codes[0] is not codes[2]
+    assert codes[0].__code__ is codes[2].__code__
+    assert codes[1].__code__ is codes[3].__code__
+    assert first._fused is not second._fused and first._fused.__code__ is second._fused.__code__
+    # the panel is generated once per process
+    assert ex._gk21_panel() is ex._gk21_panel()
+    assert ex._gk21_panel.cache_info().misses == 1
 
 
 def test_nan_max_lets_the_first_nan_win():

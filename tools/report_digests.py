@@ -15,14 +15,17 @@ more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 every command.  ``NAN_PHI`` (a class-1 phi that cancels to NaN where
 ``(1e154 r)^2`` overflows) gets the ``jacobi`` and ``flow`` sweeps
 (``NAN_PHI_COMMANDS``), which fail on NaN rows inside the ``per_state``
-table.  Five variants of the shipped configs, ``VARIANTS``,
+table.  Six variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, the spiral run on until it stops at the ``r_min``
 floor, ``class2_psi1`` with an alpha- and r-dependent psi, a
-nonzero ``lam0`` and a looser ``quad_tol``, and ``class2_psi1`` with a
-``chi`` and a ``floors.psi_min`` that its ``verify flow`` sweep trips;
-each gets ``VARIANT_COMMANDS``.  Each shipped config also gets the
+nonzero ``lam0`` and a looser ``quad_tol``, ``class2_psi1`` with a
+``chi`` and a ``floors.psi_min`` that its ``verify flow`` sweep trips,
+and ``class2_psi1`` with a theta-dependent psi and a nonzero ``lam0``,
+whose integrand carries the psi_theta/(r^2 lambda) term and whose
+``verify flow`` states with alpha <= 0 hit the lambda = 0 crossing
+error; each gets ``VARIANT_COMMANDS``.  Each shipped config also gets the
 ``jacobi`` sweep with ``--tamper-j34`` (``TAMPER_COMMANDS``), and each
 again with ``verify.u_floor`` 0.3 (``U_FLOOR_VARIANT``) gets the
 ``jacobi`` and ``casimir`` sweeps.  It prints one line per command with its exit code
@@ -108,6 +111,20 @@ VARIANTS = (
                 "chi": "0.1*r*sin(theta)+t",
             },
             "floors": {"psi_min": 0.8},
+        },
+    ),
+    # psi depends on theta: the integrand's psi_theta/(r^2 lam) term, and
+    # the error of a path from lam0 across lambda = 0
+    (
+        "class2_theta.json",
+        "class2_psi1.json",
+        {
+            "system": {
+                "kind": "class2",
+                "g": "cos(theta)",
+                "psi": "1+alpha^2*r+0.1*alpha*sin(theta)",
+                "lam0": 0.3,
+            }
         },
     ),
 )
