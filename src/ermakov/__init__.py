@@ -9,7 +9,8 @@ from .systems import Floors, PhaseState, Potential, SingularStateError, SystemSp
 
 __version__ = "0.1.0"
 
-# linearize needs numpy, which importing the package does not load
+# linearize is loaded on first use of these names, so that importing the
+# package does not compile it
 _LINEARIZE_NAMES = ("affinity_test", "integrate_characteristic", "to_orbit_curve")
 
 

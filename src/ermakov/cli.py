@@ -15,7 +15,7 @@ header row and floats as ``%.17g``; JSON as
 ``float.__repr__`` and non-finite ones as ``NaN``/``Infinity``.
 
 Only ``verify`` (for its seeded draw), ``orbit`` and ``linearize``
-import numpy; ``simulate`` runs on Python floats.  The ``poisson`` and
+load numpy; ``simulate`` runs on Python floats.  The ``poisson`` and
 ``linearize`` modules are loaded by the commands that use them, so that
 a cold start does not compile them.
 """
@@ -31,9 +31,9 @@ from typing import Optional
 
 from . import expr as ex
 from . import invariants as inv
-from .config import ConfigError, RunConfig, load_config, sample_states
+from .config import ConfigError, RunConfig, _seed, load_config, sample_states
 from .integrate import IntegrationError, Solver, Trajectory, drift, integrate
-from .systems import FuncHandle, PhaseState, nan_max, np, vector_field
+from .systems import FuncHandle, PhaseState, nan_max, vector_field
 
 __all__ = ["main"]
 
@@ -199,11 +199,9 @@ def _verify_flow(cfg, states):
     for s in states:
         grad = inv.grad_ermakov(cfg.spec.g, s)
         jf = poisson.hamiltonian_flow(field, grad, s)
-        vf = vector_field(cfg.spec, s, 0.0, cfg.floors)
-        flow = (vf.rdot, vf.thetadot, vf.udot, vf.vdot)
-        jflow = (jf.rdot, jf.thetadot, jf.udot, jf.vdot)
+        flow = vector_field(cfg.spec, s, 0.0, cfg.floors)
         scale = max(1.0, nan_max(map(abs, flow)))
-        per_state.append(nan_max([abs(a - b) for a, b in zip(jflow, flow)]) / scale)
+        per_state.append(nan_max([abs(a - b) for a, b in zip(jf, flow)]) / scale)
     return tol, per_state, {}
 
 
@@ -287,6 +285,8 @@ def _verify_determinant(cfg, states):
 def cmd_verify(
     cfg: RunConfig, out_dir: Path, seed: int, which: str, tamper: bool
 ) -> int:
+    import numpy as np
+
     vs = cfg.verify
     branch = vs.branch
     rng = np.random.default_rng(seed)
@@ -360,6 +360,8 @@ def _time_at_theta(traj: Trajectory, theta_star: float) -> float:
 
 
 def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
+    import numpy as np
+
     from .linearize import to_orbit_curve
 
     spec = cfg.spec
@@ -389,7 +391,8 @@ def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     max_orbit_error = float(np.max(np.abs(r_sim - r_formula)))
 
     i_val = inv.ermakov_invariant(spec.g, cfg.s0)
-    elapsed_sim = _time_at_theta(traj, hi) - _time_at_theta(traj, lo)
+    # a duration: theta runs backwards in time where v < 0
+    elapsed_sim = abs(_time_at_theta(traj, hi) - _time_at_theta(traj, lo))
     elapsed_quad = inv.elapsed_time(
         lambda th: 1.0 / curve.rbar_at(th), spec.g, i_val, lo, hi
     )
@@ -440,10 +443,10 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     curve = to_orbit_curve(traj)  # raises on v sign change
     char = integrate_characteristic(
         phi,
-        rbar0=float(curve.rbar[0]),
-        abar0=float(curve.abar[0]),
-        theta0=float(curve.theta[0]),
-        theta1=float(curve.theta[-1]),
+        rbar0=curve.rbar[0],
+        abar0=curve.abar[0],
+        theta0=curve.theta[0],
+        theta1=curve.theta[-1],
         t_param=cfg.t0,
         # the theta characteristic stays on DP45 with the default step
         # budget: an rk4 dt is a time step, not an angle step
@@ -526,9 +529,9 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         cfg = load_config(args.config)
+        seed = cfg.verify.seed if args.seed is None else _seed(args.seed, "--seed")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfg.verify.seed
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, seed)
         if args.command == "verify":

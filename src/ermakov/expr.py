@@ -561,18 +561,15 @@ def quad_adaptive(
     return math.fsum(panel[4] for panel in panels)
 
 
-def _gk21(f, lo: float, hi: float, depth: int) -> tuple:
-    """(-|K21 - G10|, depth, lo, hi, K21, samples) on [lo, hi]: a min-heap
-    entry that puts the largest error first.  ``samples`` are f at the
-    centre and at the nodes left and right of it, for ``_abs_integral``."""
-    return _gk21_panel()(f, lo, hi, depth)
-
-
 @functools.cache
 def _gk21_panel() -> Callable:
-    """``_gk21`` as straight-line float code, generated on first use: the
-    node offsets half * x, the 21 samples float(f(x)), each checked as it
-    is taken, and the K21 and G10 sums unrolled from 0.0, weights in order."""
+    """The panel ``gk21(f, lo, hi, depth)``, which returns
+    (-|K21 - G10|, depth, lo, hi, K21, samples) on [lo, hi]: a min-heap
+    entry that puts the largest error first.  ``samples`` are f at the
+    centre and at the nodes left and right of it, for ``_abs_integral``.
+    It is generated on first use as straight-line float code: the node
+    offsets half * x, the 21 samples float(f(x)), each checked as it is
+    taken, and the K21 and G10 sums unrolled from 0.0, weights in order."""
     idx = range(1, len(_GK21_NODES))
     lines = ["mid = 0.5 * (lo + hi)", "half = 0.5 * (hi - lo)"]
     lines += [f"d{i} = half * {_GK21_NODES[i]!r}" for i in idx]
@@ -596,7 +593,7 @@ def _gk21_panel() -> Callable:
 
 def _abs_integral(lo: float, hi: float, samples: tuple) -> float:
     """The K21 estimate of the integral of |f| over [lo, hi] from the
-    samples ``_gk21`` kept; only the panel about to be bisected needs it."""
+    samples a panel kept; only the panel about to be bisected needs it."""
     centre, left, right = samples
     return 0.5 * (hi - lo) * (
         _K21_WEIGHTS[0] * abs(centre)

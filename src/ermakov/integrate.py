@@ -7,9 +7,10 @@ that rounds as numpy's elementwise arithmetic on the same tableau does.
 A system's flow comes lowered from ``SystemSpec.flow``, one function of
 (t, y) per floors, and is stepped directly.
 
-Node derivatives are kept so trajectories support cubic Hermite dense
-output: one time reads the node lists with bisect and gives a list of
-floats, an array of times runs on numpy; both round alike.
+Trajectories store their nodes and node derivatives as lists of floats,
+which support cubic Hermite dense output: one time reads the node lists
+with bisect and gives a list of floats; an array of times, the one path
+that imports numpy, gives an array.  Both round alike.
 
 Singularities follow a stop-and-report policy.  Stage evaluations run
 against floors relaxed by half; a failing stage halves the step until it
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .systems import (
@@ -34,7 +34,6 @@ from .systems import (
     SingularStateError,
     SystemSpec,
     nan_max,
-    np,
 )
 
 __all__ = [
@@ -107,6 +106,8 @@ def hermite_eval(ts, ys, fs, t):
             w00 * y0 + w10 * f0 + w01 * y1 + w11 * f1
             for y0, f0, y1, f1 in zip(ys[i], fs[i], ys[i + 1], fs[i + 1])
         ]
+    import numpy as np
+
     ts, ys, fs = (np.asarray(nodes, dtype=float) for nodes in (ts, ys, fs))
     tq = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(tq < lo - slack) or np.any(tq > hi + slack):
@@ -123,10 +124,9 @@ class Trajectory:
     """Ordered integration output with enough data for dense sampling.
 
     ts are strictly increasing floats; ys holds one state per node and fs
-    the vector field there, each a sequence of floats, and ``arrays``
-    views the three as numpy arrays.  status is "completed" when t1 was
-    reached and "singular_stop" when integration stopped early at the
-    last good state (stop_reason says why).
+    the vector field there, each a sequence of floats.  status is
+    "completed" when t1 was reached and "singular_stop" when integration
+    stopped early at the last good state (stop_reason says why).
     """
 
     ts: Sequence[float]
@@ -139,12 +139,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    @cached_property
-    def arrays(self) -> tuple:
-        """(ts, ys, fs) as float arrays of shapes (n,), (n, d) and (n, d),
-        built on first use and kept."""
-        return tuple(np.array(nodes, dtype=float) for nodes in (self.ts, self.ys, self.fs))
 
     def state(self, i: int) -> PhaseState:
         y = self.ys[i]

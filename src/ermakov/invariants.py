@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from . import expr as ex
 from .expr import DomainError, Expr
-from .systems import DEFAULT_FLOORS, Floors, PhaseState, Potential, np
+from .systems import DEFAULT_FLOORS, Floors, PhaseState, Potential
 
 __all__ = [
     "I_CONVENTIONS",
@@ -370,6 +370,8 @@ def spiral_radius(c1: float, c2: float, theta):
     Accepts scalar or array theta."""
     if not (c1 > 0.0):
         raise ValueError(f"c1 must be positive, got {c1!r}")
+    import numpy as np
+
     th = np.asarray(theta, dtype=float)
     rsq = 2.0 * c1 / (1.0 + 4.0 * c1 * c1 * (th - c2) ** 2)
     out = np.sqrt(rsq)

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple, Union
-
-import numpy as np
+from typing import Optional, Sequence, Tuple, Union
 
 from .integrate import Solver, Trajectory, hermite_eval, integrate_ode
 from .systems import STAGE_FAILURES, FuncHandle, Potential, SingularStateError
@@ -40,24 +38,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrbitCurve:
-    """Samples (theta, rbar, abar) of an orbit, theta strictly monotone.
+    """Samples (theta, rbar, abar) of an orbit, each a sequence of floats,
+    theta strictly monotone.
 
     abar is d rbar / dtheta, so the (rbar, abar) columns are value and
     slope for Hermite interpolation.
     """
 
-    theta: np.ndarray
-    rbar: np.ndarray
-    abar: np.ndarray
+    theta: Sequence[float]
+    rbar: Sequence[float]
+    abar: Sequence[float]
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
+        th = self.theta
         if len(th) < 2:
             raise ValueError("an orbit curve needs at least two samples")
-        steps = np.diff(th)
-        if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
+        steps = [b - a for a, b in zip(th, th[1:])]
+        if not (all(d > 0.0 for d in steps) or all(d < 0.0 for d in steps)):
             raise ValueError("theta must be strictly monotone along the curve")
-        if np.any(np.asarray(self.rbar) <= 0.0):
+        if any(x <= 0.0 for x in self.rbar):
             raise ValueError("rbar must stay positive along the curve")
 
     def __len__(self) -> int:
@@ -65,29 +64,22 @@ class OrbitCurve:
 
     @property
     def theta_range(self) -> Tuple[float, float]:
-        lo = float(min(self.theta[0], self.theta[-1]))
-        hi = float(max(self.theta[0], self.theta[-1]))
-        return lo, hi
+        th0, th1 = self.theta[0], self.theta[-1]
+        return min(th0, th1), max(th0, th1)
 
     @cached_property
     def _nodes(self) -> tuple:
-        """(theta, rbar rows, abar rows) as lists of floats in increasing
-        theta, the nodes of scalar reads."""
-        th, rb, ab = (
-            np.asarray(nodes, dtype=float).tolist() for nodes in (self.theta, self.rbar, self.abar)
-        )
+        """(theta, rbar rows, abar rows) in increasing theta, the nodes of
+        ``rbar_at``."""
+        th, rb, ab = self.theta, [[x] for x in self.rbar], [[x] for x in self.abar]
         if th[0] > th[-1]:
             th, rb, ab = th[::-1], rb[::-1], ab[::-1]
-        return th, [[x] for x in rb], [[x] for x in ab]
+        return th, rb, ab
 
     def rbar_at(self, theta):
         """rbar interpolated at theta, a float or an array, cubic Hermite."""
-        if isinstance(theta, (int, float)):
-            return hermite_eval(*self._nodes, theta)[0]
-        th, rb, ab = self.theta, self.rbar, self.abar
-        if th[0] > th[-1]:
-            th, rb, ab = th[::-1], rb[::-1], ab[::-1]
-        return hermite_eval(th, rb[:, None], ab[:, None], theta)[:, 0]
+        rbar = hermite_eval(*self._nodes, theta)
+        return rbar[0] if isinstance(theta, (int, float)) else rbar[:, 0]
 
 
 def to_orbit_curve(traj: Trajectory) -> OrbitCurve:
@@ -95,15 +87,19 @@ def to_orbit_curve(traj: Trajectory) -> OrbitCurve:
     (theta, 1/r, -u/v).
 
     Requires v of one sign along the trajectory (theta monotone)."""
-    ys = traj.arrays[1]
-    vs = ys[:, 3]
-    if not (np.all(vs > 0.0) or np.all(vs < 0.0)):
-        i = int(np.argmax(vs[:-1] * vs[1:] <= 0.0))
+    ys = traj.ys
+    vs = [y[3] for y in ys]
+    if not (all(v > 0.0 for v in vs) or all(v < 0.0 for v in vs)):
+        i = next((i for i in range(len(vs) - 1) if vs[i] * vs[i + 1] <= 0.0), 0)
         raise ValueError(
             f"v changes sign between samples {i} and {i + 1} "
             f"(t={traj.ts[i]!r}..{traj.ts[i + 1]!r}); theta is not monotone"
         )
-    return OrbitCurve(theta=ys[:, 1].copy(), rbar=1.0 / ys[:, 0], abar=-ys[:, 2] / vs)
+    return OrbitCurve(
+        theta=[y[1] for y in ys],
+        rbar=[1.0 / y[0] for y in ys],
+        abar=[-u / v for _, _, u, v in ys],
+    )
 
 
 def _curvature_fn(phi: Coupling, t_param: float):
@@ -175,8 +171,11 @@ def integrate_characteristic(
     traj = integrate_ode(
         rhs, (rbar0, abar0), 0.0, abs(theta1 - theta0), solver, accept_check=check
     )
-    taus, ys, _ = traj.arrays
-    return OrbitCurve(theta=theta0 + sign * taus, rbar=ys[:, 0].copy(), abar=ys[:, 1].copy())
+    return OrbitCurve(
+        theta=[theta0 + sign * tau for tau in traj.ts],
+        rbar=[y[0] for y in traj.ys],
+        abar=[y[1] for y in traj.ys],
+    )
 
 
 def integrate_linear(
@@ -198,8 +197,7 @@ def integrate_linear(
         return abar, coeff_a * abar + coeff_b * rbar + coeff_c
 
     traj = integrate_ode(rhs, (rbar0, abar0), theta0, theta1)
-    thetas, ys, _ = traj.arrays
-    return OrbitCurve(theta=thetas, rbar=ys[:, 0].copy(), abar=ys[:, 1].copy())
+    return OrbitCurve(theta=traj.ts, rbar=[y[0] for y in traj.ys], abar=[y[1] for y in traj.ys])
 
 
 def orbit_match(traj, curve: OrbitCurve, n_grid: int = 400) -> float:
@@ -208,6 +206,8 @@ def orbit_match(traj, curve: OrbitCurve, n_grid: int = 400) -> float:
 
     Both sides are Hermite-interpolated, so the result is meaningful
     between nodes as well."""
+    import numpy as np
+
     first = to_orbit_curve(traj) if isinstance(traj, Trajectory) else traj
     lo1, hi1 = first.theta_range
     lo2, hi2 = curve.theta_range
@@ -247,6 +247,8 @@ def affinity_test(
 
     affine = residual < 1e-8.  Singular phi evaluations on the grid
     propagate; choose ranges that avoid the singular set."""
+    import numpy as np
+
     if n < 6:
         raise ValueError(f"need at least a 6x6 grid, got n={n!r}")
     rb_lo, rb_hi = rbar_range

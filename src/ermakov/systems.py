@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import expr as ex
 from .expr import Binary, DomainError, Expr, Num, QuadratureError, Var
@@ -48,24 +48,6 @@ __all__ = [
     "polar_from_cartesian",
     "nan_max",
 ]
-
-
-class _LazyNumpy:
-    """Stands for the numpy module and imports it on the first attribute
-    read, so that importing the package and the ``simulate`` path run
-    without numpy.  Each attribute read is then kept on the instance,
-    where later reads cost what a module attribute read costs."""
-
-    def __getattr__(self, name: str):
-        import numpy
-
-        value = getattr(numpy, name)
-        setattr(self, name, value)
-        return value
-
-
-# numpy for the modules that use arrays only off the simulate path
-np = _LazyNumpy()
 
 
 class SingularStateError(ValueError):
@@ -147,21 +129,14 @@ class PhaseState:
             )
         return self.u / self.v
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r, self.theta, self.u, self.v], dtype=float)
 
-
-@dataclass(frozen=True)
-class Flow4:
+class Flow4(NamedTuple):
     """Right-hand side of the first-order system at one state."""
 
     rdot: float
     thetadot: float
     udot: float
     vdot: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rdot, self.thetadot, self.udot, self.vdot], dtype=float)
 
 
 _HANDLE_VARS = ("alpha", "r", "theta", "t")

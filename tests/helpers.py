@@ -17,6 +17,14 @@ from ermakov.systems import DEFAULT_FLOORS, FuncHandle, PhaseState, Potential
 
 VARS = ("theta", "r", "t", "alpha")
 
+
+def vec(x) -> np.ndarray:
+    """A PhaseState, a Flow4 or any sequence of floats as a float array."""
+    if isinstance(x, PhaseState):
+        x = (x.r, x.theta, x.u, x.v)
+    return np.array(x, dtype=float)
+
+
 _UNARY_OPS = ("neg",) + ex.FUNCTIONS
 _BINARY_OPS = ("+", "-", "*", "/", "^")
 
@@ -213,8 +221,8 @@ def reference_flow(spec, s: PhaseState, t: float = 0.0, floors=DEFAULT_FLOORS) -
 
 
 def reference_gk21(f, lo: float, hi: float, depth: int) -> tuple:
-    """The Gauss-Kronrod panel as ``expr._gk21`` computed it from lists
-    before it was generated: samples f at the centre, the left nodes and
+    """The Gauss-Kronrod panel of ``expr._gk21_panel()`` as it was computed
+    from lists before it was generated: samples f at the centre, the left nodes and
     the right nodes, each checked as it is taken, and sums left to right
     from 0."""
 

@@ -32,7 +32,7 @@ from ermakov.linearize import (
 )
 from ermakov.systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
 
-from helpers import evaluable_tree, trusted_central_difference
+from helpers import evaluable_tree, trusted_central_difference, vec
 
 SEED = 20260823
 N_STATES = 1000
@@ -67,7 +67,7 @@ def verdict(num: int, label: str, ok: bool, detail: str) -> bool:
 
 
 def fd_gradient(func, s: PhaseState, h: float = FD_STEP) -> np.ndarray:
-    base = s.as_array()
+    base = vec(s)
     out = np.zeros(4)
     for k in range(4):
         hi, lo = base.copy(), base.copy()
@@ -214,8 +214,8 @@ def test_criterion_3_flow_reconstruction():
     for field, spec in cases:
         for s in states_any():
             grad = inv.grad_ermakov(g, s)
-            lhs = poisson.hamiltonian_flow(field, grad, s).as_array()
-            rhs = vector_field(spec, s).as_array()
+            lhs = vec(poisson.hamiltonian_flow(field, grad, s))
+            rhs = vec(vector_field(spec, s))
             scale = max(1.0, float(np.max(np.abs(rhs))))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     assert verdict(

@@ -395,6 +395,29 @@ def test_orbit_command_off_the_turning_point(tmp_path):
     assert report["pass"] is True
 
 
+def test_orbit_command_on_the_mirrored_spiral(tmp_path):
+    # v < 0: theta falls with time, and the orbit reads as the spiral's
+    # mirror image, the simulated time between the span's ends a duration
+    mirrored = dict(
+        SPIRAL_DOC,
+        initial_state={"r": 1.0, "theta": 0.0, "u": 0.0, "v": -1.0},
+        orbit={"theta_span": [-1.0, 0.0]},
+    )
+    reports = []
+    for name, doc in (("spiral", SPIRAL_DOC), ("mirrored", mirrored)):
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        code = main(["orbit", "--config", str(cfg), "--out", str(tmp_path / name)])
+        assert code == 0
+        reports.append(json.loads((tmp_path / name / "orbit.json").read_text()))
+    spiral, report = reports
+    assert report["pass"] is True
+    assert report["theta_span"] == [-1.0, 0.0]
+    assert report["elapsed_simulated"] == pytest.approx(math.pi / 4.0, abs=1e-5)
+    for key in ("elapsed_simulated", "elapsed_quadrature", "max_time_quadrature_error"):
+        assert report[key] == spiral[key], key
+    assert report["max_orbit_error"] == pytest.approx(spiral["max_orbit_error"], rel=1e-6)
+
+
 def test_orbit_requires_the_singular_oscillator(tmp_path):
     cfg = write_config(tmp_path, CLASS2_DOC)
     code, _ = run(tmp_path, "orbit", "--config", str(cfg))
@@ -464,6 +487,22 @@ def test_seed_override_is_recorded(tmp_path):
     assert code == 0
     report = json.loads((out / "verify_flow.json").read_text())
     assert report["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate",), ("verify", "--which", "flow"), ("orbit",), ("linearize",)],
+    ids=lambda argv: argv[0],
+)
+def test_a_negative_seed_flag_is_a_config_error(tmp_path, capsys, argv):
+    # checked as the verify.seed key is, before any output is made
+    cfg = write_config(tmp_path, SPIRAL_DOC)
+    code, out = run(tmp_path, *argv, "--config", str(cfg), "--seed", "-1")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -910,6 +949,34 @@ def test_import_load_and_simulate_run_without_numpy(tmp_path):
         (".", "fresh", "verify_flow.json"),
     ):
         assert (tmp_path / later / name).read_bytes() == (tmp_path / first / name).read_bytes()
+
+
+# run in a fresh interpreter; prints whether the float reads gave floats and
+# whether numpy was loaded
+_FLOAT_READS = """
+import sys
+from ermakov.config import load_config
+from ermakov.integrate import integrate
+from ermakov.linearize import integrate_characteristic, integrate_linear, to_orbit_curve
+
+cfg = load_config(sys.argv[1])
+traj = integrate(cfg.spec, cfg.s0, cfg.t0, cfg.t1, cfg.solver, cfg.floors)
+curve = to_orbit_curve(traj)
+backward = integrate_characteristic(cfg.spec.coupling, 1.0, 0.0, 0.0, -1.0)
+line = integrate_linear(0.0, -1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
+reads = [*traj.sample(0.5), curve.rbar_at(0.5), backward.rbar_at(-0.5), line.rbar_at(0.5)]
+print(all(type(x) is float for x in reads), "numpy" in sys.modules)
+"""
+
+
+def test_orbit_curves_and_float_reads_run_without_numpy():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", _FLOAT_READS, str(ROOT / "configs" / "spiral.json")],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert result.stdout == "True False\n"
 
 
 # keys with template, quoting, control and non-ASCII characters

@@ -332,7 +332,8 @@ def _reference_gk(f, a, b, tol):
     """quad_adaptive's loop with the panels' errors summed by math.fsum
     at every step: its value, its panel count and each step's error sum."""
     sample = lambda x: float(f(x))
-    panels = [ex._gk21(sample, a, b, 0)]
+    gk21 = ex._gk21_panel()
+    panels = [gk21(sample, a, b, 0)]
     sums = [-panels[0][0]]
     while sums[-1] > tol:
         neg_err, depth, lo, hi, _, samples = heapq.heappop(panels)
@@ -340,8 +341,8 @@ def _reference_gk(f, a, b, tol):
         if -neg_err <= floor:
             break
         mid = 0.5 * (lo + hi)
-        heapq.heappush(panels, ex._gk21(sample, lo, mid, depth + 1))
-        heapq.heappush(panels, ex._gk21(sample, mid, hi, depth + 1))
+        heapq.heappush(panels, gk21(sample, lo, mid, depth + 1))
+        heapq.heappush(panels, gk21(sample, mid, hi, depth + 1))
         sums.append(math.fsum(-p[0] for p in panels))
     return math.fsum(p[4] for p in panels), len(panels), sums
 
@@ -391,7 +392,7 @@ def test_generated_gk21_matches_reference_panel():
         lo = rng.choice((-0.0, 0.0, rng.uniform(-4.0, 4.0), 1e300 * c[0]))
         hi = lo + rng.choice(widths) * rng.random()
         expected = _panel_outcome(reference_gk21, f, lo, hi)
-        assert _panel_outcome(ex._gk21, f, lo, hi) == expected, (n, lo, hi)
+        assert _panel_outcome(ex._gk21_panel(), f, lo, hi) == expected, (n, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -411,7 +412,7 @@ def test_generated_gk21_faults_in_the_reference_order(bad, boom):
         return f
 
     seen, expected_seen = [], []
-    outcome = _panel_outcome(ex._gk21, make(seen), 0.25, 1.5)
+    outcome = _panel_outcome(ex._gk21_panel(), make(seen), 0.25, 1.5)
     assert outcome == _panel_outcome(reference_gk21, make(expected_seen), 0.25, 1.5)
     assert seen == expected_seen  # no sample is taken twice or after the fault
     first = min(i for i in (bad, boom) if i is not None)

@@ -1,5 +1,6 @@
 import importlib
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import spiral_start
+from helpers import spiral_start, vec
 from test_systems import OSC
 
 ZERO = ex.parse("0")
@@ -94,7 +95,7 @@ def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
         lo, hi,
         lo - 0.5 * slack, hi + 0.5 * slack, -0.0,  # clamped onto the ends
     ]
-    ts, ys, fs = traj.arrays
+    ts, ys, fs = map(vec, (traj.ts, traj.ys, traj.fs))
     table = hermite_eval(ts, ys, fs, np.array(times))
     for t, row in zip(times, table.tolist()):
         got = hermite_eval(traj.ts, traj.ys, traj.fs, t)
@@ -129,9 +130,10 @@ def test_trajectory_bookkeeping():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
     assert np.all(np.diff(traj.ts) > 0.0)
     assert len(traj) == len(traj.ts) == len(traj.ys) == len(traj.fs)
-    ts, ys, fs = traj.arrays
+    ts, ys, fs = map(vec, (traj.ts, traj.ys, traj.fs))
     assert ts.shape == (len(traj),) and ys.shape == fs.shape == (len(traj), 4)
-    assert traj.arrays[1] is ys  # built once per trajectory
+    # floats are the one stored form of the nodes
+    assert all(type(x) is float for x in (*traj.ts, *chain(*traj.ys), *chain(*traj.fs)))
     assert traj.method == "dp45"
     assert traj.stop_reason is None
     for key in ("n_accepted", "n_rejected", "n_stage_failures", "n_feval"):
@@ -384,7 +386,7 @@ def test_velocity_flip_round_trip(spec, s0):
     )
     end = back.final_state
     recovered = np.array([end.r, end.theta, -end.u, -end.v])
-    assert np.max(np.abs(recovered - s0.as_array())) < 1e-9
+    assert np.max(np.abs(recovered - vec(s0))) < 1e-9
 
 
 def test_max_drift_reports_a_nan_that_is_not_first():
@@ -477,10 +479,10 @@ def test_against_scipy_on_a_coupled_system():
     s0 = PhaseState(1.0, 0.0, 0.2, 1.0)
 
     def rhs(t, y):
-        return vector_field(spec, PhaseState(*y), t).as_array()
+        return vec(vector_field(spec, PhaseState(*y), t))
 
     ref = solve_ivp(
-        rhs, (0.0, 0.5), s0.as_array(), method="RK45", rtol=1e-11, atol=1e-13
+        rhs, (0.0, 0.5), vec(s0), method="RK45", rtol=1e-11, atol=1e-13
     )
     assert ref.success
     traj = integrate(spec, s0, 0.0, 0.5)

@@ -16,7 +16,7 @@ from ermakov.linearize import (
 )
 from ermakov.systems import FuncHandle, PhaseState, SystemSpec
 
-from helpers import spiral_start
+from helpers import spiral_start, vec
 from test_systems import OSC
 
 ZERO = ex.parse("0")
@@ -58,7 +58,8 @@ def test_curve_validation():
 def test_time_trajectory_maps_pointwise():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
     curve = to_orbit_curve(traj)
-    ys = traj.arrays[1]
+    ys = vec(traj.ys)
+    assert all(type(x) is float for x in (*curve.theta, *curve.rbar, *curve.abar))
     assert np.array_equal(curve.theta, ys[:, 1])
     assert np.array_equal(curve.rbar, 1.0 / ys[:, 0])
     assert np.array_equal(curve.abar, -ys[:, 2] / ys[:, 3])
@@ -83,7 +84,7 @@ def test_characteristic_spiral_curve():
 
 def test_characteristic_energy_is_conserved_along_the_curve():
     curve = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 0.0, 1.0)
-    c1 = 0.5 * curve.abar**2 + 0.5 / curve.rbar**2
+    c1 = 0.5 * vec(curve.abar) ** 2 + 0.5 / vec(curve.rbar) ** 2
     assert np.max(np.abs(c1 - 0.5)) < 1e-8
 
 

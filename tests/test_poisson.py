@@ -37,6 +37,7 @@ from helpers import (
     reference_central_differences,
     reference_determinant,
     reference_jacobi_residuals,
+    vec,
 )
 from test_systems import OSC, random_states
 
@@ -182,8 +183,8 @@ def test_hamiltonian_flow_reconstructs_vector_field(make_field, make_spec):
     spec = make_spec()
     for s in random_states(53, 100):
         grad = inv.grad_ermakov(spec.g, s)
-        lhs = hamiltonian_flow(field, grad, s).as_array()
-        rhs = vector_field(spec, s).as_array()
+        lhs = vec(hamiltonian_flow(field, grad, s))
+        rhs = vec(vector_field(spec, s))
         scale = max(1.0, np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-10
 
@@ -226,7 +227,7 @@ def test_casimir_gradients_are_annihilated_by_class1_matrix():
 
     def grad(func, s):
         out = np.zeros(4)
-        base = s.as_array()
+        base = vec(s)
         for k in range(4):
             hi, lo = base.copy(), base.copy()
             hi[k] += h
@@ -247,7 +248,7 @@ def test_same_gradients_survive_the_class2_matrix():
 
     def grad_c1(s):
         out = np.zeros(4)
-        base = s.as_array()
+        base = vec(s)
         for k in range(4):
             hi, lo = base.copy(), base.copy()
             hi[k] += h

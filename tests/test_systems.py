@@ -23,7 +23,7 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import count_outermost_calls, reference_flow, spiral_start
+from helpers import count_outermost_calls, reference_flow, spiral_start, vec
 
 OSC = Potential(ex.parse("1/(2*rbar^2)"))
 
@@ -125,7 +125,7 @@ def test_potential_differentiates_on_first_use_only(monkeypatch):
 def test_pseudo_potential_flow_at_spiral_start():
     spec = SystemSpec.pseudo_potential(ex.parse("0"), OSC)
     flow = vector_field(spec, spiral_start())
-    assert np.allclose(flow.as_array(), [0.0, 1.0, -1.0, 0.0], atol=1e-15)
+    assert np.allclose(vec(flow), [0.0, 1.0, -1.0, 0.0], atol=1e-15)
 
 
 def test_class1_flow_components():
@@ -162,8 +162,8 @@ def test_flow_ignores_f_entirely():
         ex.parse("cos(theta)"), phi, f=ex.parse("3*theta^2")
     )
     for s in random_states(11, 40):
-        a = vector_field(bare, s).as_array()
-        b = vector_field(with_f, s).as_array()
+        a = vec(vector_field(bare, s))
+        b = vec(vector_field(with_f, s))
         assert np.array_equal(a, b)
 
 
@@ -201,8 +201,8 @@ def test_pseudo_potential_reduces_to_class1():
     lowered = SystemSpec.class1(spec.g, spec.coupling.phi)
     assert lowered.kind == "class1"
     for s in random_states(37, 100, u_floor=1e-6):
-        a = vector_field(spec, s).as_array()
-        b = vector_field(lowered, s).as_array()
+        a = vec(vector_field(spec, s))
+        b = vec(vector_field(lowered, s))
         assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
 

@@ -15,11 +15,12 @@ more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 every command.  ``NAN_PHI`` (a class-1 phi that cancels to NaN where
 ``(1e154 r)^2`` overflows) gets the ``jacobi`` and ``flow`` sweeps
 (``NAN_PHI_COMMANDS``), which fail on NaN rows inside the ``per_state``
-table.  Six variants of the shipped configs, ``VARIANTS``,
+table.  Seven variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, the spiral run on until it stops at the ``r_min``
-floor, ``class2_psi1`` with an alpha- and r-dependent psi, a
+floor, the spiral mirrored to v < 0, whose theta falls with time,
+``class2_psi1`` with an alpha- and r-dependent psi, a
 nonzero ``lam0`` and a looser ``quad_tol``, ``class2_psi1`` with a
 ``chi`` and a ``floors.psi_min`` that its ``verify flow`` sweep trips,
 and ``class2_psi1`` with a theta-dependent psi and a nonzero ``lam0``,
@@ -87,6 +88,16 @@ VARIANTS = (
     # r = cos(t) crosses the r_min floor 0.01 at t = 1.56089: a stopped
     # trajectory, its last steps and dense reads near its end
     ("spiral_floor_stop.json", "spiral.json", {"time_span": [0.0, 1.6]}),
+    # theta decreasing: the orbit curve's nodes reversed for reads, and a
+    # simulated duration taken between decreasing times
+    (
+        "spiral_mirrored.json",
+        "spiral.json",
+        {
+            "initial_state": {"r": 1.0, "theta": 0.0, "u": 0.0, "v": -1.0},
+            "orbit": {"theta_span": [-1.0, 0.0]},
+        },
+    ),
     (
         "class2_lam0.json",
         "class2_psi1.json",
