@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from . import expr as ex
 from .integrate import Solver
@@ -199,7 +198,7 @@ def _build_system(section: dict, class2: dict) -> SystemSpec:
         raise ConfigError(f"system: {exc}") from exc
 
 
-_STATE_KEYS = tuple(f.name for f in fields(PhaseState))
+_STATE_KEYS = PhaseState._fields
 
 
 def _build_state(section: dict) -> PhaseState:
@@ -217,28 +216,36 @@ def _build_state(section: dict) -> PhaseState:
         raise ConfigError(f"initial_state: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class VerifySettings:
+class VerifySettings(NamedTuple):
     samples: int = 1000
     seed: int = 20260823
     u_floor: float = 0.05
     branch: str = "any"
     tamper_j34: bool = False
-    tolerance: dict = field(default_factory=dict)  # per sweep, e.g. {"jacobi": 1e-6}
+    tolerance: dict = None  # per sweep, e.g. {"jacobi": 1e-6}; a new {} when absent
     phi_override: Optional[ex.Expr] = None
     casimir_potential: Optional[Potential] = None
 
 
-@dataclass(frozen=True)
-class OrbitSettings:
+_verify_settings = VerifySettings.__new__
+
+
+def _own_tolerance(cls, *args, **kwargs):
+    self = _verify_settings(cls, *args, **kwargs)
+    return self if self.tolerance is not None else self._replace(tolerance={})
+
+
+VerifySettings.__new__ = _own_tolerance  # NamedTuple refuses a __new__ in the class body
+
+
+class OrbitSettings(NamedTuple):
     theta_span: Tuple[float, float] = (0.0, 1.0)
     tolerance: float = 1e-6
     time_tolerance: float = 1e-5
     n_grid: int = 400
 
 
-@dataclass(frozen=True)
-class AffinityProbe:
+class AffinityProbe(NamedTuple):
     theta: float = 0.0
     t: float = 0.0
     rbar_range: Tuple[float, float] = (0.5, 2.0)
@@ -246,11 +253,10 @@ class AffinityProbe:
     n: int = 8
 
 
-@dataclass(frozen=True)
-class LinearizeSettings:
+class LinearizeSettings(NamedTuple):
     tolerance: float = 1e-6
     n_grid: int = 400
-    affinity: AffinityProbe = field(default_factory=AffinityProbe)
+    affinity: AffinityProbe = AffinityProbe()
 
 
 # allowed keys and their checks, in the order they are checked
@@ -296,8 +302,7 @@ _INTEGRATOR = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     spec: SystemSpec
     s0: Optional[PhaseState]
     t0: float

@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 __all__ = [
@@ -75,27 +75,69 @@ class QuadratureError(ExprError):
     """Raised when adaptive quadrature cannot deliver the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Record:
+    """Base of the package's records that are not tuples: the ``_fields``
+    are set once, by position, and compared, hashed and shown in order, by
+    type; assigning to an attribute raises AttributeError.  A subclass
+    without ``__slots__`` keeps a ``__dict__`` for caches."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)  # what __eq__ and __hash__ compare
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# the nodes are built often and keep lowered code in their __dict__ (see
+# compile), so each writes its fields there itself
+class Num(_Record):
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        self.__dict__["value"] = value
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "neg" or one of FUNCTIONS
-    arg: "Expr"
+class Var(_Record):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+class Unary(_Record):
+    _fields = ("op", "arg")
+
+    def __init__(self, op: str, arg: Expr):  # op is "neg" or one of FUNCTIONS
+        fields = self.__dict__
+        fields["op"], fields["arg"] = op, arg
+
+
+class Binary(_Record):
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):  # op is one of + - * / ^
+        fields = self.__dict__
+        fields["op"], fields["left"], fields["right"] = op, left, right
 
 
 Expr = Union[Num, Var, Unary, Binary]

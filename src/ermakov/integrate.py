@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
+from .expr import _Record
 from .systems import (
     DEFAULT_FLOORS,
     STAGE_FAILURES,
@@ -53,8 +53,7 @@ class IntegrationError(RuntimeError):
     """Step budget exhausted or a sample fell outside the trajectory."""
 
 
-@dataclass(frozen=True)
-class Solver:
+class Solver(NamedTuple):
     """Integrator settings.
 
     method is "rk4" (fixed step dt, span/1000 when absent) or "dp45"
@@ -119,8 +118,7 @@ def hermite_eval(ts, ys, fs, t):
     return w00 * ys[idx] + w10 * fs[idx] + w01 * ys[idx + 1] + w11 * fs[idx + 1]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Ordered integration output with enough data for dense sampling.
 
     ts are strictly increasing floats; ys holds one state per node and fs
@@ -129,13 +127,13 @@ class Trajectory:
     stopped early at the last good state (stop_reason says why).
     """
 
-    ts: Sequence[float]
-    ys: Sequence[Sequence[float]]
-    fs: Sequence[Sequence[float]]
-    method: str
-    status: str
-    stop_reason: Optional[str]
-    stats: Mapping[str, int]
+    __slots__ = _fields = ("ts", "ys", "fs", "method", "status", "stop_reason", "stats")
+
+    def __init__(
+        self, ts: Sequence[float], ys: Sequence[Sequence[float]], fs: Sequence[Sequence[float]],
+        method: str, status: str, stop_reason: Optional[str], stats: Mapping[str, int],
+    ):
+        super().__init__(ts, ys, fs, method, status, stop_reason, stats)
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -433,20 +431,21 @@ def integrate(
     )
 
 
-@dataclass(frozen=True)
-class QuantityDrift:
+class QuantityDrift(NamedTuple):
     name: str
     initial: float
     drift: float
     t_at_max: float
-    values: tuple = field(default=(), repr=False)  # the quantity at every node
+    values: tuple = ()  # the quantity at every node
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(_Record):
     """Per-quantity relative drift along a trajectory."""
 
-    entries: tuple
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple):
+        super().__init__(entries)
 
     def __getitem__(self, name: str) -> QuantityDrift:
         for entry in self.entries:

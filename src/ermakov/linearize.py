@@ -15,10 +15,10 @@ the orbit equation is linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
+from .expr import _Record
 from .integrate import Solver, Trajectory, hermite_eval, integrate_ode
 from .systems import STAGE_FAILURES, FuncHandle, Potential, SingularStateError
 
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbitCurve:
+class OrbitCurve(_Record):
     """Samples (theta, rbar, abar) of an orbit, each a sequence of floats,
     theta strictly monotone.
 
@@ -45,19 +44,17 @@ class OrbitCurve:
     slope for Hermite interpolation.
     """
 
-    theta: Sequence[float]
-    rbar: Sequence[float]
-    abar: Sequence[float]
+    _fields = ("theta", "rbar", "abar")  # and a __dict__ for _nodes
 
-    def __post_init__(self):
-        th = self.theta
-        if len(th) < 2:
+    def __init__(self, theta: Sequence[float], rbar: Sequence[float], abar: Sequence[float]):
+        if len(theta) < 2:
             raise ValueError("an orbit curve needs at least two samples")
-        steps = [b - a for a, b in zip(th, th[1:])]
+        steps = [b - a for a, b in zip(theta, theta[1:])]
         if not (all(d > 0.0 for d in steps) or all(d < 0.0 for d in steps)):
             raise ValueError("theta must be strictly monotone along the curve")
-        if any(x <= 0.0 for x in self.rbar):
+        if any(x <= 0.0 for x in rbar):
             raise ValueError("rbar must stay positive along the curve")
+        super().__init__(theta, rbar, abar)
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -222,8 +219,7 @@ def orbit_match(traj, curve: OrbitCurve, n_grid: int = 400) -> float:
     return float(np.max(np.abs(delta)))
 
 
-@dataclass(frozen=True)
-class AffinityResult:
+class AffinityResult(NamedTuple):
     """Least-squares verdict on whether the orbit equation is linear at
     one angle: right side ~ A abar + B rbar + C."""
 

@@ -1,0 +1,177 @@
+"""The ``orbit`` and ``linearize`` commands: the orbit-equation checks.
+
+``orbit`` compares a simulated singular-oscillator spiral with the
+closed-form orbit its Casimirs give, and the elapsed time with its
+quadrature; ``linearize`` maps a trajectory onto the orbit equation and
+tests whether that equation is linear.  :func:`ermakov.cli.main` imports
+this module only for these two commands, so no other command compiles it
+or :mod:`ermakov.linearize`.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from . import invariants as inv
+from .cli import _base_report, _run_trajectory, _write_csv, _write_json
+from .config import ConfigError, RunConfig
+from .integrate import Solver, Trajectory
+from .linearize import affinity_test, integrate_characteristic, orbit_match, to_orbit_curve
+
+__all__ = ["cmd_orbit", "cmd_linearize"]
+
+
+def _phi_of(cfg: RunConfig):
+    """The orbit-equation coupling: a class-1 phi, or the potential itself,
+    whose reduced curvature -dV/drbar stays finite at abar = 0.  Class 2
+    is refused: its curvature has a v-dependent term the orbit equation
+    does not carry."""
+    if cfg.spec.kind == "class2":
+        raise ConfigError("linearize applies to class1 and pseudo_potential systems")
+    return cfg.spec.coupling
+
+
+def _time_at_theta(traj: Trajectory, theta_star: float) -> float:
+    """Invert the monotone theta(t) of a trajectory by bisection on the
+    Hermite dense output."""
+    first, last = traj.ys[0][1], traj.ys[-1][1]
+    increasing = last > first
+    lo_val, hi_val = (first, last) if increasing else (last, first)
+    if not lo_val <= theta_star <= hi_val:
+        raise ValueError(
+            f"theta={theta_star!r} outside the simulated range "
+            f"[{lo_val!r}, {hi_val!r}]"
+        )
+    lo_t, hi_t = traj.ts[0], traj.ts[-1]
+    for _ in range(200):
+        mid = 0.5 * (lo_t + hi_t)
+        th_mid = float(traj.sample(mid)[1])
+        if (th_mid < theta_star) == increasing:
+            lo_t = mid
+        else:
+            hi_t = mid
+        if hi_t - lo_t <= 1e-15 * max(1.0, abs(hi_t)):
+            break
+    return 0.5 * (lo_t + hi_t)
+
+
+def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
+    import numpy as np
+
+    spec = cfg.spec
+    potential = spec.coupling
+    if spec.kind != "pseudo_potential" or not potential.singular_oscillator:
+        raise ConfigError(
+            "orbit applies to pseudo_potential configs with V = 1/(2 rbar^2)"
+        )
+    if cfg.s0 is None:
+        raise ConfigError("initial_state is required for orbit")
+    c1 = inv.casimir_C1(potential, cfg.s0, cfg.t0, cfg.floors)
+    c2 = inv.casimir_C2(potential, cfg.s0, cfg.t0, c1=c1, floors=cfg.floors)
+
+    traj = _run_trajectory(cfg)
+    curve = to_orbit_curve(traj)
+    lo, hi = cfg.orbit.theta_span
+    c_lo, c_hi = curve.theta_range
+    lo, hi = max(lo, c_lo), min(hi, c_hi)
+    if not lo < hi:
+        raise ValueError(
+            f"orbit.theta_span does not overlap the simulated range "
+            f"[{c_lo!r}, {c_hi!r}]"
+        )
+    grid = np.linspace(lo, hi, cfg.orbit.n_grid)
+    r_sim = 1.0 / curve.rbar_at(grid)
+    r_formula = inv.spiral_radius(c1, c2, grid)
+    max_orbit_error = float(np.max(np.abs(r_sim - r_formula)))
+
+    i_val = inv.ermakov_invariant(spec.g, cfg.s0)
+    # a duration: theta runs backwards in time where v < 0
+    elapsed_sim = abs(_time_at_theta(traj, hi) - _time_at_theta(traj, lo))
+    elapsed_quad = inv.elapsed_time(
+        lambda th: 1.0 / curve.rbar_at(th), spec.g, i_val, lo, hi
+    )
+    time_error = abs(elapsed_sim - elapsed_quad)
+
+    passed = (
+        max_orbit_error < cfg.orbit.tolerance
+        and time_error < cfg.orbit.time_tolerance
+    )
+    doc = _base_report(cfg, seed)
+    doc.update(
+        {
+            "command": "orbit",
+            "C1": c1,
+            "C2": c2,
+            "I": i_val,
+            "theta_span": [lo, hi],
+            "max_orbit_error": max_orbit_error,
+            "max_time_quadrature_error": time_error,
+            "elapsed_simulated": elapsed_sim,
+            "elapsed_quadrature": elapsed_quad,
+            "tolerance": cfg.orbit.tolerance,
+            "time_tolerance": cfg.orbit.time_tolerance,
+            "status": traj.status,
+            "pass": bool(passed),
+        }
+    )
+    doc["conventions"] = {"C2": inv.c2_conventions(potential)}
+    _write_json(out_dir / "orbit.json", doc)
+    verdict = "PASS" if passed else "FAIL"
+    print(
+        f"orbit: C1={c1:.6g} C2={c2:.6g} orbit_error={max_orbit_error:.3e} "
+        f"time_error={time_error:.3e} -> {verdict}"
+    )
+    return 0 if passed else 1
+
+
+def cmd_linearize(cfg: RunConfig, out_dir: Path, seed: int) -> int:
+    phi = _phi_of(cfg)
+    traj = _run_trajectory(cfg)
+    curve = to_orbit_curve(traj)  # raises on v sign change
+    char = integrate_characteristic(
+        phi,
+        rbar0=curve.rbar[0],
+        abar0=curve.abar[0],
+        theta0=curve.theta[0],
+        theta1=curve.theta[-1],
+        t_param=cfg.t0,
+        # the theta characteristic stays on DP45 with the default step
+        # budget: an rk4 dt is a time step, not an angle step
+        solver=Solver(rtol=cfg.solver.rtol, atol=cfg.solver.atol),
+    )
+    mismatch = orbit_match(curve, char, n_grid=cfg.linearize.n_grid)
+    probe = cfg.linearize.affinity
+    aff = affinity_test(
+        phi, probe.theta, probe.t, probe.rbar_range, probe.abar_range, probe.n
+    )
+
+    _write_csv(
+        out_dir / "curve.csv",
+        ["theta", "rbar", "abar"],
+        zip(curve.theta, curve.rbar, curve.abar),
+    )
+    passed = mismatch <= cfg.linearize.tolerance
+    doc = _base_report(cfg, seed)
+    doc.update(
+        {
+            "command": "linearize",
+            "orbit_match": mismatch,
+            "tolerance": cfg.linearize.tolerance,
+            "affinity": {
+                "affine": aff.affine,
+                "A": aff.A,
+                "B": aff.B,
+                "C": aff.C,
+                "residual": aff.residual,
+            },
+            "theta_range": list(curve.theta_range),
+            "status": traj.status,
+            "pass": bool(passed),
+        }
+    )
+    _write_json(out_dir / "linearize.json", doc)
+    verdict = "PASS" if passed else "FAIL"
+    print(
+        f"linearize: orbit_match={mismatch:.3e} affine={aff.affine} -> {verdict}"
+    )
+    return 0 if passed else 1

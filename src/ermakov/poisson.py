@@ -20,7 +20,6 @@ Casimir residuals.  Everything runs on Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 from . import expr as ex
@@ -89,8 +88,7 @@ class SkewMatrix4(NamedTuple):
         return math.sqrt(2.0 * (j12**2 + j13**2 + j14**2 + j23**2 + j24**2 + j34**2))
 
 
-@dataclass(frozen=True)
-class MatrixField:
+class MatrixField(NamedTuple):
     """State-dependent Poisson matrix: a closure, a class tag, and a
     closure ``derivatives(s, t)`` that returns the matrix at s together
     with the partials of its six upper entries with respect to r, theta,

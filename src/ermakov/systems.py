@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import expr as ex
-from .expr import Binary, DomainError, Expr, Num, QuadratureError, Var
+from .expr import Binary, DomainError, Expr, Num, QuadratureError, Var, _Record
 
 __all__ = [
     "Floors",
@@ -59,8 +58,7 @@ class SingularStateError(ValueError):
 STAGE_FAILURES = (SingularStateError, DomainError, QuadratureError, FloatingPointError)
 
 
-@dataclass(frozen=True)
-class Floors:
+class Floors(NamedTuple):
     """Domain floors below which the formulation is treated as singular.
 
     These are configuration, not constants: long-run benchmarks raise
@@ -108,18 +106,13 @@ def _nonpositive_r(r: float) -> SingularStateError:
     return SingularStateError(f"r must be positive, got {r!r}")
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(NamedTuple):
     """One point (r, theta, u, v) of the polar phase space; r must be positive."""
 
     r: float
     theta: float
     u: float
     v: float
-
-    def __post_init__(self):
-        if not (self.r > 0.0):
-            raise _nonpositive_r(self.r)
 
     def alpha(self, v_min: float = DEFAULT_FLOORS.v_min) -> float:
         """The ratio u/v; undefined when |v| sits below the v_min floor."""
@@ -128,6 +121,15 @@ class PhaseState:
                 f"alpha undefined: |v|={float(abs(self.v))!r} at or below floor v_min={v_min!r}"
             )
         return self.u / self.v
+
+
+def _positive_state(cls, r, theta, u, v):
+    if not r > 0.0:
+        raise _nonpositive_r(r)
+    return tuple.__new__(cls, (r, theta, u, v))
+
+
+PhaseState.__new__ = _positive_state  # NamedTuple refuses a __new__ in the class body
 
 
 class Flow4(NamedTuple):
@@ -449,33 +451,31 @@ class Class2Phi:
 _KINDS = {FuncHandle: "class1", Class2Phi: "class2", Potential: "pseudo_potential"}
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(_Record):
     """Declarative description of an Ermakov system.
 
     ``g`` and optional ``f`` are expressions in theta only, compiled once
     here; ``coupling`` is a ``FuncHandle`` phi (class 1), a ``Class2Phi``
     (class 2) or a ``Potential`` (pseudo-potential), and names ``kind``.
+    Only these three fields take part in equality.
     """
 
-    g: Expr
-    coupling: Union[FuncHandle, Class2Phi, Potential]
-    f: Optional[Expr] = None
-    _g_fn: Callable = field(init=False, compare=False, repr=False)
-    _f_fn: Optional[Callable] = field(init=False, compare=False, repr=False)
-    _flows: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("g", "coupling", "f", "_g_fn", "_f_fn", "_flows")
+    _fields = ("g", "coupling", "f")
 
-    def __post_init__(self):
-        if type(self.coupling) not in _KINDS:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
-        for name, tree in (("G", self.g), ("F", self.f)):
+    def __init__(
+        self, g: Expr, coupling: Union[FuncHandle, Class2Phi, Potential], f: Optional[Expr] = None
+    ):
+        if type(coupling) not in _KINDS:
+            raise ValueError(f"unknown coupling {coupling!r}")
+        for name, tree in (("G", g), ("F", f)):
             if tree is not None:
                 bad = sorted(ex.free_vars(tree) - {"theta"})
                 if bad:
                     raise ValueError(f"{name} uses variables {bad}, only theta is allowed")
-        object.__setattr__(self, "_g_fn", ex.compile(self.g, ("theta",)))
-        f_fn = None if self.f is None else ex.compile(self.f, ("theta",))
-        object.__setattr__(self, "_f_fn", f_fn)
+        super().__init__(g, coupling, f)
+        object.__setattr__(self, "_g_fn", ex.compile(g, ("theta",)))
+        object.__setattr__(self, "_f_fn", None if f is None else ex.compile(f, ("theta",)))
         object.__setattr__(self, "_flows", {})
 
     @property

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from ermakov import cli
 from ermakov import expr as ex
 from ermakov.cli import main
-from ermakov.config import parse_config, sample_states
+from ermakov.config import (
+    _STATE_KEYS,
+    AffinityProbe,
+    LinearizeSettings,
+    VerifySettings,
+    parse_config,
+    sample_states,
+)
 from ermakov.invariants import spiral_radius
 from ermakov.systems import (
     Class2Phi,
@@ -790,6 +797,16 @@ def test_class2_settings_reach_the_flow(monkeypatch):
         assert flow.udot != _class2_flow(phi, s).udot
 
 
+def test_settings_keep_their_defaults_apart():
+    first, second = VerifySettings(), VerifySettings()
+    assert first.tolerance == {} and first.tolerance is not second.tolerance
+    assert VerifySettings(tolerance={"flow": 1e-9}).tolerance == {"flow": 1e-9}
+    assert LinearizeSettings().affinity == AffinityProbe()
+    assert _STATE_KEYS == ("r", "theta", "u", "v")
+    with pytest.raises(AttributeError):
+        first.samples = 1
+
+
 def test_class2_psi_floor_is_the_configured_one():
     cfg = parse_config(json.dumps(CLASS2_SETTINGS).encode())
     # psi(-0.5) = 0.75 at r = 1: above the default floor, below the configured one
@@ -866,7 +883,8 @@ def test_off_oscillator_casimir_sweep_passes(tmp_path, seed):
 @pytest.mark.parametrize(
     "module",
     ["ermakov", *(f"ermakov.{name}" for name in (
-        "cli", "config", "expr", "integrate", "invariants", "linearize", "poisson", "systems"
+        "cli", "config", "expr", "integrate", "invariants", "linearize", "orbit", "poisson",
+        "systems", "verify",
     ))],
 )
 def test_every_exported_name_exists(module):
@@ -878,18 +896,29 @@ def test_every_exported_name_exists(module):
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.json"))
 
-# run in a fresh interpreter; prints "@ step [exit code] numpy-loaded" after
-# each step, the generated steppers, Gauss-Kronrod panel and parsers built
-# after loading, and the parser builds after the last command
+# run in a fresh interpreter; prints "@ step [exit code] numpy-loaded
+# modules" after each step, where modules are those of the command modules
+# (after loading, also dataclasses and inspect) that the package loaded; the
+# generated steppers, Gauss-Kronrod panel and parsers built after loading,
+# and the parser builds after the last command
 _COLD_START = """
 import sys
+
+before = set(sys.modules)
+COMMANDS = ("ermakov.poisson", "ermakov.linearize", "ermakov.verify", "ermakov.orbit")
+
+
+def loaded(names=COMMANDS):
+    return ",".join(name for name in names if name in set(sys.modules) - before) or "none"
+
+
 import ermakov.cli
 from ermakov.config import load_config
 
 out, *configs = sys.argv[1:]
 for path in configs:
     load_config(path)
-print("@ load", "numpy" in sys.modules)
+print("@ load", "numpy" in sys.modules, loaded(("dataclasses", "inspect") + COMMANDS))
 # code generation is paid by the first integration, not by setup
 print("@ steppers", sorted(sys.modules["ermakov.integrate"]._STEPPERS))
 print("@ panels", sys.modules["ermakov.expr"]._gk21_panel.cache_info().currsize)
@@ -897,20 +926,20 @@ print("@ panels", sys.modules["ermakov.expr"]._gk21_panel.cache_info().currsize)
 print("@ parsers", ermakov.cli._parser.cache_info().currsize)
 for i, path in enumerate(configs):
     code = ermakov.cli.main(["simulate", "--config", path, "--out", f"{out}/{i}"])
-    print("@ simulate", code, "numpy" in sys.modules)
+    print("@ simulate", code, "numpy" in sys.modules, loaded())
 code = ermakov.cli.main(["verify", "--config", configs[0], "--which", "flow", "--out", out])
-print("@ verify", code, "numpy" in sys.modules)
+print("@ verify", code, "numpy" in sys.modules, loaded())
 try:
     ermakov.cli.main(["verify", "--config", configs[0], "--which", "bogus"])
 except SystemExit as exc:
     print("@ invalid", exc.code)
 code = ermakov.cli.main(["simulate", "--config", configs[0], "--out", f"{out}/again"])
-print("@ simulate", code, "numpy" in sys.modules)
+print("@ simulate", code, "numpy" in sys.modules, loaded())
 print("@ parsers built", ermakov.cli._parser.cache_info().misses)
 # the same sweep on a parser built for it alone
 ermakov.cli._parser.cache_clear()
 code = ermakov.cli.main(["verify", "--config", configs[0], "--which", "flow", "--out", f"{out}/fresh"])
-print("@ verify", code, "numpy" in sys.modules)
+print("@ verify", code, "numpy" in sys.modules, loaded())
 """
 
 
@@ -923,18 +952,21 @@ def test_import_load_and_simulate_run_without_numpy(tmp_path):
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     steps = [line[2:] for line in result.stdout.splitlines() if line.startswith("@ ")]
+    # no class-decorator machinery on the way in, and each command loads
+    # only its own module: verify compiles none of the orbit code
+    verify_modules = "ermakov.poisson,ermakov.verify"
     assert steps == [
-        "load False",
+        "load False none",
         "steppers []",
         "panels 0",
         "parsers 0",
-        "simulate 0 False",
-        "simulate 0 False",
-        "verify 0 True",
+        "simulate 0 False none",
+        "simulate 0 False none",
+        f"verify 0 True {verify_modules}",
         "invalid 2",
-        "simulate 0 True",
+        f"simulate 0 True {verify_modules}",
         "parsers built 1",
-        "verify 0 True",
+        f"verify 0 True {verify_modules}",
     ]
     # the invalid argv fails on the kept parser as on a new one
     assert result.stderr.startswith("usage: ermakov verify [-h] --config CONFIG")

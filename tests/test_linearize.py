@@ -39,20 +39,26 @@ def make_trajectory(ys, fs=None):
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError, match="two samples"):
+    with pytest.raises(ValueError, match="^an orbit curve needs at least two samples$"):
         OrbitCurve(theta=np.array([0.0]), rbar=np.array([1.0]), abar=np.array([0.0]))
-    with pytest.raises(ValueError, match="monotone"):
+    with pytest.raises(ValueError, match="^theta must be strictly monotone along the curve$"):
         OrbitCurve(
             theta=np.array([0.0, 1.0, 0.5]),
             rbar=np.ones(3),
             abar=np.zeros(3),
         )
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^rbar must stay positive along the curve$"):
         OrbitCurve(
             theta=np.array([0.0, 1.0]),
             rbar=np.array([1.0, -1.0]),
             abar=np.zeros(2),
         )
+    curve = OrbitCurve([0.0, 1.0], [1.0, 2.0], [0.5, 0.5])
+    assert curve.rbar_at(0.5) == 1.5  # the cached nodes need no assignment
+    assert repr(curve) == "OrbitCurve(theta=[0.0, 1.0], rbar=[1.0, 2.0], abar=[0.5, 0.5])"
+    for record, field in ((curve, "theta"), (make_trajectory([[1.0, 0.0, 0.0, 1.0]] * 2), "ts")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, [])
 
 
 def test_time_trajectory_maps_pointwise():

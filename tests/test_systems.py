@@ -46,10 +46,19 @@ def random_states(seed, n, u_floor=0.05):
 
 
 def test_phase_state_requires_positive_radius():
-    with pytest.raises(ValueError):
-        PhaseState(r=0.0, theta=0.0, u=0.0, v=1.0)
-    with pytest.raises(ValueError):
-        PhaseState(r=-1.0, theta=0.0, u=0.0, v=1.0)
+    for r in (0.0, -1.0, math.nan):
+        with pytest.raises(SingularStateError) as err:
+            PhaseState(r=r, theta=0.0, u=0.0, v=1.0)
+        assert str(err.value) == f"r must be positive, got {r!r}"
+    with pytest.raises(SingularStateError, match="^r must be positive, got 0.0$"):
+        PhaseState(0.0, 0.0, 0.0, 1.0)
+    s = PhaseState(1.0, 0.5, -0.25, 2.0)
+    assert repr(s) == "PhaseState(r=1.0, theta=0.5, u=-0.25, v=2.0)"
+    assert s == PhaseState(r=1.0, theta=0.5, u=-0.25, v=2.0)
+    with pytest.raises(AttributeError):
+        s.r = 2.0
+    with pytest.raises(AttributeError):
+        DEFAULT_FLOORS.r_min = 1.0
 
 
 def test_alpha_guards_small_v():
