@@ -19,7 +19,9 @@ other commands live in :mod:`ermakov.verify` (the sweeps and their seeded
 draw) and :mod:`ermakov.orbit` (``orbit``, with its grid, and
 ``linearize``), which ``main`` imports only for the command it runs; with
 them come ``poisson``, ``linearize`` and numpy.  A cold ``simulate``
-compiles none of these and runs on Python floats.
+compiles none of these and runs on Python floats.  Every command returns
+its exit code, its verdict line and its reports, by file name; ``main``
+writes them, so no command module imports this one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional
 
 from . import invariants as inv
 from .config import ConfigError, RunConfig, _seed, load_config
-from .integrate import IntegrationError, Trajectory, drift, integrate
+from .integrate import IntegrationError, drift
 
 __all__ = ["main"]
 
@@ -93,23 +95,9 @@ def _write_csv(path: Path, header, rows):
             fh.write(line % tuple(row))
 
 
-def _base_report(cfg: RunConfig, seed: int) -> dict:
-    return {
-        "config_sha256": cfg.sha256,
-        "seed": seed,
-        "conventions": {},
-    }
-
-
-def _run_trajectory(cfg: RunConfig) -> Trajectory:
-    if cfg.s0 is None:
-        raise ConfigError("initial_state is required for this command")
-    return integrate(cfg.spec, cfg.s0, cfg.t0, cfg.t1, cfg.solver, cfg.floors)
-
-
-def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
+def cmd_simulate(cfg: RunConfig) -> tuple:
     spec = cfg.spec
-    traj = _run_trajectory(cfg)
+    traj = cfg.trajectory()
     conventions = {"I": inv.I_CONVENTIONS}
     quantities = {"I": lambda s, t: inv.ermakov_invariant(spec.g, s)}
     header = ["t", "r", "theta", "u", "v", "I"]
@@ -123,27 +111,18 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     report = drift(traj, quantities)
     columns = [report[name].values for name in header[5:]]
     rows = ([t, *y, *values] for t, y, *values in zip(traj.ts, traj.ys, *columns))
-    _write_csv(out_dir / "trajectory.csv", header, rows)
-
-    doc = _base_report(cfg, seed)
-    doc.update(
-        {
-            "command": "simulate",
-            "method": traj.method,
-            "status": traj.status,
-            "stop_reason": traj.stop_reason,
-            "t_final": traj.ts[-1],
-            "n_samples": len(traj),
-            "drift": report.as_dict(),
-        }
-    )
-    doc["conventions"] = conventions
-    _write_json(out_dir / "drift.json", doc)
-    print(
-        f"simulate: {traj.status} at t={traj.ts[-1]:.6g}, "
-        f"max drift {report.max_drift:.3e}"
-    )
-    return 0
+    doc = {
+        "command": "simulate",
+        "method": traj.method,
+        "status": traj.status,
+        "stop_reason": traj.stop_reason,
+        "t_final": traj.ts[-1],
+        "n_samples": len(traj),
+        "drift": report.as_dict(),
+        "conventions": conventions,
+    }
+    line = f"simulate: {traj.status} at t={traj.ts[-1]:.6g}, max drift {report.max_drift:.3e}"
+    return 0, line, {"trajectory.csv": (header, rows), "drift.json": doc}
 
 
 @functools.cache
@@ -189,16 +168,23 @@ def main(argv: Optional[list] = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, seed)
-        if args.command == "verify":
+            code, line, reports = cmd_simulate(cfg)
+        elif args.command == "verify":
             from .verify import cmd_verify
 
-            return cmd_verify(cfg, out_dir, seed, args.which, args.tamper_j34)
-        from .orbit import cmd_linearize, cmd_orbit
+            code, line, reports = cmd_verify(cfg, seed, args.which, args.tamper_j34)
+        else:
+            from .orbit import cmd_linearize, cmd_orbit
 
-        if args.command == "orbit":
-            return cmd_orbit(cfg, out_dir, seed)
-        return cmd_linearize(cfg, out_dir, seed)
+            code, line, reports = (cmd_orbit if args.command == "orbit" else cmd_linearize)(cfg)
+        base = {"config_sha256": cfg.sha256, "seed": seed, "conventions": {}}
+        for name, report in reports.items():
+            if isinstance(report, dict):
+                _write_json(out_dir / name, {**base, **report})
+            else:
+                _write_csv(out_dir / name, *report)
+        print(line)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

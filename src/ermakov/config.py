@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from . import expr as ex
-from .integrate import Solver
+from .integrate import Solver, Trajectory, integrate
 from .systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
 
 if TYPE_CHECKING:
@@ -81,6 +81,13 @@ def _positive(val, where: str) -> float:
     num = _number(val, where)
     if not num > 0.0:
         raise ConfigError(f"{where} must be positive, got {num!r}")
+    return num
+
+
+def _u_floor(val, where: str) -> float:
+    num = _positive(val, where)
+    if num > 2.0:  # verify draws |u| from [u_floor, 2]
+        raise ConfigError(f"{where} must be at most 2, got {num!r}")
     return num
 
 
@@ -271,7 +278,7 @@ _VERIFY = {
     "tamper_j34": _boolean,
     "seed": _seed,
     "samples": _count,
-    "u_floor": _positive,
+    "u_floor": _u_floor,
     "phi_override": _optional_expr,
     "casimir_potential": _potential,
 }
@@ -313,6 +320,12 @@ class RunConfig(NamedTuple):
     linearize: LinearizeSettings
     sha256: str
     solver: Solver
+
+    def trajectory(self) -> Trajectory:
+        """The run integrated from its initial state, which it needs."""
+        if self.s0 is None:
+            raise ConfigError("initial_state is required for this command")
+        return integrate(self.spec, self.s0, self.t0, self.t1, self.solver, self.floors)
 
 
 _TOP_KEYS = (

@@ -78,17 +78,21 @@ class QuadratureError(ExprError):
 class _Record:
     """Base of the package's records that are not tuples: the ``_fields``
     are set once, by position, and compared, hashed and shown in order, by
-    type; assigning to an attribute raises AttributeError.  A subclass
-    without ``__slots__`` keeps a ``__dict__`` for caches."""
+    type, unless the class declares its own ``_key``; assigning to an
+    attribute raises AttributeError.  A subclass without ``__slots__``
+    keeps a ``__dict__`` for caches."""
 
     __slots__ = ()
     _fields = ()
 
     def __init_subclass__(cls):
-        cls._key = operator.attrgetter(*cls._fields)  # what __eq__ and __hash__ compare
+        if cls._fields and "_key" not in vars(cls):  # what __eq__ and __hash__ compare
+            cls._key = operator.attrgetter(*cls._fields)
 
     def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -108,36 +112,39 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
-# the nodes are built often and keep lowered code in their __dict__ (see
-# compile), so each writes its fields there itself
-class Num(_Record):
-    _fields = ("value",)
+class _Node(_Record):
+    """Base of the expression nodes.  A node's hash is computed as it is
+    built, from its fields, whose hashes were kept the same way, so a tree
+    keys the caches of :func:`compile` and :func:`differentiate` at the
+    cost of one lookup."""
 
-    def __init__(self, value: float):
-        self.__dict__["value"] = value
+    __slots__ = ("_hash",)
 
+    def __init__(self, *values):
+        super().__init__(*values)
+        object.__setattr__(self, "_hash", hash(values))
 
-class Var(_Record):
-    _fields = ("name",)
-
-    def __init__(self, name: str):
-        self.__dict__["name"] = name
-
-
-class Unary(_Record):
-    _fields = ("op", "arg")
-
-    def __init__(self, op: str, arg: Expr):  # op is "neg" or one of FUNCTIONS
-        fields = self.__dict__
-        fields["op"], fields["arg"] = op, arg
+    def __hash__(self):
+        return self._hash
 
 
-class Binary(_Record):
-    _fields = ("op", "left", "right")
+class Num(_Node):
+    __slots__ = _fields = ("value",)
+    # 0.0 == -0.0, yet x + 0.0 and x + -0.0 differ at x = -0.0: the sign
+    # takes part in equality
+    _key = staticmethod(lambda num: (num.value, math.copysign(1.0, num.value)))
 
-    def __init__(self, op: str, left: Expr, right: Expr):  # op is one of + - * / ^
-        fields = self.__dict__
-        fields["op"], fields["left"], fields["right"] = op, left, right
+
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+
+class Unary(_Node):
+    __slots__ = _fields = ("op", "arg")  # op is "neg" or one of FUNCTIONS
+
+
+class Binary(_Node):
+    __slots__ = _fields = ("op", "left", "right")  # op is one of + - * / ^
 
 
 Expr = Union[Num, Var, Unary, Binary]
@@ -409,9 +416,9 @@ def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
 
 
 @functools.lru_cache(maxsize=1024)  # CPython keeps memory for each new code object run
-def _maker(source: str):
+def _maker(tree: Expr, args: tuple, bound: tuple, guards: tuple):
     scope = {}
-    exec(source, _NAMESPACE, scope)
+    exec(_lower(tree, args, bound, guards), _NAMESPACE, scope)
     return scope["make"]
 
 
@@ -420,17 +427,15 @@ def compile(tree: Expr, args, bound=(), guards=()) -> Callable[..., float]:
     (variable names, in order) that returns, as a Python float, exactly
     what :func:`evaluate` returns for ``dict(zip(args, values))``.  Where
     it raises ArithmeticError or ValueError, ``evaluate`` runs instead and
-    raises its own error.  The lowered code is kept on the tree, per args.
-    With ``bound`` names it returns ``bind(*values, replay=evaluate)``,
-    which binds those and returns that function; where an operation
-    raises or |e| <= m for a guard (e, m), it returns replay(*values of
-    args, *values of bound)."""
+    raises its own error.  With ``bound`` names it returns
+    ``bind(*values, replay=evaluate)``, which binds those and returns that
+    function; where an operation raises or |e| <= m for a guard (e, m), it
+    returns replay(*values of args, *values of bound).  The lowered code
+    is kept by the value of (tree, args, bound, guards), for the 1,024
+    keys used last, so an equal tree is lowered once per process."""
     args, bound, guards = tuple(args), tuple(bound), tuple(guards)
-    makers = tree.__dict__.setdefault("_compiled", {})
-    key = (args, bound, guards)
-    if key not in makers:
-        makers[key] = _maker(_lower(tree, args, bound, guards))
-    return makers[key](lambda *vals: evaluate(tree, dict(zip(args + bound, vals))))
+    make = _maker(tree, args, bound, guards)
+    return make(lambda *vals: evaluate(tree, dict(zip(args + bound, vals))))
 
 
 def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
@@ -446,70 +451,81 @@ def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
     )
 
 
+# differentiate's results by (tree, var), the oldest dropped beyond the last
+_DERIVATIVES = {}
+_DERIVATIVES_KEPT = 4096
+
+
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic partial derivative with respect to ``var``.
 
     The result is deliberately unsimplified; correctness is checked by
     evaluation, not by pattern matching on the output tree.  d(abs)/dx is
     written as x/abs(x) times the inner derivative, which turns the kink
-    at zero into an evaluation-time domain error.
+    at zero into an evaluation-time domain error.  Results, those of the
+    subtrees included, are kept by the value of (e, var), for the last
+    ``_DERIVATIVES_KEPT`` such keys: an equal tree is derived once per
+    process and gets back the same tree objects.
     """
+    key = (e, var)
+    d = _DERIVATIVES.get(key)
+    if d is not None:
+        return d
     if isinstance(e, Num):
-        return Num(0.0)
-    if isinstance(e, Var):
-        return Num(1.0) if e.name == var else Num(0.0)
-    if isinstance(e, Unary):
+        d = Num(0.0)
+    elif isinstance(e, Var):
+        d = Num(1.0) if e.name == var else Num(0.0)
+    elif isinstance(e, Unary):
         f = e.arg
         df = differentiate(f, var)
         if e.op == "neg":
-            return Unary("neg", df)
-        if e.op == "sin":
-            return Binary("*", Unary("cos", f), df)
-        if e.op == "cos":
-            return Binary("*", Unary("neg", Unary("sin", f)), df)
-        if e.op == "tan":
-            return Binary("/", df, Binary("^", Unary("cos", f), Num(2.0)))
-        if e.op == "exp":
-            return Binary("*", Unary("exp", f), df)
-        if e.op == "ln":
-            return Binary("/", df, f)
-        if e.op == "sqrt":
-            return Binary("/", df, Binary("*", Num(2.0), Unary("sqrt", f)))
-        if e.op == "abs":
-            return Binary("*", Binary("/", f, Unary("abs", f)), df)
-    if isinstance(e, Binary):
+            d = Unary("neg", df)
+        elif e.op == "sin":
+            d = Binary("*", Unary("cos", f), df)
+        elif e.op == "cos":
+            d = Binary("*", Unary("neg", Unary("sin", f)), df)
+        elif e.op == "tan":
+            d = Binary("/", df, Binary("^", Unary("cos", f), Num(2.0)))
+        elif e.op == "exp":
+            d = Binary("*", Unary("exp", f), df)
+        elif e.op == "ln":
+            d = Binary("/", df, f)
+        elif e.op == "sqrt":
+            d = Binary("/", df, Binary("*", Num(2.0), Unary("sqrt", f)))
+        elif e.op == "abs":
+            d = Binary("*", Binary("/", f, Unary("abs", f)), df)
+    elif isinstance(e, Binary):
         f, g = e.left, e.right
         df = differentiate(f, var)
         dg = differentiate(g, var)
         if e.op == "+":
-            return Binary("+", df, dg)
-        if e.op == "-":
-            return Binary("-", df, dg)
-        if e.op == "*":
-            return Binary("+", Binary("*", df, g), Binary("*", f, dg))
-        if e.op == "/":
+            d = Binary("+", df, dg)
+        elif e.op == "-":
+            d = Binary("-", df, dg)
+        elif e.op == "*":
+            d = Binary("+", Binary("*", df, g), Binary("*", f, dg))
+        elif e.op == "/":
             num = Binary("-", Binary("*", df, g), Binary("*", f, dg))
-            return Binary("/", num, Binary("^", g, Num(2.0)))
-        if e.op == "^":
-            if isinstance(g, Num):
-                # constant exponent: keeps negative bases evaluable
-                return Binary(
-                    "*",
-                    Binary("*", g, Binary("^", f, Num(g.value - 1.0))),
-                    df,
-                )
-            if isinstance(f, Num):
-                return Binary(
-                    "*", Binary("*", e, Unary("ln", f)), dg
-                )
+            d = Binary("/", num, Binary("^", g, Num(2.0)))
+        elif e.op == "^" and isinstance(g, Num):
+            # constant exponent: keeps negative bases evaluable
+            d = Binary("*", Binary("*", g, Binary("^", f, Num(g.value - 1.0))), df)
+        elif e.op == "^" and isinstance(f, Num):
+            d = Binary("*", Binary("*", e, Unary("ln", f)), dg)
+        elif e.op == "^":
             # general case needs ln(base)
             inner = Binary(
                 "+",
                 Binary("*", dg, Unary("ln", f)),
                 Binary("/", Binary("*", g, df), f),
             )
-            return Binary("*", e, inner)
-    raise TypeError(f"not an expression node: {e!r}")
+            d = Binary("*", e, inner)
+    if d is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    if len(_DERIVATIVES) >= _DERIVATIVES_KEPT:
+        del _DERIVATIVES[next(iter(_DERIVATIVES))]
+    _DERIVATIVES[key] = d
+    return d
 
 
 # halvings allowed below the whole interval before a quadrature gives up

@@ -14,6 +14,7 @@ the values because two of them are real choices rather than mathematics:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional
 
@@ -51,18 +52,12 @@ _ORBIT_TOL = 1e-10
 I_CONVENTIONS = {"lambda_lower_limit": 0.0}
 
 
+@functools.lru_cache(maxsize=64)
 def _forcing(g: Expr) -> tuple:
-    """G compiled in theta, and whether it has theta.  Worked out on first
-    use and kept on the tree, as ``expr.compile`` keeps its code: I and
-    its gradient read them at every drift sample and verified state."""
-    try:
-        return g.__dict__["_forcing"]
-    except KeyError:
-        pair = g.__dict__["_forcing"] = (
-            ex.compile(g, ("theta",)),
-            "theta" in ex.free_vars(g),
-        )
-        return pair
+    """G compiled in theta, and whether it has theta, kept by the value of
+    G: I and its gradient read them at every drift sample and verified
+    state."""
+    return ex.compile(g, ("theta",)), "theta" in ex.free_vars(g)
 
 
 def forcing_integral(g: Expr, theta: float) -> float:

@@ -5,15 +5,12 @@ closed-form orbit its Casimirs give, and the elapsed time with its
 quadrature; ``linearize`` maps a trajectory onto the orbit equation and
 tests whether that equation is linear.  :func:`ermakov.cli.main` imports
 this module only for these two commands, so no other command compiles it
-or :mod:`ermakov.linearize`.
+or :mod:`ermakov.linearize`, and writes the reports they return.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from . import invariants as inv
-from .cli import _base_report, _run_trajectory, _write_csv, _write_json
 from .config import ConfigError, RunConfig
 from .integrate import Solver, Trajectory
 from .linearize import affinity_test, integrate_characteristic, orbit_match, to_orbit_curve
@@ -55,7 +52,7 @@ def _time_at_theta(traj: Trajectory, theta_star: float) -> float:
     return 0.5 * (lo_t + hi_t)
 
 
-def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
+def cmd_orbit(cfg: RunConfig) -> tuple:
     import numpy as np
 
     spec = cfg.spec
@@ -69,7 +66,7 @@ def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     c1 = inv.casimir_C1(potential, cfg.s0, cfg.t0, cfg.floors)
     c2 = inv.casimir_C2(potential, cfg.s0, cfg.t0, c1=c1, floors=cfg.floors)
 
-    traj = _run_trajectory(cfg)
+    traj = cfg.trajectory()
     curve = to_orbit_curve(traj)
     lo, hi = cfg.orbit.theta_span
     c_lo, c_hi = curve.theta_range
@@ -96,37 +93,33 @@ def cmd_orbit(cfg: RunConfig, out_dir: Path, seed: int) -> int:
         max_orbit_error < cfg.orbit.tolerance
         and time_error < cfg.orbit.time_tolerance
     )
-    doc = _base_report(cfg, seed)
-    doc.update(
-        {
-            "command": "orbit",
-            "C1": c1,
-            "C2": c2,
-            "I": i_val,
-            "theta_span": [lo, hi],
-            "max_orbit_error": max_orbit_error,
-            "max_time_quadrature_error": time_error,
-            "elapsed_simulated": elapsed_sim,
-            "elapsed_quadrature": elapsed_quad,
-            "tolerance": cfg.orbit.tolerance,
-            "time_tolerance": cfg.orbit.time_tolerance,
-            "status": traj.status,
-            "pass": bool(passed),
-        }
-    )
-    doc["conventions"] = {"C2": inv.c2_conventions(potential)}
-    _write_json(out_dir / "orbit.json", doc)
+    doc = {
+        "command": "orbit",
+        "C1": c1,
+        "C2": c2,
+        "I": i_val,
+        "theta_span": [lo, hi],
+        "max_orbit_error": max_orbit_error,
+        "max_time_quadrature_error": time_error,
+        "elapsed_simulated": elapsed_sim,
+        "elapsed_quadrature": elapsed_quad,
+        "tolerance": cfg.orbit.tolerance,
+        "time_tolerance": cfg.orbit.time_tolerance,
+        "status": traj.status,
+        "pass": bool(passed),
+        "conventions": {"C2": inv.c2_conventions(potential)},
+    }
     verdict = "PASS" if passed else "FAIL"
-    print(
+    line = (
         f"orbit: C1={c1:.6g} C2={c2:.6g} orbit_error={max_orbit_error:.3e} "
         f"time_error={time_error:.3e} -> {verdict}"
     )
-    return 0 if passed else 1
+    return 0 if passed else 1, line, {"orbit.json": doc}
 
 
-def cmd_linearize(cfg: RunConfig, out_dir: Path, seed: int) -> int:
+def cmd_linearize(cfg: RunConfig) -> tuple:
     phi = _phi_of(cfg)
-    traj = _run_trajectory(cfg)
+    traj = cfg.trajectory()
     curve = to_orbit_curve(traj)  # raises on v sign change
     char = integrate_characteristic(
         phi,
@@ -145,33 +138,23 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path, seed: int) -> int:
         phi, probe.theta, probe.t, probe.rbar_range, probe.abar_range, probe.n
     )
 
-    _write_csv(
-        out_dir / "curve.csv",
-        ["theta", "rbar", "abar"],
-        zip(curve.theta, curve.rbar, curve.abar),
-    )
     passed = mismatch <= cfg.linearize.tolerance
-    doc = _base_report(cfg, seed)
-    doc.update(
-        {
-            "command": "linearize",
-            "orbit_match": mismatch,
-            "tolerance": cfg.linearize.tolerance,
-            "affinity": {
-                "affine": aff.affine,
-                "A": aff.A,
-                "B": aff.B,
-                "C": aff.C,
-                "residual": aff.residual,
-            },
-            "theta_range": list(curve.theta_range),
-            "status": traj.status,
-            "pass": bool(passed),
-        }
-    )
-    _write_json(out_dir / "linearize.json", doc)
+    doc = {
+        "command": "linearize",
+        "orbit_match": mismatch,
+        "tolerance": cfg.linearize.tolerance,
+        "affinity": {
+            "affine": aff.affine,
+            "A": aff.A,
+            "B": aff.B,
+            "C": aff.C,
+            "residual": aff.residual,
+        },
+        "theta_range": list(curve.theta_range),
+        "status": traj.status,
+        "pass": bool(passed),
+    }
     verdict = "PASS" if passed else "FAIL"
-    print(
-        f"linearize: orbit_match={mismatch:.3e} affine={aff.affine} -> {verdict}"
-    )
-    return 0 if passed else 1
+    line = f"linearize: orbit_match={mismatch:.3e} affine={aff.affine} -> {verdict}"
+    curve_csv = (["theta", "rbar", "abar"], zip(curve.theta, curve.rbar, curve.abar))
+    return 0 if passed else 1, line, {"curve.csv": curve_csv, "linearize.json": doc}

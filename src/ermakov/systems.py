@@ -146,8 +146,9 @@ _HANDLE_VARS = ("alpha", "r", "theta", "t")
 
 class FuncHandle:
     """A scalar coupling function of (alpha, r, theta, t), held as an
-    expression tree and compiled once; symbolic partial derivatives are
-    built on first use and kept on the handle."""
+    expression tree and compiled when the handle is built; the handle of a
+    partial derivative is built on first use and kept on the handle.  The
+    lowered code and the derived trees are expr's, kept there by value."""
 
     def __init__(self, tree: Expr, name: str = ""):
         if tree is None:
@@ -177,8 +178,8 @@ class FuncHandle:
         return var in ex.free_vars(self.tree)
 
     def partial(self, var: str) -> "FuncHandle":
-        """Symbolic partial derivative, differentiated once per variable;
-        a constant 0 for a variable the tree does not contain."""
+        """Symbolic partial derivative, as a handle kept per variable; a
+        constant 0 for a variable the tree does not contain."""
         handle = self._partials.get(var)
         if handle is None:
             tree = ex.differentiate(self.tree, var) if self.depends_on(var) else Num(0.0)
@@ -189,8 +190,6 @@ class FuncHandle:
         return f"FuncHandle({self.name})"
 
 
-ZERO_HANDLE = FuncHandle(tree=Num(0.0), name="0")
-
 _POTENTIAL_VARS = ("rbar", "t")
 _OSC_PROBES = (0.43, 0.71, 1.0, 1.618, 2.34, 3.27)
 
@@ -198,9 +197,10 @@ _OSC_PROBES = (0.43, 0.71, 1.0, 1.618, 2.34, 3.27)
 class Potential:
     """A pseudo-potential V(rbar, t), rbar = 1/r, held as an expression
     tree: its variables are checked, V is compiled and the singular-
-    oscillator test is decided once, at construction; dV/drbar, as a tree
-    and compiled (``slope``), and the phi it induces are derived on first
-    use.
+    oscillator test is decided once, at construction.  On first use, and
+    then kept on the potential: dV/drbar as a tree (``dtree``, which
+    ``slope``, ``curvature`` and ``phi`` share), compiled (``slope``), its
+    own derivative compiled (``curvature``) and the phi it induces.
 
     ``singular_oscillator`` says whether V evaluates as 1/(2 rbar^2) with
     no t dependence.  Detection is by evaluation at fixed probes, so
@@ -230,7 +230,7 @@ class Potential:
 
     @cached_property
     def dtree(self) -> Expr:
-        """dV/drbar as an expression tree."""
+        """dV/drbar as an expression tree, from expr's derivative cache."""
         return ex.differentiate(self.tree, "rbar")
 
     @cached_property
@@ -291,11 +291,13 @@ class Class2Phi:
     theta are exact too: the integrand is differentiated under the
     integral sign, which takes second partials of psi.
 
-    Quadratures run on the integrand lowered once, with (r, theta, t)
+    Quadratures run on the integrand lowered by expr, with (r, theta, t)
     bound per quadrature; ``integrand``, the reference, replays a sample
-    where it faults.  The psi partials are derived on first use.  The last
-    value is kept with its (alpha, r, theta, t), so phi and its derivatives,
-    or the matrix and the flow, at one state share one quadrature of phi.
+    where it faults.  The psi partials are ``psi``'s handles; the lowered
+    integrand and its partials are looked up on first use and kept.  The
+    last value is kept with its (alpha, r, theta, t), so phi and its
+    derivatives, or the matrix and the flow, at one state share one
+    quadrature of phi.
     """
 
     def __init__(
@@ -320,16 +322,9 @@ class Class2Phi:
         self._constant_integrand = not (self._theta_dependent or psi.depends_on("alpha"))
         # set here rather than added on first use: an attribute added after
         # __init__ slows every attribute read on the instance in CPython 3.11
-        self._partials = None
-        self._tree = None
         self._fused = None
         self._under_integral = {}
         self._last = (None, None)
-
-    def _derive_partials(self) -> tuple:
-        """d(psi)/dr, d(psi)/dtheta and d(psi)/dalpha compiled, kept."""
-        self._partials = tuple(self.psi.partial(var).fn for var in ("r", "theta", "alpha"))
-        return self._partials
 
     def _psi_at(self, lam: float, r: float, theta: float, t: float) -> float:
         w = self.psi.fn(lam, r, theta, t)
@@ -342,15 +337,14 @@ class Class2Phi:
 
     def integrand(self, lam: float, r: float, theta: float, t: float) -> float:
         w = self._psi_at(lam, r, theta, t)
-        psi_r, psi_theta, _ = self._partials or self._derive_partials()
-        val = psi_r(lam, r, theta, t) - (2.0 / r) * w
+        val = self.psi.partial("r").fn(lam, r, theta, t) - (2.0 / r) * w
         if self._theta_dependent:
             if lam == 0.0:
                 raise SingularStateError(
                     "class-2 phi integrand has a 1/lambda term and the path "
                     "touches lambda=0"
                 )
-            val += psi_theta(lam, r, theta, t) / (r * r * lam)
+            val += self.psi.partial("theta").fn(lam, r, theta, t) / (r * r * lam)
         return val / (w * w)
 
     def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
@@ -386,7 +380,7 @@ class Class2Phi:
     def partial_alpha(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
         """Exact d(phi)/d(alpha) via the fundamental theorem."""
         w = self._psi_at(alpha, r, theta, t)
-        dpsi = (self._partials or self._derive_partials())[2](alpha, r, theta, t)
+        dpsi = self.psi.partial("alpha").fn(alpha, r, theta, t)
         return self.integrand(alpha, r, theta, t) * w + self(alpha, r, theta, t) * dpsi / w
 
     def partial(self, var: str) -> Callable[..., float]:
@@ -416,10 +410,8 @@ class Class2Phi:
             dk += self._chi.partial(var).fn(alpha, r, theta, t)
         return dk * w + k * self.psi.partial(var).fn(alpha, r, theta, t)
 
-    def _lower_integrand(self):
-        """Keep the integrand as one tree in (alpha, r, theta, t), alpha for
-        lam, and compiled as ``bind(r, theta, t, replay=...)``, a function of
-        lam guarded by the psi floor and lam = 0; return the latter."""
+    def _integrand_tree(self) -> Expr:
+        """The integrand as one tree in (alpha, r, theta, t), alpha for lam."""
         tree = _INTEGRAND[self._theta_dependent]
         for name, sub in (
             ("psi_r", self.psi.partial("r").tree),
@@ -427,18 +419,21 @@ class Class2Phi:
             ("psi", self.psi.tree),
         ):
             tree = ex.substitute(tree, name, sub)
+        return tree
+
+    def _lower_integrand(self):
+        """Keep and return the integrand compiled as ``bind(r, theta, t,
+        replay=...)``, a function of lam guarded by the psi floor and
+        lam = 0."""
         guards = ((self.psi.tree, self.psi_min), (Var("alpha"), 0.0))[: 1 + self._theta_dependent]
-        self._tree = tree
-        self._fused = ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards)
+        self._fused = ex.compile(self._integrand_tree(), ("alpha",), ("r", "theta", "t"), guards)
         return self._fused
 
     def _integrand_partial(self, var: str):
         """d(integrand)/d(var) as ``bind(r, theta, t)``, a function of lam,
-        or None where the integrand is free of var; derived on first use."""
+        or None where the integrand is free of var; kept on first use."""
         if var not in self._under_integral:
-            if self._tree is None:
-                self._lower_integrand()
-            tree = self._tree
+            tree = self._integrand_tree()
             self._under_integral[var] = (
                 ex.compile(ex.differentiate(tree, var), ("alpha",), ("r", "theta", "t"))
                 if var in ex.free_vars(tree)

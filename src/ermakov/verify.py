@@ -4,17 +4,15 @@ seeded sample states.
 One sweep per ``--which``: the Jacobi identity, the Hamiltonian flow,
 the Casimirs, the class-2 consistency condition and the determinant.
 :func:`ermakov.cli.main` imports this module only for ``verify``, so no
-other command compiles it or :mod:`ermakov.poisson`.
+other command compiles it or :mod:`ermakov.poisson`, and writes the
+report that :func:`cmd_verify` returns.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from . import expr as ex
 from . import invariants as inv
 from . import poisson
-from .cli import _base_report, _write_json
 from .config import ConfigError, RunConfig, sample_states
 from .systems import FuncHandle, PhaseState, nan_max, vector_field
 
@@ -135,9 +133,7 @@ def _verify_determinant(cfg, states):
     }
 
 
-def cmd_verify(
-    cfg: RunConfig, out_dir: Path, seed: int, which: str, tamper: bool
-) -> int:
+def cmd_verify(cfg: RunConfig, seed: int, which: str, tamper: bool) -> tuple:
     import numpy as np
 
     vs = cfg.verify
@@ -162,27 +158,18 @@ def cmd_verify(
     # a NaN residual fails the sweep
     max_residual = nan_max(per_state)
     passed = bool(max_residual < tol)
-    doc = _base_report(cfg, seed)
-    doc.update(
-        {
-            "command": "verify",
-            "which": which,
-            "system_kind": cfg.spec.kind,
-            "samples": vs.samples,
-            "branch": branch,
-            "tolerance": tol,
-            "max_residual": max_residual,
-            "pass": passed,
-            "per_state": [
-                _state_row(s, res) for s, res in zip(states, per_state)
-            ],
-        }
-    )
-    doc.update(extra)
-    _write_json(out_dir / f"verify_{which}.json", doc)
+    doc = {
+        "command": "verify",
+        "which": which,
+        "system_kind": cfg.spec.kind,
+        "samples": vs.samples,
+        "branch": branch,
+        "tolerance": tol,
+        "max_residual": max_residual,
+        "pass": passed,
+        "per_state": [_state_row(s, res) for s, res in zip(states, per_state)],
+        **extra,
+    }
     verdict = "PASS" if passed else "FAIL"
-    print(
-        f"verify {which}: max_residual={max_residual:.3e} "
-        f"tolerance={tol:.1e} -> {verdict}"
-    )
-    return 0 if passed else 1
+    line = f"verify {which}: max_residual={max_residual:.3e} tolerance={tol:.1e} -> {verdict}"
+    return 0 if passed else 1, line, {f"verify_{which}.json": doc}

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import importlib
 import json
@@ -21,6 +22,7 @@ from ermakov.config import (
     AffinityProbe,
     LinearizeSettings,
     VerifySettings,
+    load_config,
     parse_config,
     sample_states,
 )
@@ -730,6 +732,11 @@ CONFIG_FAULTS = [
         _edit(SPIRAL_DOC, "verify.branch", "both"),
         "verify.branch must be any or fixed, got 'both'",
     ),
+    (
+        "u-floor",
+        _edit(SPIRAL_DOC, "verify.u_floor", 3.0),
+        "verify.u_floor must be at most 2, got 3.0",
+    ),
 ]
 
 
@@ -895,6 +902,14 @@ def test_every_exported_name_exists(module):
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.json"))
+VERIFY_SWEEPS = ("jacobi", "flow", "casimir", "consistency", "determinant")
+
+
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's src/."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
 
 # run in a fresh interpreter; prints "@ step [exit code] numpy-loaded
 # modules" after each step, where modules are those of the command modules
@@ -945,11 +960,9 @@ print("@ verify", code, "numpy" in sys.modules, loaded())
 
 def test_import_load_and_simulate_run_without_numpy(tmp_path):
     assert len(SHIPPED) == 2
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(tmp_path), *map(str, SHIPPED)],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
+        capture_output=True, text=True, env=_src_env(), check=True, timeout=120,
     )
     steps = [line[2:] for line in result.stdout.splitlines() if line.startswith("@ ")]
     # no class-decorator machinery on the way in, and each command loads
@@ -983,6 +996,66 @@ def test_import_load_and_simulate_run_without_numpy(tmp_path):
         assert (tmp_path / later / name).read_bytes() == (tmp_path / first / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["verify", "orbit", "linearize"])
+def test_a_command_run_as_main_imports_the_cli_module_once(tmp_path, command):
+    # run as __main__, cli.py is not ermakov.cli: a command module that
+    # imported ermakov.cli would execute the file a second time
+    argv = [command, "--config", str(ROOT / "configs" / "spiral.json"), "--out", str(tmp_path)]
+    argv += ["--which", "flow"] if command == "verify" else []
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ermakov.cli", *argv],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    imported = [line.split("|")[-1].strip() for line in result.stderr.splitlines()]
+    assert ("ermakov.verify" if command == "verify" else "ermakov.orbit") in imported
+    assert "ermakov.cli" not in imported
+
+
+_IMPORT_ALL = """
+import ermakov.cli, ermakov.linearize, ermakov.orbit, ermakov.poisson, ermakov.verify
+from ermakov import expr
+print(expr._maker.cache_info().misses, len(expr._DERIVATIVES))
+"""
+
+
+def test_nothing_is_lowered_or_derived_at_import():
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ALL], capture_output=True, text=True, env=_src_env(),
+        check=True, timeout=120,
+    )
+    assert result.stdout == "0 0\n"
+
+
+def test_a_second_run_lowers_and_derives_nothing(tmp_path, monkeypatch):
+    # every command reloads its config and parses new trees; expr keeps the
+    # lowered code and the derivatives by value, here in caches as empty
+    # as a new process has, so a second run finds every one of them
+    monkeypatch.setattr(ex, "_maker", functools.lru_cache(maxsize=1024)(ex._maker.__wrapped__))
+    monkeypatch.setattr(ex, "_DERIVATIVES", {})
+    lowered = count_outermost_calls(monkeypatch, ex, "_lower")
+    derived, differentiate = [0], ex.differentiate
+
+    def counting(tree, var):
+        derived[0] += (tree, var) not in ex._DERIVATIVES
+        return differentiate(tree, var)
+
+    monkeypatch.setattr(ex, "differentiate", counting)
+    argvs = [
+        [*argv, "--config", str(path)]
+        for path in SHIPPED
+        for argv in (["simulate"], *(["verify", "--which", w] for w in VERIFY_SWEEPS))
+    ]
+    codes = [main([*argv, "--out", str(tmp_path / "first")]) for argv in argvs]
+    assert lowered[0] > 0 and derived[0] > 0
+    lowered[0] = derived[0] = 0
+    assert [main([*argv, "--out", str(tmp_path / "second")]) for argv in argvs] == codes
+    assert lowered[0] == derived[0] == 0
+    # and no node or forcing holds lowered code of its own
+    cfg = load_config(SHIPPED[0])
+    assert not hasattr(cfg.spec.g, "__dict__")
+
+
 # run in a fresh interpreter; prints whether the float reads gave floats and
 # whether numpy was loaded
 _FLOAT_READS = """
@@ -1002,11 +1075,9 @@ print(all(type(x) is float for x in reads), "numpy" in sys.modules)
 
 
 def test_orbit_curves_and_float_reads_run_without_numpy():
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
         [sys.executable, "-c", _FLOAT_READS, str(ROOT / "configs" / "spiral.json")],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
+        capture_output=True, text=True, env=_src_env(), check=True, timeout=120,
     )
     assert result.stdout == "True False\n"
 

@@ -40,9 +40,9 @@ def test_nodes_compare_hash_and_print_by_type_and_fields():
         tree.op = "-"
     with pytest.raises(TypeError):
         Num()
-    # per-tree caches live in the node's __dict__ and take no part in equality
+    # a node holds its fields and its hash, and no per-object cache
     ex.compile(tree, ("theta",))
-    assert "_compiled" in tree.__dict__ and tree == same
+    assert not hasattr(tree, "__dict__") and tree == same
 
 
 def test_power_is_right_associative_and_binds_tightest():
@@ -561,3 +561,23 @@ def test_compiled_config_expressions_match_evaluate(text):
 def test_compiled_domain_errors_match_evaluate(text, names, vals, error):
     outcome = _same_as_evaluate(ex.parse(text), names, list(vals))
     assert outcome[0] is error
+
+
+def test_signed_zeros_are_different_trees_and_lower_apart():
+    # 0.0 == -0.0, but x + 0.0 is +0.0 at x = -0.0 and x + -0.0 is -0.0:
+    # the lowered code is kept by value, so the two values must not meet
+    plus, minus = (Binary("+", Var("x"), Num(zero)) for zero in (0.0, -0.0))
+    assert plus != minus and Num(0.0) != Num(-0.0) and Num(1) == Num(1.0)
+    assert math.copysign(1.0, ex.compile(plus, ("x",))(-0.0)) == 1.0
+    value = ex.compile(minus, ("x",))(-0.0)
+    assert math.copysign(1.0, value) == -1.0
+    assert struct.pack("<d", value) == struct.pack("<d", ex.evaluate(minus, {"x": -0.0}))
+
+
+def test_equal_trees_share_lowered_code_and_derivatives():
+    first, second = ex.parse("sin(x)*x^3 + 0.75"), ex.parse("sin(x)*x^3 + 0.75")
+    assert first is not second and hash(first) == hash(second)
+    assert ex.compile(first, ("x",)).__code__ is ex.compile(second, ("x",)).__code__
+    assert ex.differentiate(first, "x") is ex.differentiate(second, "x")
+    # the subtrees' derivatives are kept too, and are the same objects
+    assert ex.differentiate(first, "x").left is ex.differentiate(first.left, "x")

@@ -16,7 +16,6 @@ from ermakov.systems import (
     Potential,
     SingularStateError,
     SystemSpec,
-    ZERO_HANDLE,
     frequency_squared,
     nan_max,
     polar_from_cartesian,
@@ -26,6 +25,7 @@ from ermakov.systems import (
 from helpers import count_outermost_calls, reference_flow, spiral_start, vec
 
 OSC = Potential(ex.parse("1/(2*rbar^2)"))
+ZERO_HANDLE = FuncHandle(tree=ex.Num(0.0), name="0")
 
 
 def random_states(seed, n, u_floor=0.05):

@@ -14,7 +14,9 @@ a temporary directory.  Then, on each side's own ``bench/run.py``:
   (metrics counted in calls, samples, steps or bytes, and the step accept
   ratio) must be equal;
 * ``tools/report_digests.py`` of this checkout, on both sides, at seeds 3
-  and 20260823, whose listings must be equal.
+  and 20260823, whose listings must be equal;
+* the line count of ``src/ermakov/*.py`` on both sides, as ``wc -l``
+  counts it, for the source-size budget.
 
 FILE gets both revisions, the per-pair values of every end-to-end metric
 with each side's median and quartiles, the number of pairs in which the
@@ -77,6 +79,11 @@ def digests(root: Path, tool: Path, seed: int) -> str:
         shutil.copyfile(tool, target)
     argv = [sys.executable, str(target), "--seed", str(seed)]
     return subprocess.run(argv, cwd=root, check=True, capture_output=True, text=True).stdout
+
+
+def src_lines(root: Path) -> int:
+    """Lines of root's src/ermakov/*.py, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "ermakov").glob("*.py"))
 
 
 def _quartiles(values) -> list:
@@ -147,6 +154,7 @@ def main(argv=None) -> int:
             seed: {side: digests(sides[side], tool, seed) for side in sides}
             for seed in DIGEST_SEEDS
         }
+        lines = {side: src_lines(root) for side, root in sides.items()}
 
     end_to_end = {}
     for workload, by_side in runs.items():
@@ -185,6 +193,7 @@ def main(argv=None) -> int:
         "digests_equal": {
             str(seed): by_side["parent"] == by_side["change"] for seed, by_side in listings.items()
         },
+        "src_lines": lines,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for workload, table in end_to_end.items():
@@ -196,6 +205,7 @@ def main(argv=None) -> int:
                   f"within bound {row['within_bound']}")
     print(f"counter differences: {counter_diffs}")
     print(f"digests equal: {doc['digests_equal']}")
+    print(f"src lines: {lines}")
     return 0
 
 
