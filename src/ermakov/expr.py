@@ -439,16 +439,17 @@ def compile(tree: Expr, args, bound=(), guards=()) -> Callable[..., float]:
 
 
 def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of variable ``var`` by ``replacement``."""
+    """Replace every occurrence of variable ``var`` by ``replacement``.
+    A subtree without ``var`` comes back as the same object."""
     if isinstance(e, Num):
         return e
     if isinstance(e, Var):
         return replacement if e.name == var else e
     if isinstance(e, Unary):
-        return Unary(e.op, substitute(e.arg, var, replacement))
-    return Binary(
-        e.op, substitute(e.left, var, replacement), substitute(e.right, var, replacement)
-    )
+        arg = substitute(e.arg, var, replacement)
+        return e if arg is e.arg else Unary(e.op, arg)
+    left, right = substitute(e.left, var, replacement), substitute(e.right, var, replacement)
+    return e if left is e.left and right is e.right else Binary(e.op, left, right)
 
 
 # differentiate's results by (tree, var), the oldest dropped beyond the last

@@ -8,9 +8,9 @@ A system's flow comes lowered from ``SystemSpec.flow``, one function of
 (t, y) per floors, and is stepped directly.
 
 Trajectories store their nodes and node derivatives as lists of floats,
-which support cubic Hermite dense output: one time reads the node lists
-with bisect and gives a list of floats; an array of times, the one path
-that imports numpy, gives an array.  Both round alike.
+which support cubic Hermite dense output: a nondecreasing sequence of
+times is read in one walk over the nodes and gives one list of floats per
+state component.  One time is the one-element case.
 
 Singularities follow a stop-and-report policy.  Stage evaluations run
 against floors relaxed by half; a failing stage halves the step until it
@@ -68,54 +68,49 @@ class Solver(NamedTuple):
     max_steps: int = 200000
 
 
-def _hermite_weights(s, h):
-    """The cubic Hermite weights of y0, f0, y1 and f1 at s = (t - t0) / h
-    in a step h, on floats or arrays alike."""
-    s2 = s * s
-    s3 = s2 * s
-    return 2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h
-
-
-def hermite_eval(ts, ys, fs, t):
+def hermite_eval(ts, ys, fs, times):
     """Piecewise cubic Hermite interpolation.
 
     Args:
         ts: strictly increasing sample times, n of them.
         ys: sample values, n rows of d.
         fs: derivatives at the samples, n rows of d.
-        t: one time (an int or a float), or an array of times, inside
-            [ts[0], ts[-1]]; times within a relative 1e-12 outside it are
-            clamped onto it.
+        times: a nondecreasing sequence (ValueError otherwise) of times
+            inside [ts[0], ts[-1]] (IntegrationError otherwise); times
+            within a relative 1e-12 outside it are clamped onto it.
 
     Returns:
-        For one time, a list of d floats, read from the node sequences with
-        bisect (lists of floats read fastest).  For an array, an array of
-        shape (len(t), d), computed with numpy.  Both round alike.
+        d lists of len(times) floats, the interpolant's components.  The
+        first time's interval is found by bisection and each later one by
+        walking forward over the nodes; each time's four weights are
+        computed once and shared by the components.
     """
     lo, hi = float(ts[0]), float(ts[-1])
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if isinstance(t, (int, float)):
+    last = len(ts) - 2
+    i = min(max(bisect_right(ts, times[0]) - 1, 0), last) if len(times) else 0
+    weights = []  # (interval, w00, w10, w01, w11) for each time
+    prev = -math.inf
+    for t in times:
+        if t < prev:
+            raise ValueError(f"sample times must be nondecreasing: {t!r} after {prev!r}")
         if t < lo - slack or t > hi + slack:
             raise IntegrationError(f"sample time outside [{lo!r}, {hi!r}]")
+        prev = t
         t = lo if t < lo else hi if t > hi else t
-        i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+        while i < last and ts[i + 1] <= t:
+            i += 1
         h = ts[i + 1] - ts[i]
-        w00, w10, w01, w11 = _hermite_weights((t - ts[i]) / h, h)
-        return [
-            w00 * y0 + w10 * f0 + w01 * y1 + w11 * f1
-            for y0, f0, y1, f1 in zip(ys[i], fs[i], ys[i + 1], fs[i + 1])
-        ]
-    import numpy as np
-
-    ts, ys, fs = (np.asarray(nodes, dtype=float) for nodes in (ts, ys, fs))
-    tq = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(tq < lo - slack) or np.any(tq > hi + slack):
-        raise IntegrationError(f"sample time outside [{lo!r}, {hi!r}]")
-    tq = np.clip(tq, lo, hi)
-    idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-    h = ts[idx + 1] - ts[idx]
-    w00, w10, w01, w11 = (w[:, None] for w in _hermite_weights((tq - ts[idx]) / h, h))
-    return w00 * ys[idx] + w10 * fs[idx] + w01 * ys[idx + 1] + w11 * fs[idx + 1]
+        s = (t - ts[i]) / h
+        s2 = s * s
+        s3 = s2 * s
+        w00, w01 = 2.0 * s3 - 3.0 * s2 + 1.0, -2.0 * s3 + 3.0 * s2
+        weights.append((i, w00, (s3 - 2.0 * s2 + s) * h, w01, (s3 - s2) * h))
+    return [
+        [w00 * ys[i][j] + w10 * fs[i][j] + w01 * ys[i + 1][j] + w11 * fs[i + 1][j]
+         for i, w00, w10, w01, w11 in weights]
+        for j in range(len(ys[0]))
+    ]
 
 
 class Trajectory(_Record):
@@ -151,10 +146,10 @@ class Trajectory(_Record):
     def final_state(self) -> PhaseState:
         return self.state(len(self.ts) - 1)
 
-    def sample(self, t):
-        """Dense output by cubic Hermite interpolation: a list of floats at
-        one time t, an array of shape (len(t), d) at an array of times."""
-        return hermite_eval(self.ts, self.ys, self.fs, t)
+    def sample(self, times):
+        """Dense output by cubic Hermite interpolation at nondecreasing
+        times: d lists of floats, one per state component."""
+        return hermite_eval(self.ts, self.ys, self.fs, times)
 
 
 # Dormand-Prince 4(5) tableau; the last row of A doubles as the 5th

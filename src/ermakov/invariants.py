@@ -357,19 +357,13 @@ def elapsed_time(
     return ex.quad_adaptive(integrand, theta0, theta1, _ORBIT_TOL)
 
 
-def spiral_radius(c1: float, c2: float, theta):
-    """Radius of the singular-oscillator orbit:
+def spiral_radius(c1: float, c2: float, theta: float) -> float:
+    """Radius of the singular-oscillator orbit at one angle:
 
-        r^2 = 2 c1 / (1 + 4 c1^2 (theta - c2)^2).
+        r^2 = 2 c1 / (1 + 4 c1^2 (theta - c2)^2),
 
-    Accepts scalar or array theta."""
+    the square taken as d * d, as numpy squares."""
     if not (c1 > 0.0):
         raise ValueError(f"c1 must be positive, got {c1!r}")
-    import numpy as np
-
-    th = np.asarray(theta, dtype=float)
-    rsq = 2.0 * c1 / (1.0 + 4.0 * c1 * c1 * (th - c2) ** 2)
-    out = np.sqrt(rsq)
-    if np.isscalar(theta) or out.ndim == 0:
-        return float(out)
-    return out
+    d = theta - c2
+    return math.sqrt(2.0 * c1 / (1.0 + 4.0 * c1 * c1 * (d * d)))

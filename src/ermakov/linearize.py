@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expr import _Record
 from .integrate import Solver, Trajectory, hermite_eval, integrate_ode
-from .systems import STAGE_FAILURES, FuncHandle, Potential, SingularStateError
+from .systems import STAGE_FAILURES, FuncHandle, Potential, SingularStateError, linspace, nan_max
 
 # a class-1 coupling, or a potential standing for the phi it induces
 Coupling = Union[FuncHandle, Potential]
@@ -73,10 +73,10 @@ class OrbitCurve(_Record):
             th, rb, ab = th[::-1], rb[::-1], ab[::-1]
         return th, rb, ab
 
-    def rbar_at(self, theta):
-        """rbar interpolated at theta, a float or an array, cubic Hermite."""
-        rbar = hermite_eval(*self._nodes, theta)
-        return rbar[0] if isinstance(theta, (int, float)) else rbar[:, 0]
+    def rbar_at(self, thetas):
+        """rbar at nondecreasing angles thetas, cubic Hermite, as a list of
+        floats."""
+        return hermite_eval(*self._nodes, thetas)[0]
 
 
 def to_orbit_curve(traj: Trajectory) -> OrbitCurve:
@@ -203,8 +203,6 @@ def orbit_match(traj, curve: OrbitCurve, n_grid: int = 400) -> float:
 
     Both sides are Hermite-interpolated, so the result is meaningful
     between nodes as well."""
-    import numpy as np
-
     first = to_orbit_curve(traj) if isinstance(traj, Trajectory) else traj
     lo1, hi1 = first.theta_range
     lo2, hi2 = curve.theta_range
@@ -214,9 +212,8 @@ def orbit_match(traj, curve: OrbitCurve, n_grid: int = 400) -> float:
             f"theta ranges [{lo1!r}, {hi1!r}] and [{lo2!r}, {hi2!r}] "
             f"do not overlap"
         )
-    grid = np.linspace(lo, hi, n_grid)
-    delta = first.rbar_at(grid) - curve.rbar_at(grid)
-    return float(np.max(np.abs(delta)))
+    grid = linspace(lo, hi, n_grid)
+    return nan_max(abs(a - b) for a, b in zip(first.rbar_at(grid), curve.rbar_at(grid)))
 
 
 class AffinityResult(NamedTuple):

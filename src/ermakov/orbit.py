@@ -14,6 +14,7 @@ from . import invariants as inv
 from .config import ConfigError, RunConfig
 from .integrate import Solver, Trajectory
 from .linearize import affinity_test, integrate_characteristic, orbit_match, to_orbit_curve
+from .systems import linspace, nan_max
 
 __all__ = ["cmd_orbit", "cmd_linearize"]
 
@@ -42,7 +43,7 @@ def _time_at_theta(traj: Trajectory, theta_star: float) -> float:
     lo_t, hi_t = traj.ts[0], traj.ts[-1]
     for _ in range(200):
         mid = 0.5 * (lo_t + hi_t)
-        th_mid = float(traj.sample(mid)[1])
+        th_mid = traj.sample([mid])[1][0]
         if (th_mid < theta_star) == increasing:
             lo_t = mid
         else:
@@ -53,8 +54,6 @@ def _time_at_theta(traj: Trajectory, theta_star: float) -> float:
 
 
 def cmd_orbit(cfg: RunConfig) -> tuple:
-    import numpy as np
-
     spec = cfg.spec
     potential = spec.coupling
     if spec.kind != "pseudo_potential" or not potential.singular_oscillator:
@@ -76,16 +75,17 @@ def cmd_orbit(cfg: RunConfig) -> tuple:
             f"orbit.theta_span does not overlap the simulated range "
             f"[{c_lo!r}, {c_hi!r}]"
         )
-    grid = np.linspace(lo, hi, cfg.orbit.n_grid)
-    r_sim = 1.0 / curve.rbar_at(grid)
-    r_formula = inv.spiral_radius(c1, c2, grid)
-    max_orbit_error = float(np.max(np.abs(r_sim - r_formula)))
+    grid = linspace(lo, hi, cfg.orbit.n_grid)
+    max_orbit_error = nan_max(
+        abs(1.0 / rbar - inv.spiral_radius(c1, c2, theta))
+        for rbar, theta in zip(curve.rbar_at(grid), grid)
+    )
 
     i_val = inv.ermakov_invariant(spec.g, cfg.s0)
     # a duration: theta runs backwards in time where v < 0
     elapsed_sim = abs(_time_at_theta(traj, hi) - _time_at_theta(traj, lo))
     elapsed_quad = inv.elapsed_time(
-        lambda th: 1.0 / curve.rbar_at(th), spec.g, i_val, lo, hi
+        lambda th: 1.0 / curve.rbar_at([th])[0], spec.g, i_val, lo, hi
     )
     time_error = abs(elapsed_sim - elapsed_quad)
 

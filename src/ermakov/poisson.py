@@ -309,14 +309,16 @@ def consistency_residual(
 
 def casimir_residuals(
     field: MatrixField,
-    grad_c: Sequence[float],
+    grads: Sequence[Sequence[float]],
     s: PhaseState,
     t: float = 0.0,
 ) -> tuple:
-    """The 4-vector J grad(C), as a tuple of floats.  All components
-    vanish when C is a Casimir of the structure; under a non-degenerate
+    """The 4-vector J grad(C) for each gradient in grads, concatenated
+    into one tuple of floats; J is built once.  All components vanish
+    when each C is a Casimir of the structure; under a non-degenerate
     matrix no nonconstant C can achieve that."""
-    return _times(field(s, t), grad_c, "grad_c")
+    m = field(s, t)
+    return tuple([x for grad_c in grads for x in _times(m, grad_c, "grad_c")])
 
 
 _STATE_VARS = ("r", "theta", "u", "v", "t")

@@ -46,6 +46,7 @@ __all__ = [
     "frequency_squared",
     "polar_from_cartesian",
     "nan_max",
+    "linspace",
 ]
 
 
@@ -100,6 +101,14 @@ def nan_max(values) -> float:
         if x > worst:
             worst = x
     return worst
+
+
+def linspace(lo: float, hi: float, n: int) -> list:
+    """``np.linspace(lo, hi, n)`` on floats, bit for bit: [lo] for n = 1."""
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
 
 
 def _nonpositive_r(r: float) -> SingularStateError:

@@ -2,8 +2,9 @@
 of reference systems used across files, numpy reference copies of float
 code, the central-difference Jacobi sweep that cross-checks the exact
 partials, the flow as ``vector_field`` computed it per call before
-each system's flow was lowered once, and the Gauss-Kronrod panel as it
-was computed from lists before it was generated."""
+each system's flow was lowered once, the Gauss-Kronrod panel as it
+was computed from lists before it was generated, and the numpy read of
+dense output that the float walk of ``hermite_eval`` replaced."""
 
 import math
 import operator
@@ -12,6 +13,7 @@ import random
 import numpy as np
 
 from ermakov import expr as ex
+from ermakov.integrate import IntegrationError
 from ermakov.poisson import JACOBI_TRIPLES
 from ermakov.systems import DEFAULT_FLOORS, FuncHandle, PhaseState, Potential
 
@@ -244,3 +246,24 @@ def reference_gk21(f, lo: float, hi: float, depth: int) -> tuple:
     )
     gauss = half * sum(map(operator.mul, ex._G10_WEIGHTS, pairs[::2]))
     return (-abs(kronrod - gauss), depth, lo, hi, kronrod, (centre, left, right))
+
+
+def reference_hermite_eval(ts, ys, fs, times):
+    """Cubic Hermite dense output at an array of times, computed with numpy
+    as ``hermite_eval`` once read it: an array of shape (len(times), d),
+    the same weights and clamp, the same out-of-range message."""
+    ts, ys, fs = (np.asarray(nodes, dtype=float) for nodes in (ts, ys, fs))
+    lo, hi = float(ts[0]), float(ts[-1])
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    tq = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(tq < lo - slack) or np.any(tq > hi + slack):
+        raise IntegrationError(f"sample time outside [{lo!r}, {hi!r}]")
+    tq = np.clip(tq, lo, hi)
+    idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
+    h = ts[idx + 1] - ts[idx]
+    s = (tq - ts[idx]) / h
+    s2 = s * s
+    s3 = s2 * s
+    weights = (2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h)
+    w00, w10, w01, w11 = (w[:, None] for w in weights)
+    return w00 * ys[idx] + w10 * fs[idx] + w01 * ys[idx + 1] + w11 * fs[idx + 1]

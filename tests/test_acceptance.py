@@ -81,7 +81,7 @@ def time_at_theta(traj, theta_star: float) -> float:
     lo_t, hi_t = float(traj.ts[0]), float(traj.ts[-1])
     for _ in range(200):
         mid = 0.5 * (lo_t + hi_t)
-        if float(traj.sample(mid)[1]) < theta_star:
+        if traj.sample([mid])[1][0] < theta_star:
             lo_t = mid
         else:
             hi_t = mid
@@ -269,10 +269,9 @@ def test_criterion_5_superintegrable_spiral(g_text):
     c2 = inv.casimir_C2(OSC, SPIRAL_START)
     curve = to_orbit_curve(traj)
     lo, hi = curve.theta_range
-    grid = np.linspace(lo, hi, 400)
-    orbit_err = float(
-        np.max(np.abs(1.0 / curve.rbar_at(grid) - inv.spiral_radius(c1, c2, grid)))
-    )
+    grid = np.linspace(lo, hi, 400).tolist()
+    r_formula = [inv.spiral_radius(c1, c2, th) for th in grid]
+    orbit_err = float(np.max(np.abs(1.0 / np.array(curve.rbar_at(grid)) - r_formula)))
     ok = (
         report["I"].drift < 1e-8
         and report["C1"].drift < 1e-8
@@ -302,10 +301,10 @@ def test_criterion_6_casimir_dichotomy():
         g2 = fd_gradient(c2_fn, s)
         for grad in (g1, g2):
             worst1 = max(
-                worst1, float(np.max(np.abs(poisson.casimir_residuals(field1, grad, s))))
+                worst1, float(np.max(np.abs(poisson.casimir_residuals(field1, [grad], s))))
             )
             least2 = min(
-                least2, float(np.max(np.abs(poisson.casimir_residuals(field2, grad, s))))
+                least2, float(np.max(np.abs(poisson.casimir_residuals(field2, [grad], s))))
             )
     ok = worst1 < 1e-7 and least2 > 1e-3
     assert verdict(

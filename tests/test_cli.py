@@ -404,16 +404,18 @@ def test_orbit_command_off_the_turning_point(tmp_path):
     assert report["pass"] is True
 
 
+# v < 0: theta falls with time, and the orbit reads as the spiral's mirror
+# image, the simulated time between the span's ends a duration
+MIRRORED_DOC = dict(
+    SPIRAL_DOC,
+    initial_state={"r": 1.0, "theta": 0.0, "u": 0.0, "v": -1.0},
+    orbit={"theta_span": [-1.0, 0.0]},
+)
+
+
 def test_orbit_command_on_the_mirrored_spiral(tmp_path):
-    # v < 0: theta falls with time, and the orbit reads as the spiral's
-    # mirror image, the simulated time between the span's ends a duration
-    mirrored = dict(
-        SPIRAL_DOC,
-        initial_state={"r": 1.0, "theta": 0.0, "u": 0.0, "v": -1.0},
-        orbit={"theta_span": [-1.0, 0.0]},
-    )
     reports = []
-    for name, doc in (("spiral", SPIRAL_DOC), ("mirrored", mirrored)):
+    for name, doc in (("spiral", SPIRAL_DOC), ("mirrored", MIRRORED_DOC)):
         cfg = write_config(tmp_path, doc, f"{name}.json")
         code = main(["orbit", "--config", str(cfg), "--out", str(tmp_path / name)])
         assert code == 0
@@ -1069,7 +1071,10 @@ traj = integrate(cfg.spec, cfg.s0, cfg.t0, cfg.t1, cfg.solver, cfg.floors)
 curve = to_orbit_curve(traj)
 backward = integrate_characteristic(cfg.spec.coupling, 1.0, 0.0, 0.0, -1.0)
 line = integrate_linear(0.0, -1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
-reads = [*traj.sample(0.5), curve.rbar_at(0.5), backward.rbar_at(-0.5), line.rbar_at(0.5)]
+reads = [
+    *(x for col in traj.sample([0.5]) for x in col),
+    *curve.rbar_at([0.5]), *backward.rbar_at([-0.5]), *line.rbar_at([0.5]),
+]
 print(all(type(x) is float for x in reads), "numpy" in sys.modules)
 """
 
@@ -1080,6 +1085,29 @@ def test_orbit_curves_and_float_reads_run_without_numpy():
         capture_output=True, text=True, env=_src_env(), check=True, timeout=120,
     )
     assert result.stdout == "True False\n"
+
+
+# run in a fresh interpreter that cannot import numpy
+_NUMPY_BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+from ermakov.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_orbit_runs_with_numpy_blocked(tmp_path, capsys):
+    for name, doc in (("spiral", SPIRAL_DOC), ("mirrored", MIRRORED_DOC)):
+        argv = ["orbit", "--config", str(write_config(tmp_path, doc, f"{name}.json"))]
+        blocked = subprocess.run(
+            [sys.executable, "-c", _NUMPY_BLOCKED, *argv, "--out", str(tmp_path / "blocked")],
+            capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+        assert main([*argv, "--out", str(tmp_path / "normal")]) == blocked.returncode == 0
+        assert blocked.stdout == capsys.readouterr().out
+        assert (tmp_path / "blocked" / "orbit.json").read_bytes() == (
+            tmp_path / "normal" / "orbit.json"
+        ).read_bytes()
 
 
 # keys with template, quoting, control and non-ASCII characters

@@ -203,6 +203,15 @@ def test_substitute_replaces_every_occurrence():
     assert ex.evaluate(replaced, {"r": 2.0}) == pytest.approx(0.75)
 
 
+def test_substitute_keeps_the_subtrees_without_the_variable():
+    tree = ex.parse("sin(theta)*r + t^2")
+    assert ex.substitute(tree, "alpha", ex.parse("1/r")) is tree
+    replaced = ex.substitute(tree, "t", ex.parse("1/r"))
+    assert replaced.left is tree.left
+    assert replaced.right.right is tree.right.right
+    assert replaced == ex.parse("sin(theta)*r + (1/r)^2")
+
+
 def test_free_vars():
     assert ex.free_vars(ex.parse("sin(theta)*r + t")) == frozenset(
         {"theta", "r", "t"}

@@ -28,7 +28,7 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import spiral_start, vec
+from helpers import reference_hermite_eval, spiral_start, vec
 from test_systems import OSC
 
 ZERO = ex.parse("0")
@@ -73,15 +73,19 @@ def test_spiral_against_closed_form():
 
 def test_dense_output_accuracy():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
-    times = np.linspace(0.05, 0.95, 7)
-    dense = traj.sample(times)
-    assert dense.shape == (7, 4)
+    times = np.linspace(0.05, 0.95, 7).tolist()
+    dense = traj.sample(times)  # one list of floats per component
+    assert len(dense) == 4 and all(len(col) == 7 for col in dense)
+    assert all(type(x) is float for col in dense for x in col)
     exact = np.stack([exact_spiral(t) for t in times])
     # cubic interpolation between adaptive nodes, not at stepper accuracy
-    assert np.max(np.abs(dense - exact)) < 1e-6
-    single = traj.sample(0.5)  # one time: a list of floats
-    assert len(single) == 4 and all(type(x) is float for x in single)
+    assert np.max(np.abs(np.array(dense).T - exact)) < 1e-6
+    single = [col[0] for col in traj.sample([0.5])]  # one time
     assert np.max(np.abs(single - exact_spiral(0.5))) < 1e-7
+
+
+def _hexes(columns):
+    return [[x.hex() for x in col] for col in columns]
 
 
 def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
@@ -89,33 +93,47 @@ def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
     lo, hi = traj.ts[0], traj.ts[-1]
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     rng = np.random.default_rng(17)
-    times = [
-        *rng.uniform(lo, hi, size=300).tolist(),
+    special = [
         *traj.ts[1:-1:7],  # on nodes
         lo, hi,
         lo - 0.5 * slack, hi + 0.5 * slack, -0.0,  # clamped onto the ends
     ]
-    ts, ys, fs = map(vec, (traj.ts, traj.ys, traj.fs))
-    table = hermite_eval(ts, ys, fs, np.array(times))
-    for t, row in zip(times, table.tolist()):
-        got = hermite_eval(traj.ts, traj.ys, traj.fs, t)
-        assert list(map(float.hex, got)) == list(map(float.hex, row))
-        assert all(type(x) is float for x in got)
-        assert traj.sample(t) == got
+    grids = [sorted([*rng.uniform(lo, hi, size=300).tolist(), *special])]
+    for n in (1, 2, 5, 40, 400):  # sparse and dense, with repeated times
+        grids.append(sorted(rng.choice(grids[0], size=n).tolist()))
+    for times in grids:
+        got = traj.sample(times)
+        assert all(type(x) is float for col in got for x in col)
+        want = reference_hermite_eval(traj.ts, traj.ys, traj.fs, times).T.tolist()
+        assert _hexes(got) == _hexes(want)
+    for t in special:  # one time is the one-element read
+        assert _hexes(traj.sample([t])) == _hexes(
+            reference_hermite_eval(traj.ts, traj.ys, traj.fs, [t]).T.tolist()
+        )
     for t in (lo - 2.0 * slack, hi + 2.0 * slack, -0.2, 1.5):
-        with pytest.raises(IntegrationError) as scalar:
-            traj.sample(t)
-        with pytest.raises(IntegrationError) as array:
-            traj.sample(np.array([0.5, t]))
-        assert str(scalar.value) == str(array.value) == f"sample time outside [0.0, {hi!r}]"
+        times = sorted([0.5, t])
+        with pytest.raises(IntegrationError) as walk:
+            traj.sample(times)
+        with pytest.raises(IntegrationError) as reference:
+            reference_hermite_eval(traj.ts, traj.ys, traj.fs, times)
+        assert str(walk.value) == str(reference.value) == f"sample time outside [0.0, {hi!r}]"
+
+
+def test_decreasing_sample_times_are_refused():
+    traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
+    assert all(a == b for a, b in traj.sample([0.3, 0.3]))  # repeats are read
+    with pytest.raises(ValueError, match="^sample times must be nondecreasing: 0.2 after 0.3$"):
+        traj.sample([0.1, 0.3, 0.2])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        hermite_eval(traj.ts, traj.ys, traj.fs, [0.5, math.nextafter(0.5, 0.0)])
 
 
 def test_sampling_outside_the_range_fails():
     traj = integrate(FREE, PhaseState(2.0, 0.0, 0.0, 1.0), 0.0, 1.0)
     with pytest.raises(IntegrationError):
-        traj.sample(1.5)
+        traj.sample([1.5])
     with pytest.raises(IntegrationError):
-        traj.sample(-0.2)
+        traj.sample([-0.2])
 
 
 def test_reversed_or_empty_span_rejected():
@@ -588,7 +606,7 @@ def test_generic_trajectories_are_not_phase_states():
     traj = integrate_ode(lambda t, y: [-x for x in y], [1.0], 0.0, 1.0)
     with pytest.raises(ValueError, match="phase-space"):
         traj.state(0)
-    assert len(traj.sample(0.5)) == 1
+    assert len(traj.sample([0.5])) == 1
 
 
 def test_bad_step_arguments():
@@ -599,10 +617,10 @@ def test_bad_step_arguments():
 
 
 def test_hermite_reproduces_cubics():
-    ts = np.array([0.0, 0.4, 1.1, 2.0])
-    ys = (ts**3 - 2.0 * ts + 1.0)[:, None]
-    fs = (3.0 * ts**2 - 2.0)[:, None]
-    query = np.linspace(0.0, 2.0, 17)
-    got = hermite_eval(ts, ys, fs, query)
-    want = (query**3 - 2.0 * query + 1.0)[:, None]
-    assert np.max(np.abs(got - want)) < 1e-12
+    ts = [0.0, 0.4, 1.1, 2.0]
+    ys = [[t**3 - 2.0 * t + 1.0] for t in ts]
+    fs = [[3.0 * t**2 - 2.0] for t in ts]
+    query = np.linspace(0.0, 2.0, 17).tolist()
+    (got,) = hermite_eval(ts, ys, fs, query)
+    want = [t**3 - 2.0 * t + 1.0 for t in query]
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12

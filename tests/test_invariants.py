@@ -252,9 +252,9 @@ def test_elapsed_time_detects_a_turning_angle():
 def test_spiral_radius_values_and_shapes():
     assert spiral_radius(0.5, 0.0, 0.0) == pytest.approx(1.0)
     assert spiral_radius(0.5, 0.0, 2.0) == spiral_radius(0.5, 0.0, -2.0)
-    arr = spiral_radius(0.5, 0.25, np.linspace(-1.0, 1.0, 7))
-    assert arr.shape == (7,)
-    assert float(np.max(arr)) <= 1.0
+    radii = [spiral_radius(0.5, 0.25, th) for th in np.linspace(-1.0, 1.0, 7).tolist()]
+    assert all(type(r) is float for r in radii)
+    assert max(radii) <= 1.0
     with pytest.raises(ValueError):
         spiral_radius(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -263,6 +263,16 @@ def test_spiral_radius_values_and_shapes():
 
 def test_spiral_radius_peaks_at_the_second_casimir():
     th = np.linspace(-2.0, 2.0, 2001)
-    arr = spiral_radius(0.8, 0.25, th)
+    arr = np.array([spiral_radius(0.8, 0.25, x) for x in th.tolist()])
     assert th[int(np.argmax(arr))] == pytest.approx(0.25, abs=2e-3)
     assert float(np.max(arr)) == pytest.approx(math.sqrt(1.6), abs=1e-6)
+
+
+def test_spiral_radius_matches_numpy_bit_for_bit():
+    # the square as d * d; (theta - c2) ** 2 rounds off numpy's square on
+    # some of these angles
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(-50.0, 50.0, 200_000)
+    for c1, c2 in ((0.5, 0.0), (0.8, 0.25), (1.3, -0.7)):
+        want = np.sqrt(2.0 * c1 / (1.0 + 4.0 * c1 * c1 * (thetas - c2) ** 2)).tolist()
+        assert [spiral_radius(c1, c2, th) for th in thetas.tolist()] == want

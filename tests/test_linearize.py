@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ermakov import expr as ex
-from ermakov.integrate import Trajectory, integrate
+from ermakov.integrate import IntegrationError, Trajectory, integrate
 from ermakov.linearize import (
     AffinityResult,
     OrbitCurve,
@@ -16,7 +16,7 @@ from ermakov.linearize import (
 )
 from ermakov.systems import FuncHandle, PhaseState, SystemSpec
 
-from helpers import spiral_start, vec
+from helpers import reference_hermite_eval, spiral_start, vec
 from test_systems import OSC
 
 ZERO = ex.parse("0")
@@ -54,7 +54,7 @@ def test_curve_validation():
             abar=np.zeros(2),
         )
     curve = OrbitCurve([0.0, 1.0], [1.0, 2.0], [0.5, 0.5])
-    assert curve.rbar_at(0.5) == 1.5  # the cached nodes need no assignment
+    assert curve.rbar_at([0.5]) == [1.5]  # the cached nodes need no assignment
     assert repr(curve) == "OrbitCurve(theta=[0.0, 1.0], rbar=[1.0, 2.0], abar=[0.5, 0.5])"
     for record, field in ((curve, "theta"), (make_trajectory([[1.0, 0.0, 0.0, 1.0]] * 2), "ts")):
         with pytest.raises(AttributeError):
@@ -84,7 +84,7 @@ def test_characteristic_spiral_curve():
     # rbar'' = rbar^-3 from (1, 0) has the closed solution sqrt(1+theta^2)
     assert curve.rbar[-1] == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert curve.abar[-1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
-    mid = curve.rbar_at(0.437)
+    (mid,) = curve.rbar_at([0.437])
     assert mid == pytest.approx(math.sqrt(1.0 + 0.437**2), abs=1e-7)
 
 
@@ -110,18 +110,26 @@ def test_characteristic_runs_backwards():
     assert curve.theta[-1] == pytest.approx(0.0, abs=1e-14)
     assert np.all(np.diff(curve.theta) < 0.0)
     assert curve.rbar[-1] == pytest.approx(1.0, abs=1e-9)
-    assert curve.rbar_at(0.437) == pytest.approx(math.cosh(0.437), abs=1e-7)
+    assert curve.rbar_at([0.437]) == pytest.approx([math.cosh(0.437)], abs=1e-7)
 
 
 def test_scalar_curve_reads_match_the_array_path_bit_for_bit():
     forward = to_orbit_curve(integrate(SPIRAL, spiral_start(), 0.0, 1.4))
     backward = integrate_characteristic(PHI_COSH, math.cosh(1.0), math.sinh(1.0), 1.0, 0.0)
+    rng = np.random.default_rng(29)
     for curve in (forward, backward):
         lo, hi = curve.theta_range
-        grid = np.linspace(lo, hi, 97)
-        for theta, want in zip(grid.tolist(), curve.rbar_at(grid).tolist()):
-            got = curve.rbar_at(theta)
-            assert type(got) is float and got.hex() == want.hex()
+        uniform = np.linspace(lo, hi, 97).tolist()
+        for grid in (uniform, sorted(curve.theta), sorted(rng.uniform(lo, hi, 200).tolist())):
+            got = curve.rbar_at(grid)
+            want = reference_hermite_eval(*curve._nodes, grid)[:, 0].tolist()
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            for theta, one in zip(grid[::11], want[::11]):
+                assert curve.rbar_at([theta])[0].hex() == one.hex()
+        for theta in (lo - 1e-3, hi + 1e-3):
+            with pytest.raises(IntegrationError, match=r"^sample time outside \["):
+                curve.rbar_at([theta])
 
 
 def test_characteristic_argument_validation():

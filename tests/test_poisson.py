@@ -238,8 +238,8 @@ def test_casimir_gradients_are_annihilated_by_class1_matrix():
     c1 = lambda s: inv.casimir_C1(OSC, s)
     c2 = lambda s: inv.casimir_C2(OSC, s)
     for s in random_states(71, 50):
-        assert np.max(np.abs(casimir_residuals(field, grad(c1, s), s))) < 1e-7
-        assert np.max(np.abs(casimir_residuals(field, grad(c2, s), s))) < 1e-7
+        res = casimir_residuals(field, (grad(c1, s), grad(c2, s)), s)
+        assert len(res) == 8 and np.max(np.abs(res)) < 1e-7
 
 
 def test_same_gradients_survive_the_class2_matrix():
@@ -261,7 +261,7 @@ def test_same_gradients_survive_the_class2_matrix():
 
     worst_min = math.inf
     for s in random_states(73, 50):
-        res = np.max(np.abs(casimir_residuals(field, grad_c1(s), s)))
+        res = np.max(np.abs(casimir_residuals(field, [grad_c1(s)], s)))
         worst_min = min(worst_min, res)
     assert worst_min > 1e-3
 
@@ -375,12 +375,14 @@ def test_skew_matrix_rows_are_the_array():
     assert np.array_equal(np.array(m.rows()), reference_array(m))
     assert m == (0.0, 2.0, -3.0, 4.5, 5.0, -6.0)
     rng = random.Random(23)
-    field = poisson.MatrixField(lambda s, t=0.0: m, "fixed", None)
+    builds = []
+    field = poisson.MatrixField(lambda s, t=0.0: builds.append(s) or m, "fixed", None)
     for _ in range(100):
         g = [rng.uniform(-2.0, 2.0) for _ in range(4)]
         product = (reference_array(m) @ np.array(g)).tolist()
-        assert casimir_residuals(field, g, PhaseState(1.0, 0.0, 1.0, 1.0)) == pytest.approx(
-            product, rel=1e-15, abs=1e-15
+        assert casimir_residuals(field, [g, g], PhaseState(1.0, 0.0, 1.0, 1.0)) == pytest.approx(
+            product * 2, rel=1e-15, abs=1e-15
         )
+    assert len(builds) == 100  # one matrix for both gradients
     with pytest.raises(ValueError, match="grad_c must be a 4-vector"):
-        casimir_residuals(field, g[:3], PhaseState(1.0, 0.0, 1.0, 1.0))
+        casimir_residuals(field, [g, g[:3]], PhaseState(1.0, 0.0, 1.0, 1.0))

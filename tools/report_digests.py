@@ -15,11 +15,12 @@ more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 every command.  ``NAN_PHI`` (a class-1 phi that cancels to NaN where
 ``(1e154 r)^2`` overflows) gets the ``jacobi`` and ``flow`` sweeps
 (``NAN_PHI_COMMANDS``), which fail on NaN rows inside the ``per_state``
-table.  Seven variants of the shipped configs, ``VARIANTS``,
+table.  Eight variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, the spiral run on until it stops at the ``r_min``
-floor, the spiral mirrored to v < 0, whose theta falls with time,
+floor, the spiral mirrored to v < 0, whose theta falls with time, the
+spiral with one-point ``orbit`` and ``linearize`` grids,
 ``class2_psi1`` with an alpha- and r-dependent psi, a
 nonzero ``lam0`` and a looser ``quad_tol``, ``class2_psi1`` with a
 ``chi`` and a ``floors.psi_min`` that its ``verify flow`` sweep trips,
@@ -96,6 +97,20 @@ VARIANTS = (
         {
             "initial_state": {"r": 1.0, "theta": 0.0, "u": 0.0, "v": -1.0},
             "orbit": {"theta_span": [-1.0, 0.0]},
+        },
+    ),
+    # a one-point grid, which np.linspace gives as [lo]
+    (
+        "spiral_grid1.json",
+        "spiral.json",
+        {
+            "orbit": {"theta_span": [0.0, 1.0], "n_grid": 1},
+            "linearize": {
+                "n_grid": 1,
+                "affinity": {
+                    "theta": 0.3, "rbar_range": [0.5, 2.0], "abar_range": [0.1, 1.0], "n": 8
+                },
+            },
         },
     ),
     (
