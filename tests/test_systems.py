@@ -17,6 +17,7 @@ from ermakov.systems import (
     SingularStateError,
     SystemSpec,
     frequency_squared,
+    linspace,
     nan_max,
     polar_from_cartesian,
     vector_field,
@@ -513,3 +514,15 @@ def test_nan_max_lets_the_first_nan_win():
     assert nan_max([1.0, 3.0, -2.0, 3.0]) == 3.0
     assert nan_max(abs(x) for x in (-4.0, 2.0)) == 4.0
     assert nan_max([]) == -math.inf
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    rng = random.Random(41)
+    cases = [(0.0, 1.0), (-1.0, 0.0), (0.1, 0.7), (-3.3, 1e-17), (1e300, 1.5e300)]
+    cases += [tuple(sorted(rng.uniform(-50.0, 50.0) for _ in range(2))) for _ in range(200)]
+    for lo, hi in cases:
+        for n in (1, 2, 3, 7, 97, 400):
+            want = np.linspace(lo, hi, n).tolist()
+            got = linspace(lo, hi, n)
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (lo, hi, n)
