@@ -19,8 +19,8 @@ other commands live in :mod:`ermakov.verify` (the sweeps and their seeded
 draw) and :mod:`ermakov.orbit` (``orbit``, with its grid, and
 ``linearize``), which ``main`` imports only for the command it runs, with
 ``poisson`` or ``linearize``.  numpy comes only with the seeded draw of
-``verify`` and the fit of ``linearize``: ``simulate`` and ``orbit`` run
-on Python floats.  Every command returns
+``verify``: ``simulate``, ``orbit`` and ``linearize`` run on Python
+floats.  Every command returns
 its exit code, its verdict line and its reports, by file name; ``main``
 writes them, so no command module imports this one.
 """

@@ -72,9 +72,16 @@ def _settings(cls, section, where: str, checks: dict):
 
 
 def _number(val, where: str) -> float:
+    """A finite float; JSON's 1e400 parses to inf, and a larger int is inf too."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:
+        num = math.inf if val > 0 else -math.inf
+    if not math.isfinite(num):
+        raise ConfigError(f"{where} must be finite, got {num!r}")
+    return num
 
 
 def _positive(val, where: str) -> float:

@@ -295,6 +295,8 @@ def integrate_ode(
     or None.
     """
     method, rtol, atol = solver.method, solver.rtol, solver.atol
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0={t0!r} and t1={t1!r} must be finite")
     if not t1 > t0:
         raise ValueError(f"t1={t1!r} must exceed t0={t0!r}")
     if method not in _SOURCES:

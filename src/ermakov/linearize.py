@@ -15,7 +15,9 @@ the orbit equation is linear.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expr import _Record
@@ -235,13 +237,15 @@ def affinity_test(
     abar_range: Tuple[float, float],
     n: int = 8,
 ) -> AffinityResult:
-    """Fit (abar/rbar^2) phi(-abar, 1/rbar, theta, t) to an affine model
-    over an n-by-n grid and report the normalized max residual.
+    """Fit (abar/rbar^2) phi(-abar, 1/rbar, theta, t) = f to A abar +
+    B rbar + C over an n-by-n grid and report the max residual over
+    max(1, max |f|); affine = residual < 1e-8.
 
-    affine = residual < 1e-8.  Singular phi evaluations on the grid
+    On the full grid the centred abar and rbar columns are orthogonal, so
+    least squares gives A and B each as one quotient of ``math.fsum``s of
+    f / max(1, max |f|), and C from the means.  A non-finite f on the grid
+    gives affine False and NaN for the rest.  Singular phi evaluations
     propagate; choose ranges that avoid the singular set."""
-    import numpy as np
-
     if n < 6:
         raise ValueError(f"need at least a 6x6 grid, got n={n!r}")
     rb_lo, rb_hi = rbar_range
@@ -251,25 +255,18 @@ def affinity_test(
     if not ab_lo < ab_hi:
         raise ValueError(f"abar_range {abar_range!r} must be ordered")
     curvature = _curvature_fn(phi, t)
-    rbs = np.linspace(rb_lo, rb_hi, n)
-    abs_ = np.linspace(ab_lo, ab_hi, n)
-    rows = []
-    lhs = []
-    for rb in rbs:
-        for ab in abs_:
-            lhs.append(curvature(theta, rb, ab))
-            rows.append((ab, rb, 1.0))
-    design = np.array(rows)
-    target = np.array(lhs)
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    fitted = design @ coeffs
-    scale = max(1.0, float(np.max(np.abs(target))))
-    residual = float(np.max(np.abs(target - fitted))) / scale
-    a_fit, b_fit, c_fit = (float(c) for c in coeffs)
-    return AffinityResult(
-        affine=residual < 1e-8,
-        A=a_fit,
-        B=b_fit,
-        C=c_fit,
-        residual=residual,
-    )
+    rbs, abs_ = linspace(rb_lo, rb_hi, n), linspace(ab_lo, ab_hi, n)
+    grid = [(ab, rb) for rb in rbs for ab in abs_]
+    target = [curvature(theta, rb, ab) for ab, rb in grid]
+    if not all(map(math.isfinite, target)):
+        return AffinityResult(False, math.nan, math.nan, math.nan, math.nan)
+    scale = max(1.0, max(map(abs, target)))
+    fs = [f / scale for f in target]
+    ab_mean, rb_mean = math.fsum(abs_) / n, math.fsum(rbs) / n
+    ab_dev = [ab - ab_mean for ab, _ in grid]
+    rb_dev = [rb - rb_mean for _, rb in grid]
+    a_fit = math.fsum(map(mul, ab_dev, fs)) / math.fsum(map(mul, ab_dev, ab_dev))
+    b_fit = math.fsum(map(mul, rb_dev, fs)) / math.fsum(map(mul, rb_dev, rb_dev))
+    c_fit = math.fsum(fs) / len(fs) - a_fit * ab_mean - b_fit * rb_mean
+    residual = max(abs(f - (a_fit * ab + b_fit * rb + c_fit)) for f, (ab, rb) in zip(fs, grid))
+    return AffinityResult(residual < 1e-8, a_fit * scale, b_fit * scale, c_fit * scale, residual)

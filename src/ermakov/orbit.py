@@ -1,18 +1,19 @@
 """The ``orbit`` and ``linearize`` commands: the orbit-equation checks.
 
 ``orbit`` compares a simulated singular-oscillator spiral with the
-closed-form orbit its Casimirs give, and the elapsed time with its
-quadrature; ``linearize`` maps a trajectory onto the orbit equation and
-tests whether that equation is linear.  :func:`ermakov.cli.main` imports
-this module only for these two commands, so no other command compiles it
-or :mod:`ermakov.linearize`, and writes the reports they return.
+closed-form orbit its Casimirs give, and the elapsed time, read off
+t(theta), with its quadrature; ``linearize`` maps a trajectory onto the
+orbit equation and fits it in closed form to test whether it is linear.
+Both run on floats.  :func:`ermakov.cli.main` imports this module only
+for these two commands, so no other command compiles it or
+:mod:`ermakov.linearize`, and writes the reports they return.
 """
 
 from __future__ import annotations
 
 from . import invariants as inv
 from .config import ConfigError, RunConfig
-from .integrate import Solver, Trajectory
+from .integrate import Solver, Trajectory, hermite_eval
 from .linearize import affinity_test, integrate_characteristic, orbit_match, to_orbit_curve
 from .systems import linspace, nan_max
 
@@ -29,28 +30,15 @@ def _phi_of(cfg: RunConfig):
     return cfg.spec.coupling
 
 
-def _time_at_theta(traj: Trajectory, theta_star: float) -> float:
-    """Invert the monotone theta(t) of a trajectory by bisection on the
-    Hermite dense output."""
-    first, last = traj.ys[0][1], traj.ys[-1][1]
-    increasing = last > first
-    lo_val, hi_val = (first, last) if increasing else (last, first)
-    if not lo_val <= theta_star <= hi_val:
-        raise ValueError(
-            f"theta={theta_star!r} outside the simulated range "
-            f"[{lo_val!r}, {hi_val!r}]"
-        )
-    lo_t, hi_t = traj.ts[0], traj.ts[-1]
-    for _ in range(200):
-        mid = 0.5 * (lo_t + hi_t)
-        th_mid = traj.sample([mid])[1][0]
-        if (th_mid < theta_star) == increasing:
-            lo_t = mid
-        else:
-            hi_t = mid
-        if hi_t - lo_t <= 1e-15 * max(1.0, abs(hi_t)):
-            break
-    return 0.5 * (lo_t + hi_t)
+def _times_at(traj: Trajectory, thetas) -> list:
+    """t at nondecreasing angles thetas in the range of a strictly monotone
+    theta(t): cubic Hermite on the nodes (theta_i, t_i) with slopes
+    dt/dtheta = r_i^2/v_i, in increasing theta as ``OrbitCurve._nodes``."""
+    ys = traj.ys
+    nodes = ([y[1] for y in ys], [[t] for t in traj.ts], [[r * r / v] for r, _, _, v in ys])
+    if ys[0][1] > ys[-1][1]:
+        nodes = [seq[::-1] for seq in nodes]
+    return hermite_eval(*nodes, thetas)[0]
 
 
 def cmd_orbit(cfg: RunConfig) -> tuple:
@@ -83,7 +71,8 @@ def cmd_orbit(cfg: RunConfig) -> tuple:
 
     i_val = inv.ermakov_invariant(spec.g, cfg.s0)
     # a duration: theta runs backwards in time where v < 0
-    elapsed_sim = abs(_time_at_theta(traj, hi) - _time_at_theta(traj, lo))
+    t_lo, t_hi = _times_at(traj, [lo, hi])
+    elapsed_sim = abs(t_hi - t_lo)
     elapsed_quad = inv.elapsed_time(
         lambda th: 1.0 / curve.rbar_at([th])[0], spec.g, i_val, lo, hi
     )

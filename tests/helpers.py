@@ -3,8 +3,10 @@ of reference systems used across files, numpy reference copies of float
 code, the central-difference Jacobi sweep that cross-checks the exact
 partials, the flow as ``vector_field`` computed it per call before
 each system's flow was lowered once, the Gauss-Kronrod panel as it
-was computed from lists before it was generated, and the numpy read of
-dense output that the float walk of ``hermite_eval`` replaced."""
+was computed from lists before it was generated, the numpy read of
+dense output that the float walk of ``hermite_eval`` replaced, and the
+numpy least-squares fit that the closed forms of ``affinity_test``
+replaced."""
 
 import math
 import operator
@@ -14,6 +16,7 @@ import numpy as np
 
 from ermakov import expr as ex
 from ermakov.integrate import IntegrationError
+from ermakov.linearize import AffinityResult, _curvature_fn
 from ermakov.poisson import JACOBI_TRIPLES
 from ermakov.systems import DEFAULT_FLOORS, FuncHandle, PhaseState, Potential
 
@@ -267,3 +270,21 @@ def reference_hermite_eval(ts, ys, fs, times):
     weights = (2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * h, -2.0 * s3 + 3.0 * s2, (s3 - s2) * h)
     w00, w10, w01, w11 = (w[:, None] for w in weights)
     return w00 * ys[idx] + w10 * fs[idx] + w01 * ys[idx + 1] + w11 * fs[idx + 1]
+
+
+def reference_affinity_fit(phi, theta, t, rbar_range, abar_range, n=8) -> AffinityResult:
+    """The affinity fit as ``affinity_test`` once computed it: the n-by-n
+    grid as a design matrix with rows (abar, rbar, 1), solved by
+    ``np.linalg.lstsq``, and the max residual over max(1, max |f|)."""
+    curvature = _curvature_fn(phi, t)
+    rows, lhs = [], []
+    for rb in np.linspace(*rbar_range, n):
+        for ab in np.linspace(*abar_range, n):
+            lhs.append(curvature(theta, rb, ab))
+            rows.append((ab, rb, 1.0))
+    design, target = np.array(rows), np.array(lhs)
+    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+    scale = max(1.0, float(np.max(np.abs(target))))
+    residual = float(np.max(np.abs(target - design @ coeffs))) / scale
+    a_fit, b_fit, c_fit = (float(c) for c in coeffs)
+    return AffinityResult(residual < 1e-8, a_fit, b_fit, c_fit, residual)

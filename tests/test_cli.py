@@ -27,16 +27,19 @@ from ermakov.config import (
     sample_states,
 )
 from ermakov.invariants import spiral_radius
+from ermakov.orbit import _times_at
 from ermakov.systems import (
     Class2Phi,
     Flow4,
     FuncHandle,
     PhaseState,
     SingularStateError,
+    linspace,
     vector_field,
 )
 
 from helpers import count_outermost_calls, reference_sample_states
+from test_acceptance import time_at_theta
 
 SPIRAL_DOC = {
     "system": {"kind": "pseudo_potential", "g": "0", "potential": "1/(2*rbar^2)"},
@@ -429,6 +432,28 @@ def test_orbit_command_on_the_mirrored_spiral(tmp_path):
     assert report["max_orbit_error"] == pytest.approx(spiral["max_orbit_error"], rel=1e-6)
 
 
+@pytest.mark.parametrize("doc", [SPIRAL_DOC, MIRRORED_DOC], ids=("forward", "mirrored"))
+def test_the_time_read_inverts_theta(doc):
+    traj = parse_config(json.dumps(doc).encode()).trajectory()
+    # on the spiral r = cos t and theta = v0 tan t, so t = atan(v0 theta)
+    v0 = doc["initial_state"]["v"]
+    lo, hi = doc["orbit"]["theta_span"]
+    # the two reads orbit makes, at the ends of its span
+    ends = _times_at(traj, [lo, hi])
+    assert max(abs(t - math.atan(v0 * th)) for t, th in zip(ends, (lo, hi))) < 1e-9
+    # between nodes, the cubic's own error
+    thetas = linspace(lo, hi, 21)
+    times = _times_at(traj, thetas)
+    assert max(abs(t - math.atan(v0 * th)) for t, th in zip(times, thetas)) < 1e-7
+
+
+def test_the_time_read_agrees_with_bisection():
+    traj = parse_config(json.dumps(SPIRAL_DOC).encode()).trajectory()
+    thetas = linspace(0.0, 1.0, 21)
+    for theta, t in zip(thetas, _times_at(traj, thetas)):
+        assert t == pytest.approx(time_at_theta(traj, theta), abs=1e-7)
+
+
 def test_orbit_requires_the_singular_oscillator(tmp_path):
     cfg = write_config(tmp_path, CLASS2_DOC)
     code, _ = run(tmp_path, "orbit", "--config", str(cfg))
@@ -697,6 +722,14 @@ CONFIG_FAULTS = [
         _edit(SPIRAL_DOC, "linearize.affinity.n", 5),
         "linearize.affinity.n must be at least 6, got 5",
     ),
+    # JSON's 1e400 parses to inf; time_span [0, inf] once ran no step and exited 0
+    (
+        "span-infinite",
+        json.dumps(_edit(SPIRAL_DOC, "time_span", "SPAN")).replace('"SPAN"', "[0.0, 1e400]").encode(),
+        "time_span[1] must be finite, got inf",
+    ),
+    ("state-nan", _edit(SPIRAL_DOC, "initial_state.theta", math.nan), "initial_state.theta must be finite, got nan"),
+    ("state-huge-integer", _edit(SPIRAL_DOC, "initial_state.u", -(10**400)), "initial_state.u must be finite, got -inf"),
     ("span-length", _edit(SPIRAL_DOC, "time_span", [1.0]), "time_span must be a two-element array"),
     ("span-number", _edit(SPIRAL_DOC, "time_span", [0.0, "1"]), "time_span[1] must be a number, got '1'"),
     (
@@ -1097,17 +1130,21 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_orbit_runs_with_numpy_blocked(tmp_path, capsys):
+    # linearize too: its affinity fit is closed-form on floats
     for name, doc in (("spiral", SPIRAL_DOC), ("mirrored", MIRRORED_DOC)):
-        argv = ["orbit", "--config", str(write_config(tmp_path, doc, f"{name}.json"))]
-        blocked = subprocess.run(
-            [sys.executable, "-c", _NUMPY_BLOCKED, *argv, "--out", str(tmp_path / "blocked")],
-            capture_output=True, text=True, env=_src_env(), timeout=120,
-        )
-        assert main([*argv, "--out", str(tmp_path / "normal")]) == blocked.returncode == 0
-        assert blocked.stdout == capsys.readouterr().out
-        assert (tmp_path / "blocked" / "orbit.json").read_bytes() == (
-            tmp_path / "normal" / "orbit.json"
-        ).read_bytes()
+        config = str(write_config(tmp_path, doc, f"{name}.json"))
+        for command, reports in (("orbit", ("orbit.json",)), ("linearize", ("linearize.json", "curve.csv"))):
+            argv = [command, "--config", config]
+            blocked = subprocess.run(
+                [sys.executable, "-c", _NUMPY_BLOCKED, *argv, "--out", str(tmp_path / "blocked")],
+                capture_output=True, text=True, env=_src_env(), timeout=120,
+            )
+            assert main([*argv, "--out", str(tmp_path / "normal")]) == blocked.returncode == 0
+            assert blocked.stdout == capsys.readouterr().out
+            for report in reports:
+                assert (tmp_path / "blocked" / report).read_bytes() == (
+                    tmp_path / "normal" / report
+                ).read_bytes()
 
 
 # keys with template, quoting, control and non-ASCII characters

@@ -144,6 +144,21 @@ def test_reversed_or_empty_span_rejected():
         integrate(SPIRAL, s0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_a_non_finite_span_is_rejected(t0, t1):
+    # t1 = inf once made t_end NaN, so no step ran and a one-row trajectory
+    # came back "completed"
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return [-x for x in y]
+
+    with pytest.raises(ValueError, match="must be finite$"):
+        integrate_ode(rhs, [1.0], t0, t1)
+    assert calls == []
+
+
 def test_trajectory_bookkeeping():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
     assert np.all(np.diff(traj.ts) > 0.0)

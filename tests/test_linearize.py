@@ -16,7 +16,7 @@ from ermakov.linearize import (
 )
 from ermakov.systems import FuncHandle, PhaseState, SystemSpec
 
-from helpers import reference_hermite_eval, spiral_start, vec
+from helpers import reference_affinity_fit, reference_hermite_eval, spiral_start, vec
 from test_systems import OSC
 
 ZERO = ex.parse("0")
@@ -185,6 +185,56 @@ def test_affinity_rejects_the_spiral_coupling():
     result = affinity_test(SPIRAL.coupling, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
     assert not result.affine
     assert result.residual > 0.01
+
+
+# couplings whose orbit equation is linear (the trivial and catenary ones)
+# or not (the spiral potential and polynomial phis)
+AFFINITY_POOL = (
+    FuncHandle.from_text("0"),
+    PHI_COSH,
+    OSC,
+    FuncHandle.from_text("alpha*r"),
+    FuncHandle.from_text("r^2*t - 3*alpha"),
+    FuncHandle.from_text("1 + alpha^2*r - theta*alpha^3*r^2"),
+)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_the_closed_form_fit_matches_least_squares(n):
+    for phi in AFFINITY_POOL:
+        for theta, t, rbar_range, abar_range in (
+            (0.0, 0.0, (0.5, 2.0), (0.1, 1.0)),
+            (0.3, 1.2, (0.2, 3.5), (-1.5, 0.7)),
+        ):
+            got = affinity_test(phi, theta, t, rbar_range, abar_range, n)
+            want = reference_affinity_fit(phi, theta, t, rbar_range, abar_range, n)
+            assert got.affine == want.affine
+            assert got[1:] == pytest.approx(want[1:], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "phi_text",
+    [
+        # inf - inf, a NaN, where (1e154 r)^2 overflows (r > 1.34)
+        "(1e154*r)*(1e154*r) - (1e154*r)*(1e154*r)",
+        # -inf at every point of the grid, where alpha < 0
+        "1e300*1e300*alpha",
+    ],
+    ids=("nan", "inf"),
+)
+def test_a_non_finite_grid_gives_a_nan_fit(phi_text):
+    result = affinity_test(FuncHandle.from_text(phi_text), 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
+    assert result.affine is False
+    assert all(map(math.isnan, result[1:]))
+
+
+def test_a_fit_near_the_float_limit_stays_finite():
+    # f reaches 4e307, so its unscaled sums would pass the float range
+    big = FuncHandle.from_text("-1e307*alpha")
+    result = affinity_test(big, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
+    want = reference_affinity_fit(big, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
+    assert result.affine == want.affine
+    assert result[1:] == pytest.approx(want[1:], rel=1e-12)
 
 
 def test_affinity_argument_validation():

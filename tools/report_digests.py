@@ -15,7 +15,7 @@ more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 every command.  ``NAN_PHI`` (a class-1 phi that cancels to NaN where
 ``(1e154 r)^2`` overflows) gets the ``jacobi`` and ``flow`` sweeps
 (``NAN_PHI_COMMANDS``), which fail on NaN rows inside the ``per_state``
-table.  Eight variants of the shipped configs, ``VARIANTS``,
+table.  Nine variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, the spiral run on until it stops at the ``r_min``
@@ -27,7 +27,10 @@ nonzero ``lam0`` and a looser ``quad_tol``, ``class2_psi1`` with a
 and ``class2_psi1`` with a theta-dependent psi and a nonzero ``lam0``,
 whose integrand carries the psi_theta/(r^2 lambda) term and whose
 ``verify flow`` states with alpha <= 0 hit the lambda = 0 crossing
-error; each gets ``VARIANT_COMMANDS``.  Each shipped config also gets the
+error, and the class-1 catenary coupling ``phi = -1/(alpha r^3)``,
+whose orbit equation is linear, so that ``linearize`` reports
+``affine: true`` (its ``orbit`` is refused); each gets
+``VARIANT_COMMANDS``.  Each shipped config also gets the
 ``jacobi`` sweep with ``--tamper-j34`` (``TAMPER_COMMANDS``), and each
 again with ``verify.u_floor`` 0.3 (``U_FLOOR_VARIANT``) gets the
 ``jacobi`` and ``casimir`` sweeps.  It prints one line per command with its exit code
@@ -151,6 +154,17 @@ VARIANTS = (
                 "psi": "1+alpha^2*r+0.1*alpha*sin(theta)",
                 "lam0": 0.3,
             }
+        },
+    ),
+    # the catenary coupling: the one document whose orbit equation is
+    # linear, so its affinity fit reports affine: true
+    (
+        "class1_cosh.json",
+        "spiral.json",
+        {
+            "system": {"kind": "class1", "g": "0", "phi": "-1/(alpha*r^3)"},
+            "initial_state": {"r": 1, "theta": 0, "u": -0.5, "v": 1},
+            "time_span": [0, 0.5],
         },
     ),
 )
