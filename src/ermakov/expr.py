@@ -455,72 +455,84 @@ def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
 # differentiate's results by (tree, var), the oldest dropped beyond the last
 _DERIVATIVES = {}
 _DERIVATIVES_KEPT = 4096
+_ZERO, _ONE = Num(0.0), Num(1.0)  # the structural zero, and d(var)/d(var)
+
+
+def _add(op: str, a: Expr, b: Expr) -> Expr:
+    """a + b or a - b, a structural-zero term dropped (0 - b stays)."""
+    return a if b is _ZERO else b if a is _ZERO and op == "+" else Binary(op, a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    """a * b: the structural zero if a factor is, the other factor if one is 1."""
+    if a is _ZERO or b is _ZERO:
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else Binary("*", a, b)
 
 
 def differentiate(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative with respect to ``var``.
-
-    The result is deliberately unsimplified; correctness is checked by
-    evaluation, not by pattern matching on the output tree.  d(abs)/dx is
-    written as x/abs(x) times the inner derivative, which turns the kink
-    at zero into an evaluation-time domain error.  Results, those of the
-    subtrees included, are kept by the value of (e, var), for the last
-    ``_DERIVATIVES_KEPT`` such keys: an equal tree is derived once per
-    process and gets back the same tree objects.
+    """Symbolic partial derivative with respect to ``var``, built with no
+    dead terms.  A subtree free of ``var`` derives to one shared Num(0.0),
+    the structural zero, found bottom-up; a sum or difference drops a
+    structural-zero term (0 - b stays), a product with one is that zero, a
+    factor 1 drops out, f^2 gives 2*f (not 2*f^1.0), and --x is x.  Nothing
+    else is rewritten ((df*g)/g^2 stays), so a finite, nonzero value keeps
+    the bits of the unsimplified derivative.  Only two values can differ
+    from it: a zero can change sign (that tree wrote 0.0 + x and x*0.0),
+    and where a dropped term is inf or NaN or raises, that tree gave NaN or
+    the error.  d(abs)/dx is written as x/abs(x) times the inner
+    derivative, which turns the kink at zero into an evaluation-time
+    domain error.  Results, the subtrees' included, are kept by the value
+    of (e, var), for the last ``_DERIVATIVES_KEPT`` keys: an equal tree is
+    derived once per process, to the same tree objects.
     """
     key = (e, var)
     d = _DERIVATIVES.get(key)
     if d is not None:
         return d
     if isinstance(e, Num):
-        d = Num(0.0)
+        d = _ZERO
     elif isinstance(e, Var):
-        d = Num(1.0) if e.name == var else Num(0.0)
+        d = _ONE if e.name == var else _ZERO
     elif isinstance(e, Unary):
-        f = e.arg
-        df = differentiate(f, var)
-        if e.op == "neg":
-            d = Unary("neg", df)
+        f, df = e.arg, differentiate(e.arg, var)
+        if df is _ZERO:
+            d = _ZERO
+        elif e.op == "neg":
+            d = df.arg if isinstance(df, Unary) and df.op == "neg" else Unary("neg", df)
         elif e.op == "sin":
-            d = Binary("*", Unary("cos", f), df)
+            d = _mul(Unary("cos", f), df)
         elif e.op == "cos":
-            d = Binary("*", Unary("neg", Unary("sin", f)), df)
+            d = _mul(Unary("neg", Unary("sin", f)), df)
         elif e.op == "tan":
             d = Binary("/", df, Binary("^", Unary("cos", f), Num(2.0)))
         elif e.op == "exp":
-            d = Binary("*", Unary("exp", f), df)
+            d = _mul(Unary("exp", f), df)
         elif e.op == "ln":
             d = Binary("/", df, f)
         elif e.op == "sqrt":
             d = Binary("/", df, Binary("*", Num(2.0), Unary("sqrt", f)))
         elif e.op == "abs":
-            d = Binary("*", Binary("/", f, Unary("abs", f)), df)
+            d = _mul(Binary("/", f, Unary("abs", f)), df)
     elif isinstance(e, Binary):
         f, g = e.left, e.right
-        df = differentiate(f, var)
-        dg = differentiate(g, var)
-        if e.op == "+":
-            d = Binary("+", df, dg)
-        elif e.op == "-":
-            d = Binary("-", df, dg)
+        df, dg = differentiate(f, var), differentiate(g, var)
+        if df is _ZERO and dg is _ZERO:
+            d = _ZERO
+        elif e.op in ("+", "-"):
+            d = _add(e.op, df, dg)
         elif e.op == "*":
-            d = Binary("+", Binary("*", df, g), Binary("*", f, dg))
+            d = _add("+", _mul(df, g), _mul(f, dg))
         elif e.op == "/":
-            num = Binary("-", Binary("*", df, g), Binary("*", f, dg))
-            d = Binary("/", num, Binary("^", g, Num(2.0)))
+            d = Binary("/", _add("-", _mul(df, g), _mul(f, dg)), Binary("^", g, Num(2.0)))
         elif e.op == "^" and isinstance(g, Num):
             # constant exponent: keeps negative bases evaluable
-            d = Binary("*", Binary("*", g, Binary("^", f, Num(g.value - 1.0))), df)
+            power = f if g.value == 2.0 else Binary("^", f, Num(g.value - 1.0))
+            d = _mul(_mul(g, power), df)
         elif e.op == "^" and isinstance(f, Num):
-            d = Binary("*", Binary("*", e, Unary("ln", f)), dg)
-        elif e.op == "^":
-            # general case needs ln(base)
-            inner = Binary(
-                "+",
-                Binary("*", dg, Unary("ln", f)),
-                Binary("/", Binary("*", g, df), f),
-            )
-            d = Binary("*", e, inner)
+            d = _mul(Binary("*", e, Unary("ln", f)), dg)
+        elif e.op == "^":  # general case needs ln(base)
+            d = Binary("*", e, _add("+", _mul(dg, Unary("ln", f)), Binary("/", _mul(g, df), f)))
     if d is None:
         raise TypeError(f"not an expression node: {e!r}")
     if len(_DERIVATIVES) >= _DERIVATIVES_KEPT:

@@ -191,7 +191,7 @@ class FuncHandle:
         constant 0 for a variable the tree does not contain."""
         handle = self._partials.get(var)
         if handle is None:
-            tree = ex.differentiate(self.tree, var) if self.depends_on(var) else Num(0.0)
+            tree = ex.differentiate(self.tree, var)
             handle = self._partials[var] = FuncHandle(tree=tree, name=f"d({self.name})/d{var}")
         return handle
 
@@ -440,13 +440,11 @@ class Class2Phi:
 
     def _integrand_partial(self, var: str):
         """d(integrand)/d(var) as ``bind(r, theta, t)``, a function of lam,
-        or None where the integrand is free of var; kept on first use."""
+        or None where that derivative is the constant 0; kept on first use."""
         if var not in self._under_integral:
-            tree = self._integrand_tree()
+            d = ex.differentiate(self._integrand_tree(), var)
             self._under_integral[var] = (
-                ex.compile(ex.differentiate(tree, var), ("alpha",), ("r", "theta", "t"))
-                if var in ex.free_vars(tree)
-                else None
+                None if d == Num(0.0) else ex.compile(d, ("alpha",), ("r", "theta", "t"))
             )
         return self._under_integral[var]
 

@@ -6,7 +6,8 @@ each system's flow was lowered once, the Gauss-Kronrod panel as it
 was computed from lists before it was generated, the numpy read of
 dense output that the float walk of ``hermite_eval`` replaced, and the
 numpy least-squares fit that the closed forms of ``affinity_test``
-replaced."""
+replaced, and the unsimplified derivative that ``differentiate`` built
+before it dropped dead terms."""
 
 import math
 import operator
@@ -288,3 +289,42 @@ def reference_affinity_fit(phi, theta, t, rbar_range, abar_range, n=8) -> Affini
     residual = float(np.max(np.abs(target - design @ coeffs))) / scale
     a_fit, b_fit, c_fit = (float(c) for c in coeffs)
     return AffinityResult(residual < 1e-8, a_fit, b_fit, c_fit, residual)
+
+
+def reference_differentiate(e: ex.Expr, var: str) -> ex.Expr:
+    """The derivative as ``differentiate`` built it before it dropped dead
+    terms: every rule written out in full, a fresh Num(0.0) for each
+    subtree free of ``var``, nothing simplified and nothing cached."""
+    Binary, Unary, Num = ex.Binary, ex.Unary, ex.Num
+    if isinstance(e, Num):
+        return Num(0.0)
+    if isinstance(e, ex.Var):
+        return Num(1.0) if e.name == var else Num(0.0)
+    if isinstance(e, Unary):
+        f = e.arg
+        df = reference_differentiate(f, var)
+        return {
+            "neg": lambda: Unary("neg", df),
+            "sin": lambda: Binary("*", Unary("cos", f), df),
+            "cos": lambda: Binary("*", Unary("neg", Unary("sin", f)), df),
+            "tan": lambda: Binary("/", df, Binary("^", Unary("cos", f), Num(2.0))),
+            "exp": lambda: Binary("*", Unary("exp", f), df),
+            "ln": lambda: Binary("/", df, f),
+            "sqrt": lambda: Binary("/", df, Binary("*", Num(2.0), Unary("sqrt", f))),
+            "abs": lambda: Binary("*", Binary("/", f, Unary("abs", f)), df),
+        }[e.op]()
+    f, g = e.left, e.right
+    df, dg = reference_differentiate(f, var), reference_differentiate(g, var)
+    if e.op in ("+", "-"):
+        return Binary(e.op, df, dg)
+    if e.op == "*":
+        return Binary("+", Binary("*", df, g), Binary("*", f, dg))
+    if e.op == "/":
+        num = Binary("-", Binary("*", df, g), Binary("*", f, dg))
+        return Binary("/", num, Binary("^", g, Num(2.0)))
+    if isinstance(g, Num):
+        return Binary("*", Binary("*", g, Binary("^", f, Num(g.value - 1.0))), df)
+    if isinstance(f, Num):
+        return Binary("*", Binary("*", e, Unary("ln", f)), dg)
+    inner = Binary("+", Binary("*", dg, Unary("ln", f)), Binary("/", Binary("*", g, df), f))
+    return Binary("*", e, inner)

@@ -1,7 +1,10 @@
 import heapq
+import itertools
 import json
 import math
+import operator
 import random
+import re
 import struct
 import sys
 from pathlib import Path
@@ -12,12 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ermakov import expr as ex
+from ermakov import systems
 from ermakov.expr import Binary, Num, Unary, Var
+from ermakov.systems import Class2Phi, FuncHandle, Potential
 
 from helpers import (
     VARS,
     evaluable_tree,
     random_bindings,
+    reference_differentiate,
     reference_gk21,
     trusted_central_difference,
 )
@@ -174,6 +180,8 @@ def test_derivative_of_absent_variable_is_zero():
     tree = ex.parse("sin(theta)*r")
     d = ex.differentiate(tree, "t")
     assert ex.evaluate(d, {"theta": 0.7, "r": 2.0}) == 0.0
+    # every subtree free of the variable derives to one shared zero
+    assert d == Num(0.0) and d is ex.differentiate(ex.parse("r + 2"), "t")
 
 
 def test_derivative_of_abs_at_negative_argument():
@@ -588,5 +596,187 @@ def test_equal_trees_share_lowered_code_and_derivatives():
     assert first is not second and hash(first) == hash(second)
     assert ex.compile(first, ("x",)).__code__ is ex.compile(second, ("x",)).__code__
     assert ex.differentiate(first, "x") is ex.differentiate(second, "x")
-    # the subtrees' derivatives are kept too, and are the same objects
-    assert ex.differentiate(first, "x").left is ex.differentiate(first.left, "x")
+    # the subtrees' derivatives are kept too, and are the same objects: the
+    # constant term drops out, and where both terms hold x each is shared
+    assert ex.differentiate(first, "x") is ex.differentiate(first.left, "x")
+    both = ex.parse("sin(x)*x^3 + x^2")
+    assert ex.differentiate(both, "x").left is ex.differentiate(first.left, "x")
+    assert ex.differentiate(both, "x").right is ex.differentiate(both.right, "x")
+
+
+# the couplings of the shipped configs, of the report-digest variants and
+# of the other test files: class-1 phis, class-2 psis and chis, potentials
+_COUPLING_TEXTS = (
+    "0", "-r/alpha", "sin(theta)*alpha", "r^2*t", "-1/(alpha*r^3)", "alpha*r",
+    "r^2*t - 3*alpha", "1 + alpha^2*r - theta*alpha^3*r^2", "r*theta", "0.5+r",
+    "0.1*r*sin(theta)+t", "(1e154*r)*(1e154*r) - (1e154*r)*(1e154*r)",
+)
+_PSI_TEXTS = (
+    "1", "2", "1+alpha^2", "1+alpha^2*r", "1+alpha^2*r+0.1*alpha*sin(theta)",
+    "1+alpha+alpha^2*r", "2+alpha*ln(r+alpha)+0.2*cos(theta)*t",
+)
+_POTENTIAL_TEXTS = ("1/(2*rbar^2)", "1/(2*rbar^2) + 0.1*rbar", "1/(2*rbar^2) - 0.3*rbar")
+_ALL_VARS = VARS + ("rbar",)
+
+
+def _integrand_trees(psi_text: str) -> tuple:
+    """Class2Phi's integrand tree for psi, built from differentiate's psi
+    partials, and from the reference's, as it was built before
+    differentiate dropped dead terms."""
+    psi = ex.parse(psi_text)
+
+    def build(derive):
+        tree = systems._INTEGRAND["theta" in ex.free_vars(psi)]
+        for name, sub in (("psi_r", derive(psi, "r")), ("psi_theta", derive(psi, "theta"))):
+            tree = ex.substitute(tree, name, sub)
+        return ex.substitute(tree, "psi", psi)
+
+    return build(ex.differentiate), build(reference_differentiate)
+
+
+def _derived_pairs():
+    """(simplified, reference) derivative trees: first and second partials
+    of the coupling trees, the spiral's phi and the class-2 integrands."""
+    trees = [ex.parse(text) for text in _COUPLING_TEXTS + _PSI_TEXTS + _POTENTIAL_TEXTS]
+    trees += [Potential(ex.parse(text)).phi.tree for text in _POTENTIAL_TEXTS]
+    pairs = [(tree, tree) for tree in trees]
+    for psi_text in _PSI_TEXTS:
+        new, reference = _integrand_trees(psi_text)
+        assert new == Class2Phi(FuncHandle.from_text(psi_text))._integrand_tree()
+        pairs.append((new, reference))
+    out = []
+    for new, reference in pairs:
+        for var in _ALL_VARS:
+            first = (ex.differentiate(new, var), reference_differentiate(reference, var))
+            out.append(first)
+            out += [(ex.differentiate(first[0], v), reference_differentiate(first[1], v))
+                    for v in _ALL_VARS]
+    return out
+
+
+def _same_value_where_reference_is_finite(new, reference, bindings) -> bool:
+    """Whether the reference derivative is finite there; if it is and not
+    zero, the simplified one has its bits, and if zero, it is a zero."""
+    try:
+        want = ex.evaluate(reference, bindings)
+    except ex.ExprError:
+        return False
+    if not math.isfinite(want):
+        return False
+    got = ex.evaluate(new, bindings)
+    if want == 0.0:
+        assert got == 0.0, (ex.to_text(reference), bindings)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want), (ex.to_text(reference), bindings)
+    return True
+
+
+def _wide_bindings(rng: random.Random) -> dict:
+    return {name: rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 3.0) for name in _ALL_VARS}
+
+
+def test_simplified_derivatives_keep_the_reference_bits():
+    rng = random.Random(2020)
+    checked = 0
+    for _ in range(300):
+        tree, bindings, _ = evaluable_tree(rng)
+        bindings["rbar"] = 1.3
+        points = [bindings] + [_wide_bindings(rng) for _ in range(3)]
+        for v in VARS:
+            new, reference = ex.differentiate(tree, v), reference_differentiate(tree, v)
+            checked += sum(_same_value_where_reference_is_finite(new, reference, b) for b in points)
+    for new, reference in _derived_pairs():
+        points = [_wide_bindings(rng) for _ in range(8)]
+        checked += sum(_same_value_where_reference_is_finite(new, reference, b) for b in points)
+    assert checked > 10000
+
+
+@given(_signed_trees, st.lists(_signed, min_size=5, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_simplified_derivatives_keep_the_reference_bits_on_any_literals(tree, vals):
+    # negative literals, signed zeros and infinities in the tree
+    bindings = dict(zip(_ALL_VARS, vals))
+    for var in _ALL_VARS:
+        new, reference = ex.differentiate(tree, var), reference_differentiate(tree, var)
+        _same_value_where_reference_is_finite(new, reference, bindings)
+
+
+def _nodes(e) -> int:
+    if isinstance(e, (Num, Var)):
+        return 1
+    if isinstance(e, Unary):
+        return 1 + _nodes(e.arg)
+    return 1 + _nodes(e.left) + _nodes(e.right)
+
+
+def test_derivatives_carry_no_dead_terms():
+    phi = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
+    tree = phi._integrand_tree()
+    sources = [
+        ex._lower(tree, ("alpha",), ("r", "theta", "t"), ((phi.psi.tree, phi.psi_min),)),
+        ex._lower(ex.differentiate(tree, "r"), ("alpha",), ("r", "theta", "t")),
+    ]
+    for source in sources:
+        for dead in (r"\* 0\.0\b", r"\* 1\.0\b", r"\b0\.0 \+", r"_pow\(\w+, 1\.0\)"):
+            assert not re.search(dead, source), (dead, source)
+    # the integrand's sample function does 8 operations
+    assert sum(" = " in line and "float(" not in line for line in sources[0].splitlines()) == 8
+    spiral_phi = Potential(ex.parse("1/(2*rbar^2)")).phi
+    assert _nodes(spiral_phi.tree) < 30
+    assert _nodes(spiral_phi.partial("alpha").tree) < 40
+    assert _nodes(spiral_phi.partial("r").tree) < 120
+    assert spiral_phi.partial("theta").tree == Num(0.0)
+
+
+_SYMPY_NAMES = {"ln": "log", "abs": "Abs"}
+_SYMPY_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
+def _to_sympy(sympy, e):
+    """The tree as a sympy expression: exact rationals for the literals,
+    real symbols for the variables."""
+    if isinstance(e, Num):
+        return sympy.Rational(repr(e.value))
+    if isinstance(e, Var):
+        return sympy.Symbol(e.name, real=True)
+    if isinstance(e, Unary):
+        arg = _to_sympy(sympy, e.arg)
+        return -arg if e.op == "neg" else getattr(sympy, _SYMPY_NAMES.get(e.op, e.op))(arg)
+    return _SYMPY_BINARY[e.op](_to_sympy(sympy, e.left), _to_sympy(sympy, e.right))
+
+
+def _vanishes(sympy, difference) -> bool:
+    """Whether difference simplifies to 0, or, where sympy does not see
+    that |f| |f| = f^2, to 0 on each region of fixed signs of the abs()
+    arguments: each |f| replaced by s f, for every choice of s = +-1."""
+    if sympy.simplify(difference) == 0:
+        return True
+    signs = {}
+    signed = difference.replace(
+        sympy.Abs, lambda f: signs.setdefault(f, sympy.Symbol(f"s{len(signs)}")) * f
+    )
+    return all(
+        sympy.simplify(signed.subs(dict(zip(signs.values(), choice)))) == 0
+        for choice in itertools.product((1, -1), repeat=len(signs))
+    )
+
+
+def test_derivatives_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    trees = [ex.parse(text) for text in _PSI_TEXTS + _POTENTIAL_TEXTS]
+    trees += [Potential(ex.parse("1/(2*rbar^2)")).phi.tree]
+    trees += [_integrand_trees(text)[0] for text in _PSI_TEXTS]
+    rng = random.Random(5)
+    trees += [evaluable_tree(rng)[0] for _ in range(40)]
+    for tree in trees:
+        symbolic = _to_sympy(sympy, tree)
+        # t, which most of the trees lack, checks the structural zero too
+        for var in sorted(ex.free_vars(tree) | {"t"}):
+            # differentiate writes d|f| as f/|f| df, where sympy writes sign(f) df
+            expected = sympy.diff(symbolic, sympy.Symbol(var, real=True))
+            expected = expected.replace(sympy.sign, lambda f: f / sympy.Abs(f))
+            ours = _to_sympy(sympy, ex.differentiate(tree, var))
+            assert _vanishes(sympy, ours - expected), (ex.to_text(tree), var)

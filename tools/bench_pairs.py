@@ -18,7 +18,8 @@ a temporary directory.  Then, on each side's own ``bench/run.py``:
 * the line count of ``src/ermakov/*.py`` on both sides, as ``wc -l``
   counts it, for the source-size budget.
 
-FILE gets both revisions, the per-pair values of every end-to-end metric
+FILE gets both revisions (the change side as ``worktree``, with HEAD as
+``change_base``, when this checkout has uncommitted files), the per-pair values of every end-to-end metric
 with each side's median and quartiles, the number of pairs in which the
 change is better, and two verdicts per metric.  ``gain``: the change is
 better in at least nine tenths of the pairs and the medians differ by
@@ -47,10 +48,24 @@ DIGEST_SEEDS = (3, 20260823)
 COUNTER_UNITS = ("count", "bytes", "ratio")
 
 
-def _git(*args) -> str:
+def _git(*args, cwd: Path = ROOT) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def revisions(parent: str, change: str | None, root: Path = ROOT) -> dict:
+    """The hashes of both sides.  Without ``change`` the change side is the
+    checkout at root as it is: HEAD's hash, or ``"worktree"`` with HEAD's
+    hash as ``change_base`` when ``git status --porcelain`` lists a file."""
+    found = {"parent": _git("rev-parse", parent, cwd=root)}
+    if change:
+        found["change"] = _git("rev-parse", change, cwd=root)
+    elif _git("status", "--porcelain", cwd=root):
+        found["change"], found["change_base"] = "worktree", _git("rev-parse", "HEAD", cwd=root)
+    else:
+        found["change"] = _git("rev-parse", "HEAD", cwd=root)
+    return found
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -127,12 +142,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     tool = ROOT / "tools" / "report_digests.py"
-    revisions = {"parent": _git("rev-parse", args.parent)}
-    if args.change:
-        revisions["change"] = _git("rev-parse", args.change)
-    else:
-        revisions["change"] = _git("rev-parse", "HEAD")
-        revisions["change_has_uncommitted_files"] = bool(_git("status", "--porcelain"))
+    revs = revisions(args.parent, args.change)
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {"parent": extract(args.parent, Path(tmp) / "parent")}
@@ -183,7 +193,7 @@ def main(argv=None) -> int:
             if values["parent"].get(name) != values["change"].get(name)
         }
     doc = {
-        "revisions": revisions,
+        "revisions": revs,
         "python": sys.version.split()[0],
         "seconds": seconds,
         "seeds": list(SEEDS),
