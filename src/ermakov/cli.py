@@ -4,6 +4,7 @@ Four commands, all driven by a JSON config (see :mod:`ermakov.config`):
 
     ermakov simulate  --config run.json [--out DIR] [--seed N]
     ermakov verify    --config run.json --which jacobi|flow|casimir|consistency|determinant
+                      [--tamper-j34]
     ermakov orbit     --config run.json
     ermakov linearize --config run.json
 
@@ -37,6 +38,7 @@ from typing import Optional
 from . import invariants as inv
 from .config import ConfigError, RunConfig, _seed, load_config
 from .integrate import IntegrationError, drift
+from .systems import nan_max
 
 __all__ = ["main"]
 
@@ -119,10 +121,14 @@ def cmd_simulate(cfg: RunConfig) -> tuple:
         "stop_reason": traj.stop_reason,
         "t_final": traj.ts[-1],
         "n_samples": len(traj),
-        "drift": report.as_dict(),
+        "drift": {
+            name: {"initial": q.initial, "drift": q.drift, "t_at_max": q.t_at_max}
+            for name, q in report.items()
+        },
         "conventions": conventions,
     }
-    line = f"simulate: {traj.status} at t={traj.ts[-1]:.6g}, max drift {report.max_drift:.3e}"
+    max_drift = nan_max(q.drift for q in report.values())
+    line = f"simulate: {traj.status} at t={traj.ts[-1]:.6g}, max drift {max_drift:.3e}"
     return 0, line, {"trajectory.csv": (header, rows), "drift.json": doc}
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Tuple
 
 from . import expr as ex
 from .integrate import Solver, Trajectory, integrate
@@ -107,12 +108,6 @@ def _count(val, where: str) -> int:
 def _seed(val, where: str) -> int:
     if isinstance(val, bool) or not isinstance(val, int) or val < 0:
         raise ConfigError(f"{where} must be a nonnegative integer, got {val!r}")
-    return val
-
-
-def _boolean(val, where: str) -> bool:
-    if not isinstance(val, bool):
-        raise ConfigError(f"{where} must be a boolean, got {val!r}")
     return val
 
 
@@ -235,21 +230,9 @@ class VerifySettings(NamedTuple):
     seed: int = 20260823
     u_floor: float = 0.05
     branch: str = "any"
-    tamper_j34: bool = False
-    tolerance: dict = None  # per sweep, e.g. {"jacobi": 1e-6}; a new {} when absent
+    tolerance: Mapping[str, float] = MappingProxyType({})  # per sweep, e.g. {"jacobi": 1e-6}
     phi_override: Optional[ex.Expr] = None
     casimir_potential: Optional[Potential] = None
-
-
-_verify_settings = VerifySettings.__new__
-
-
-def _own_tolerance(cls, *args, **kwargs):
-    self = _verify_settings(cls, *args, **kwargs)
-    return self if self.tolerance is not None else self._replace(tolerance={})
-
-
-VerifySettings.__new__ = _own_tolerance  # NamedTuple refuses a __new__ in the class body
 
 
 class OrbitSettings(NamedTuple):
@@ -282,7 +265,6 @@ _TOLERANCES = dict.fromkeys(
 _VERIFY = {
     "tolerance": lambda val, where: _settings(dict, val, where, _TOLERANCES),
     "branch": _one_of("any", "fixed"),
-    "tamper_j34": _boolean,
     "seed": _seed,
     "samples": _count,
     "u_floor": _u_floor,

@@ -13,6 +13,13 @@ library as text and live as immutable syntax trees.  The grammar:
 "x^-2" is a legal exponent).  Known function names: sin, cos, tan, exp,
 ln, sqrt, abs.  Everything downstream (evaluation, differentiation,
 quadrature) works on the trees built here.
+
+A tree deeper than ``MAX_DEPTH`` nodes, or text that nests parentheses,
+function calls, signs and exponents deeper than that, is refused with a
+ParseError.  The recursive walkers (``differentiate``, ``compile``,
+``substitute``, ``evaluate``, ``to_text`` and ``==``) then keep within
+Python's default recursion limit on a tree at the bound and on its
+second derivative, which can be 7.5 times as deep.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
     "FUNCTIONS",
     "ExprError",
     "ParseError",
+    "MAX_DEPTH",
     "EvalError",
     "DomainError",
     "QuadratureError",
@@ -48,6 +56,10 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
+# nodes on the longest root-to-leaf path of a parsed tree; ``==`` takes
+# three recursion levels per node, and the deepest second derivative
+# found (of a chain of powers) is 241 nodes deep: 723 of the 1,000 levels
+MAX_DEPTH = 32
 
 
 class ExprError(ValueError):
@@ -157,6 +169,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0  # open _factor calls: every recursion passes there
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -178,6 +191,13 @@ class _Parser:
         self._skip_ws()
         if self.pos < len(self.text):
             self._fail("end of input")
+        level, depth = [node], 0
+        while level:  # breadth first, so that no depth is too deep to measure
+            depth += 1
+            level = [c for e in level if type(e) in (Unary, Binary)
+                     for c in ((e.arg,) if type(e) is Unary else (e.left, e.right))]
+        if depth > MAX_DEPTH:  # offset 0: the whole text
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
         return node
 
     def _expr(self) -> Expr:
@@ -197,10 +217,16 @@ class _Parser:
         return node
 
     def _factor(self) -> Expr:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self.pos)
         if self._peek() == "-":
             self.pos += 1
-            return Unary("neg", self._factor())
-        return self._power()
+            node = Unary("neg", self._factor())
+        else:
+            node = self._power()
+        self.nesting -= 1
+        return node
 
     def _power(self) -> Expr:
         base = self._atom()
@@ -245,7 +271,7 @@ def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises ParseError (with byte offset) on malformed input, including
-    empty input and unknown function names.
+    empty input, unknown function names and input deeper than MAX_DEPTH.
     """
     return _Parser(text).parse()
 
@@ -452,9 +478,6 @@ def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
     return e if left is e.left and right is e.right else Binary(e.op, left, right)
 
 
-# differentiate's results by (tree, var), the oldest dropped beyond the last
-_DERIVATIVES = {}
-_DERIVATIVES_KEPT = 4096
 _ZERO, _ONE = Num(0.0), Num(1.0)  # the structural zero, and d(var)/d(var)
 
 
@@ -483,19 +506,23 @@ def differentiate(e: Expr, var: str) -> Expr:
     the error.  d(abs)/dx is written as x/abs(x) times the inner
     derivative, which turns the kink at zero into an evaluation-time
     domain error.  Results, the subtrees' included, are kept by the value
-    of (e, var), for the last ``_DERIVATIVES_KEPT`` keys: an equal tree is
-    derived once per process, to the same tree objects.
+    of (e, var), for the 4,096 keys used last: an equal tree is derived
+    once per process, to the same tree objects.
     """
-    key = (e, var)
-    d = _DERIVATIVES.get(key)
-    if d is not None:
-        return d
+    return _derivative(e, var)
+
+
+# the cache sits under differentiate, which stays a plain function: the
+# benchmark's tracer copies it to count only its outermost calls
+@functools.lru_cache(maxsize=4096)
+def _derivative(e: Expr, var: str) -> Expr:
+    d = None
     if isinstance(e, Num):
         d = _ZERO
     elif isinstance(e, Var):
         d = _ONE if e.name == var else _ZERO
     elif isinstance(e, Unary):
-        f, df = e.arg, differentiate(e.arg, var)
+        f, df = e.arg, _derivative(e.arg, var)
         if df is _ZERO:
             d = _ZERO
         elif e.op == "neg":
@@ -516,7 +543,7 @@ def differentiate(e: Expr, var: str) -> Expr:
             d = _mul(Binary("/", f, Unary("abs", f)), df)
     elif isinstance(e, Binary):
         f, g = e.left, e.right
-        df, dg = differentiate(f, var), differentiate(g, var)
+        df, dg = _derivative(f, var), _derivative(g, var)
         if df is _ZERO and dg is _ZERO:
             d = _ZERO
         elif e.op in ("+", "-"):
@@ -535,9 +562,6 @@ def differentiate(e: Expr, var: str) -> Expr:
             d = Binary("*", e, _add("+", _mul(dg, Unary("ln", f)), Binary("/", _mul(g, df), f)))
     if d is None:
         raise TypeError(f"not an expression node: {e!r}")
-    if len(_DERIVATIVES) >= _DERIVATIVES_KEPT:
-        del _DERIVATIVES[next(iter(_DERIVATIVES))]
-    _DERIVATIVES[key] = d
     return d
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "Solver",
     "Trajectory",
     "QuantityDrift",
-    "DriftReport",
     "hermite_eval",
     "integrate_ode",
     "integrate",
@@ -141,10 +140,6 @@ class Trajectory(_Record):
 
     def states(self):
         return [self.state(i) for i in range(len(self.ts))]
-
-    @property
-    def final_state(self) -> PhaseState:
-        return self.state(len(self.ts) - 1)
 
     def sample(self, times):
         """Dense output by cubic Hermite interpolation at nondecreasing
@@ -429,53 +424,24 @@ def integrate(
 
 
 class QuantityDrift(NamedTuple):
-    name: str
     initial: float
     drift: float
     t_at_max: float
     values: tuple = ()  # the quantity at every node
 
 
-class DriftReport(_Record):
-    """Per-quantity relative drift along a trajectory."""
-
-    __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: tuple):
-        super().__init__(entries)
-
-    def __getitem__(self, name: str) -> QuantityDrift:
-        for entry in self.entries:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
-    @property
-    def max_drift(self) -> float:
-        return nan_max(entry.drift for entry in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            entry.name: {
-                "initial": entry.initial,
-                "drift": entry.drift,
-                "t_at_max": entry.t_at_max,
-            }
-            for entry in self.entries
-        }
-
-
 def drift(
     traj: Trajectory,
     quantities: Mapping[str, Callable[[PhaseState, float], float]],
-) -> DriftReport:
-    """Maximum relative drift of each quantity over the trajectory nodes.
+) -> dict:
+    """Maximum relative drift of each quantity over the trajectory nodes,
+    as a QuantityDrift by name, in the order of ``quantities``.
 
     Drift is max over samples of |Q(t) - Q(t0)| / max(1, |Q(t0)|), or the
     first NaN among them; each entry keeps its samples.  A quantity that fails to evaluate names the
     offending sample index.
     """
-    entries = []
+    report = {}
     states = traj.states()
     for name, func in quantities.items():
         values = []
@@ -492,14 +458,11 @@ def drift(
         deviations = [abs(q - q0) / scale for q in values]
         largest = nan_max(deviations)
         worst = deviations.index(largest)  # list.index finds the NaN by identity
-        entries.append(
-            QuantityDrift(
-                name=name,
-                initial=q0,
-                drift=largest,
-                t_at_max=traj.ts[worst],
-                values=tuple(values),
-            )
+        report[name] = QuantityDrift(
+            initial=q0,
+            drift=largest,
+            t_at_max=traj.ts[worst],
+            values=tuple(values),
         )
-    return DriftReport(entries=tuple(entries))
+    return report
 

@@ -32,7 +32,6 @@ __all__ = [
     "AffinityResult",
     "to_orbit_curve",
     "integrate_characteristic",
-    "integrate_linear",
     "orbit_match",
     "affinity_test",
 ]
@@ -177,35 +176,12 @@ def integrate_characteristic(
     )
 
 
-def integrate_linear(
-    coeff_a: float,
-    coeff_b: float,
-    coeff_c: float,
-    rbar0: float,
-    abar0: float,
-    theta0: float,
-    theta1: float,
-) -> OrbitCurve:
-    """Integrate the affine orbit equation
-    rbar'' = A rbar' + B rbar + C with constant coefficients."""
-    if not theta1 > theta0:
-        raise ValueError("theta1 must exceed theta0 for the linear reference")
-
-    def rhs(tau: float, y: list) -> tuple:
-        rbar, abar = y
-        return abar, coeff_a * abar + coeff_b * rbar + coeff_c
-
-    traj = integrate_ode(rhs, (rbar0, abar0), theta0, theta1)
-    return OrbitCurve(theta=traj.ts, rbar=[y[0] for y in traj.ys], abar=[y[1] for y in traj.ys])
-
-
-def orbit_match(traj, curve: OrbitCurve, n_grid: int = 400) -> float:
-    """Max |rbar| discrepancy between a trajectory (or curve) and a
-    reference curve over a uniform grid on their common theta range.
+def orbit_match(first: OrbitCurve, curve: OrbitCurve, n_grid: int = 400) -> float:
+    """Max |rbar| discrepancy between two orbit curves over a uniform grid
+    on their common theta range.
 
     Both sides are Hermite-interpolated, so the result is meaningful
     between nodes as well."""
-    first = to_orbit_curve(traj) if isinstance(traj, Trajectory) else traj
     lo1, hi1 = first.theta_range
     lo2, hi2 = curve.theta_range
     lo, hi = max(lo1, lo2), min(hi1, hi2)

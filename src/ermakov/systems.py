@@ -2,11 +2,12 @@
 
 State is (r, theta, u, v) with u = dr/dt and v = r^2 dtheta/dt.  A system
 is an angular forcing G(theta), an optional frequency-shift term F(theta),
-and one coupling whose type selects the structure class:
+and one coupling, whose type selects the structure class of
+``SystemSpec(g, coupling, f)``:
 
 * ``class1``   -- a ``FuncHandle`` phi(alpha, r, theta, t), alpha = u/v,
-* ``class2``   -- a ``Class2Phi``: psi(alpha, r, theta, t) free, phi
-  constructed from it,
+* ``class2``   -- a ``Class2Phi(psi, chi)``: psi(alpha, r, theta, t) free,
+  phi constructed from it,
 * ``pseudo_potential`` -- a ``Potential`` V(rbar, t), rbar = 1/r, which
   induces phi.
 
@@ -483,22 +484,6 @@ class SystemSpec(_Record):
     @property
     def kind(self) -> str:
         return _KINDS[type(self.coupling)]
-
-    @classmethod
-    def class1(cls, g: Expr, phi: FuncHandle, f: Optional[Expr] = None) -> "SystemSpec":
-        return cls(g, phi, f)
-
-    @classmethod
-    def class2(
-        cls, g: Expr, psi: FuncHandle, chi: Optional[Expr] = None, f: Optional[Expr] = None
-    ) -> "SystemSpec":
-        return cls(g, Class2Phi(psi, chi), f)
-
-    @classmethod
-    def pseudo_potential(
-        cls, g: Expr, potential: Potential, f: Optional[Expr] = None
-    ) -> "SystemSpec":
-        return cls(g, potential, f)
 
     def g_at(self, theta: float) -> float:
         return self._g_fn(theta)

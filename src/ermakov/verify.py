@@ -140,10 +140,9 @@ def cmd_verify(cfg: RunConfig, seed: int, which: str, tamper: bool) -> tuple:
     branch = vs.branch
     rng = np.random.default_rng(seed)
     states = sample_states(rng, vs.samples, vs.u_floor, branch)
-    tampered = tamper or vs.tamper_j34
 
     if which == "jacobi":
-        tol, per_state, extra = _verify_jacobi(cfg, states, tampered)
+        tol, per_state, extra = _verify_jacobi(cfg, states, tamper)
     elif which == "flow":
         tol, per_state, extra = _verify_flow(cfg, states)
     elif which == "casimir":

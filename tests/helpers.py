@@ -53,6 +53,20 @@ def random_tree(rng: random.Random, depth: int) -> ex.Expr:
     return ex.Binary(op, left, right)
 
 
+def deepest_at_bound(var: str) -> list:
+    """Trees in ``var`` exactly ``ex.MAX_DEPTH`` deep whose second
+    derivatives are the deepest found (241, 185 and 96 levels for 32): a
+    chain of powers under sqrt, of quotients on alternating sides, and of
+    tan."""
+    leaf, n = ex.Var(var), ex.MAX_DEPTH - 1
+    powers, quotients, tans = leaf, leaf, leaf
+    for i in range(n):
+        powers = ex.Binary("^", powers, leaf) if i < n - 1 else ex.Unary("sqrt", powers)
+        quotients = ex.Binary("/", *((quotients, leaf) if i % 2 else (leaf, quotients)))
+        tans = ex.Unary("tan", tans)
+    return [powers, quotients, tans]
+
+
 def random_bindings(rng: random.Random) -> dict:
     return {name: rng.uniform(0.3, 2.5) for name in VARS}
 

@@ -24,9 +24,9 @@ from ermakov import poisson
 from ermakov.config import sample_states
 from ermakov.integrate import Solver, drift, integrate
 from ermakov.linearize import (
+    OrbitCurve,
     affinity_test,
     integrate_characteristic,
-    integrate_linear,
     orbit_match,
     to_orbit_curve,
 )
@@ -40,7 +40,7 @@ FD_STEP = 1e-5
 
 ZERO = ex.parse("0")
 OSC = Potential(ex.parse("1/(2*rbar^2)"))
-SPIRAL = SystemSpec.pseudo_potential(ZERO, OSC)
+SPIRAL = SystemSpec(ZERO, OSC)
 SPIRAL_START = PhaseState(r=1.0, theta=0.0, u=0.0, v=1.0)
 
 CLASS1_PHI_POOL = (
@@ -201,11 +201,11 @@ def test_criterion_3_flow_reconstruction():
     cases = (
         (
             poisson.matrix_field_class1(CLASS1_PHI_POOL[2]),
-            SystemSpec.class1(g, CLASS1_PHI_POOL[2]),
+            SystemSpec(g, CLASS1_PHI_POOL[2]),
         ),
         (
             poisson.matrix_field_class2(Class2Phi(FuncHandle.from_text("1"))),
-            SystemSpec.class2(g, FuncHandle.from_text("1")),
+            SystemSpec(g, Class2Phi(FuncHandle.from_text("1"))),
         ),
     )
     from ermakov.systems import vector_field
@@ -228,7 +228,7 @@ def test_criterion_3_flow_reconstruction():
 
 def test_criterion_4_consistency_condition():
     psi = FuncHandle.from_text("2")
-    spec = SystemSpec.class2(ZERO, psi, chi=ex.parse("r*theta"))
+    spec = SystemSpec(ZERO, Class2Phi(psi, ex.parse("r*theta")))
     phi = spec.coupling
     worst = 0.0
     for s in states_any():
@@ -252,7 +252,7 @@ def test_criterion_4_consistency_condition():
 @pytest.mark.parametrize("g_text", ["0", "1", "cos(theta)"], ids=("G=0", "G=1", "G=cos"))
 def test_criterion_5_superintegrable_spiral(g_text):
     g = ex.parse(g_text)
-    spec = SystemSpec.pseudo_potential(g, OSC)
+    spec = SystemSpec(g, OSC)
     floors = Floors(r_min=1e-2, v_min=1e-3)
     traj = integrate(
         spec, SPIRAL_START, 0.0, 5.0, solver=Solver(rtol=1e-10, atol=1e-12), floors=floors
@@ -355,8 +355,12 @@ def test_criterion_8_linearization():
         and abs(linear_fit.B - 1.0) < 1e-6
         and abs(linear_fit.C) < 1e-6
     )
-    reference = integrate_linear(
-        linear_fit.A, linear_fit.B, linear_fit.C, 1.0, 0.2, 0.0, 1.0
+    # rbar'' = rbar from rbar = 1, abar = 0.2: rbar = cosh(theta) + 0.2 sinh(theta)
+    thetas = [i / 200 for i in range(201)]
+    reference = OrbitCurve(
+        thetas,
+        [math.cosh(x) + 0.2 * math.sinh(x) for x in thetas],
+        [math.sinh(x) + 0.2 * math.cosh(x) for x in thetas],
     )
     full = integrate_characteristic(linear_phi, 1.0, 0.2, 0.0, 1.0)
     linear_mismatch = orbit_match(reference, full)
@@ -401,7 +405,7 @@ def test_criterion_9_numerics_hygiene():
         checked += 1
     deriv_ok = worst_fd < 1e-5
 
-    free = SystemSpec.class1(ZERO, FuncHandle.from_text("0"))
+    free = SystemSpec(ZERO, FuncHandle.from_text("0"))
     s0 = PhaseState(1.0, 0.0, 0.5, 1.0)
     r1 = s0.r + s0.u
     target = np.array([r1, (s0.v / s0.u) * (1.0 / s0.r - 1.0 / r1), s0.u, s0.v])

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,13 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import count_outermost_calls, reference_sample_states
+from helpers import (
+    VARS,
+    count_outermost_calls,
+    deepest_at_bound,
+    random_tree,
+    reference_sample_states,
+)
 from test_acceptance import time_at_theta
 
 SPIRAL_DOC = {
@@ -747,10 +754,23 @@ CONFIG_FAULTS = [
         _edit(SPIRAL_DOC, "integrator.method", "euler"),
         "integrator.method must be rk4 or dp45, got 'euler'",
     ),
+    # --tamper-j34 is the one switch of the tamper control
     (
-        "boolean",
-        _edit(SPIRAL_DOC, "verify.tamper_j34", 1),
-        "verify.tamper_j34 must be a boolean, got 1",
+        "tamper-key",
+        _edit(SPIRAL_DOC, "verify.tamper_j34", True),
+        "unknown keys ['tamper_j34'] in verify",
+    ),
+    # deeper expressions once overflowed the stack of the parser or of
+    # differentiate and == on the tree
+    (
+        "depth-nesting",
+        _edit(SPIRAL_DOC, "system.g", "(" * 300 + "theta" + ")" * 300),
+        "system.g: expression nested deeper than 32 levels (offset 32)",
+    ),
+    (
+        "depth-sum",
+        _edit(SPIRAL_DOC, "system", {"kind": "class1", "phi": "+".join(["sin(r)*r"] * 400)}),
+        "system.phi: expression tree deeper than 32 levels (offset 0)",
     ),
     (
         "seed",
@@ -786,6 +806,59 @@ def test_each_config_fault_has_its_own_message(tmp_path, capsys, document, messa
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# the exit-code contract: each expression slot, with the kind of system
+# that reads it and the variables it may use, and each kind's coupling key
+_SLOTS = {
+    "g": ("class1", ("theta",)),
+    "phi": ("class1", ("alpha", "r", "theta", "t")),
+    "psi": ("class2", ("alpha", "r", "theta", "t")),
+    "potential": ("pseudo_potential", ("t", "rbar")),
+}
+_COUPLINGS = {
+    "class1": ("phi", "-1/(alpha*r^3)"),
+    "class2": ("psi", "1+alpha^2*r"),
+    "pseudo_potential": ("potential", "1/(2*rbar^2)"),
+}
+
+
+def _contract_texts(rng, names):
+    """Random trees in the slot's variables, and nestings at and just past
+    the depth bound."""
+    for _ in range(5):
+        tree = random_tree(rng, 4)
+        for var in VARS:
+            tree = ex.substitute(tree, var, ex.Var(rng.choice(names)))
+        yield ex.to_text(tree)
+    for tree in deepest_at_bound(names[-1]):
+        yield ex.to_text(tree)
+        yield f"sqrt({ex.to_text(tree)})"
+    for pairs in (ex.MAX_DEPTH - 1, ex.MAX_DEPTH, 300):
+        yield "(" * pairs + names[-1] + ")" * pairs
+    yield "+".join([f"sin({names[-1]})*{names[-1]}"] * 400)
+
+
+def test_every_expression_gives_an_exit_code_and_no_traceback(tmp_path, capsys):
+    rng = random.Random(21)
+    commands = (["simulate"], *(["verify", "--which", w] for w in VERIFY_SWEEPS), ["orbit"], ["linearize"])
+    for slot, (kind, names) in _SLOTS.items():
+        key, default = _COUPLINGS[kind]
+        for text in _contract_texts(rng, names):
+            doc = {
+                "system": {"kind": kind, "g": "0", key: default, slot: text},
+                "initial_state": {"r": 1.0, "theta": 0.1, "u": 0.2, "v": 1.0},
+                "time_span": [0.0, 0.2],
+                "integrator": {"max_steps": 400},
+                "verify": {"samples": 4, "casimir_potential": "1/(2*rbar^2)"},
+                "orbit": {"n_grid": 20},
+                "linearize": {"n_grid": 20, "affinity": {"n": 6}},
+            }
+            path = write_config(tmp_path, doc)
+            for argv in commands:
+                code = main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+                assert code in (0, 1, 2), (slot, text, argv)
+    capsys.readouterr()
 
 
 # a class-2 document that sets every class-2 setting away from its default
@@ -840,8 +913,10 @@ def test_class2_settings_reach_the_flow(monkeypatch):
 
 
 def test_settings_keep_their_defaults_apart():
-    first, second = VerifySettings(), VerifySettings()
-    assert first.tolerance == {} and first.tolerance is not second.tolerance
+    first = VerifySettings()
+    assert first.tolerance == {}
+    with pytest.raises(TypeError):  # the shared default is read-only
+        first.tolerance["flow"] = 1e-9
     assert VerifySettings(tolerance={"flow": 1e-9}).tolerance == {"flow": 1e-9}
     assert LinearizeSettings().affinity == AffinityProbe()
     assert _STATE_KEYS == ("r", "theta", "u", "v")
@@ -1050,7 +1125,7 @@ def test_a_command_run_as_main_imports_the_cli_module_once(tmp_path, command):
 _IMPORT_ALL = """
 import ermakov.cli, ermakov.linearize, ermakov.orbit, ermakov.poisson, ermakov.verify
 from ermakov import expr
-print(expr._maker.cache_info().misses, len(expr._DERIVATIVES))
+print(expr._maker.cache_info().misses, expr._derivative.cache_info().misses)
 """
 
 
@@ -1067,25 +1142,19 @@ def test_a_second_run_lowers_and_derives_nothing(tmp_path, monkeypatch):
     # lowered code and the derivatives by value, here in caches as empty
     # as a new process has, so a second run finds every one of them
     monkeypatch.setattr(ex, "_maker", functools.lru_cache(maxsize=1024)(ex._maker.__wrapped__))
-    monkeypatch.setattr(ex, "_DERIVATIVES", {})
+    derived = functools.lru_cache(maxsize=4096)(ex._derivative.__wrapped__)
+    monkeypatch.setattr(ex, "_derivative", derived)
     lowered = count_outermost_calls(monkeypatch, ex, "_lower")
-    derived, differentiate = [0], ex.differentiate
-
-    def counting(tree, var):
-        derived[0] += (tree, var) not in ex._DERIVATIVES
-        return differentiate(tree, var)
-
-    monkeypatch.setattr(ex, "differentiate", counting)
     argvs = [
         [*argv, "--config", str(path)]
         for path in SHIPPED
         for argv in (["simulate"], *(["verify", "--which", w] for w in VERIFY_SWEEPS))
     ]
     codes = [main([*argv, "--out", str(tmp_path / "first")]) for argv in argvs]
-    assert lowered[0] > 0 and derived[0] > 0
-    lowered[0] = derived[0] = 0
+    assert lowered[0] > 0 and derived.cache_info().misses > 0
+    lowered[0], misses = 0, derived.cache_info().misses
     assert [main([*argv, "--out", str(tmp_path / "second")]) for argv in argvs] == codes
-    assert lowered[0] == derived[0] == 0
+    assert lowered[0] == 0 and derived.cache_info().misses == misses
     # and no node or forcing holds lowered code of its own
     cfg = load_config(SHIPPED[0])
     assert not hasattr(cfg.spec.g, "__dict__")
@@ -1097,16 +1166,15 @@ _FLOAT_READS = """
 import sys
 from ermakov.config import load_config
 from ermakov.integrate import integrate
-from ermakov.linearize import integrate_characteristic, integrate_linear, to_orbit_curve
+from ermakov.linearize import integrate_characteristic, to_orbit_curve
 
 cfg = load_config(sys.argv[1])
 traj = integrate(cfg.spec, cfg.s0, cfg.t0, cfg.t1, cfg.solver, cfg.floors)
 curve = to_orbit_curve(traj)
 backward = integrate_characteristic(cfg.spec.coupling, 1.0, 0.0, 0.0, -1.0)
-line = integrate_linear(0.0, -1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
 reads = [
     *(x for col in traj.sample([0.5]) for x in col),
-    *curve.rbar_at([0.5]), *backward.rbar_at([-0.5]), *line.rbar_at([0.5]),
+    *curve.rbar_at([0.5]), *backward.rbar_at([-0.5]),
 ]
 print(all(type(x) is float for x in reads), "numpy" in sys.modules)
 """

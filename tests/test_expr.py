@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import heapq
 import itertools
 import json
@@ -21,6 +23,7 @@ from ermakov.systems import Class2Phi, FuncHandle, Potential
 
 from helpers import (
     VARS,
+    deepest_at_bound,
     evaluable_tree,
     random_bindings,
     reference_differentiate,
@@ -73,6 +76,11 @@ def test_whitespace_is_insignificant():
         ("(r", 2),
         ("", 0),
         ("r + * t", 4),
+        # past MAX_DEPTH = 32: nesting fails where it opens level 33, and a
+        # tree too deep, found after the parse, at offset 0
+        ("(" * 33 + "r" + ")" * 33, 32),
+        ("-" * 33 + "r", 32),
+        ("+".join(["r"] * 33), 0),
     ],
 )
 def test_parse_error_carries_offset(text, offset):
@@ -87,6 +95,34 @@ def test_unknown_function_is_a_parse_error_at_its_name():
         ex.parse("1 + fiz(2)")
     assert err.value.offset == 4
     assert "fiz" in str(err.value)
+
+
+def _under_frames(n, fn):
+    return fn() if n == 0 else _under_frames(n - 1, fn)
+
+
+@pytest.mark.parametrize("tree", deepest_at_bound("rbar"), ids=("powers", "quotients", "tan"))
+def test_every_walker_handles_a_tree_at_the_depth_bound(monkeypatch, tree):
+    text = ex.to_text(tree)
+    assert ex.parse(text) == tree
+    with pytest.raises(ex.ParseError, match=f"deeper than {ex.MAX_DEPTH} levels"):
+        ex.parse(f"sqrt({text})")
+    # empty caches, so that each walker recurses the whole way down
+    monkeypatch.setattr(ex, "_derivative", functools.lru_cache(4096)(ex._derivative.__wrapped__))
+    monkeypatch.setattr(ex, "_maker", functools.lru_cache(1024)(ex._maker.__wrapped__))
+
+    def walk():
+        first = ex.differentiate(tree, "rbar")
+        for e in (tree, first, ex.differentiate(first, "rbar")):
+            ex.compile(e, ("rbar",))
+            with contextlib.suppress(ex.ExprError):
+                ex.evaluate(e, {"rbar": 0.7})
+            ex.to_text(e)
+            copy = ex.substitute(e, "rbar", Var("rbar"))
+            assert copy is not e and copy == e
+
+    # the commands call the walkers from under 20 frames; pytest adds ~50
+    _under_frames(150, walk)
 
 
 def test_trailing_garbage_rejected():

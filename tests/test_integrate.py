@@ -1,14 +1,16 @@
 import importlib
 import math
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from ermakov import expr as ex
+from ermakov.cli import cmd_simulate
+from ermakov.config import load_config
 from ermakov.integrate import (
-    DriftReport,
     IntegrationError,
     QuantityDrift,
     Solver,
@@ -20,11 +22,13 @@ from ermakov.integrate import (
 )
 from ermakov.invariants import casimir_C1, casimir_C2, ermakov_invariant
 from ermakov.systems import (
+    Class2Phi,
     Floors,
     FuncHandle,
     PhaseState,
     SingularStateError,
     SystemSpec,
+    nan_max,
     vector_field,
 )
 
@@ -33,8 +37,8 @@ from test_systems import OSC
 
 ZERO = ex.parse("0")
 PHI0 = FuncHandle.from_text("0")
-FREE = SystemSpec.class1(ZERO, PHI0)
-SPIRAL = SystemSpec.pseudo_potential(ZERO, OSC)
+FREE = SystemSpec(ZERO, PHI0)
+SPIRAL = SystemSpec(ZERO, OSC)
 
 
 def exact_spiral(t):
@@ -53,9 +57,9 @@ def exact_free(s0: PhaseState, t):
 def test_circular_orbit_angle(method):
     traj = integrate(FREE, PhaseState(2.0, 0.0, 0.0, 1.0), 0.0, 8.0, solver=Solver(method=method))
     assert traj.status == "completed"
-    assert traj.final_state.theta == pytest.approx(2.0, abs=1e-10)
-    assert traj.final_state.r == 2.0  # rdot is identically zero
-    assert traj.final_state.v == 1.0
+    assert traj.state(-1).theta == pytest.approx(2.0, abs=1e-10)
+    assert traj.state(-1).r == 2.0  # rdot is identically zero
+    assert traj.state(-1).v == 1.0
 
 
 def test_linear_radius_solution():
@@ -401,7 +405,7 @@ def test_tightening_tolerance_tightens_drift():
     [
         (SPIRAL, spiral_start()),
         (
-            SystemSpec.class1(
+            SystemSpec(
                 ex.parse("cos(theta)"), FuncHandle.from_text("sin(theta)*alpha")
             ),
             PhaseState(1.2, 0.4, -0.3, 0.9),
@@ -413,24 +417,23 @@ def test_velocity_flip_round_trip(spec, s0):
     # integrating backwards is conjugate to a forward run with (u, v)
     # negated, provided the system has no explicit time dependence
     forward = integrate(spec, s0, 0.0, 1.0)
-    far = forward.final_state
+    far = forward.state(-1)
     back = integrate(
         spec, PhaseState(far.r, far.theta, -far.u, -far.v), 0.0, 1.0
     )
-    end = back.final_state
+    end = back.state(-1)
     recovered = np.array([end.r, end.theta, -end.u, -end.v])
     assert np.max(np.abs(recovered - vec(s0))) < 1e-9
 
 
-def test_max_drift_reports_a_nan_that_is_not_first():
-    report = DriftReport(
-        (QuantityDrift("I", 0.5, 1e-10, 0.0), QuantityDrift("C1", 0.5, math.nan, 0.1))
-    )
-    assert math.isnan(report.max_drift)
-    finite = DriftReport(
-        (QuantityDrift("I", 0.5, 1e-10, 0.0), QuantityDrift("C1", 0.5, 3e-9, 0.1))
-    )
-    assert finite.max_drift == 3e-9
+def test_max_drift_reports_a_nan_that_is_not_first(monkeypatch):
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "spiral.json")
+    for drifts, shown in (((1e-10, math.nan, 2.0), "nan"), ((1e-10, 3e-9, 0.0), "3.000e-09")):
+        report = {name: QuantityDrift(0.5, d, 0.1) for name, d in zip(("I", "C1", "C2"), drifts)}
+        monkeypatch.setattr("ermakov.cli.drift", lambda traj, quantities: report)
+        _, line, reports = cmd_simulate(cfg)
+        assert line.endswith(f"max drift {shown}")
+        assert reports["drift.json"]["drift"]["C1"]["drift"] is drifts[1]
 
 
 def test_drift_report_contents():
@@ -445,7 +448,7 @@ def test_drift_report_contents():
             "u^2": lambda s, t: s.u * s.u,
         },
     )
-    assert isinstance(report, DriftReport)
+    assert list(report) == ["I", "C1", "C2", "const", "u^2"]
     assert report["const"].drift == 0.0
     assert report["I"].initial == 0.5
     assert report["I"].drift < 1e-8
@@ -453,10 +456,8 @@ def test_drift_report_contents():
     assert report["C2"].drift < 1e-6
     # a quantity that is not conserved shows O(1) drift
     assert report["u^2"].drift > 0.1
-    assert report.max_drift == report["u^2"].drift
-    d = report.as_dict()
-    assert set(d) == {"I", "C1", "C2", "const", "u^2"}
-    assert d["u^2"]["t_at_max"] == pytest.approx(float(traj.ts[-1]))
+    assert nan_max(q.drift for q in report.values()) == report["u^2"].drift
+    assert report["u^2"].t_at_max == pytest.approx(float(traj.ts[-1]))
     with pytest.raises(KeyError):
         report["missing"]
 
@@ -508,7 +509,7 @@ def test_drift_picks_its_worst_sample(values, worst, deviation):
 
 
 def test_against_scipy_on_a_coupled_system():
-    spec = SystemSpec.class2(ex.parse("cos(theta)"), FuncHandle.from_text("1"))
+    spec = SystemSpec(ex.parse("cos(theta)"), Class2Phi(FuncHandle.from_text("1")))
     s0 = PhaseState(1.0, 0.0, 0.2, 1.0)
 
     def rhs(t, y):
@@ -534,11 +535,11 @@ def test_stop_at_radius_floor():
     assert "r_min" in traj.stop_reason
     # r(t) = cos t crosses 1e-2 just before pi/2
     assert 1.55 < traj.ts[-1] < math.pi / 2.0
-    assert traj.final_state.r >= floors.relaxed().r_min
+    assert traj.state(-1).r >= floors.relaxed().r_min
 
 
 def test_stop_at_angular_momentum_floor():
-    spec = SystemSpec.pseudo_potential(ex.parse("1"), OSC)
+    spec = SystemSpec(ex.parse("1"), OSC)
     floors = Floors(r_min=1e-2, v_min=1e-3)
     traj = integrate(spec, spiral_start(), 0.0, 5.0, floors=floors)
     assert traj.status == "singular_stop"

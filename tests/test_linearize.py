@@ -10,7 +10,6 @@ from ermakov.linearize import (
     OrbitCurve,
     affinity_test,
     integrate_characteristic,
-    integrate_linear,
     orbit_match,
     to_orbit_curve,
 )
@@ -20,7 +19,7 @@ from helpers import reference_affinity_fit, reference_hermite_eval, spiral_start
 from test_systems import OSC
 
 ZERO = ex.parse("0")
-SPIRAL = SystemSpec.pseudo_potential(ZERO, OSC)
+SPIRAL = SystemSpec(ZERO, OSC)
 PHI_COSH = FuncHandle.from_text("-1/(alpha*r^3)")
 
 
@@ -142,7 +141,7 @@ def test_characteristic_argument_validation():
 def test_trajectory_follows_its_own_characteristic():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
     curve = integrate_characteristic(SPIRAL.coupling, 1.0, 0.0, 0.0, math.tan(1.0))
-    assert orbit_match(traj, curve) < 1e-6
+    assert orbit_match(to_orbit_curve(traj), curve) < 1e-6
 
 
 def test_orbit_match_of_a_curve_with_itself():
@@ -249,9 +248,15 @@ def test_affinity_argument_validation():
 
 
 def test_linear_reference_matches_the_characteristic():
+    # phi = -1/(alpha r^3) makes the orbit equation rbar'' = rbar (A = C = 0,
+    # B = 1), solved by rbar = cosh(theta) + 0.2 sinh(theta) from (1, 0.2)
     fit = affinity_test(PHI_COSH, 0.0, 0.0, (0.5, 2.0), (0.1, 1.0))
-    linear = integrate_linear(fit.A, fit.B, fit.C, 1.0, 0.0, 0.0, 1.0)
-    full = integrate_characteristic(PHI_COSH, 1.0, 0.0, 0.0, 1.0)
+    assert fit.affine and fit[1:4] == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+    thetas = [i / 200 for i in range(201)]
+    linear = OrbitCurve(
+        thetas,
+        [math.cosh(x) + 0.2 * math.sinh(x) for x in thetas],
+        [math.sinh(x) + 0.2 * math.cosh(x) for x in thetas],
+    )
+    full = integrate_characteristic(PHI_COSH, 1.0, 0.2, 0.0, 1.0)
     assert orbit_match(linear, full) < 1e-6
-    with pytest.raises(ValueError, match="exceed"):
-        integrate_linear(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)

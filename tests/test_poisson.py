@@ -126,7 +126,7 @@ def test_quoted_class2_determinant_is_not_this_matrix_determinant():
 
 PHI_POOL = [
     FuncHandle.from_text("0"),
-    SystemSpec.pseudo_potential(ex.parse("0"), OSC).coupling.phi,
+    SystemSpec(ex.parse("0"), OSC).coupling.phi,
     FuncHandle.from_text("sin(theta)*alpha"),
     FuncHandle.from_text("r^2*t"),
 ]
@@ -169,11 +169,11 @@ def test_four_jacobi_triples_cover_all_index_choices():
     [
         (
             lambda: matrix_field_class1(PHI_POOL[2]),
-            lambda: SystemSpec.class1(ex.parse("cos(theta)"), PHI_POOL[2]),
+            lambda: SystemSpec(ex.parse("cos(theta)"), PHI_POOL[2]),
         ),
         (
             lambda: matrix_field_class2(Class2Phi(ONE)),
-            lambda: SystemSpec.class2(ex.parse("cos(theta)"), ONE),
+            lambda: SystemSpec(ex.parse("cos(theta)"), Class2Phi(ONE)),
         ),
     ],
     ids=("class1", "class2"),
@@ -190,7 +190,7 @@ def test_hamiltonian_flow_reconstructs_vector_field(make_field, make_spec):
 
 
 def test_consistency_of_constructed_phi():
-    spec = SystemSpec.class2(ex.parse("0"), TWO, chi=ex.parse("r*theta"))
+    spec = SystemSpec(ex.parse("0"), Class2Phi(TWO, ex.parse("r*theta")))
     phi = spec.coupling
     for s in random_states(59, 50):
         assert abs(consistency_residual(TWO, phi, s)) < 1e-9
@@ -221,7 +221,7 @@ def test_consistency_requires_nonzero_u():
 
 
 def test_casimir_gradients_are_annihilated_by_class1_matrix():
-    spec = SystemSpec.pseudo_potential(ex.parse("0"), OSC)
+    spec = SystemSpec(ex.parse("0"), OSC)
     field = matrix_field_class1(spec.coupling.phi)
     h = 1e-5
 

@@ -113,9 +113,9 @@ def test_func_handle_requires_a_tree():
 
 def test_system_spec_restricts_g_and_f_to_theta():
     with pytest.raises(ValueError):
-        SystemSpec.class1(ex.parse("r"), ZERO_HANDLE)
+        SystemSpec(ex.parse("r"), ZERO_HANDLE)
     with pytest.raises(ValueError):
-        SystemSpec.class1(ex.parse("0"), ZERO_HANDLE, f=ex.parse("t"))
+        SystemSpec(ex.parse("0"), ZERO_HANDLE, f=ex.parse("t"))
 
 
 def test_potential_restricted_to_rbar_and_t():
@@ -133,14 +133,14 @@ def test_potential_differentiates_on_first_use_only(monkeypatch):
 
 
 def test_pseudo_potential_flow_at_spiral_start():
-    spec = SystemSpec.pseudo_potential(ex.parse("0"), OSC)
+    spec = SystemSpec(ex.parse("0"), OSC)
     flow = vector_field(spec, spiral_start())
     assert np.allclose(vec(flow), [0.0, 1.0, -1.0, 0.0], atol=1e-15)
 
 
 def test_class1_flow_components():
     phi = FuncHandle.from_text("sin(theta)*alpha")
-    spec = SystemSpec.class1(ex.parse("cos(theta)"), phi)
+    spec = SystemSpec(ex.parse("cos(theta)"), phi)
     s = PhaseState(r=2.0, theta=0.5, u=-0.7, v=1.3)
     flow = vector_field(spec, s)
     g = math.cos(0.5)
@@ -155,7 +155,7 @@ def test_class1_flow_components():
 
 def test_class2_flow_uses_constructed_phi_plus_shift():
     psi = FuncHandle.from_text("1")
-    spec = SystemSpec.class2(ex.parse("0"), psi)
+    spec = SystemSpec(ex.parse("0"), Class2Phi(psi))
     s = PhaseState(r=1.3, theta=0.2, u=0.6, v=1.1)
     flow = vector_field(spec, s)
     alpha = s.u / s.v
@@ -167,8 +167,8 @@ def test_class2_flow_uses_constructed_phi_plus_shift():
 
 def test_flow_ignores_f_entirely():
     phi = FuncHandle.from_text("sin(theta)*alpha")
-    bare = SystemSpec.class1(ex.parse("cos(theta)"), phi)
-    with_f = SystemSpec.class1(
+    bare = SystemSpec(ex.parse("cos(theta)"), phi)
+    with_f = SystemSpec(
         ex.parse("cos(theta)"), phi, f=ex.parse("3*theta^2")
     )
     for s in random_states(11, 40):
@@ -178,20 +178,20 @@ def test_flow_ignores_f_entirely():
 
 
 def test_frequency_squared_at_spiral_start():
-    spec = SystemSpec.pseudo_potential(ex.parse("0"), OSC)
+    spec = SystemSpec(ex.parse("0"), OSC)
     assert frequency_squared(spec, spiral_start()) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: SystemSpec.class1(
+        lambda: SystemSpec(
             ex.parse("cos(theta)"), FuncHandle.from_text("sin(theta)*alpha")
         ),
-        lambda: SystemSpec.class2(
-            ex.parse("cos(theta)"), FuncHandle.from_text("2"), f=ex.parse("theta")
+        lambda: SystemSpec(
+            ex.parse("cos(theta)"), Class2Phi(FuncHandle.from_text("2")), f=ex.parse("theta")
         ),
-        lambda: SystemSpec.pseudo_potential(
+        lambda: SystemSpec(
             ex.parse("cos(theta)"), OSC, f=ex.parse("1")
         ),
     ],
@@ -207,8 +207,8 @@ def test_frequency_is_consistent_with_the_radial_flow(make):
 
 
 def test_pseudo_potential_reduces_to_class1():
-    spec = SystemSpec.pseudo_potential(ex.parse("cos(theta)"), OSC)
-    lowered = SystemSpec.class1(spec.g, spec.coupling.phi)
+    spec = SystemSpec(ex.parse("cos(theta)"), OSC)
+    lowered = SystemSpec(spec.g, spec.coupling.phi)
     assert lowered.kind == "class1"
     for s in random_states(37, 100, u_floor=1e-6):
         a = vec(vector_field(spec, s))
@@ -217,7 +217,7 @@ def test_pseudo_potential_reduces_to_class1():
 
 
 def test_flow_rejects_states_below_floors():
-    spec = SystemSpec.class1(ex.parse("0"), ZERO_HANDLE)
+    spec = SystemSpec(ex.parse("0"), ZERO_HANDLE)
     with pytest.raises(SingularStateError, match="r_min"):
         vector_field(spec, PhaseState(r=1e-12, theta=0.0, u=0.0, v=1.0))
     with pytest.raises(SingularStateError, match="v_min"):
@@ -237,7 +237,7 @@ def test_flow_rejects_states_below_floors():
 )
 def test_floor_messages_print_plain_floats(state, message):
     # a state built from an array holds numpy scalars
-    spec = SystemSpec.class1(ex.parse("0"), ZERO_HANDLE)
+    spec = SystemSpec(ex.parse("0"), ZERO_HANDLE)
     with pytest.raises(SingularStateError) as err:
         vector_field(spec, PhaseState(*np.array(state)))
     assert str(err.value) == message
@@ -248,16 +248,16 @@ def test_floor_messages_print_plain_floats(state, message):
 _G = ex.parse("cos(theta)")
 LOWERED_FLOW_SPECS = {
     **{
-        f"class1-{text}": SystemSpec.class1(_G, FuncHandle.from_text(text))
+        f"class1-{text}": SystemSpec(_G, FuncHandle.from_text(text))
         for text in ("0", "-r/alpha", "sin(theta)*alpha", "r^2*t")
     },
-    "oscillator": SystemSpec.pseudo_potential(_G, OSC),
-    "off-oscillator": SystemSpec.pseudo_potential(
+    "oscillator": SystemSpec(_G, OSC),
+    "off-oscillator": SystemSpec(
         _G, Potential(ex.parse("1/(2*rbar^2) + 0.1*rbar - 0.2*rbar^3*t"))
     ),
-    "class2": SystemSpec.class2(_G, FuncHandle.from_text("1+alpha^2*r")),
-    "class2-chi": SystemSpec.class2(
-        _G, FuncHandle.from_text("1+alpha^2*r"), chi=ex.parse("r*theta+t")
+    "class2": SystemSpec(_G, Class2Phi(FuncHandle.from_text("1+alpha^2*r"))),
+    "class2-chi": SystemSpec(
+        _G, Class2Phi(FuncHandle.from_text("1+alpha^2*r"), ex.parse("r*theta+t"))
     ),
 }
 
@@ -321,7 +321,7 @@ def test_lowered_flow_failures_keep_their_messages(spec, state, floors, message)
 def test_an_underflowed_denominator_is_a_floating_point_error():
     # r^2 underflows to zero: the reference divides by zero, the lowered
     # flow says the state is singular
-    spec = SystemSpec.class1(ex.parse("0"), ZERO_HANDLE)
+    spec = SystemSpec(ex.parse("0"), ZERO_HANDLE)
     floors = Floors(r_min=1e-300, v_min=1e-300)
     with pytest.raises(ZeroDivisionError):
         reference_flow(spec, PhaseState(1e-170, 0.0, -1e-171, 1e-20), 0.0, floors)
