@@ -332,6 +332,9 @@ def free_vars(e: Expr) -> frozenset:
     return free_vars(e.left) | free_vars(e.right)
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """Evaluate a tree under IEEE double semantics.
 
@@ -347,16 +350,10 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
             raise EvalError(f"unbound variable {e.name!r}") from None
     if isinstance(e, Unary):
         x = evaluate(e.arg, bindings)
-        if e.op == "neg":
-            return -x
-        if e.op == "abs":
-            return abs(x)
+        if e.op in ("neg", "abs"):
+            return -x if e.op == "neg" else abs(x)
         try:
-            if e.op == "ln":
-                return math.log(x)
-            if e.op == "sqrt":
-                return math.sqrt(x)
-            return getattr(math, e.op)(x)
+            return getattr(math, "log" if e.op == "ln" else e.op)(x)
         except ValueError:
             raise DomainError(f"{e.op} of {x!r} is outside the real domain") from None
         except OverflowError:
@@ -364,79 +361,101 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     if isinstance(e, Binary):
         a = evaluate(e.left, bindings)
         b = evaluate(e.right, bindings)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
+        if e.op == "/" and b == 0.0:
+            raise DomainError("division by zero")
+        if e.op in _ARITHMETIC:
+            return _ARITHMETIC[e.op](a, b)
         if e.op == "^":
             try:
                 return math.pow(a, b)
             except ValueError:
-                raise DomainError(
-                    f"power {a!r}^{b!r} is outside the real domain"
-                ) from None
+                raise DomainError(f"power {a!r}^{b!r} is outside the real domain") from None
             except OverflowError:
                 raise DomainError(f"power {a!r}^{b!r} overflows") from None
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# globals of every compiled function (none owns a dict that could form a cycle)
+# globals of every compiled function (none owns a dict that could form a
+# cycle); _gk21 runs the generic panel
 _NAMESPACE = dict(
     {name: getattr(math, name) for name in ("sin", "cos", "tan", "exp", "sqrt")},
     ln=math.log, abs=abs, float=float, inf=math.inf, nan=math.nan, _pow=math.pow,
+    _gk21=lambda *panel: _gk21_panel()(*panel),
 )
 
 
 def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
     """Source of ``make(replay)``, which returns the function of len(args)
     positional values computing ``tree``: one assignment per distinct
-    subexpression, each the operation :func:`evaluate` performs; with
-    ``bound`` names, ``bind(*values, replay=replay)``, which returns that
-    function.  Where an operation raises ArithmeticError or ValueError, or
-    |e| <= m for a guard (e, m), it returns replay(*values, *bound values)."""
+    subexpression, each the operation :func:`evaluate` performs, or the
+    value of one of literals alone where that is finite.  Where an
+    operation raises ArithmeticError or ValueError, or |e| <= m for a
+    guard (e, m), it returns replay(*values, *bound values).  With
+    ``bound`` names it returns ``bind(*values, replay=replay)``, which
+    computes the work on those alone (where that raises, every call
+    replays) and returns the function; of one arg, that carries ``gk21``:
+    the panel of :func:`_gk21_source` with the work inlined at each node,
+    which runs the generic panel where a sample faults or K21 is not
+    finite."""
     a, b = [f"a{i}" for i in range(len(args))], [f"b{i}" for i in range(len(bound))]
-    lines, slots, prelude = [], {}, []
+    # a slot computed per sample is {s}xN and an arg's read {aI}, filled in
+    # for compiled and for each node of the panel
+    lines, slots, prelude, per_sample = [], {}, [], {}
 
     def emit(e: Expr) -> str:
         if isinstance(e, Num):
             return repr(float(e.value))
         if isinstance(e, Var):  # a bound variable is read when bound
-            i, prefix = (args.index(e.name), "a") if e.name in args else (bound.index(e.name), "b")
-            rhs = f"float({prefix}{i})"
-        elif isinstance(e, Unary):
-            x = emit(e.arg)
-            rhs = f"-{x}" if e.op == "neg" else f"{e.op}({x})"
+            varies = e.name in args
+            rhs = f"{{a{args.index(e.name)}}}" if varies else f"float(b{bound.index(e.name)})"
         else:
-            x, y = emit(e.left), emit(e.right)
-            rhs = f"_pow({x}, {y})" if e.op == "^" else f"{x} {e.op} {y}"
+            xs = (emit(e.arg),) if isinstance(e, Unary) else (emit(e.left), emit(e.right))
+            if isinstance(e, Unary):
+                rhs = f"-{xs[0]}" if e.op == "neg" else f"{e.op}({xs[0]})"
+            else:
+                rhs = f"_pow({xs[0]}, {xs[1]})" if e.op == "^" else f"{xs[0]} {e.op} {xs[1]}"
+            if not any(x in per_sample for x in xs):  # literals alone
+                try:
+                    value = eval(rhs, _NAMESPACE)
+                except (ArithmeticError, ValueError):
+                    value = math.nan
+                if math.isfinite(value):
+                    return repr(value)
+            varies = not bound or any(per_sample.get(x) for x in xs)
         if rhs not in slots:  # equal text computes an equal value
-            slots[rhs] = f"x{len(slots)}"
-            (prelude if rhs.startswith("float(b") else lines).append(f"{slots[rhs]} = {rhs}")
+            slots[rhs] = name = f"{'{s}' * varies}x{len(slots)}"
+            per_sample[name] = varies
+            (lines if varies else prelude).append(f"{name} = {rhs}")
         return slots[rhs]
 
-    replay = f"return replay({', '.join(a + b)})"
-    tail = []  # after the try, so that a replay that raises is not replayed
+    replay, result = f"return replay({', '.join(a + b)})", None
     if free_vars(tree).union(*(free_vars(e) for e, _ in guards)) <= set(args + bound):
         result = emit(tree)
-        if guards:
-            tests = " or ".join(f"{-m!r} <= {emit(e)} <= {m!r}" for e, m in guards)
-            tail = [f"if {tests}:", f"    {replay}"]
-        tail.append(f"return {result}")
+        for e, m in guards:  # a guard hit replays as a raise does
+            x = emit(e)
+            lines += [f"if {-m!r} <= {x} <= {m!r}:", "    raise ValueError"]
     else:  # with a variable unbound, the replay raises evaluate's EvalError
         lines.append("raise ValueError")
-    code = [f"def compiled({', '.join(a)}):", "    try:"]
-    code += [f"        {line}" for line in lines or ["pass"]]
+    body = lines or ["pass"]
+    code = [f"def compiled({', '.join(a)}):", "    try:", *(f"        {x}" for x in body)]
+    # the return after the try, so that a replay that raises is not replayed
     code += ["    except (ArithmeticError, ValueError):", f"        {replay}"]
-    code += [f"    {line}" for line in tail]
+    code += [f"    return {result}"] if result else []
+    code = [line.format(s="", **{x: f"float({x})" for x in a}) for line in code]
     if bound:
-        inner = [*prelude, *code, "return compiled"]
-        code = [f"def bind({', '.join(b)}, replay=replay):", *(f"    {line}" for line in inner)]
+        inner = ["try:", *(f"    {x}" for x in prelude or ["pass"])]
+        inner += ["except (ArithmeticError, ValueError):",  # every call replays
+                  f"    return lambda {', '.join(a)}: replay({', '.join(a + b)})", *code]
+        if len(args) == 1 and result:
+            at = [{"s": f"{y}_", "a0": x} for y, x in _GK21_POINTS]  # in the order taken
+            back = "    return _gk21(f, lo, hi, depth)"
+            sampling = ["try:", *(f"    {x.format(**n)}" for n in at for x in body)]
+            sampling += ["except (ArithmeticError, ValueError):", back]
+            values, check = [result.format(**n) for n in at], ["if kronrod - kronrod:", back]
+            inner += _gk21_source(sampling, values, check)
+            inner.append("compiled.gk21 = gk21")
+        code = [f"def bind({', '.join(b)}, replay=replay):", *(f"    {x}" for x in inner)]
+        code.append("    return compiled")
     code.append("return bind" if bound else "return compiled")
     return "def make(replay):\n" + "".join(f"    {line}\n" for line in code)
 
@@ -456,9 +475,12 @@ def compile(tree: Expr, args, bound=(), guards=()) -> Callable[..., float]:
     raises its own error.  With ``bound`` names it returns
     ``bind(*values, replay=evaluate)``, which binds those and returns that
     function; where an operation raises or |e| <= m for a guard (e, m), it
-    returns replay(*values of args, *values of bound).  The lowered code
-    is kept by the value of (tree, args, bound, guards), for the 1,024
-    keys used last, so an equal tree is lowered once per process."""
+    returns replay(*values of args, *values of bound).  bind computes the
+    work on the bound values alone once, and the function of one arg it
+    returns carries ``gk21``, a fused Gauss-Kronrod panel for
+    :func:`quad_adaptive`.  The lowered code, panel included, is kept by
+    the value of (tree, args, bound, guards), for the 1,024 keys used
+    last, so an equal tree is lowered once per process, on first use."""
     args, bound, guards = tuple(args), tuple(bound), tuple(guards)
     make = _maker(tree, args, bound, guards)
     return make(lambda *vals: evaluate(tree, dict(zip(args + bound, vals))))
@@ -610,7 +632,9 @@ def quad_adaptive(
     noise (``_ROUNDOFF_UNITS``), which bisection cannot lower, and the
     K21 values of the panels are summed.  The endpoints are never
     sampled.  The orientation convention is the usual one, integral over
-    [a,b] = -integral over [b,a].
+    [a,b] = -integral over [b,a].  A panel runs f's own ``gk21`` where f
+    has one (see :func:`compile`): the same bits and errors, with f's
+    work inlined and, on any fault, the generic panel run on f instead.
 
     Raises QuadratureError on a non-finite integrand sample, when the
     panel to bisect is already ``_QUAD_MAX_DEPTH`` halvings deep, or when
@@ -625,7 +649,7 @@ def quad_adaptive(
     if b < a:
         return -quad_adaptive(f, b, a, tol)
 
-    gk21 = _gk21_panel()
+    gk21 = getattr(f, "gk21", None) or _gk21_panel()
     panels = [gk21(f, a, b, 0)]
     # a running sum of the panels' errors, recomputed by math.fsum when it
     # leaves [exact/2, 2*exact], so its rounding stays near 1e-11 of it
@@ -656,32 +680,47 @@ def quad_adaptive(
     return math.fsum(panel[4] for panel in panels)
 
 
-@functools.cache
-def _gk21_panel() -> Callable:
-    """The panel ``gk21(f, lo, hi, depth)``, which returns
-    (-|K21 - G10|, depth, lo, hi, K21, samples) on [lo, hi]: a min-heap
-    entry that puts the largest error first.  ``samples`` are f at the
-    centre and at the nodes left and right of it, for ``_abs_integral``.
-    It is generated on first use as straight-line float code: the node
-    offsets half * x, the 21 samples float(f(x)), each checked as it is
-    taken, and the K21 and G10 sums unrolled from 0.0, weights in order."""
-    idx = range(1, len(_GK21_NODES))
+# a panel's samples and their nodes, in the order taken: centre, left, right
+_GK21_POINTS = (("c", "mid"), *((f"{y}{i}", f"mid {sign} d{i}")
+                                for y, sign in (("l", "-"), ("r", "+"))
+                                for i in range(1, len(_GK21_NODES))))
+
+
+def _gk21_source(sampling: list, values: list, check=()) -> list:
+    """Lines of the panel ``gk21(f, lo, hi, depth)``, as straight-line
+    float code: the node offsets half * x, ``sampling``, which leaves the
+    samples of _GK21_POINTS in ``values``, the K21 and G10 sums unrolled
+    from 0.0, weights in order, ``check``, and the entry (-|K21 - G10|,
+    depth, lo, hi, K21, samples) for a min-heap that puts the largest
+    error first; ``samples`` are the centre's, the left and the right."""
+    idx, n = range(1, len(_GK21_NODES)), len(_GK21_NODES)
+    centre, left, right = values[0], values[1:n], values[n:]
     lines = ["mid = 0.5 * (lo + hi)", "half = 0.5 * (hi - lo)"]
     lines += [f"d{i} = half * {_GK21_NODES[i]!r}" for i in idx]
-    for y, x in [("c", "mid"), *((f"l{i}", f"mid - d{i}") for i in idx),
-                 *((f"r{i}", f"mid + d{i}") for i in idx)]:
-        # y - y is 0.0 where y is finite and NaN, which is true, where not
-        lines += [f"{y} = float(f({x}))", f"if {y} - {y}:", f"    raise _nonfinite({y}, {x})"]
-    lines += [f"p{i} = l{i} + r{i}" for i in idx]
+    lines += sampling
+    lines += [f"p{i} = {y} + {z}" for i, y, z in zip(idx, left, right)]
     k21 = "".join(f" + {_K21_WEIGHTS[i]!r} * p{i}" for i in idx)
     g10 = "".join(f" + {w!r} * p{2 * i + 1}" for i, w in enumerate(_G10_WEIGHTS))
     lines += [
-        f"kronrod = half * ({_K21_WEIGHTS[0]!r} * c + (0.0{k21}))", f"gauss = half * (0.0{g10})",
-        f"samples = (c, [{', '.join(f'l{i}' for i in idx)}], [{', '.join(f'r{i}' for i in idx)}])",
+        f"kronrod = half * ({_K21_WEIGHTS[0]!r} * {centre} + (0.0{k21}))",
+        f"gauss = half * (0.0{g10})", *check,
+        f"samples = ({centre}, [{', '.join(left)}], [{', '.join(right)}])",
         "return (-abs(kronrod - gauss), depth, lo, hi, kronrod, samples)",
     ]
-    scope, source = {}, "def gk21(f, lo, hi, depth):\n" + "".join(f"    {x}\n" for x in lines)
-    exec(source, {"_nonfinite": lambda y, x: QuadratureError(
+    return ["def gk21(f, lo, hi, depth):", *(f"    {line}" for line in lines)]
+
+
+@functools.cache
+def _gk21_panel() -> Callable:
+    """The generic panel ``gk21(f, lo, hi, depth)`` of :func:`_gk21_source`,
+    generated on first use: its samples are float(f(x)), each checked as
+    it is taken."""
+    # y - y is 0.0 where y is finite and NaN, which is true, where not
+    sampling = [line for y, x in _GK21_POINTS for line in (
+        f"{y} = float(f({x}))", f"if {y} - {y}:", f"    raise _nonfinite({y}, {x})")]
+    source = _gk21_source(sampling, [y for y, _ in _GK21_POINTS])
+    scope = {}
+    exec("\n".join(source), {"_nonfinite": lambda y, x: QuadratureError(
         f"non-finite integrand value {y!r} at lambda={x!r}")}, scope)
     return scope["gk21"]
 

@@ -1122,6 +1122,34 @@ def test_a_command_run_as_main_imports_the_cli_module_once(tmp_path, command):
     assert "ermakov.cli" not in imported
 
 
+# expr's lowering recorded from the start: which sources hold a fused panel
+_PANELS_AT_LOAD = """
+import sys
+from ermakov import expr
+
+sources, lower = [], expr._lower
+expr._lower = lambda *key: sources.append(lower(*key)) or sources[-1]
+import ermakov.cli
+from ermakov.config import load_config
+
+load_config(sys.argv[1])
+print("@ load", sum("def gk21(" in source for source in sources))
+ermakov.cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print("@ simulate", sum("def gk21(" in source for source in sources))
+"""
+
+
+def test_no_panel_is_generated_at_import_or_load(tmp_path):
+    # the class-2 stress config's fused panel comes with its first quadrature
+    result = subprocess.run(
+        [sys.executable, "-c", _PANELS_AT_LOAD,
+         str(ROOT / "bench" / "configs" / "class2_quadrature.json"), str(tmp_path)],
+        capture_output=True, text=True, env=_src_env(), check=True, timeout=120,
+    )
+    steps = [line[2:] for line in result.stdout.splitlines() if line.startswith("@ ")]
+    assert steps == ["load 0", "simulate 1"]
+
+
 _IMPORT_ALL = """
 import ermakov.cli, ermakov.linearize, ermakov.orbit, ermakov.poisson, ermakov.verify
 from ermakov import expr

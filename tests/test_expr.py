@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 from ermakov import expr as ex
 from ermakov import systems
 from ermakov.expr import Binary, Num, Unary, Var
-from ermakov.systems import Class2Phi, FuncHandle, Potential
+from ermakov.systems import Class2Phi, FuncHandle, Potential, SingularStateError
 
 from helpers import (
     VARS,
     deepest_at_bound,
     evaluable_tree,
     random_bindings,
+    random_tree,
     reference_differentiate,
     reference_gk21,
     trusted_central_difference,
@@ -491,6 +492,163 @@ def test_generated_gk21_faults_in_the_reference_order(bad, boom):
         assert outcome[1].startswith("non-finite integrand value inf at lambda=")
 
 
+def _panel_nodes(lo, hi) -> list:
+    """A panel's nodes on [lo, hi] in the order sampled."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return [mid, *(mid - half * x for x in ex._GK21_NODES[1:]),
+            *(mid + half * x for x in ex._GK21_NODES[1:])]
+
+
+def _fused_and_generic(f, lo, hi):
+    """The outcomes of f's fused panel (the generic one where f has none)
+    and of the generic panel, on [lo, hi]."""
+    panel = getattr(f, "gk21", ex._gk21_panel())
+    return _panel_outcome(panel, f, lo, hi), _panel_outcome(ex._gk21_panel(), f, lo, hi)
+
+
+# (psi, chi, lam0, psi_min) of the class-2 documents of the report-digest
+# tool: alpha and r, a nonzero lam0, a chi with a floor psi crosses, a
+# theta-dependent psi (the lambda = 0 guard) and an exp that overflows
+# near lambda = 0
+_PANEL_POOL = [
+    ("1+alpha^2*r", None, 0.0, 1e-12),
+    ("1+alpha^2*r", None, 0.3, 1e-12),
+    ("1+alpha+alpha^2*r", "0.1*r*sin(theta)+t", 0.0, 0.8),
+    ("1+alpha^2*r+0.1*alpha*sin(theta)", None, 0.3, 1e-12),
+    ("1+alpha^2*r+exp(0.05*r/alpha^2)", None, 0.0, 1e-12),
+]
+
+
+def test_fused_gk21_matches_generic_panel_on_class2_integrands():
+    seen = set()
+    for text, chi, lam0, psi_min in _PANEL_POOL:
+        chi = None if chi is None else ex.parse(chi)
+        phi = Class2Phi(FuncHandle.from_text(text), chi, lam0=lam0, psi_min=psi_min)
+        binds = [phi._lower_integrand(), phi._integrand_partial("r"), phi._integrand_partial("theta")]
+        rng = random.Random(text)
+        for n in range(600):
+            r, theta, t = rng.uniform(0.5, 3.0), rng.uniform(-3.2, 3.2), rng.uniform(0.0, 2.0)
+            width = rng.choice((1e-3, 0.3, 2.0, 4.0))
+            # a panel symmetric about 0 samples lambda = 0 at its centre
+            lo = -0.5 * width if n % 7 == 0 else lam0 + rng.uniform(-4.0, 4.0)
+            for bind in filter(None, binds):
+                f = bind(r, theta, t, replay=phi.integrand) if bind is binds[0] else bind(r, theta, t)
+                assert hasattr(f, "gk21")
+                fused, generic = _fused_and_generic(f, lo, lo + width)
+                assert fused == generic, (text, r, theta, t, lo, width)
+                seen.add(fused[0] if isinstance(fused, tuple) else "panel")
+    # every fault was reached: the psi floor and lambda = 0 (SingularStateError),
+    # the overflow (DomainError) and a non-finite sample
+    assert seen == {"panel", SingularStateError, ex.DomainError, ex.QuadratureError}
+
+
+def test_fused_gk21_matches_generic_panel_on_random_integrands():
+    rng = random.Random(22)
+    fused_panels = 0
+    for n in range(300):
+        tree = random_tree(rng, 4)
+        guards = [((Var("alpha"), 0.0), (random_tree(rng, 2), 0.5))[n % 2]] if n % 3 else []
+        bind = ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards)
+        for r in (0.0, -0.0, 1e300, rng.uniform(-3.0, 3.0)):
+            f = bind(r, rng.uniform(-3.0, 3.0), rng.choice((0.0, 1e200, rng.uniform(0.0, 2.0))))
+            lo = rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0)))
+            fused, generic = _fused_and_generic(f, lo, lo + rng.choice((1e-6, 0.5, 3.0)))
+            assert fused == generic, (ex.to_text(tree), guards, r, lo)
+            fused_panels += hasattr(f, "gk21")
+    assert fused_panels > 600
+
+
+def _recording_replay(seen, boom):
+    def replay(alpha, r, theta, t):
+        if len(seen) == boom:
+            raise ZeroDivisionError(f"boom at {alpha!r}")
+        seen.append(alpha)
+        return math.cos(alpha)
+
+    return replay
+
+
+# (integrand, guards, r, theta, boom, replayed nodes, error): an integer r
+# or theta is the node of that index; the nodes run centre, left, right
+@pytest.mark.parametrize(
+    "text, guards, r, theta, boom, replayed, error",
+    [
+        ("ln(alpha - r)", (), 14, 0.0, None, range(15), None),  # raises up to node 14
+        ("ln(alpha - r)", (), 14, 0.0, 5, range(5), ZeroDivisionError),
+        ("cos(alpha)", (("alpha - r", 1e-9),), 17, 0.0, None, [17], None),  # a guard at 17
+        ("r * alpha", (), 1.7e308, 0.0, None, [], ex.QuadratureError),  # inf from node 12 on
+        # a guard hit (node 5) before the first non-finite sample (node 12)
+        ("r * alpha", (("alpha - theta", 1e-9),), 1.7e308, 5, None, [5], ex.QuadratureError),
+        ("r * alpha", (("alpha - theta", 1e-9),), 1.7e308, 5, 0, [], ZeroDivisionError),
+        ("alpha + 1/r", (), 0.0, 0.0, None, range(21), None),  # bind's 1/r raises
+    ],
+)
+def test_fused_gk21_faults_in_the_generic_order(text, guards, r, theta, boom, replayed, error):
+    # the fused panel gives up on the first fault and runs the generic
+    # panel on the replaying f: the same replays, errors and messages
+    lo, hi = 0.25, 1.5
+    nodes = _panel_nodes(lo, hi)
+    r, theta = (nodes[x] if isinstance(x, int) else x for x in (r, theta))
+    guards = [(ex.parse(e), m) for e, m in guards]
+    bind = ex.compile(ex.parse(text), ("alpha",), ("r", "theta", "t"), guards)
+    seen, expected_seen = [], []
+    fused = bind(r, theta, 0.0, replay=_recording_replay(seen, boom))
+    generic = bind(r, theta, 0.0, replay=_recording_replay(expected_seen, boom))
+    assert hasattr(fused, "gk21") == (r != 0.0)
+    outcome = _panel_outcome(getattr(fused, "gk21", ex._gk21_panel()), fused, lo, hi)
+    assert outcome == _panel_outcome(ex._gk21_panel(), generic, lo, hi)
+    assert seen == expected_seen == [nodes[i] for i in replayed]
+    assert isinstance(outcome, str) if error is None else outcome[0] is error
+    if error is ex.QuadratureError:
+        assert outcome[1] == f"non-finite integrand value inf at lambda={nodes[12]!r}"
+
+
+def test_a_wrapped_integrand_takes_the_generic_panel_with_the_same_bits():
+    # the benchmark's tracer counts samples through a plain wrapper
+    phi = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
+    bind, panels = phi._lower_integrand(), []
+    for alpha, r in ((0.7, 1.3), (-3.5, 0.6), (3.9, 2.9)):
+        f = bind(r, 0.2, 0.0, replay=phi.integrand)
+        fused, panels[:] = f.gk21, []
+        f.gk21 = lambda *args: panels.append(args) or fused(*args)
+        direct = ex.quad_adaptive(f, 0.0, alpha, 1e-14)
+        wrapped, calls = _counted(f)
+        assert ex.quad_adaptive(wrapped, 0.0, alpha, 1e-14).hex() == direct.hex()
+        assert calls[0] == 21 * len(panels)
+    assert len(panels) > 1
+
+
+def test_lowering_hoists_bound_work_and_folds_constants():
+    for text in ("1+alpha^2*r", "1+alpha^2*r+0.1*alpha*sin(theta)",
+                 "2+alpha*ln(r+alpha)+0.2*cos(theta)*t"):
+        integrand, r_partial = _lowered_class2(text)
+        assert "2.0 / x" in integrand and "0.0 - 2.0" not in r_partial
+        for source in (integrand, r_partial):
+            # each operation of the sample function reads a per-sample value
+            per_sample = set()
+            for line in _function_body(source, "compiled"):
+                target, _, rhs = line.partition(" = ")
+                if re.fullmatch(r"x\d+", target):
+                    assert rhs.startswith("float(a") or per_sample & set(re.findall(r"x\d+", rhs))
+                    per_sample.add(target)
+    # a constant that is finite is its value; one that raises or is not
+    # finite is computed where it was
+    folded = ex._lower(ex.parse("x*(2-3) + sin(1)^2 - 2^0.5"), ("x",))
+    assert not re.search(r"(2\.0 - 3\.0|sin\(|_pow\(|\^)", folded), folded
+    for text in ("x + ln(0-1)", "x + 1e308*10", "x*(1/0)", "x + 0*(1e308*10)"):
+        assert "x1 = " in ex._lower(ex.parse(text), ("x",)), text
+        for x in (0.5, -0.0):
+            _same_as_evaluate(ex.parse(text), ("x",), [x])
+    # where bound-only work raises, bind does not: every call replays
+    bind = ex.compile(ex.parse("alpha + 1/r"), ("alpha",), ("r",))
+    f = bind(0.0)
+    assert not hasattr(f, "gk21")
+    with pytest.raises(ex.DomainError, match="division by zero"):
+        f(0.5)
+    assert bind(0.0, replay=lambda *values: values)(0.5) == (0.5, 0.0)
+    assert bind(4.0)(0.5) == 0.75
+
+
 def test_quadrature_validates_arguments():
     with pytest.raises(ValueError):
         ex.quad_adaptive(math.sin, 0.0, 1.0, 0.0)
@@ -745,18 +903,35 @@ def _nodes(e) -> int:
     return 1 + _nodes(e.left) + _nodes(e.right)
 
 
-def test_derivatives_carry_no_dead_terms():
-    phi = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
+def _lowered_class2(psi_text: str) -> list:
+    """The bind-and-sample part (the source before the fused panel) of
+    the lowered class-2 integrand of psi and of its r-partial."""
+    phi = Class2Phi(FuncHandle.from_text(psi_text))
     tree = phi._integrand_tree()
     sources = [
         ex._lower(tree, ("alpha",), ("r", "theta", "t"), ((phi.psi.tree, phi.psi_min),)),
         ex._lower(ex.differentiate(tree, "r"), ("alpha",), ("r", "theta", "t")),
     ]
+    return [source[: source.index("def gk21(")] for source in sources]
+
+
+def _function_body(source: str, name: str) -> list:
+    """The lines of the (nested) function ``name`` in ``source``."""
+    lines = source.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.lstrip().startswith(f"def {name}("))
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    body = itertools.takewhile(lambda line: len(line) - len(line.lstrip()) > indent, lines[start + 1:])
+    return [line.strip() for line in body]
+
+
+def test_derivatives_carry_no_dead_terms():
+    sources = _lowered_class2("1+alpha^2*r")
     for source in sources:
         for dead in (r"\* 0\.0\b", r"\* 1\.0\b", r"\b0\.0 \+", r"_pow\(\w+, 1\.0\)"):
             assert not re.search(dead, source), (dead, source)
-    # the integrand's sample function does 8 operations
-    assert sum(" = " in line and "float(" not in line for line in sources[0].splitlines()) == 8
+    # the integrand's sample function does 7 operations (2/r is bound-only)
+    body = _function_body(sources[0], "compiled")
+    assert sum(" = " in line and "float(" not in line for line in body) == 7
     spiral_phi = Potential(ex.parse("1/(2*rbar^2)")).phi
     assert _nodes(spiral_phi.tree) < 30
     assert _nodes(spiral_phi.partial("alpha").tree) < 40

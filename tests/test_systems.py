@@ -500,6 +500,9 @@ def test_class2_phi_rebuilds_share_the_lowered_code(monkeypatch):
     assert len(codes) == 4 and codes[0] is not codes[2]
     assert codes[0].__code__ is codes[2].__code__
     assert codes[1].__code__ is codes[3].__code__
+    # and so do their fused panels, generated with the lowered code
+    assert codes[0].gk21.__code__ is codes[2].gk21.__code__
+    assert codes[1].gk21.__code__ is codes[3].gk21.__code__
     assert first._fused is not second._fused and first._fused.__code__ is second._fused.__code__
     # the panel is generated once per process
     assert ex._gk21_panel() is ex._gk21_panel()

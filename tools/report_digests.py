@@ -15,7 +15,7 @@ more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 every command.  ``NAN_PHI`` (a class-1 phi that cancels to NaN where
 ``(1e154 r)^2`` overflows) gets the ``jacobi`` and ``flow`` sweeps
 (``NAN_PHI_COMMANDS``), which fail on NaN rows inside the ``per_state``
-table.  Nine variants of the shipped configs, ``VARIANTS``,
+table.  Ten variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, the spiral run on until it stops at the ``r_min``
@@ -27,8 +27,10 @@ nonzero ``lam0`` and a looser ``quad_tol``, ``class2_psi1`` with a
 and ``class2_psi1`` with a theta-dependent psi and a nonzero ``lam0``,
 whose integrand carries the psi_theta/(r^2 lambda) term and whose
 ``verify flow`` states with alpha <= 0 hit the lambda = 0 crossing
-error, and the class-1 catenary coupling ``phi = -1/(alpha r^3)``,
-whose orbit equation is linear, so that ``linearize`` reports
+error, ``class2_psi1`` with an ``exp`` in psi that overflows inside a
+quadrature panel (its ``simulate`` and ``verify flow`` fail there), and
+the class-1 catenary coupling ``phi = -1/(alpha r^3)``, whose orbit
+equation is linear, so that ``linearize`` reports
 ``affine: true`` (its ``orbit`` is refused); each gets
 ``VARIANT_COMMANDS``.  Each shipped config also gets the
 ``jacobi`` sweep with ``--tamper-j34`` (``TAMPER_COMMANDS``), and each
@@ -155,6 +157,15 @@ VARIANTS = (
                 "lam0": 0.3,
             }
         },
+    ),
+    # exp(0.05 r / lambda^2) overflows near lambda = 0, which no state's
+    # alpha reaches but every path from lam0 = 0 nears: the first state
+    # faults inside a quadrature panel on an operation that raises, and
+    # the message names the first such sample in the panel's order
+    (
+        "class2_overflow.json",
+        "class2_psi1.json",
+        {"system": {"kind": "class2", "g": "cos(theta)", "psi": "1+alpha^2*r+exp(0.05*r/alpha^2)"}},
     ),
     # the catenary coupling: the one document whose orbit equation is
     # linear, so its affinity fit reports affine: true
