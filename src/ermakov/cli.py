@@ -19,11 +19,11 @@ This module holds ``simulate``, the report writers and the parser.  The
 other commands live in :mod:`ermakov.verify` (the sweeps and their seeded
 draw) and :mod:`ermakov.orbit` (``orbit``, with its grid, and
 ``linearize``), which ``main`` imports only for the command it runs, with
-``poisson`` or ``linearize``.  numpy comes only with the seeded draw of
-``verify``: ``simulate``, ``orbit`` and ``linearize`` run on Python
-floats.  Every command returns
-its exit code, its verdict line and its reports, by file name; ``main``
-writes them, so no command module imports this one.
+``poisson`` or ``linearize``.  Every command runs on Python floats and
+the standard library alone, ``verify``'s seeded draw included: there is
+no runtime dependency.  Every command returns its exit code, its verdict
+line and its reports, by file name; ``main`` writes them, so no command
+module imports this one.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 A run is described by one JSON document.  Expression-valued fields are
 strings in the grammar of :mod:`ermakov.expr`.  Validation is strict:
 unknown keys anywhere are rejected, so typos fail loudly instead of
-silently using a default.
+silently using a default.  Nothing here needs a package outside the
+standard library.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .integrate import Solver, Trajectory, integrate
 from .systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .verify import PCG64
 
 __all__ = [
     "ConfigError",
@@ -371,34 +372,35 @@ def load_config(path) -> RunConfig:
     return parse_config(data)
 
 
-def sample_states(
-    rng: np.random.Generator,
-    n: int,
-    u_floor: float,
-    branch: str,
-) -> list:
+def sample_states(rng: PCG64, n: int, u_floor: float, branch: str) -> list:
     """Draw admissible verification states, reproducibly for a seeded rng.
 
     r in [0.5, 3], theta in [-pi, pi], |u| in [u_floor, 2], |v| in
     [0.5, 3].  branch "any" flips the signs of u and v independently;
     "fixed" pins u < 0, v > 0 so sign(-u/v) is constant across the
-    sample.  One rng.random draw gives what a uniform call per number
-    gives: uniform(low, high) is low + (high - low) x on the same doubles.
+    sample.  Each state takes the next four words of ``rng.words`` (six
+    for "any") as the doubles x = word * 2**-53 of a ``rng.random`` row,
+    and as ``rng.uniform(low, high)`` maps them: low + (high - low) x.  A
+    sign word flips its sign where x >= 0.5, i.e. where its bit 52 is set.
     """
     if branch not in ("any", "fixed"):
         raise ValueError(f"branch must be any or fixed, got {branch!r}")
-    rng.uniform(u_floor, 2.0, size=0)  # checks the bounds, draws nothing
+    if not (math.isfinite(u_floor) and u_floor <= 2.0):
+        raise ValueError(f"u_floor must be finite and at most 2, got {u_floor!r}")
+    fixed = branch == "fixed"
     width_u = 2.0 - u_floor
+    unit = 2.0**-53
     states = []
-    for x in rng.random((n, 4 if branch == "fixed" else 6)).tolist():
-        r = 0.5 + 2.5 * x[0]
-        theta = -math.pi + 2.0 * math.pi * x[1]
-        mag_u = u_floor + width_u * x[2]
-        mag_v = 0.5 + 2.5 * x[3]
-        if branch == "fixed":
+    words = iter(rng.words((4 if fixed else 6) * n))
+    for a, b, c, d in zip(words, words, words, words):
+        r = 0.5 + 2.5 * (a * unit)
+        theta = -math.pi + 2.0 * math.pi * (b * unit)
+        mag_u = u_floor + width_u * (c * unit)
+        mag_v = 0.5 + 2.5 * (d * unit)
+        if fixed:
             u, v = -mag_u, mag_v
-        else:
-            u = mag_u if x[4] < 0.5 else -mag_u
-            v = mag_v if x[5] < 0.5 else -mag_v
-        states.append(PhaseState(r=r, theta=theta, u=u, v=v))
+        else:  # the two sign words follow the four of the magnitudes
+            u = -mag_u if next(words) >> 52 else mag_u
+            v = -mag_v if next(words) >> 52 else mag_v
+        states.append(PhaseState(r, theta, u, v))
     return states

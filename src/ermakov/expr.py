@@ -267,11 +267,15 @@ class _Parser:
         self._fail("a number, name or '('")
 
 
+@functools.lru_cache(maxsize=256)
 def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises ParseError (with byte offset) on malformed input, including
     empty input, unknown function names and input deeper than MAX_DEPTH.
+    Trees are immutable, so equal text gives the one tree it gave before:
+    a cache keyed by a reloaded config's tree then finds its entry by
+    identity, without walking the tree to compare it.
     """
     return _Parser(text).parse()
 

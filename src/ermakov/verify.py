@@ -5,7 +5,9 @@ One sweep per ``--which``: the Jacobi identity, the Hamiltonian flow,
 the Casimirs, the class-2 consistency condition and the determinant.
 :func:`ermakov.cli.main` imports this module only for ``verify``, so no
 other command compiles it or :mod:`ermakov.poisson`, and writes the
-report that :func:`cmd_verify` returns.
+report that :func:`cmd_verify` returns.  The seeded draw is
+:class:`PCG64`, numpy's ``default_rng(seed)`` bit for bit on Python
+ints, so the command has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -16,7 +18,82 @@ from . import poisson
 from .config import ConfigError, RunConfig, sample_states
 from .systems import FuncHandle, PhaseState, nan_max, vector_field
 
-__all__ = ["cmd_verify"]
+__all__ = ["PCG64", "cmd_verify"]
+
+_MASK32 = 0xFFFFFFFF
+_MASK53 = (1 << 53) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's 32-bit hash: each call xors the value with the
+    constant, steps the constant by ``mult`` and multiplies by it."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_sequence(seed: int) -> list:
+    """numpy's ``SeedSequence(seed).generate_state(8)``: the seed's 32-bit
+    words, low first, hashed into a pool of four, mixed across it, and
+    drawn out again."""
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    draw = _hashmix(0x8B51F9DD, 0x58F38DED)
+    return [draw(pool[i % 4]) for i in range(8)]
+
+
+class PCG64:
+    """The bit generator of numpy's ``default_rng(seed)`` for an int seed
+    >= 0: a 128-bit LCG whose state and increment come from
+    ``SeedSequence(seed)``, each output the XSL-RR permutation of the state
+    after one step (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+    Statistically Good Algorithms for Random Number Generation",
+    HMC-CS-2014-0905).  ``Generator.random`` returns ``word * 2**-53`` for
+    each 53-bit word that :meth:`words` gives, in the same order."""
+
+    def __init__(self, seed: int):
+        w = _seed_sequence(seed)
+        # four 64-bit words, each two 32-bit ones low first: start, then sequence
+        u64 = [w[i] | w[i + 1] << 32 for i in (0, 2, 4, 6)]
+        self.inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _MASK128
+        # numpy's seeding: one step from 0, add the start, one more step
+        start = u64[0] << 64 | u64[1]
+        self.state = ((self.inc + start) * _MULTIPLIER + self.inc) & _MASK128
+
+    def words(self, count: int) -> list:
+        """The next ``count`` outputs, each as its top 53 bits."""
+        mult, inc, state = _MULTIPLIER, self.inc, self.state
+        words = []
+        push = words.append
+        for _ in range(count):
+            state = (state * mult + inc) & _MASK128
+            # XSL-RR: the halves xored, rotated right by the top 6 bits
+            xsl = (state >> 64 ^ state) & _MASK64
+            push((xsl << 64 | xsl) >> ((state >> 122) + 11) & _MASK53)
+        self.state = state
+        return words
 
 
 def _matrix_field(cfg: RunConfig) -> poisson.MatrixField:
@@ -134,12 +211,9 @@ def _verify_determinant(cfg, states):
 
 
 def cmd_verify(cfg: RunConfig, seed: int, which: str, tamper: bool) -> tuple:
-    import numpy as np
-
     vs = cfg.verify
     branch = vs.branch
-    rng = np.random.default_rng(seed)
-    states = sample_states(rng, vs.samples, vs.u_floor, branch)
+    states = sample_states(PCG64(seed), vs.samples, vs.u_floor, branch)
 
     if which == "jacobi":
         tol, per_state, extra = _verify_jacobi(cfg, states, tamper)

@@ -13,13 +13,15 @@ import math
 import operator
 import random
 
-import numpy as np
+import pytest
 
 from ermakov import expr as ex
 from ermakov.integrate import IntegrationError
 from ermakov.linearize import AffinityResult, _curvature_fn
 from ermakov.poisson import JACOBI_TRIPLES
 from ermakov.systems import DEFAULT_FLOORS, FuncHandle, PhaseState, Potential
+
+np = pytest.importorskip("numpy")
 
 VARS = ("theta", "r", "t", "alpha")
 

@@ -1,3 +1,4 @@
+import ast
 import copy
 import functools
 import hashlib
@@ -10,7 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +38,7 @@ from ermakov.systems import (
     linspace,
     vector_field,
 )
+from ermakov.verify import PCG64
 
 from helpers import (
     VARS,
@@ -47,6 +48,8 @@ from helpers import (
     reference_sample_states,
 )
 from test_acceptance import time_at_theta
+
+np = pytest.importorskip("numpy")
 
 SPIRAL_DOC = {
     "system": {"kind": "pseudo_potential", "g": "0", "potential": "1/(2*rbar^2)"},
@@ -282,23 +285,40 @@ def test_one_draw_gives_the_per_draw_states():
     for seed in (0, 3, 17, 20260823):
         for branch in ("fixed", "any"):
             for u_floor in (0.05, 0.3):
-                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                rng, ref_rng = PCG64(seed), np.random.default_rng(seed)
                 states = sample_states(rng, 40, u_floor, branch)
                 assert states == reference_sample_states(ref_rng, 40, u_floor, branch)
                 assert all(
                     type(x) is float for s in states for x in (s.r, s.theta, s.u, s.v)
                 )
                 # both consumed the same doubles
-                assert rng.random() == ref_rng.random()
+                assert rng.words(1)[0] * 2**-53 == ref_rng.random()
 
 
-@pytest.mark.parametrize(
-    "u_floor, error", [(2.5, "high - low < 0"), (math.inf, "exceeds valid bounds")]
-)
-def test_a_u_floor_above_two_keeps_the_uniform_error(u_floor, error):
-    for draw in (sample_states, reference_sample_states):
-        with pytest.raises((ValueError, OverflowError), match=error):
-            draw(np.random.default_rng(1), 3, u_floor, "fixed")
+@pytest.mark.parametrize("seed", [*range(50), 20260823, 2**32 + 5, 2**70 + 3, 2**200 + 7])
+def test_the_draw_is_default_rng_random_bit_for_bit(seed):
+    # numpy's Generator.random gives word * 2**-53 for each 53-bit word; a
+    # seed of more than four 32-bit words takes the SeedSequence's extra mix
+    for width in (4, 6):
+        for n in (0, 1, 7, 150):
+            rng = PCG64(seed)
+            doubles = [word * 2**-53 for word in rng.words(n * width)]
+            want = np.random.default_rng(seed).random((n, width))
+            assert doubles == want.ravel().tolist()
+            # and the LCG stands where numpy's does after as many draws
+            moved = np.random.default_rng(seed).bit_generator.advance(n * width)
+            assert moved.state["state"] == {"state": rng.state, "inc": rng.inc}
+    for branch in ("fixed", "any"):
+        assert sample_states(PCG64(seed), 0, 0.05, branch) == []
+
+
+@pytest.mark.parametrize("u_floor", [2.5, math.inf, -math.inf, math.nan])
+def test_a_u_floor_above_two_or_not_finite_is_refused(u_floor):
+    with pytest.raises(ValueError, match="u_floor must be finite and at most 2, got"):
+        sample_states(PCG64(1), 3, u_floor, "fixed")
+    # as numpy's bounds refuse it in the per-number reference
+    with pytest.raises((ValueError, OverflowError), match="high - low"):
+        reference_sample_states(np.random.default_rng(1), 3, u_floor, "fixed")
 
 
 def test_verify_casimir_depends_on_the_matrix_kind(tmp_path):
@@ -1085,11 +1105,11 @@ def test_import_load_and_simulate_run_without_numpy(tmp_path):
         "parsers 0",
         "simulate 0 False none",
         "simulate 0 False none",
-        f"verify 0 True {verify_modules}",
+        f"verify 0 False {verify_modules}",
         "invalid 2",
-        f"simulate 0 True {verify_modules}",
+        f"simulate 0 False {verify_modules}",
         "parsers built 1",
-        f"verify 0 True {verify_modules}",
+        f"verify 0 False {verify_modules}",
     ]
     # the invalid argv fails on the kept parser as on a new one
     assert result.stderr.startswith("usage: ermakov verify [-h] --config CONFIG")
@@ -1166,9 +1186,9 @@ def test_nothing_is_lowered_or_derived_at_import():
 
 
 def test_a_second_run_lowers_and_derives_nothing(tmp_path, monkeypatch):
-    # every command reloads its config and parses new trees; expr keeps the
-    # lowered code and the derivatives by value, here in caches as empty
-    # as a new process has, so a second run finds every one of them
+    # every command reloads its config and builds new derived trees; expr
+    # keeps the lowered code and the derivatives by value, here in caches as
+    # empty as a new process has, so a second run finds every one of them
     monkeypatch.setattr(ex, "_maker", functools.lru_cache(maxsize=1024)(ex._maker.__wrapped__))
     derived = functools.lru_cache(maxsize=4096)(ex._derivative.__wrapped__)
     monkeypatch.setattr(ex, "_derivative", derived)
@@ -1241,6 +1261,67 @@ def test_orbit_runs_with_numpy_blocked(tmp_path, capsys):
                 assert (tmp_path / "blocked" / report).read_bytes() == (
                     tmp_path / "normal" / report
                 ).read_bytes()
+
+
+# run in a fresh interpreter that cannot import numpy; argv[1] is a JSON
+# list of command lines, run in order, each exit code printed
+_COMMANDS_NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None
+from ermakov.cli import main
+for argv in json.loads(sys.argv[1]):
+    print("@", main(argv))
+print("@ numpy", sys.modules["numpy"])
+"""
+
+
+def test_every_command_runs_with_numpy_blocked(tmp_path, capsys, monkeypatch):
+    # every shipped config through each command and verify sweep, with the
+    # reports written under the working directory; a command a config
+    # refuses exits 2 on both sides
+    argvs = [
+        [*argv, "--config", str(path), "--out", f"{path.stem}-{i}"]
+        for path in SHIPPED
+        for i, argv in enumerate(
+            (["simulate"], ["orbit"], ["linearize"], *(["verify", "--which", w] for w in VERIFY_SWEEPS))
+        )
+    ]
+    blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+    blocked.mkdir()
+    normal.mkdir()
+    result = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_NUMPY_BLOCKED, json.dumps(argvs)],
+        capture_output=True, text=True, env=_src_env(), cwd=blocked, check=True, timeout=300,
+    )
+    monkeypatch.chdir(normal)
+    codes = [main(argv) for argv in argvs]
+    steps = [line[2:] for line in result.stdout.splitlines() if line.startswith("@ ")]
+    assert steps == [*map(str, codes), "numpy None"]
+    verdicts = [line for line in result.stdout.splitlines() if not line.startswith("@ ")]
+    assert verdicts == capsys.readouterr().out.splitlines()
+    # class2_psi1 refuses orbit and linearize, and spiral consistency
+    assert codes.count(2) == 3
+    written = sorted(p.relative_to(normal) for p in normal.rglob("*") if p.is_file())
+    # every command that ran wrote its reports
+    assert {name.parts[0] for name in written} == {
+        argv[-1] for argv, code in zip(argvs, codes) if code != 2
+    }
+    assert written == sorted(p.relative_to(blocked) for p in blocked.rglob("*") if p.is_file())
+    for name in written:
+        assert (blocked / name).read_bytes() == (normal / name).read_bytes()
+
+
+def test_no_module_imports_numpy():
+    # TYPE_CHECKING blocks included: a module is read, not run
+    for path in sorted((ROOT / "src" / "ermakov").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), path.name
 
 
 # keys with template, quoting, control and non-ASCII characters

@@ -11,7 +11,6 @@ import struct
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +30,8 @@ from helpers import (
     reference_gk21,
     trusted_central_difference,
 )
+
+np = pytest.importorskip("numpy")
 
 
 def test_parse_builds_expected_tree():
@@ -785,9 +786,19 @@ def test_signed_zeros_are_different_trees_and_lower_apart():
     assert struct.pack("<d", value) == struct.pack("<d", ex.evaluate(minus, {"x": -0.0}))
 
 
+def test_equal_text_parses_to_one_tree():
+    # trees are immutable, so a reloaded config shares the trees it had
+    assert ex.parse("sin(x)*x^3 + 0.75") is ex.parse("sin(x)*x^3 + 0.75")
+    with pytest.raises(ex.ParseError):
+        ex.parse("sin(x")
+    with pytest.raises(ex.ParseError):  # a failure is not kept
+        ex.parse("sin(x")
+
+
 def test_equal_trees_share_lowered_code_and_derivatives():
-    first, second = ex.parse("sin(x)*x^3 + 0.75"), ex.parse("sin(x)*x^3 + 0.75")
-    assert first is not second and hash(first) == hash(second)
+    # equal trees from different text: the caches key by value
+    first, second = ex.parse("sin(x)*x^3 + 0.75"), ex.parse("sin(x) * x^3 + 0.75")
+    assert first is not second and first == second and hash(first) == hash(second)
     assert ex.compile(first, ("x",)).__code__ is ex.compile(second, ("x",)).__code__
     assert ex.differentiate(first, "x") is ex.differentiate(second, "x")
     # the subtrees' derivatives are kept too, and are the same objects: the

@@ -3,7 +3,6 @@ import math
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
@@ -34,6 +33,8 @@ from ermakov.systems import (
 
 from helpers import reference_hermite_eval, spiral_start, vec
 from test_systems import OSC
+
+np = pytest.importorskip("numpy")
 
 ZERO = ex.parse("0")
 PHI0 = FuncHandle.from_text("0")

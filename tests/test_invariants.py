@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
@@ -24,6 +23,8 @@ from ermakov.systems import PhaseState, Potential
 
 from helpers import count_outermost_calls, spiral_start
 from test_systems import OSC
+
+np = pytest.importorskip("numpy")
 
 ZERO = ex.parse("0")
 SIN = ex.parse("sin(theta)")

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from ermakov import expr as ex
@@ -17,6 +16,8 @@ from ermakov.systems import FuncHandle, PhaseState, SystemSpec
 
 from helpers import reference_affinity_fit, reference_hermite_eval, spiral_start, vec
 from test_systems import OSC
+
+np = pytest.importorskip("numpy")
 
 ZERO = ex.parse("0")
 SPIRAL = SystemSpec(ZERO, OSC)

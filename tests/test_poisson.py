@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from ermakov import expr as ex
@@ -40,6 +39,8 @@ from helpers import (
     vec,
 )
 from test_systems import OSC, random_states
+
+np = pytest.importorskip("numpy")
 
 ONE = FuncHandle.from_text("1")
 TWO = FuncHandle.from_text("2")

@@ -2,7 +2,6 @@ import math
 import random
 import struct
 
-import numpy as np
 import pytest
 
 from ermakov import expr as ex
@@ -24,6 +23,8 @@ from ermakov.systems import (
 )
 
 from helpers import count_outermost_calls, reference_flow, spiral_start, vec
+
+np = pytest.importorskip("numpy")
 
 OSC = Potential(ex.parse("1/(2*rbar^2)"))
 ZERO_HANDLE = FuncHandle(tree=ex.Num(0.0), name="0")
