@@ -9,9 +9,10 @@ Four commands, all driven by a JSON config (see :mod:`ermakov.config`):
     ermakov linearize --config run.json
 
 Exit codes: 0 pass, 1 numerical or tolerance failure, 2 configuration
-error.  Outputs are files with LF endings and no volatile fields, so
-identical config plus seed reproduces byte-identical reports: CSV with a
-header row and floats as ``%.17g``; JSON as
+error or an ``--out`` that cannot be written.  Outputs are files with LF
+endings and no volatile fields, so identical config plus seed reproduces
+byte-identical reports: CSV with a header row and floats as ``%.17g``;
+JSON as
 ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, floats as
 ``float.__repr__`` and non-finite ones as ``NaN``/``Infinity``.
 
@@ -194,6 +195,9 @@ def main(argv: Optional[list] = None) -> int:
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # load_config wraps its own; only --out is left
+        print(f"error: cannot write reports to {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (IntegrationError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

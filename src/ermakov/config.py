@@ -30,18 +30,12 @@ __all__ = [
     "LinearizeSettings",
     "load_config",
     "parse_config",
-    "config_hash",
     "sample_states",
 ]
 
 
 class ConfigError(ValueError):
     """The configuration document is unusable (syntax, schema, ranges)."""
-
-
-def config_hash(data: bytes) -> str:
-    """sha256 of the configuration bytes, embedded in every report."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def _check_keys(section: dict, allowed, where: str):
@@ -157,6 +151,13 @@ def _span(val, where: str) -> Tuple[float, float]:
     return lo, hi
 
 
+def _positive_span(val, where: str) -> Tuple[float, float]:
+    lo, hi = _span(val, where)
+    if not lo > 0.0:
+        raise ConfigError(f"{where} must be positive, got [{lo!r}, {hi!r}]")
+    return lo, hi
+
+
 def _grid(val, where: str) -> int:
     n = _count(val, where)
     if n < 6:
@@ -166,9 +167,9 @@ def _grid(val, where: str) -> int:
 
 # the keys each kind of system allows; a key of another kind is unknown
 _SYSTEM_KEYS = {
-    "class1": ("kind", "g", "f", "phi"),
-    "class2": ("kind", "g", "f", "psi", "chi", "lam0", "quad_tol"),
-    "pseudo_potential": ("kind", "g", "f", "potential"),
+    "class1": ("kind", "g", "phi"),
+    "class2": ("kind", "g", "psi", "chi", "lam0", "quad_tol"),
+    "pseudo_potential": ("kind", "g", "potential"),
 }
 _SYSTEM_KIND = _one_of(*_SYSTEM_KEYS)
 # class-2 numbers and the Class2Phi parameter each sets
@@ -183,11 +184,10 @@ def _build_system(section: dict, class2: dict) -> SystemSpec:
     if class2 and kind != "class2":
         raise ConfigError(f"floors.psi_min applies only to class2, not {kind}")
     g = _expr(section.get("g", "0"), "system.g")
-    f = _optional_expr(section.get("f"), "system.f")
     try:
         if kind == "class1":
             text = section.get("phi", "0")
-            return SystemSpec(g, FuncHandle(_expr(text, "system.phi"), text), f)
+            return SystemSpec(g, FuncHandle(_expr(text, "system.phi"), text))
         if kind == "class2":
             if "psi" not in section:
                 raise ConfigError("system.psi is required for class2")
@@ -198,10 +198,10 @@ def _build_system(section: dict, class2: dict) -> SystemSpec:
                 for key, (param, check) in _CLASS2_NUMBERS.items()
                 if key in section
             }
-            return SystemSpec(g, Class2Phi(psi, chi, **class2, **numbers), f)
+            return SystemSpec(g, Class2Phi(psi, chi, **class2, **numbers))
         if "potential" not in section:
             raise ConfigError("system.potential is required for pseudo_potential")
-        return SystemSpec(g, Potential(_expr(section["potential"], "system.potential")), f)
+        return SystemSpec(g, Potential(_expr(section["potential"], "system.potential")))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -281,7 +281,7 @@ _ORBIT = {
 _AFFINITY = {
     "theta": _number,
     "t": _number,
-    "rbar_range": _span,
+    "rbar_range": _positive_span,
     "abar_range": _span,
     "n": _grid,
 }
@@ -347,6 +347,8 @@ def parse_config(data: bytes) -> RunConfig:
     s0 = _build_state(_section(doc, "initial_state")) if "initial_state" in doc else None
     t0, t1 = _span(doc["time_span"], "time_span") if "time_span" in doc else (0.0, 1.0)
     solver = _settings(Solver, _section(doc, "integrator"), "integrator", _INTEGRATOR)
+    if solver.dt is not None and solver.method != "rk4":
+        raise ConfigError(f"integrator.dt applies only to rk4, not {solver.method}")
     return RunConfig(
         spec=spec,
         s0=s0,
@@ -358,7 +360,7 @@ def parse_config(data: bytes) -> RunConfig:
         linearize=_settings(
             LinearizeSettings, _section(doc, "linearize"), "linearize", _LINEARIZE
         ),
-        sha256=config_hash(data),
+        sha256=hashlib.sha256(data).hexdigest(),
         solver=solver,
     )
 

@@ -127,35 +127,7 @@ def _turning_point(potential: Potential, c1: float, rbar: float, t: float) -> fl
                         outside = mid
                 return 0.5 * (inside + outside)
             lam_prev = lam
-    raise DomainError(
-        "no turning point V(lam) = c1 found near rbar; pass lam0 explicitly"
-    )
-
-
-def _radial_quadrature(
-    potential: Potential, c1: float, lam0: float, rbar: float, t: float
-) -> float:
-    """(1/sqrt(2)) * integral of (c1 - V)^(-1/2) from lam0 to rbar.
-
-    When the lower limit is a simple turning point the substitution
-    lam = lam0 +/- s^2 removes the inverse-square-root endpoint
-    singularity (``_from_turning_point``).
-    """
-    if rbar == lam0:
-        return 0.0
-    pot = potential.fn
-    gap0 = c1 - pot(lam0, t)
-    singular_end = abs(gap0) <= 1e-10 * max(1.0, abs(c1))
-    if not singular_end:
-        return (1.0 / math.sqrt(2.0)) * ex.quad_adaptive(
-            lambda lam: 1.0 / math.sqrt(c1 - pot(lam, t)),
-            lam0,
-            rbar,
-            _ORBIT_TOL,
-        )
-    return _from_turning_point(
-        potential, c1, lam0, rbar, t, lambda gap, lam: 1.0 / math.sqrt(gap), _ORBIT_TOL
-    ) / math.sqrt(2.0)
+    raise DomainError("no turning point V(lam) = c1 found near rbar")
 
 
 def _from_turning_point(
@@ -226,11 +198,11 @@ def _dF_dc1(potential: Potential, c1: float, rbar: float, t: float) -> float:
     return -(boundary + near + 0.5 * far) / math.sqrt(2.0)
 
 
-def c2_conventions(potential: Potential, lam0: Optional[float] = None) -> dict:
-    """The conventions of ``casimir_C2`` for this potential and lower limit."""
+def c2_conventions(potential: Potential) -> dict:
+    """The conventions of ``casimir_C2`` for this potential."""
     return {
         "branch_sign": "sign(-u/v)",
-        "lower_limit": "turning_point" if lam0 is None else lam0,
+        "lower_limit": "turning_point",
         "form": "closed" if potential.singular_oscillator else "quadrature",
     }
 
@@ -240,7 +212,6 @@ def casimir_C2(
     s: PhaseState,
     t: float = 0.0,
     c1: Optional[float] = None,
-    lam0: Optional[float] = None,
     floors: Floors = DEFAULT_FLOORS,
 ) -> float:
     """Second Casimir of a pseudo-potential structure:
@@ -249,14 +220,15 @@ def casimir_C2(
                  (c1 - V(lam, t))^(-1/2) dlam,
         sigma = sign(-u/v).
 
-    The lower limit defaults to the turning point V = c1, making C2
+    The lower limit lam0 is the turning point V = c1, making C2
     continuous through it; there the quadrature vanishes and C2 = theta
     even though sigma is undefined.  For the singular oscillator
     V = 1/(2 lam^2) the closed form
 
         theta - sigma * (1/(2 c1)) * sqrt(2 c1 / r^2 - 1)
 
-    is used instead of quadrature.  ``c2_conventions`` names the choices.
+    is used instead of quadrature, which elsewhere runs from lam0 through
+    ``_from_turning_point``.  ``c2_conventions`` names the choices.
     """
     if c1 is None:
         c1 = casimir_C1(potential, s, t, floors)
@@ -270,9 +242,10 @@ def casimir_C2(
         at_turning_point = radicand <= 1e-9 * scale
     else:
         rbar = 1.0 / s.r
-        if lam0 is None:
-            lam0 = _turning_point(potential, c1, rbar, t)
-        quad = _radial_quadrature(potential, c1, lam0, rbar, t)
+        lam0 = _turning_point(potential, c1, rbar, t)
+        quad = 0.0 if rbar == lam0 else _from_turning_point(
+            potential, c1, lam0, rbar, t, lambda gap, lam: 1.0 / math.sqrt(gap), _ORBIT_TOL
+        ) / math.sqrt(2.0)
         at_turning_point = abs(quad) <= 1e-9
     if s.u == 0.0:
         if at_turning_point:
@@ -302,7 +275,7 @@ def grad_casimir_C2(
     floors: Floors = DEFAULT_FLOORS,
 ) -> tuple:
     """Phase-space gradient of C2 at fixed t, with its lower limit at the
-    turning point (the default of ``casimir_C2``).
+    turning point, as in ``casimir_C2``.
 
     With C2 = theta - sigma F(c1, 1/r), dF/drbar = 1/sqrt(2 (c1 - V(1/r)))
     = 1/|alpha| and sigma/|alpha| = -1/alpha, so

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence, Union
 
-from . import expr as ex
-from .expr import Expr
 from .systems import (
     DEFAULT_FLOORS,
     Class2Phi,
@@ -31,6 +29,7 @@ from .systems import (
     Flow4,
     FuncHandle,
     PhaseState,
+    Potential,
     SingularStateError,
 )
 
@@ -39,8 +38,7 @@ __all__ = [
     "MatrixField",
     "matrix_class1",
     "matrix_class2",
-    "matrix_field_class1",
-    "matrix_field_class2",
+    "matrix_field",
     "pfaffian",
     "determinant",
     "det_class2_quoted",
@@ -321,53 +319,46 @@ def casimir_residuals(
     return tuple([x for grad_c in grads for x in _times(m, grad_c, "grad_c")])
 
 
-_STATE_VARS = ("r", "theta", "u", "v", "t")
+def perturb_j34(field: MatrixField) -> MatrixField:
+    """A copy of the field with 0.1 r added to J34, and so 0.1 to its
+    r-partial.
 
-
-def perturb_j34(field: MatrixField, amount: Expr) -> MatrixField:
-    """A copy of the field with J34 shifted by ``amount``, an expression
-    in (r, theta, u, v, t), whose partials are taken symbolically.
-
-    Breaks the Jacobi identities for any non-constant shift; used as the
-    negative control in verification sweeps.
+    Breaks the Jacobi identities; used as the negative control in
+    verification sweeps.
     """
-    shift = ex.compile(amount, _STATE_VARS)
-    slopes = [ex.compile(ex.differentiate(amount, var), _STATE_VARS) for var in _STATE_VARS[:4]]
 
     def tampered(s: PhaseState, t: float = 0.0) -> SkewMatrix4:
         m = field(s, t)
-        return m._replace(j34=m.j34 + shift(s.r, s.theta, s.u, s.v, t))
+        return m._replace(j34=m.j34 + 0.1 * s.r)
 
     def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
-        m, grads = field.derivatives(s, t)
-        point = (s.r, s.theta, s.u, s.v, t)
-        return m._replace(j34=m.j34 + shift(*point)), tuple(
-            [(*d[:5], d[5] + slope(*point)) for d, slope in zip(grads, slopes)]
-        )
+        m, (d_r, *rest) = field.derivatives(s, t)
+        return m._replace(j34=m.j34 + 0.1 * s.r), ((*d_r[:5], d_r[5] + 0.1), *rest)
 
     return MatrixField(tampered, field.kind + "+tampered", derivatives)
 
 
-# psi and its partials in class 1, where psi = 0
-_NO_PSI = (0.0, 0.0, 0.0, 0.0)
+def matrix_field(
+    coupling: Union[FuncHandle, Potential, Class2Phi], floors: Floors = DEFAULT_FLOORS
+) -> MatrixField:
+    """The Poisson matrix field of a coupling: class 1 for a ``FuncHandle``
+    phi or a ``Potential`` (through its induced ``phi``), class 2 for a
+    ``Class2Phi``.  ``matrix_class1``/``matrix_class2`` are looked up when
+    called, so a wrapper put in their place sees every matrix."""
+    if isinstance(coupling, Potential):
+        coupling = coupling.phi
+    psi = coupling.psi if isinstance(coupling, Class2Phi) else None
 
+    def evaluate(s: PhaseState, t: float = 0.0) -> SkewMatrix4:
+        if psi is None:
+            return matrix_class1(coupling, s, t, floors)
+        return matrix_class2(coupling, s, t, floors)
 
-def matrix_field_class1(phi: FuncHandle, floors: Floors = DEFAULT_FLOORS) -> MatrixField:
     def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
-        m = matrix_class1(phi, s, t, floors)  # m.j14 is alpha
-        return m, _upper_partials(s, m.j14, _NO_PSI, _jet(phi, m.j14, s.r, s.theta, t))
-
-    return MatrixField(
-        lambda s, t=0.0: matrix_class1(phi, s, t, floors), "class1", derivatives
-    )
-
-
-def matrix_field_class2(phi: Class2Phi, floors: Floors = DEFAULT_FLOORS) -> MatrixField:
-    def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
-        m = matrix_class2(phi, s, t, floors)
+        m = evaluate(s, t)
         point = (m.j14, s.r, s.theta, t)  # m.j14 is alpha
-        return m, _upper_partials(s, m.j14, _jet(phi.psi, *point), _jet(phi, *point))
+        # class 1 is class 2 with psi and its partials 0
+        psi_jet = (0.0, 0.0, 0.0, 0.0) if psi is None else _jet(psi, *point)
+        return m, _upper_partials(s, m.j14, psi_jet, _jet(coupling, *point))
 
-    return MatrixField(
-        lambda s, t=0.0: matrix_class2(phi, s, t, floors), "class2", derivatives
-    )
+    return MatrixField(evaluate, "class1" if psi is None else "class2", derivatives)

@@ -1,9 +1,8 @@
 """Ermakov systems in polar phase-space coordinates.
 
 State is (r, theta, u, v) with u = dr/dt and v = r^2 dtheta/dt.  A system
-is an angular forcing G(theta), an optional frequency-shift term F(theta),
-and one coupling, whose type selects the structure class of
-``SystemSpec(g, coupling, f)``:
+is an angular forcing G(theta) and one coupling, whose type selects the
+structure class of ``SystemSpec(g, coupling)``:
 
 * ``class1``   -- a ``FuncHandle`` phi(alpha, r, theta, t), alpha = u/v,
 * ``class2``   -- a ``Class2Phi(psi, chi)``: psi(alpha, r, theta, t) free,
@@ -457,28 +456,23 @@ _KINDS = {FuncHandle: "class1", Class2Phi: "class2", Potential: "pseudo_potentia
 class SystemSpec(_Record):
     """Declarative description of an Ermakov system.
 
-    ``g`` and optional ``f`` are expressions in theta only, compiled once
-    here; ``coupling`` is a ``FuncHandle`` phi (class 1), a ``Class2Phi``
+    ``g`` is an expression in theta only, compiled once here;
+    ``coupling`` is a ``FuncHandle`` phi (class 1), a ``Class2Phi``
     (class 2) or a ``Potential`` (pseudo-potential), and names ``kind``.
-    Only these three fields take part in equality.
+    Only these two fields take part in equality.
     """
 
-    __slots__ = ("g", "coupling", "f", "_g_fn", "_f_fn", "_flows")
-    _fields = ("g", "coupling", "f")
+    __slots__ = ("g", "coupling", "_g_fn", "_flows")
+    _fields = ("g", "coupling")
 
-    def __init__(
-        self, g: Expr, coupling: Union[FuncHandle, Class2Phi, Potential], f: Optional[Expr] = None
-    ):
+    def __init__(self, g: Expr, coupling: Union[FuncHandle, Class2Phi, Potential]):
         if type(coupling) not in _KINDS:
             raise ValueError(f"unknown coupling {coupling!r}")
-        for name, tree in (("G", g), ("F", f)):
-            if tree is not None:
-                bad = sorted(ex.free_vars(tree) - {"theta"})
-                if bad:
-                    raise ValueError(f"{name} uses variables {bad}, only theta is allowed")
-        super().__init__(g, coupling, f)
+        bad = sorted(ex.free_vars(g) - {"theta"})
+        if bad:
+            raise ValueError(f"G uses variables {bad}, only theta is allowed")
+        super().__init__(g, coupling)
         object.__setattr__(self, "_g_fn", ex.compile(g, ("theta",)))
-        object.__setattr__(self, "_f_fn", None if f is None else ex.compile(f, ("theta",)))
         object.__setattr__(self, "_flows", {})
 
     @property
@@ -487,9 +481,6 @@ class SystemSpec(_Record):
 
     def g_at(self, theta: float) -> float:
         return self._g_fn(theta)
-
-    def f_at(self, theta: float) -> float:
-        return 0.0 if self._f_fn is None else self._f_fn(theta)
 
     def flow(self, floors: Floors = DEFAULT_FLOORS) -> Callable[[float, Sequence[float]], tuple]:
         """The first-order flow as one function of (t, (r, theta, u, v))
@@ -540,15 +531,13 @@ def frequency_squared(
 ) -> float:
     """Natural frequency omega^2 consistent with the flow at this state:
 
-        du/dt = -omega^2 r + (v^2 + F(theta)) / r^3.
+        du/dt = -omega^2 r + v^2 / r^3.
 
     Derived output only; omega never parametrizes a system here.
     """
     floors.check(s.r, s.v)
     r, th, u, v = s.r, s.theta, s.u, s.v
-    g = spec.g_at(th)
-    f = spec.f_at(th)
-    base = (v * v + f) / r**4 + u * g / (r**3 * v)
+    base = v * v / r**4 + u * spec.g_at(th) / (r**3 * v)
     return base - spec.coupling.udot_term(t, r, th, u, v) / r
 
 

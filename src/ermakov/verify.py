@@ -12,7 +12,6 @@ ints, so the command has no runtime dependency.
 
 from __future__ import annotations
 
-from . import expr as ex
 from . import invariants as inv
 from . import poisson
 from .config import ConfigError, RunConfig, sample_states
@@ -96,14 +95,6 @@ class PCG64:
         return words
 
 
-def _matrix_field(cfg: RunConfig) -> poisson.MatrixField:
-    spec = cfg.spec
-    if spec.kind == "class2":
-        return poisson.matrix_field_class2(spec.coupling, cfg.floors)
-    phi = spec.coupling.phi if spec.kind == "pseudo_potential" else spec.coupling
-    return poisson.matrix_field_class1(phi, cfg.floors)
-
-
 def _state_row(s: PhaseState, residual: float) -> dict:
     return {
         "r": s.r,
@@ -115,9 +106,9 @@ def _state_row(s: PhaseState, residual: float) -> dict:
 
 
 def _verify_jacobi(cfg, states, tamper):
-    field = _matrix_field(cfg)
+    field = poisson.matrix_field(cfg.spec.coupling, cfg.floors)
     if tamper:
-        field = poisson.perturb_j34(field, ex.parse("0.1*r"))
+        field = poisson.perturb_j34(field)
     tol = cfg.verify.tolerance.get("jacobi", 1e-6)
     per_state = []
     for s in states:
@@ -127,7 +118,7 @@ def _verify_jacobi(cfg, states, tamper):
 
 
 def _verify_flow(cfg, states):
-    field = _matrix_field(cfg)
+    field = poisson.matrix_field(cfg.spec.coupling, cfg.floors)
     tol = cfg.verify.tolerance.get("flow", 1e-10)
     per_state = []
     for s in states:
@@ -149,7 +140,7 @@ def _verify_casimir(cfg, states):
             "casimir verification needs a pseudo_potential system or "
             "verify.casimir_potential"
         )
-    field = _matrix_field(cfg)
+    field = poisson.matrix_field(spec.coupling, cfg.floors)
     tol = cfg.verify.tolerance.get("casimir", 1e-7)
     per_state = []
     for s in states:
@@ -179,7 +170,7 @@ def _verify_consistency(cfg, states):
 
 def _verify_determinant(cfg, states):
     spec = cfg.spec
-    field = _matrix_field(cfg)
+    field = poisson.matrix_field(spec.coupling, cfg.floors)
     per_state = []
     if spec.kind in ("class1", "pseudo_potential"):
         tol = cfg.verify.tolerance.get("determinant", 1e-10)

@@ -94,13 +94,13 @@ def test_criterion_1_jacobi_identities():
     states = states_any()
     worst = 0.0
     for phi in CLASS1_PHI_POOL:
-        field = poisson.matrix_field_class1(phi)
+        field = poisson.matrix_field(phi)
         for s in states:
             res = poisson.jacobi_residuals(field, s, 0.7)
             worst = max(worst, float(np.max(np.abs(res))))
     for psi_text in CLASS2_PSI_POOL:
         for chi_text in CLASS2_CHI_POOL:
-            field = poisson.matrix_field_class2(
+            field = poisson.matrix_field(
                 Class2Phi(
                     FuncHandle.from_text(psi_text),
                     None if chi_text is None else ex.parse(chi_text),
@@ -118,9 +118,7 @@ def test_criterion_1_jacobi_identities():
 
 
 def test_criterion_1_tampered_structure_fails():
-    field = poisson.perturb_j34(
-        poisson.matrix_field_class1(CLASS1_PHI_POOL[1]), ex.parse("0.1*r")
-    )
+    field = poisson.perturb_j34(poisson.matrix_field(CLASS1_PHI_POOL[1]))
     worst = max(
         float(np.max(np.abs(poisson.jacobi_residuals(field, s, 0.0))))
         for s in states_any(100)
@@ -134,7 +132,7 @@ def test_criterion_1_tampered_structure_fails():
 
 
 def test_criterion_2_class1_degeneracy():
-    field = poisson.matrix_field_class1(CLASS1_PHI_POOL[2])
+    field = poisson.matrix_field(CLASS1_PHI_POOL[2])
     worst = 0.0
     for s in states_any():
         m = field(s)
@@ -154,7 +152,7 @@ def test_criterion_2_class2_quoted_determinant():
     # (J14 J23)^2 instead; it must disagree, and go negative somewhere,
     # which no real skew-symmetric matrix allows.
     psi_val = 1.0
-    field = poisson.matrix_field_class2(Class2Phi(FuncHandle.from_text("1")))
+    field = poisson.matrix_field(Class2Phi(FuncHandle.from_text("1")))
     worst = 0.0
     worst_quoted = 0.0
     min_quoted = math.inf
@@ -180,7 +178,7 @@ def test_criterion_2_class2_nondegeneracy():
     # the substance behind the closed form: det = Pf^2 > 0 wherever
     # u psi != 0, so the class-2 structure has no Casimirs
     psi = FuncHandle.from_text("1")
-    field = poisson.matrix_field_class2(Class2Phi(psi))
+    field = poisson.matrix_field(Class2Phi(psi))
     worst_dev = 0.0
     min_det = math.inf
     for s in states_any():
@@ -202,11 +200,11 @@ def test_criterion_3_flow_reconstruction():
     g = ex.parse("cos(theta)")
     cases = (
         (
-            poisson.matrix_field_class1(CLASS1_PHI_POOL[2]),
+            poisson.matrix_field(CLASS1_PHI_POOL[2]),
             SystemSpec(g, CLASS1_PHI_POOL[2]),
         ),
         (
-            poisson.matrix_field_class2(Class2Phi(FuncHandle.from_text("1"))),
+            poisson.matrix_field(Class2Phi(FuncHandle.from_text("1"))),
             SystemSpec(g, Class2Phi(FuncHandle.from_text("1"))),
         ),
     )
@@ -292,8 +290,8 @@ def test_criterion_5_superintegrable_spiral(g_text):
 
 def test_criterion_6_casimir_dichotomy():
     states = states_fixed()
-    field1 = poisson.matrix_field_class1(SPIRAL.coupling.phi)
-    field2 = poisson.matrix_field_class2(Class2Phi(FuncHandle.from_text("1")))
+    field1 = poisson.matrix_field(SPIRAL.coupling.phi)
+    field2 = poisson.matrix_field(Class2Phi(FuncHandle.from_text("1")))
     c1_fn = lambda s: inv.casimir_C1(OSC, s)
     c2_fn = lambda s: inv.casimir_C2(OSC, s)
     worst1 = 0.0

@@ -552,6 +552,24 @@ def test_seed_override_is_recorded(tmp_path):
     assert report["seed"] == 7
 
 
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a file where the directory goes, then a directory where the first
+    # report goes: each once ended in a traceback
+    cfg = write_config(tmp_path, SPIRAL_DOC)
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    for target, reason in ((blocked, "File exists"), (out, "Is a directory")):
+        assert main(["simulate", "--config", str(cfg), "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write reports to {str(target)!r}: {reason}\n"
+    assert blocked.read_text() == ""
+    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+    assert list((out / "trajectory.csv").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [("simulate",), ("verify", "--which", "flow"), ("orbit",), ("linearize",)],
@@ -611,6 +629,10 @@ CONFIG_FAULTS = [
     ("unknown-state", _edit(SPIRAL_DOC, "initial_state.w", 1), "unknown keys ['w'] in initial_state"),
     ("unknown-integrator", _edit(SPIRAL_DOC, "integrator.order", 5), "unknown keys ['order'] in integrator"),
     ("unknown-floors", _edit(SPIRAL_DOC, "floors.w_min", 1), "unknown keys ['w_min'] in floors"),
+    # no command reads a frequency-shift term F(theta): the flow ignored it
+    ("system-f", _edit(SPIRAL_DOC, "system.f", "3*theta^2"), "unknown keys ['f'] in system"),
+    # DP45 picks its own steps; a dt there was accepted and ignored
+    ("dt-dp45", _edit(SPIRAL_DOC, "integrator.dt", 0.5), "integrator.dt applies only to rk4, not dp45"),
     (
         "psi-min-class1",
         _edit(_edit(SPIRAL_DOC, "system", {"kind": "class1", "phi": "0"}), "floors.psi_min", 0.5),
@@ -763,6 +785,12 @@ CONFIG_FAULTS = [
         "span-order",
         _edit(SPIRAL_DOC, "orbit.theta_span", [1, 0]),
         "orbit.theta_span must increase, got [1.0, 0.0]",
+    ),
+    # once refused by affinity_test, after both integrations, with exit 1
+    (
+        "rbar-range-positive",
+        _edit(SPIRAL_DOC, "linearize.affinity.rbar_range", [-1.0, 2.0]),
+        "linearize.affinity.rbar_range must be positive, got [-1.0, 2.0]",
     ),
     (
         "span-affinity",

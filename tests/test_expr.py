@@ -727,8 +727,7 @@ def test_bound_compile_matches_evaluate_and_replays_at_its_guards(tree, vals, gu
         assert _outcome(lambda: replayed) == expected, ex.to_text(tree)
 
 
-_EXPRESSION_KEYS = {"g", "f", "phi", "psi", "chi", "potential", "phi_override",
-                    "casimir_potential"}
+_EXPRESSION_KEYS = {"g", "phi", "psi", "chi", "potential", "phi_override", "casimir_potential"}
 
 
 def _config_expressions(node):

@@ -138,9 +138,9 @@ def test_second_casimir_conventions_record():
         "lower_limit": "turning_point",
         "form": "closed",
     }
-    conventions = c2_conventions(LINEAR, lam0=0.5)
+    conventions = c2_conventions(LINEAR)
     assert conventions["form"] == "quadrature"
-    assert conventions["lower_limit"] == 0.5
+    assert conventions["lower_limit"] == "turning_point"
 
 
 def test_closed_form_matches_direct_quadrature():
@@ -160,14 +160,6 @@ def test_quadrature_casimir_linear_potential():
     c1 = casimir_C1(LINEAR, s)
     assert c1 == pytest.approx(1.125)
     assert casimir_C2(LINEAR, s) == pytest.approx(0.8, abs=1e-9)
-
-
-def test_quadrature_casimir_explicit_lower_limit():
-    s = PhaseState(r=1.0, theta=0.3, u=-0.5, v=1.0)
-    # plain quadrature from a nonsingular endpoint:
-    # (1/sqrt 2) * [-2 sqrt(c1-lam)] from 0.5 to 1 = sqrt(1.25) - 0.5
-    expected = 0.3 - (math.sqrt(1.25) - 0.5)
-    assert casimir_C2(LINEAR, s, lam0=0.5) == pytest.approx(expected, abs=1e-9)
 
 
 def test_second_casimir_is_continuous_through_a_turning_point():

@@ -113,10 +113,8 @@ def test_func_handle_requires_a_tree():
 
 
 def test_system_spec_restricts_g_and_f_to_theta():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"G uses variables \['r'\], only theta"):
         SystemSpec(ex.parse("r"), ZERO_HANDLE)
-    with pytest.raises(ValueError):
-        SystemSpec(ex.parse("0"), ZERO_HANDLE, f=ex.parse("t"))
 
 
 def test_potential_restricted_to_rbar_and_t():
@@ -166,18 +164,6 @@ def test_class2_flow_uses_constructed_phi_plus_shift():
     assert flow.udot == pytest.approx(expected, rel=1e-10)
 
 
-def test_flow_ignores_f_entirely():
-    phi = FuncHandle.from_text("sin(theta)*alpha")
-    bare = SystemSpec(ex.parse("cos(theta)"), phi)
-    with_f = SystemSpec(
-        ex.parse("cos(theta)"), phi, f=ex.parse("3*theta^2")
-    )
-    for s in random_states(11, 40):
-        a = vec(vector_field(bare, s))
-        b = vec(vector_field(with_f, s))
-        assert np.array_equal(a, b)
-
-
 def test_frequency_squared_at_spiral_start():
     spec = SystemSpec(ex.parse("0"), OSC)
     assert frequency_squared(spec, spiral_start()) == pytest.approx(2.0)
@@ -189,21 +175,17 @@ def test_frequency_squared_at_spiral_start():
         lambda: SystemSpec(
             ex.parse("cos(theta)"), FuncHandle.from_text("sin(theta)*alpha")
         ),
-        lambda: SystemSpec(
-            ex.parse("cos(theta)"), Class2Phi(FuncHandle.from_text("2")), f=ex.parse("theta")
-        ),
-        lambda: SystemSpec(
-            ex.parse("cos(theta)"), OSC, f=ex.parse("1")
-        ),
+        lambda: SystemSpec(ex.parse("cos(theta)"), Class2Phi(FuncHandle.from_text("2"))),
+        lambda: SystemSpec(ex.parse("cos(theta)"), OSC),
     ],
 )
 def test_frequency_is_consistent_with_the_radial_flow(make):
-    # udot must equal -omega^2 r + (v^2 + F)/r^3 by construction
+    # udot must equal -omega^2 r + v^2/r^3 by construction
     spec = make()
     for s in random_states(23, 100):
         flow = vector_field(spec, s)
         w2 = frequency_squared(spec, s)
-        recon = -w2 * s.r + (s.v**2 + spec.f_at(s.theta)) / s.r**3
+        recon = -w2 * s.r + s.v**2 / s.r**3
         assert flow.udot == pytest.approx(recon, rel=1e-12, abs=1e-12)
 
 
