@@ -186,12 +186,11 @@ def _build_system(section: dict, class2: dict) -> SystemSpec:
     g = _expr(section.get("g", "0"), "system.g")
     try:
         if kind == "class1":
-            text = section.get("phi", "0")
-            return SystemSpec(g, FuncHandle(_expr(text, "system.phi"), text))
+            return SystemSpec(g, FuncHandle(_expr(section.get("phi", "0"), "system.phi")))
         if kind == "class2":
             if "psi" not in section:
                 raise ConfigError("system.psi is required for class2")
-            psi = FuncHandle(_expr(section["psi"], "system.psi"), section["psi"])
+            psi = FuncHandle(_expr(section["psi"], "system.psi"))
             chi = _optional_expr(section.get("chi"), "system.chi")
             numbers = {
                 param: check(section[key], f"system.{key}")

@@ -56,8 +56,8 @@ class Solver(NamedTuple):
     """Integrator settings.
 
     method is "rk4" (fixed step dt, span/1000 when absent) or "dp45"
-    (adaptive, to rtol and atol).  max_steps bounds accepted plus
-    rejected steps; exceeding it raises IntegrationError.
+    (adaptive, to rtol and atol, with no dt).  max_steps bounds accepted
+    plus rejected steps; exceeding it raises IntegrationError.
     """
 
     method: str = "dp45"
@@ -140,11 +140,6 @@ class Trajectory(_Record):
 
     def states(self):
         return [self.state(i) for i in range(len(self.ts))]
-
-    def sample(self, times):
-        """Dense output by cubic Hermite interpolation at nondecreasing
-        times: d lists of floats, one per state component."""
-        return hermite_eval(self.ts, self.ys, self.fs, times)
 
 
 # Dormand-Prince 4(5) tableau; the last row of A doubles as the 5th
@@ -296,6 +291,8 @@ def integrate_ode(
         raise ValueError(f"t1={t1!r} must exceed t0={t0!r}")
     if method not in _SOURCES:
         raise ValueError(f"unknown method {method!r}")
+    if method == "dp45" and solver.dt is not None:
+        raise ValueError("dt applies only to rk4, not dp45")
     y = [float(yj) for yj in y0]
     step = _stepper(method, len(y))
     t = t0
@@ -438,8 +435,9 @@ def drift(
     as a QuantityDrift by name, in the order of ``quantities``.
 
     Drift is max over samples of |Q(t) - Q(t0)| / max(1, |Q(t0)|), or the
-    first NaN among them; each entry keeps its samples.  A quantity that fails to evaluate names the
-    offending sample index.
+    first NaN among them; each entry keeps its samples.  A quantity's
+    ValueError or ArithmeticError (a domain failure) is re-raised as a
+    ValueError naming the sample; any other exception propagates.
     """
     report = {}
     states = traj.states()
@@ -448,7 +446,7 @@ def drift(
         for i, (s, t) in enumerate(zip(states, traj.ts)):
             try:
                 values.append(float(func(s, t)))
-            except Exception as exc:
+            except (ValueError, ArithmeticError) as exc:
                 raise ValueError(
                     f"quantity {name!r} failed at sample {i} "
                     f"(t={t!r}): {exc}"

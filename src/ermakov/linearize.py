@@ -57,9 +57,6 @@ class OrbitCurve(_Record):
             raise ValueError("rbar must stay positive along the curve")
         super().__init__(theta, rbar, abar)
 
-    def __len__(self) -> int:
-        return len(self.theta)
-
     @property
     def theta_range(self) -> Tuple[float, float]:
         th0, th1 = self.theta[0], self.theta[-1]

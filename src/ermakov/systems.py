@@ -16,9 +16,7 @@ The first-order flow shared by all classes:
     dtheta/dt = v / r^2
     dv/dt     = -G(theta) / r^2
 
-and du/dt carries the class-dependent coupling.  The natural frequency
-omega^2 is never an input here; it is derived from a state and the
-coupling (``frequency_squared``).
+and du/dt carries the class-dependent coupling.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ __all__ = [
     "Class2Phi",
     "SystemSpec",
     "vector_field",
-    "frequency_squared",
-    "polar_from_cartesian",
     "nan_max",
     "linspace",
 ]
@@ -159,7 +155,7 @@ class FuncHandle:
     partial derivative is built on first use and kept on the handle.  The
     lowered code and the derived trees are expr's, kept there by value."""
 
-    def __init__(self, tree: Expr, name: str = ""):
+    def __init__(self, tree: Expr):
         if tree is None:
             raise ValueError("FuncHandle needs an expression tree")
         bad = sorted(ex.free_vars(tree) - set(_HANDLE_VARS))
@@ -167,12 +163,11 @@ class FuncHandle:
             raise ValueError(f"expression uses variables {bad} outside {_HANDLE_VARS}")
         self.tree = tree
         self.fn = ex.compile(tree, _HANDLE_VARS)
-        self.name = name or ex.to_text(tree)
         self._partials = {}
 
     @classmethod
     def from_text(cls, text: str) -> "FuncHandle":
-        return cls(tree=ex.parse(text), name=text)
+        return cls(ex.parse(text))
 
     def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
         return self.fn(alpha, r, theta, t)
@@ -192,11 +187,11 @@ class FuncHandle:
         handle = self._partials.get(var)
         if handle is None:
             tree = ex.differentiate(self.tree, var)
-            handle = self._partials[var] = FuncHandle(tree=tree, name=f"d({self.name})/d{var}")
+            handle = self._partials[var] = FuncHandle(tree)
         return handle
 
     def __repr__(self):
-        return f"FuncHandle({self.name})"
+        return f"FuncHandle({ex.to_text(self.tree)})"
 
 
 _POTENTIAL_VARS = ("rbar", "t")
@@ -266,7 +261,7 @@ class Potential:
         numerator = ex.substitute(self.dtree, "rbar", Binary("/", Num(1.0), Var("r")))
         r_squared = Binary("^", Var("r"), Num(2.0))
         tree = Binary("/", numerator, Binary("*", r_squared, Var("alpha")))
-        return FuncHandle(tree=tree, name=f"phi[V={ex.to_text(self.tree)}]")
+        return FuncHandle(tree)
 
     def __repr__(self):
         return f"Potential({ex.to_text(self.tree)})"
@@ -479,9 +474,6 @@ class SystemSpec(_Record):
     def kind(self) -> str:
         return _KINDS[type(self.coupling)]
 
-    def g_at(self, theta: float) -> float:
-        return self._g_fn(theta)
-
     def flow(self, floors: Floors = DEFAULT_FLOORS) -> Callable[[float, Sequence[float]], tuple]:
         """The first-order flow as one function of (t, (r, theta, u, v))
         on floats, returning (dr/dt, dtheta/dt, du/dt, dv/dt); lowered on
@@ -522,37 +514,3 @@ def vector_field(
     """First-order flow at a state: ``spec.flow(floors)`` as a Flow4."""
     return Flow4(*spec.flow(floors)(t, (s.r, s.theta, s.u, s.v)))
 
-
-def frequency_squared(
-    spec: SystemSpec,
-    s: PhaseState,
-    t: float = 0.0,
-    floors: Floors = DEFAULT_FLOORS,
-) -> float:
-    """Natural frequency omega^2 consistent with the flow at this state:
-
-        du/dt = -omega^2 r + v^2 / r^3.
-
-    Derived output only; omega never parametrizes a system here.
-    """
-    floors.check(s.r, s.v)
-    r, th, u, v = s.r, s.theta, s.u, s.v
-    base = v * v / r**4 + u * spec.g_at(th) / (r**3 * v)
-    return base - spec.coupling.udot_term(t, r, th, u, v) / r
-
-
-def polar_from_cartesian(x: float, y: float, xdot: float, ydot: float) -> PhaseState:
-    """Map planar Cartesian data to (r, theta, u, v).
-
-    u is the radial velocity (x xdot + y ydot)/r and v = x ydot - y xdot
-    is the angular momentum.  The origin is rejected.
-    """
-    r = math.hypot(x, y)
-    if r == 0.0:
-        raise ValueError("origin has no polar representation")
-    return PhaseState(
-        r=r,
-        theta=math.atan2(y, x),
-        u=(x * xdot + y * ydot) / r,
-        v=x * ydot - y * xdot,
-    )

@@ -158,7 +158,7 @@ def _verify_consistency(cfg, states):
         raise ConfigError("consistency verification applies to class2 systems")
     psi = phi.psi
     if cfg.verify.phi_override is not None:
-        phi = FuncHandle(tree=cfg.verify.phi_override, name="phi_override")
+        phi = FuncHandle(cfg.verify.phi_override)
     tol = cfg.verify.tolerance.get("consistency", 1e-7)
     per_state = []
     for s in states:

@@ -227,7 +227,7 @@ def reference_flow(spec, s: PhaseState, t: float = 0.0, floors=DEFAULT_FLOORS) -
     a float division by zero raises ZeroDivisionError here."""
     floors.check(s.r, s.v)
     r, th, u, v = s.r, s.theta, s.u, s.v
-    g = spec.g_at(th)
+    g = ex.compile(spec.g, ("theta",))(th)
     coupling = spec.coupling
     if isinstance(coupling, Potential):
         part = (v * v) / (r * r) * coupling.slope(1.0 / r, t)

@@ -21,7 +21,7 @@ from ermakov import expr as ex
 from ermakov import invariants as inv
 from ermakov import poisson
 from ermakov.config import sample_states
-from ermakov.integrate import Solver, drift, integrate
+from ermakov.integrate import Solver, drift, hermite_eval, integrate
 from ermakov.linearize import (
     OrbitCurve,
     affinity_test,
@@ -83,7 +83,7 @@ def time_at_theta(traj, theta_star: float) -> float:
     lo_t, hi_t = float(traj.ts[0]), float(traj.ts[-1])
     for _ in range(200):
         mid = 0.5 * (lo_t + hi_t)
-        if traj.sample([mid])[1][0] < theta_star:
+        if hermite_eval(traj.ts, traj.ys, traj.fs, [mid])[1][0] < theta_star:
             lo_t = mid
         else:
             hi_t = mid

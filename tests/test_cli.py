@@ -1241,7 +1241,7 @@ def test_a_second_run_lowers_and_derives_nothing(tmp_path, monkeypatch):
 _FLOAT_READS = """
 import sys
 from ermakov.config import load_config
-from ermakov.integrate import integrate
+from ermakov.integrate import hermite_eval, integrate
 from ermakov.linearize import integrate_characteristic, to_orbit_curve
 
 cfg = load_config(sys.argv[1])
@@ -1249,7 +1249,7 @@ traj = integrate(cfg.spec, cfg.s0, cfg.t0, cfg.t1, cfg.solver, cfg.floors)
 curve = to_orbit_curve(traj)
 backward = integrate_characteristic(cfg.spec.coupling, 1.0, 0.0, 0.0, -1.0)
 reads = [
-    *(x for col in traj.sample([0.5]) for x in col),
+    *(x for col in hermite_eval(traj.ts, traj.ys, traj.fs, [0.5]) for x in col),
     *curve.rbar_at([0.5]), *backward.rbar_at([-0.5]),
 ]
 print(all(type(x) is float for x in reads), "numpy" in sys.modules)

@@ -79,13 +79,13 @@ def test_spiral_against_closed_form():
 def test_dense_output_accuracy():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
     times = np.linspace(0.05, 0.95, 7).tolist()
-    dense = traj.sample(times)  # one list of floats per component
+    dense = hermite_eval(traj.ts, traj.ys, traj.fs, times)  # one list of floats per component
     assert len(dense) == 4 and all(len(col) == 7 for col in dense)
     assert all(type(x) is float for col in dense for x in col)
     exact = np.stack([exact_spiral(t) for t in times])
     # cubic interpolation between adaptive nodes, not at stepper accuracy
     assert np.max(np.abs(np.array(dense).T - exact)) < 1e-6
-    single = [col[0] for col in traj.sample([0.5])]  # one time
+    single = [col[0] for col in hermite_eval(traj.ts, traj.ys, traj.fs, [0.5])]  # one time
     assert np.max(np.abs(single - exact_spiral(0.5))) < 1e-7
 
 
@@ -107,18 +107,18 @@ def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
     for n in (1, 2, 5, 40, 400):  # sparse and dense, with repeated times
         grids.append(sorted(rng.choice(grids[0], size=n).tolist()))
     for times in grids:
-        got = traj.sample(times)
+        got = hermite_eval(traj.ts, traj.ys, traj.fs, times)
         assert all(type(x) is float for col in got for x in col)
         want = reference_hermite_eval(traj.ts, traj.ys, traj.fs, times).T.tolist()
         assert _hexes(got) == _hexes(want)
     for t in special:  # one time is the one-element read
-        assert _hexes(traj.sample([t])) == _hexes(
+        assert _hexes(hermite_eval(traj.ts, traj.ys, traj.fs, [t])) == _hexes(
             reference_hermite_eval(traj.ts, traj.ys, traj.fs, [t]).T.tolist()
         )
     for t in (lo - 2.0 * slack, hi + 2.0 * slack, -0.2, 1.5):
         times = sorted([0.5, t])
         with pytest.raises(IntegrationError) as walk:
-            traj.sample(times)
+            hermite_eval(traj.ts, traj.ys, traj.fs, times)
         with pytest.raises(IntegrationError) as reference:
             reference_hermite_eval(traj.ts, traj.ys, traj.fs, times)
         assert str(walk.value) == str(reference.value) == f"sample time outside [0.0, {hi!r}]"
@@ -126,9 +126,10 @@ def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
 
 def test_decreasing_sample_times_are_refused():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
-    assert all(a == b for a, b in traj.sample([0.3, 0.3]))  # repeats are read
+    repeated = hermite_eval(traj.ts, traj.ys, traj.fs, [0.3, 0.3])
+    assert all(a == b for a, b in repeated)  # repeats are read
     with pytest.raises(ValueError, match="^sample times must be nondecreasing: 0.2 after 0.3$"):
-        traj.sample([0.1, 0.3, 0.2])
+        hermite_eval(traj.ts, traj.ys, traj.fs, [0.1, 0.3, 0.2])
     with pytest.raises(ValueError, match="nondecreasing"):
         hermite_eval(traj.ts, traj.ys, traj.fs, [0.5, math.nextafter(0.5, 0.0)])
 
@@ -136,9 +137,9 @@ def test_decreasing_sample_times_are_refused():
 def test_sampling_outside_the_range_fails():
     traj = integrate(FREE, PhaseState(2.0, 0.0, 0.0, 1.0), 0.0, 1.0)
     with pytest.raises(IntegrationError):
-        traj.sample([1.5])
+        hermite_eval(traj.ts, traj.ys, traj.fs, [1.5])
     with pytest.raises(IntegrationError):
-        traj.sample([-0.2])
+        hermite_eval(traj.ts, traj.ys, traj.fs, [-0.2])
 
 
 def test_reversed_or_empty_span_rejected():
@@ -381,7 +382,8 @@ def test_a_raising_stage_is_counted(method, n_stages):
                 raise SingularStateError("stage left the domain")
             return [y[1], -y[0]]
 
-        traj = integrate_ode(once, [1.0, 0.5], 0.0, 0.5, Solver(method=method, dt=0.1))
+        solver = Solver(method=method, dt=0.1 if method == "rk4" else None)
+        traj = integrate_ode(once, [1.0, 0.5], 0.0, 0.5, solver)
         assert traj.status == "completed"
         assert traj.stats["n_stage_failures"] == 1
         assert traj.stats["n_feval"] == calls[0]
@@ -473,6 +475,17 @@ def test_drift_failure_names_the_sample():
 
     with pytest.raises(ValueError, match="sample"):
         drift(traj, {"flaky": flaky})
+
+
+def test_drift_lets_a_programming_error_through():
+    traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
+
+    def broken(s, t):
+        return s + t  # a PhaseState plus a float
+
+    with pytest.raises(TypeError) as caught:
+        drift(traj, {"broken": broken})
+    assert "sample" not in str(caught.value)
 
 
 def _constant_state_trajectory(n: int) -> Trajectory:
@@ -606,7 +619,8 @@ def test_a_non_finite_stage_counts_each_call_once(method):
         calls[0] += 1
         return [math.inf if t > 0.5 else -y[0]]
 
-    traj = integrate_ode(rhs, [1.0], 0.0, 1.0, Solver(method=method, dt=0.01))
+    solver = Solver(method=method, dt=0.01 if method == "rk4" else None)
+    traj = integrate_ode(rhs, [1.0], 0.0, 1.0, solver)
     assert traj.status == "singular_stop"
     assert "non-finite stage result" in traj.stop_reason
     assert traj.stats["n_feval"] == calls[0]
@@ -623,7 +637,7 @@ def test_generic_trajectories_are_not_phase_states():
     traj = integrate_ode(lambda t, y: [-x for x in y], [1.0], 0.0, 1.0)
     with pytest.raises(ValueError, match="phase-space"):
         traj.state(0)
-    assert len(traj.sample([0.5])) == 1
+    assert len(hermite_eval(traj.ts, traj.ys, traj.fs, [0.5])) == 1
 
 
 def test_bad_step_arguments():
@@ -631,6 +645,10 @@ def test_bad_step_arguments():
         integrate(SPIRAL, spiral_start(), 0.0, 1.0, solver=Solver(method="euler"))
     with pytest.raises(ValueError, match="positive"):
         integrate(SPIRAL, spiral_start(), 0.0, 1.0, solver=Solver(method="rk4", dt=-0.1))
+    calls = []
+    with pytest.raises(ValueError, match="^dt applies only to rk4, not dp45$"):
+        integrate_ode(lambda t, y: calls.append(t) or y, [1.0], 0.0, 1.0, Solver(dt=0.5))
+    assert calls == []  # refused before f is called
 
 
 def test_hermite_reproduces_cubics():

@@ -15,10 +15,8 @@ from ermakov.systems import (
     Potential,
     SingularStateError,
     SystemSpec,
-    frequency_squared,
     linspace,
     nan_max,
-    polar_from_cartesian,
     vector_field,
 )
 
@@ -27,7 +25,7 @@ from helpers import count_outermost_calls, reference_flow, spiral_start, vec
 np = pytest.importorskip("numpy")
 
 OSC = Potential(ex.parse("1/(2*rbar^2)"))
-ZERO_HANDLE = FuncHandle(tree=ex.Num(0.0), name="0")
+ZERO_HANDLE = FuncHandle(ex.Num(0.0))
 
 
 def random_states(seed, n, u_floor=0.05):
@@ -70,28 +68,6 @@ def test_alpha_guards_small_v():
     assert PhaseState(r=1.0, theta=0.0, u=2.0, v=0.5).alpha() == 4.0
 
 
-def test_polar_from_cartesian():
-    s = polar_from_cartesian(3.0, 4.0, 1.0, 1.0)
-    assert s.r == pytest.approx(5.0)
-    assert s.theta == pytest.approx(math.atan2(4.0, 3.0))
-    assert s.u == pytest.approx(1.4)
-    assert s.v == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        polar_from_cartesian(0.0, 0.0, 1.0, 1.0)
-
-
-def test_polar_map_preserves_speed():
-    rng = random.Random(3)
-    for _ in range(50):
-        x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        if math.hypot(x, y) < 1e-3:
-            continue
-        xd, yd = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        s = polar_from_cartesian(x, y, xd, yd)
-        # u^2 + (v/r)^2 = xdot^2 + ydot^2
-        assert s.u**2 + (s.v / s.r) ** 2 == pytest.approx(xd**2 + yd**2)
-
-
 def test_func_handle_rejects_unknown_variables():
     with pytest.raises(ValueError, match="rbar"):
         FuncHandle.from_text("rbar + alpha")
@@ -103,6 +79,18 @@ def test_func_handle_symbolic_partial():
     p = h.partial("alpha")
     assert p(3.0, 2.0, 0.0) == pytest.approx(12.0)
     assert h.depends_on("alpha") and not h.depends_on("theta")
+
+
+def test_func_handle_shows_its_tree_as_text(monkeypatch):
+    rendered = count_outermost_calls(monkeypatch, ex, "to_text")
+    h = FuncHandle.from_text("alpha^2*r")
+    partial = h.partial("alpha")
+    phi = Potential(ex.parse("1/(2*rbar^2) + 0.1*rbar")).phi
+    assert rendered[0] == 0  # building a handle renders nothing
+    assert repr(h) == "FuncHandle(alpha^2.0*r)"
+    assert repr(partial) == "FuncHandle(2.0*alpha*r)"
+    for handle in (h, partial, phi):
+        assert repr(handle) == f"FuncHandle({ex.to_text(handle.tree)})"
 
 
 def test_func_handle_requires_a_tree():
@@ -162,31 +150,6 @@ def test_class2_flow_uses_constructed_phi_plus_shift():
     phi_val = -2.0 * alpha / s.r
     expected = s.u * s.v * (phi_val + 2.0 * s.v / s.r)
     assert flow.udot == pytest.approx(expected, rel=1e-10)
-
-
-def test_frequency_squared_at_spiral_start():
-    spec = SystemSpec(ex.parse("0"), OSC)
-    assert frequency_squared(spec, spiral_start()) == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: SystemSpec(
-            ex.parse("cos(theta)"), FuncHandle.from_text("sin(theta)*alpha")
-        ),
-        lambda: SystemSpec(ex.parse("cos(theta)"), Class2Phi(FuncHandle.from_text("2"))),
-        lambda: SystemSpec(ex.parse("cos(theta)"), OSC),
-    ],
-)
-def test_frequency_is_consistent_with_the_radial_flow(make):
-    # udot must equal -omega^2 r + v^2/r^3 by construction
-    spec = make()
-    for s in random_states(23, 100):
-        flow = vector_field(spec, s)
-        w2 = frequency_squared(spec, s)
-        recon = -w2 * s.r + s.v**2 / s.r**3
-        assert flow.udot == pytest.approx(recon, rel=1e-12, abs=1e-12)
 
 
 def test_pseudo_potential_reduces_to_class1():
