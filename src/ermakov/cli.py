@@ -4,7 +4,7 @@ Four commands, all driven by a JSON config (see :mod:`ermakov.config`):
 
     ermakov simulate  --config run.json [--out DIR] [--seed N]
     ermakov verify    --config run.json --which jacobi|flow|casimir|consistency|determinant
-                      [--tamper-j34]
+    ermakov verify    --config run.json --which jacobi --tamper-j34
     ermakov orbit     --config run.json
     ermakov linearize --config run.json
 
@@ -162,7 +162,7 @@ def _parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--tamper-j34",
                 action="store_true",
-                help="debug: inject a J34 perturbation; the sweep must fail",
+                help="debug, jacobi only: inject a J34 perturbation; the sweep must fail",
             )
     return parser
 

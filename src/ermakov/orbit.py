@@ -48,12 +48,9 @@ def cmd_orbit(cfg: RunConfig) -> tuple:
         raise ConfigError(
             "orbit applies to pseudo_potential configs with V = 1/(2 rbar^2)"
         )
-    if cfg.s0 is None:
-        raise ConfigError("initial_state is required for orbit")
+    traj = cfg.trajectory()
     c1 = inv.casimir_C1(potential, cfg.s0, cfg.t0, cfg.floors)
     c2 = inv.casimir_C2(potential, cfg.s0, cfg.t0, c1=c1, floors=cfg.floors)
-
-    traj = cfg.trajectory()
     curve = to_orbit_curve(traj)
     lo, hi = cfg.orbit.theta_span
     c_lo, c_hi = curve.theta_range

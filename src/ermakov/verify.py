@@ -202,6 +202,8 @@ def _verify_determinant(cfg, states):
 
 
 def cmd_verify(cfg: RunConfig, seed: int, which: str, tamper: bool) -> tuple:
+    if tamper and which != "jacobi":
+        raise ConfigError("--tamper-j34 applies only to --which jacobi")
     vs = cfg.verify
     branch = vs.branch
     states = sample_states(PCG64(seed), vs.samples, vs.u_floor, branch)

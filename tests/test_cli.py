@@ -186,6 +186,18 @@ def test_verify_jacobi_and_the_tamper_control(tmp_path, capsys):
     assert report2["max_residual"] > 1e-3
 
 
+@pytest.mark.parametrize("which", ["flow", "casimir", "consistency", "determinant"])
+def test_the_tamper_flag_is_refused_outside_jacobi(tmp_path, capsys, which):
+    # each of these sweeps once ignored the flag and passed
+    cfg = write_config(tmp_path, CLASS2_DOC if which == "consistency" else SPIRAL_DOC)
+    code, out = run(tmp_path, "verify", "--config", str(cfg), "--which", which, "--tamper-j34")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --tamper-j34 applies only to --which jacobi\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("doc", [SPIRAL_DOC, CLASS2_DOC], ids=("pseudo", "class2"))
 def test_verify_flow_reconstruction(tmp_path, doc):
     cfg = write_config(tmp_path, doc)
@@ -856,6 +868,17 @@ def test_each_config_fault_has_its_own_message(tmp_path, capsys, document, messa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "orbit", "linearize"])
+def test_a_command_that_integrates_needs_an_initial_state(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, _edit(SPIRAL_DOC, "initial_state", _DROP))
+    code, out = run(tmp_path, command, "--config", str(cfg))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: initial_state is required for this command\n"
+    assert list(out.iterdir()) == []
+
+
 # the exit-code contract: each expression slot, with the kind of system
 # that reads it and the variables it may use, and each kind's coupling key
 _SLOTS = {
@@ -1067,6 +1090,50 @@ def _src_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's src/."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+# run in a fresh interpreter; prints the package's modules that are loaded
+_BARE_IMPORT = """
+import sys
+import ermakov
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "ermakov"))
+"""
+
+
+def test_importing_the_package_loads_no_module():
+    result = subprocess.run(
+        [sys.executable, "-c", _BARE_IMPORT], capture_output=True, text=True, env=_src_env(),
+        check=True, timeout=120,
+    )
+    assert result.stdout == "['ermakov']\n"
+
+
+def test_ermakov_integrate_is_the_module():
+    # the package binds no name over its submodule
+    probe = "import types, ermakov.integrate; print(type(ermakov.integrate) is types.ModuleType)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(),
+        check=True, timeout=120,
+    )
+    assert result.stdout == "True\n"
+
+
+def _quick_start() -> str:
+    """The first python block of README's Quick start section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_the_readme_quick_start_runs_as_written():
+    result = subprocess.run(
+        [sys.executable, "-c", _quick_start()], capture_output=True, text=True,
+        env=_src_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    r, max_drift = map(float, result.stdout.split())
+    assert abs(r - math.cos(1.4)) < 1e-8  # the exact solution is r = cos t
+    assert max_drift < 1e-8
 
 
 # run in a fresh interpreter; prints "@ step [exit code] numpy-loaded

@@ -1,4 +1,3 @@
-import importlib
 import math
 from itertools import chain
 from pathlib import Path
@@ -7,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ermakov import expr as ex
+from ermakov import integrate as integrate_module
 from ermakov.cli import cmd_simulate
 from ermakov.config import load_config
 from ermakov.integrate import (
@@ -218,10 +218,6 @@ def test_spiral_final_state_is_pinned(method):
     assert traj.ts[-1] == 1.4
     assert traj.stats == stats
     assert all(type(x) is float for x in (*traj.ts, *traj.ys[-1], *traj.fs[-1]))
-
-
-# the module: the package attribute ermakov.integrate is the function
-integrate_module = importlib.import_module("ermakov.integrate")
 
 
 def _reference_dp_step(f, t, y, h, k1):
