@@ -173,8 +173,6 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = load_config(args.config)
         seed = cfg.verify.seed if args.seed is None else _seed(args.seed, "--seed")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             code, line, reports = cmd_simulate(cfg)
         elif args.command == "verify":
@@ -186,6 +184,8 @@ def main(argv: Optional[list] = None) -> int:
 
             code, line, reports = (cmd_orbit if args.command == "orbit" else cmd_linearize)(cfg)
         base = {"config_sha256": cfg.sha256, "seed": seed, "conventions": {}}
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, report in reports.items():
             if isinstance(report, dict):
                 _write_json(out_dir / name, {**base, **report})

@@ -8,9 +8,10 @@ A system's flow comes lowered from ``SystemSpec.flow``, one function of
 (t, y) per floors, and is stepped directly.
 
 Trajectories store their nodes and node derivatives as lists of floats,
-which support cubic Hermite dense output: a nondecreasing sequence of
-times is read in one walk over the nodes and gives one list of floats per
-state component.  One time is the one-element case.
+which support cubic Hermite dense output one column at a time: a
+nondecreasing sequence of points is read in one walk over strictly
+monotone nodes, rising or falling, and gives one list of floats.  One
+point is the one-element case.
 
 Singularities follow a stop-and-report policy.  Stage evaluations run
 against floors relaxed by half; a failing stage halves the step until it
@@ -67,49 +68,48 @@ class Solver(NamedTuple):
     max_steps: int = 200000
 
 
-def hermite_eval(ts, ys, fs, times):
-    """Piecewise cubic Hermite interpolation.
+def hermite_eval(xs, ys, dys, at):
+    """Piecewise cubic Hermite interpolation of one column.
 
     Args:
-        ts: strictly increasing sample times, n of them.
-        ys: sample values, n rows of d.
-        fs: derivatives at the samples, n rows of d.
-        times: a nondecreasing sequence (ValueError otherwise) of times
-            inside [ts[0], ts[-1]] (IntegrationError otherwise); times
+        xs: strictly monotone nodes, n of them, rising or falling; falling
+            nodes are read reversed.
+        ys: the values at the nodes, n floats.
+        dys: the slopes dy/dx at the nodes, n floats.
+        at: a nondecreasing sequence (ValueError otherwise) of points
+            inside the range of xs (IntegrationError otherwise); points
             within a relative 1e-12 outside it are clamped onto it.
 
     Returns:
-        d lists of len(times) floats, the interpolant's components.  The
-        first time's interval is found by bisection and each later one by
-        walking forward over the nodes; each time's four weights are
-        computed once and shared by the components.
+        a list of len(at) floats, the interpolant at each point.  The first
+        point's interval is found by bisection and each later one by
+        walking forward over the nodes.
     """
-    lo, hi = float(ts[0]), float(ts[-1])
+    if xs[0] > xs[-1]:
+        xs, ys, dys = xs[::-1], ys[::-1], dys[::-1]
+    lo, hi = float(xs[0]), float(xs[-1])
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-    last = len(ts) - 2
-    i = min(max(bisect_right(ts, times[0]) - 1, 0), last) if len(times) else 0
-    weights = []  # (interval, w00, w10, w01, w11) for each time
+    last = len(xs) - 2
+    i = min(max(bisect_right(xs, at[0]) - 1, 0), last) if len(at) else 0
+    out = []
     prev = -math.inf
-    for t in times:
-        if t < prev:
-            raise ValueError(f"sample times must be nondecreasing: {t!r} after {prev!r}")
-        if t < lo - slack or t > hi + slack:
+    for x in at:
+        if x < prev:
+            raise ValueError(f"sample times must be nondecreasing: {x!r} after {prev!r}")
+        if x < lo - slack or x > hi + slack:
             raise IntegrationError(f"sample time outside [{lo!r}, {hi!r}]")
-        prev = t
-        t = lo if t < lo else hi if t > hi else t
-        while i < last and ts[i + 1] <= t:
+        prev = x
+        x = lo if x < lo else hi if x > hi else x
+        while i < last and xs[i + 1] <= x:
             i += 1
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
+        h = xs[i + 1] - xs[i]
+        s = (x - xs[i]) / h
         s2 = s * s
         s3 = s2 * s
         w00, w01 = 2.0 * s3 - 3.0 * s2 + 1.0, -2.0 * s3 + 3.0 * s2
-        weights.append((i, w00, (s3 - 2.0 * s2 + s) * h, w01, (s3 - s2) * h))
-    return [
-        [w00 * ys[i][j] + w10 * fs[i][j] + w01 * ys[i + 1][j] + w11 * fs[i + 1][j]
-         for i, w00, w10, w01, w11 in weights]
-        for j in range(len(ys[0]))
-    ]
+        w10, w11 = (s3 - 2.0 * s2 + s) * h, (s3 - s2) * h
+        out.append(w00 * ys[i] + w10 * dys[i] + w01 * ys[i + 1] + w11 * dys[i + 1])
+    return out
 
 
 class Trajectory(_Record):

@@ -16,7 +16,6 @@ the orbit equation is linear.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -45,7 +44,7 @@ class OrbitCurve(_Record):
     slope for Hermite interpolation.
     """
 
-    _fields = ("theta", "rbar", "abar")  # and a __dict__ for _nodes
+    __slots__ = _fields = ("theta", "rbar", "abar")
 
     def __init__(self, theta: Sequence[float], rbar: Sequence[float], abar: Sequence[float]):
         if len(theta) < 2:
@@ -62,19 +61,10 @@ class OrbitCurve(_Record):
         th0, th1 = self.theta[0], self.theta[-1]
         return min(th0, th1), max(th0, th1)
 
-    @cached_property
-    def _nodes(self) -> tuple:
-        """(theta, rbar rows, abar rows) in increasing theta, the nodes of
-        ``rbar_at``."""
-        th, rb, ab = self.theta, [[x] for x in self.rbar], [[x] for x in self.abar]
-        if th[0] > th[-1]:
-            th, rb, ab = th[::-1], rb[::-1], ab[::-1]
-        return th, rb, ab
-
     def rbar_at(self, thetas):
         """rbar at nondecreasing angles thetas, cubic Hermite, as a list of
         floats."""
-        return hermite_eval(*self._nodes, thetas)[0]
+        return hermite_eval(self.theta, self.rbar, self.abar, thetas)
 
 
 def to_orbit_curve(traj: Trajectory) -> OrbitCurve:

@@ -33,12 +33,9 @@ def _phi_of(cfg: RunConfig):
 def _times_at(traj: Trajectory, thetas) -> list:
     """t at nondecreasing angles thetas in the range of a strictly monotone
     theta(t): cubic Hermite on the nodes (theta_i, t_i) with slopes
-    dt/dtheta = r_i^2/v_i, in increasing theta as ``OrbitCurve._nodes``."""
+    dt/dtheta = r_i^2/v_i."""
     ys = traj.ys
-    nodes = ([y[1] for y in ys], [[t] for t in traj.ts], [[r * r / v] for r, _, _, v in ys])
-    if ys[0][1] > ys[-1][1]:
-        nodes = [seq[::-1] for seq in nodes]
-    return hermite_eval(*nodes, thetas)[0]
+    return hermite_eval([y[1] for y in ys], traj.ts, [r * r / v for r, _, _, v in ys], thetas)
 
 
 def cmd_orbit(cfg: RunConfig) -> tuple:

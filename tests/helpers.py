@@ -268,6 +268,12 @@ def reference_gk21(f, lo: float, hi: float, depth: int) -> tuple:
     return (-abs(kronrod - gauss), depth, lo, hi, kronrod, (centre, left, right))
 
 
+def columns(rows) -> list:
+    """Node-major rows, such as a trajectory's ys or fs, as one list of
+    floats per component: the columns ``hermite_eval`` reads."""
+    return [list(col) for col in zip(*rows)]
+
+
 def reference_hermite_eval(ts, ys, fs, times):
     """Cubic Hermite dense output at an array of times, computed with numpy
     as ``hermite_eval`` once read it: an array of shape (len(times), d),

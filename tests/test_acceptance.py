@@ -32,7 +32,7 @@ from ermakov.linearize import (
 from ermakov.systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
 from ermakov.verify import PCG64
 
-from helpers import evaluable_tree, trusted_central_difference, vec
+from helpers import columns, evaluable_tree, trusted_central_difference, vec
 
 np = pytest.importorskip("numpy")
 
@@ -80,10 +80,11 @@ def fd_gradient(func, s: PhaseState, h: float = FD_STEP) -> np.ndarray:
 
 
 def time_at_theta(traj, theta_star: float) -> float:
+    thetas, dthetas = columns(traj.ys)[1], columns(traj.fs)[1]
     lo_t, hi_t = float(traj.ts[0]), float(traj.ts[-1])
     for _ in range(200):
         mid = 0.5 * (lo_t + hi_t)
-        if hermite_eval(traj.ts, traj.ys, traj.fs, [mid])[1][0] < theta_star:
+        if hermite_eval(traj.ts, thetas, dthetas, [mid])[0] < theta_star:
             lo_t = mid
         else:
             hi_t = mid

@@ -195,7 +195,7 @@ def test_the_tamper_flag_is_refused_outside_jacobi(tmp_path, capsys, which):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: --tamper-j34 applies only to --which jacobi\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [SPIRAL_DOC, CLASS2_DOC], ids=("pseudo", "class2"))
@@ -538,7 +538,7 @@ def test_linearize_refuses_class2(tmp_path, capsys):
     assert captured.err == (
         "config error: linearize applies to class1 and pseudo_potential systems\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_linearize_fails_when_theta_turns_back(tmp_path, capsys):
@@ -876,7 +876,18 @@ def test_a_command_that_integrates_needs_an_initial_state(tmp_path, capsys, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: initial_state is required for this command\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_a_run_that_fails_leaves_no_out(tmp_path, capsys):
+    # the step budget runs out inside the command, after the config loaded
+    cfg = write_config(tmp_path, _edit(SPIRAL_DOC, "integrator.max_steps", 20))
+    code, out = run(tmp_path, "simulate", "--config", str(cfg))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: step budget 20 exhausted at t=")
+    assert not out.exists()
 
 
 # the exit-code contract: each expression slot, with the kind of system
@@ -1316,7 +1327,8 @@ traj = integrate(cfg.spec, cfg.s0, cfg.t0, cfg.t1, cfg.solver, cfg.floors)
 curve = to_orbit_curve(traj)
 backward = integrate_characteristic(cfg.spec.coupling, 1.0, 0.0, 0.0, -1.0)
 reads = [
-    *(x for col in hermite_eval(traj.ts, traj.ys, traj.fs, [0.5]) for x in col),
+    *(x for j in range(4)
+      for x in hermite_eval(traj.ts, [y[j] for y in traj.ys], [f[j] for f in traj.fs], [0.5])),
     *curve.rbar_at([0.5]), *backward.rbar_at([-0.5]),
 ]
 print(all(type(x) is float for x in reads), "numpy" in sys.modules)

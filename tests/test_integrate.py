@@ -31,7 +31,7 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import reference_hermite_eval, spiral_start, vec
+from helpers import columns, reference_hermite_eval, spiral_start, vec
 from test_systems import OSC
 
 np = pytest.importorskip("numpy")
@@ -79,18 +79,19 @@ def test_spiral_against_closed_form():
 def test_dense_output_accuracy():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
     times = np.linspace(0.05, 0.95, 7).tolist()
-    dense = hermite_eval(traj.ts, traj.ys, traj.fs, times)  # one list of floats per component
+    ys, fs = columns(traj.ys), columns(traj.fs)
+    dense = [hermite_eval(traj.ts, y, f, times) for y, f in zip(ys, fs)]  # one read per component
     assert len(dense) == 4 and all(len(col) == 7 for col in dense)
     assert all(type(x) is float for col in dense for x in col)
     exact = np.stack([exact_spiral(t) for t in times])
     # cubic interpolation between adaptive nodes, not at stepper accuracy
     assert np.max(np.abs(np.array(dense).T - exact)) < 1e-6
-    single = [col[0] for col in hermite_eval(traj.ts, traj.ys, traj.fs, [0.5])]  # one time
+    single = [hermite_eval(traj.ts, y, f, [0.5])[0] for y, f in zip(ys, fs)]  # one time
     assert np.max(np.abs(single - exact_spiral(0.5))) < 1e-7
 
 
-def _hexes(columns):
-    return [[x.hex() for x in col] for col in columns]
+def _hexes(col):
+    return [x.hex() for x in col]
 
 
 def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
@@ -106,32 +107,71 @@ def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
     grids = [sorted([*rng.uniform(lo, hi, size=300).tolist(), *special])]
     for n in (1, 2, 5, 40, 400):  # sparse and dense, with repeated times
         grids.append(sorted(rng.choice(grids[0], size=n).tolist()))
+    ys, fs = columns(traj.ys), columns(traj.fs)
     for times in grids:
-        got = hermite_eval(traj.ts, traj.ys, traj.fs, times)
-        assert all(type(x) is float for col in got for x in col)
-        want = reference_hermite_eval(traj.ts, traj.ys, traj.fs, times).T.tolist()
-        assert _hexes(got) == _hexes(want)
+        want = reference_hermite_eval(traj.ts, traj.ys, traj.fs, times)
+        for j, (y, f) in enumerate(zip(ys, fs)):
+            got = hermite_eval(traj.ts, y, f, times)
+            assert all(type(x) is float for x in got)
+            assert _hexes(got) == _hexes(want[:, j].tolist())
     for t in special:  # one time is the one-element read
-        assert _hexes(hermite_eval(traj.ts, traj.ys, traj.fs, [t])) == _hexes(
-            reference_hermite_eval(traj.ts, traj.ys, traj.fs, [t]).T.tolist()
-        )
+        want = reference_hermite_eval(traj.ts, traj.ys, traj.fs, [t])
+        for j, (y, f) in enumerate(zip(ys, fs)):
+            assert _hexes(hermite_eval(traj.ts, y, f, [t])) == _hexes(want[:, j].tolist())
     for t in (lo - 2.0 * slack, hi + 2.0 * slack, -0.2, 1.5):
         times = sorted([0.5, t])
-        with pytest.raises(IntegrationError) as walk:
-            hermite_eval(traj.ts, traj.ys, traj.fs, times)
         with pytest.raises(IntegrationError) as reference:
             reference_hermite_eval(traj.ts, traj.ys, traj.fs, times)
-        assert str(walk.value) == str(reference.value) == f"sample time outside [0.0, {hi!r}]"
+        for y, f in zip(ys, fs):
+            with pytest.raises(IntegrationError) as walk:
+                hermite_eval(traj.ts, y, f, times)
+            assert str(walk.value) == str(reference.value) == f"sample time outside [0.0, {hi!r}]"
+
+
+def test_falling_nodes_read_as_the_reversed_nodes_bit_for_bit():
+    traj = integrate(SPIRAL, spiral_start(), 0.0, 1.4)
+    ts = traj.ts
+    lo, hi = ts[0], ts[-1]
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    rng = np.random.default_rng(31)
+    at = sorted([
+        *rng.uniform(lo, hi, size=300).tolist(),
+        *ts[1:-1:7],  # on nodes
+        lo, hi, lo - 0.5 * slack, hi + 0.5 * slack,  # clamped onto the ends
+    ])
+    for y, f in zip(columns(traj.ys), columns(traj.fs)):
+        rising = hermite_eval(ts, y, f, at)
+        falling = hermite_eval(ts[::-1], y[::-1], f[::-1], at)
+        assert _hexes(falling) == _hexes(rising)
+        for x in (lo, hi):  # the clamped ends on their own
+            assert _hexes(hermite_eval(ts[::-1], y[::-1], f[::-1], [x])) == _hexes(
+                hermite_eval(ts, y, f, [x])
+            )
+
+
+def test_falling_nodes_refuse_as_the_reversed_nodes():
+    traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
+    ts, (y,), (f,) = traj.ts, columns(traj.ys)[:1], columns(traj.fs)[:1]
+    hi = ts[-1]
+    for x in (-0.2, 1.5, hi + 1e-9):
+        with pytest.raises(IntegrationError) as rising:
+            hermite_eval(ts, y, f, [x])
+        with pytest.raises(IntegrationError) as falling:
+            hermite_eval(ts[::-1], y[::-1], f[::-1], [x])
+        assert str(falling.value) == str(rising.value) == f"sample time outside [0.0, {hi!r}]"
 
 
 def test_decreasing_sample_times_are_refused():
     traj = integrate(SPIRAL, spiral_start(), 0.0, 1.0)
-    repeated = hermite_eval(traj.ts, traj.ys, traj.fs, [0.3, 0.3])
-    assert all(a == b for a, b in repeated)  # repeats are read
-    with pytest.raises(ValueError, match="^sample times must be nondecreasing: 0.2 after 0.3$"):
-        hermite_eval(traj.ts, traj.ys, traj.fs, [0.1, 0.3, 0.2])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        hermite_eval(traj.ts, traj.ys, traj.fs, [0.5, math.nextafter(0.5, 0.0)])
+    for y, f in zip(columns(traj.ys), columns(traj.fs)):
+        a, b = hermite_eval(traj.ts, y, f, [0.3, 0.3])
+        assert a == b  # repeats are read
+        with pytest.raises(
+            ValueError, match="^sample times must be nondecreasing: 0.2 after 0.3$"
+        ):
+            hermite_eval(traj.ts, y, f, [0.1, 0.3, 0.2])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            hermite_eval(traj.ts, y, f, [0.5, math.nextafter(0.5, 0.0)])
 
 
 def test_sampling_outside_the_range_fails():
@@ -633,7 +673,8 @@ def test_generic_trajectories_are_not_phase_states():
     traj = integrate_ode(lambda t, y: [-x for x in y], [1.0], 0.0, 1.0)
     with pytest.raises(ValueError, match="phase-space"):
         traj.state(0)
-    assert len(hermite_eval(traj.ts, traj.ys, traj.fs, [0.5])) == 1
+    (y,), (f,) = columns(traj.ys), columns(traj.fs)
+    assert len(hermite_eval(traj.ts, y, f, [0.5])) == 1
 
 
 def test_bad_step_arguments():
@@ -649,9 +690,9 @@ def test_bad_step_arguments():
 
 def test_hermite_reproduces_cubics():
     ts = [0.0, 0.4, 1.1, 2.0]
-    ys = [[t**3 - 2.0 * t + 1.0] for t in ts]
-    fs = [[3.0 * t**2 - 2.0] for t in ts]
+    ys = [t**3 - 2.0 * t + 1.0 for t in ts]
+    fs = [3.0 * t**2 - 2.0 for t in ts]
     query = np.linspace(0.0, 2.0, 17).tolist()
-    (got,) = hermite_eval(ts, ys, fs, query)
+    got = hermite_eval(ts, ys, fs, query)
     want = [t**3 - 2.0 * t + 1.0 for t in query]
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12

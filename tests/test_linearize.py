@@ -54,11 +54,19 @@ def test_curve_validation():
             abar=np.zeros(2),
         )
     curve = OrbitCurve([0.0, 1.0], [1.0, 2.0], [0.5, 0.5])
-    assert curve.rbar_at([0.5]) == [1.5]  # the cached nodes need no assignment
+    assert curve.rbar_at([0.5]) == [1.5]  # a read assigns nothing
     assert repr(curve) == "OrbitCurve(theta=[0.0, 1.0], rbar=[1.0, 2.0], abar=[0.5, 0.5])"
     for record, field in ((curve, "theta"), (make_trajectory([[1.0, 0.0, 0.0, 1.0]] * 2), "ts")):
         with pytest.raises(AttributeError):
             setattr(record, field, [])
+
+
+def test_orbit_curves_hold_only_their_fields():
+    # rbar_at reads the fields themselves, so a curve keeps no cache
+    curve = OrbitCurve([1.0, 0.0], [2.0, 1.0], [0.5, 0.5])
+    assert curve.rbar_at([0.5]) == [1.5]
+    assert not hasattr(curve, "__dict__")
+    assert OrbitCurve.__slots__ == OrbitCurve._fields
 
 
 def test_time_trajectory_maps_pointwise():
@@ -118,11 +126,15 @@ def test_scalar_curve_reads_match_the_array_path_bit_for_bit():
     backward = integrate_characteristic(PHI_COSH, math.cosh(1.0), math.sinh(1.0), 1.0, 0.0)
     rng = np.random.default_rng(29)
     for curve in (forward, backward):
+        # the reference reads rising nodes, one row of one component each
+        th, rb, ab = curve.theta, [[x] for x in curve.rbar], [[x] for x in curve.abar]
+        if th[0] > th[-1]:
+            th, rb, ab = th[::-1], rb[::-1], ab[::-1]
         lo, hi = curve.theta_range
         uniform = np.linspace(lo, hi, 97).tolist()
         for grid in (uniform, sorted(curve.theta), sorted(rng.uniform(lo, hi, 200).tolist())):
             got = curve.rbar_at(grid)
-            want = reference_hermite_eval(*curve._nodes, grid)[:, 0].tolist()
+            want = reference_hermite_eval(th, rb, ab, grid)[:, 0].tolist()
             assert all(type(x) is float for x in got)
             assert [x.hex() for x in got] == [x.hex() for x in want]
             for theta, one in zip(grid[::11], want[::11]):

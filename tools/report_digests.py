@@ -15,11 +15,14 @@ more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 every command.  ``NAN_PHI`` (a class-1 phi that cancels to NaN where
 ``(1e154 r)^2`` overflows) gets the ``jacobi`` and ``flow`` sweeps
 (``NAN_PHI_COMMANDS``), which fail on NaN rows inside the ``per_state``
-table.  Ten variants of the shipped configs, ``VARIANTS``,
+table.  Twelve variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, the spiral run on until it stops at the ``r_min``
-floor, the spiral mirrored to v < 0, whose theta falls with time, the
+floor, the same run at a looser DP45 tolerance, whose step controller
+rejects steps, and on RK4 steps so long that stages fail and the step
+is halved (the two stops on step-size underflow stay unreached), the
+spiral mirrored to v < 0, whose theta falls with time, the
 spiral with one-point ``orbit`` and ``linearize`` grids,
 ``class2_psi1`` with an alpha- and r-dependent psi, a
 nonzero ``lam0`` and a looser ``quad_tol``, ``class2_psi1`` with a
@@ -94,8 +97,22 @@ VARIANTS = (
     # r = cos(t) crosses the r_min floor 0.01 at t = 1.56089: a stopped
     # trajectory, its last steps and dense reads near its end
     ("spiral_floor_stop.json", "spiral.json", {"time_span": [0.0, 1.6]}),
-    # theta decreasing: the orbit curve's nodes reversed for reads, and a
-    # simulated duration taken between decreasing times
+    # the DP45 step controller rejecting steps: 16 rejections on the way
+    # to the r_min stop
+    (
+        "spiral_rejects.json",
+        "spiral.json",
+        {"time_span": [0.0, 1.6], "integrator": {"method": "dp45", "rtol": 1e-6, "atol": 1e-9}},
+    ),
+    # RK4 steps whose stages fail near r = 0: 3 failed stages, each step
+    # halved and retried
+    (
+        "spiral_halving.json",
+        "spiral.json",
+        {"time_span": [0.0, 1.6], "integrator": {"method": "rk4", "dt": 0.25}},
+    ),
+    # theta decreasing: falling nodes, which hermite_eval reads reversed,
+    # and a simulated duration taken between decreasing times
     (
         "spiral_mirrored.json",
         "spiral.json",
