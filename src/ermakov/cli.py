@@ -16,15 +16,16 @@ JSON as
 ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, floats as
 ``float.__repr__`` and non-finite ones as ``NaN``/``Infinity``.
 
-This module holds ``simulate``, the report writers and the parser.  The
-other commands live in :mod:`ermakov.verify` (the sweeps and their seeded
-draw) and :mod:`ermakov.orbit` (``orbit``, with its grid, and
-``linearize``), which ``main`` imports only for the command it runs, with
-``poisson`` or ``linearize``.  Every command runs on Python floats and
-the standard library alone, ``verify``'s seeded draw included: there is
-no runtime dependency.  Every command returns its exit code, its verdict
-line and its reports, by file name; ``main`` writes them, so no command
-module imports this one.
+This module holds ``simulate``, the report writers and the parser, whose
+``--which`` choices are :data:`ermakov.config.SWEEPS`.  The other commands
+live in :mod:`ermakov.verify` (one table of sweeps over one matrix field,
+and their seeded draw) and :mod:`ermakov.orbit` (``orbit``, with its grid,
+and ``linearize``), which ``main`` imports only for the command it runs,
+with ``poisson`` or ``linearize``.  Every command runs on Python floats
+and the standard library alone, ``verify``'s seeded draw included: there
+is no runtime dependency.  Every command returns its exit code, its
+verdict line and its reports, by file name; ``main`` writes them, so no
+command module imports this one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import invariants as inv
-from .config import ConfigError, RunConfig, _seed, load_config
+from .config import SWEEPS, ConfigError, RunConfig, _seed, load_config
 from .integrate import IntegrationError, drift
 from .systems import nan_max
 
@@ -154,11 +155,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override verify.seed")
         if name == "verify":
-            cmd.add_argument(
-                "--which",
-                required=True,
-                choices=("jacobi", "flow", "casimir", "consistency", "determinant"),
-            )
+            cmd.add_argument("--which", required=True, choices=SWEEPS)
             cmd.add_argument(
                 "--tamper-j34",
                 action="store_true",

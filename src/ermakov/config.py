@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "SWEEPS",
     "VerifySettings",
     "OrbitSettings",
     "LinearizeSettings",
@@ -259,9 +260,9 @@ class LinearizeSettings(NamedTuple):
 # allowed keys and their checks, in the order they are checked
 # psi_min is the class-2 psi floor, which goes to Class2Phi
 _FLOORS = dict.fromkeys(("r_min", "u_min", "v_min", "psi_min"), _positive)
-_TOLERANCES = dict.fromkeys(
-    ("jacobi", "flow", "casimir", "consistency", "determinant"), _positive
-)
+# the verify sweeps, by --which name and tolerance key
+SWEEPS = ("jacobi", "flow", "casimir", "consistency", "determinant")
+_TOLERANCES = dict.fromkeys(SWEEPS, _positive)
 _VERIFY = {
     "tolerance": lambda val, where: _settings(dict, val, where, _TOLERANCES),
     "branch": _one_of("any", "fixed"),

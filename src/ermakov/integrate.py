@@ -95,9 +95,9 @@ def hermite_eval(xs, ys, dys, at):
     prev = -math.inf
     for x in at:
         if x < prev:
-            raise ValueError(f"sample times must be nondecreasing: {x!r} after {prev!r}")
+            raise ValueError(f"sample points must be nondecreasing: {x!r} after {prev!r}")
         if x < lo - slack or x > hi + slack:
-            raise IntegrationError(f"sample time outside [{lo!r}, {hi!r}]")
+            raise IntegrationError(f"sample point outside [{lo!r}, {hi!r}]")
         prev = x
         x = lo if x < lo else hi if x > hi else x
         while i < last and xs[i + 1] <= x:

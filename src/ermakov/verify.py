@@ -1,8 +1,11 @@
 """The ``verify`` command: residual sweeps of the Poisson structure over
 seeded sample states.
 
-One sweep per ``--which``: the Jacobi identity, the Hamiltonian flow,
-the Casimirs, the class-2 consistency condition and the determinant.
+One sweep per name in :data:`ermakov.config.SWEEPS`: the Jacobi identity,
+the Hamiltonian flow, the Casimirs, the class-2 consistency condition and
+the determinant.  Each is ``(cfg, field, states) -> (tolerance, per-state
+residuals, extra report fields)`` in ``_SWEEPS``, with its own default
+tolerance, on the one matrix field that :func:`cmd_verify` builds.
 :func:`ermakov.cli.main` imports this module only for ``verify``, so no
 other command compiles it or :mod:`ermakov.poisson`, and writes the
 report that :func:`cmd_verify` returns.  The seeded draw is
@@ -15,7 +18,7 @@ from __future__ import annotations
 from . import invariants as inv
 from . import poisson
 from .config import ConfigError, RunConfig, sample_states
-from .systems import FuncHandle, PhaseState, nan_max, vector_field
+from .systems import FuncHandle, nan_max, vector_field
 
 __all__ = ["PCG64", "cmd_verify"]
 
@@ -95,30 +98,13 @@ class PCG64:
         return words
 
 
-def _state_row(s: PhaseState, residual: float) -> dict:
-    return {
-        "r": s.r,
-        "theta": s.theta,
-        "u": s.u,
-        "v": s.v,
-        "residual": residual,
-    }
-
-
-def _verify_jacobi(cfg, states, tamper):
-    field = poisson.matrix_field(cfg.spec.coupling, cfg.floors)
-    if tamper:
-        field = poisson.perturb_j34(field)
+def _verify_jacobi(cfg, field, states):
     tol = cfg.verify.tolerance.get("jacobi", 1e-6)
-    per_state = []
-    for s in states:
-        res = poisson.jacobi_residuals(field, s, 0.0)
-        per_state.append(nan_max(map(abs, res)))
-    return tol, per_state, {"tampered": tamper}
+    per_state = [nan_max(map(abs, poisson.jacobi_residuals(field, s, 0.0))) for s in states]
+    return tol, per_state, {}
 
 
-def _verify_flow(cfg, states):
-    field = poisson.matrix_field(cfg.spec.coupling, cfg.floors)
+def _verify_flow(cfg, field, states):
     tol = cfg.verify.tolerance.get("flow", 1e-10)
     per_state = []
     for s in states:
@@ -130,7 +116,7 @@ def _verify_flow(cfg, states):
     return tol, per_state, {}
 
 
-def _verify_casimir(cfg, states):
+def _verify_casimir(cfg, field, states):
     spec = cfg.spec
     potential = cfg.verify.casimir_potential
     if spec.kind == "pseudo_potential":
@@ -140,7 +126,6 @@ def _verify_casimir(cfg, states):
             "casimir verification needs a pseudo_potential system or "
             "verify.casimir_potential"
         )
-    field = poisson.matrix_field(spec.coupling, cfg.floors)
     tol = cfg.verify.tolerance.get("casimir", 1e-7)
     per_state = []
     for s in states:
@@ -152,7 +137,7 @@ def _verify_casimir(cfg, states):
     return tol, per_state, {"matrix_kind": field.kind}
 
 
-def _verify_consistency(cfg, states):
+def _verify_consistency(cfg, field, states):
     phi = cfg.spec.coupling
     if cfg.spec.kind != "class2":
         raise ConfigError("consistency verification applies to class2 systems")
@@ -160,17 +145,14 @@ def _verify_consistency(cfg, states):
     if cfg.verify.phi_override is not None:
         phi = FuncHandle(cfg.verify.phi_override)
     tol = cfg.verify.tolerance.get("consistency", 1e-7)
-    per_state = []
-    for s in states:
-        per_state.append(
-            abs(poisson.consistency_residual(psi, phi, s, 0.0, floors=cfg.floors))
-        )
+    per_state = [
+        abs(poisson.consistency_residual(psi, phi, s, 0.0, floors=cfg.floors)) for s in states
+    ]
     return tol, per_state, {"phi_overridden": cfg.verify.phi_override is not None}
 
 
-def _verify_determinant(cfg, states):
+def _verify_determinant(cfg, field, states):
     spec = cfg.spec
-    field = poisson.matrix_field(spec.coupling, cfg.floors)
     per_state = []
     if spec.kind in ("class1", "pseudo_potential"):
         tol = cfg.verify.tolerance.get("determinant", 1e-10)
@@ -201,25 +183,26 @@ def _verify_determinant(cfg, states):
     }
 
 
+_SWEEPS = {
+    "jacobi": _verify_jacobi,
+    "flow": _verify_flow,
+    "casimir": _verify_casimir,
+    "consistency": _verify_consistency,
+    "determinant": _verify_determinant,
+}
+
+
 def cmd_verify(cfg: RunConfig, seed: int, which: str, tamper: bool) -> tuple:
     if tamper and which != "jacobi":
         raise ConfigError("--tamper-j34 applies only to --which jacobi")
     vs = cfg.verify
-    branch = vs.branch
-    states = sample_states(PCG64(seed), vs.samples, vs.u_floor, branch)
-
+    states = sample_states(PCG64(seed), vs.samples, vs.u_floor, vs.branch)
+    field = poisson.matrix_field(cfg.spec.coupling, cfg.floors)
+    if tamper:
+        field = poisson.perturb_j34(field)
+    tol, per_state, extra = _SWEEPS[which](cfg, field, states)
     if which == "jacobi":
-        tol, per_state, extra = _verify_jacobi(cfg, states, tamper)
-    elif which == "flow":
-        tol, per_state, extra = _verify_flow(cfg, states)
-    elif which == "casimir":
-        tol, per_state, extra = _verify_casimir(cfg, states)
-    elif which == "consistency":
-        tol, per_state, extra = _verify_consistency(cfg, states)
-    elif which == "determinant":
-        tol, per_state, extra = _verify_determinant(cfg, states)
-    else:
-        raise ConfigError(f"unknown verification {which!r}")
+        extra["tampered"] = tamper
 
     # a NaN residual fails the sweep
     max_residual = nan_max(per_state)
@@ -229,11 +212,14 @@ def cmd_verify(cfg: RunConfig, seed: int, which: str, tamper: bool) -> tuple:
         "which": which,
         "system_kind": cfg.spec.kind,
         "samples": vs.samples,
-        "branch": branch,
+        "branch": vs.branch,
         "tolerance": tol,
         "max_residual": max_residual,
         "pass": passed,
-        "per_state": [_state_row(s, res) for s, res in zip(states, per_state)],
+        "per_state": [
+            {"r": s.r, "theta": s.theta, "u": s.u, "v": s.v, "residual": res}
+            for s, res in zip(states, per_state)
+        ],
         **extra,
     }
     verdict = "PASS" if passed else "FAIL"

@@ -283,7 +283,7 @@ def reference_hermite_eval(ts, ys, fs, times):
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     tq = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(tq < lo - slack) or np.any(tq > hi + slack):
-        raise IntegrationError(f"sample time outside [{lo!r}, {hi!r}]")
+        raise IntegrationError(f"sample point outside [{lo!r}, {hi!r}]")
     tq = np.clip(tq, lo, hi)
     idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
     h = ts[idx + 1] - ts[idx]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import copy
 import functools
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ermakov import cli
+from ermakov import cli, poisson, verify
 from ermakov import expr as ex
 from ermakov.cli import main
 from ermakov.config import (
     _STATE_KEYS,
+    SWEEPS,
     AffinityProbe,
     LinearizeSettings,
     VerifySettings,
@@ -196,6 +198,27 @@ def test_the_tamper_flag_is_refused_outside_jacobi(tmp_path, capsys, which):
     assert captured.out == ""
     assert captured.err == "config error: --tamper-j34 applies only to --which jacobi\n"
     assert not out.exists()
+
+
+def test_one_list_names_the_sweeps():
+    (commands,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (which,) = [a for a in commands.choices["verify"]._actions if a.dest == "which"]
+    assert tuple(verify._SWEEPS) == SWEEPS == tuple(which.choices)
+
+
+@pytest.mark.parametrize(
+    "which, tamper", [(which, False) for which in SWEEPS] + [("jacobi", True)]
+)
+def test_each_sweep_runs_on_one_matrix_field(tmp_path, monkeypatch, which, tamper):
+    cfg = write_config(tmp_path, CLASS2_DOC if which == "consistency" else SPIRAL_DOC)
+    builds = count_outermost_calls(monkeypatch, poisson, "matrix_field")
+    flags = ("--tamper-j34",) if tamper else ()
+    code, out = run(tmp_path, "verify", "--config", str(cfg), "--which", which, *flags)
+    assert code == (1 if tamper else 0)
+    assert builds[0] == 1
+    report = json.loads((out / f"verify_{which}.json").read_text())
+    # only the jacobi report says whether its field was tampered with
+    assert report.get("tampered", "absent") == (tamper if which == "jacobi" else "absent")
 
 
 @pytest.mark.parametrize("doc", [SPIRAL_DOC, CLASS2_DOC], ids=("pseudo", "class2"))

@@ -125,7 +125,7 @@ def test_scalar_dense_reads_match_the_array_path_bit_for_bit():
         for y, f in zip(ys, fs):
             with pytest.raises(IntegrationError) as walk:
                 hermite_eval(traj.ts, y, f, times)
-            assert str(walk.value) == str(reference.value) == f"sample time outside [0.0, {hi!r}]"
+            assert str(walk.value) == str(reference.value) == f"sample point outside [0.0, {hi!r}]"
 
 
 def test_falling_nodes_read_as_the_reversed_nodes_bit_for_bit():
@@ -158,7 +158,7 @@ def test_falling_nodes_refuse_as_the_reversed_nodes():
             hermite_eval(ts, y, f, [x])
         with pytest.raises(IntegrationError) as falling:
             hermite_eval(ts[::-1], y[::-1], f[::-1], [x])
-        assert str(falling.value) == str(rising.value) == f"sample time outside [0.0, {hi!r}]"
+        assert str(falling.value) == str(rising.value) == f"sample point outside [0.0, {hi!r}]"
 
 
 def test_decreasing_sample_times_are_refused():
@@ -167,7 +167,7 @@ def test_decreasing_sample_times_are_refused():
         a, b = hermite_eval(traj.ts, y, f, [0.3, 0.3])
         assert a == b  # repeats are read
         with pytest.raises(
-            ValueError, match="^sample times must be nondecreasing: 0.2 after 0.3$"
+            ValueError, match="^sample points must be nondecreasing: 0.2 after 0.3$"
         ):
             hermite_eval(traj.ts, y, f, [0.1, 0.3, 0.2])
         with pytest.raises(ValueError, match="nondecreasing"):

@@ -140,7 +140,7 @@ def test_scalar_curve_reads_match_the_array_path_bit_for_bit():
             for theta, one in zip(grid[::11], want[::11]):
                 assert curve.rbar_at([theta])[0].hex() == one.hex()
         for theta in (lo - 1e-3, hi + 1e-3):
-            with pytest.raises(IntegrationError, match=r"^sample time outside \["):
+            with pytest.raises(IntegrationError, match=r"^sample point outside \["):
                 curve.rbar_at([theta])
 
 

@@ -1,5 +1,6 @@
-"""``tools/reachability.py`` run in a fresh interpreter: it exits 0, and
-each function it lists is one that ``src/ermakov`` defines."""
+"""``tools/reachability.py --lines`` run in a fresh interpreter: it exits
+0, each function it lists is one that ``src/ermakov`` defines, and each
+statement it lists is a line of the package, printed as it reads."""
 
 import importlib
 import subprocess
@@ -8,7 +9,8 @@ import types
 from functools import cached_property
 from pathlib import Path
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "reachability.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_TOOL = _ROOT / "tools" / "reachability.py"
 
 
 def _unwrap(obj):
@@ -39,16 +41,34 @@ def _resolve(module: str, qualname: str):
 
 def test_every_unreached_name_is_a_package_function():
     done = subprocess.run(
-        [sys.executable, str(_TOOL), "--seed", "3"],
+        [sys.executable, str(_TOOL), "--seed", "3", "--lines"],
         capture_output=True, text=True, check=False, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    *rows, total = done.stdout.splitlines()
+    out = done.stdout.splitlines()
+    split = next(i for i, row in enumerate(out) if row.split()[1:2] == ["total,"])
+    *rows, total = out[: split + 1]
     listed = [row.split() for row in rows]
     assert listed, "a digest run leaves some error path unreached"
     assert total == f"{sum(int(count) for count, _ in listed):5d}  total, {len(listed)} functions"
+    *statements, count = out[split + 1 :]
+    assert count == f"{len(statements)} statements"
+    sources, marked = {}, set()
+    for row in statements:
+        where, text = row.split("  ", 1)
+        module, line = where.split(":")
+        if module not in sources:
+            path = _ROOT / "src" / "ermakov" / f"{module}.py"
+            sources[module] = path.read_text(encoding="utf-8").splitlines()
+        assert sources[module][int(line) - 1].strip() == text, row
+        marked.add((module, int(line)))
+    assert len(marked) == len(statements)
     for count, name in listed:
         module, qualname = name.split(".", 1)
         obj = _resolve(module, qualname)
         assert isinstance(obj, (types.FunctionType, types.CodeType)), name
         assert int(count) > 0
+        # a function never entered ran none of its statements
+        code = getattr(obj, "__code__", obj)
+        body = {line for *_, line in code.co_lines() if line != code.co_firstlineno}
+        assert any((module, line) in marked for line in body), name

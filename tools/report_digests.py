@@ -8,7 +8,8 @@ sweeps, ``orbit`` and ``linearize`` with ``--seed N``, in this process,
 against the package in this checkout's ``src/``.  The class-2 stress
 config ``bench/configs/class2_quadrature.json`` (the only one whose psi
 is not constant) gets ``simulate`` and the ``flow``, ``consistency``,
-``determinant`` and ``jacobi`` sweeps.  No shipped config reaches the quadrature ``C2``, its
+``determinant`` and ``jacobi`` sweeps, and the ``casimir`` sweep, which it
+refuses for want of a potential.  No shipped config reaches the quadrature ``C2``, its
 turning-point scan or dV/drbar away from the singular oscillator, so one
 more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 ``V = 1/(2 rbar^2)``), is written to the temporary directory and gets
@@ -35,8 +36,15 @@ quadrature panel (its ``simulate`` and ``verify flow`` fail there), and
 the class-1 catenary coupling ``phi = -1/(alpha r^3)``, whose orbit
 equation is linear, so that ``linearize`` reports
 ``affine: true`` (its ``orbit`` is refused); each gets
-``VARIANT_COMMANDS``.  Each shipped config also gets the
-``jacobi`` sweep with ``--tamper-j34`` (``TAMPER_COMMANDS``), and each
+``VARIANT_COMMANDS``.  Three more variants of ``class2_psi1``,
+``SWEEP_VARIANTS``, each get their own sweeps: the same ``chi`` with no
+psi floor and the theta-dependent psi on the fixed branch from a
+negative ``lam0`` (no path crosses lambda = 0) get the ``jacobi``,
+``consistency`` and ``determinant`` sweeps, which pass with the chi and
+theta terms in the phi integrand, and ``verify.phi_override`` 0 gets the
+``consistency`` sweep, which fails.  Each shipped config also gets the
+``jacobi`` sweep with ``--tamper-j34``, and the ``flow`` sweep with it,
+which is refused (``TAMPER_COMMANDS``), and each
 again with ``verify.u_floor`` 0.3 (``U_FLOOR_VARIANT``) gets the
 ``jacobi`` and ``casimir`` sweeps.  It prints one line per command with its exit code
 and the sha256 of what it printed, then the sha256 of each report it
@@ -69,7 +77,7 @@ STRESS_CONFIG = ROOT / "bench" / "configs" / "class2_quadrature.json"
 STRESS_COMMANDS = (
     ("simulate",),
     *(("verify", "--which", which)
-      for which in ("flow", "consistency", "determinant", "jacobi")),
+      for which in ("flow", "consistency", "determinant", "jacobi", "casimir")),
 )
 
 OFF_OSCILLATOR = {
@@ -198,7 +206,55 @@ VARIANTS = (
 )
 VARIANT_COMMANDS = (("simulate",), ("orbit",), ("linearize",), ("verify", "--which", "flow"))
 
-TAMPER_COMMANDS = (("verify", "--which", "jacobi", "--tamper-j34"),)
+CLASS2_SWEEPS = tuple(
+    ("verify", "--which", which) for which in ("jacobi", "consistency", "determinant")
+)
+
+# (document name, shipped config it starts from, sections it replaces,
+# commands)
+SWEEP_VARIANTS = (
+    # the chi term of the phi integrand, with no psi floor to trip
+    (
+        "class2_chi.json",
+        "class2_psi1.json",
+        {
+            "system": {
+                "kind": "class2",
+                "g": "cos(theta)",
+                "psi": "1+alpha+alpha^2*r",
+                "chi": "0.1*r*sin(theta)+t",
+            }
+        },
+        CLASS2_SWEEPS,
+    ),
+    # the psi_theta term, on paths from lam0 < 0 to states with alpha < 0
+    (
+        "class2_theta_fixed.json",
+        "class2_psi1.json",
+        {
+            "system": {
+                "kind": "class2",
+                "g": "cos(theta)",
+                "psi": "1+alpha^2*r+0.1*alpha*sin(theta)",
+                "lam0": -0.3,
+            },
+            "verify": {"samples": 200, "branch": "fixed"},
+        },
+        CLASS2_SWEEPS,
+    ),
+    # a phi that is not the one psi constructs: the consistency sweep fails
+    (
+        "class2_phi_override.json",
+        "class2_psi1.json",
+        {"verify": {"samples": 200, "phi_override": "0"}},
+        (("verify", "--which", "consistency"),),
+    ),
+)
+
+TAMPER_COMMANDS = (
+    ("verify", "--which", "jacobi", "--tamper-j34"),
+    ("verify", "--which", "flow", "--tamper-j34"),
+)
 
 # a larger u floor moves every sampled |u|, on both branches
 U_FLOOR_VARIANT = {"u_floor": 0.3}
@@ -242,9 +298,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs.append((_write_doc(Path(tmp) / "off_oscillator.json", OFF_OSCILLATOR), COMMANDS))
         runs.append((_write_doc(Path(tmp) / "nan_phi.json", NAN_PHI), NAN_PHI_COMMANDS))
-        for name, base, sections in VARIANTS:
+        variants = [(*variant, VARIANT_COMMANDS) for variant in VARIANTS] + list(SWEEP_VARIANTS)
+        for name, base, sections, commands in variants:
             doc = json.loads((ROOT / "configs" / base).read_text(encoding="utf-8"))
-            runs.append((_write_doc(Path(tmp) / name, dict(doc, **sections)), VARIANT_COMMANDS))
+            runs.append((_write_doc(Path(tmp) / name, dict(doc, **sections)), commands))
         for config in shipped:
             doc = json.loads(config.read_text(encoding="utf-8"))
             doc["verify"] = dict(doc.get("verify", {}), **U_FLOOR_VARIANT)
