@@ -215,7 +215,8 @@ def test_each_sweep_runs_on_one_matrix_field(tmp_path, monkeypatch, which, tampe
     flags = ("--tamper-j34",) if tamper else ()
     code, out = run(tmp_path, "verify", "--config", str(cfg), "--which", which, *flags)
     assert code == (1 if tamper else 0)
-    assert builds[0] == 1
+    # consistency reads no field, so it may skip the build
+    assert builds[0] == 1 or (which == "consistency" and builds[0] == 0)
     report = json.loads((out / f"verify_{which}.json").read_text())
     # only the jacobi report says whether its field was tampered with
     assert report.get("tampered", "absent") == (tamper if which == "jacobi" else "absent")
@@ -946,7 +947,7 @@ def _contract_texts(rng, names):
 
 def test_every_expression_gives_an_exit_code_and_no_traceback(tmp_path, capsys):
     rng = random.Random(21)
-    commands = (["simulate"], *(["verify", "--which", w] for w in VERIFY_SWEEPS), ["orbit"], ["linearize"])
+    commands = (["simulate"], *(["verify", "--which", w] for w in SWEEPS), ["orbit"], ["linearize"])
     for slot, (kind, names) in _SLOTS.items():
         key, default = _COUPLINGS[kind]
         for text in _contract_texts(rng, names):
@@ -1117,7 +1118,6 @@ def test_every_exported_name_exists(module):
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.json"))
-VERIFY_SWEEPS = ("jacobi", "flow", "casimir", "consistency", "determinant")
 
 
 def _src_env() -> dict:
@@ -1325,7 +1325,7 @@ def test_a_second_run_lowers_and_derives_nothing(tmp_path, monkeypatch):
     argvs = [
         [*argv, "--config", str(path)]
         for path in SHIPPED
-        for argv in (["simulate"], *(["verify", "--which", w] for w in VERIFY_SWEEPS))
+        for argv in (["simulate"], *(["verify", "--which", w] for w in SWEEPS))
     ]
     codes = [main([*argv, "--out", str(tmp_path / "first")]) for argv in argvs]
     assert lowered[0] > 0 and derived.cache_info().misses > 0
@@ -1413,7 +1413,7 @@ def test_every_command_runs_with_numpy_blocked(tmp_path, capsys, monkeypatch):
         [*argv, "--config", str(path), "--out", f"{path.stem}-{i}"]
         for path in SHIPPED
         for i, argv in enumerate(
-            (["simulate"], ["orbit"], ["linearize"], *(["verify", "--which", w] for w in VERIFY_SWEEPS))
+            (["simulate"], ["orbit"], ["linearize"], *(["verify", "--which", w] for w in SWEEPS))
         )
     ]
     blocked, normal = tmp_path / "blocked", tmp_path / "normal"

@@ -1,6 +1,7 @@
-"""``tools/reachability.py --lines`` run in a fresh interpreter: it exits
-0, each function it lists is one that ``src/ermakov`` defines, and each
-statement it lists is a line of the package, printed as it reads."""
+"""``tools/reachability.py`` run in a fresh interpreter: it exits 0, each
+function it lists is one that ``src/ermakov`` defines, each statement it
+lists is a line of the package, printed as it reads, and what every
+digest run executes is not listed."""
 
 import importlib
 import subprocess
@@ -41,7 +42,7 @@ def _resolve(module: str, qualname: str):
 
 def test_every_unreached_name_is_a_package_function():
     done = subprocess.run(
-        [sys.executable, str(_TOOL), "--seed", "3", "--lines"],
+        [sys.executable, str(_TOOL), "--seed", "3"],
         capture_output=True, text=True, check=False, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -63,6 +64,12 @@ def test_every_unreached_name_is_a_package_function():
         assert sources[module][int(line) - 1].strip() == text, row
         marked.add((module, int(line)))
     assert len(marked) == len(statements)
+    # every verify command draws its states, so a listing that holds this
+    # line recorded no trace
+    verify_src = (_ROOT / "src" / "ermakov" / "verify.py").read_text(encoding="utf-8").splitlines()
+    (draw,) = [i + 1 for i, text in enumerate(verify_src) if "= sample_states(" in text]
+    assert ("verify", draw) not in marked
+    assert "verify.cmd_verify" not in [name for _, name in listed]
     for count, name in listed:
         module, qualname = name.split(".", 1)
         obj = _resolve(module, qualname)

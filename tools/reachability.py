@@ -1,27 +1,26 @@
 #!/usr/bin/env python3
-"""List the package's functions that no command enters, and with
-``--lines`` its statements that no command executes.
+"""List the package's functions that no command enters, then its
+statements that no command executes.
 
-    python3 tools/reachability.py --seed N [--lines]
+    python3 tools/reachability.py --seed N
 
 It runs ``tools/report_digests.py --seed N`` (every command on the shipped
 configs, the class-2 stress config and the digest tool's variants) in this
 process under ``sys.settrace``, with the digest listing suppressed, and
 records every code object that was called and every line of the package
-that ran.  Then it prints each function
-and method defined in ``src/ermakov/*.py``, nested ones included, whose
-code was never entered: its line count and its name as
-``module.qualname`` (``<locals>`` marks a function nested in another),
-ordered by module and line, and a total.  A definition is matched to the
-code objects run by its file and first line, decorators included, which
-is the ``co_firstlineno`` of its code.
+that ran.  Then it prints each function and method defined in
+``src/ermakov/*.py``, nested ones included, whose code was never entered:
+its line count and its name as ``module.qualname`` (``<locals>`` marks a
+function nested in another), ordered by module and line, and a total.  A
+definition is matched to the code objects run by its file and first line,
+decorators included, which is the ``co_firstlineno`` of its code.
 
-With ``--lines`` it goes on to print each statement of ``src/ermakov/*.py``
-that never ran, as ``module:line`` and the text of that line, ordered by
-module and line, and their count.  A statement ran when any line of it
-ran; for a compound statement (``if``, ``for``, ``def`` and the like) only
-its header counts, its body being statements of their own.  Statements
-that compile to no code, such as docstrings, are not listed.
+After the total it prints each statement of ``src/ermakov/*.py`` that
+never ran, as ``module:line`` and the text of that line, ordered by module
+and line, and their count.  A statement ran when any line of it ran; for
+a compound statement (``if``, ``for``, ``def`` and the like) only its
+header counts, its body being statements of their own.  Statements that
+compile to no code, such as docstrings, are not listed.
 
 Error paths, ``__repr__``s and library surface that no command reaches
 make up the listing; a name on it is a candidate for removal only when
@@ -139,16 +138,14 @@ def unreached(seed: int) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", required=True, type=int)
-    parser.add_argument("--lines", action="store_true", help="also list unexecuted statements")
     args = parser.parse_args(argv)
     missed, idle = unreached(args.seed)
     for module, _, count, name in missed:
         print(f"{count:5d}  {module}.{name}")
     print(f"{sum(count for *_, count, _ in missed):5d}  total, {len(missed)} functions")
-    if args.lines:
-        for module, line, text in idle:
-            print(f"{module}:{line}  {text}")
-        print(f"{len(idle)} statements")
+    for module, line, text in idle:
+        print(f"{module}:{line}  {text}")
+    print(f"{len(idle)} statements")
     return 0
 
 
