@@ -21,26 +21,31 @@ This module holds ``simulate``, the report writers and the parser, whose
 live in :mod:`ermakov.verify` (one table of sweeps over one matrix field,
 and their seeded draw) and :mod:`ermakov.orbit` (``orbit``, with its grid,
 and ``linearize``), which ``main`` imports only for the command it runs,
-with ``poisson`` or ``linearize``.  Every command runs on Python floats
-and the standard library alone, ``verify``'s seeded draw included: there
-is no runtime dependency.  Every command returns its exit code, its
-verdict line and its reports, by file name; ``main`` writes them, so no
-command module imports this one.
+with ``poisson`` or ``linearize``; ``simulate`` loads
+:mod:`ermakov.integrate` when it runs, and ``IntegrationError`` comes
+from :mod:`ermakov.systems`.  Every command runs on Python floats and
+the standard library alone, ``verify``'s seeded draw included: there is
+no runtime dependency.  Every command returns its exit code, its verdict
+line and its reports, by file name; ``main`` writes them, so no command
+module imports this one.  A report set is written whole or not at all:
+each report goes to a temporary name inside ``--out`` and is renamed
+into place once all are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import invariants as inv
 from .config import SWEEPS, ConfigError, RunConfig, _seed, load_config
-from .integrate import IntegrationError, drift
-from .systems import nan_max
+from .systems import IntegrationError, nan_max
 
 __all__ = ["main"]
 
@@ -100,7 +105,33 @@ def _write_csv(path: Path, header, rows):
             fh.write(line % tuple(row))
 
 
+def _write_reports(out_dir: Path, base: dict, reports: dict):
+    """Each report into out_dir, all of them or none: each is written under
+    a temporary name there, and only once all are written are they renamed
+    into place.  A target that is a directory fails the set before any
+    write, and a failed set leaves no temporary file behind."""
+    for name in reports:
+        if (out_dir / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name))
+    temps = {}
+    try:
+        for name, report in reports.items():
+            temp = temps[name] = out_dir / f".{name}.{os.getpid()}.tmp"
+            if isinstance(report, dict):
+                _write_json(temp, {**base, **report})
+            else:
+                _write_csv(temp, *report)
+        for name, temp in temps.items():
+            os.replace(temp, out_dir / name)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_simulate(cfg: RunConfig) -> tuple:
+    from .integrate import drift
+
     spec = cfg.spec
     traj = cfg.trajectory()
     conventions = {"I": inv.I_CONVENTIONS}
@@ -183,11 +214,7 @@ def main(argv: Optional[list] = None) -> int:
         base = {"config_sha256": cfg.sha256, "seed": seed, "conventions": {}}
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, report in reports.items():
-            if isinstance(report, dict):
-                _write_json(out_dir / name, {**base, **report})
-            else:
-                _write_csv(out_dir / name, *report)
+        _write_reports(out_dir, base, reports)
         print(line)
         return code
     except ConfigError as exc:

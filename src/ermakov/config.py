@@ -4,22 +4,35 @@ A run is described by one JSON document.  Expression-valued fields are
 strings in the grammar of :mod:`ermakov.expr`.  Validation is strict:
 unknown keys anywhere are rejected, so typos fail loudly instead of
 silently using a default.  Nothing here needs a package outside the
-standard library.
+standard library.  The integrator settings are an
+:class:`ermakov.systems.Solver`, and only ``RunConfig.trajectory`` loads
+:mod:`ermakov.integrate`.  The config digest comes from the interpreter's
+built-in sha256 where it has one, so loading a config loads neither the
+integrator nor OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Tuple
 
 from . import expr as ex
-from .integrate import Solver, Trajectory, integrate
-from .systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
+from .systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, Solver, SystemSpec
+
+# hashlib loads OpenSSL for one digest; the interpreter's own sha256 gives
+# the same bytes without it
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
+    from .integrate import Trajectory
     from .verify import PCG64
 
 __all__ = [
@@ -315,6 +328,8 @@ class RunConfig(NamedTuple):
         """The run integrated from its initial state, which it needs."""
         if self.s0 is None:
             raise ConfigError("initial_state is required for this command")
+        from .integrate import integrate
+
         return integrate(self.spec, self.s0, self.t0, self.t1, self.solver, self.floors)
 
 
@@ -360,7 +375,7 @@ def parse_config(data: bytes) -> RunConfig:
         linearize=_settings(
             LinearizeSettings, _section(doc, "linearize"), "linearize", _LINEARIZE
         ),
-        sha256=hashlib.sha256(data).hexdigest(),
+        sha256=sha256(data).hexdigest(),
         solver=solver,
     )
 

@@ -18,6 +18,9 @@ against floors relaxed by half; a failing stage halves the step until it
 underflows.  Accepted states are checked against the configured floors.
 Either way the trajectory ends at the last good state with status
 "singular_stop" and a reason, rather than raising.
+
+``Solver`` and ``IntegrationError`` live in :mod:`ermakov.systems`, so
+that loading a config or catching the error loads no integrator.
 """
 
 from __future__ import annotations
@@ -31,15 +34,15 @@ from .systems import (
     DEFAULT_FLOORS,
     STAGE_FAILURES,
     Floors,
+    IntegrationError,
     PhaseState,
     SingularStateError,
+    Solver,
     SystemSpec,
     nan_max,
 )
 
 __all__ = [
-    "IntegrationError",
-    "Solver",
     "Trajectory",
     "QuantityDrift",
     "hermite_eval",
@@ -47,25 +50,6 @@ __all__ = [
     "integrate",
     "drift",
 ]
-
-
-class IntegrationError(RuntimeError):
-    """Step budget exhausted or a sample fell outside the trajectory."""
-
-
-class Solver(NamedTuple):
-    """Integrator settings.
-
-    method is "rk4" (fixed step dt, span/1000 when absent) or "dp45"
-    (adaptive, to rtol and atol, with no dt).  max_steps bounds accepted
-    plus rejected steps; exceeding it raises IntegrationError.
-    """
-
-    method: str = "dp45"
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    dt: Optional[float] = None
-    max_steps: int = 200000
 
 
 def hermite_eval(xs, ys, dys, at):

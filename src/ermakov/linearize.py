@@ -20,8 +20,16 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expr import _Record
-from .integrate import Solver, Trajectory, hermite_eval, integrate_ode
-from .systems import STAGE_FAILURES, FuncHandle, Potential, SingularStateError, linspace, nan_max
+from .integrate import Trajectory, hermite_eval, integrate_ode
+from .systems import (
+    STAGE_FAILURES,
+    FuncHandle,
+    Potential,
+    SingularStateError,
+    Solver,
+    linspace,
+    nan_max,
+)
 
 # a class-1 coupling, or a potential standing for the phi it induces
 Coupling = Union[FuncHandle, Potential]

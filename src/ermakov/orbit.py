@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from . import invariants as inv
 from .config import ConfigError, RunConfig
-from .integrate import Solver, Trajectory, hermite_eval
+from .integrate import Trajectory, hermite_eval
 from .linearize import affinity_test, integrate_characteristic, orbit_match, to_orbit_curve
-from .systems import linspace, nan_max
+from .systems import Solver, linspace, nan_max
 
 __all__ = ["cmd_orbit", "cmd_linearize"]
 

@@ -17,6 +17,9 @@ The first-order flow shared by all classes:
     dv/dt     = -G(theta) / r^2
 
 and du/dt carries the class-dependent coupling.
+
+The integrator's ``Solver`` and ``IntegrationError`` live here too, so
+that only a command that builds a trajectory loads :mod:`ermakov.integrate`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
     "DEFAULT_FLOORS",
     "SingularStateError",
     "STAGE_FAILURES",
+    "IntegrationError",
+    "Solver",
     "PhaseState",
     "Flow4",
     "FuncHandle",
@@ -53,6 +58,10 @@ class SingularStateError(ValueError):
 # what a right-hand side raises when a state is singular rather than when
 # the code is wrong; integrators halve the step on these and nothing else
 STAGE_FAILURES = (SingularStateError, DomainError, QuadratureError, FloatingPointError)
+
+
+class IntegrationError(RuntimeError):
+    """Step budget exhausted or a sample fell outside the trajectory."""
 
 
 class Floors(NamedTuple):
@@ -85,6 +94,21 @@ class Floors(NamedTuple):
 
 
 DEFAULT_FLOORS = Floors()
+
+
+class Solver(NamedTuple):
+    """Integrator settings, for :mod:`ermakov.integrate`.
+
+    method is "rk4" (fixed step dt, span/1000 when absent) or "dp45"
+    (adaptive, to rtol and atol, with no dt).  max_steps bounds accepted
+    plus rejected steps; exceeding it raises IntegrationError.
+    """
+
+    method: str = "dp45"
+    rtol: float = 1e-10
+    atol: float = 1e-12
+    dt: Optional[float] = None
+    max_steps: int = 200000
 
 
 def nan_max(values) -> float:

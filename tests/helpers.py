@@ -16,10 +16,9 @@ import random
 import pytest
 
 from ermakov import expr as ex
-from ermakov.integrate import IntegrationError
 from ermakov.linearize import AffinityResult, _curvature_fn
 from ermakov.poisson import JACOBI_TRIPLES
-from ermakov.systems import DEFAULT_FLOORS, FuncHandle, PhaseState, Potential
+from ermakov.systems import DEFAULT_FLOORS, FuncHandle, IntegrationError, PhaseState, Potential
 
 np = pytest.importorskip("numpy")
 

@@ -21,7 +21,7 @@ from ermakov import expr as ex
 from ermakov import invariants as inv
 from ermakov import poisson
 from ermakov.config import sample_states
-from ermakov.integrate import Solver, drift, hermite_eval, integrate
+from ermakov.integrate import drift, hermite_eval, integrate
 from ermakov.linearize import (
     OrbitCurve,
     affinity_test,
@@ -29,7 +29,15 @@ from ermakov.linearize import (
     orbit_match,
     to_orbit_curve,
 )
-from ermakov.systems import Class2Phi, Floors, FuncHandle, PhaseState, Potential, SystemSpec
+from ermakov.systems import (
+    Class2Phi,
+    Floors,
+    FuncHandle,
+    PhaseState,
+    Potential,
+    Solver,
+    SystemSpec,
+)
 from ermakov.verify import PCG64
 
 from helpers import columns, evaluable_tree, trusted_central_difference, vec

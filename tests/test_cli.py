@@ -606,6 +606,38 @@ def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
     assert list((out / "trajectory.csv").iterdir()) == []
 
 
+def test_a_report_set_is_written_whole_or_not_at_all(tmp_path, capsys):
+    spiral = write_config(tmp_path, SPIRAL_DOC)
+    free = dict(SPIRAL_DOC, system={"kind": "class1", "g": "0", "phi": "0"})
+    circular = write_config(tmp_path, free, "circular.json")
+    # a directory where the second report goes: the first is not written
+    out = tmp_path / "out"
+    (out / "drift.json").mkdir(parents=True)
+    assert main(["simulate", "--config", str(spiral), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write reports to {str(out)!r}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["drift.json"]
+    # an earlier run's set is replaced by the next run's, every report of it
+    (out / "drift.json").rmdir()
+    for cfg, into in ((spiral, out), (circular, out), (circular, tmp_path / "fresh")):
+        assert main(["simulate", "--config", str(cfg), "--out", str(into)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["drift.json", "trajectory.csv"]
+    for name in ("drift.json", "trajectory.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_a_failed_report_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, SPIRAL_DOC)
+
+    def full(path, obj):
+        Path(path).write_text("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_json", full)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [("simulate",), ("verify", "--which", "flow"), ("orbit",), ("linearize",)],
@@ -1152,6 +1184,27 @@ def test_ermakov_integrate_is_the_module():
     assert result.stdout == "True\n"
 
 
+# run in a fresh interpreter with no built-in sha256 module; prints each
+# config's digest, then whether config took hashlib's sha256
+_NO_BUILTIN_SHA256 = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from ermakov import config
+for path in sys.argv[1:]:
+    print(config.load_config(path).sha256)
+print("@", "hashlib" in sys.modules and config.sha256 is sys.modules["hashlib"].sha256)
+"""
+
+
+def test_the_config_digest_falls_back_to_hashlib():
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_BUILTIN_SHA256, *map(str, SHIPPED)], capture_output=True,
+        text=True, env=_src_env(), check=True, timeout=120,
+    )
+    expected = [hashlib.sha256(path.read_bytes()).hexdigest() for path in SHIPPED]
+    assert result.stdout.splitlines() == [*expected, "@ True"]
+
+
 def _quick_start() -> str:
     """The first python block of README's Quick start section."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -1171,33 +1224,40 @@ def test_the_readme_quick_start_runs_as_written():
 
 
 # run in a fresh interpreter; prints "@ step [exit code] numpy-loaded
-# modules" after each step, where modules are those of the command modules
-# (after loading, also dataclasses and inspect) that the package loaded; the
-# generated steppers, Gauss-Kronrod panel and parsers built after loading,
-# and the parser builds after the last command
+# modules" after each step, where modules are those of hashlib, the
+# integrator and the command modules (after loading, also dataclasses and
+# inspect) that the package loaded; the Gauss-Kronrod panels and parsers
+# built after loading, and the parser builds after the last command.  The
+# first argument names the first command; the script ends after a first
+# verify.
 _COLD_START = """
 import sys
 
 before = set(sys.modules)
 COMMANDS = ("ermakov.poisson", "ermakov.linearize", "ermakov.verify", "ermakov.orbit")
+LAZY = ("hashlib", "_hashlib", "ermakov.integrate") + COMMANDS
 
 
-def loaded(names=COMMANDS):
+def loaded(names=LAZY):
     return ",".join(name for name in names if name in set(sys.modules) - before) or "none"
 
 
 import ermakov.cli
 from ermakov.config import load_config
 
-out, *configs = sys.argv[1:]
+out, first, *configs = sys.argv[1:]
 for path in configs:
     load_config(path)
-print("@ load", "numpy" in sys.modules, loaded(("dataclasses", "inspect") + COMMANDS))
-# code generation is paid by the first integration, not by setup
-print("@ steppers", sorted(sys.modules["ermakov.integrate"]._STEPPERS))
+# code generation is paid by the first integration, not by setup, which
+# loads no integrator at all
+print("@ load", "numpy" in sys.modules, loaded(("dataclasses", "inspect") + LAZY))
 print("@ panels", sys.modules["ermakov.expr"]._gk21_panel.cache_info().currsize)
 # and the parser by the first command
 print("@ parsers", ermakov.cli._parser.cache_info().currsize)
+if first == "verify":
+    code = ermakov.cli.main(["verify", "--config", configs[0], "--which", "flow", "--out", out])
+    print("@ verify", code, "numpy" in sys.modules, loaded())
+    sys.exit()
 for i, path in enumerate(configs):
     code = ermakov.cli.main(["simulate", "--config", path, "--out", f"{out}/{i}"])
     print("@ simulate", code, "numpy" in sys.modules, loaded())
@@ -1219,26 +1279,30 @@ print("@ verify", code, "numpy" in sys.modules, loaded())
 
 def test_import_load_and_simulate_run_without_numpy(tmp_path):
     assert len(SHIPPED) == 2
-    result = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(tmp_path), *map(str, SHIPPED)],
-        capture_output=True, text=True, env=_src_env(), check=True, timeout=120,
-    )
-    steps = [line[2:] for line in result.stdout.splitlines() if line.startswith("@ ")]
-    # no class-decorator machinery on the way in, and each command loads
-    # only its own module: verify compiles none of the orbit code
+
+    def steps(first, out):
+        result = subprocess.run(
+            [sys.executable, "-c", _COLD_START, str(out), first, *map(str, SHIPPED)],
+            capture_output=True, text=True, env=_src_env(), check=True, timeout=120,
+        )
+        return result, [line[2:] for line in result.stdout.splitlines() if line.startswith("@ ")]
+
+    # no class-decorator machinery, hashlib or integrator on the way in, and
+    # each command loads only its own modules: verify compiles none of the
+    # orbit or integrator code, and simulate none of the sweeps
     verify_modules = "ermakov.poisson,ermakov.verify"
-    assert steps == [
-        "load False none",
-        "steppers []",
-        "panels 0",
-        "parsers 0",
-        "simulate 0 False none",
-        "simulate 0 False none",
-        f"verify 0 False {verify_modules}",
+    setup = ["load False none", "panels 0", "parsers 0"]
+    assert steps("verify", tmp_path / "alone")[1] == [*setup, f"verify 0 False {verify_modules}"]
+    result, ran = steps("simulate", tmp_path)
+    assert ran == [
+        *setup,
+        "simulate 0 False ermakov.integrate",
+        "simulate 0 False ermakov.integrate",
+        f"verify 0 False ermakov.integrate,{verify_modules}",
         "invalid 2",
-        f"simulate 0 False {verify_modules}",
+        f"simulate 0 False ermakov.integrate,{verify_modules}",
         "parsers built 1",
-        f"verify 0 False {verify_modules}",
+        f"verify 0 False ermakov.integrate,{verify_modules}",
     ]
     # the invalid argv fails on the kept parser as on a new one
     assert result.stderr.startswith("usage: ermakov verify [-h] --config CONFIG")

@@ -10,9 +10,7 @@ from ermakov import integrate as integrate_module
 from ermakov.cli import cmd_simulate
 from ermakov.config import load_config
 from ermakov.integrate import (
-    IntegrationError,
     QuantityDrift,
-    Solver,
     Trajectory,
     drift,
     hermite_eval,
@@ -24,8 +22,10 @@ from ermakov.systems import (
     Class2Phi,
     Floors,
     FuncHandle,
+    IntegrationError,
     PhaseState,
     SingularStateError,
+    Solver,
     SystemSpec,
     nan_max,
     vector_field,
@@ -469,7 +469,7 @@ def test_max_drift_reports_a_nan_that_is_not_first(monkeypatch):
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "spiral.json")
     for drifts, shown in (((1e-10, math.nan, 2.0), "nan"), ((1e-10, 3e-9, 0.0), "3.000e-09")):
         report = {name: QuantityDrift(0.5, d, 0.1) for name, d in zip(("I", "C1", "C2"), drifts)}
-        monkeypatch.setattr("ermakov.cli.drift", lambda traj, quantities: report)
+        monkeypatch.setattr("ermakov.integrate.drift", lambda traj, quantities: report)
         _, line, reports = cmd_simulate(cfg)
         assert line.endswith(f"max drift {shown}")
         assert reports["drift.json"]["drift"]["C1"]["drift"] is drifts[1]

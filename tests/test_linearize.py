@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ermakov import expr as ex
-from ermakov.integrate import IntegrationError, Trajectory, integrate
+from ermakov.integrate import Trajectory, integrate
 from ermakov.linearize import (
     AffinityResult,
     OrbitCurve,
@@ -12,7 +12,7 @@ from ermakov.linearize import (
     orbit_match,
     to_orbit_curve,
 )
-from ermakov.systems import FuncHandle, PhaseState, SystemSpec
+from ermakov.systems import FuncHandle, IntegrationError, PhaseState, SystemSpec
 
 from helpers import reference_affinity_fit, reference_hermite_eval, spiral_start, vec
 from test_systems import OSC
