@@ -72,13 +72,13 @@ def _settings(cls, section, where: str, checks: dict):
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
     _check_keys(section, checks, where)
-    return cls(
-        **{
-            key: check(section[key], f"{where}.{key}")
-            for key, check in checks.items()
-            if key in section
-        }
-    )
+    values = {
+        key: check(section[key], f"{where}.{key}") for key, check in checks.items() if key in section
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a rule across keys, such as Solver's on dt
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def _number(val, where: str) -> float:
@@ -362,8 +362,6 @@ def parse_config(data: bytes) -> RunConfig:
     s0 = _build_state(_section(doc, "initial_state")) if "initial_state" in doc else None
     t0, t1 = _span(doc["time_span"], "time_span") if "time_span" in doc else (0.0, 1.0)
     solver = _settings(Solver, _section(doc, "integrator"), "integrator", _INTEGRATOR)
-    if solver.dt is not None and solver.method != "rk4":
-        raise ConfigError(f"integrator.dt applies only to rk4, not {solver.method}")
     return RunConfig(
         spec=spec,
         s0=s0,

@@ -275,8 +275,6 @@ def integrate_ode(
         raise ValueError(f"t1={t1!r} must exceed t0={t0!r}")
     if method not in _SOURCES:
         raise ValueError(f"unknown method {method!r}")
-    if method == "dp45" and solver.dt is not None:
-        raise ValueError("dt applies only to rk4, not dp45")
     y = [float(yj) for yj in y0]
     step = _stepper(method, len(y))
     t = t0

@@ -11,10 +11,11 @@ and differ in J13 and J34:
     class 2:  J13 = (u/v)^2 + u psi,    J34 = u phi + 2 u v psi / r
 
 with phi free in class 1 and constructed from psi in class 2.  Checks
-offered here: the four Jacobi-identity cyclic sums (exact partials, by
-the chain rule through alpha = u/v), determinant versus Pfaffian,
-Hamiltonian flow reconstruction, the class-2 consistency condition, and
-Casimir residuals.  Everything runs on Python floats.
+offered here: the four Jacobi-identity cyclic sums (exact partials from
+the ``jet`` of psi and of phi, by the chain rule through alpha = u/v),
+determinant versus Pfaffian, Hamiltonian flow reconstruction, the
+class-2 consistency condition (phi's alpha-partial only), and Casimir
+residuals.  Everything runs on Python floats.
 """
 
 from __future__ import annotations
@@ -217,12 +218,6 @@ def _upper_partials(s: PhaseState, alpha: float, psi: tuple, phi: tuple) -> tupl
     )
 
 
-def _jet(f, *point: float) -> tuple:
-    """(f, f_alpha, f_r, f_theta) at point = (alpha, r, theta, t), from
-    ``f.partial`` (a FuncHandle or a Class2Phi)."""
-    return (f(*point), *[f.partial(var)(*point) for var in ("alpha", "r", "theta")])
-
-
 # per JACOBI_TRIPLES entry a < b < c (0-based): a, b, c and the positions
 # in the 6-tuple of upper entries of (b, c), (a, c) and (a, b); the cyclic
 # sum's middle entry (c, a) is the negation of (a, c)
@@ -296,9 +291,11 @@ def consistency_residual(
     alpha = s.alpha(floors.v_min)
     r, theta, u, v = s.r, s.theta, s.u, s.v
 
-    psi_val, psi_prime, psi_r, psi_theta = _jet(psi, alpha, r, theta, t)
+    psi_val, psi_prime, psi_r, psi_theta = psi.jet(alpha, r, theta, t)
     phi_val = phi(alpha, r, theta, t)
-    phi_prime = phi.partial("alpha")(alpha, r, theta, t)
+    # not phi's jet: a Class2Phi's would add two quadratures
+    d_alpha = phi.partial_alpha if isinstance(phi, Class2Phi) else phi.partial("alpha").fn
+    phi_prime = d_alpha(alpha, r, theta, t)
 
     left = psi_val * phi_prime - psi_prime * phi_val
     right = psi_r + v / (r * r * u) * psi_theta - (2.0 / r) * psi_val
@@ -320,22 +317,15 @@ def casimir_residuals(
 
 
 def perturb_j34(field: MatrixField) -> MatrixField:
-    """A copy of the field with 0.1 r added to J34, and so 0.1 to its
-    r-partial.
-
-    Breaks the Jacobi identities; used as the negative control in
-    verification sweeps.
-    """
-
-    def tampered(s: PhaseState, t: float = 0.0) -> SkewMatrix4:
-        m = field(s, t)
-        return m._replace(j34=m.j34 + 0.1 * s.r)
+    """A copy of the field with 0.1 r added to J34 and 0.1 to its
+    r-partial, both in ``derivatives``, whose matrix is the copy's value.
+    Breaks the Jacobi identities: the negative control of ``jacobi``."""
 
     def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
         m, (d_r, *rest) = field.derivatives(s, t)
         return m._replace(j34=m.j34 + 0.1 * s.r), ((*d_r[:5], d_r[5] + 0.1), *rest)
 
-    return MatrixField(tampered, field.kind + "+tampered", derivatives)
+    return MatrixField(lambda s, t=0.0: derivatives(s, t)[0], field.kind + "+tampered", derivatives)
 
 
 def matrix_field(
@@ -358,7 +348,7 @@ def matrix_field(
         m = evaluate(s, t)
         point = (m.j14, s.r, s.theta, t)  # m.j14 is alpha
         # class 1 is class 2 with psi and its partials 0
-        psi_jet = (0.0, 0.0, 0.0, 0.0) if psi is None else _jet(psi, *point)
-        return m, _upper_partials(s, m.j14, psi_jet, _jet(coupling, *point))
+        psi_jet = (0.0, 0.0, 0.0, 0.0) if psi is None else psi.jet(*point)
+        return m, _upper_partials(s, m.j14, psi_jet, coupling.jet(*point))
 
     return MatrixField(evaluate, "class1" if psi is None else "class2", derivatives)

@@ -10,6 +10,8 @@ structure class of ``SystemSpec(g, coupling)``:
 * ``pseudo_potential`` -- a ``Potential`` V(rbar, t), rbar = 1/r, which
   induces phi.
 
+A phi or psi's ``jet(alpha, r, theta, t)`` is (f, f_alpha, f_r, f_theta).
+
 The first-order flow shared by all classes:
 
     dr/dt     = u
@@ -24,7 +26,6 @@ that only a command that builds a trajectory loads :mod:`ermakov.integrate`.
 
 from __future__ import annotations
 
-import functools
 import math
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -101,7 +102,9 @@ class Solver(NamedTuple):
 
     method is "rk4" (fixed step dt, span/1000 when absent) or "dp45"
     (adaptive, to rtol and atol, with no dt).  max_steps bounds accepted
-    plus rejected steps; exceeding it raises IntegrationError.
+    plus rejected steps; exceeding it raises IntegrationError.  A call
+    that gives dt with any method but rk4 raises ValueError; ``_replace``
+    and ``_make`` build the tuple without that check.
     """
 
     method: str = "dp45"
@@ -109,6 +112,16 @@ class Solver(NamedTuple):
     atol: float = 1e-12
     dt: Optional[float] = None
     max_steps: int = 200000
+
+
+def _rk4_only_dt(cls, *args, _new=Solver.__new__, **kwargs):
+    solver = _new(cls, *args, **kwargs)
+    if solver.dt is not None and solver.method != "rk4":
+        raise ValueError(f"dt applies only to rk4, not {solver.method}")
+    return solver
+
+
+Solver.__new__ = _rk4_only_dt  # NamedTuple refuses a __new__ in the class body
 
 
 def nan_max(values) -> float:
@@ -214,6 +227,11 @@ class FuncHandle:
             handle = self._partials[var] = FuncHandle(tree)
         return handle
 
+    def jet(self, alpha: float, r: float, theta: float, t: float = 0.0) -> tuple:
+        """(f, f_alpha, f_r, f_theta) at one point, the partials from ``partial``."""
+        point = (alpha, r, theta, t)
+        return (self.fn(*point), *[self.partial(var).fn(*point) for var in ("alpha", "r", "theta")])
+
     def __repr__(self):
         return f"FuncHandle({ex.to_text(self.tree)})"
 
@@ -312,20 +330,17 @@ class Class2Phi:
     (alpha - lam0) times the integrand, when psi depends on neither alpha
     nor theta.  |psi| at or below ``psi_min`` is a singular state.
     The 1/lam term is present only when psi actually depends on theta; in
-    that case the integration path must not touch lam = 0.  The derivative
-    with respect to alpha is exact (fundamental theorem of calculus), which
-    matters for consistency-condition checks: differencing the quadrature
-    would cost five to six digits.  The derivatives with respect to r and
-    theta are exact too: the integrand is differentiated under the
-    integral sign, which takes second partials of psi.
+    that case the integration path must not touch lam = 0.  The partials
+    in ``jet`` are exact: in alpha by the fundamental theorem of calculus
+    (differencing the quadrature would cost five to six digits), in r and
+    theta by differentiating the integrand under the integral sign.
 
     Quadratures run on the integrand lowered by expr, with (r, theta, t)
     bound per quadrature; ``integrand``, the reference, replays a sample
-    where it faults.  The psi partials are ``psi``'s handles; the lowered
-    integrand and its partials are looked up on first use and kept.  The
-    last value is kept with its (alpha, r, theta, t), so phi and its
-    derivatives, or the matrix and the flow, at one state share one
-    quadrature of phi.
+    where it faults.  The lowered integrand and its partials are built on
+    first use and kept.  The last value is kept with its (alpha, r, theta,
+    t), so phi and its jet, or the matrix and the flow, at one state share
+    one quadrature of phi.
     """
 
     def __init__(
@@ -406,37 +421,34 @@ class Class2Phi:
         return u * v * (self(alpha, r, theta, t) + 2.0 * v * psi_val / r)
 
     def partial_alpha(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
-        """Exact d(phi)/d(alpha) via the fundamental theorem."""
-        w = self._psi_at(alpha, r, theta, t)
-        dpsi = self.psi.partial("alpha").fn(alpha, r, theta, t)
-        return self.integrand(alpha, r, theta, t) * w + self(alpha, r, theta, t) * dpsi / w
+        """Exact d(phi)/d(alpha): ``jet``'s second entry, without its quadratures."""
+        return self._jet(alpha, r, theta, t, ())[1]
 
-    def partial(self, var: str) -> Callable[..., float]:
-        """d(phi)/d(var) for var alpha, r or theta, as a function of
-        (alpha, r, theta, t), like ``FuncHandle.partial``."""
-        if var == "alpha":
-            return self.partial_alpha
-        return functools.partial(self._partial_under_integral, var)
+    def jet(self, alpha: float, r: float, theta: float, t: float = 0.0) -> tuple:
+        """(phi, phi_alpha, phi_r, phi_theta): the kept phi and one read of psi's jet."""
+        return self._jet(alpha, r, theta, t, ("r", "theta"))
 
-    def _partial_under_integral(
-        self, var: str, alpha: float, r: float, theta: float, t: float = 0.0
-    ) -> float:
-        """d(phi)/d(var) for var r or theta: with phi = K psi(alpha),
-        d(phi) = dK psi + K d(psi), where dK integrates the derivative of
-        the integrand over the path of K (exactly when K's integrand is
-        constant in lam) and adds the derivative of chi."""
-        w = self._psi_at(alpha, r, theta, t)
-        k = self(alpha, r, theta, t) / w
-        d_integrand = self._integrand_partial(var)
-        if d_integrand is None:
-            dk = 0.0
-        elif self._constant_integrand:
-            dk = (alpha - self.lam0) * d_integrand(r, theta, t)(alpha)
-        else:
-            dk = ex.quad_adaptive(d_integrand(r, theta, t), self.lam0, alpha, self.tol)
-        if self._chi is not None:
-            dk += self._chi.partial(var).fn(alpha, r, theta, t)
-        return dk * w + k * self.psi.partial(var).fn(alpha, r, theta, t)
+    def _jet(self, alpha, r, theta, t, under_integral) -> tuple:
+        """phi, phi_alpha and the partials in ``under_integral``; each is dK psi + K d(psi)."""
+        phi = self(alpha, r, theta, t)  # psi at alpha passed its floor here
+        w, w_alpha, w_r, w_theta = self.psi.jet(alpha, r, theta, t)
+        val = w_r - (2.0 / r) * w
+        if self._theta_dependent:  # phi's path, and so alpha, is clear of lam = 0
+            val += w_theta / (r * r * alpha)
+        out = [phi, val / (w * w) * w + phi * w_alpha / w]
+        k = phi / w
+        for var, w_var in zip(under_integral, (w_r, w_theta)):
+            d_integrand = self._integrand_partial(var)
+            if d_integrand is None:
+                dk = 0.0
+            elif self._constant_integrand:
+                dk = (alpha - self.lam0) * d_integrand(r, theta, t)(alpha)
+            else:
+                dk = ex.quad_adaptive(d_integrand(r, theta, t), self.lam0, alpha, self.tol)
+            if self._chi is not None:
+                dk += self._chi.partial(var).fn(alpha, r, theta, t)
+            out.append(dk * w + k * w_var)
+        return tuple(out)
 
     def _integrand_tree(self) -> Expr:
         """The integrand as one tree in (alpha, r, theta, t), alpha for lam."""

@@ -170,8 +170,13 @@ def test_matrix_field_takes_its_class_from_the_coupling(monkeypatch):
 
 
 def test_tampered_j34_breaks_jacobi():
-    field = perturb_j34(matrix_field(PHI_POOL[1]))
+    plain = matrix_field(PHI_POOL[1])
+    field = perturb_j34(plain)
     assert field.kind.endswith("tampered")
+    s = random_states(43, 1)[0]
+    m, d = field.derivatives(s)
+    assert field(s) == m == plain(s)._replace(j34=plain(s).j34 + 0.1 * s.r)
+    assert d[0][5] == plain.derivatives(s)[1][0][5] + 0.1 and d[1:] == plain.derivatives(s)[1][1:]
     worst = max(
         np.max(np.abs(jacobi_residuals(field, s))) for s in random_states(47, 30)
     )

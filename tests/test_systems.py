@@ -14,6 +14,7 @@ from ermakov.systems import (
     PhaseState,
     Potential,
     SingularStateError,
+    Solver,
     SystemSpec,
     linspace,
     nan_max,
@@ -79,6 +80,16 @@ def test_func_handle_symbolic_partial():
     p = h.partial("alpha")
     assert p(3.0, 2.0, 0.0) == pytest.approx(12.0)
     assert h.depends_on("alpha") and not h.depends_on("theta")
+
+
+def test_func_handle_jet_is_its_value_and_partials_bit_for_bit():
+    rng = random.Random(7)
+    for text in ("alpha^2*r + sin(theta)*t", "exp(-r)/alpha", "3", "1/(r^2*alpha)"):
+        h = FuncHandle.from_text(text)
+        for _ in range(20):
+            point = (rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0), rng.uniform(-3.0, 3.0), rng.random())
+            want = (h.fn(*point), *[h.partial(var).fn(*point) for var in ("alpha", "r", "theta")])
+            assert [x.hex() for x in h.jet(*point)] == [x.hex() for x in want], (text, point)
 
 
 def test_func_handle_shows_its_tree_as_text(monkeypatch):
@@ -304,6 +315,38 @@ def test_class2_phi_exact_alpha_derivative():
     assert exact == pytest.approx(fd, rel=1e-7)
 
 
+# (psi, chi, lam0), then (alpha, r, theta, t) and the float.hex of phi and of
+# its alpha-, r- and theta-partials, as phi, partial_alpha and
+# partial("r")/partial("theta") gave them before jet took their place
+JET_BITS = [
+    (("2", None, 0.0), (0.8, 1.4, 0.6, 0.0),
+     ("-0x1.2492492492493p+0", "-0x1.6db6db6db6db7p+0", "0x1.a1f58d0fac68ap-1", "0x0.0p+0")),
+    (("2", None, 0.0), (1.3, 0.7, -0.4, 0.5),
+     ("-0x1.db6db6db6db6ep+1", "-0x1.6db6db6db6db7p+1", "0x1.5397829cbc150p+2", "0x0.0p+0")),
+    (("1+alpha^2*r", None, 0.0), (0.8, 1.4, 0.6, 0.0),
+     ("-0x1.9647a00b12911p+0", "-0x1.7ba59a911c678p+1", "0x1.b4b7a64d50776p-1", "0x0.0p+0")),
+    (("1+alpha^2*r", None, 0.0), (1.3, 0.7, -0.4, 0.5),
+     ("-0x1.637c00660c22fp+2", "-0x1.adaeeeed17f91p+2", "0x1.6ac2b547a8516p+2", "0x0.0p+0")),
+    (("2+sin(theta)*alpha", None, 0.5), (0.8, 1.4, 0.6, 0.0),
+     ("-0x1.8e136ae85de72p-2", "-0x1.58aa4b706b3f7p+0", "0x1.e7b5dbeac4dc5p-3", "-0x1.13a02a69a8812p-4")),
+    (("2+sin(theta)*alpha", None, 0.5), (1.3, 0.7, -0.4, 0.5),
+     ("-0x1.3e3a2a2fa67fap+0", "-0x1.46525ab6cbfa9p+0", "0x1.2bf456c8dbdf4p-1", "-0x1.c82d2fc2d4730p-2")),
+    (("1+alpha^2*r+0.1*sin(theta)*t", "r*theta + t", 0.1), (0.8, 1.4, 0.6, 0.0),
+     ("0x1.192e913b50bddp-2", "-0x1.8880a746f8e34p-1", "0x1.3676f0160cdf9p+1", "0x1.53c36113404eap+1")),
+    (("1+alpha^2*r+0.1*sin(theta)*t", "r*theta + t", 0.1), (1.3, 0.7, -0.4, 0.5),
+     ("-0x1.05125cf646b37p+2", "-0x1.5e582abc7db58p+2", "0x1.e92fd257c4b5ap+1", "0x1.baa17d8c4242dp+0")),
+]
+
+
+@pytest.mark.parametrize("coupling,point,bits", JET_BITS)
+def test_class2_phi_jet_keeps_the_bits_of_the_separate_partials(coupling, point, bits):
+    psi, chi, lam0 = coupling
+    make = lambda: Class2Phi(FuncHandle.from_text(psi), None if chi is None else ex.parse(chi), lam0)
+    assert tuple(x.hex() for x in make().jet(*point)) == bits
+    # the alpha-partial alone, on a fresh phi, is the jet's second entry
+    assert make().partial_alpha(*point).hex() == bits[1]
+
+
 def test_class2_phi_with_theta_dependent_psi_needs_safe_path():
     psi = FuncHandle.from_text("2 + sin(theta)")
     phi = Class2Phi(psi, lam0=0.5)
@@ -442,7 +485,7 @@ def test_class2_phi_rebuilds_share_the_lowered_code(monkeypatch):
     first, second = (Class2Phi(FuncHandle.from_text("1+alpha^2*r")) for _ in range(2))
     for phi, state in ((first, (0.4, 1.0, 0.2)), (second, (0.7, 1.3, 0.1))):
         phi(*state)
-        phi.partial("r")(*state)  # phi at the state is kept: one quadrature
+        phi.jet(*state)  # phi at the state is kept, and theta's partial is 0: one quadrature
     assert len(codes) == 4 and codes[0] is not codes[2]
     assert codes[0].__code__ is codes[2].__code__
     assert codes[1].__code__ is codes[3].__code__
@@ -453,6 +496,16 @@ def test_class2_phi_rebuilds_share_the_lowered_code(monkeypatch):
     # the panel is generated once per process
     assert ex._gk21_panel() is ex._gk21_panel()
     assert ex._gk21_panel.cache_info().misses == 1
+
+
+def test_solver_refuses_dt_without_rk4():
+    assert Solver(method="rk4", dt=0.5).dt == 0.5
+    assert Solver("rk4", 1e-8, 1e-10, 0.5).method == "rk4"
+    for args, kwargs in (((), {"dt": 0.5}), (("dp45", 1e-8, 1e-10, 0.5), {})):
+        with pytest.raises(ValueError, match="^dt applies only to rk4, not dp45$"):
+            Solver(*args, **kwargs)
+    # the rule covers construction by call only: _replace and _make skip it
+    assert Solver(method="rk4", dt=0.5)._replace(method="dp45").dt == 0.5
 
 
 def test_nan_max_lets_the_first_nan_win():
