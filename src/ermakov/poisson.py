@@ -15,7 +15,9 @@ offered here: the four Jacobi-identity cyclic sums (exact partials from
 the ``jet`` of psi and of phi, by the chain rule through alpha = u/v),
 determinant versus Pfaffian, Hamiltonian flow reconstruction, the
 class-2 consistency condition (phi's alpha-partial only), and Casimir
-residuals.  Everything runs on Python floats.
+residuals.  Everything runs on Python floats; the kernels that read a
+matrix are straight-line code over its six upper entries that keep
+every product with a zero entry, so non-finite values spread as in 4x4.
 """
 
 from __future__ import annotations
@@ -117,14 +119,7 @@ def matrix_class1(
     """Class-1 Poisson matrix at a state; phi(alpha, r, theta, t) is free."""
     alpha, j14, j24, j23 = _common_entries(s, floors)
     phi_val = phi(alpha, s.r, s.theta, t)
-    return SkewMatrix4(
-        j12=0.0,
-        j13=alpha * alpha,
-        j14=j14,
-        j23=j23,
-        j24=j24,
-        j34=s.u * phi_val,
-    )
+    return SkewMatrix4(0.0, alpha * alpha, j14, j23, j24, s.u * phi_val)
 
 
 def matrix_class2(
@@ -143,27 +138,15 @@ def matrix_class2(
     alpha, j14, j24, j23 = _common_entries(s, floors)
     psi_val = phi.psi(alpha, s.r, s.theta, t)
     phi_val = phi(alpha, s.r, s.theta, t)
-    return SkewMatrix4(
-        j12=0.0,
-        j13=alpha * alpha + s.u * psi_val,
-        j14=j14,
-        j23=j23,
-        j24=j24,
-        j34=s.u * phi_val + 2.0 * s.u * s.v * psi_val / s.r,
-    )
+    j13 = alpha * alpha + s.u * psi_val
+    j34 = s.u * phi_val + 2.0 * s.u * s.v * psi_val / s.r
+    return SkewMatrix4(0.0, j13, j14, j23, j24, j34)
 
 
 def pfaffian(m: SkewMatrix4) -> float:
     """Pf(J) = J12 J34 - J13 J24 + J14 J23; det(J) equals its square."""
-    return m.j12 * m.j34 - m.j13 * m.j24 + m.j14 * m.j23
-
-
-def _det3(a) -> float:
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
+    j12, j13, j14, j23, j24, j34 = m
+    return j12 * j34 - j13 * j24 + j14 * j23
 
 
 def determinant(m: SkewMatrix4) -> float:
@@ -171,15 +154,18 @@ def determinant(m: SkewMatrix4) -> float:
 
     For an exactly skew matrix this equals pfaffian(m)**2 up to rounding,
     so the pair (determinant, pfaffian) doubles as a skewness check.
+    Each minor d of rows 2-4 expands along its first row too, and the
+    2x2 minors of rows 3-4 (mab, of 0-based columns a, b) are shared.
     """
-    a = m.rows()
-    total = 0.0
-    for col in range(4):
-        minor = [
-            [a[row][c] for c in range(4) if c != col] for row in range(1, 4)
-        ]
-        total += ((-1.0) ** col) * a[0][col] * _det3(minor)
-    return total
+    j12, j13, j14, j23, j24, j34 = m
+    l12, l13, l14, l23, l24, l34 = -j12, -j13, -j14, -j23, -j24, -j34
+    m01, m02, m03 = l13 * l24 - l23 * l14, l13 * l34 - 0.0 * l14, l13 * 0.0 - j34 * l14
+    m12, m13, m23 = l23 * l34 - 0.0 * l24, l23 * 0.0 - j34 * l24, 0.0 * 0.0 - j34 * l34
+    d0 = 0.0 * m23 - j23 * m13 + j24 * m12
+    d1 = l12 * m23 - j23 * m03 + j24 * m02
+    d2 = l12 * m13 - 0.0 * m03 + j24 * m01
+    d3 = l12 * m12 - 0.0 * m02 + j23 * m01
+    return 0.0 + 0.0 * d0 + -1.0 * j12 * d1 + 1.0 * j13 * d2 + -1.0 * j14 * d3
 
 
 def det_class2_quoted(psi_val: float, s: PhaseState) -> float:
@@ -218,43 +204,56 @@ def _upper_partials(s: PhaseState, alpha: float, psi: tuple, phi: tuple) -> tupl
     )
 
 
-# per JACOBI_TRIPLES entry a < b < c (0-based): a, b, c and the positions
-# in the 6-tuple of upper entries of (b, c), (a, c) and (a, b); the cyclic
-# sum's middle entry (c, a) is the negation of (a, c)
-_JACOBI_SLOTS = (
-    (0, 1, 2, 3, 1, 0), (0, 1, 3, 4, 2, 0), (0, 2, 3, 5, 2, 1), (1, 2, 3, 5, 4, 3)
-)
-
-
 def jacobi_residuals(field: MatrixField, s: PhaseState, t: float = 0.0) -> tuple:
     """The four cyclic sums J^{mu a} d_mu J^{bc} + J^{mu b} d_mu J^{ca}
     + J^{mu c} d_mu J^{ab} for (a,b,c) in JACOBI_TRIPLES.
 
     The phase-space partials are the field's exact ``derivatives``; a
     lower entry's is the negated upper one's.  Time is held fixed.  All
-    four vanish (to rounding) exactly when the field is Poisson.
+    four vanish (to rounding) exactly when the field is Poisson.  Each
+    sum adds the rows mu = r, theta (q), u, v in turn, zero terms kept.
     """
-    m, grads = field.derivatives(s, t)
-    center = m.rows()
-    out = []
-    for a, b, c, bc, ac, ab in _JACOBI_SLOTS:
-        acc = 0.0
-        for row, d in zip(center, grads):
-            acc += row[a] * d[bc] + row[b] * -d[ac] + row[c] * d[ab]
-        out.append(acc)
-    return tuple(out)
+    m, (dr, dq, du, dv) = field.derivatives(s, t)
+    j12, j13, j14, j23, j24, j34 = m
+    l12, l13, l14, l23, l24, l34 = -j12, -j13, -j14, -j23, -j24, -j34
+    r12, r13, r14, r23, r24, r34 = dr
+    q12, q13, q14, q23, q24, q34 = dq
+    u12, u13, u14, u23, u24, u34 = du
+    v12, v13, v14, v23, v24, v34 = dv
+    s123 = s124 = s134 = s234 = 0.0
+    s123 += 0.0 * r23 + j12 * -r13 + j13 * r12
+    s123 += l12 * q23 + 0.0 * -q13 + j23 * q12
+    s123 += l13 * u23 + l23 * -u13 + 0.0 * u12
+    s123 += l14 * v23 + l24 * -v13 + l34 * v12
+    s124 += 0.0 * r24 + j12 * -r14 + j14 * r12
+    s124 += l12 * q24 + 0.0 * -q14 + j24 * q12
+    s124 += l13 * u24 + l23 * -u14 + j34 * u12
+    s124 += l14 * v24 + l24 * -v14 + 0.0 * v12
+    s134 += 0.0 * r34 + j13 * -r14 + j14 * r13
+    s134 += l12 * q34 + j23 * -q14 + j24 * q13
+    s134 += l13 * u34 + 0.0 * -u14 + j34 * u13
+    s134 += l14 * v34 + l34 * -v14 + 0.0 * v13
+    s234 += j12 * r34 + j13 * -r24 + j14 * r23
+    s234 += 0.0 * q34 + j23 * -q24 + j24 * q23
+    s234 += l23 * u34 + 0.0 * -u24 + j34 * u23
+    s234 += l24 * v34 + l34 * -v24 + 0.0 * v23
+    return (s123, s124, s134, s234)
 
 
 def _times(m: SkewMatrix4, g: Sequence[float], name: str) -> tuple:
-    """m times the 4-vector g on floats.  Each row sums as
+    """m times the 4-vector g on floats.  Each row a sums as
     0.0 + ((a0 g0 + a2 g2) + (a1 g1 + a3 g3)), the order, signed zeros
     included, of the numpy ``@`` this replaced (OpenBLAS's Haswell
     ``dgemv``), so flow and Casimir residuals kept their bits."""
     if len(g) != 4:
         raise ValueError(f"{name} must be a 4-vector")
     g0, g1, g2, g3 = map(float, g)
-    return tuple(
-        [0.0 + ((a0 * g0 + a2 * g2) + (a1 * g1 + a3 * g3)) for a0, a1, a2, a3 in m.rows()]
+    j12, j13, j14, j23, j24, j34 = m
+    return (
+        0.0 + ((0.0 * g0 + j13 * g2) + (j12 * g1 + j14 * g3)),
+        0.0 + ((-j12 * g0 + j23 * g2) + (0.0 * g1 + j24 * g3)),
+        0.0 + ((-j13 * g0 + 0.0 * g2) + (-j23 * g1 + j34 * g3)),
+        0.0 + ((-j14 * g0 + -j34 * g2) + (-j24 * g1 + 0.0 * g3)),
     )
 
 
@@ -347,8 +346,9 @@ def matrix_field(
     def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
         m = evaluate(s, t)
         point = (m.j14, s.r, s.theta, t)  # m.j14 is alpha
-        # class 1 is class 2 with psi and its partials 0
-        psi_jet = (0.0, 0.0, 0.0, 0.0) if psi is None else psi.jet(*point)
-        return m, _upper_partials(s, m.j14, psi_jet, coupling.jet(*point))
+        if psi is None:  # class 1 is class 2 with psi and its partials 0
+            return m, _upper_partials(s, m.j14, (0.0, 0.0, 0.0, 0.0), coupling.jet(*point))
+        psi_jet = psi.jet(*point)  # one read, shared with phi's jet
+        return m, _upper_partials(s, m.j14, psi_jet, coupling._jet(*point, ("r", "theta"), psi_jet))
 
     return MatrixField(evaluate, "class1" if psi is None else "class2", derivatives)

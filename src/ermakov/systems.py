@@ -422,16 +422,16 @@ class Class2Phi:
 
     def partial_alpha(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
         """Exact d(phi)/d(alpha): ``jet``'s second entry, without its quadratures."""
-        return self._jet(alpha, r, theta, t, ())[1]
+        return self._jet(alpha, r, theta, t, (), self.psi.jet(alpha, r, theta, t))[1]
 
     def jet(self, alpha: float, r: float, theta: float, t: float = 0.0) -> tuple:
         """(phi, phi_alpha, phi_r, phi_theta): the kept phi and one read of psi's jet."""
-        return self._jet(alpha, r, theta, t, ("r", "theta"))
+        return self._jet(alpha, r, theta, t, ("r", "theta"), self.psi.jet(alpha, r, theta, t))
 
-    def _jet(self, alpha, r, theta, t, under_integral) -> tuple:
-        """phi, phi_alpha and the partials in ``under_integral``; each is dK psi + K d(psi)."""
+    def _jet(self, alpha, r, theta, t, under_integral, psi_jet) -> tuple:
+        """phi, phi_alpha and the ``under_integral`` partials from psi's jet: dK psi + K d(psi)."""
         phi = self(alpha, r, theta, t)  # psi at alpha passed its floor here
-        w, w_alpha, w_r, w_theta = self.psi.jet(alpha, r, theta, t)
+        w, w_alpha, w_r, w_theta = psi_jet
         val = w_r - (2.0 / r) * w
         if self._theta_dependent:  # phi's path, and so alpha, is clear of lam = 0
             val += w_theta / (r * r * alpha)

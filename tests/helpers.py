@@ -1,7 +1,8 @@
 """Shared bits for the test suite: random expression trees, a couple
 of reference systems used across files, numpy reference copies of float
-code, the central-difference Jacobi sweep that cross-checks the exact
-partials, the flow as ``vector_field`` computed it per call before
+code, the loops that the Jacobi sums and the matrix-vector product ran
+before they were written out, the central-difference Jacobi sweep that
+cross-checks the exact partials, the flow as ``vector_field`` computed it per call before
 each system's flow was lowered once, the Gauss-Kronrod panel as it
 was computed from lists before it was generated, the numpy read of
 dense output that the float walk of ``hermite_eval`` replaced, and the
@@ -135,7 +136,9 @@ def count_outermost_calls(monkeypatch, owner, name: str) -> list:
 
 # numpy reference copies: the matrix and determinant of ermakov.poisson
 # and ermakov.config.sample_states as they ran on arrays and numpy
-# scalars, kept so that tests can pin the float path bit for bit; and the
+# scalars, and the loops that the Jacobi sums and the matrix-vector
+# product ran before they were written out, kept so that tests can pin
+# the float path bit for bit; and the
 # central differences that ermakov.poisson used before its partials were
 # exact, kept as an independent check of them at a loose tolerance
 
@@ -201,6 +204,42 @@ def reference_determinant(m) -> float:
         minor = [[a[row][c] for c in range(4) if c != col] for row in range(1, 4)]
         total += ((-1.0) ** col) * a[0][col] * _reference_det3(minor)
     return total
+
+
+# per JACOBI_TRIPLES entry a < b < c (0-based): a, b, c and the positions
+# in the 6-tuple of upper entries of (b, c), (a, c) and (a, b); the cyclic
+# sum's middle entry (c, a) is the negation of (a, c)
+_JACOBI_SLOTS = (
+    (0, 1, 2, 3, 1, 0), (0, 1, 3, 4, 2, 0), (0, 2, 3, 5, 2, 1), (1, 2, 3, 5, 4, 3)
+)
+
+
+def reference_jacobi_sums(m, grads) -> tuple:
+    """The four cyclic sums of ``jacobi_residuals`` as it computed them
+    before it was written out: from ``m.rows()``, by a table of slots."""
+    center = m.rows()
+    out = []
+    for a, b, c, bc, ac, ab in _JACOBI_SLOTS:
+        acc = 0.0
+        for row, d in zip(center, grads):
+            acc += row[a] * d[bc] + row[b] * -d[ac] + row[c] * d[ab]
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_times(m, g) -> tuple:
+    """m times the 4-vector g as ``poisson._times`` computed it before it
+    was written out: row by row over ``m.rows()``."""
+    g0, g1, g2, g3 = map(float, g)
+    return tuple(
+        [0.0 + ((a0 * g0 + a2 * g2) + (a1 * g1 + a3 * g3)) for a0, a1, a2, a3 in m.rows()]
+    )
+
+
+def float_bits(values) -> list:
+    """``float.hex`` of each value: equal lists mean equal bits, except
+    that every NaN reads "nan" whatever its sign and payload."""
+    return [float.hex(float(x)) for x in values]
 
 
 def reference_sample_states(rng, n, u_floor, branch) -> list:

@@ -31,10 +31,13 @@ from ermakov.systems import (
 from ermakov import invariants as inv
 
 from helpers import (
+    float_bits,
     reference_array,
     reference_central_differences,
     reference_determinant,
     reference_jacobi_residuals,
+    reference_jacobi_sums,
+    reference_times,
     vec,
 )
 from test_systems import OSC, random_states
@@ -77,6 +80,36 @@ def test_class2_matrix_entries_constant_psi():
     assert m.j34 == pytest.approx(0.0, abs=1e-12)
 
 
+SPECIAL = (-0.0, math.inf, -math.inf, math.nan)
+
+
+def _one_special(base: tuple) -> list:
+    """base with each of its entries replaced in turn by each SPECIAL value."""
+    return [base[:k] + (x,) + base[k + 1:] for k in range(len(base)) for x in SPECIAL]
+
+
+def _mixed(rng: random.Random, n: int) -> tuple:
+    """n floats, each a SPECIAL value with probability 0.3."""
+    return tuple(
+        rng.choice(SPECIAL) if rng.random() < 0.3 else rng.uniform(-2, 2) for _ in range(n)
+    )
+
+
+# J11 = 0 times a first-row minor that overflows to inf - inf
+OVERFLOWING_MINOR = SkewMatrix4(0.0, 0.0, 0.0, 1e200, 1e200, 1.0)
+
+# matrices with -0.0, +-inf or NaN in their entries: one such entry on a
+# finite matrix (j12 = 0.0, as both classes have it) and on the zero
+# matrix, and seeded mixtures; each reaches the products that a zero
+# entry of the full matrix makes
+NON_FINITE_MATRICES = [OVERFLOWING_MINOR] + [
+    SkewMatrix4(*entries)
+    for entries in _one_special((0.0, 0.5, -1.25, 2.0, 0.75, -1.5))
+    + _one_special((0.0,) * 6)
+    + [_mixed(random.Random(29 + k), 6) for k in range(100)]
+]
+
+
 def test_determinant_against_numpy():
     rng = random.Random(19)
     for _ in range(100):
@@ -85,6 +118,11 @@ def test_determinant_against_numpy():
             float(np.linalg.det(reference_array(m))), rel=1e-10, abs=1e-12
         )
         assert determinant(m) == reference_determinant(m)
+    with np.errstate(all="ignore"):
+        for m in NON_FINITE_MATRICES:
+            assert float_bits([determinant(m)]) == float_bits([reference_determinant(m)]), m
+    # the kept zero term 0.0 * det(minor): NaN, where the other three terms sum to 0.0
+    assert math.isnan(determinant(OVERFLOWING_MINOR))
 
 
 def test_determinant_is_pfaffian_squared():
@@ -402,3 +440,94 @@ def test_skew_matrix_rows_are_the_array():
     assert len(builds) == 100  # one matrix for both gradients
     with pytest.raises(ValueError, match="grad_c must be a 4-vector"):
         casimir_residuals(field, [g, g[:3]], PhaseState(1.0, 0.0, 1.0, 1.0))
+
+
+# the partials of the six upper entries along r, theta, u and v, all
+# finite and nonzero; -0.0, +-inf or NaN goes into each of the 24 slots
+# in turn, among them the twelve that a Jacobi sum multiplies by a zero
+# diagonal entry (d_r J23, d_r J24, d_r J34, d_theta J13, ...)
+_FINITE_PARTIALS = tuple(
+    tuple(0.25 * (mu + 1) - 0.5 * k + 0.125 for k in range(6)) for mu in range(4)
+)
+NON_FINITE_PARTIALS = [
+    tuple(grads[6 * mu:6 * mu + 6] for mu in range(4))
+    for grads in _one_special(sum(_FINITE_PARTIALS, ()))
+]
+NON_FINITE_VECTORS = _one_special((0.5, -1.25, 2.0, 0.75)) + _one_special((0.0,) * 4)
+
+
+def _fixed(m, grads=_FINITE_PARTIALS):
+    """A field whose matrix and partials are m and grads at every state."""
+    return poisson.MatrixField(lambda s, t=0.0: m, "fixed", lambda s, t=0.0: (m, grads))
+
+
+def test_kernels_keep_the_reference_bits_on_non_finite_entries():
+    s = PhaseState(1.0, 0.0, 1.0, 1.0)
+    finite = SkewMatrix4(0.0, 0.5, -1.25, 2.0, 0.75, -1.5)
+    cases = [(finite, grads) for grads in NON_FINITE_PARTIALS]
+    cases += [(m, _FINITE_PARTIALS) for m in NON_FINITE_MATRICES]
+    rng = random.Random(31)
+    cases += [
+        (SkewMatrix4(*_mixed(rng, 6)), tuple(_mixed(rng, 6) for _ in range(4)))
+        for _ in range(100)
+    ]
+    for m, grads in cases:
+        got = jacobi_residuals(_fixed(m, grads), s)
+        assert float_bits(got) == float_bits(reference_jacobi_sums(m, grads)), (m, grads)
+    for m in [finite, *NON_FINITE_MATRICES[::7]]:
+        field = _fixed(m)
+        for g in NON_FINITE_VECTORS:
+            want = float_bits(reference_times(m, g))
+            assert float_bits(hamiltonian_flow(field, g, s)) == want, (m, g)
+            assert float_bits(casimir_residuals(field, [g, g[::-1]], s)) == want + float_bits(
+                reference_times(m, g[::-1])
+            )
+    # the kept zero terms: inf in d_r J23, which the first sum multiplies by
+    # J11 = 0, makes that sum NaN; and inf in g0, times J11, the first component
+    d_r = _FINITE_PARTIALS[0]
+    inf_r23 = (d_r[:3] + (math.inf,) + d_r[4:], *_FINITE_PARTIALS[1:])
+    assert [math.isnan(x) for x in jacobi_residuals(_fixed(finite, inf_r23), s)] == [
+        True, False, False, False
+    ]
+    assert math.isnan(hamiltonian_flow(_fixed(finite), (math.inf, 0.0, 0.0, 0.0), s)[0])
+
+
+@pytest.mark.parametrize(
+    "coupling",
+    [
+        PHI_POOL[2],
+        OFF_OSCILLATOR,
+        Class2Phi(FuncHandle.from_text("1+alpha^2*r"), ex.parse("r*theta")),
+    ],
+    ids=("class1", "pseudo_potential", "class2"),
+)
+def test_kernels_keep_the_reference_bits_on_sampled_states(coupling):
+    field = matrix_field(coupling)
+    rng = random.Random(37)
+    for s in random_states(83, 40):
+        for t in (0.0, 0.7):
+            m, grads = field.derivatives(s, t)
+            assert float_bits(jacobi_residuals(field, s, t)) == float_bits(
+                reference_jacobi_sums(m, grads)
+            )
+            assert float_bits([determinant(m)]) == float_bits([reference_determinant(m)])
+            g = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+            assert float_bits(hamiltonian_flow(field, g, s, t)) == float_bits(reference_times(m, g))
+            assert float_bits(casimir_residuals(field, [g, grads[2][:4]], s, t)) == float_bits(
+                reference_times(m, g) + reference_times(m, grads[2][:4])
+            )
+
+
+def test_class2_derivatives_read_psis_jet_once():
+    # the matrix reads psi's value and phi's K psi another; psi's jet is
+    # read once for the matrix's partials and phi's jet together
+    psi = FuncHandle.from_text("1+alpha^2*r")
+    field = matrix_field(Class2Phi(psi))
+    calls = []
+    handles = [("psi", psi)] + [(var, psi.partial(var)) for var in ("alpha", "r", "theta")]
+    for name, handle in handles:
+        handle.fn = lambda *args, fn=handle.fn, name=name: calls.append(name) or fn(*args)
+    s = PhaseState(1.3, 0.2, -0.4, 0.9)
+    m, _ = field.derivatives(s, 0.7)
+    assert sorted(calls) == ["alpha", "psi", "psi", "psi", "r", "theta"]
+    assert m == field(s, 0.7)

@@ -14,9 +14,10 @@ turning-point scan or dV/drbar away from the singular oscillator, so one
 more document, ``OFF_OSCILLATOR`` (forced, with a linear term added to
 ``V = 1/(2 rbar^2)``), is written to the temporary directory and gets
 every command.  ``NAN_PHI`` (a class-1 phi that cancels to NaN where
-``(1e154 r)^2`` overflows) gets the ``jacobi`` and ``flow`` sweeps
-(``NAN_PHI_COMMANDS``), which fail on NaN rows inside the ``per_state``
-table.  Twelve variants of the shipped configs, ``VARIANTS``,
+``(1e154 r)^2`` overflows) gets the ``jacobi``, ``flow`` and
+``determinant`` sweeps (``NAN_PHI_COMMANDS``), which fail on NaN rows
+inside the ``per_state`` table; the last carries NaN in J34 through the
+cofactor determinant and the Pfaffian.  Twelve variants of the shipped configs, ``VARIANTS``,
 reach the integrator and class-2 settings the shipped configs leave at
 their defaults: the spiral on fixed-step RK4, the spiral with a step
 budget it exhausts, the spiral run on until it stops at the ``r_min``
@@ -96,7 +97,11 @@ NAN_PHI = {
     "system": {"kind": "class1", "phi": "(1e154*r)*(1e154*r) - (1e154*r)*(1e154*r)"},
     "verify": {"samples": 50},
 }
-NAN_PHI_COMMANDS = (("verify", "--which", "jacobi"), ("verify", "--which", "flow"))
+NAN_PHI_COMMANDS = (
+    ("verify", "--which", "jacobi"),
+    ("verify", "--which", "flow"),
+    ("verify", "--which", "determinant"),
+)
 
 # (document name, shipped config it starts from, sections it replaces)
 VARIANTS = (
