@@ -390,32 +390,38 @@ def load_config(path) -> RunConfig:
 def sample_states(rng: PCG64, n: int, u_floor: float, branch: str) -> list:
     """Draw admissible verification states, reproducibly for a seeded rng.
 
-    r in [0.5, 3], theta in [-pi, pi], |u| in [u_floor, 2], |v| in
-    [0.5, 3].  branch "any" flips the signs of u and v independently;
-    "fixed" pins u < 0, v > 0 so sign(-u/v) is constant across the
-    sample.  Each state takes the next four words of ``rng.words`` (six
+    r in [0.5, 3], theta in [-pi, pi], |u| in [u_floor, 2] with u_floor
+    in (0, 2], |v| in [0.5, 3].  branch "any" flips the signs of u and v
+    independently; "fixed" pins u < 0, v > 0 so sign(-u/v) is constant
+    across the sample.  Each state takes the next four words of ``rng.words`` (six
     for "any") as the doubles x = word * 2**-53 of a ``rng.random`` row,
     and as ``rng.uniform(low, high)`` maps them: low + (high - low) x.  A
     sign word flips its sign where x >= 0.5, i.e. where its bit 52 is set.
     """
     if branch not in ("any", "fixed"):
         raise ValueError(f"branch must be any or fixed, got {branch!r}")
-    if not (math.isfinite(u_floor) and u_floor <= 2.0):
-        raise ValueError(f"u_floor must be finite and at most 2, got {u_floor!r}")
-    fixed = branch == "fixed"
+    if not 0.0 < u_floor <= 2.0:  # NaN and infinities fail too
+        raise ValueError(f"u_floor must be positive and at most 2, got {u_floor!r}")
     width_u = 2.0 - u_floor
+    width_theta = 2.0 * math.pi
     unit = 2.0**-53
+    # every r is at least 0.5: the states are built past PhaseState's r > 0 check
+    if branch == "fixed":
+        words = iter(rng.words(4 * n))
+        return [
+            tuple.__new__(PhaseState, (0.5 + 2.5 * (a * unit), -math.pi + width_theta * (b * unit),
+                                       -(u_floor + width_u * (c * unit)), 0.5 + 2.5 * (d * unit)))
+            for a, b, c, d in zip(words, words, words, words)
+        ]
     states = []
-    words = iter(rng.words((4 if fixed else 6) * n))
+    words = iter(rng.words(6 * n))
     for a, b, c, d in zip(words, words, words, words):
         r = 0.5 + 2.5 * (a * unit)
-        theta = -math.pi + 2.0 * math.pi * (b * unit)
+        theta = -math.pi + width_theta * (b * unit)
         mag_u = u_floor + width_u * (c * unit)
         mag_v = 0.5 + 2.5 * (d * unit)
-        if fixed:
-            u, v = -mag_u, mag_v
-        else:  # the two sign words follow the four of the magnitudes
-            u = -mag_u if next(words) >> 52 else mag_u
-            v = -mag_v if next(words) >> 52 else mag_v
-        states.append(PhaseState(r, theta, u, v))
+        # the two sign words follow the four of the magnitudes
+        u = -mag_u if next(words) >> 52 else mag_u
+        v = -mag_v if next(words) >> 52 else mag_v
+        states.append(tuple.__new__(PhaseState, (r, theta, u, v)))
     return states

@@ -103,13 +103,6 @@ class MatrixField(NamedTuple):
         return self.evaluate(s, t)
 
 
-def _common_entries(s: PhaseState, floors: Floors):
-    floors.check(s.r)
-    alpha = s.alpha(floors.v_min)
-    r2 = s.r * s.r
-    return alpha, alpha, 1.0 / r2, s.u / (r2 * s.v)  # alpha, j14, j24, j23
-
-
 def matrix_class1(
     phi: FuncHandle,
     s: PhaseState,
@@ -117,9 +110,15 @@ def matrix_class1(
     floors: Floors = DEFAULT_FLOORS,
 ) -> SkewMatrix4:
     """Class-1 Poisson matrix at a state; phi(alpha, r, theta, t) is free."""
-    alpha, j14, j24, j23 = _common_entries(s, floors)
-    phi_val = phi(alpha, s.r, s.theta, t)
-    return SkewMatrix4(0.0, alpha * alpha, j14, j23, j24, s.u * phi_val)
+    r, theta, u, v = s
+    if r < floors.r_min or abs(v) <= floors.v_min:  # the checks raise, r's first
+        floors.check(r)
+        s.alpha(floors.v_min)
+    alpha = u / v
+    r2 = r * r
+    j24, j23 = 1.0 / r2, u / (r2 * v)
+    j34 = u * phi.fn(alpha, r, theta, t)
+    return tuple.__new__(SkewMatrix4, (0.0, alpha * alpha, alpha, j23, j24, j34))
 
 
 def matrix_class2(
@@ -135,12 +134,18 @@ def matrix_class2(
     matrix degenerates to the class-1 shape; callers relying on
     non-degeneracy should keep |u| above the u_min floor.
     """
-    alpha, j14, j24, j23 = _common_entries(s, floors)
-    psi_val = phi.psi(alpha, s.r, s.theta, t)
-    phi_val = phi(alpha, s.r, s.theta, t)
-    j13 = alpha * alpha + s.u * psi_val
-    j34 = s.u * phi_val + 2.0 * s.u * s.v * psi_val / s.r
-    return SkewMatrix4(0.0, j13, j14, j23, j24, j34)
+    r, theta, u, v = s
+    if r < floors.r_min or abs(v) <= floors.v_min:  # the checks raise, r's first
+        floors.check(r)
+        s.alpha(floors.v_min)
+    alpha = u / v
+    r2 = r * r
+    j24, j23 = 1.0 / r2, u / (r2 * v)
+    psi_val = phi.psi.fn(alpha, r, theta, t)
+    phi_val = phi(alpha, r, theta, t)
+    j13 = alpha * alpha + u * psi_val
+    j34 = u * phi_val + 2.0 * u * v * psi_val / r
+    return tuple.__new__(SkewMatrix4, (0.0, j13, alpha, j23, j24, j34))
 
 
 def pfaffian(m: SkewMatrix4) -> float:
@@ -188,7 +193,7 @@ def _upper_partials(s: PhaseState, alpha: float, psi: tuple, phi: tuple) -> tupl
     class-2 matrix, from psi and phi with their partials (f, f_alpha,
     f_r, f_theta) at (alpha, r, theta, t); class 1 is psi = 0.  alpha =
     u/v enters through d(alpha)/du = 1/v and d(alpha)/dv = -alpha/v."""
-    r, u, v = s.r, s.u, s.v
+    r, _, u, v = s
     p, p_alpha, p_r, p_theta = psi
     f, f_alpha, f_r, f_theta = phi
     r2 = r * r
@@ -264,7 +269,7 @@ def hamiltonian_flow(
     t: float = 0.0,
 ) -> Flow4:
     """The flow J grad(H) generated by a Hamiltonian gradient."""
-    return Flow4(*_times(field(s, t), grad_h, "grad_h"))
+    return tuple.__new__(Flow4, _times(field(s, t), grad_h, "grad_h"))
 
 
 def consistency_residual(
@@ -283,18 +288,20 @@ def consistency_residual(
     exactly when (psi, phi) assemble into a Poisson matrix.  Derivatives
     are symbolic; a Class2Phi phi supplies its exact alpha-derivative.
     """
-    if abs(s.u) <= floors.u_min:
-        raise SingularStateError(
-            f"|u|={abs(s.u)!r} at or below floor u_min={floors.u_min!r}"
-        )
+    r, theta, u, v = s
+    if abs(u) <= floors.u_min:
+        raise SingularStateError(f"|u|={abs(u)!r} at or below floor u_min={floors.u_min!r}")
     alpha = s.alpha(floors.v_min)
-    r, theta, u, v = s.r, s.theta, s.u, s.v
-
-    psi_val, psi_prime, psi_r, psi_theta = psi.jet(alpha, r, theta, t)
+    psi_jet = psi.jet(alpha, r, theta, t)
+    psi_val, psi_prime, psi_r, psi_theta = psi_jet
     phi_val = phi(alpha, r, theta, t)
-    # not phi's jet: a Class2Phi's would add two quadratures
-    d_alpha = phi.partial_alpha if isinstance(phi, Class2Phi) else phi.partial("alpha").fn
-    phi_prime = d_alpha(alpha, r, theta, t)
+    # not phi's jet: a Class2Phi's would add two quadratures; built on this
+    # psi, it takes its alpha-partial from the jet just read
+    if isinstance(phi, Class2Phi):
+        shared = psi_jet if phi.psi is psi else phi.psi.jet(alpha, r, theta, t)
+        phi_prime = phi._jet(alpha, r, theta, t, (), shared)[1]
+    else:
+        phi_prime = phi.partial("alpha").fn(alpha, r, theta, t)
 
     left = psi_val * phi_prime - psi_prime * phi_val
     right = psi_r + v / (r * r * u) * psi_theta - (2.0 / r) * psi_val
@@ -345,10 +352,11 @@ def matrix_field(
 
     def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
         m = evaluate(s, t)
-        point = (m.j14, s.r, s.theta, t)  # m.j14 is alpha
+        alpha, r, theta = m[2], s[0], s[1]  # J14 is alpha
         if psi is None:  # class 1 is class 2 with psi and its partials 0
-            return m, _upper_partials(s, m.j14, (0.0, 0.0, 0.0, 0.0), coupling.jet(*point))
-        psi_jet = psi.jet(*point)  # one read, shared with phi's jet
-        return m, _upper_partials(s, m.j14, psi_jet, coupling._jet(*point, ("r", "theta"), psi_jet))
+            return m, _upper_partials(s, alpha, (0.0,) * 4, coupling.jet(alpha, r, theta, t))
+        psi_jet = psi.jet(alpha, r, theta, t)  # one read, shared with phi's jet
+        phi_jet = coupling._jet(alpha, r, theta, t, ("r", "theta"), psi_jet)
+        return m, _upper_partials(s, alpha, psi_jet, phi_jet)
 
     return MatrixField(evaluate, "class1" if psi is None else "class2", derivatives)

@@ -201,6 +201,7 @@ class FuncHandle:
         self.tree = tree
         self.fn = ex.compile(tree, _HANDLE_VARS)
         self._partials = {}
+        self._jet_fns = None
 
     @classmethod
     def from_text(cls, text: str) -> "FuncHandle":
@@ -228,9 +229,17 @@ class FuncHandle:
         return handle
 
     def jet(self, alpha: float, r: float, theta: float, t: float = 0.0) -> tuple:
-        """(f, f_alpha, f_r, f_theta) at one point, the partials from ``partial``."""
-        point = (alpha, r, theta, t)
-        return (self.fn(*point), *[self.partial(var).fn(*point) for var in ("alpha", "r", "theta")])
+        """(f, f_alpha, f_r, f_theta) at one point, the partials from
+        ``partial``; the four functions are kept as a tuple on first use."""
+        fns = self._jet_fns
+        if fns is None:
+            partials = [self.partial(var).fn for var in ("alpha", "r", "theta")]
+            fns = self._jet_fns = (self.fn, *partials)
+        f, f_alpha, f_r, f_theta = fns
+        return (
+            f(alpha, r, theta, t), f_alpha(alpha, r, theta, t),
+            f_r(alpha, r, theta, t), f_theta(alpha, r, theta, t),
+        )
 
     def __repr__(self):
         return f"FuncHandle({ex.to_text(self.tree)})"
@@ -378,8 +387,10 @@ class Class2Phi:
             )
         return w
 
-    def integrand(self, lam: float, r: float, theta: float, t: float) -> float:
-        w = self._psi_at(lam, r, theta, t)
+    def integrand(self, lam: float, r: float, theta: float, t: float, w=None) -> float:
+        """The integrand at lam; w is psi there, read and floor-checked here if not given."""
+        if w is None:
+            w = self._psi_at(lam, r, theta, t)
         val = self.psi.partial("r").fn(lam, r, theta, t) - (2.0 / r) * w
         if self._theta_dependent:
             if lam == 0.0:
@@ -401,8 +412,10 @@ class Class2Phi:
                     f"class-2 phi integration path [{lo!r}, {hi!r}] crosses "
                     f"lambda=0 while psi depends on theta"
                 )
-        if self._constant_integrand:
-            k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t)
+        w = None
+        if self._constant_integrand:  # one read of psi at alpha, for the integrand and K psi
+            w = self._psi_at(alpha, r, theta, t)
+            k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t, w)
         else:
             bind = self._fused or self._lower_integrand()
             k = ex.quad_adaptive(
@@ -410,7 +423,7 @@ class Class2Phi:
             )
         if self._chi is not None:
             k += self._chi.fn(alpha, r, theta, t)
-        value = k * self._psi_at(alpha, r, theta, t)
+        value = k * (self._psi_at(alpha, r, theta, t) if w is None else w)
         self._last = (key, value)
         return value
 
@@ -548,5 +561,5 @@ def vector_field(
     floors: Floors = DEFAULT_FLOORS,
 ) -> Flow4:
     """First-order flow at a state: ``spec.flow(floors)`` as a Flow4."""
-    return Flow4(*spec.flow(floors)(t, (s.r, s.theta, s.u, s.v)))
+    return tuple.__new__(Flow4, spec.flow(floors)(t, s))
 

@@ -106,11 +106,13 @@ def _verify_jacobi(cfg, field, states):
 
 def _verify_flow(cfg, field, states):
     tol = cfg.verify.tolerance.get("flow", 1e-10)
+    spec, floors = cfg.spec, cfg.floors
+    g, grad_ermakov, hamiltonian_flow = spec.g, inv.grad_ermakov, poisson.hamiltonian_flow
     per_state = []
     for s in states:
-        grad = inv.grad_ermakov(cfg.spec.g, s)
-        jf = poisson.hamiltonian_flow(field, grad, s)
-        flow = vector_field(cfg.spec, s, 0.0, cfg.floors)
+        grad = grad_ermakov(g, s)
+        jf = hamiltonian_flow(field, grad, s)
+        flow = vector_field(spec, s, 0.0, floors)
         scale = max(1.0, nan_max(map(abs, flow)))
         per_state.append(nan_max([abs(a - b) for a, b in zip(jf, flow)]) / scale)
     return tol, per_state, {}
@@ -217,8 +219,8 @@ def cmd_verify(cfg: RunConfig, seed: int, which: str, tamper: bool) -> tuple:
         "max_residual": max_residual,
         "pass": passed,
         "per_state": [
-            {"r": s.r, "theta": s.theta, "u": s.u, "v": s.v, "residual": res}
-            for s, res in zip(states, per_state)
+            {"r": r, "theta": theta, "u": u, "v": v, "residual": res}
+            for (r, theta, u, v), res in zip(states, per_state)
         ],
         **extra,
     }

@@ -7,8 +7,9 @@ each system's flow was lowered once, the Gauss-Kronrod panel as it
 was computed from lists before it was generated, the numpy read of
 dense output that the float walk of ``hermite_eval`` replaced, and the
 numpy least-squares fit that the closed forms of ``affinity_test``
-replaced, and the unsimplified derivative that ``differentiate`` built
-before it dropped dead terms."""
+replaced, the unsimplified derivative that ``differentiate`` built
+before it dropped dead terms, and the matrices, jet, flow and draw as they
+read each state field by field."""
 
 import math
 import operator
@@ -18,8 +19,10 @@ import pytest
 
 from ermakov import expr as ex
 from ermakov.linearize import AffinityResult, _curvature_fn
-from ermakov.poisson import JACOBI_TRIPLES
-from ermakov.systems import DEFAULT_FLOORS, FuncHandle, IntegrationError, PhaseState, Potential
+from ermakov.poisson import JACOBI_TRIPLES, SkewMatrix4
+from ermakov.systems import (
+    DEFAULT_FLOORS, Floors, Flow4, FuncHandle, IntegrationError, PhaseState, Potential
+)
 
 np = pytest.importorskip("numpy")
 
@@ -257,6 +260,97 @@ def reference_sample_states(rng, n, u_floor, branch) -> list:
             v = mag_v if rng.random() < 0.5 else -mag_v
         states.append(PhaseState(r=r, theta=theta, u=u, v=v))
     return states
+
+
+# the matrices, the jet, the flow and the draw as they ran before each
+# state was unpacked once and each record built as a bare tuple: kept so
+# that tests can pin the new code to them bit for bit, errors included
+
+
+def _reference_common_entries(s: PhaseState, floors):
+    floors.check(s.r)
+    alpha = s.alpha(floors.v_min)
+    r2 = s.r * s.r
+    return alpha, alpha, 1.0 / r2, s.u / (r2 * s.v)  # alpha, j14, j24, j23
+
+
+def reference_matrix_class1(phi, s: PhaseState, t=0.0, floors=DEFAULT_FLOORS) -> SkewMatrix4:
+    alpha, j14, j24, j23 = _reference_common_entries(s, floors)
+    phi_val = phi(alpha, s.r, s.theta, t)
+    return SkewMatrix4(0.0, alpha * alpha, j14, j23, j24, s.u * phi_val)
+
+
+def reference_matrix_class2(phi, s: PhaseState, t=0.0, floors=DEFAULT_FLOORS) -> SkewMatrix4:
+    alpha, j14, j24, j23 = _reference_common_entries(s, floors)
+    psi_val = phi.psi(alpha, s.r, s.theta, t)
+    phi_val = phi(alpha, s.r, s.theta, t)
+    j13 = alpha * alpha + s.u * psi_val
+    j34 = s.u * phi_val + 2.0 * s.u * s.v * psi_val / s.r
+    return SkewMatrix4(0.0, j13, j14, j23, j24, j34)
+
+
+def reference_jet(handle: FuncHandle, alpha, r, theta, t=0.0) -> tuple:
+    point = (alpha, r, theta, t)
+    return (handle.fn(*point), *[handle.partial(var).fn(*point) for var in ("alpha", "r", "theta")])
+
+
+def reference_vector_field(spec, s: PhaseState, t=0.0, floors=DEFAULT_FLOORS) -> Flow4:
+    return Flow4(*spec.flow(floors)(t, (s.r, s.theta, s.u, s.v)))
+
+
+def reference_draw_states(rng, n, u_floor, branch) -> list:
+    """sample_states as one loop over the words of ``rng``, both branches."""
+    if branch not in ("any", "fixed"):
+        raise ValueError(f"branch must be any or fixed, got {branch!r}")
+    if not (math.isfinite(u_floor) and u_floor <= 2.0):
+        raise ValueError(f"u_floor must be finite and at most 2, got {u_floor!r}")
+    fixed = branch == "fixed"
+    width_u = 2.0 - u_floor
+    unit = 2.0**-53
+    states = []
+    words = iter(rng.words((4 if fixed else 6) * n))
+    for a, b, c, d in zip(words, words, words, words):
+        r = 0.5 + 2.5 * (a * unit)
+        theta = -math.pi + 2.0 * math.pi * (b * unit)
+        mag_u = u_floor + width_u * (c * unit)
+        mag_v = 0.5 + 2.5 * (d * unit)
+        if fixed:
+            u, v = -mag_u, mag_v
+        else:  # the two sign words follow the four of the magnitudes
+            u = -mag_u if next(words) >> 52 else mag_u
+            v = -mag_v if next(words) >> 52 else mag_v
+        states.append(PhaseState(r, theta, u, v))
+    return states
+
+
+# spiral's floors, and states past them, alone and together, or with -0.0
+# or NaN in an entry; a NaN r, which PhaseState refuses, passes the r floor
+EDGE_FLOORS = Floors(r_min=0.01, v_min=0.001)
+EDGE_STATES = [
+    PhaseState(0.005, 0.2, -0.4, 0.9),  # r below r_min
+    PhaseState(1.3, 0.2, -0.4, 0.001),  # |v| at v_min
+    PhaseState(1.3, 0.2, 0.4, -0.001),
+    PhaseState(1.3, 0.2, -0.4, -0.0),
+    PhaseState(0.005, 0.2, -0.4, -0.001),  # both: r's error first
+    PhaseState(0.01, 0.2, -0.4, 0.0011),  # at r_min, past v_min: no error
+    PhaseState(1.3, -0.0, -0.4, 0.9),
+    PhaseState(1.3, 0.2, -0.0, 0.9),
+    PhaseState(1.3, 0.2, 0.0, -0.9),
+    PhaseState(1.3, math.nan, -0.4, 0.9),
+    PhaseState(1.3, 0.2, math.nan, 0.9),
+    PhaseState(1.3, 0.2, -0.4, math.nan),
+    tuple.__new__(PhaseState, (math.nan, 0.2, -0.4, 0.9)),
+]
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives: the type and float bits of its result, or
+    the type and message of its error (per ``float_bits``)."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return "raises", type(exc), str(exc)
+    return type(result), float_bits(result)
 
 
 def reference_flow(spec, s: PhaseState, t: float = 0.0, floors=DEFAULT_FLOORS) -> tuple:

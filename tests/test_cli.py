@@ -46,7 +46,9 @@ from helpers import (
     VARS,
     count_outermost_calls,
     deepest_at_bound,
+    float_bits,
     random_tree,
+    reference_draw_states,
     reference_sample_states,
 )
 from test_acceptance import time_at_theta
@@ -320,13 +322,19 @@ def test_nan_determinant_deviations_are_reported(tmp_path):
 def test_one_draw_gives_the_per_draw_states():
     for seed in (0, 3, 17, 20260823):
         for branch in ("fixed", "any"):
-            for u_floor in (0.05, 0.3):
+            for u_floor in (0.05, 0.3, 2.0, 5e-324):
                 rng, ref_rng = PCG64(seed), np.random.default_rng(seed)
                 states = sample_states(rng, 40, u_floor, branch)
                 assert states == reference_sample_states(ref_rng, 40, u_floor, branch)
                 assert all(
                     type(x) is float for s in states for x in (s.r, s.theta, s.u, s.v)
                 )
+                # and the bits and type of the one loop over both branches
+                loop_rng = PCG64(seed)
+                want = reference_draw_states(loop_rng, 40, u_floor, branch)
+                assert [float_bits(s) for s in states] == [float_bits(s) for s in want]
+                assert {type(s) for s in states} == {PhaseState}
+                assert rng.state == loop_rng.state
                 # both consumed the same doubles
                 assert rng.words(1)[0] * 2**-53 == ref_rng.random()
 
@@ -348,10 +356,14 @@ def test_the_draw_is_default_rng_random_bit_for_bit(seed):
         assert sample_states(PCG64(seed), 0, 0.05, branch) == []
 
 
-@pytest.mark.parametrize("u_floor", [2.5, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("u_floor", [2.5, math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_a_u_floor_above_two_or_not_finite_is_refused(u_floor):
-    with pytest.raises(ValueError, match="u_floor must be finite and at most 2, got"):
+    # a floor at or below 0 would draw u of either sign on the "fixed"
+    # branch, which pins u < 0; the config loader refuses it too
+    with pytest.raises(ValueError, match="u_floor must be positive and at most 2, got"):
         sample_states(PCG64(1), 3, u_floor, "fixed")
+    if math.isfinite(u_floor) and u_floor <= 2.0:
+        return  # numpy's uniform takes [u_floor, 2) for any finite u_floor below 2
     # as numpy's bounds refuse it in the per-number reference
     with pytest.raises((ValueError, OverflowError), match="high - low"):
         reference_sample_states(np.random.default_rng(1), 3, u_floor, "fixed")

@@ -21,22 +21,29 @@ from ermakov.poisson import (
     pfaffian,
 )
 from ermakov.systems import (
+    DEFAULT_FLOORS,
     Class2Phi,
     FuncHandle,
     PhaseState,
     Potential,
+    SingularStateError,
     SystemSpec,
     vector_field,
 )
 from ermakov import invariants as inv
 
 from helpers import (
+    EDGE_FLOORS,
+    EDGE_STATES,
     float_bits,
+    outcome,
     reference_array,
     reference_central_differences,
     reference_determinant,
     reference_jacobi_residuals,
     reference_jacobi_sums,
+    reference_matrix_class1,
+    reference_matrix_class2,
     reference_times,
     vec,
 )
@@ -531,3 +538,62 @@ def test_class2_derivatives_read_psis_jet_once():
     m, _ = field.derivatives(s, 0.7)
     assert sorted(calls) == ["alpha", "psi", "psi", "psi", "r", "theta"]
     assert m == field(s, 0.7)
+
+
+def test_consistency_reads_psis_jet_once():
+    # phi built on psi takes its alpha-partial from the jet the residual
+    # read: psi's value is read there and once more for phi's K psi
+    psi = FuncHandle.from_text("1+alpha^2*r")
+    phi = Class2Phi(psi)
+    calls = []
+    psi.fn = lambda *args, fn=psi.fn: calls.append(args) or fn(*args)
+    s = PhaseState(1.3, 0.2, -0.4, 0.9)
+    res = consistency_residual(psi, phi, s, 0.7)
+    assert len(calls) == 2
+    # a phi on an equal psi of its own reads that psi's jet, to the same bits
+    other = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
+    assert float_bits([consistency_residual(psi, other, s, 0.7)]) == float_bits([res])
+    assert len(calls) == 3
+
+
+# (matrix builder, its reference, a fresh coupling): class 1 free and
+# induced by a potential; class 2 with a constant integrand and chi, by
+# quadrature, and with psi depending on theta
+MATRIX_CASES = {
+    "class1": (matrix_class1, reference_matrix_class1, lambda: PHI_POOL[2]),
+    "pseudo_potential": (matrix_class1, reference_matrix_class1, lambda: OFF_OSCILLATOR.phi),
+    "class2-constant": (
+        matrix_class2, reference_matrix_class2, lambda: Class2Phi(TWO, ex.parse("r*theta"))
+    ),
+    "class2": (
+        matrix_class2,
+        reference_matrix_class2,
+        lambda: Class2Phi(FuncHandle.from_text("1+alpha^2*r")),
+    ),
+    "class2-theta": (
+        matrix_class2,
+        reference_matrix_class2,
+        lambda: Class2Phi(FuncHandle.from_text("1+0.1*alpha*sin(theta)"), lam0=-0.1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_CASES))
+def test_matrices_keep_the_reference_bits_and_errors(name):
+    build, reference, make = MATRIX_CASES[name]
+    phi, ref_phi = make(), make()  # a Class2Phi keeps its last value
+    seen = set()
+    for floors in (DEFAULT_FLOORS, EDGE_FLOORS):
+        for s in random_states(59, 30) + EDGE_STATES:
+            for t in (0.0, 0.7):
+                got = outcome(build, phi, s, t, floors)
+                assert got == outcome(reference, ref_phi, s, t, floors), (s, t, floors)
+                seen.add(got[0])
+    assert seen == {SkewMatrix4, "raises"}
+    # r's error before v's, at the floors and below them
+    both = PhaseState(0.005, 0.2, -0.4, -0.001)
+    with pytest.raises(SingularStateError, match=r"^r=0.005 below floor r_min=0.01$"):
+        build(make(), both, 0.0, EDGE_FLOORS)
+    v_only = PhaseState(1.3, 0.2, -0.4, -0.001)
+    with pytest.raises(SingularStateError, match=r"^alpha undefined: \|v\|=0.001 at or below"):
+        build(make(), v_only, 0.0, EDGE_FLOORS)

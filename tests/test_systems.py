@@ -21,7 +21,17 @@ from ermakov.systems import (
     vector_field,
 )
 
-from helpers import count_outermost_calls, reference_flow, spiral_start, vec
+from helpers import (
+    EDGE_FLOORS,
+    EDGE_STATES,
+    count_outermost_calls,
+    outcome,
+    reference_flow,
+    reference_jet,
+    reference_vector_field,
+    spiral_start,
+    vec,
+)
 
 np = pytest.importorskip("numpy")
 
@@ -83,13 +93,22 @@ def test_func_handle_symbolic_partial():
 
 
 def test_func_handle_jet_is_its_value_and_partials_bit_for_bit():
+    # with -0.0, +-inf and NaN in each argument, and where a partial fails,
+    # the functions the jet keeps give what per-call lookups of them gave
     rng = random.Random(7)
-    for text in ("alpha^2*r + sin(theta)*t", "exp(-r)/alpha", "3", "1/(r^2*alpha)"):
+    texts = ("alpha^2*r + sin(theta)*t", "exp(-r)/alpha", "3", "1/(r^2*alpha)", "ln(alpha)*theta")
+    for text in texts:
         h = FuncHandle.from_text(text)
-        for _ in range(20):
-            point = (rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0), rng.uniform(-3.0, 3.0), rng.random())
-            want = (h.fn(*point), *[h.partial(var).fn(*point) for var in ("alpha", "r", "theta")])
-            assert [x.hex() for x in h.jet(*point)] == [x.hex() for x in want], (text, point)
+        points = [
+            (rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0), rng.uniform(-3.0, 3.0), rng.random())
+            for _ in range(20)
+        ]
+        points += [(-p[0], *p[1:]) for p in points[:5]] + [
+            p[:k] + (x,) + p[k + 1:]
+            for p in points[:3] for k in range(4) for x in (-0.0, math.inf, -math.inf, math.nan)
+        ]
+        for point in points:
+            assert outcome(h.jet, *point) == outcome(reference_jet, h, *point), (text, point)
 
 
 def test_func_handle_shows_its_tree_as_text(monkeypatch):
@@ -232,6 +251,19 @@ def test_lowered_flow_matches_the_reference_bit_for_bit(name):
                 assert got == want
                 assert all(type(x) is float for x in got)
                 assert vector_field(spec, s, t, floors) == Flow4(*want)
+
+
+@pytest.mark.parametrize("name", sorted(LOWERED_FLOW_SPECS))
+def test_vector_field_keeps_the_reference_bits_and_errors(name):
+    spec = LOWERED_FLOW_SPECS[name]
+    seen = set()
+    for floors in (DEFAULT_FLOORS, EDGE_FLOORS):
+        for s in random_states(61, 30) + EDGE_STATES:
+            for t in (0.0, 0.7):
+                got = outcome(vector_field, spec, s, t, floors)
+                assert got == outcome(reference_vector_field, spec, s, t, floors), (s, t)
+                seen.add(got[0])
+    assert seen == {Flow4, "raises"}
 
 
 _FLOORS = Floors(r_min=1e-2, v_min=1e-3)

@@ -1,0 +1,61 @@
+"""The benchmark's tracer, ``bench/tracer.py``, around one in-process
+``ermakov verify`` run of each shipped sweep: every name it patches is
+still there, and each sampled state makes one matrix, one Hamiltonian
+flow, one vector field or one consistency residual through the patched
+names, as the sweep needs them.  Code that builds a matrix or a flow past
+a patched name fails here, not only in a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+# imported before a tracer goes in, as the benchmark's plain pass before
+# its traced one imports it: a module first imported while a tracer is in
+# keeps the wrappers past uninstall, binding the next tracer's names to
+# the last one's counters
+from ermakov import cli, verify  # noqa: F401
+from ermakov.config import load_config
+
+_ROOT = Path(__file__).resolve().parent.parent
+_TRACER = _ROOT / "bench" / "tracer.py"
+
+# the spans counted, and per shipped sweep how many calls of each one
+# sampled state makes
+_SPANS = ("poisson.matrix", "poisson.flow", "systems.vector_field", "poisson.consistency")
+_SWEEPS = {
+    ("spiral", "jacobi"): (1, 0, 0, 0),
+    ("spiral", "flow"): (1, 1, 1, 0),
+    ("spiral", "casimir"): (1, 0, 0, 0),
+    ("spiral", "determinant"): (1, 0, 0, 0),
+    ("class2_psi1", "jacobi"): (1, 0, 0, 0),
+    ("class2_psi1", "flow"): (1, 1, 1, 0),
+    ("class2_psi1", "consistency"): (0, 0, 0, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("config, which", sorted(_SWEEPS), ids=map("-".join, sorted(_SWEEPS)))
+def test_a_traced_verify_sweep_counts_one_call_per_state(tracer_module, tmp_path, config, which):
+    path = _ROOT / "configs" / f"{config}.json"
+    samples = load_config(path).verify.samples
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        argv = ["verify", "--config", str(path), "--which", which, "--seed", "3"]
+        code = cli.main(argv + ["--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.missing == []
+    assert tracer.counts["cli.calls"] == 1
+    counted = {span: tracer.counts[span + ".calls"] for span in _SPANS}
+    per_state = _SWEEPS[config, which]
+    assert counted == {span: k * samples for span, k in zip(_SPANS, per_state)}
