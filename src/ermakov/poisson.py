@@ -127,8 +127,8 @@ def matrix_class2(
     t: float = 0.0,
     floors: Floors = DEFAULT_FLOORS,
 ) -> SkewMatrix4:
-    """Class-2 Poisson matrix at a state, with psi and the constructed phi
-    from one Class2Phi.
+    """Class-2 Poisson matrix at a state, with the constructed phi and
+    the psi it read from one Class2Phi call.
 
     At u = 0 every psi- and phi-proportional entry vanishes and the
     matrix degenerates to the class-1 shape; callers relying on
@@ -141,8 +141,8 @@ def matrix_class2(
     alpha = u / v
     r2 = r * r
     j24, j23 = 1.0 / r2, u / (r2 * v)
-    psi_val = phi.psi.fn(alpha, r, theta, t)
     phi_val = phi(alpha, r, theta, t)
+    psi_val = phi.last[2]  # psi at the point, as phi's call read it
     j13 = alpha * alpha + u * psi_val
     j34 = u * phi_val + 2.0 * u * v * psi_val / r
     return tuple.__new__(SkewMatrix4, (0.0, j13, alpha, j23, j24, j34))
@@ -299,7 +299,7 @@ def consistency_residual(
     # psi, it takes its alpha-partial from the jet just read
     if isinstance(phi, Class2Phi):
         shared = psi_jet if phi.psi is psi else phi.psi.jet(alpha, r, theta, t)
-        phi_prime = phi._jet(alpha, r, theta, t, (), shared)[1]
+        phi_prime = phi.partial_alpha(alpha, r, theta, t, shared)
     else:
         phi_prime = phi.partial("alpha").fn(alpha, r, theta, t)
 
@@ -356,7 +356,6 @@ def matrix_field(
         if psi is None:  # class 1 is class 2 with psi and its partials 0
             return m, _upper_partials(s, alpha, (0.0,) * 4, coupling.jet(alpha, r, theta, t))
         psi_jet = psi.jet(alpha, r, theta, t)  # one read, shared with phi's jet
-        phi_jet = coupling._jet(alpha, r, theta, t, ("r", "theta"), psi_jet)
-        return m, _upper_partials(s, alpha, psi_jet, phi_jet)
+        return m, _upper_partials(s, alpha, psi_jet, coupling.jet(alpha, r, theta, t, psi_jet))
 
     return MatrixField(evaluate, "class1" if psi is None else "class2", derivatives)

@@ -10,7 +10,8 @@ structure class of ``SystemSpec(g, coupling)``:
 * ``pseudo_potential`` -- a ``Potential`` V(rbar, t), rbar = 1/r, which
   induces phi.
 
-A phi or psi's ``jet(alpha, r, theta, t)`` is (f, f_alpha, f_r, f_theta).
+A ``jet`` at (alpha, r, theta, t) is (f, f_alpha, f_r, f_theta); a
+``Class2Phi``'s takes psi's jet there too, read by its caller.
 
 The first-order flow shared by all classes:
 
@@ -340,16 +341,17 @@ class Class2Phi:
     nor theta.  |psi| at or below ``psi_min`` is a singular state.
     The 1/lam term is present only when psi actually depends on theta; in
     that case the integration path must not touch lam = 0.  The partials
-    in ``jet`` are exact: in alpha by the fundamental theorem of calculus
-    (differencing the quadrature would cost five to six digits), in r and
-    theta by differentiating the integrand under the integral sign.
+    from ``partial_alpha`` and ``jet``, given psi's jet, are exact: in alpha
+    by the fundamental theorem of calculus (differencing the quadrature
+    would cost five to six digits), in r and theta by differentiating the
+    integrand under the integral sign.
 
     Quadratures run on the integrand lowered by expr, with (r, theta, t)
     bound per quadrature; ``integrand``, the reference, replays a sample
     where it faults.  The lowered integrand and its partials are built on
-    first use and kept.  The last value is kept with its (alpha, r, theta,
-    t), so phi and its jet, or the matrix and the flow, at one state share
-    one quadrature of phi.
+    first use and kept.  A call reads psi at alpha once; ``last`` keeps
+    ((alpha, r, theta, t), phi, psi) of it, where the matrix and the flow
+    read psi, and phi's partials at that point reuse its quadrature.
     """
 
     def __init__(
@@ -376,10 +378,10 @@ class Class2Phi:
         # __init__ slows every attribute read on the instance in CPython 3.11
         self._fused = None
         self._under_integral = {}
-        self._last = (None, None)
+        self.last = (None, None, None)
 
-    def _psi_at(self, lam: float, r: float, theta: float, t: float) -> float:
-        w = self.psi.fn(lam, r, theta, t)
+    def _floored(self, w: float, lam: float) -> float:
+        """w, psi at lam, once it has passed the psi floor."""
         if abs(w) <= self.psi_min:
             raise SingularStateError(
                 f"|psi|={abs(w)!r} at or below floor psi_min={self.psi_min!r} "
@@ -388,9 +390,8 @@ class Class2Phi:
         return w
 
     def integrand(self, lam: float, r: float, theta: float, t: float, w=None) -> float:
-        """The integrand at lam; w is psi there, read and floor-checked here if not given."""
-        if w is None:
-            w = self._psi_at(lam, r, theta, t)
+        """The integrand at lam; w is psi there, read here if not given."""
+        w = self._floored(self.psi.fn(lam, r, theta, t) if w is None else w, lam)
         val = self.psi.partial("r").fn(lam, r, theta, t) - (2.0 / r) * w
         if self._theta_dependent:
             if lam == 0.0:
@@ -403,8 +404,9 @@ class Class2Phi:
 
     def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
         key = (alpha, r, theta, t)
-        if self._last[0] == key:
-            return self._last[1]
+        if self.last[0] == key:
+            return self.last[1]
+        w = self.psi.fn(alpha, r, theta, t)  # its errors before the path's and the integral's
         if self._theta_dependent:
             lo, hi = min(self.lam0, alpha), max(self.lam0, alpha)
             if lo <= 0.0 <= hi:
@@ -412,9 +414,7 @@ class Class2Phi:
                     f"class-2 phi integration path [{lo!r}, {hi!r}] crosses "
                     f"lambda=0 while psi depends on theta"
                 )
-        w = None
-        if self._constant_integrand:  # one read of psi at alpha, for the integrand and K psi
-            w = self._psi_at(alpha, r, theta, t)
+        if self._constant_integrand:  # the integrand checks w's floor
             k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t, w)
         else:
             bind = self._fused or self._lower_integrand()
@@ -423,34 +423,32 @@ class Class2Phi:
             )
         if self._chi is not None:
             k += self._chi.fn(alpha, r, theta, t)
-        value = k * (self._psi_at(alpha, r, theta, t) if w is None else w)
-        self._last = (key, value)
+        value = k * (w if self._constant_integrand else self._floored(w, alpha))
+        self.last = (key, value, w)
         return value
 
     def udot_term(self, t: float, r: float, theta: float, u: float, v: float) -> float:
         """u v (phi + 2 v psi / r), the coupling's term of du/dt."""
-        alpha = u / v
-        psi_val = self.psi.fn(alpha, r, theta, t)
-        return u * v * (self(alpha, r, theta, t) + 2.0 * v * psi_val / r)
+        phi = self(u / v, r, theta, t)
+        return u * v * (phi + 2.0 * v * self.last[2] / r)
 
-    def partial_alpha(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
-        """Exact d(phi)/d(alpha): ``jet``'s second entry, without its quadratures."""
-        return self._jet(alpha, r, theta, t, (), self.psi.jet(alpha, r, theta, t))[1]
-
-    def jet(self, alpha: float, r: float, theta: float, t: float = 0.0) -> tuple:
-        """(phi, phi_alpha, phi_r, phi_theta): the kept phi and one read of psi's jet."""
-        return self._jet(alpha, r, theta, t, ("r", "theta"), self.psi.jet(alpha, r, theta, t))
-
-    def _jet(self, alpha, r, theta, t, under_integral, psi_jet) -> tuple:
-        """phi, phi_alpha and the ``under_integral`` partials from psi's jet: dK psi + K d(psi)."""
+    def partial_alpha(self, alpha: float, r: float, theta: float, t: float, psi_jet) -> float:
+        """Exact d(phi)/d(alpha), dK psi + K d(psi), from psi's jet at the point."""
         phi = self(alpha, r, theta, t)  # psi at alpha passed its floor here
         w, w_alpha, w_r, w_theta = psi_jet
         val = w_r - (2.0 / r) * w
         if self._theta_dependent:  # phi's path, and so alpha, is clear of lam = 0
             val += w_theta / (r * r * alpha)
-        out = [phi, val / (w * w) * w + phi * w_alpha / w]
+        return val / (w * w) * w + phi * w_alpha / w
+
+    def jet(self, alpha: float, r: float, theta: float, t: float, psi_jet) -> tuple:
+        """(phi, phi_alpha, phi_r, phi_theta) from psi's jet at the point."""
+        phi_alpha = self.partial_alpha(alpha, r, theta, t, psi_jet)
+        phi = self.last[1]  # kept by partial_alpha's call
+        w, _, w_r, w_theta = psi_jet
+        out = [phi, phi_alpha]
         k = phi / w
-        for var, w_var in zip(under_integral, (w_r, w_theta)):
+        for var, w_var in (("r", w_r), ("theta", w_theta)):
             d_integrand = self._integrand_partial(var)
             if d_integrand is None:
                 dk = 0.0

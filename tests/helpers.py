@@ -21,7 +21,8 @@ from ermakov import expr as ex
 from ermakov.linearize import AffinityResult, _curvature_fn
 from ermakov.poisson import JACOBI_TRIPLES, SkewMatrix4
 from ermakov.systems import (
-    DEFAULT_FLOORS, Floors, Flow4, FuncHandle, IntegrationError, PhaseState, Potential
+    DEFAULT_FLOORS, Floors, Flow4, FuncHandle, IntegrationError, PhaseState, Potential,
+    SingularStateError,
 )
 
 np = pytest.importorskip("numpy")
@@ -295,7 +296,15 @@ def reference_jet(handle: FuncHandle, alpha, r, theta, t=0.0) -> tuple:
 
 
 def reference_vector_field(spec, s: PhaseState, t=0.0, floors=DEFAULT_FLOORS) -> Flow4:
-    return Flow4(*spec.flow(floors)(t, (s.r, s.theta, s.u, s.v)))
+    """``reference_flow`` as a Flow4, with the lowered flow's errors: r not
+    positive (a NaN r) first, and a float division by zero as a
+    FloatingPointError."""
+    if not s.r > 0.0:
+        raise SingularStateError(f"r must be positive, got {s.r!r}")
+    try:
+        return Flow4(*reference_flow(spec, s, t, floors))
+    except ZeroDivisionError as exc:
+        raise FloatingPointError(str(exc)) from exc
 
 
 def reference_draw_states(rng, n, u_floor, branch) -> list:

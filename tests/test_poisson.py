@@ -525,19 +525,55 @@ def test_kernels_keep_the_reference_bits_on_sampled_states(coupling):
             )
 
 
+def _count_calls(handle, calls, name="psi"):
+    handle.fn = lambda *args, fn=handle.fn: calls.append(name) or fn(*args)
+
+
 def test_class2_derivatives_read_psis_jet_once():
-    # the matrix reads psi's value and phi's K psi another; psi's jet is
-    # read once for the matrix's partials and phi's jet together
+    # phi's call reads psi's value for the matrix; psi's jet is read once
+    # for the matrix's partials and phi's jet together
     psi = FuncHandle.from_text("1+alpha^2*r")
     field = matrix_field(Class2Phi(psi))
     calls = []
-    handles = [("psi", psi)] + [(var, psi.partial(var)) for var in ("alpha", "r", "theta")]
-    for name, handle in handles:
-        handle.fn = lambda *args, fn=handle.fn, name=name: calls.append(name) or fn(*args)
+    _count_calls(psi, calls)
+    for var in ("alpha", "r", "theta"):
+        _count_calls(psi.partial(var), calls, var)
     s = PhaseState(1.3, 0.2, -0.4, 0.9)
     m, _ = field.derivatives(s, 0.7)
-    assert sorted(calls) == ["alpha", "psi", "psi", "psi", "r", "theta"]
+    assert sorted(calls) == ["alpha", "psi", "psi", "r", "theta"]
     assert m == field(s, 0.7)
+
+
+# psi by quadrature, constant (phi in closed form) and theta-dependent
+_PSI_READ_CASES = {
+    "quadrature": ("1+alpha^2*r", 0.0),
+    "constant": ("1", 0.0),
+    "theta": ("1+0.1*alpha*sin(theta)", 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PSI_READ_CASES))
+def test_class2_matrix_and_flow_read_psi_once_per_state(name):
+    # phi's call reads psi at alpha, and the matrix and the flow take psi
+    # from what that call kept: once for a matrix, once for a flow call,
+    # and once for a verify flow state, which builds both
+    text, lam0 = _PSI_READ_CASES[name]
+    s, t = PhaseState(1.3, 0.2, 0.4, 0.9), 0.7
+    reads = {}
+    for case in ("matrix", "flow", "verify flow"):
+        psi = FuncHandle.from_text(text)
+        spec = SystemSpec(ex.parse("cos(theta)"), Class2Phi(psi, lam0=lam0))
+        calls = []
+        _count_calls(psi, calls)
+        if case == "matrix":
+            matrix_class2(spec.coupling, s, t)
+        elif case == "flow":
+            spec.flow()(t, s)
+        else:
+            hamiltonian_flow(matrix_field(spec.coupling), inv.grad_ermakov(spec.g, s), s)
+            vector_field(spec, s)
+        reads[case] = len(calls)
+    assert reads == {"matrix": 1, "flow": 1, "verify flow": 1}
 
 
 def test_consistency_reads_psis_jet_once():
@@ -558,7 +594,11 @@ def test_consistency_reads_psis_jet_once():
 
 # (matrix builder, its reference, a fresh coupling): class 1 free and
 # induced by a potential; class 2 with a constant integrand and chi, by
-# quadrature, and with psi depending on theta
+# quadrature, and with psi depending on theta; and class 2 with a psi that
+# leaves its real domain at some sampled alpha (ln of a negative, exp that
+# overflows), where phi's quadrature or its theta path also fails at other
+# lambda: the matrix raises psi's own error at alpha, as the reference
+# reads psi first
 MATRIX_CASES = {
     "class1": (matrix_class1, reference_matrix_class1, lambda: PHI_POOL[2]),
     "pseudo_potential": (matrix_class1, reference_matrix_class1, lambda: OFF_OSCILLATOR.phi),
@@ -574,6 +614,21 @@ MATRIX_CASES = {
         matrix_class2,
         reference_matrix_class2,
         lambda: Class2Phi(FuncHandle.from_text("1+0.1*alpha*sin(theta)"), lam0=-0.1),
+    ),
+    "class2-ln": (
+        matrix_class2,
+        reference_matrix_class2,
+        lambda: Class2Phi(FuncHandle.from_text("1+alpha^2*r+0.1*ln(alpha)"), lam0=1.0),
+    ),
+    "class2-exp": (
+        matrix_class2,
+        reference_matrix_class2,
+        lambda: Class2Phi(FuncHandle.from_text("1+exp(300*alpha*r)")),
+    ),
+    "class2-theta-ln": (
+        matrix_class2,
+        reference_matrix_class2,
+        lambda: Class2Phi(FuncHandle.from_text("2+0.5*sin(theta)*ln(alpha)"), lam0=0.5),
     ),
 }
 

@@ -1,7 +1,7 @@
 """``tools/reachability.py`` run in a fresh interpreter: it exits 0, each
 function it lists is one that ``src/ermakov`` defines, each statement it
 lists is a line of the package, printed as it reads, and what every
-digest run executes is not listed."""
+digest run executes is not listed, nor is any method of ``Class2Phi``."""
 
 import importlib
 import subprocess
@@ -70,6 +70,8 @@ def test_every_unreached_name_is_a_package_function():
     (draw,) = [i + 1 for i, text in enumerate(verify_src) if "= sample_states(" in text]
     assert ("verify", draw) not in marked
     assert "verify.cmd_verify" not in [name for _, name in listed]
+    # Class2Phi's entries are the ones the commands call: none is kept for tests alone
+    assert [name for _, name in listed if name.startswith("systems.Class2Phi.")] == []
     for count, name in listed:
         module, qualname = name.split(".", 1)
         obj = _resolve(module, qualname)

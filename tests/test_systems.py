@@ -253,9 +253,24 @@ def test_lowered_flow_matches_the_reference_bit_for_bit(name):
                 assert vector_field(spec, s, t, floors) == Flow4(*want)
 
 
-@pytest.mark.parametrize("name", sorted(LOWERED_FLOW_SPECS))
+# and class 2 with a psi that leaves its real domain at some sampled alpha,
+# where it also fails inside phi's quadrature at other lambda: the flow
+# raises psi's own error at alpha, as the reference reads psi first
+ERROR_FLOW_SPECS = {
+    **LOWERED_FLOW_SPECS,
+    "class2-ln": SystemSpec(
+        _G, Class2Phi(FuncHandle.from_text("1+alpha^2*r+0.1*ln(alpha)"), lam0=1.0)
+    ),
+    "class2-exp": SystemSpec(_G, Class2Phi(FuncHandle.from_text("1+exp(300*alpha*r)"))),
+    "class2-theta-ln": SystemSpec(
+        _G, Class2Phi(FuncHandle.from_text("2+0.5*sin(theta)*ln(alpha)"), lam0=0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_FLOW_SPECS))
 def test_vector_field_keeps_the_reference_bits_and_errors(name):
-    spec = LOWERED_FLOW_SPECS[name]
+    spec = ERROR_FLOW_SPECS[name]
     seen = set()
     for floors in (DEFAULT_FLOORS, EDGE_FLOORS):
         for s in random_states(61, 30) + EDGE_STATES:
@@ -341,7 +356,7 @@ def test_class2_phi_constant_psi():
 def test_class2_phi_exact_alpha_derivative():
     phi = Class2Phi(FuncHandle.from_text("2"), chi=ex.parse("r*theta"))
     alpha, r, theta = 0.8, 1.4, 0.6
-    exact = phi.partial_alpha(alpha, r, theta)
+    exact = phi.partial_alpha(alpha, r, theta, 0.0, phi.psi.jet(alpha, r, theta))
     h = 1e-6
     fd = (phi(alpha + h, r, theta) - phi(alpha - h, r, theta)) / (2.0 * h)
     assert exact == pytest.approx(fd, rel=1e-7)
@@ -349,7 +364,8 @@ def test_class2_phi_exact_alpha_derivative():
 
 # (psi, chi, lam0), then (alpha, r, theta, t) and the float.hex of phi and of
 # its alpha-, r- and theta-partials, as phi, partial_alpha and
-# partial("r")/partial("theta") gave them before jet took their place
+# partial("r")/partial("theta") gave them before jet took their place, and
+# as jet and partial_alpha gave them when each read psi's jet itself
 JET_BITS = [
     (("2", None, 0.0), (0.8, 1.4, 0.6, 0.0),
      ("-0x1.2492492492493p+0", "-0x1.6db6db6db6db7p+0", "0x1.a1f58d0fac68ap-1", "0x0.0p+0")),
@@ -374,9 +390,11 @@ JET_BITS = [
 def test_class2_phi_jet_keeps_the_bits_of_the_separate_partials(coupling, point, bits):
     psi, chi, lam0 = coupling
     make = lambda: Class2Phi(FuncHandle.from_text(psi), None if chi is None else ex.parse(chi), lam0)
-    assert tuple(x.hex() for x in make().jet(*point)) == bits
+    phi = make()
+    psi_jet = phi.psi.jet(*point)
+    assert tuple(x.hex() for x in phi.jet(*point, psi_jet)) == bits
     # the alpha-partial alone, on a fresh phi, is the jet's second entry
-    assert make().partial_alpha(*point).hex() == bits[1]
+    assert make().partial_alpha(*point, psi_jet).hex() == bits[1]
 
 
 def test_class2_phi_with_theta_dependent_psi_needs_safe_path():
@@ -426,7 +444,7 @@ def test_class2_phi_memo_follows_every_argument(monkeypatch, coord):
         assert phi(*(first, second)[n % 2]) == expected[n % 2]
     assert quads[0] == 6
     phi(*second)
-    phi.partial_alpha(*second)
+    phi.partial_alpha(*second, psi.jet(*second))
     assert quads[0] == 6  # the same state again, and its derivative, reuse it
 
 
@@ -515,9 +533,10 @@ def test_class2_phi_rebuilds_share_the_lowered_code(monkeypatch):
     quad = ex.quad_adaptive
     monkeypatch.setattr(ex, "quad_adaptive", lambda f, *args: codes.append(f) or quad(f, *args))
     first, second = (Class2Phi(FuncHandle.from_text("1+alpha^2*r")) for _ in range(2))
-    for phi, state in ((first, (0.4, 1.0, 0.2)), (second, (0.7, 1.3, 0.1))):
+    for phi, state in ((first, (0.4, 1.0, 0.2, 0.0)), (second, (0.7, 1.3, 0.1, 0.0))):
         phi(*state)
-        phi.jet(*state)  # phi at the state is kept, and theta's partial is 0: one quadrature
+        # phi at the state is kept, and theta's partial is 0: one quadrature
+        phi.jet(*state, phi.psi.jet(*state))
     assert len(codes) == 4 and codes[0] is not codes[2]
     assert codes[0].__code__ is codes[2].__code__
     assert codes[1].__code__ is codes[3].__code__

@@ -1,9 +1,11 @@
 """The benchmark's tracer, ``bench/tracer.py``, around one in-process
-``ermakov verify`` run of each shipped sweep: every name it patches is
-still there, and each sampled state makes one matrix, one Hamiltonian
-flow, one vector field or one consistency residual through the patched
-names, as the sweep needs them.  Code that builds a matrix or a flow past
-a patched name fails here, not only in a traced benchmark run."""
+``ermakov verify`` run of each shipped sweep and of the class-2 stress
+config's quadrature sweeps: every name it patches is still there, and
+each sampled state makes one matrix, one Hamiltonian flow, one vector
+field or one consistency residual through the patched names, as the sweep
+needs them, and a class-2 state calls the patched ``Class2Phi.__call__``
+twice.  Code that builds a matrix or a flow, or reads phi and psi, past a
+patched name fails here, not only in a traced benchmark run."""
 
 import importlib.util
 from pathlib import Path
@@ -20,17 +22,29 @@ from ermakov.config import load_config
 _ROOT = Path(__file__).resolve().parent.parent
 _TRACER = _ROOT / "bench" / "tracer.py"
 
-# the spans counted, and per shipped sweep how many calls of each one
-# sampled state makes
-_SPANS = ("poisson.matrix", "poisson.flow", "systems.vector_field", "poisson.consistency")
+# the configs, read only
+_CONFIGS = {
+    "spiral": _ROOT / "configs" / "spiral.json",
+    "class2_psi1": _ROOT / "configs" / "class2_psi1.json",
+    "class2_quadrature": _ROOT / "bench" / "configs" / "class2_quadrature.json",
+}
+
+# the spans counted, and per sweep how many calls of each one a sampled
+# state makes
+_SPANS = (
+    "poisson.matrix", "poisson.flow", "systems.vector_field", "poisson.consistency",
+    "systems.class2_phi",
+)
 _SWEEPS = {
-    ("spiral", "jacobi"): (1, 0, 0, 0),
-    ("spiral", "flow"): (1, 1, 1, 0),
-    ("spiral", "casimir"): (1, 0, 0, 0),
-    ("spiral", "determinant"): (1, 0, 0, 0),
-    ("class2_psi1", "jacobi"): (1, 0, 0, 0),
-    ("class2_psi1", "flow"): (1, 1, 1, 0),
-    ("class2_psi1", "consistency"): (0, 0, 0, 1),
+    ("spiral", "jacobi"): (1, 0, 0, 0, 0),
+    ("spiral", "flow"): (1, 1, 1, 0, 0),
+    ("spiral", "casimir"): (1, 0, 0, 0, 0),
+    ("spiral", "determinant"): (1, 0, 0, 0, 0),
+    ("class2_psi1", "jacobi"): (1, 0, 0, 0, 2),
+    ("class2_psi1", "flow"): (1, 1, 1, 0, 2),
+    ("class2_psi1", "consistency"): (0, 0, 0, 1, 2),
+    ("class2_quadrature", "flow"): (1, 1, 1, 0, 2),
+    ("class2_quadrature", "consistency"): (0, 0, 0, 1, 2),
 }
 
 
@@ -44,7 +58,7 @@ def tracer_module():
 
 @pytest.mark.parametrize("config, which", sorted(_SWEEPS), ids=map("-".join, sorted(_SWEEPS)))
 def test_a_traced_verify_sweep_counts_one_call_per_state(tracer_module, tmp_path, config, which):
-    path = _ROOT / "configs" / f"{config}.json"
+    path = _CONFIGS[config]
     samples = load_config(path).verify.samples
     tracer = tracer_module.Tracer()
     tracer.install()
