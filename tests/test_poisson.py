@@ -582,7 +582,7 @@ def test_consistency_reads_psis_jet_once():
     psi = FuncHandle.from_text("1+alpha^2*r")
     phi = Class2Phi(psi)
     calls = []
-    psi.fn = lambda *args, fn=psi.fn: calls.append(args) or fn(*args)
+    _count_calls(psi, calls)
     s = PhaseState(1.3, 0.2, -0.4, 0.9)
     res = consistency_residual(psi, phi, s, 0.7)
     assert len(calls) == 2
