@@ -32,8 +32,9 @@ except ImportError:
         from hashlib import sha256
 
 if TYPE_CHECKING:
+    import random
+
     from .integrate import Trajectory
-    from .verify import PCG64
 
 __all__ = [
     "ConfigError",
@@ -387,16 +388,16 @@ def load_config(path) -> RunConfig:
     return parse_config(data)
 
 
-def sample_states(rng: PCG64, n: int, u_floor: float, branch: str) -> list:
+def sample_states(rng: random.Random, n: int, u_floor: float, branch: str) -> list:
     """Draw admissible verification states, reproducibly for a seeded rng.
 
     r in [0.5, 3], theta in [-pi, pi], |u| in [u_floor, 2] with u_floor
     in (0, 2], |v| in [0.5, 3].  branch "any" flips the signs of u and v
     independently; "fixed" pins u < 0, v > 0 so sign(-u/v) is constant
-    across the sample.  Each state takes the next four words of ``rng.words`` (six
-    for "any") as the doubles x = word * 2**-53 of a ``rng.random`` row,
-    and as ``rng.uniform(low, high)`` maps them: low + (high - low) x.  A
-    sign word flips its sign where x >= 0.5, i.e. where its bit 52 is set.
+    across the sample.  Each state takes the next four doubles x of
+    ``rng.random()`` (six for "any") and maps them as ``rng.uniform(low,
+    high)`` does: low + (high - low) x.  A sign double flips its sign
+    where x >= 0.5.
     """
     if branch not in ("any", "fixed"):
         raise ValueError(f"branch must be any or fixed, got {branch!r}")
@@ -404,24 +405,22 @@ def sample_states(rng: PCG64, n: int, u_floor: float, branch: str) -> list:
         raise ValueError(f"u_floor must be positive and at most 2, got {u_floor!r}")
     width_u = 2.0 - u_floor
     width_theta = 2.0 * math.pi
-    unit = 2.0**-53
+    x = rng.random
     # every r is at least 0.5: the states are built past PhaseState's r > 0 check
     if branch == "fixed":
-        words = iter(rng.words(4 * n))
         return [
-            tuple.__new__(PhaseState, (0.5 + 2.5 * (a * unit), -math.pi + width_theta * (b * unit),
-                                       -(u_floor + width_u * (c * unit)), 0.5 + 2.5 * (d * unit)))
-            for a, b, c, d in zip(words, words, words, words)
+            tuple.__new__(PhaseState, (0.5 + 2.5 * x(), -math.pi + width_theta * x(),
+                                       -(u_floor + width_u * x()), 0.5 + 2.5 * x()))
+            for _ in range(n)
         ]
     states = []
-    words = iter(rng.words(6 * n))
-    for a, b, c, d in zip(words, words, words, words):
-        r = 0.5 + 2.5 * (a * unit)
-        theta = -math.pi + width_theta * (b * unit)
-        mag_u = u_floor + width_u * (c * unit)
-        mag_v = 0.5 + 2.5 * (d * unit)
-        # the two sign words follow the four of the magnitudes
-        u = -mag_u if next(words) >> 52 else mag_u
-        v = -mag_v if next(words) >> 52 else mag_v
+    for _ in range(n):
+        r = 0.5 + 2.5 * x()
+        theta = -math.pi + width_theta * x()
+        mag_u = u_floor + width_u * x()
+        mag_v = 0.5 + 2.5 * x()
+        # the two sign doubles follow the four of the magnitudes
+        u = -mag_u if x() >= 0.5 else mag_u
+        v = -mag_v if x() >= 0.5 else mag_v
         states.append(tuple.__new__(PhaseState, (r, theta, u, v)))
     return states

@@ -391,8 +391,7 @@ _NAMESPACE = dict(
 def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
     """Source of ``make(replay)``, which returns the function of len(args)
     positional values computing ``tree``: one assignment per distinct
-    subexpression, each the operation :func:`evaluate` performs, or the
-    value of one of literals alone where that is finite.  Where an
+    subexpression, each the operation :func:`evaluate` performs.  Where an
     operation raises ArithmeticError or ValueError, or |e| <= m for a
     guard (e, m), it returns replay(*values, *bound values).  With
     ``bound`` names it returns ``bind(*values, replay=replay)``, which
@@ -418,13 +417,6 @@ def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
                 rhs = f"-{xs[0]}" if e.op == "neg" else f"{e.op}({xs[0]})"
             else:
                 rhs = f"_pow({xs[0]}, {xs[1]})" if e.op == "^" else f"{xs[0]} {e.op} {xs[1]}"
-            if not any(x in per_sample for x in xs):  # literals alone
-                try:
-                    value = eval(rhs, _NAMESPACE)
-                except (ArithmeticError, ValueError):
-                    value = math.nan
-                if math.isfinite(value):
-                    return repr(value)
             varies = not bound or any(per_sample.get(x) for x in xs)
         if rhs not in slots:  # equal text computes an equal value
             slots[rhs] = name = f"{'{s}' * varies}x{len(slots)}"

@@ -8,94 +8,22 @@ residuals, extra report fields)`` in ``_SWEEPS``, with its own default
 tolerance, on the one matrix field that :func:`cmd_verify` builds.
 :func:`ermakov.cli.main` imports this module only for ``verify``, so no
 other command compiles it or :mod:`ermakov.poisson`, and writes the
-report that :func:`cmd_verify` returns.  The seeded draw is
-:class:`PCG64`, numpy's ``default_rng(seed)`` bit for bit on Python
-ints, so the command has no runtime dependency.
+report that :func:`cmd_verify` returns.  The states are drawn from the
+standard library's ``random.Random(seed)``, whose ``random()`` stream
+for an int seed Python keeps across versions, so the command has no
+runtime dependency.
 """
 
 from __future__ import annotations
+
+import random
 
 from . import invariants as inv
 from . import poisson
 from .config import ConfigError, RunConfig, sample_states
 from .systems import FuncHandle, nan_max, vector_field
 
-__all__ = ["PCG64", "cmd_verify"]
-
-_MASK32 = 0xFFFFFFFF
-_MASK53 = (1 << 53) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
-
-
-def _hashmix(const: int, mult: int):
-    """SeedSequence's 32-bit hash: each call xors the value with the
-    constant, steps the constant by ``mult`` and multiplies by it."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _seed_sequence(seed: int) -> list:
-    """numpy's ``SeedSequence(seed).generate_state(8)``: the seed's 32-bit
-    words, low first, hashed into a pool of four, mixed across it, and
-    drawn out again."""
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    draw = _hashmix(0x8B51F9DD, 0x58F38DED)
-    return [draw(pool[i % 4]) for i in range(8)]
-
-
-class PCG64:
-    """The bit generator of numpy's ``default_rng(seed)`` for an int seed
-    >= 0: a 128-bit LCG whose state and increment come from
-    ``SeedSequence(seed)``, each output the XSL-RR permutation of the state
-    after one step (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
-    Statistically Good Algorithms for Random Number Generation",
-    HMC-CS-2014-0905).  ``Generator.random`` returns ``word * 2**-53`` for
-    each 53-bit word that :meth:`words` gives, in the same order."""
-
-    def __init__(self, seed: int):
-        w = _seed_sequence(seed)
-        # four 64-bit words, each two 32-bit ones low first: start, then sequence
-        u64 = [w[i] | w[i + 1] << 32 for i in (0, 2, 4, 6)]
-        self.inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _MASK128
-        # numpy's seeding: one step from 0, add the start, one more step
-        start = u64[0] << 64 | u64[1]
-        self.state = ((self.inc + start) * _MULTIPLIER + self.inc) & _MASK128
-
-    def words(self, count: int) -> list:
-        """The next ``count`` outputs, each as its top 53 bits."""
-        mult, inc, state = _MULTIPLIER, self.inc, self.state
-        words = []
-        push = words.append
-        for _ in range(count):
-            state = (state * mult + inc) & _MASK128
-            # XSL-RR: the halves xored, rotated right by the top 6 bits
-            xsl = (state >> 64 ^ state) & _MASK64
-            push((xsl << 64 | xsl) >> ((state >> 122) + 11) & _MASK53)
-        self.state = state
-        return words
+__all__ = ["cmd_verify"]
 
 
 def _verify_jacobi(cfg, field, states):
@@ -167,7 +95,7 @@ def _verify_determinant(cfg, field, states):
     for s in states:
         m = field(s)
         det = poisson.determinant(m)
-        psi_val = spec.coupling.psi(s.alpha(cfg.floors.v_min), s.r, s.theta, 0.0)
+        psi_val = spec.coupling.last[2]  # psi at the state, as field's phi call read it
         closed = (s.u * psi_val / s.r**2) ** 2
         res = abs(det - closed) / max(1e-30, closed)
         # det = Pf^2 must be positive where u psi != 0, at any tolerance
@@ -198,7 +126,7 @@ def cmd_verify(cfg: RunConfig, seed: int, which: str, tamper: bool) -> tuple:
     if tamper and which != "jacobi":
         raise ConfigError("--tamper-j34 applies only to --which jacobi")
     vs = cfg.verify
-    states = sample_states(PCG64(seed), vs.samples, vs.u_floor, vs.branch)
+    states = sample_states(random.Random(seed), vs.samples, vs.u_floor, vs.branch)
     field = poisson.matrix_field(cfg.spec.coupling, cfg.floors)
     if tamper:
         field = poisson.perturb_j34(field)

@@ -8,7 +8,7 @@ was computed from lists before it was generated, the numpy read of
 dense output that the float walk of ``hermite_eval`` replaced, and the
 numpy least-squares fit that the closed forms of ``affinity_test``
 replaced, the unsimplified derivative that ``differentiate`` built
-before it dropped dead terms, and the matrices, jet, flow and draw as they
+before it dropped dead terms, and the matrices, jet and flow as they
 read each state field by field."""
 
 import math
@@ -263,7 +263,7 @@ def reference_sample_states(rng, n, u_floor, branch) -> list:
     return states
 
 
-# the matrices, the jet, the flow and the draw as they ran before each
+# the matrices, the jet and the flow as they ran before each
 # state was unpacked once and each record built as a bare tuple: kept so
 # that tests can pin the new code to them bit for bit, errors included
 
@@ -305,31 +305,6 @@ def reference_vector_field(spec, s: PhaseState, t=0.0, floors=DEFAULT_FLOORS) ->
         return Flow4(*reference_flow(spec, s, t, floors))
     except ZeroDivisionError as exc:
         raise FloatingPointError(str(exc)) from exc
-
-
-def reference_draw_states(rng, n, u_floor, branch) -> list:
-    """sample_states as one loop over the words of ``rng``, both branches."""
-    if branch not in ("any", "fixed"):
-        raise ValueError(f"branch must be any or fixed, got {branch!r}")
-    if not (math.isfinite(u_floor) and u_floor <= 2.0):
-        raise ValueError(f"u_floor must be finite and at most 2, got {u_floor!r}")
-    fixed = branch == "fixed"
-    width_u = 2.0 - u_floor
-    unit = 2.0**-53
-    states = []
-    words = iter(rng.words((4 if fixed else 6) * n))
-    for a, b, c, d in zip(words, words, words, words):
-        r = 0.5 + 2.5 * (a * unit)
-        theta = -math.pi + 2.0 * math.pi * (b * unit)
-        mag_u = u_floor + width_u * (c * unit)
-        mag_v = 0.5 + 2.5 * (d * unit)
-        if fixed:
-            u, v = -mag_u, mag_v
-        else:  # the two sign words follow the four of the magnitudes
-            u = -mag_u if next(words) >> 52 else mag_u
-            v = -mag_v if next(words) >> 52 else mag_v
-        states.append(PhaseState(r, theta, u, v))
-    return states
 
 
 # spiral's floors, and states past them, alone and together, or with -0.0

@@ -14,6 +14,7 @@ nondegeneracy statement the closed form was after.
 """
 
 import math
+import random
 
 import pytest
 
@@ -38,7 +39,6 @@ from ermakov.systems import (
     Solver,
     SystemSpec,
 )
-from ermakov.verify import PCG64
 
 from helpers import columns, evaluable_tree, trusted_central_difference, vec
 
@@ -64,11 +64,11 @@ CLASS2_CHI_POOL = (None, "r*theta")
 
 
 def states_any(n=N_STATES, u_floor=0.05):
-    return sample_states(PCG64(SEED), n, u_floor, "any")
+    return sample_states(random.Random(SEED), n, u_floor, "any")
 
 
 def states_fixed(n=N_STATES, u_floor=0.05):
-    return sample_states(PCG64(SEED), n, u_floor, "fixed")
+    return sample_states(random.Random(SEED), n, u_floor, "fixed")
 
 
 def verdict(num: int, label: str, ok: bool, detail: str) -> bool:

@@ -619,11 +619,18 @@ def test_a_wrapped_integrand_takes_the_generic_panel_with_the_same_bits():
     assert len(panels) > 1
 
 
-def test_lowering_hoists_bound_work_and_folds_constants():
+def _prelude(source: str) -> list:
+    """The lines of ``bind`` before its ``compiled``: the bound work."""
+    body = _function_body(source, "bind")
+    return body[: body.index(next(x for x in body if x.startswith("def compiled(")))]
+
+
+def test_lowering_hoists_bound_work_and_literal_operations():
     for text in ("1+alpha^2*r", "1+alpha^2*r+0.1*alpha*sin(theta)",
                  "2+alpha*ln(r+alpha)+0.2*cos(theta)*t"):
         integrand, r_partial = _lowered_class2(text)
-        assert "2.0 / x" in integrand and "0.0 - 2.0" not in r_partial
+        assert "2.0 / x" in integrand
+        assert any(x.endswith(" = 0.0 - 2.0") for x in _prelude(r_partial))
         for source in (integrand, r_partial):
             # each operation of the sample function reads a per-sample value
             per_sample = set()
@@ -632,11 +639,21 @@ def test_lowering_hoists_bound_work_and_folds_constants():
                 if re.fullmatch(r"x\d+", target):
                     assert rhs.startswith("float(a") or per_sample & set(re.findall(r"x\d+", rhs))
                     per_sample.add(target)
-    # a constant that is finite is its value; one that raises or is not
-    # finite is computed where it was
-    folded = ex._lower(ex.parse("x*(2-3) + sin(1)^2 - 2^0.5"), ("x",))
-    assert not re.search(r"(2\.0 - 3\.0|sin\(|_pow\(|\^)", folded), folded
-    for text in ("x + ln(0-1)", "x + 1e308*10", "x*(1/0)", "x + 0*(1e308*10)"):
+    # an operation on literals alone is bound work: with bound names it runs
+    # once in bind's prelude, never in compiled or the fused panel
+    tree = ex.parse("x*(2-3) + sin(1)^2 - y*2^0.5")
+    source = ex._lower(tree, ("x",), ("y",))
+    prelude = _prelude(source)
+    for rhs in ("2.0 - 3.0", "sin(1.0)", "_pow(2.0, 0.5)"):
+        assert source.count(f" = {rhs}\n") == 1 and any(x.endswith(f" = {rhs}") for x in prelude)
+    bind = ex.compile(tree, ("x",), ("y",))
+    for x, y in ((0.5, 1.25), (-0.0, 3.0), (1e308, -2.0)):
+        want = _outcome(lambda: ex.evaluate(tree, {"x": x, "y": y}))
+        assert _outcome(lambda: bind(y)(x)) == want
+    # with no bound names, every call computes them, to evaluate's bits;
+    # one that raises or is not finite too
+    for text in ("x*(2-3) + sin(1)^2 - 2^0.5", "x + ln(0-1)", "x + 1e308*10", "x*(1/0)",
+                 "x + 0*(1e308*10)"):
         assert "x1 = " in ex._lower(ex.parse(text), ("x",)), text
         for x in (0.5, -0.0):
             _same_as_evaluate(ex.parse(text), ("x",), [x])

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,7 @@ from ermakov.systems import (
     vector_field,
 )
 from ermakov import invariants as inv
+from ermakov.verify import _verify_determinant
 
 from helpers import (
     EDGE_FLOORS,
@@ -556,11 +558,12 @@ _PSI_READ_CASES = {
 def test_class2_matrix_and_flow_read_psi_once_per_state(name):
     # phi's call reads psi at alpha, and the matrix and the flow take psi
     # from what that call kept: once for a matrix, once for a flow call,
-    # and once for a verify flow state, which builds both
+    # once for a verify flow state, which builds both, and once for a
+    # verify determinant state, whose closed form takes the matrix's psi
     text, lam0 = _PSI_READ_CASES[name]
     s, t = PhaseState(1.3, 0.2, 0.4, 0.9), 0.7
     reads = {}
-    for case in ("matrix", "flow", "verify flow"):
+    for case in ("matrix", "flow", "verify flow", "verify determinant"):
         psi = FuncHandle.from_text(text)
         spec = SystemSpec(ex.parse("cos(theta)"), Class2Phi(psi, lam0=lam0))
         calls = []
@@ -569,11 +572,21 @@ def test_class2_matrix_and_flow_read_psi_once_per_state(name):
             matrix_class2(spec.coupling, s, t)
         elif case == "flow":
             spec.flow()(t, s)
-        else:
+        elif case == "verify flow":
             hamiltonian_flow(matrix_field(spec.coupling), inv.grad_ermakov(spec.g, s), s)
             vector_field(spec, s)
+        else:
+            cfg = SimpleNamespace(
+                spec=spec, floors=DEFAULT_FLOORS, verify=SimpleNamespace(tolerance={})
+            )
+            _, (res,), _ = _verify_determinant(cfg, matrix_field(spec.coupling), [s])
+            # the residual against (u psi / r^2)^2, psi read afresh
+            fresh = Class2Phi(FuncHandle.from_text(text), lam0=lam0)
+            closed = (s.u * fresh.psi.fn(s.u / s.v, s.r, s.theta, 0.0) / s.r**2) ** 2
+            want = abs(determinant(matrix_class2(fresh, s)) - closed) / closed
+            assert float_bits([res]) == float_bits([want])
         reads[case] = len(calls)
-    assert reads == {"matrix": 1, "flow": 1, "verify flow": 1}
+    assert reads == {"matrix": 1, "flow": 1, "verify flow": 1, "verify determinant": 1}
 
 
 def test_consistency_reads_psis_jet_once():
