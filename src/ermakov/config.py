@@ -406,21 +406,16 @@ def sample_states(rng: random.Random, n: int, u_floor: float, branch: str) -> li
     width_u = 2.0 - u_floor
     width_theta = 2.0 * math.pi
     x = rng.random
-    # every r is at least 0.5: the states are built past PhaseState's r > 0 check
-    if branch == "fixed":
-        return [
-            tuple.__new__(PhaseState, (0.5 + 2.5 * x(), -math.pi + width_theta * x(),
-                                       -(u_floor + width_u * x()), 0.5 + 2.5 * x()))
-            for _ in range(n)
-        ]
+    fixed = branch == "fixed"
     states = []
     for _ in range(n):
-        r = 0.5 + 2.5 * x()
-        theta = -math.pi + width_theta * x()
-        mag_u = u_floor + width_u * x()
-        mag_v = 0.5 + 2.5 * x()
-        # the two sign doubles follow the four of the magnitudes
-        u = -mag_u if x() >= 0.5 else mag_u
-        v = -mag_v if x() >= 0.5 else mag_v
+        r, theta = 0.5 + 2.5 * x(), -math.pi + width_theta * x()
+        u, v = u_floor + width_u * x(), 0.5 + 2.5 * x()
+        # "any" draws the two sign doubles after the four of the magnitudes
+        if fixed or x() >= 0.5:
+            u = -u
+        if not fixed and x() >= 0.5:
+            v = -v
+        # every r is at least 0.5: the state is built past PhaseState's r > 0 check
         states.append(tuple.__new__(PhaseState, (r, theta, u, v)))
     return states

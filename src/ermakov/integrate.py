@@ -263,8 +263,9 @@ def integrate_ode(
     a sequence of floats; the steppers run on Python floats.  f may
     raise one of ``STAGE_FAILURES`` (floors, r > 0, math domain,
     quadrature) to signal that a stage left the admissible region; the
-    step is then halved until it underflows, at which point integration
-    stops with "singular_stop".  Any other exception propagates.
+    step is then halved.  A step below 1e-14 max(1, |t|) stops the run
+    with "singular_stop", before the step budget is checked, naming the
+    last attempt's failure if it failed.  Any other exception propagates.
     accept_check inspects each accepted (t, y) and returns a stop reason
     or None.
     """
@@ -292,23 +293,22 @@ def integrate_ode(
     if not h > 0.0:
         raise ValueError(f"step size {h!r} must be positive")
 
-    status = "completed"
     stop_reason: Optional[str] = None
+    last_failure: Optional[str] = None  # why the last attempt failed
     n_accepted = n_rejected = n_failed = 0
     err_old = 1.0
 
     t_end = t1 - 1e-14 * max(1.0, abs(t1))
     while t < t_end:
+        h_try = min(h, t1 - t)
+        if h_try <= 1e-14 * max(1.0, abs(t)):
+            avoiding = "" if last_failure is None else f" while avoiding: {last_failure}"
+            stop_reason = f"step size underflow at t={t!r}{avoiding}"
+            break
         if n_accepted + n_rejected + n_failed >= solver.max_steps:
             raise IntegrationError(
                 f"step budget {solver.max_steps} exhausted at t={t!r}"
             )
-        h_try = min(h, t1 - t)
-        h_floor = 1e-14 * max(1.0, abs(t))
-        if h_try <= h_floor:
-            status = "singular_stop"
-            stop_reason = f"step size underflow at t={t!r}"
-            break
         k = [f_cur]  # the steppers append each derivative f returns
         try:
             y_new, err_norm = step(f, t, y, h_try, k, rtol, atol)
@@ -321,13 +321,6 @@ def integrate_ode(
         n_feval += len(k) - 1
         if last_failure is not None:
             n_failed += 1
-            if h_try <= 2.0 * h_floor:
-                status = "singular_stop"
-                stop_reason = (
-                    f"step size underflow at t={t!r} "
-                    f"while avoiding: {last_failure}"
-                )
-                break
             h = 0.5 * h_try
             continue
 
@@ -349,10 +342,8 @@ def integrate_ode(
             h = h_try * min(5.0, max(0.2, factor))
             err_old = scaled
         if accept_check is not None:
-            reason = accept_check(t, y)
-            if reason is not None:
-                status = "singular_stop"
-                stop_reason = reason
+            stop_reason = accept_check(t, y)
+            if stop_reason is not None:
                 break
 
     return Trajectory(
@@ -360,7 +351,7 @@ def integrate_ode(
         ys=ys,
         fs=fs,
         method=method,
-        status=status,
+        status="completed" if stop_reason is None else "singular_stop",
         stop_reason=stop_reason,
         stats={
             "n_accepted": n_accepted,

@@ -294,13 +294,14 @@ def consistency_residual(
     alpha = s.alpha(floors.v_min)
     psi_jet = psi.jet(alpha, r, theta, t)
     psi_val, psi_prime, psi_r, psi_theta = psi_jet
-    phi_val = phi(alpha, r, theta, t)
     # not phi's jet: a Class2Phi's would add two quadratures; built on this
-    # psi, it takes its alpha-partial from the jet just read
+    # psi, it takes its alpha-partial, and phi's psi, from the jet just read
     if isinstance(phi, Class2Phi):
         shared = psi_jet if phi.psi is psi else phi.psi.jet(alpha, r, theta, t)
         phi_prime = phi.partial_alpha(alpha, r, theta, t, shared)
+        phi_val = phi(alpha, r, theta, t)  # kept by partial_alpha's call
     else:
+        phi_val = phi(alpha, r, theta, t)
         phi_prime = phi.partial("alpha").fn(alpha, r, theta, t)
 
     left = psi_val * phi_prime - psi_prime * phi_val

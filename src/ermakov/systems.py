@@ -102,8 +102,8 @@ class Solver(NamedTuple):
     """Integrator settings, for :mod:`ermakov.integrate`.
 
     method is "rk4" (fixed step dt, span/1000 when absent) or "dp45"
-    (adaptive, to rtol and atol, with no dt).  max_steps bounds accepted
-    plus rejected steps; exceeding it raises IntegrationError.  A call
+    (adaptive, to rtol and atol, with no dt).  max_steps bounds accepted,
+    rejected and failed steps; exceeding it raises IntegrationError.  A call
     that gives dt with any method but rk4 raises ValueError; ``_replace``
     and ``_make`` build the tuple without that check.
     """
@@ -348,8 +348,9 @@ class Class2Phi:
 
     Quadratures run on the integrand lowered by expr, with (r, theta, t)
     bound per quadrature; ``integrand``, the reference, replays a sample
-    where it faults.  The lowered integrand and its partials are built on
-    first use and kept.  A call reads psi at alpha once; ``last`` keeps
+    where it faults.  ``_lower`` keeps the lowered integrand and its
+    partials, each built on first use.  A call reads psi at alpha once,
+    or takes the value its caller read; ``last`` keeps
     ((alpha, r, theta, t), phi, psi) of it, where the matrix and the flow
     read psi, and phi's partials at that point reuse its quadrature.
     """
@@ -374,10 +375,7 @@ class Class2Phi:
         self._theta_dependent = psi.depends_on("theta")
         # with psi free of alpha and theta the integrand is constant in lam
         self._constant_integrand = not (self._theta_dependent or psi.depends_on("alpha"))
-        # set here rather than added on first use: an attribute added after
-        # __init__ slows every attribute read on the instance in CPython 3.11
-        self._fused = None
-        self._under_integral = {}
+        self._lowered = {}
         self.last = (None, None, None)
 
     def _floored(self, w: float, lam: float) -> float:
@@ -402,11 +400,13 @@ class Class2Phi:
             val += self.psi.partial("theta").fn(lam, r, theta, t) / (r * r * lam)
         return val / (w * w)
 
-    def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0) -> float:
+    def __call__(self, alpha: float, r: float, theta: float, t: float = 0.0, w=None) -> float:
+        """phi at the point; w is psi there, read here if not given."""
         key = (alpha, r, theta, t)
         if self.last[0] == key:
             return self.last[1]
-        w = self.psi.fn(alpha, r, theta, t)  # its errors before the path's and the integral's
+        if w is None:  # psi's errors before the path's and the integral's
+            w = self.psi.fn(alpha, r, theta, t)
         if self._theta_dependent:
             lo, hi = min(self.lam0, alpha), max(self.lam0, alpha)
             if lo <= 0.0 <= hi:
@@ -417,10 +417,8 @@ class Class2Phi:
         if self._constant_integrand:  # the integrand checks w's floor
             k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t, w)
         else:
-            bind = self._fused or self._lower_integrand()
-            k = ex.quad_adaptive(
-                bind(r, theta, t, replay=self.integrand), self.lam0, alpha, self.tol
-            )
+            f = self._lower(None)(r, theta, t, replay=self.integrand)
+            k = ex.quad_adaptive(f, self.lam0, alpha, self.tol)
         if self._chi is not None:
             k += self._chi.fn(alpha, r, theta, t)
         value = k * (w if self._constant_integrand else self._floored(w, alpha))
@@ -434,8 +432,8 @@ class Class2Phi:
 
     def partial_alpha(self, alpha: float, r: float, theta: float, t: float, psi_jet) -> float:
         """Exact d(phi)/d(alpha), dK psi + K d(psi), from psi's jet at the point."""
-        phi = self(alpha, r, theta, t)  # psi at alpha passed its floor here
         w, w_alpha, w_r, w_theta = psi_jet
+        phi = self(alpha, r, theta, t, w)  # w passed its floor here
         val = w_r - (2.0 / r) * w
         if self._theta_dependent:  # phi's path, and so alpha, is clear of lam = 0
             val += w_theta / (r * r * alpha)
@@ -449,7 +447,7 @@ class Class2Phi:
         out = [phi, phi_alpha]
         k = phi / w
         for var, w_var in (("r", w_r), ("theta", w_theta)):
-            d_integrand = self._integrand_partial(var)
+            d_integrand = self._lower(var)
             if d_integrand is None:
                 dk = 0.0
             elif self._constant_integrand:
@@ -461,34 +459,24 @@ class Class2Phi:
             out.append(dk * w + k * w_var)
         return tuple(out)
 
-    def _integrand_tree(self) -> Expr:
-        """The integrand as one tree in (alpha, r, theta, t), alpha for lam."""
+    def _lower(self, var: Optional[str]):
+        """The integrand (var None), guarded by the psi floor and lam = 0,
+        or its partial in var, "r" or "theta", lowered by expr as
+        ``bind(r, theta, t, replay=...)``, a function of lam; None for a
+        partial that is the constant 0.  Built on first use and kept."""
+        if var in self._lowered:
+            return self._lowered[var]
         tree = _INTEGRAND[self._theta_dependent]
-        for name, sub in (
-            ("psi_r", self.psi.partial("r").tree),
-            ("psi_theta", self.psi.partial("theta").tree),
-            ("psi", self.psi.tree),
-        ):
-            tree = ex.substitute(tree, name, sub)
-        return tree
-
-    def _lower_integrand(self):
-        """Keep and return the integrand compiled as ``bind(r, theta, t,
-        replay=...)``, a function of lam guarded by the psi floor and
-        lam = 0."""
+        for name in ("r", "theta"):
+            tree = ex.substitute(tree, f"psi_{name}", self.psi.partial(name).tree)
+        tree = ex.substitute(tree, "psi", self.psi.tree)
         guards = ((self.psi.tree, self.psi_min), (Var("alpha"), 0.0))[: 1 + self._theta_dependent]
-        self._fused = ex.compile(self._integrand_tree(), ("alpha",), ("r", "theta", "t"), guards)
-        return self._fused
-
-    def _integrand_partial(self, var: str):
-        """d(integrand)/d(var) as ``bind(r, theta, t)``, a function of lam,
-        or None where that derivative is the constant 0; kept on first use."""
-        if var not in self._under_integral:
-            d = ex.differentiate(self._integrand_tree(), var)
-            self._under_integral[var] = (
-                None if d == Num(0.0) else ex.compile(d, ("alpha",), ("r", "theta", "t"))
-            )
-        return self._under_integral[var]
+        if var is not None:
+            tree, guards = ex.differentiate(tree, var), ()
+        self._lowered[var] = (
+            None if tree == Num(0.0) else ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards)
+        )
+        return self._lowered[var]
 
 
 # the structure class each type of coupling selects

@@ -49,7 +49,7 @@ def _verify_flow(cfg, field, states):
 def _verify_casimir(cfg, field, states):
     spec = cfg.spec
     potential = cfg.verify.casimir_potential
-    if spec.kind == "pseudo_potential":
+    if potential is None and spec.kind == "pseudo_potential":
         potential = spec.coupling
     if potential is None:
         raise ConfigError(

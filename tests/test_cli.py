@@ -385,6 +385,22 @@ def test_verify_casimir_depends_on_the_matrix_kind(tmp_path):
     assert report2["max_residual"] > 1.0
 
 
+def test_verify_casimir_checks_the_configured_potential(tmp_path):
+    # the spiral's matrix does not annihilate the Casimir gradients of a
+    # foreign potential: the configured one is checked, not the system's
+    reports = []
+    for name, potential in (("foreign", "1/(2*rbar^2) + 0.1*rbar"), ("own", "1/(2*rbar^2)")):
+        cfg = write_config(tmp_path, _edit(SPIRAL_DOC, "verify.casimir_potential", potential))
+        code, out = run(tmp_path / name, "verify", "--config", str(cfg), "--which", "casimir")
+        reports.append((code, json.loads((out / "verify_casimir.json").read_text())))
+    assert reports[0][0] == 1 and reports[0][1]["max_residual"] > 1e-3
+    # the system's own potential, given, gives the residuals of its absence
+    cfg = write_config(tmp_path, SPIRAL_DOC)
+    code, out = run(tmp_path / "absent", "verify", "--config", str(cfg), "--which", "casimir")
+    absent = json.loads((out / "verify_casimir.json").read_text())
+    assert reports[1][0] == code == 0 and reports[1][1]["per_state"] == absent["per_state"]
+
+
 def test_verify_consistency_and_the_zero_phi_control(tmp_path):
     cfg = write_config(tmp_path, CLASS2_DOC)
     code, _ = run(tmp_path, "verify", "--config", str(cfg), "--which", "consistency")
@@ -999,7 +1015,9 @@ def test_every_expression_gives_an_exit_code_and_no_traceback(tmp_path, capsys):
                 "initial_state": {"r": 1.0, "theta": 0.1, "u": 0.2, "v": 1.0},
                 "time_span": [0.0, 0.2],
                 "integrator": {"max_steps": 400},
-                "verify": {"samples": 4, "casimir_potential": "1/(2*rbar^2)"},
+                # a pseudo_potential system's own potential, fuzzed, feeds its casimir sweep
+                "verify": {"samples": 4} if kind == "pseudo_potential"
+                else {"samples": 4, "casimir_potential": "1/(2*rbar^2)"},
                 "orbit": {"n_grid": 20},
                 "linearize": {"n_grid": 20, "affinity": {"n": 6}},
             }

@@ -525,7 +525,7 @@ def test_fused_gk21_matches_generic_panel_on_class2_integrands():
     for text, chi, lam0, psi_min in _PANEL_POOL:
         chi = None if chi is None else ex.parse(chi)
         phi = Class2Phi(FuncHandle.from_text(text), chi, lam0=lam0, psi_min=psi_min)
-        binds = [phi._lower_integrand(), phi._integrand_partial("r"), phi._integrand_partial("theta")]
+        binds = [phi._lower(var) for var in (None, "r", "theta")]
         rng = random.Random(text)
         for n in range(600):
             r, theta, t = rng.uniform(0.5, 3.0), rng.uniform(-3.2, 3.2), rng.uniform(0.0, 2.0)
@@ -607,7 +607,7 @@ def test_fused_gk21_faults_in_the_generic_order(text, guards, r, theta, boom, re
 def test_a_wrapped_integrand_takes_the_generic_panel_with_the_same_bits():
     # the benchmark's tracer counts samples through a plain wrapper
     phi = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
-    bind, panels = phi._lower_integrand(), []
+    bind, panels = phi._lower(None), []
     for alpha, r in ((0.7, 1.3), (-3.5, 0.6), (3.9, 2.9)):
         f = bind(r, 0.2, 0.0, replay=phi.integrand)
         fused, panels[:] = f.gk21, []
@@ -855,6 +855,14 @@ def _integrand_trees(psi_text: str) -> tuple:
     return build(ex.differentiate), build(reference_differentiate)
 
 
+def _lowers_to(tree, phi) -> bool:
+    """Whether phi's lowered integrand is ``tree``'s: expr lowers an equal
+    tree, with equal guards, to the same code object."""
+    guards = ((phi.psi.tree, phi.psi_min), (Var("alpha"), 0.0))
+    bind = ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards[: 1 + phi.psi.depends_on("theta")])
+    return bind.__code__ is phi._lower(None).__code__
+
+
 def _derived_pairs():
     """(simplified, reference) derivative trees: first and second partials
     of the coupling trees, the spiral's phi and the class-2 integrands."""
@@ -863,7 +871,7 @@ def _derived_pairs():
     pairs = [(tree, tree) for tree in trees]
     for psi_text in _PSI_TEXTS:
         new, reference = _integrand_trees(psi_text)
-        assert new == Class2Phi(FuncHandle.from_text(psi_text))._integrand_tree()
+        assert _lowers_to(new, Class2Phi(FuncHandle.from_text(psi_text)))
         pairs.append((new, reference))
     out = []
     for new, reference in pairs:
@@ -934,7 +942,8 @@ def _lowered_class2(psi_text: str) -> list:
     """The bind-and-sample part (the source before the fused panel) of
     the lowered class-2 integrand of psi and of its r-partial."""
     phi = Class2Phi(FuncHandle.from_text(psi_text))
-    tree = phi._integrand_tree()
+    tree = _integrand_trees(psi_text)[0]
+    assert _lowers_to(tree, phi)
     sources = [
         ex._lower(tree, ("alpha",), ("r", "theta", "t"), ((phi.psi.tree, phi.psi_min),)),
         ex._lower(ex.differentiate(tree, "r"), ("alpha",), ("r", "theta", "t")),

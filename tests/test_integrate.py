@@ -597,11 +597,49 @@ def test_stop_at_angular_momentum_floor():
     assert traj.ts[-1] < 1.0
 
 
+def _blowup(t, y):
+    return [x * x for x in y]
+
+
+def _past_half(t, y):
+    if y[0] > 0.5:
+        raise SingularStateError("y past 0.5")
+    return [1.0]
+
+
 def test_blowup_stops_with_step_underflow():
-    traj = integrate_ode(lambda t, y: [x * x for x in y], [1.0], 0.0, 2.0)
-    assert traj.status == "singular_stop"
-    assert "underflow" in traj.stop_reason
-    assert traj.ts[-1] == pytest.approx(1.0, abs=1e-3)
+    # y' = y^2 blows up at t = 1: the DP45 controller shrinks the step
+    # below 1e-14 t with no stage failing
+    traj = integrate_ode(_blowup, [1.0], 0.0, 2.0)
+    assert (traj.status, traj.stop_reason) == (
+        "singular_stop", "step size underflow at t=0.9999999999934042"
+    )
+    assert traj.stats == {
+        "n_accepted": 1479, "n_rejected": 0, "n_stage_failures": 0, "n_feval": 8876
+    }
+
+
+def test_a_failing_stage_stops_on_step_underflow():
+    # every stage past y = 0.5 raises: the step halves until it underflows
+    traj = integrate_ode(_past_half, [0.0], 0.0, 1.0)
+    assert (traj.status, traj.stop_reason) == (
+        "singular_stop", "step size underflow at t=0.4999999999999999 while avoiding: y past 0.5"
+    )
+    assert traj.stats == {
+        "n_accepted": 25, "n_rejected": 0, "n_stage_failures": 79, "n_feval": 312
+    }
+
+
+def test_step_underflow_is_checked_before_the_step_budget():
+    # a budget spent exactly by the steps before the underflow stops
+    # rather than raising, for the controller's stop and a stage failure's
+    for rhs, y0, t1 in ((_blowup, [1.0], 2.0), (_past_half, [0.0], 1.0)):
+        full = integrate_ode(rhs, y0, 0.0, t1)
+        steps = sum(full.stats[k] for k in ("n_accepted", "n_rejected", "n_stage_failures"))
+        traj = integrate_ode(rhs, y0, 0.0, t1, Solver(max_steps=steps))
+        assert (traj.stop_reason, traj.stats, traj.ts) == (full.stop_reason, full.stats, full.ts)
+        with pytest.raises(IntegrationError, match=f"^step budget {steps - 1} exhausted"):
+            integrate_ode(rhs, y0, 0.0, t1, Solver(max_steps=steps - 1))
 
 
 def test_an_underflowed_denominator_halves_the_step():

@@ -590,19 +590,19 @@ def test_class2_matrix_and_flow_read_psi_once_per_state(name):
 
 
 def test_consistency_reads_psis_jet_once():
-    # phi built on psi takes its alpha-partial from the jet the residual
-    # read: psi's value is read there and once more for phi's K psi
+    # phi built on psi takes its alpha-partial, and its K psi, from the
+    # jet the residual read: psi's value is read there alone
     psi = FuncHandle.from_text("1+alpha^2*r")
     phi = Class2Phi(psi)
     calls = []
     _count_calls(psi, calls)
     s = PhaseState(1.3, 0.2, -0.4, 0.9)
     res = consistency_residual(psi, phi, s, 0.7)
-    assert len(calls) == 2
+    assert len(calls) == 1
     # a phi on an equal psi of its own reads that psi's jet, to the same bits
     other = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
     assert float_bits([consistency_residual(psi, other, s, 0.7)]) == float_bits([res])
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 # (matrix builder, its reference, a fresh coupling): class 1 free and

@@ -498,7 +498,7 @@ def test_fused_integrand_matches_integrand_bit_for_bit():
     for text, chi, lam0, psi_min in _FUSED_POOL:
         chi = None if chi is None else ex.parse(chi)
         phi = Class2Phi(FuncHandle.from_text(text), chi, lam0=lam0, psi_min=psi_min)
-        bind = phi._fused or phi._lower_integrand()
+        bind = phi._lower(None)
         rng = random.Random(text)
         points = [tuple(rng.uniform(lo, hi) for lo, hi in _FUSED_RANGES) for _ in range(2000)]
         # lambda = 0 (at r = inf only the guard sees it: the 1/lambda term
@@ -543,7 +543,8 @@ def test_class2_phi_rebuilds_share_the_lowered_code(monkeypatch):
     # and so do their fused panels, generated with the lowered code
     assert codes[0].gk21.__code__ is codes[2].gk21.__code__
     assert codes[1].gk21.__code__ is codes[3].gk21.__code__
-    assert first._fused is not second._fused and first._fused.__code__ is second._fused.__code__
+    assert first._lower(None) is not second._lower(None)
+    assert first._lower(None).__code__ is second._lower(None).__code__
     # the panel is generated once per process
     assert ex._gk21_panel() is ex._gk21_panel()
     assert ex._gk21_panel.cache_info().misses == 1
