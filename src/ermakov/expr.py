@@ -30,6 +30,7 @@ import math
 import operator
 import re
 import sys
+import types
 from typing import Callable, Mapping, Union
 
 __all__ = [
@@ -380,11 +381,11 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
 
 
 # globals of every compiled function (none owns a dict that could form a
-# cycle); _gk21 runs the generic panel
+# cycle); _gk21 runs the generic panel, _method binds a bind's values
 _NAMESPACE = dict(
     {name: getattr(math, name) for name in ("sin", "cos", "tan", "exp", "sqrt")},
     ln=math.log, abs=abs, float=float, inf=math.inf, nan=math.nan, _pow=math.pow,
-    _gk21=lambda *panel: _gk21_panel()(*panel),
+    _gk21=lambda *panel: _gk21_panel()(*panel), _method=types.MethodType,
 )
 
 
@@ -396,10 +397,12 @@ def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
     guard (e, m), it returns replay(*values, *bound values).  With
     ``bound`` names it returns ``bind(*values, replay=replay)``, which
     computes the work on those alone (where that raises, every call
-    replays) and returns the function; of one arg, that carries ``gk21``:
-    the panel of :func:`_gk21_source` with the work inlined at each node,
-    which runs the generic panel where a sample faults or K21 is not
-    finite."""
+    replays) and returns the function: ``compiled``, made once per make,
+    as a method bound to the tuple of that work, the bound values and
+    replay, so a bind builds no closure.  Of one arg, ``compiled`` carries
+    ``gk21``: the panel of :func:`_gk21_source` with the work inlined at
+    each node, which reads the tuple from its f and runs the generic panel
+    where a sample faults or K21 is not finite."""
     a, b = [f"a{i}" for i in range(len(args))], [f"b{i}" for i in range(len(bound))]
     # a slot computed per sample is {s}xN and an arg's read {aI}, filled in
     # for compiled and for each node of the panel
@@ -433,25 +436,30 @@ def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
     else:  # with a variable unbound, the replay raises evaluate's EvalError
         lines.append("raise ValueError")
     body = lines or ["pass"]
-    code = [f"def compiled({', '.join(a)}):", "    try:", *(f"        {x}" for x in body)]
+    # what a bind holds: its work's values, the bound values and replay
+    held = ", ".join([x.partition(" = ")[0] for x in prelude] + b + ["replay"])
+    unpack = [f"{held} = bound"] if bound else []
+    code = [f"def compiled({', '.join(['bound'] * bool(bound) + a)}):", *(f"    {x}" for x in unpack)]
+    code += ["    try:", *(f"        {x}" for x in body)]
     # the return after the try, so that a replay that raises is not replayed
     code += ["    except (ArithmeticError, ValueError):", f"        {replay}"]
     code += [f"    return {result}"] if result else []
     code = [line.format(s="", **{x: f"float({x})" for x in a}) for line in code]
     if bound:
-        inner = ["try:", *(f"    {x}" for x in prelude or ["pass"])]
-        inner += ["except (ArithmeticError, ValueError):",  # every call replays
-                  f"    return lambda {', '.join(a)}: replay({', '.join(a + b)})", *code]
+        code += [f"def bind({', '.join(b)}, replay=replay):", "    try:"]
+        code += [f"        {x}" for x in prelude or ["pass"]]
+        code += ["    except (ArithmeticError, ValueError):",  # every call replays
+                 f"        return lambda {', '.join(a)}: replay({', '.join(a + b)})",
+                 f"    return _method(compiled, ({held}))"]
         if len(args) == 1 and result:
             at = [{"s": f"{y}_", "a0": x} for y, x in _GK21_POINTS]  # in the order taken
             back = "    return _gk21(f, lo, hi, depth)"
-            sampling = ["try:", *(f"    {x.format(**n)}" for n in at for x in body)]
+            sampling = [f"{held} = f.__self__", "try:"]
+            sampling += [f"    {x.format(**n)}" for n in at for x in body]
             sampling += ["except (ArithmeticError, ValueError):", back]
             values, check = [result.format(**n) for n in at], ["if kronrod - kronrod:", back]
-            inner += _gk21_source(sampling, values, check)
-            inner.append("compiled.gk21 = gk21")
-        code = [f"def bind({', '.join(b)}, replay=replay):", *(f"    {x}" for x in inner)]
-        code.append("    return compiled")
+            code += _gk21_source(sampling, values, check)
+            code.append("compiled.gk21 = gk21")
     code.append("return bind" if bound else "return compiled")
     return "def make(replay):\n" + "".join(f"    {line}\n" for line in code)
 
@@ -470,13 +478,13 @@ def compile(tree: Expr, args, bound=(), guards=()) -> Callable[..., float]:
     it raises ArithmeticError or ValueError, ``evaluate`` runs instead and
     raises its own error.  With ``bound`` names it returns
     ``bind(*values, replay=evaluate)``, which binds those and returns that
-    function; where an operation raises or |e| <= m for a guard (e, m), it
-    returns replay(*values of args, *values of bound).  bind computes the
-    work on the bound values alone once, and the function of one arg it
-    returns carries ``gk21``, a fused Gauss-Kronrod panel for
-    :func:`quad_adaptive`.  The lowered code, panel included, is kept by
-    the value of (tree, args, bound, guards), for the 1,024 keys used
-    last, so an equal tree is lowered once per process, on first use."""
+    function, a bound method; where an operation raises or |e| <= m for a
+    guard (e, m), it returns replay(*values of args, *values of bound).
+    bind computes the work on the bound values alone once, and the
+    function of one arg it returns carries ``gk21``, a fused Gauss-Kronrod
+    panel for :func:`quad_adaptive`.  The lowered code, panel included, is
+    kept by the value of (tree, args, bound, guards), for the 1,024 keys
+    used last, so an equal tree is lowered once per process, on first use."""
     args, bound, guards = tuple(args), tuple(bound), tuple(guards)
     make = _maker(tree, args, bound, guards)
     return make(lambda *vals: evaluate(tree, dict(zip(args + bound, vals))))
@@ -626,9 +634,11 @@ def quad_adaptive(
     rule: the panel whose |K21 - G10| is largest is bisected until those
     differences sum to at most ``tol``, or until the largest is rounding
     noise (``_ROUNDOFF_UNITS``), which bisection cannot lower, and the
-    K21 values of the panels are summed.  The endpoints are never
+    K21 values of the panels are summed by math.fsum; a first panel that
+    meets ``tol`` is the value, as fsum gives it.  The endpoints are never
     sampled.  The orientation convention is the usual one, integral over
-    [a,b] = -integral over [b,a].  A panel runs f's own ``gk21`` where f
+    [a,b] = -integral over [b,a]: for b < a the bounds are swapped and
+    the value negated.  A panel runs f's own ``gk21`` where f
     has one (see :func:`compile`): the same bits and errors, with f's
     work inlined and, on any fault, the generic panel run on f instead.
 
@@ -642,14 +652,18 @@ def quad_adaptive(
         raise ValueError(f"bounds must be finite, got {a!r}, {b!r}")
     if a == b:
         return 0.0
-    if b < a:
-        return -quad_adaptive(f, b, a, tol)
+    flip = b < a
+    if flip:
+        a, b = b, a
 
     gk21 = getattr(f, "gk21", None) or _gk21_panel()
-    panels = [gk21(f, a, b, 0)]
+    first = gk21(f, a, b, 0)
     # a running sum of the panels' errors, recomputed by math.fsum when it
     # leaves [exact/2, 2*exact], so its rounding stays near 1e-11 of it
-    errsum = exact = -panels[0][0]
+    errsum = exact = -first[0]
+    if not errsum > tol:  # fsum of one value x is x + 0.0, -0.0 made 0.0
+        return -(first[4] + 0.0) if flip else first[4] + 0.0
+    panels = [first]
     while errsum > tol:
         if len(panels) >= _QUAD_MAX_PANELS:
             raise QuadratureError(
@@ -673,7 +687,8 @@ def quad_adaptive(
         errsum += neg_err - left[0] - right[0]
         if not 0.5 * exact <= errsum <= 2.0 * exact:
             errsum = exact = math.fsum(-panel[0] for panel in panels)
-    return math.fsum(panel[4] for panel in panels)
+    total = math.fsum(map(operator.itemgetter(4), panels))  # the K21 values
+    return -total if flip else total
 
 
 # a panel's samples and their nodes, in the order taken: centre, left, right
@@ -725,7 +740,7 @@ def _abs_integral(lo: float, hi: float, samples: tuple) -> float:
     """The K21 estimate of the integral of |f| over [lo, hi] from the
     samples a panel kept; only the panel about to be bisected needs it."""
     centre, left, right = samples
+    pairs = map(operator.add, map(abs, left), map(abs, right))
     return 0.5 * (hi - lo) * (
-        _K21_WEIGHTS[0] * abs(centre)
-        + sum(w * (abs(yl) + abs(yr)) for w, yl, yr in zip(_K21_WEIGHTS[1:], left, right))
+        _K21_WEIGHTS[0] * abs(centre) + sum(map(operator.mul, _K21_WEIGHTS[1:], pairs))
     )

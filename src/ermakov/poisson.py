@@ -356,7 +356,7 @@ def matrix_field(
         alpha, r, theta = m[2], s[0], s[1]  # J14 is alpha
         if psi is None:  # class 1 is class 2 with psi and its partials 0
             return m, _upper_partials(s, alpha, (0.0,) * 4, coupling.jet(alpha, r, theta, t))
-        psi_jet = psi.jet(alpha, r, theta, t)  # one read, shared with phi's jet
+        psi_jet = psi.jet(alpha, r, theta, t, coupling.last[2])  # psi as phi's call read it
         return m, _upper_partials(s, alpha, psi_jet, coupling.jet(alpha, r, theta, t, psi_jet))
 
     return MatrixField(evaluate, "class1" if psi is None else "class2", derivatives)

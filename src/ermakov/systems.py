@@ -229,16 +229,17 @@ class FuncHandle:
             handle = self._partials[var] = FuncHandle(tree)
         return handle
 
-    def jet(self, alpha: float, r: float, theta: float, t: float = 0.0) -> tuple:
+    def jet(self, alpha: float, r: float, theta: float, t: float = 0.0, value=None) -> tuple:
         """(f, f_alpha, f_r, f_theta) at one point, the partials from
-        ``partial``; the four functions are kept as a tuple on first use."""
+        ``partial``; f is ``value`` where the caller read it, else read
+        here.  The four functions are kept as a tuple on first use."""
         fns = self._jet_fns
         if fns is None:
             partials = [self.partial(var).fn for var in ("alpha", "r", "theta")]
             fns = self._jet_fns = (self.fn, *partials)
         f, f_alpha, f_r, f_theta = fns
         return (
-            f(alpha, r, theta, t), f_alpha(alpha, r, theta, t),
+            f(alpha, r, theta, t) if value is None else value, f_alpha(alpha, r, theta, t),
             f_r(alpha, r, theta, t), f_theta(alpha, r, theta, t),
         )
 
@@ -417,11 +418,14 @@ class Class2Phi:
         if self._constant_integrand:  # the integrand checks w's floor
             k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t, w)
         else:
-            f = self._lower(None)(r, theta, t, replay=self.integrand)
+            bind = self._lowered.get(None) or self._lower(None)
+            f = bind(r, theta, t, self.integrand)
             k = ex.quad_adaptive(f, self.lam0, alpha, self.tol)
         if self._chi is not None:
             k += self._chi.fn(alpha, r, theta, t)
-        value = k * (w if self._constant_integrand else self._floored(w, alpha))
+        if abs(w) <= self.psi_min:  # the floor last; a constant integrand passed it
+            self._floored(w, alpha)
+        value = k * w
         self.last = (key, value, w)
         return value
 

@@ -38,11 +38,10 @@ def _verify_flow(cfg, field, states):
     g, grad_ermakov, hamiltonian_flow = spec.g, inv.grad_ermakov, poisson.hamiltonian_flow
     per_state = []
     for s in states:
-        grad = grad_ermakov(g, s)
-        jf = hamiltonian_flow(field, grad, s)
-        flow = vector_field(spec, s, 0.0, floors)
-        scale = max(1.0, nan_max(map(abs, flow)))
-        per_state.append(nan_max([abs(a - b) for a, b in zip(jf, flow)]) / scale)
+        jr, jq, ju, jv = hamiltonian_flow(field, grad_ermakov(g, s), s)
+        fr, fq, fu, fv = vector_field(spec, s, 0.0, floors)
+        scale = max(1.0, nan_max((abs(fr), abs(fq), abs(fu), abs(fv))))
+        per_state.append(nan_max((abs(jr - fr), abs(jq - fq), abs(ju - fu), abs(jv - fv))) / scale)
     return tol, per_state, {}
 
 

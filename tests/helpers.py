@@ -4,7 +4,9 @@ code, the loops that the Jacobi sums and the matrix-vector product ran
 before they were written out, the central-difference Jacobi sweep that
 cross-checks the exact partials, the flow as ``vector_field`` computed it per call before
 each system's flow was lowered once, the Gauss-Kronrod panel as it
-was computed from lists before it was generated, the numpy read of
+was computed from lists before it was generated, the |f| integral of a
+panel and the ``verify flow`` residual as generators and lists summed
+them, the numpy read of
 dense output that the float walk of ``hermite_eval`` replaced, and the
 numpy least-squares fit that the closed forms of ``affinity_test``
 replaced, the unsimplified derivative that ``differentiate`` built
@@ -22,7 +24,7 @@ from ermakov.linearize import AffinityResult, _curvature_fn
 from ermakov.poisson import JACOBI_TRIPLES, SkewMatrix4
 from ermakov.systems import (
     DEFAULT_FLOORS, Floors, Flow4, FuncHandle, IntegrationError, PhaseState, Potential,
-    SingularStateError,
+    SingularStateError, nan_max,
 )
 
 np = pytest.importorskip("numpy")
@@ -382,6 +384,24 @@ def reference_gk21(f, lo: float, hi: float, depth: int) -> tuple:
     )
     gauss = half * sum(map(operator.mul, ex._G10_WEIGHTS, pairs[::2]))
     return (-abs(kronrod - gauss), depth, lo, hi, kronrod, (centre, left, right))
+
+
+def reference_abs_integral(lo: float, hi: float, samples: tuple) -> float:
+    """``expr._abs_integral`` as it summed a generator: the K21 estimate of
+    the integral of |f| over [lo, hi] from a panel's kept samples."""
+    centre, left, right = samples
+    return 0.5 * (hi - lo) * (
+        ex._K21_WEIGHTS[0] * abs(centre)
+        + sum(w * (abs(yl) + abs(yr)) for w, yl, yr in zip(ex._K21_WEIGHTS[1:], left, right))
+    )
+
+
+def reference_flow_residual(jf, flow) -> float:
+    """One ``verify flow`` residual as it was taken with map, zip and a
+    list: the largest |J grad(H) - flow| component over max(1, the largest
+    |flow| component), the first NaN where there is one."""
+    scale = max(1.0, nan_max(map(abs, flow)))
+    return nan_max([abs(a - b) for a, b in zip(jf, flow)]) / scale
 
 
 def columns(rows) -> list:

@@ -26,6 +26,7 @@ from helpers import (
     evaluable_tree,
     random_bindings,
     random_tree,
+    reference_abs_integral,
     reference_differentiate,
     reference_gk21,
     trusted_central_difference,
@@ -277,6 +278,71 @@ def test_quadrature_orientation_and_degenerate_interval():
     assert fwd == -back
     assert fwd == pytest.approx(1.0 - math.cos(2.0), abs=1e-11)
 
+
+
+# a constant tiny negative integrand on a tiny interval: one panel meets
+# any tol, and its K21 underflows to -0.0
+_NEGATIVE_ZERO_K21 = (lambda x: -1e-310, 0.0, 2e-20)
+
+
+def test_a_one_panel_result_is_its_k21_as_fsum_gives_it():
+    f, a, b = _NEGATIVE_ZERO_K21
+    panel = ex._gk21_panel()(f, a, b, 0)
+    assert panel[4].hex() == "-0x0.0p+0" and -panel[0] <= 1e-12
+    # math.fsum of the one K21 turns -0.0 into 0.0
+    assert ex.quad_adaptive(f, a, b, 1e-12).hex() == "0x0.0p+0"
+    counted, calls = _counted(math.sin)
+    panel = ex._gk21_panel()(math.sin, 0.1, 0.6, 0)
+    assert ex.quad_adaptive(counted, 0.1, 0.6, 1e-6).hex() == panel[4].hex()
+    assert calls[0] == 21
+
+
+@pytest.mark.parametrize(
+    "f, a, b, tol",
+    [
+        (math.sin, 0.1, 0.6, 1e-6),
+        (lambda x: 1.0 / (1.0 + 100.0 * x * x), -1.0, 2.0, 1e-12),
+        (lambda x: math.sin(50.0 * x), -3.0, 3.0, 1e-12),
+        (lambda x: 0.0, 0.0, 1.0, 1e-12),
+        (*_NEGATIVE_ZERO_K21, 1e-12),
+    ],
+    ids=["one-panel", "peaked", "odd", "zero", "negative-zero-k21"],
+)
+def test_reversed_bounds_negate_the_integral_bit_for_bit(f, a, b, tol):
+    fwd = ex.quad_adaptive(f, a, b, tol)
+    assert ex.quad_adaptive(f, b, a, tol).hex() == (-fwd).hex()
+    if fwd == 0.0:  # a zero integral taken backwards is -0.0
+        assert ex.quad_adaptive(f, b, a, tol).hex() == "-0x0.0p+0"
+
+
+def test_reversed_bounds_name_the_interval_in_ascending_order():
+    with pytest.raises(ex.QuadratureError) as raised:
+        ex.quad_adaptive(lambda x: 1.0 + 0.5 * math.sin(x), 1e4, 0.0, 1e-14)
+    assert str(raised.value) == (
+        f"panel limit {ex._QUAD_MAX_PANELS} reached on [0.0, 10000.0] "
+        f"before tolerance was met"
+    )
+    pole = 1.0 / math.sqrt(2.0)
+    f = lambda x: 0.0 if x == pole else 1.0 / (x - pole)
+    with pytest.raises(ex.QuadratureError) as raised:
+        ex.quad_adaptive(f, 1.0, 0.0, 1e-10)
+    lo, hi = (float(x) for x in str(raised.value).split("[")[1].split("]")[0].split(", "))
+    assert hi - lo == 2.0**-50
+
+
+def test_abs_integral_matches_the_generator_sum_bit_for_bit():
+    rng = random.Random(11)
+    magnitudes = (0.0, 5e-324, 1e-310, 1e-12, 1.0, 3.7, 1e150, 1e300)
+
+    def sample():
+        return rng.choice((-1.0, 1.0)) * rng.choice(magnitudes) * rng.uniform(0.5, 2.0)
+
+    for _ in range(3000):
+        lo = rng.uniform(-5.0, 5.0)
+        hi = lo + rng.choice((1e-13, 1e-3, 0.7, 9.0))
+        samples = (sample(), [sample() for _ in range(10)], [sample() for _ in range(10)])
+        want = reference_abs_integral(lo, hi, samples)
+        assert ex._abs_integral(lo, hi, samples).hex() == want.hex()
 
 def test_quadrature_additivity():
     rng = random.Random(7)
@@ -604,14 +670,17 @@ def test_fused_gk21_faults_in_the_generic_order(text, guards, r, theta, boom, re
         assert outcome[1] == f"non-finite integrand value inf at lambda={nodes[12]!r}"
 
 
-def test_a_wrapped_integrand_takes_the_generic_panel_with_the_same_bits():
+def test_a_wrapped_integrand_takes_the_generic_panel_with_the_same_bits(monkeypatch):
     # the benchmark's tracer counts samples through a plain wrapper
     phi = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
     bind, panels = phi._lower(None), []
+    # every bind's integrand is a method of one function, which holds gk21
+    compiled = bind(1.3, 0.2, 0.0, replay=phi.integrand).__func__
+    fused = compiled.gk21
+    monkeypatch.setattr(compiled, "gk21", lambda *args: panels.append(args) or fused(*args))
     for alpha, r in ((0.7, 1.3), (-3.5, 0.6), (3.9, 2.9)):
         f = bind(r, 0.2, 0.0, replay=phi.integrand)
-        fused, panels[:] = f.gk21, []
-        f.gk21 = lambda *args: panels.append(args) or fused(*args)
+        panels[:] = []
         direct = ex.quad_adaptive(f, 0.0, alpha, 1e-14)
         wrapped, calls = _counted(f)
         assert ex.quad_adaptive(wrapped, 0.0, alpha, 1e-14).hex() == direct.hex()
@@ -620,9 +689,9 @@ def test_a_wrapped_integrand_takes_the_generic_panel_with_the_same_bits():
 
 
 def _prelude(source: str) -> list:
-    """The lines of ``bind`` before its ``compiled``: the bound work."""
+    """The lines of ``bind``'s try: the bound work."""
     body = _function_body(source, "bind")
-    return body[: body.index(next(x for x in body if x.startswith("def compiled(")))]
+    return body[1 : body.index("except (ArithmeticError, ValueError):")]
 
 
 def test_lowering_hoists_bound_work_and_literal_operations():
@@ -966,7 +1035,9 @@ def test_derivatives_carry_no_dead_terms():
         for dead in (r"\* 0\.0\b", r"\* 1\.0\b", r"\b0\.0 \+", r"_pow\(\w+, 1\.0\)"):
             assert not re.search(dead, source), (dead, source)
     # the integrand's sample function does 7 operations (2/r is bound-only)
-    body = _function_body(sources[0], "compiled")
+    # after it unpacks what bind holds
+    unpack, *body = _function_body(sources[0], "compiled")
+    assert unpack.endswith(" = bound")
     assert sum(" = " in line and "float(" not in line for line in body) == 7
     spiral_phi = Potential(ex.parse("1/(2*rbar^2)")).phi
     assert _nodes(spiral_phi.tree) < 30

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -32,7 +33,8 @@ from ermakov.systems import (
     vector_field,
 )
 from ermakov import invariants as inv
-from ermakov.verify import _verify_determinant
+from ermakov.config import load_config, sample_states
+from ermakov.verify import _verify_determinant, _verify_flow, _verify_jacobi
 
 from helpers import (
     EDGE_FLOORS,
@@ -42,6 +44,7 @@ from helpers import (
     reference_array,
     reference_central_differences,
     reference_determinant,
+    reference_flow_residual,
     reference_jacobi_residuals,
     reference_jacobi_sums,
     reference_matrix_class1,
@@ -532,8 +535,9 @@ def _count_calls(handle, calls, name="psi"):
 
 
 def test_class2_derivatives_read_psis_jet_once():
-    # phi's call reads psi's value for the matrix; psi's jet is read once
-    # for the matrix's partials and phi's jet together
+    # phi's call reads psi's value for the matrix; psi's jet takes that
+    # value and reads the three partials once, for the matrix's partials
+    # and phi's jet together
     psi = FuncHandle.from_text("1+alpha^2*r")
     field = matrix_field(Class2Phi(psi))
     calls = []
@@ -542,7 +546,7 @@ def test_class2_derivatives_read_psis_jet_once():
         _count_calls(psi.partial(var), calls, var)
     s = PhaseState(1.3, 0.2, -0.4, 0.9)
     m, _ = field.derivatives(s, 0.7)
-    assert sorted(calls) == ["alpha", "psi", "psi", "r", "theta"]
+    assert sorted(calls) == ["alpha", "psi", "r", "theta"]
     assert m == field(s, 0.7)
 
 
@@ -558,12 +562,13 @@ _PSI_READ_CASES = {
 def test_class2_matrix_and_flow_read_psi_once_per_state(name):
     # phi's call reads psi at alpha, and the matrix and the flow take psi
     # from what that call kept: once for a matrix, once for a flow call,
-    # once for a verify flow state, which builds both, and once for a
-    # verify determinant state, whose closed form takes the matrix's psi
+    # once for a verify flow state, which builds both, once for a verify
+    # determinant state, whose closed form takes the matrix's psi, and
+    # once for a verify jacobi state, whose psi jet takes it too
     text, lam0 = _PSI_READ_CASES[name]
     s, t = PhaseState(1.3, 0.2, 0.4, 0.9), 0.7
     reads = {}
-    for case in ("matrix", "flow", "verify flow", "verify determinant"):
+    for case in ("matrix", "flow", "verify flow", "verify determinant", "verify jacobi"):
         psi = FuncHandle.from_text(text)
         spec = SystemSpec(ex.parse("cos(theta)"), Class2Phi(psi, lam0=lam0))
         calls = []
@@ -575,6 +580,12 @@ def test_class2_matrix_and_flow_read_psi_once_per_state(name):
         elif case == "verify flow":
             hamiltonian_flow(matrix_field(spec.coupling), inv.grad_ermakov(spec.g, s), s)
             vector_field(spec, s)
+        elif case == "verify jacobi":
+            cfg = SimpleNamespace(verify=SimpleNamespace(tolerance={}))
+            _, (res,), _ = _verify_jacobi(cfg, matrix_field(spec.coupling), [s])
+            fresh = Class2Phi(FuncHandle.from_text(text), lam0=lam0)
+            want = max(map(abs, jacobi_residuals(matrix_field(fresh), s)))
+            assert float_bits([res]) == float_bits([want])
         else:
             cfg = SimpleNamespace(
                 spec=spec, floors=DEFAULT_FLOORS, verify=SimpleNamespace(tolerance={})
@@ -586,7 +597,50 @@ def test_class2_matrix_and_flow_read_psi_once_per_state(name):
             want = abs(determinant(matrix_class2(fresh, s)) - closed) / closed
             assert float_bits([res]) == float_bits([want])
         reads[case] = len(calls)
-    assert reads == {"matrix": 1, "flow": 1, "verify flow": 1, "verify determinant": 1}
+    assert reads == {
+        "matrix": 1, "flow": 1, "verify flow": 1, "verify determinant": 1, "verify jacobi": 1
+    }
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+# the configs, read only, and per config states with a NaN residual
+_FLOW_CONFIGS = {
+    "spiral": (
+        _ROOT / "configs" / "spiral.json",
+        [PhaseState(1.0, 0.2, math.nan, 1.0), PhaseState(1.0, 0.2, 0.3, math.nan)],
+    ),
+    "class2_psi1": (
+        _ROOT / "configs" / "class2_psi1.json",
+        [PhaseState(1.0, math.nan, 0.3, 1.0), PhaseState(1.0, 0.2, 0.3, math.inf)],
+    ),
+    "class2_quadrature": (
+        _ROOT / "bench" / "configs" / "class2_quadrature.json",
+        [PhaseState(1.0, math.nan, 0.3, 1.0), PhaseState(1.0, 0.2, 0.3, math.inf)],
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_FLOW_CONFIGS))
+def test_verify_flow_residuals_keep_the_reference_bits(config):
+    # the residual over 4-tuples gives what map, zip and a list gave, on
+    # the drawn states of seeds 0-19 and on states whose residual is NaN
+    path, nan_states = _FLOW_CONFIGS[config]
+    cfg = load_config(path)
+    vs = cfg.verify
+    field = matrix_field(cfg.spec.coupling, cfg.floors)
+    for seed in range(20):
+        states = sample_states(random.Random(seed), vs.samples, vs.u_floor, vs.branch)
+        states = [*states[: 7 * seed], *nan_states, *states[7 * seed :]]
+        _, per_state, _ = _verify_flow(cfg, field, states)
+        want = [
+            reference_flow_residual(
+                hamiltonian_flow(field, inv.grad_ermakov(cfg.spec.g, s), s),
+                vector_field(cfg.spec, s, 0.0, cfg.floors),
+            )
+            for s in states
+        ]
+        assert float_bits(per_state) == float_bits(want)
+        assert sum(x != x for x in per_state) == len(nan_states)
 
 
 def test_consistency_reads_psis_jet_once():

@@ -4,7 +4,9 @@ config's quadrature sweeps: every name it patches is still there, and
 each sampled state makes one matrix, one Hamiltonian flow, one vector
 field or one consistency residual through the patched names, as the sweep
 needs them, and a class-2 state calls the patched ``Class2Phi.__call__``
-twice.  Code that builds a matrix or a flow, or reads phi and psi, past a
+twice.  On the stress config each state also runs one quadrature through
+the patched ``quad_adaptive``, whose integrand samples are counted.  Code
+that builds a matrix or a flow, reads phi and psi, or integrates past a
 patched name fails here, not only in a traced benchmark run."""
 
 import importlib.util
@@ -47,6 +49,13 @@ _SWEEPS = {
     ("class2_quadrature", "consistency"): (0, 0, 0, 1, 2),
 }
 
+# (quadratures per state, integrand samples of the sweep at seed 3) of the
+# sweeps that integrate
+_QUADRATURES = {
+    ("class2_quadrature", "flow"): (1, 21966),
+    ("class2_quadrature", "consistency"): (1, 21966),
+}
+
 
 @pytest.fixture(scope="module")
 def tracer_module():
@@ -73,3 +82,6 @@ def test_a_traced_verify_sweep_counts_one_call_per_state(tracer_module, tmp_path
     counted = {span: tracer.counts[span + ".calls"] for span in _SPANS}
     per_state = _SWEEPS[config, which]
     assert counted == {span: k * samples for span, k in zip(_SPANS, per_state)}
+    per_state, swept = _QUADRATURES.get((config, which), (0, 0))
+    assert tracer.counts["expr.quad.calls"] == per_state * samples
+    assert tracer.counts["expr.quad.samples"] == swept
