@@ -438,9 +438,9 @@ def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
     body = lines or ["pass"]
     # what a bind holds: its work's values, the bound values and replay
     held = ", ".join([x.partition(" = ")[0] for x in prelude] + b + ["replay"])
-    unpack = [f"{held} = bound"] if bound else []
-    code = [f"def compiled({', '.join(['bound'] * bool(bound) + a)}):", *(f"    {x}" for x in unpack)]
-    code += ["    try:", *(f"        {x}" for x in body)]
+    unpack = [f"    {held} = bound"] if bound else []
+    code = [f"def compiled({', '.join(['bound'] * bool(bound) + a)}):", *unpack, "    try:"]
+    code += [f"        {x}" for x in body]
     # the return after the try, so that a replay that raises is not replayed
     code += ["    except (ArithmeticError, ValueError):", f"        {replay}"]
     code += [f"    return {result}"] if result else []
