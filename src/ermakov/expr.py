@@ -402,7 +402,7 @@ def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
     replay, so a bind builds no closure.  Of one arg, ``compiled`` carries
     ``gk21``: the panel of :func:`_gk21_source` with the work inlined at
     each node, which reads the tuple from its f and runs the generic panel
-    where a sample faults or K21 is not finite."""
+    where a sample faults or K21 or G10 is not finite."""
     a, b = [f"a{i}" for i in range(len(args))], [f"b{i}" for i in range(len(bound))]
     # a slot computed per sample is {s}xN and an arg's read {aI}, filled in
     # for compiled and for each node of the panel
@@ -457,8 +457,7 @@ def _lower(tree: Expr, args: tuple, bound: tuple = (), guards: tuple = ()):
             sampling = [f"{held} = f.__self__", "try:"]
             sampling += [f"    {x.format(**n)}" for n in at for x in body]
             sampling += ["except (ArithmeticError, ValueError):", back]
-            values, check = [result.format(**n) for n in at], ["if kronrod - kronrod:", back]
-            code += _gk21_source(sampling, values, check)
+            code += _gk21_source(sampling, [result.format(**n) for n in at], back)
             code.append("compiled.gk21 = gk21")
     code.append("return bind" if bound else "return compiled")
     return "def make(replay):\n" + "".join(f"    {line}\n" for line in code)
@@ -642,9 +641,9 @@ def quad_adaptive(
     has one (see :func:`compile`): the same bits and errors, with f's
     work inlined and, on any fault, the generic panel run on f instead.
 
-    Raises QuadratureError on a non-finite integrand sample, when the
-    panel to bisect is already ``_QUAD_MAX_DEPTH`` halvings deep, or when
-    ``_QUAD_MAX_PANELS`` panels have not met ``tol``.
+    Raises QuadratureError on a non-finite integrand sample or panel sum
+    (K21 or G10), when the panel to bisect is already ``_QUAD_MAX_DEPTH``
+    halvings deep, or when ``_QUAD_MAX_PANELS`` panels have not met ``tol``.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
@@ -697,13 +696,14 @@ _GK21_POINTS = (("c", "mid"), *((f"{y}{i}", f"mid {sign} d{i}")
                                 for i in range(1, len(_GK21_NODES))))
 
 
-def _gk21_source(sampling: list, values: list, check=()) -> list:
+def _gk21_source(sampling: list, values: list, nonfinite: str) -> list:
     """Lines of the panel ``gk21(f, lo, hi, depth)``, as straight-line
     float code: the node offsets half * x, ``sampling``, which leaves the
     samples of _GK21_POINTS in ``values``, the K21 and G10 sums unrolled
-    from 0.0, weights in order, ``check``, and the entry (-|K21 - G10|,
-    depth, lo, hi, K21, samples) for a min-heap that puts the largest
-    error first; ``samples`` are the centre's, the left and the right."""
+    from 0.0, weights in order, the line ``nonfinite`` where one is not
+    finite, and the entry (-|K21 - G10|, depth, lo, hi, K21, samples) for
+    a min-heap that puts the largest error first; ``samples`` are the
+    centre's, the left and the right."""
     idx, n = range(1, len(_GK21_NODES)), len(_GK21_NODES)
     centre, left, right = values[0], values[1:n], values[n:]
     lines = ["mid = 0.5 * (lo + hi)", "half = 0.5 * (hi - lo)"]
@@ -714,7 +714,7 @@ def _gk21_source(sampling: list, values: list, check=()) -> list:
     g10 = "".join(f" + {w!r} * p{2 * i + 1}" for i, w in enumerate(_G10_WEIGHTS))
     lines += [
         f"kronrod = half * ({_K21_WEIGHTS[0]!r} * {centre} + (0.0{k21}))",
-        f"gauss = half * (0.0{g10})", *check,
+        f"gauss = half * (0.0{g10})", "if kronrod - kronrod or gauss - gauss:", nonfinite,
         f"samples = ({centre}, [{', '.join(left)}], [{', '.join(right)}])",
         "return (-abs(kronrod - gauss), depth, lo, hi, kronrod, samples)",
     ]
@@ -725,14 +725,15 @@ def _gk21_source(sampling: list, values: list, check=()) -> list:
 def _gk21_panel() -> Callable:
     """The generic panel ``gk21(f, lo, hi, depth)`` of :func:`_gk21_source`,
     generated on first use: its samples are float(f(x)), each checked as
-    it is taken."""
+    it is taken, and its sums are checked too."""
     # y - y is 0.0 where y is finite and NaN, which is true, where not
     sampling = [line for y, x in _GK21_POINTS for line in (
-        f"{y} = float(f({x}))", f"if {y} - {y}:", f"    raise _nonfinite({y}, {x})")]
-    source = _gk21_source(sampling, [y for y, _ in _GK21_POINTS])
+        f"{y} = float(f({x}))", f"if {y} - {y}:",
+        f'    raise _error(f"non-finite integrand value {{{y}!r}} at lambda={{{x}!r}}")')]
+    nonfinite = '    raise _error(f"non-finite K21 or G10 sum on [{lo!r}, {hi!r}]")'
+    source = _gk21_source(sampling, [y for y, _ in _GK21_POINTS], nonfinite)
     scope = {}
-    exec("\n".join(source), {"_nonfinite": lambda y, x: QuadratureError(
-        f"non-finite integrand value {y!r} at lambda={x!r}")}, scope)
+    exec("\n".join(source), {"_error": QuadratureError}, scope)
     return scope["gk21"]
 
 

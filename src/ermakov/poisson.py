@@ -12,8 +12,8 @@ and differ in J13 and J34:
 
 with phi free in class 1 and constructed from psi in class 2.  Checks
 offered here: the four Jacobi-identity cyclic sums (exact partials from
-the ``jet`` of psi and of phi, by the chain rule through alpha = u/v),
-determinant versus Pfaffian, Hamiltonian flow reconstruction, the
+psi's ``jet`` and phi's alpha-partial, by the chain rule through alpha =
+u/v), determinant versus Pfaffian, Hamiltonian flow reconstruction, the
 class-2 consistency condition (phi's alpha-partial only), and Casimir
 residuals.  Everything runs on Python floats; the kernels that read a
 matrix are straight-line code over its six upper entries that keep
@@ -93,7 +93,9 @@ class MatrixField(NamedTuple):
     """State-dependent Poisson matrix: a closure, a class tag, and a
     closure ``derivatives(s, t)`` that returns the matrix at s together
     with the partials of its six upper entries with respect to r, theta,
-    u and v (four 6-tuples), at fixed t."""
+    u and v (four 6-tuples), at fixed t.  ``matrix_field``'s leave d_r J34
+    and d_theta J34 unformed, as 0.0: a Jacobi sum reads them only times
+    J11, J12, J21 or J22, zero in both structure classes."""
 
     evaluate: Callable[[PhaseState, float], SkewMatrix4]
     kind: str
@@ -188,20 +190,20 @@ def det_class2_quoted(psi_val: float, s: PhaseState) -> float:
     return (u * u * psi_val / r**4) * (2.0 * u / (v * v) + psi_val)
 
 
-def _upper_partials(s: PhaseState, alpha: float, psi: tuple, phi: tuple) -> tuple:
+def _upper_partials(s: PhaseState, alpha: float, psi: tuple, f: float, f_alpha: float) -> tuple:
     """d/dr, d/dtheta, d/du and d/dv of the six upper entries of the
-    class-2 matrix, from psi and phi with their partials (f, f_alpha,
-    f_r, f_theta) at (alpha, r, theta, t); class 1 is psi = 0.  alpha =
-    u/v enters through d(alpha)/du = 1/v and d(alpha)/dv = -alpha/v."""
+    class-2 matrix, from psi's jet (p, p_alpha, p_r, p_theta) and phi's
+    value f and alpha-partial f_alpha at (alpha, r, theta, t); class 1 is
+    psi = 0.  alpha = u/v enters through d(alpha)/du = 1/v and
+    d(alpha)/dv = -alpha/v.  d_r J34 and d_theta J34 are 0.0, unformed:
+    a Jacobi sum multiplies them only by J12 = 0 or a zero diagonal."""
     r, _, u, v = s
     p, p_alpha, p_r, p_theta = psi
-    f, f_alpha, f_r, f_theta = phi
     r2 = r * r
     r3 = r2 * r
     return (
-        (0.0, u * p_r, 0.0, -2.0 * alpha / r3, -2.0 / r3,
-         u * f_r + 2.0 * u * v * (p_r / r - p / r2)),
-        (0.0, u * p_theta, 0.0, 0.0, 0.0, u * f_theta + 2.0 * u * v * p_theta / r),
+        (0.0, u * p_r, 0.0, -2.0 * alpha / r3, -2.0 / r3, 0.0),
+        (0.0, u * p_theta, 0.0, 0.0, 0.0, 0.0),
         (0.0, 2.0 * alpha / v + p + u * p_alpha / v, 1.0 / v, 1.0 / (r2 * v), 0.0,
          f + u * f_alpha / v + 2.0 * (v * p + u * p_alpha) / r),
         (0.0, -alpha * (2.0 * alpha + u * p_alpha) / v, -alpha / v, -alpha / (r2 * v), 0.0,
@@ -294,8 +296,7 @@ def consistency_residual(
     alpha = s.alpha(floors.v_min)
     psi_jet = psi.jet(alpha, r, theta, t)
     psi_val, psi_prime, psi_r, psi_theta = psi_jet
-    # not phi's jet: a Class2Phi's would add two quadratures; built on this
-    # psi, it takes its alpha-partial, and phi's psi, from the jet just read
+    # a Class2Phi on this psi takes its alpha-partial, and psi, from this jet
     if isinstance(phi, Class2Phi):
         shared = psi_jet if phi.psi is psi else phi.psi.jet(alpha, r, theta, t)
         phi_prime = phi.partial_alpha(alpha, r, theta, t, shared)
@@ -324,13 +325,14 @@ def casimir_residuals(
 
 
 def perturb_j34(field: MatrixField) -> MatrixField:
-    """A copy of the field with 0.1 r added to J34 and 0.1 to its
-    r-partial, both in ``derivatives``, whose matrix is the copy's value.
-    Breaks the Jacobi identities: the negative control of ``jacobi``."""
+    """A copy of the field with 0.1 r added to J34 in ``derivatives``,
+    whose matrix is the copy's value; the partials stay the field's (d_r
+    J34 is unformed).  Breaks the Jacobi identities: the negative control
+    of ``jacobi``."""
 
     def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
-        m, (d_r, *rest) = field.derivatives(s, t)
-        return m._replace(j34=m.j34 + 0.1 * s.r), ((*d_r[:5], d_r[5] + 0.1), *rest)
+        m, partials = field.derivatives(s, t)
+        return m._replace(j34=m.j34 + 0.1 * s.r), partials
 
     return MatrixField(lambda s, t=0.0: derivatives(s, t)[0], field.kind + "+tampered", derivatives)
 
@@ -353,10 +355,12 @@ def matrix_field(
 
     def derivatives(s: PhaseState, t: float = 0.0) -> tuple:
         m = evaluate(s, t)
-        alpha, r, theta = m[2], s[0], s[1]  # J14 is alpha
+        point = (m[2], s[0], s[1], t)  # (alpha, r, theta, t); J14 is alpha
         if psi is None:  # class 1 is class 2 with psi and its partials 0
-            return m, _upper_partials(s, alpha, (0.0,) * 4, coupling.jet(alpha, r, theta, t))
-        psi_jet = psi.jet(alpha, r, theta, t, coupling.last[2])  # psi as phi's call read it
-        return m, _upper_partials(s, alpha, psi_jet, coupling.jet(alpha, r, theta, t, psi_jet))
+            f, f_alpha = coupling.fn(*point), coupling.partial("alpha").fn(*point)
+            return m, _upper_partials(s, m[2], (0.0,) * 4, f, f_alpha)
+        psi_jet = psi.jet(*point, coupling.last[2])  # psi as phi's call read it
+        f_alpha = coupling.partial_alpha(*point, psi_jet)
+        return m, _upper_partials(s, m[2], psi_jet, coupling.last[1], f_alpha)
 
     return MatrixField(evaluate, "class1" if psi is None else "class2", derivatives)

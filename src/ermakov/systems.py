@@ -10,8 +10,9 @@ structure class of ``SystemSpec(g, coupling)``:
 * ``pseudo_potential`` -- a ``Potential`` V(rbar, t), rbar = 1/r, which
   induces phi.
 
-A ``jet`` at (alpha, r, theta, t) is (f, f_alpha, f_r, f_theta); a
-``Class2Phi``'s takes psi's jet there too, read by its caller.
+A ``FuncHandle``'s ``jet`` at (alpha, r, theta, t) is (f, f_alpha, f_r,
+f_theta); a ``Class2Phi``'s ``partial_alpha`` takes psi's jet there, read
+by its caller.
 
 The first-order flow shared by all classes:
 
@@ -341,19 +342,19 @@ class Class2Phi:
     (alpha - lam0) times the integrand, when psi depends on neither alpha
     nor theta.  |psi| at or below ``psi_min`` is a singular state.
     The 1/lam term is present only when psi actually depends on theta; in
-    that case the integration path must not touch lam = 0.  The partials
-    from ``partial_alpha`` and ``jet``, given psi's jet, are exact: in alpha
-    by the fundamental theorem of calculus (differencing the quadrature
-    would cost five to six digits), in r and theta by differentiating the
-    integrand under the integral sign.
+    that case the integration path must not touch lam = 0.  The partial
+    from ``partial_alpha``, given psi's jet, is exact, by the fundamental
+    theorem of calculus (differencing the quadrature would cost five to
+    six digits).  phi's r- and theta-partials are not formed: J12 = 0, so
+    no Jacobi sum reads them (see ``poisson.matrix_field``).
 
     Quadratures run on the integrand lowered by expr, with (r, theta, t)
     bound per quadrature; ``integrand``, the reference, replays a sample
-    where it faults.  ``_lower`` keeps the lowered integrand and its
-    partials, each built on first use.  A call reads psi at alpha once,
-    or takes the value its caller read; ``last`` keeps
-    ((alpha, r, theta, t), phi, psi) of it, where the matrix and the flow
-    read psi, and phi's partials at that point reuse its quadrature.
+    where it faults.  ``_lower`` builds the lowered integrand on first use
+    and keeps it.  A call reads psi at alpha once, or takes the value its
+    caller read; ``last`` keeps ((alpha, r, theta, t), phi, psi) of it,
+    where the matrix and the flow read psi, and phi's alpha-partial at
+    that point reuses its quadrature.
     """
 
     def __init__(
@@ -369,14 +370,14 @@ class Class2Phi:
             if bad:
                 raise ValueError(f"chi uses variables {bad} outside (r, theta, t)")
         self.psi = psi
-        self._chi = None if chi is None else FuncHandle(chi)
+        self._chi = None if chi is None else ex.compile(chi, _HANDLE_VARS)
         self.lam0 = float(lam0)
         self.tol = float(tol)
         self.psi_min = float(psi_min)
         self._theta_dependent = psi.depends_on("theta")
         # with psi free of alpha and theta the integrand is constant in lam
         self._constant_integrand = not (self._theta_dependent or psi.depends_on("alpha"))
-        self._lowered = {}
+        self._lowered = None
         self.last = (None, None, None)
 
     def _floored(self, w: float, lam: float) -> float:
@@ -418,11 +419,10 @@ class Class2Phi:
         if self._constant_integrand:  # the integrand checks w's floor
             k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t, w)
         else:
-            bind = self._lowered.get(None) or self._lower(None)
-            f = bind(r, theta, t, self.integrand)
+            f = (self._lowered or self._lower())(r, theta, t, self.integrand)
             k = ex.quad_adaptive(f, self.lam0, alpha, self.tol)
         if self._chi is not None:
-            k += self._chi.fn(alpha, r, theta, t)
+            k += self._chi(alpha, r, theta, t)
         if abs(w) <= self.psi_min:  # the floor last; a constant integrand passed it
             self._floored(w, alpha)
         value = k * w
@@ -443,44 +443,19 @@ class Class2Phi:
             val += w_theta / (r * r * alpha)
         return val / (w * w) * w + phi * w_alpha / w
 
-    def jet(self, alpha: float, r: float, theta: float, t: float, psi_jet) -> tuple:
-        """(phi, phi_alpha, phi_r, phi_theta) from psi's jet at the point."""
-        phi_alpha = self.partial_alpha(alpha, r, theta, t, psi_jet)
-        phi = self.last[1]  # kept by partial_alpha's call
-        w, _, w_r, w_theta = psi_jet
-        out = [phi, phi_alpha]
-        k = phi / w
-        for var, w_var in (("r", w_r), ("theta", w_theta)):
-            d_integrand = self._lower(var)
-            if d_integrand is None:
-                dk = 0.0
-            elif self._constant_integrand:
-                dk = (alpha - self.lam0) * d_integrand(r, theta, t)(alpha)
-            else:
-                dk = ex.quad_adaptive(d_integrand(r, theta, t), self.lam0, alpha, self.tol)
-            if self._chi is not None:
-                dk += self._chi.partial(var).fn(alpha, r, theta, t)
-            out.append(dk * w + k * w_var)
-        return tuple(out)
-
-    def _lower(self, var: Optional[str]):
-        """The integrand (var None), guarded by the psi floor and lam = 0,
-        or its partial in var, "r" or "theta", lowered by expr as
-        ``bind(r, theta, t, replay=...)``, a function of lam; None for a
-        partial that is the constant 0.  Built on first use and kept."""
-        if var in self._lowered:
-            return self._lowered[var]
-        tree = _INTEGRAND[self._theta_dependent]
-        for name in ("r", "theta"):
-            tree = ex.substitute(tree, f"psi_{name}", self.psi.partial(name).tree)
-        tree = ex.substitute(tree, "psi", self.psi.tree)
-        guards = ((self.psi.tree, self.psi_min), (Var("alpha"), 0.0))[: 1 + self._theta_dependent]
-        if var is not None:
-            tree, guards = ex.differentiate(tree, var), ()
-        self._lowered[var] = (
-            None if tree == Num(0.0) else ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards)
-        )
-        return self._lowered[var]
+    def _lower(self):
+        """The integrand, guarded by the psi floor and lam = 0, lowered by
+        expr as ``bind(r, theta, t, replay=...)``, a function of lam.
+        Built on first use and kept."""
+        if self._lowered is None:
+            tree = _INTEGRAND[self._theta_dependent]
+            for name in ("r", "theta"):
+                tree = ex.substitute(tree, f"psi_{name}", self.psi.partial(name).tree)
+            tree = ex.substitute(tree, "psi", self.psi.tree)
+            guards = ((self.psi.tree, self.psi_min), (Var("alpha"), 0.0))
+            guards = guards[: 1 + self._theta_dependent]
+            self._lowered = ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards)
+        return self._lowered
 
 
 # the structure class each type of coupling selects

@@ -10,8 +10,10 @@ them, the numpy read of
 dense output that the float walk of ``hermite_eval`` replaced, and the
 numpy least-squares fit that the closed forms of ``affinity_test``
 replaced, the unsimplified derivative that ``differentiate`` built
-before it dropped dead terms, and the matrices, jet and flow as they
-read each state field by field."""
+before it dropped dead terms, the matrices, jet and flow as they
+read each state field by field, and the partials of the class-2
+integrand as ``Class2Phi`` lowered them while it formed phi's r- and
+theta-partials."""
 
 import math
 import operator
@@ -23,8 +25,8 @@ from ermakov import expr as ex
 from ermakov.linearize import AffinityResult, _curvature_fn
 from ermakov.poisson import JACOBI_TRIPLES, SkewMatrix4
 from ermakov.systems import (
-    DEFAULT_FLOORS, Floors, Flow4, FuncHandle, IntegrationError, PhaseState, Potential,
-    SingularStateError, nan_max,
+    _INTEGRAND, DEFAULT_FLOORS, Floors, Flow4, FuncHandle, IntegrationError, PhaseState,
+    Potential, SingularStateError, nan_max,
 )
 
 np = pytest.importorskip("numpy")
@@ -297,6 +299,18 @@ def reference_jet(handle: FuncHandle, alpha, r, theta, t=0.0) -> tuple:
     return (handle.fn(*point), *[handle.partial(var).fn(*point) for var in ("alpha", "r", "theta")])
 
 
+def class2_integrand_partial(phi, var: str):
+    """The partial in ``var`` ("r" or "theta") of phi's class-2 integrand,
+    lowered with the bound names and guards ``Class2Phi._lower(var)``
+    gave it: ``bind(r, theta, t)``, a function of lam, unguarded; None
+    where the partial is the structural zero."""
+    tree = _INTEGRAND[phi.psi.depends_on("theta")]
+    for name in ("r", "theta"):
+        tree = ex.substitute(tree, f"psi_{name}", phi.psi.partial(name).tree)
+    tree = ex.differentiate(ex.substitute(tree, "psi", phi.psi.tree), var)
+    return None if tree == ex.Num(0.0) else ex.compile(tree, ("alpha",), ("r", "theta", "t"))
+
+
 def reference_vector_field(spec, s: PhaseState, t=0.0, floors=DEFAULT_FLOORS) -> Flow4:
     """``reference_flow`` as a Flow4, with the lowered flow's errors: r not
     positive (a NaN r) first, and a float division by zero as a
@@ -364,7 +378,7 @@ def reference_gk21(f, lo: float, hi: float, depth: int) -> tuple:
     """The Gauss-Kronrod panel of ``expr._gk21_panel()`` as it was computed
     from lists before it was generated: samples f at the centre, the left nodes and
     the right nodes, each checked as it is taken, and sums left to right
-    from 0."""
+    from 0, both checked."""
 
     def sample(x: float) -> float:
         y = float(f(x))
@@ -383,6 +397,8 @@ def reference_gk21(f, lo: float, hi: float, depth: int) -> tuple:
         ex._K21_WEIGHTS[0] * centre + sum(map(operator.mul, ex._K21_WEIGHTS[1:], pairs))
     )
     gauss = half * sum(map(operator.mul, ex._G10_WEIGHTS, pairs[::2]))
+    if not (math.isfinite(kronrod) and math.isfinite(gauss)):
+        raise ex.QuadratureError(f"non-finite K21 or G10 sum on [{lo!r}, {hi!r}]")
     return (-abs(kronrod - gauss), depth, lo, hi, kronrod, (centre, left, right))
 
 

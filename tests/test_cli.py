@@ -278,8 +278,10 @@ def test_a_nan_jacobi_residual_fails_the_sweep(tmp_path, capsys):
     report = json.loads((out / "verify_jacobi.json").read_text())
     residuals = [row["residual"] for row in report["per_state"]]
     assert not math.isnan(residuals[0])
-    # the partial d(phi)/dr is NaN where it overflows
-    assert list(map(math.isnan, residuals)) == list(map(partial_overflows, report["per_state"]))
+    # phi is NaN where its square overflows; d(phi)/dr, NaN from a smaller
+    # r on, is not formed: no Jacobi sum reads it
+    assert list(map(math.isnan, residuals)) == list(map(square_overflows, report["per_state"]))
+    assert sum(map(partial_overflows, report["per_state"])) > sum(map(math.isnan, residuals))
     assert any(map(math.isnan, residuals))
     assert code == 1
     assert report["pass"] is False

@@ -22,6 +22,7 @@ from ermakov.systems import Class2Phi, FuncHandle, Potential, SingularStateError
 
 from helpers import (
     VARS,
+    class2_integrand_partial,
     deepest_at_bound,
     evaluable_tree,
     random_bindings,
@@ -591,7 +592,7 @@ def test_fused_gk21_matches_generic_panel_on_class2_integrands():
     for text, chi, lam0, psi_min in _PANEL_POOL:
         chi = None if chi is None else ex.parse(chi)
         phi = Class2Phi(FuncHandle.from_text(text), chi, lam0=lam0, psi_min=psi_min)
-        binds = [phi._lower(var) for var in (None, "r", "theta")]
+        binds = [phi._lower(), *(class2_integrand_partial(phi, var) for var in ("r", "theta"))]
         rng = random.Random(text)
         for n in range(600):
             r, theta, t = rng.uniform(0.5, 3.0), rng.uniform(-3.2, 3.2), rng.uniform(0.0, 2.0)
@@ -670,10 +671,39 @@ def test_fused_gk21_faults_in_the_generic_order(text, guards, r, theta, boom, re
         assert outcome[1] == f"non-finite integrand value inf at lambda={nodes[12]!r}"
 
 
+def _overflowing_sums(x: float) -> float:
+    """Finite everywhere, and 1e308 on [4, 6] and -1e308 off it."""
+    return 1e308 if abs(x - 5.0) < 1.0 else -1e308
+
+
+def test_generic_panel_raises_on_a_non_finite_sum():
+    # every sample is finite but the panel's K21 and G10 sums are not,
+    # which a quadrature took for a converged NaN
+    message = re.escape("non-finite K21 or G10 sum on [0.0, 10.0]")
+    for panel in (ex._gk21_panel(), reference_gk21):
+        with pytest.raises(ex.QuadratureError, match=message):
+            panel(_overflowing_sums, 0.0, 10.0, 0)
+    for a, b in ((0.0, 10.0), (10.0, 0.0)):
+        with pytest.raises(ex.QuadratureError, match=message):
+            ex.quad_adaptive(_overflowing_sums, a, b, 1e-12)
+
+
+def test_fused_panel_hands_a_non_finite_sum_to_the_generic_one():
+    # 1e308*alpha is finite at every node of [0.5, 1.5], but its K21 is
+    # not: the fused panel runs the generic one, which raises
+    f = ex.compile(ex.parse("1e308*alpha"), ("alpha",), ("r",))(1.0)
+    assert hasattr(f, "gk21")
+    message = "non-finite K21 or G10 sum on [0.5, 1.5]"
+    fused, generic = _fused_and_generic(f, 0.5, 1.5)
+    assert fused == generic == (ex.QuadratureError, message)
+    with pytest.raises(ex.QuadratureError, match=re.escape(message)):
+        ex.quad_adaptive(f, 0.5, 1.5, 1e-12)
+
+
 def test_a_wrapped_integrand_takes_the_generic_panel_with_the_same_bits(monkeypatch):
     # the benchmark's tracer counts samples through a plain wrapper
     phi = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
-    bind, panels = phi._lower(None), []
+    bind, panels = phi._lower(), []
     # every bind's integrand is a method of one function, which holds gk21
     compiled = bind(1.3, 0.2, 0.0, replay=phi.integrand).__func__
     fused = compiled.gk21
@@ -929,7 +959,7 @@ def _lowers_to(tree, phi) -> bool:
     tree, with equal guards, to the same code object."""
     guards = ((phi.psi.tree, phi.psi_min), (Var("alpha"), 0.0))
     bind = ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards[: 1 + phi.psi.depends_on("theta")])
-    return bind.__code__ is phi._lower(None).__code__
+    return bind.__code__ is phi._lower().__code__
 
 
 def _derived_pairs():

@@ -226,7 +226,7 @@ def test_tampered_j34_breaks_jacobi():
     s = random_states(43, 1)[0]
     m, d = field.derivatives(s)
     assert field(s) == m == plain(s)._replace(j34=plain(s).j34 + 0.1 * s.r)
-    assert d[0][5] == plain.derivatives(s)[1][0][5] + 0.1 and d[1:] == plain.derivatives(s)[1][1:]
+    assert d == plain.derivatives(s)[1]  # d_r J34 is unformed: the partials stay
     worst = max(
         np.max(np.abs(jacobi_residuals(field, s))) for s in random_states(47, 30)
     )
@@ -409,6 +409,8 @@ def test_exact_partials_match_central_differences(name):
     make_field, draw = EXACT_PARTIAL_FIELDS[name]
     field = make_field()
     upper = np.triu_indices(4, 1)
+    # matrix_field leaves d_r J34 and d_theta J34, (0, 5) and (1, 5), unformed
+    unformed = () if name == "dense" else ((0, 5), (1, 5))
     for s in draw(59, 20):
         for t in (0.0, 0.7):
             m, grads = field.derivatives(s, t)
@@ -416,12 +418,49 @@ def test_exact_partials_match_central_differences(name):
             fd = reference_central_differences(
                 lambda p: reference_array(field(p, t)), s, 1e-5
             )
-            for exact, ref in zip(grads, fd):
-                assert exact == pytest.approx(ref[upper].tolist(), rel=1e-6, abs=1e-6)
+            for mu, (exact, ref) in enumerate(zip(grads, fd)):
+                formed = [k for k in range(6) if (mu, k) not in unformed]
+                assert [exact[k] for k in formed] == pytest.approx(
+                    [ref[upper][k] for k in formed], rel=1e-6, abs=1e-6
+                )
+            assert float_bits(grads[mu][k] for mu, k in unformed) == ["0x0.0p+0"] * len(unformed)
             res = jacobi_residuals(field, s, t)
             assert all(type(x) is float for x in res)
             ref = reference_jacobi_residuals(field, s, t, 1e-5)
             assert res == pytest.approx(ref.tolist(), rel=1e-6, abs=1e-6)
+
+
+# the fields matrix_field builds: class 1, pseudo-potential, class 2, tampered
+_BUILT_FIELDS = sorted(set(EXACT_PARTIAL_FIELDS) - {"dense"})
+
+
+def test_every_built_matrix_has_j12_exactly_plus_zero():
+    # the premise on which d_r J34 and d_theta J34 go unformed
+    for name in _BUILT_FIELDS:
+        make_field, draw = EXACT_PARTIAL_FIELDS[name]
+        field = make_field()
+        for s in draw(67, 40):
+            for t in (0.0, 0.7):
+                j12s = (field(s, t).j12, field.derivatives(s, t)[0].j12)
+                assert float_bits(j12s) == ["0x0.0p+0"] * 2, (name, s, t)
+
+
+def test_jacobi_sums_do_not_read_the_unformed_partials():
+    # d_r J34 and d_theta J34, partials (0, 5) and (1, 5), meet only J12
+    # and zero diagonal entries: any finite values there leave each |sum|
+    # bit for bit, on every field matrix_field builds; a matrix with
+    # J12 != 0 fails here first
+    rng = random.Random(71)
+    values = [0.0, -0.0, 5e-324, 1e300, -1e300] + [rng.uniform(-1e3, 1e3) for _ in range(5)]
+    for name in _BUILT_FIELDS:
+        make_field, draw = EXACT_PARTIAL_FIELDS[name]
+        field = make_field()
+        for s in draw(73, 20):
+            m, (d_r, d_q, *rest) = field.derivatives(s, 0.7)
+            want = float_bits(map(abs, jacobi_residuals(field, s, 0.7)))
+            for x, y in zip(values, values[::-1]):
+                grads = ((*d_r[:5], x), (*d_q[:5], y), *rest)
+                assert float_bits(map(abs, jacobi_residuals(_fixed(m, grads), s))) == want, name
 
 
 @pytest.mark.parametrize("potential", [OSC, OFF_OSCILLATOR], ids=("oscillator", "off"))
@@ -537,7 +576,7 @@ def _count_calls(handle, calls, name="psi"):
 def test_class2_derivatives_read_psis_jet_once():
     # phi's call reads psi's value for the matrix; psi's jet takes that
     # value and reads the three partials once, for the matrix's partials
-    # and phi's jet together
+    # and phi's alpha-partial together
     psi = FuncHandle.from_text("1+alpha^2*r")
     field = matrix_field(Class2Phi(psi))
     calls = []

@@ -24,6 +24,7 @@ from ermakov.systems import (
 from helpers import (
     EDGE_FLOORS,
     EDGE_STATES,
+    class2_integrand_partial,
     count_outermost_calls,
     outcome,
     reference_flow,
@@ -363,38 +364,35 @@ def test_class2_phi_exact_alpha_derivative():
 
 
 # (psi, chi, lam0), then (alpha, r, theta, t) and the float.hex of phi and of
-# its alpha-, r- and theta-partials, as phi, partial_alpha and
-# partial("r")/partial("theta") gave them before jet took their place, and
-# as jet and partial_alpha gave them when each read psi's jet itself
+# its alpha-partial, as phi and partial_alpha gave them before phi's jet
+# came and after it went
 JET_BITS = [
-    (("2", None, 0.0), (0.8, 1.4, 0.6, 0.0),
-     ("-0x1.2492492492493p+0", "-0x1.6db6db6db6db7p+0", "0x1.a1f58d0fac68ap-1", "0x0.0p+0")),
-    (("2", None, 0.0), (1.3, 0.7, -0.4, 0.5),
-     ("-0x1.db6db6db6db6ep+1", "-0x1.6db6db6db6db7p+1", "0x1.5397829cbc150p+2", "0x0.0p+0")),
+    (("2", None, 0.0), (0.8, 1.4, 0.6, 0.0), ("-0x1.2492492492493p+0", "-0x1.6db6db6db6db7p+0")),
+    (("2", None, 0.0), (1.3, 0.7, -0.4, 0.5), ("-0x1.db6db6db6db6ep+1", "-0x1.6db6db6db6db7p+1")),
     (("1+alpha^2*r", None, 0.0), (0.8, 1.4, 0.6, 0.0),
-     ("-0x1.9647a00b12911p+0", "-0x1.7ba59a911c678p+1", "0x1.b4b7a64d50776p-1", "0x0.0p+0")),
+     ("-0x1.9647a00b12911p+0", "-0x1.7ba59a911c678p+1")),
     (("1+alpha^2*r", None, 0.0), (1.3, 0.7, -0.4, 0.5),
-     ("-0x1.637c00660c22fp+2", "-0x1.adaeeeed17f91p+2", "0x1.6ac2b547a8516p+2", "0x0.0p+0")),
+     ("-0x1.637c00660c22fp+2", "-0x1.adaeeeed17f91p+2")),
     (("2+sin(theta)*alpha", None, 0.5), (0.8, 1.4, 0.6, 0.0),
-     ("-0x1.8e136ae85de72p-2", "-0x1.58aa4b706b3f7p+0", "0x1.e7b5dbeac4dc5p-3", "-0x1.13a02a69a8812p-4")),
+     ("-0x1.8e136ae85de72p-2", "-0x1.58aa4b706b3f7p+0")),
     (("2+sin(theta)*alpha", None, 0.5), (1.3, 0.7, -0.4, 0.5),
-     ("-0x1.3e3a2a2fa67fap+0", "-0x1.46525ab6cbfa9p+0", "0x1.2bf456c8dbdf4p-1", "-0x1.c82d2fc2d4730p-2")),
+     ("-0x1.3e3a2a2fa67fap+0", "-0x1.46525ab6cbfa9p+0")),
     (("1+alpha^2*r+0.1*sin(theta)*t", "r*theta + t", 0.1), (0.8, 1.4, 0.6, 0.0),
-     ("0x1.192e913b50bddp-2", "-0x1.8880a746f8e34p-1", "0x1.3676f0160cdf9p+1", "0x1.53c36113404eap+1")),
+     ("0x1.192e913b50bddp-2", "-0x1.8880a746f8e34p-1")),
     (("1+alpha^2*r+0.1*sin(theta)*t", "r*theta + t", 0.1), (1.3, 0.7, -0.4, 0.5),
-     ("-0x1.05125cf646b37p+2", "-0x1.5e582abc7db58p+2", "0x1.e92fd257c4b5ap+1", "0x1.baa17d8c4242dp+0")),
+     ("-0x1.05125cf646b37p+2", "-0x1.5e582abc7db58p+2")),
 ]
 
 
 @pytest.mark.parametrize("coupling,point,bits", JET_BITS)
 def test_class2_phi_jet_keeps_the_bits_of_the_separate_partials(coupling, point, bits):
+    # partial_alpha, on a fresh phi, and the phi its call kept; and phi
+    # alone, on another
     psi, chi, lam0 = coupling
     make = lambda: Class2Phi(FuncHandle.from_text(psi), None if chi is None else ex.parse(chi), lam0)
     phi = make()
-    psi_jet = phi.psi.jet(*point)
-    assert tuple(x.hex() for x in phi.jet(*point, psi_jet)) == bits
-    # the alpha-partial alone, on a fresh phi, is the jet's second entry
-    assert make().partial_alpha(*point, psi_jet).hex() == bits[1]
+    assert phi.partial_alpha(*point, phi.psi.jet(*point)).hex() == bits[1]
+    assert phi.last[1].hex() == make()(*point).hex() == bits[0]
 
 
 def test_class2_phi_with_theta_dependent_psi_needs_safe_path():
@@ -498,7 +496,7 @@ def test_fused_integrand_matches_integrand_bit_for_bit():
     for text, chi, lam0, psi_min in _FUSED_POOL:
         chi = None if chi is None else ex.parse(chi)
         phi = Class2Phi(FuncHandle.from_text(text), chi, lam0=lam0, psi_min=psi_min)
-        bind = phi._lower(None)
+        bind = phi._lower()
         rng = random.Random(text)
         points = [tuple(rng.uniform(lo, hi) for lo, hi in _FUSED_RANGES) for _ in range(2000)]
         # lambda = 0 (at r = inf only the guard sees it: the 1/lambda term
@@ -528,23 +526,25 @@ def test_fused_integrand_matches_integrand_bit_for_bit():
 def test_class2_phi_rebuilds_share_the_lowered_code(monkeypatch):
     # a rebuilt Class2Phi (every command reloads its config) runs on the
     # code objects of the first: exec'ing the same source again would
-    # keep new memory each time
+    # keep new memory each time; and so does an equal partial of the
+    # integrand, lowered again for the rebuilt psi
     codes = []
     quad = ex.quad_adaptive
     monkeypatch.setattr(ex, "quad_adaptive", lambda f, *args: codes.append(f) or quad(f, *args))
     first, second = (Class2Phi(FuncHandle.from_text("1+alpha^2*r")) for _ in range(2))
     for phi, state in ((first, (0.4, 1.0, 0.2, 0.0)), (second, (0.7, 1.3, 0.1, 0.0))):
         phi(*state)
-        # phi at the state is kept, and theta's partial is 0: one quadrature
-        phi.jet(*state, phi.psi.jet(*state))
-    assert len(codes) == 4 and codes[0] is not codes[2]
-    assert codes[0].__code__ is codes[2].__code__
-    assert codes[1].__code__ is codes[3].__code__
-    # and so do their fused panels, generated with the lowered code
-    assert codes[0].gk21.__code__ is codes[2].gk21.__code__
-    assert codes[1].gk21.__code__ is codes[3].gk21.__code__
-    assert first._lower(None) is not second._lower(None)
-    assert first._lower(None).__code__ is second._lower(None).__code__
+        # phi at the state is kept: its alpha-partial takes no quadrature
+        phi.partial_alpha(*state, phi.psi.jet(*state))
+    assert class2_integrand_partial(first, "theta") is None
+    codes += [class2_integrand_partial(phi, "r")(1.1, 0.2, 0.0) for phi in (first, second)]
+    assert len(codes) == 4 and codes[0] is not codes[1] and codes[2] is not codes[3]
+    for a, b in (codes[:2], codes[2:]):
+        assert a.__code__ is b.__code__
+        # and so do their fused panels, generated with the lowered code
+        assert a.gk21.__code__ is b.gk21.__code__
+    assert first._lower() is not second._lower()
+    assert first._lower().__code__ is second._lower().__code__
     # the panel is generated once per process
     assert ex._gk21_panel() is ex._gk21_panel()
     assert ex._gk21_panel.cache_info().misses == 1

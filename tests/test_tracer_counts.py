@@ -47,6 +47,7 @@ _SWEEPS = {
     ("class2_psi1", "consistency"): (0, 0, 0, 1, 2),
     ("class2_quadrature", "flow"): (1, 1, 1, 0, 2),
     ("class2_quadrature", "consistency"): (0, 0, 0, 1, 2),
+    ("class2_quadrature", "jacobi"): (1, 0, 0, 0, 2),
 }
 
 # (quadratures per state, integrand samples of the sweep at seed 3) of the
@@ -54,6 +55,7 @@ _SWEEPS = {
 _QUADRATURES = {
     ("class2_quadrature", "flow"): (1, 21966),
     ("class2_quadrature", "consistency"): (1, 21966),
+    ("class2_quadrature", "jacobi"): (1, 21966),
 }
 
 
