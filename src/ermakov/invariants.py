@@ -30,8 +30,7 @@ __all__ = [
     "grad_ermakov",
     "casimir_C1",
     "casimir_C2",
-    "grad_casimir_C1",
-    "grad_casimir_C2",
+    "grad_casimirs",
     "c2_conventions",
     "h_of_theta",
     "elapsed_time",
@@ -119,11 +118,15 @@ def _turning_point(potential: Potential, c1: float, rbar: float, t: float) -> fl
                 break
             if g_here <= 0.0:
                 inside, outside = lam_prev, lam  # c1 - V > 0 at inside only
-                for _ in range(200):
+                for _ in range(200):  # a bound: it stops at its fixed point
                     mid = 0.5 * (inside + outside)
                     if gap(mid) > 0.0:
+                        if mid == inside:
+                            break
                         inside = mid
                     else:
+                        if mid == outside:
+                            break
                         outside = mid
                 return 0.5 * (inside + outside)
             lam_prev = lam
@@ -254,43 +257,30 @@ def casimir_C2(
     return s.theta - math.copysign(1.0, -s.u / s.v) * quad
 
 
-def grad_casimir_C1(
+def grad_casimirs(
     potential: Potential,
     s: PhaseState,
     t: float = 0.0,
     floors: Floors = DEFAULT_FLOORS,
 ) -> tuple:
-    """Phase-space gradient of C1 at fixed t, with alpha = u/v:
+    """Phase-space gradients (grad C1, grad C2) at fixed t, alpha = u/v:
 
-        (-V'(1/r, t)/r^2, 0, alpha/v, -alpha^2/v).
-    """
-    alpha = s.alpha(floors.v_min)
-    return (-potential.slope(1.0 / s.r, t) / (s.r * s.r), 0.0, alpha / s.v, -alpha * alpha / s.v)
+        grad C1 = (-V'(1/r, t)/r^2, 0, alpha/v, -alpha^2/v).
 
-
-def grad_casimir_C2(
-    potential: Potential,
-    s: PhaseState,
-    t: float = 0.0,
-    floors: Floors = DEFAULT_FLOORS,
-) -> tuple:
-    """Phase-space gradient of C2 at fixed t, with its lower limit at the
-    turning point, as in ``casimir_C2``.
-
-    With C2 = theta - sigma F(c1, 1/r), dF/drbar = 1/sqrt(2 (c1 - V(1/r)))
-    = 1/|alpha| and sigma/|alpha| = -1/alpha, so
+    With C2 = theta - sigma F(c1, 1/r) as in ``casimir_C2``,
+    dF/drbar = 1/sqrt(2 (c1 - V(1/r))) = 1/|alpha| and sigma/|alpha| = -1/alpha, so
 
         grad C2 = (0, 1, 0, 0) - sigma dF/dc1 grad C1 - (1/(alpha r^2), 0, 0, 0).
 
-    Undefined at u = 0, where 1/|alpha| is.
+    Undefined at u = 0, where 1/|alpha| is; the v floor is checked first.
     """
+    alpha = s.alpha(floors.v_min)
+    grad1 = (-potential.slope(1.0 / s.r, t) / (s.r * s.r), 0.0, alpha / s.v, -alpha * alpha / s.v)
     if s.u == 0.0:
         raise BranchError("u = 0: the gradient of C2 is undefined")
-    alpha = s.alpha(floors.v_min)
-    grad1 = grad_casimir_C1(potential, s, t, floors)
     c1 = casimir_C1(potential, s, t, floors)
     k = -math.copysign(1.0, -alpha) * _dF_dc1(potential, c1, 1.0 / s.r, t)
-    return (k * grad1[0] - 1.0 / (alpha * s.r * s.r), 1.0, k * grad1[2], k * grad1[3])
+    return grad1, (k * grad1[0] - 1.0 / (alpha * s.r * s.r), 1.0, k * grad1[2], k * grad1[3])
 
 
 def h_of_theta(g: Expr, theta: float, invariant: float) -> float:

@@ -58,10 +58,7 @@ def _verify_casimir(cfg, field, states):
     tol = cfg.verify.tolerance.get("casimir", 1e-7)
     per_state = []
     for s in states:
-        grads = (
-            inv.grad_casimir_C1(potential, s, 0.0, cfg.floors),
-            inv.grad_casimir_C2(potential, s, 0.0, cfg.floors),
-        )
+        grads = inv.grad_casimirs(potential, s, 0.0, cfg.floors)
         per_state.append(nan_max(map(abs, poisson.casimir_residuals(field, grads, s))))
     return tol, per_state, {"matrix_kind": field.kind}
 

@@ -11,9 +11,9 @@ dense output that the float walk of ``hermite_eval`` replaced, and the
 numpy least-squares fit that the closed forms of ``affinity_test``
 replaced, the unsimplified derivative that ``differentiate`` built
 before it dropped dead terms, the matrices, jet and flow as they
-read each state field by field, and the partials of the class-2
+read each state field by field, the partials of the class-2
 integrand as ``Class2Phi`` lowered them while it formed phi's r- and
-theta-partials."""
+theta-partials, and the turning-point search as it bisected 200 times."""
 
 import math
 import operator
@@ -502,3 +502,35 @@ def reference_differentiate(e: ex.Expr, var: str) -> ex.Expr:
         return Binary("*", Binary("*", e, Unary("ln", f)), dg)
     inner = Binary("+", Binary("*", dg, Unary("ln", f)), Binary("/", Binary("*", g, df), f))
     return Binary("*", e, inner)
+
+
+def reference_turning_point(potential: Potential, c1: float, rbar: float, t: float) -> float:
+    """``invariants._turning_point`` as it was before its bisection stopped
+    at its fixed point: the same scans, then always 200 bisection steps."""
+
+    def gap(lam: float) -> float:
+        return c1 - potential.fn(lam, t)
+
+    g0 = gap(rbar)
+    if g0 < 0.0:
+        raise ex.DomainError(f"state lies outside its own well: c1 - V(1/r) = {g0!r} < 0")
+    for direction in (0.93, 1.07):
+        lam_prev = rbar
+        lam = rbar
+        for _ in range(400):
+            lam *= direction
+            try:
+                g_here = gap(lam)
+            except ex.ExprError:
+                break
+            if g_here <= 0.0:
+                inside, outside = lam_prev, lam
+                for _ in range(200):
+                    mid = 0.5 * (inside + outside)
+                    if gap(mid) > 0.0:
+                        inside = mid
+                    else:
+                        outside = mid
+                return 0.5 * (inside + outside)
+            lam_prev = lam
+    raise ex.DomainError("no turning point V(lam) = c1 found near rbar")

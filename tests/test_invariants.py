@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -21,7 +22,7 @@ from ermakov.invariants import (
 )
 from ermakov.systems import PhaseState, Potential
 
-from helpers import count_outermost_calls, spiral_start
+from helpers import count_outermost_calls, outcome, reference_turning_point, spiral_start
 from test_systems import OSC
 
 np = pytest.importorskip("numpy")
@@ -195,6 +196,52 @@ def test_turning_point_is_found_on_either_side(potential, root):
     lam = inv._turning_point(Potential(ex.parse(potential)), 1.0, 1.0, 0.0)
     assert lam == pytest.approx(root, rel=1e-14)
     assert (lam < 1.0) == (root < 1.0)
+
+
+# wells in rbar: the oscillator, two off it, one moving with t
+WELLS = (
+    "1/(2*rbar^2)",
+    "1/(2*rbar^2) + 0.1*rbar",
+    "rbar^2/2 + 1/(2*rbar^2)",
+    "1/(2*rbar^2) - 0.3*rbar + 0.05*t*rbar^2",
+)
+
+
+def _searches(potential, seed, n) -> list:
+    """n seeded turning-point searches (c1, rbar, t), one in twenty with
+    c1 = V(rbar) exactly: a state on its turning point."""
+    rng = random.Random(seed)
+    searches = []
+    for _ in range(n):
+        rbar, t = rng.uniform(0.5, 3.0), rng.uniform(0.0, 1.0)
+        gap = 0.0 if rng.random() < 0.05 else rng.uniform(0.0, 2.0)
+        searches.append((potential.fn(rbar, t) + gap, rbar, t))
+    return searches
+
+
+@pytest.mark.parametrize("well", WELLS, ids=("oscillator", "linear", "quadratic", "moving"))
+def test_turning_point_keeps_the_bits_of_200_bisection_steps(well):
+    # stopping where the ends stop moving returns the same double, on
+    # the exact-zero gaps too
+    potential = Potential(ex.parse(well))
+    searches = _searches(potential, 39, 2500)
+    assert sum(c1 == potential.fn(rbar, t) for c1, rbar, t in searches) > 100
+    for args in searches:
+        got = outcome(lambda: [inv._turning_point(potential, *args)])
+        assert got == outcome(lambda: [reference_turning_point(potential, *args)]), args
+        assert got[0] is list
+
+
+def test_turning_point_search_evaluates_v_at_most_100_times():
+    # 200 bisection steps took 213 V evaluations per search on average
+    for well in WELLS:
+        potential = Potential(ex.parse(well))
+        searches, fn, lams = _searches(potential, 40, 200), potential.fn, []
+        potential.fn = lambda lam, t: lams.append(lam) or fn(lam, t)
+        for args in searches:
+            lams.clear()
+            inv._turning_point(potential, *args)
+            assert len(lams) <= 100, (well, args)
 
 
 def test_quadrature_casimir_builds_nothing_after_the_first_call(monkeypatch):

@@ -469,7 +469,7 @@ def test_casimir_gradients_match_central_differences(potential):
         return np.array([inv.casimir_C1(potential, s), inv.casimir_C2(potential, s)])
 
     for s in random_states(61, 20, u_floor=0.3):
-        grads = (inv.grad_casimir_C1(potential, s), inv.grad_casimir_C2(potential, s))
+        grads = inv.grad_casimirs(potential, s)
         ref = np.array(reference_central_differences(casimirs, s, 1e-4)).T
         for exact, fd in zip(grads, ref):
             assert exact == pytest.approx(fd.tolist(), rel=1e-6, abs=1e-6)
@@ -680,6 +680,23 @@ def test_verify_flow_residuals_keep_the_reference_bits(config):
         ]
         assert float_bits(per_state) == float_bits(want)
         assert sum(x != x for x in per_state) == len(nan_states)
+
+
+@pytest.mark.parametrize("config", sorted(_FLOW_CONFIGS))
+def test_determinant_and_pfaffian_do_not_read_j34(config):
+    # J12 = 0 in both structures, so J34 meets only J12 and zero diagonal
+    # entries: any J34 whose products stay finite leaves both bits, on the
+    # drawn states of seeds 0-19; a matrix with J12 != 0 fails here first
+    cfg = load_config(_FLOW_CONFIGS[config][0])
+    vs = cfg.verify
+    field = matrix_field(cfg.spec.coupling, cfg.floors)
+    for seed in range(20):
+        for s in sample_states(random.Random(seed), vs.samples, vs.u_floor, vs.branch):
+            m = field(s)
+            want = float_bits((determinant(m), pfaffian(m)))
+            for j34 in (0.0, -0.0, -7.5, 2.0 * m.j34, 1e3 * m.j34, 1e-300):
+                other = m._replace(j34=j34)
+                assert float_bits((determinant(other), pfaffian(other))) == want, (seed, s, j34)
 
 
 def test_consistency_reads_psis_jet_once():

@@ -395,6 +395,19 @@ def test_class2_phi_jet_keeps_the_bits_of_the_separate_partials(coupling, point,
     assert phi.last[1].hex() == make()(*point).hex() == bits[0]
 
 
+def test_class2_phi_matches_the_closed_form_of_its_integral():
+    # psi = 1 + r alpha^2 integrates in closed form, an oracle for phi's
+    # integral K, which cancels from every class-2 verify residual:
+    # K = -(1/r) [(3/(2 sqrt r)) atan(sqrt(r) alpha) + alpha/(2 (1 + r alpha^2))]
+    phi = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
+    rng = random.Random(39)
+    for _ in range(200):
+        alpha, r, theta = rng.uniform(-4.0, 4.0), rng.uniform(0.5, 3.0), rng.uniform(-3.0, 3.0)
+        w = 1.0 + r * alpha * alpha
+        k = -(1.5 / math.sqrt(r) * math.atan(math.sqrt(r) * alpha) + alpha / (2.0 * w)) / r
+        assert phi(alpha, r, theta) == pytest.approx(w * k, rel=1e-12, abs=0.0), (alpha, r)
+
+
 def test_class2_phi_with_theta_dependent_psi_needs_safe_path():
     psi = FuncHandle.from_text("2 + sin(theta)")
     phi = Class2Phi(psi, lam0=0.5)

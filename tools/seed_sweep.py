@@ -3,13 +3,15 @@
 
     python3 tools/seed_sweep.py --seeds A-B
 
-Runs twelve ``verify`` sweeps (``OPS``), in this process, against the
+Runs thirteen ``verify`` sweeps (``OPS``), in this process, against the
 package in this checkout's ``src/``, at every seed from A to B inclusive:
 ``jacobi``, ``flow``, ``casimir`` and ``determinant`` on
 ``configs/spiral.json``; ``jacobi``, ``flow``, ``consistency`` and
-``determinant`` on ``configs/class2_psi1.json``; and ``flow``,
+``determinant`` on ``configs/class2_psi1.json``; ``flow``,
 ``consistency``, ``jacobi`` and ``determinant`` on the class-2 stress
-config ``bench/configs/class2_quadrature.json``.  It prints one line per
+config ``bench/configs/class2_quadrature.json``; and ``casimir`` on
+``OFF_OSCILLATOR`` from ``tools/report_digests.py``, the one op whose C2
+gradient takes the quadrature path.  It prints one line per
 op: the tolerance, the worst residual over the band with its seed, the
 margin (tolerance over worst residual, inf where the worst is 0.0), the
 seeds whose sweep failed, and ``ALL-ZERO`` where every residual of every
@@ -20,18 +22,24 @@ a sweep failed at any seed.
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import runpy
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (config, its sweeps), the config relative to the checkout
+# the digest tool's pseudo-potential off the singular oscillator
+OFF_OSCILLATOR = runpy.run_path(str(ROOT / "tools" / "report_digests.py"))["OFF_OSCILLATOR"]
+
+# (config, its sweeps), the config relative to the checkout or OFF_OSCILLATOR
 OPS = (
     ("configs/spiral.json", ("jacobi", "flow", "casimir", "determinant")),
     ("configs/class2_psi1.json", ("jacobi", "flow", "consistency", "determinant")),
     ("bench/configs/class2_quadrature.json", ("flow", "consistency", "jacobi", "determinant")),
+    ("OFF_OSCILLATOR", ("casimir",)),
 )
 
 
@@ -54,12 +62,15 @@ class Band(NamedTuple):
 
 def sweep(seeds) -> list:
     """A Band per op of ``OPS``, over ``seeds``."""
-    from ermakov.config import load_config
+    from ermakov.config import load_config, parse_config
     from ermakov.verify import cmd_verify
 
     bands = []
     for config, ops in OPS:
-        cfg = load_config(ROOT / config)
+        if config == "OFF_OSCILLATOR":
+            cfg = parse_config(json.dumps(OFF_OSCILLATOR).encode())
+        else:
+            cfg = load_config(ROOT / config)
         for which in ops:
             worst, worst_seed, failing, all_zero, tolerance = -math.inf, None, [], True, None
             for seed in seeds:
