@@ -279,7 +279,10 @@ def integrate_ode(
     y = [float(yj) for yj in y0]
     step = _stepper(method, len(y))
     t = t0
-    f_cur = f(t0, y)  # s0 admissible is a precondition
+    f_cur = f(t0, y)  # s0 admissible is a precondition: f must not raise there
+    if not all(map(math.isfinite, f_cur)):  # nor give a non-finite derivative
+        raise SingularStateError(f"non-finite derivative {tuple(f_cur)!r} "
+                                 f"at the initial state t={t0!r}")
     ts = [float(t0)]
     ys = [y]
     fs = [f_cur]

@@ -89,7 +89,8 @@ def casimir_C1(
 
         C1 = (1/2)(u/v)^2 + V(1/r, t).
     """
-    alpha = s.alpha(floors.v_min)
+    floors.check(v=s.v)
+    alpha = s.u / s.v
     return 0.5 * alpha * alpha + potential.fn(1.0 / s.r, t)
 
 
@@ -274,7 +275,8 @@ def grad_casimirs(
 
     Undefined at u = 0, where 1/|alpha| is; the v floor is checked first.
     """
-    alpha = s.alpha(floors.v_min)
+    floors.check(v=s.v)
+    alpha = s.u / s.v
     grad1 = (-potential.slope(1.0 / s.r, t) / (s.r * s.r), 0.0, alpha / s.v, -alpha * alpha / s.v)
     if s.u == 0.0:
         raise BranchError("u = 0: the gradient of C2 is undefined")

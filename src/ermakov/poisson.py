@@ -33,7 +33,6 @@ from .systems import (
     FuncHandle,
     PhaseState,
     Potential,
-    SingularStateError,
 )
 
 __all__ = [
@@ -113,9 +112,8 @@ def matrix_class1(
 ) -> SkewMatrix4:
     """Class-1 Poisson matrix at a state; phi(alpha, r, theta, t) is free."""
     r, theta, u, v = s
-    if r < floors.r_min or abs(v) <= floors.v_min:  # the checks raise, r's first
-        floors.check(r)
-        s.alpha(floors.v_min)
+    if r < floors.r_min or abs(v) <= floors.v_min:  # check raises, r's first
+        floors.check(r, v)
     alpha = u / v
     r2 = r * r
     j24, j23 = 1.0 / r2, u / (r2 * v)
@@ -137,9 +135,8 @@ def matrix_class2(
     non-degeneracy should keep |u| above the u_min floor.
     """
     r, theta, u, v = s
-    if r < floors.r_min or abs(v) <= floors.v_min:  # the checks raise, r's first
-        floors.check(r)
-        s.alpha(floors.v_min)
+    if r < floors.r_min or abs(v) <= floors.v_min:  # check raises, r's first
+        floors.check(r, v)
     alpha = u / v
     r2 = r * r
     j24, j23 = 1.0 / r2, u / (r2 * v)
@@ -291,9 +288,8 @@ def consistency_residual(
     are symbolic; a Class2Phi phi supplies its exact alpha-derivative.
     """
     r, theta, u, v = s
-    if abs(u) <= floors.u_min:
-        raise SingularStateError(f"|u|={abs(u)!r} at or below floor u_min={floors.u_min!r}")
-    alpha = s.alpha(floors.v_min)
+    floors.check(v=v, u=u)
+    alpha = u / v
     psi_jet = psi.jet(alpha, r, theta, t)
     psi_val, psi_prime, psi_r, psi_theta = psi_jet
     # a Class2Phi on this psi takes its alpha-partial, and psi, from this jet

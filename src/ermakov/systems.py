@@ -84,12 +84,14 @@ class Floors(NamedTuple):
         floor before stopping."""
         return Floors(self.r_min * 0.5, self.u_min * 0.5, self.v_min * 0.5)
 
-    def check(self, r: float, v: Optional[float] = None):
-        """Raise SingularStateError when r sits below r_min or, if given,
-        |v| at or below v_min.  The message prints plain floats whatever
-        numeric type the state holds."""
-        if r < self.r_min:
+    def check(self, r=None, v=None, u=None):
+        """The one floor test: raise SingularStateError when a given r sits
+        below r_min, else a given |u|, then |v|, at or below u_min, v_min.
+        r's and v's messages print plain floats whatever the numeric type."""
+        if r is not None and r < self.r_min:
             raise SingularStateError(f"r={float(r)!r} below floor r_min={self.r_min!r}")
+        if u is not None and abs(u) <= self.u_min:
+            raise SingularStateError(f"|u|={abs(u)!r} at or below floor u_min={self.u_min!r}")
         if v is not None and abs(v) <= self.v_min:
             raise SingularStateError(
                 f"|v|={float(abs(v))!r} at or below floor v_min={self.v_min!r}"
@@ -157,14 +159,6 @@ class PhaseState(NamedTuple):
     theta: float
     u: float
     v: float
-
-    def alpha(self, v_min: float = DEFAULT_FLOORS.v_min) -> float:
-        """The ratio u/v; undefined when |v| sits below the v_min floor."""
-        if abs(self.v) <= v_min:
-            raise SingularStateError(
-                f"alpha undefined: |v|={float(abs(self.v))!r} at or below floor v_min={v_min!r}"
-            )
-        return self.u / self.v
 
 
 def _positive_state(cls, r, theta, u, v):
@@ -342,19 +336,20 @@ class Class2Phi:
     (alpha - lam0) times the integrand, when psi depends on neither alpha
     nor theta.  |psi| at or below ``psi_min`` is a singular state.
     The 1/lam term is present only when psi actually depends on theta; in
-    that case the integration path must not touch lam = 0.  The partial
-    from ``partial_alpha``, given psi's jet, is exact, by the fundamental
-    theorem of calculus (differencing the quadrature would cost five to
-    six digits).  phi's r- and theta-partials are not formed: J12 = 0, so
-    no Jacobi sum reads them (see ``poisson.matrix_field``).
+    that case a call refuses a path that touches lam = 0, the one test of
+    that rule.  The partial from ``partial_alpha``, given psi's jet, is
+    exact, by the fundamental theorem of calculus (differencing the
+    quadrature would cost five to six digits).  phi's r- and
+    theta-partials are not formed: J12 = 0, so no Jacobi sum reads them
+    (see ``poisson.matrix_field``).
 
     Quadratures run on the integrand lowered by expr, with (r, theta, t)
-    bound per quadrature; ``integrand``, the reference, replays a sample
-    where it faults.  ``_lower`` builds the lowered integrand on first use
-    and keeps it.  A call reads psi at alpha once, or takes the value its
-    caller read; ``last`` keeps ((alpha, r, theta, t), phi, psi) of it,
-    where the matrix and the flow read psi, and phi's alpha-partial at
-    that point reuses its quadrature.
+    bound per quadrature and the psi floor its one guard; ``_integrand``,
+    the reference, replays a sample where it faults.  ``_lower`` builds
+    the lowered integrand on first use and keeps it.  A call reads psi at
+    alpha once, or takes the value its caller read; ``last`` keeps
+    ((alpha, r, theta, t), phi, psi) of it, where the matrix and the flow
+    read psi, and phi's alpha-partial at that point reuses its quadrature.
     """
 
     def __init__(
@@ -389,16 +384,12 @@ class Class2Phi:
             )
         return w
 
-    def integrand(self, lam: float, r: float, theta: float, t: float, w=None) -> float:
-        """The integrand at lam; w is psi there, read here if not given."""
+    def _integrand(self, lam: float, r: float, theta: float, t: float, w=None) -> float:
+        """The integrand at lam; w is psi there, read here if not given.
+        At lam = 0 its 1/lam term faults as the lowered integrand's does."""
         w = self._floored(self.psi.fn(lam, r, theta, t) if w is None else w, lam)
         val = self.psi.partial("r").fn(lam, r, theta, t) - (2.0 / r) * w
         if self._theta_dependent:
-            if lam == 0.0:
-                raise SingularStateError(
-                    "class-2 phi integrand has a 1/lambda term and the path "
-                    "touches lambda=0"
-                )
             val += self.psi.partial("theta").fn(lam, r, theta, t) / (r * r * lam)
         return val / (w * w)
 
@@ -417,9 +408,9 @@ class Class2Phi:
                     f"lambda=0 while psi depends on theta"
                 )
         if self._constant_integrand:  # the integrand checks w's floor
-            k = (alpha - self.lam0) * self.integrand(alpha, r, theta, t, w)
+            k = (alpha - self.lam0) * self._integrand(alpha, r, theta, t, w)
         else:
-            f = (self._lowered or self._lower())(r, theta, t, self.integrand)
+            f = (self._lowered or self._lower())(r, theta, t, self._integrand)
             k = ex.quad_adaptive(f, self.lam0, alpha, self.tol)
         if self._chi is not None:
             k += self._chi(alpha, r, theta, t)
@@ -444,16 +435,15 @@ class Class2Phi:
         return val / (w * w) * w + phi * w_alpha / w
 
     def _lower(self):
-        """The integrand, guarded by the psi floor and lam = 0, lowered by
-        expr as ``bind(r, theta, t, replay=...)``, a function of lam.
-        Built on first use and kept."""
+        """The integrand, guarded by the psi floor, lowered by expr as
+        ``bind(r, theta, t, replay=...)``, a function of lam.  Built on
+        first use and kept."""
         if self._lowered is None:
             tree = _INTEGRAND[self._theta_dependent]
             for name in ("r", "theta"):
                 tree = ex.substitute(tree, f"psi_{name}", self.psi.partial(name).tree)
             tree = ex.substitute(tree, "psi", self.psi.tree)
-            guards = ((self.psi.tree, self.psi_min), (Var("alpha"), 0.0))
-            guards = guards[: 1 + self._theta_dependent]
+            guards = ((self.psi.tree, self.psi_min),)
             self._lowered = ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards)
         return self._lowered
 
@@ -494,20 +484,22 @@ class SystemSpec(_Record):
         first use per floors and kept.
 
         du/dt = -u G(theta) / (r^2 v) + the coupling's ``udot_term``.  It raises
-        SingularStateError for r <= 0 (or NaN), then where ``floors.check``
-        does, and FloatingPointError where a denominator such as r^2 v
-        underflowed to zero: the state is singular, as the inf that array
-        arithmetic gives there says.
+        SingularStateError for r <= 0 (or NaN), then past the r or v floor
+        (compared inline, raised by ``floors.check``), and FloatingPointError
+        where a denominator such as r^2 v underflowed to zero: the state is
+        singular, as the inf that array arithmetic gives there says.
         """
         lowered = self._flows.get(floors)
         if lowered is None:
             g_at, udot_term, check = self._g_fn, self.coupling.udot_term, floors.check
+            r_min, v_min = floors.r_min, floors.v_min
 
             def lowered(t, y):
                 r, theta, u, v = y
                 if not r > 0.0:
                     raise _nonpositive_r(r)
-                check(r, v)
+                if r < r_min or abs(v) <= v_min:  # check raises, r's first
+                    check(r, v)
                 try:
                     g = g_at(theta)
                     udot = -u * g / (r * r * v) + udot_term(t, r, theta, u, v)

@@ -273,8 +273,8 @@ def reference_sample_states(rng, n, u_floor, branch) -> list:
 
 
 def _reference_common_entries(s: PhaseState, floors):
-    floors.check(s.r)
-    alpha = s.alpha(floors.v_min)
+    floors.check(s.r, s.v)
+    alpha = s.u / s.v
     r2 = s.r * s.r
     return alpha, alpha, 1.0 / r2, s.u / (r2 * s.v)  # alpha, j14, j24, j23
 
@@ -301,9 +301,9 @@ def reference_jet(handle: FuncHandle, alpha, r, theta, t=0.0) -> tuple:
 
 def class2_integrand_partial(phi, var: str):
     """The partial in ``var`` ("r" or "theta") of phi's class-2 integrand,
-    lowered with the bound names and guards ``Class2Phi._lower(var)``
-    gave it: ``bind(r, theta, t)``, a function of lam, unguarded; None
-    where the partial is the structural zero."""
+    lowered with the bound names of ``Class2Phi._lower()``, unguarded:
+    ``bind(r, theta, t)``, a function of lam; None where the partial is
+    the structural zero."""
     tree = _INTEGRAND[phi.psi.depends_on("theta")]
     for name in ("r", "theta"):
         tree = ex.substitute(tree, f"psi_{name}", phi.psi.partial(name).tree)

@@ -252,6 +252,24 @@ def partial_overflows(row) -> bool:
     return math.isinf(1e154 * (1e154 * r) + (1e154 * r) * 1e154)
 
 
+@pytest.mark.parametrize("method", ["dp45", "rk4"])
+def test_simulate_refuses_a_non_finite_initial_derivative(tmp_path, capsys, method):
+    # phi is NaN at s0: both methods exit 1 naming the cause, where DP45
+    # used to refuse a NaN step size and RK4 to stop at t = 0 with exit 0
+    doc = dict(
+        NAN_PHI_DOC,
+        initial_state={"r": 2.0, "theta": 0.0, "u": 0.2, "v": 1.0},
+        time_span=[0.0, 1.0],
+        integrator={"method": method},
+    )
+    code, out = run(tmp_path, "simulate", "--config", str(write_config(tmp_path, doc)))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: non-finite derivative (0.2, 0.25, nan, -0.0) at the initial state t=0.0\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [1, 3])
 def test_a_nan_residual_fails_the_sweep(tmp_path, capsys, seed):
     cfg = write_config(tmp_path, NAN_PHI_DOC)

@@ -576,7 +576,7 @@ def _fused_and_generic(f, lo, hi):
 
 # (psi, chi, lam0, psi_min) of the class-2 documents of the report-digest
 # tool: alpha and r, a nonzero lam0, a chi with a floor psi crosses, a
-# theta-dependent psi (the lambda = 0 guard) and an exp that overflows
+# theta-dependent psi (its 1/lambda term) and an exp that overflows
 # near lambda = 0
 _PANEL_POOL = [
     ("1+alpha^2*r", None, 0.0, 1e-12),
@@ -600,14 +600,16 @@ def test_fused_gk21_matches_generic_panel_on_class2_integrands():
             # a panel symmetric about 0 samples lambda = 0 at its centre
             lo = -0.5 * width if n % 7 == 0 else lam0 + rng.uniform(-4.0, 4.0)
             for bind in filter(None, binds):
-                f = bind(r, theta, t, replay=phi.integrand) if bind is binds[0] else bind(r, theta, t)
+                f = bind(r, theta, t, replay=phi._integrand) if bind is binds[0] else bind(r, theta, t)
                 assert hasattr(f, "gk21")
                 fused, generic = _fused_and_generic(f, lo, lo + width)
                 assert fused == generic, (text, r, theta, t, lo, width)
                 seen.add(fused[0] if isinstance(fused, tuple) else "panel")
-    # every fault was reached: the psi floor and lambda = 0 (SingularStateError),
-    # the overflow (DomainError) and a non-finite sample
-    assert seen == {"panel", SingularStateError, ex.DomainError, ex.QuadratureError}
+    # every fault was reached: the psi floor (SingularStateError), lambda = 0
+    # (ZeroDivisionError), the overflow (DomainError) and a non-finite sample
+    assert seen == {
+        "panel", SingularStateError, ZeroDivisionError, ex.DomainError, ex.QuadratureError
+    }
 
 
 def test_fused_gk21_matches_generic_panel_on_random_integrands():
@@ -705,11 +707,11 @@ def test_a_wrapped_integrand_takes_the_generic_panel_with_the_same_bits(monkeypa
     phi = Class2Phi(FuncHandle.from_text("1+alpha^2*r"))
     bind, panels = phi._lower(), []
     # every bind's integrand is a method of one function, which holds gk21
-    compiled = bind(1.3, 0.2, 0.0, replay=phi.integrand).__func__
+    compiled = bind(1.3, 0.2, 0.0, replay=phi._integrand).__func__
     fused = compiled.gk21
     monkeypatch.setattr(compiled, "gk21", lambda *args: panels.append(args) or fused(*args))
     for alpha, r in ((0.7, 1.3), (-3.5, 0.6), (3.9, 2.9)):
-        f = bind(r, 0.2, 0.0, replay=phi.integrand)
+        f = bind(r, 0.2, 0.0, replay=phi._integrand)
         panels[:] = []
         direct = ex.quad_adaptive(f, 0.0, alpha, 1e-14)
         wrapped, calls = _counted(f)
@@ -957,8 +959,7 @@ def _integrand_trees(psi_text: str) -> tuple:
 def _lowers_to(tree, phi) -> bool:
     """Whether phi's lowered integrand is ``tree``'s: expr lowers an equal
     tree, with equal guards, to the same code object."""
-    guards = ((phi.psi.tree, phi.psi_min), (Var("alpha"), 0.0))
-    bind = ex.compile(tree, ("alpha",), ("r", "theta", "t"), guards[: 1 + phi.psi.depends_on("theta")])
+    bind = ex.compile(tree, ("alpha",), ("r", "theta", "t"), ((phi.psi.tree, phi.psi_min),))
     return bind.__code__ is phi._lower().__code__
 
 

@@ -686,6 +686,19 @@ def test_a_domain_exit_still_halves_the_step():
 
 
 @pytest.mark.parametrize("method", ["dp45", "rk4"])
+def test_a_non_finite_initial_derivative_is_refused(method):
+    # s0 admissible is a precondition: phi is inf - inf, a NaN, at s0, and
+    # f(t0, y0) is refused as one that raises is, before any step is sized
+    phi = FuncHandle.from_text("(1e154*r)*(1e154*r) - (1e154*r)*(1e154*r)")
+    flow = SystemSpec(ex.parse("0"), phi).flow()
+    with pytest.raises(SingularStateError) as err:
+        integrate_ode(flow, [2.0, 0.0, 0.2, 1.0], 0.0, 1.0, Solver(method=method))
+    assert str(err.value) == (
+        "non-finite derivative (0.2, 0.25, nan, -0.0) at the initial state t=0.0"
+    )
+
+
+@pytest.mark.parametrize("method", ["dp45", "rk4"])
 def test_a_non_finite_stage_counts_each_call_once(method):
     calls = [0]
 

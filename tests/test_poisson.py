@@ -22,13 +22,16 @@ from ermakov.poisson import (
     perturb_j34,
     pfaffian,
 )
+from ermakov.integrate import integrate
 from ermakov.systems import (
     DEFAULT_FLOORS,
     Class2Phi,
+    Floors,
     FuncHandle,
     PhaseState,
     Potential,
     SingularStateError,
+    Solver,
     SystemSpec,
     vector_field,
 )
@@ -773,5 +776,61 @@ def test_matrices_keep_the_reference_bits_and_errors(name):
     with pytest.raises(SingularStateError, match=r"^r=0.005 below floor r_min=0.01$"):
         build(make(), both, 0.0, EDGE_FLOORS)
     v_only = PhaseState(1.3, 0.2, -0.4, -0.001)
-    with pytest.raises(SingularStateError, match=r"^alpha undefined: \|v\|=0.001 at or below"):
+    with pytest.raises(SingularStateError, match=r"^\|v\|=0.001 at or below floor v_min=0.001$"):
         build(make(), v_only, 0.0, EDGE_FLOORS)
+
+
+# floors, and per floor the value of r, u or v past it and Floors.check's
+# message there: r sits between the relaxed floor and the floor, and v at
+# the floor, so the integrator's stages pass them
+FLOORS = Floors(r_min=0.01, u_min=0.001, v_min=0.001)
+PAST_FLOORS = {
+    "r": (0.008, "r=0.008 below floor r_min=0.01"),
+    "u": (0.0005, "|u|=0.0005 at or below floor u_min=0.001"),
+    "v": (-0.001, "|v|=0.001 at or below floor v_min=0.001"),
+}
+FREE = SystemSpec(ex.parse("0"), FuncHandle.from_text("0"))
+PSI = FuncHandle.from_text("1+alpha^2*r")
+
+
+def _accept_check(s, floors):
+    """The stop reason of ``integrate``'s accept check at its first
+    accepted state, where u = 0 keeps r and v as they were at s."""
+    solver = Solver(method="rk4", dt=0.001)
+    return integrate(FREE, s._replace(u=0.0), 0.0, 0.01, solver, floors).stop_reason
+
+
+def _raised(fn):
+    def site(s, floors):
+        with pytest.raises(SingularStateError) as err:
+            fn(s, floors)
+        return str(err.value)
+
+    return site
+
+
+# each call site: the floors it tests, how it reports a floor, and what it
+# adds to the message
+FLOOR_SITES = {
+    "vector_field": ("rv", _raised(lambda s, f: vector_field(FREE, s, 0.0, f)), ""),
+    "integrate": ("rv", _accept_check, " at t=0.001"),
+    "matrix_class1": ("rv", _raised(lambda s, f: matrix_class1(PSI, s, 0.0, f)), ""),
+    "matrix_class2": ("rv", _raised(lambda s, f: matrix_class2(Class2Phi(PSI), s, 0.0, f)), ""),
+    "consistency_residual": (
+        "uv", _raised(lambda s, f: consistency_residual(PSI, Class2Phi(PSI), s, 0.0, f)), ""
+    ),
+    "casimir_C1": ("v", _raised(lambda s, f: inv.casimir_C1(OSC, s, 0.0, f)), ""),
+    "grad_casimirs": ("v", _raised(lambda s, f: inv.grad_casimirs(OSC, s, 0.0, f)), ""),
+}
+
+
+@pytest.mark.parametrize(
+    "site, past",
+    [(site, past) for site, (tested, _, _) in FLOOR_SITES.items()
+     for past in ("r", "u", "v", "ru", "rv", "uv", "ruv") if set(past) <= set(tested)],
+)
+def test_every_call_site_raises_the_first_floor_past_in_the_order_r_u_v(site, past):
+    _, report, suffix = FLOOR_SITES[site]
+    values = {"r": 1.3, "u": -0.4, "v": 0.9, **{name: PAST_FLOORS[name][0] for name in past}}
+    s = PhaseState(values["r"], 0.2, values["u"], values["v"])
+    assert report(s, FLOORS) == PAST_FLOORS[past[0]][1] + suffix

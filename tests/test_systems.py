@@ -73,11 +73,10 @@ def test_phase_state_requires_positive_radius():
         DEFAULT_FLOORS.r_min = 1.0
 
 
-def test_alpha_guards_small_v():
-    s = PhaseState(r=1.0, theta=0.0, u=2.0, v=1e-15)
-    with pytest.raises(SingularStateError):
-        s.alpha()
-    assert PhaseState(r=1.0, theta=0.0, u=2.0, v=0.5).alpha() == 4.0
+def test_floors_check_guards_small_v():
+    with pytest.raises(SingularStateError, match=r"^\|v\|=1e-15 at or below floor v_min=1e-12$"):
+        DEFAULT_FLOORS.check(v=-1e-15)
+    assert DEFAULT_FLOORS.check(v=0.5) is None
 
 
 def test_func_handle_rejects_unknown_variables():
@@ -408,6 +407,49 @@ def test_class2_phi_matches_the_closed_form_of_its_integral():
         assert phi(alpha, r, theta) == pytest.approx(w * k, rel=1e-12, abs=0.0), (alpha, r)
 
 
+def _draw_linear(rng):
+    return rng.choice((0.0, 0.3, -0.2)), rng.uniform(-0.25, 3.0), rng.uniform(-3.0, 3.0)
+
+
+def _draw_sine(rng):  # paths from lam0 = +-0.3 to alpha of its sign: clear of lam = 0
+    lam0 = rng.choice((0.3, -0.3))
+    theta = rng.choice((1.0, -1.0)) * rng.uniform(0.2, 3.0)
+    return lam0, math.copysign(rng.uniform(0.05, 1.5), lam0), theta
+
+
+# (psi, (lam0, alpha, theta) drawn, an antiderivative F(lam, r, theta) of
+# phi's integrand): psi_r alone, then the psi_theta/(r^2 lam) term alone
+_CLOSED_FORMS = {
+    "1+alpha*r": (
+        _draw_linear,
+        lambda lam, r, theta: -(math.log(1.0 + lam * r) - 1.0 / (1.0 + lam * r)) / (r * r),
+    ),
+    "2+alpha*sin(theta)": (
+        _draw_sine,
+        lambda lam, r, theta: (
+            -2.0 / (r * math.sin(theta)) * math.log(2.0 + lam * math.sin(theta))
+            - math.cos(theta) / (r * r * math.sin(theta)) / (2.0 + lam * math.sin(theta))
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_CLOSED_FORMS))
+def test_class2_phi_matches_the_closed_form_of_its_integral_on_more_psi(text):
+    # K = F(alpha) - F(lam0), chi = None and t = 0, so phi = K psi(alpha)
+    draw, antiderivative = _CLOSED_FORMS[text]
+    psi = FuncHandle.from_text(text)
+    phis = {}
+    rng = random.Random(40)
+    for _ in range(300):
+        lam0, alpha, theta = draw(rng)
+        r = rng.uniform(0.5, 3.0)
+        phi = phis.setdefault(lam0, Class2Phi(psi, lam0=lam0))
+        k = antiderivative(alpha, r, theta) - antiderivative(lam0, r, theta)
+        expected = k * psi(alpha, r, theta)
+        assert phi(alpha, r, theta) == pytest.approx(expected, rel=1e-11, abs=0.0), (lam0, alpha, r)
+
+
 def test_class2_phi_with_theta_dependent_psi_needs_safe_path():
     psi = FuncHandle.from_text("2 + sin(theta)")
     phi = Class2Phi(psi, lam0=0.5)
@@ -472,7 +514,7 @@ def test_class2_phi_takes_a_constant_integrand_exactly(monkeypatch, text):
             alpha, r = rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0)
             theta, t = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0)
             quadrature = ex.quad_adaptive(
-                lambda lam: phi.integrand(lam, r, theta, t), lam0, alpha, phi.tol
+                lambda lam: phi._integrand(lam, r, theta, t), lam0, alpha, phi.tol
             )
             cases.append((phi, (alpha, r, theta, t), quadrature * psi(alpha, r, theta, t)))
     quads = count_outermost_calls(monkeypatch, ex, "quad_adaptive")
@@ -512,20 +554,21 @@ def test_fused_integrand_matches_integrand_bit_for_bit():
         bind = phi._lower()
         rng = random.Random(text)
         points = [tuple(rng.uniform(lo, hi) for lo, hi in _FUSED_RANGES) for _ in range(2000)]
-        # lambda = 0 (at r = inf only the guard sees it: the 1/lambda term
-        # is a NaN there, not a division by zero), psi at its floor, ln(0)
+        # lambda = 0, where the 1/lambda term divides by zero in both (at
+        # r = inf it is a NaN in both: nothing guards lambda), psi at its
+        # floor, ln(0)
         points += [(0.0, 1.3, 0.4, 0.5), (-0.0, 0.7, -1.1, 0.0), (0.0, math.inf, 0.3, 0.2),
                    (-0.5, 1.0, 0.2, 0.1), (-1.0, 1.0, 0.2, 0.1)]
         for lam, r, theta, t in points:
-            expected = _outcome(lambda: phi.integrand(lam, r, theta, t))
-            fused = bind(r, theta, t, replay=phi.integrand)
+            expected = _outcome(lambda: phi._integrand(lam, r, theta, t))
+            fused = bind(r, theta, t, replay=phi._integrand)
             assert _outcome(lambda: fused(lam)) == expected, (text, lam, r, theta, t)
             if not isinstance(expected, bytes):
                 faults.append(expected)
     # every fault state was reached, and nothing else faulted
     kinds = {
         (SingularStateError, "at or below floor psi_min="),
-        (SingularStateError, "has a 1/lambda term and the path touches lambda=0"),
+        (ZeroDivisionError, "float division by zero"),
         (ex.DomainError, "ln of -"),
         (ex.DomainError, "ln of 0.0 "),
     }

@@ -3,15 +3,18 @@
 
     python3 tools/seed_sweep.py --seeds A-B
 
-Runs thirteen ``verify`` sweeps (``OPS``), in this process, against the
+Runs seventeen ``verify`` sweeps (``OPS``), in this process, against the
 package in this checkout's ``src/``, at every seed from A to B inclusive:
 ``jacobi``, ``flow``, ``casimir`` and ``determinant`` on
 ``configs/spiral.json``; ``jacobi``, ``flow``, ``consistency`` and
 ``determinant`` on ``configs/class2_psi1.json``; ``flow``,
 ``consistency``, ``jacobi`` and ``determinant`` on the class-2 stress
-config ``bench/configs/class2_quadrature.json``; and ``casimir`` on
+config ``bench/configs/class2_quadrature.json``; ``casimir`` on
 ``OFF_OSCILLATOR`` from ``tools/report_digests.py``, the one op whose C2
-gradient takes the quadrature path.  It prints one line per
+gradient takes the quadrature path; and ``jacobi``, ``flow``,
+``consistency`` and ``determinant`` on that tool's
+``class2_theta_fixed.json``, whose phi integrand carries the
+psi_theta/(r^2 lambda) term.  It prints one line per
 op: the tolerance, the worst residual over the band with its seed, the
 margin (tolerance over worst residual, inf where the worst is 0.0), the
 seeds whose sweep failed, and ``ALL-ZERO`` where every residual of every
@@ -31,15 +34,29 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the digest tool's pseudo-potential off the singular oscillator
-OFF_OSCILLATOR = runpy.run_path(str(ROOT / "tools" / "report_digests.py"))["OFF_OSCILLATOR"]
+_DIGESTS = runpy.run_path(str(ROOT / "tools" / "report_digests.py"))
 
-# (config, its sweeps), the config relative to the checkout or OFF_OSCILLATOR
+
+def _sweep_variant(name: str) -> dict:
+    """The digest tool's sweep variant ``name``, built as that tool builds it."""
+    _, base, sections, _ = next(v for v in _DIGESTS["SWEEP_VARIANTS"] if v[0] == name)
+    return dict(json.loads((ROOT / "configs" / base).read_text(encoding="utf-8")), **sections)
+
+
+# documents of the digest tool: its pseudo-potential off the singular
+# oscillator, and its theta-dependent class-2 psi on the fixed branch
+DOCUMENTS = {
+    "OFF_OSCILLATOR": _DIGESTS["OFF_OSCILLATOR"],
+    "class2_theta_fixed.json": _sweep_variant("class2_theta_fixed.json"),
+}
+
+# (config, its sweeps), the config relative to the checkout or in DOCUMENTS
 OPS = (
     ("configs/spiral.json", ("jacobi", "flow", "casimir", "determinant")),
     ("configs/class2_psi1.json", ("jacobi", "flow", "consistency", "determinant")),
     ("bench/configs/class2_quadrature.json", ("flow", "consistency", "jacobi", "determinant")),
     ("OFF_OSCILLATOR", ("casimir",)),
+    ("class2_theta_fixed.json", ("jacobi", "flow", "consistency", "determinant")),
 )
 
 
@@ -67,8 +84,8 @@ def sweep(seeds) -> list:
 
     bands = []
     for config, ops in OPS:
-        if config == "OFF_OSCILLATOR":
-            cfg = parse_config(json.dumps(OFF_OSCILLATOR).encode())
+        if config in DOCUMENTS:
+            cfg = parse_config(json.dumps(DOCUMENTS[config]).encode())
         else:
             cfg = load_config(ROOT / config)
         for which in ops:
