@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from pathlib import Path
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from ermakov import expr as ex
-from ermakov import poisson
+from ermakov import poisson, verify
 from ermakov.poisson import (
     JACOBI_TRIPLES,
     SkewMatrix4,
@@ -33,10 +34,11 @@ from ermakov.systems import (
     SingularStateError,
     Solver,
     SystemSpec,
+    nan_max,
     vector_field,
 )
 from ermakov import invariants as inv
-from ermakov.config import load_config, sample_states
+from ermakov.config import SWEEPS, load_config, sample_states
 from ermakov.verify import _verify_determinant, _verify_flow, _verify_jacobi
 
 from helpers import (
@@ -683,6 +685,93 @@ def test_verify_flow_residuals_keep_the_reference_bits(config):
         ]
         assert float_bits(per_state) == float_bits(want)
         assert sum(x != x for x in per_state) == len(nan_states)
+
+
+# per config, the sweeps it accepts and states whose residual is NaN in each
+_SWEEP_CASES = {
+    "spiral": (
+        ("jacobi", "flow", "casimir", "determinant"),
+        (PhaseState(1.0, 0.2, math.nan, 1.0), PhaseState(1.0, 0.2, 0.3, math.nan)),
+    ),
+    "class2_psi1": (
+        SWEEPS,
+        (PhaseState(1.0, 0.2, math.nan, 1.0), PhaseState(1.0, 0.2, 0.3, math.nan)),
+    ),
+    "class2_quadrature": (
+        ("jacobi", "flow", "consistency", "determinant"),
+        (PhaseState(1.0, 0.2, 0.3, math.inf),),
+    ),
+}
+
+
+def _spliced_draw(at, extra, *args):
+    states = sample_states(*args)
+    return [*states[:at], *extra, *states[at:]]
+
+
+def _reference_residual(cfg, which, field, s, tol):
+    """One ``verify`` state's residual, computed from poisson, invariants
+    and vector_field, with the class-2 determinant's Pfaffian-identity and
+    quoted-form deviations at that state (else ())."""
+    spec, floors = cfg.spec, cfg.floors
+    if which == "jacobi":
+        return nan_max(abs(x) for x in jacobi_residuals(field, s, 0.0)), ()
+    if which == "flow":
+        jf = hamiltonian_flow(field, inv.grad_ermakov(spec.g, s), s)
+        return reference_flow_residual(jf, vector_field(spec, s, 0.0, floors)), ()
+    if which == "casimir":
+        potential = cfg.verify.casimir_potential or spec.coupling
+        grads = inv.grad_casimirs(potential, s, 0.0, floors)
+        return nan_max(abs(x) for x in casimir_residuals(field, grads, s)), ()
+    if which == "consistency":
+        return abs(consistency_residual(spec.coupling.psi, spec.coupling, s, 0.0, floors)), ()
+    m = field(s)
+    det = determinant(m)
+    if spec.kind != "class2":
+        return abs(det) / m.norm() ** 4, ()
+    psi = spec.coupling.psi.fn(s.u / s.v, s.r, s.theta, 0.0)
+    closed = (s.u * psi / s.r**2) ** 2
+    res = abs(det - closed) / max(1e-30, closed)
+    pf = pfaffian(m)
+    return max(res, tol) if det <= 0.0 < closed else res, (
+        abs(det - pf * pf) / max(1e-30, abs(det), pf * pf),
+        abs(det - det_class2_quoted(psi, s)) / max(1e-30, abs(det)),
+    )
+
+
+@pytest.mark.parametrize(
+    "config, which", [(c, w) for c, (sweeps, _) in _SWEEP_CASES.items() for w in sweeps]
+)
+def test_verify_residuals_keep_the_reference_bits(config, which, monkeypatch):
+    # every sweep's per-state residuals, its max_residual and the class-2
+    # determinant's two reduced fields equal their values computed directly,
+    # on the drawn states of seeds 0-19 and, at odd seeds, on states whose
+    # residual is NaN
+    cfg = load_config(_FLOW_CONFIGS[config][0])
+    nan_states = _SWEEP_CASES[config][1]
+    for seed in range(20):
+        extra = nan_states if seed % 2 else ()
+        monkeypatch.setattr(verify, "sample_states", functools.partial(_spliced_draw, 7 * seed, extra))
+        _, _, reports = verify.cmd_verify(cfg, seed, which, False)
+        (doc,) = reports.values()
+        rows = doc["per_state"]
+        field = matrix_field(cfg.spec.coupling, cfg.floors)
+        want = [
+            _reference_residual(
+                cfg, which, field, PhaseState(row["r"], row["theta"], row["u"], row["v"]),
+                doc["tolerance"],
+            )
+            for row in rows
+        ]
+        got = [row["residual"] for row in rows]
+        assert float_bits(got) == float_bits(res for res, _ in want)
+        assert sum(x != x for x in got) == len(extra)
+        assert float_bits([doc["max_residual"]]) == float_bits([nan_max(got)])
+        if cfg.spec.kind == "class2" and which == "determinant":
+            pf_devs, quoted_devs = zip(*(devs for _, devs in want))
+            assert float_bits([doc["pfaffian_identity_max"], doc["quoted_form_max_rel_dev"]]) == (
+                float_bits([nan_max(pf_devs), nan_max(quoted_devs)])
+            )
 
 
 @pytest.mark.parametrize("config", sorted(_FLOW_CONFIGS))
