@@ -18,8 +18,8 @@ JSON as
 
 This module holds ``simulate``, the report writers and the parser, whose
 ``--which`` choices are :data:`ermakov.config.SWEEPS`.  The other commands
-live in :mod:`ermakov.verify` (one table of sweeps over one matrix field,
-and their seeded draw) and :mod:`ermakov.orbit` (``orbit``, with its grid,
+live in :mod:`ermakov.verify` (one table of sweeps, each a function of
+one state over one matrix field, and the seeded draw they loop over) and :mod:`ermakov.orbit` (``orbit``, with its grid,
 and ``linearize``), which ``main`` imports only for the command it runs,
 with ``poisson`` or ``linearize``; ``simulate`` loads
 :mod:`ermakov.integrate` when it runs, and ``IntegrationError`` comes

@@ -87,15 +87,13 @@ class Floors(NamedTuple):
     def check(self, r=None, v=None, u=None):
         """The one floor test: raise SingularStateError when a given r sits
         below r_min, else a given |u|, then |v|, at or below u_min, v_min.
-        r's and v's messages print plain floats whatever the numeric type."""
+        All three messages print plain floats whatever the numeric type."""
         if r is not None and r < self.r_min:
             raise SingularStateError(f"r={float(r)!r} below floor r_min={self.r_min!r}")
         if u is not None and abs(u) <= self.u_min:
-            raise SingularStateError(f"|u|={abs(u)!r} at or below floor u_min={self.u_min!r}")
+            raise SingularStateError(f"|u|={float(abs(u))!r} at or below floor u_min={self.u_min!r}")
         if v is not None and abs(v) <= self.v_min:
-            raise SingularStateError(
-                f"|v|={float(abs(v))!r} at or below floor v_min={self.v_min!r}"
-            )
+            raise SingularStateError(f"|v|={float(abs(v))!r} at or below floor v_min={self.v_min!r}")
 
 
 DEFAULT_FLOORS = Floors()
@@ -149,7 +147,7 @@ def linspace(lo: float, hi: float, n: int) -> list:
 
 
 def _nonpositive_r(r: float) -> SingularStateError:
-    return SingularStateError(f"r must be positive, got {r!r}")
+    return SingularStateError(f"r must be positive, got {float(r)!r}")
 
 
 class PhaseState(NamedTuple):

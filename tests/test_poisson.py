@@ -626,7 +626,8 @@ def test_class2_matrix_and_flow_read_psi_once_per_state(name):
             vector_field(spec, s)
         elif case == "verify jacobi":
             cfg = SimpleNamespace(verify=SimpleNamespace(tolerance={}))
-            _, (res,), _ = _verify_jacobi(cfg, matrix_field(spec.coupling), [s])
+            _, residual, _, _ = _verify_jacobi(cfg, matrix_field(spec.coupling))
+            res = residual(s)
             fresh = Class2Phi(FuncHandle.from_text(text), lam0=lam0)
             want = max(map(abs, jacobi_residuals(matrix_field(fresh), s)))
             assert float_bits([res]) == float_bits([want])
@@ -634,7 +635,8 @@ def test_class2_matrix_and_flow_read_psi_once_per_state(name):
             cfg = SimpleNamespace(
                 spec=spec, floors=DEFAULT_FLOORS, verify=SimpleNamespace(tolerance={})
             )
-            _, (res,), _ = _verify_determinant(cfg, matrix_field(spec.coupling), [s])
+            _, residual, _, _ = _verify_determinant(cfg, matrix_field(spec.coupling))
+            res, _, _ = residual(s)
             # the residual against (u psi / r^2)^2, psi read afresh
             fresh = Class2Phi(FuncHandle.from_text(text), lam0=lam0)
             closed = (s.u * fresh.psi.fn(s.u / s.v, s.r, s.theta, 0.0) / s.r**2) ** 2
@@ -675,7 +677,8 @@ def test_verify_flow_residuals_keep_the_reference_bits(config):
     for seed in range(20):
         states = sample_states(random.Random(seed), vs.samples, vs.u_floor, vs.branch)
         states = [*states[: 7 * seed], *nan_states, *states[7 * seed :]]
-        _, per_state, _ = _verify_flow(cfg, field, states)
+        _, residual, _, _ = _verify_flow(cfg, field)
+        per_state = [residual(s) for s in states]
         want = [
             reference_flow_residual(
                 hamiltonian_flow(field, inv.grad_ermakov(cfg.spec.g, s), s),

@@ -73,6 +73,27 @@ def test_phase_state_requires_positive_radius():
         DEFAULT_FLOORS.r_min = 1.0
 
 
+def test_floor_and_radius_messages_print_numpy_scalars_as_python_floats():
+    floors = Floors(r_min=0.01, u_min=0.001, v_min=0.001)
+    for name, value, message in (
+        ("r", 0.008, "r=0.008 below floor r_min=0.01"),
+        ("u", -0.0005, "|u|=0.0005 at or below floor u_min=0.001"),
+        ("v", -0.001, "|v|=0.001 at or below floor v_min=0.001"),
+    ):
+        for x in (value, np.float64(value)):
+            with pytest.raises(SingularStateError) as err:
+                floors.check(**{name: x})
+            assert str(err.value) == message, type(x)
+    # r <= 0 or NaN, refused as a PhaseState is built and by the flow
+    flow = SystemSpec(ex.parse("0"), OSC).flow()
+    for r, shown in ((-1.0, "-1.0"), (0.0, "0.0"), (math.nan, "nan")):
+        for x in (r, np.float64(r)):
+            for refuse in (PhaseState, lambda *y: flow(0.0, y)):
+                with pytest.raises(SingularStateError) as err:
+                    refuse(x, 0.0, 0.0, 1.0)
+                assert str(err.value) == f"r must be positive, got {shown}", type(x)
+
+
 def test_floors_check_guards_small_v():
     with pytest.raises(SingularStateError, match=r"^\|v\|=1e-15 at or below floor v_min=1e-12$"):
         DEFAULT_FLOORS.check(v=-1e-15)

@@ -17,14 +17,18 @@ gradient takes the quadrature path; and ``jacobi``, ``flow``,
 psi_theta/(r^2 lambda) term.  It prints one line per
 op: the tolerance, the worst residual over the band with its seed, the
 margin (tolerance over worst residual, inf where the worst is 0.0), the
-seeds whose sweep failed, and ``ALL-ZERO`` where every residual of every
-seed is exactly 0.0, since such a sweep checks nothing.  It exits 1 when
-a sweep failed at any seed.
+seeds whose sweep failed, ``ALL-ZERO`` where every residual of every
+seed is exactly 0.0, since such a sweep checks nothing, and last
+``bits=``, the first 16 hex digits of the sha256 over the op's reports,
+``json.dumps(doc, sort_keys=True)`` of each seed in turn: two checkouts
+print the same bits exactly when they write the same reports.  It exits 1
+when a sweep failed at any seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import runpy
@@ -70,6 +74,7 @@ class Band(NamedTuple):
     worst_seed: int
     failing: tuple  # the seeds whose sweep failed
     all_zero: bool  # every residual of every seed is exactly 0.0
+    bits: str  # sha256 hex over the reports, json.dumps(doc, sort_keys=True) per seed
 
     @property
     def margin(self) -> float:
@@ -90,16 +95,20 @@ def sweep(seeds) -> list:
             cfg = load_config(ROOT / config)
         for which in ops:
             worst, worst_seed, failing, all_zero, tolerance = -math.inf, None, [], True, None
+            bits = hashlib.sha256()
             for seed in seeds:
                 code, _, reports = cmd_verify(cfg, seed, which, False)
                 (doc,) = reports.values()
+                bits.update(json.dumps(doc, sort_keys=True).encode())
                 tolerance, top = doc["tolerance"], doc["max_residual"]
                 if code:
                     failing.append(seed)
                 if worst == worst and (top != top or top > worst):  # NaN is the worst
                     worst, worst_seed = top, seed
                 all_zero = all_zero and all(row["residual"] == 0.0 for row in doc["per_state"])
-            bands.append(Band(config, which, tolerance, worst, worst_seed, tuple(failing), all_zero))
+            bands.append(Band(
+                config, which, tolerance, worst, worst_seed, tuple(failing), all_zero, bits.hexdigest()
+            ))
     return bands
 
 
@@ -126,6 +135,7 @@ def main(argv=None) -> int:
             f"{b.config} {b.which}: tolerance={b.tolerance:.1e} worst={b.worst:.3e} "
             f"(seed {b.worst_seed}) margin={b.margin:.2e} failing={failing}"
             + " ALL-ZERO" * b.all_zero
+            + f" bits={b.bits[:16]}"
         )
     return 1 if any(b.failing for b in bands) else 0
 
