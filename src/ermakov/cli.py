@@ -18,9 +18,10 @@ JSON as
 
 This module holds ``simulate``, the report writers and the parser, whose
 ``--which`` choices are :data:`ermakov.config.SWEEPS`.  The other commands
-live in :mod:`ermakov.verify` (one table of sweeps, each a function of
-one state over one matrix field, and the seeded draw they loop over) and :mod:`ermakov.orbit` (``orbit``, with its grid,
-and ``linearize``), which ``main`` imports only for the command it runs,
+live in :mod:`ermakov.verify` (one table of sweeps, each set up once to
+give one state's residual on one matrix field, and one loop over the
+seeded draw) and :mod:`ermakov.orbit` (``orbit``, with its grid, and
+``linearize``), which ``main`` imports only for the command it runs,
 with ``poisson`` or ``linearize``; ``simulate`` loads
 :mod:`ermakov.integrate` when it runs, and ``IntegrationError`` comes
 from :mod:`ermakov.systems`.  Every command runs on Python floats and
